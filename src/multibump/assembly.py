@@ -12,10 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from . import _kernels
-from .errors import IndexOutOfWindow, WeightError
+from .errors import IndexOutOfWindow, NewtonFailure, WeightError
+
+_ARMIJO = 1e-4
+_UNDAMPED_BELOW = 1e-4
 
 
 # -- quadrature tables --------------------------------------------------------
@@ -141,6 +145,97 @@ def jacobian_bands(tb, mu, u_full):
     _kernels.hess_cells(cLL, cLR, cRR, tb.qcell, coef, tb.qlam)
     inv = 1.0 / tb.h
     return inv - cLL, -inv - cLR, inv - cRR
+
+
+# -- clamped solves and damped Newton ------------------------------------------
+
+
+def solve_interior(tb, rhs, bands=None, keep=None):
+    """Solve with the interior rows of a clamped mesh's tridiagonal system.
+
+    ``bands`` are cellwise blocks (LL, LR, RR) as from jacobian_bands and are
+    solved by banded LU; without them the system is the stiffness matrix,
+    positive definite, and is solved by banded Cholesky.  The end nodes are
+    eliminated, and with ``keep`` (node indices) every node left out of it.
+    """
+    spd = bands is None
+    if spd:
+        inv = 1.0 / tb.h
+        diag, off = inv[:-1] + inv[1:], -inv[1:-1]
+    else:
+        LL, LR, RR = bands
+        diag, off = RR[:-1] + LL[1:], LR[1:-1]
+    if keep is not None:
+        k = keep - 1
+        diag, off = diag[k], np.where(np.diff(k) == 1, off[k[:-1]], 0.0)
+    if spd:
+        ab = np.zeros((2, len(diag)))
+        ab[0, 1:] = off
+        ab[1] = diag
+        return scipy.linalg.solveh_banded(ab, rhs)
+    ab = np.zeros((3, len(diag)))
+    ab[0, 1:] = off
+    ab[1] = diag
+    ab[2, :-1] = off
+    return scipy.linalg.solve_banded((1, 1), ab, rhs)
+
+
+def newton(x, residual, solve, tol, max_iter):
+    """Damped Newton for residual(x) = 0; returns (x, steps taken).
+
+    ``solve(x, r)`` returns the Newton step for residual r at x.  A step is
+    halved until |r|^2 falls by the Armijo factor, except below a residual of
+    1e-4, where the full step is taken.  ``residual`` may return None to
+    reject a trial outside its domain.  Raises NewtonFailure on a non-finite
+    step, a failed line search, or no convergence within max_iter steps.
+    """
+    r = residual(x)
+    for it in range(max_iter + 1):
+        rn = float(np.max(np.abs(r)))
+        if rn <= tol:
+            return x, it
+        if it == max_iter:
+            break
+        step = solve(x, r)
+        if not np.all(np.isfinite(step)):
+            raise NewtonFailure(f"non-finite Newton step at residual {rn:.3e}")
+        phi0 = float(r @ r)
+        alpha = 1.0
+        while True:
+            trial = x - alpha * step
+            rt = residual(trial)
+            if rt is not None and (
+                    float(rt @ rt) <= (1.0 - 2.0 * _ARMIJO * alpha) * phi0
+                    or rn < _UNDAMPED_BELOW):
+                x, r = trial, rt
+                break
+            alpha *= 0.5
+            if alpha < 1e-8:
+                raise NewtonFailure(f"line search failed at residual {rn:.3e}")
+    raise NewtonFailure(f"no convergence in {max_iter} iterations "
+                        f"(residual {rn:.3e})")
+
+
+def newton_dirichlet(tb, mu, u_full, tol, max_iter):
+    """Damped Newton (``newton``) on the interior nodes of a clamped mesh
+    with the end values held; returns (full nodal values, steps taken)."""
+    full = u_full.copy()          # reused for every trial; never the iterate
+
+    def embed(x):
+        full[1:-1] = x
+        return full
+
+    def residual(x):
+        return residual_full(tb, mu, embed(x))[1:-1]
+
+    def solve(x, r):
+        try:
+            return solve_interior(tb, r, jacobian_bands(tb, mu, embed(x)))
+        except np.linalg.LinAlgError as e:
+            raise NewtonFailure(f"singular Jacobian: {e}") from None
+
+    x, steps = newton(u_full[1:-1], residual, solve, tol, max_iter)
+    return embed(x), steps
 
 
 # -- meshes -------------------------------------------------------------------

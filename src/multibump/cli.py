@@ -7,7 +7,7 @@ solve       periodic multibump solve with certification
 connection  two-point connection problem on one block
 verify      asymptotic mu sweep with decay fits and identity checks
 oracle      shooting / IVP / ground-level reference runs
-sweep       concurrent mu sweeps over several codes
+sweep       mu sweeps over several codes
 
 Configuration comes from an optional JSON file (``--config``) merged with
 command line flags; flags win.  Every run writes ``manifest.json`` into the
@@ -20,14 +20,12 @@ Exit codes: 0 success, 2 input error, 3 certification failure,
 """
 
 import argparse
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
 import math
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -287,8 +285,7 @@ def _crossings(nodes, values):
 
 
 _LOCAL_KEYS = {"weight": None, "mesh": None, "k": 1, "K": None,
-               "out": "local.json", "bump_csv": None, "outdir": None,
-               "seed": None}
+               "out": "local.json", "bump_csv": None, "outdir": None}
 
 
 def cmd_local(args):
@@ -296,10 +293,8 @@ def cmd_local(args):
     w, label, blob = resolve_weight(cfg["weight"])
     run = RunDir("local", cfg["outdir"], cfg, label, blob)
     try:
-        t0 = time.perf_counter()
         mesh = int(cfg["mesh"]) if cfg["mesh"] else None
         ev = localfield.LevelEvaluator(w, mesh)
-        levels = localfield.local_levels(w, mesh=mesh)
         consts = solver.build_constant_pack(
             w, ev, k=int(cfg["k"]),
             K=float(cfg["K"]) if cfg["K"] is not None else None)
@@ -311,13 +306,12 @@ def cmd_local(args):
             "c_zeta": consts.c_zeta,
             "zeta": consts.zeta,
             "zeta_margin": consts.zeta_margin,
-            "lambda1": levels.lambda1,
+            "lambda1": ev.eigen()[0],
             "K": consts.K,
             "r": consts.r,
             "rho": consts.rho,
             "rho_attained": consts.rho_attained,
             "k": consts.k,
-            "elapsed_s": time.perf_counter() - t0,
         }
         run.add_json(cfg["out"], payload)
         if cfg["bump_csv"]:
@@ -335,7 +329,7 @@ def cmd_local(args):
 _SOLVE_KEYS = {"weight": None, "symbols": None, "N": None, "periodic": True,
                "mu": None, "cells": None, "newton_tol": None, "mu0": None,
                "growth": None, "out": "sol.csv", "report": "report.json",
-               "outdir": None, "seed": None, "identities": True}
+               "outdir": None, "identities": True}
 
 
 def cmd_solve(args):
@@ -378,7 +372,7 @@ def cmd_solve(args):
 _CONN_KEYS = {"weight": None, "mu": None, "x": None, "y": None, "l": 1,
               "i": -1, "K": None, "r": None, "cells": None,
               "out": "connection.csv", "report": "connection.json",
-              "outdir": None, "seed": None}
+              "outdir": None}
 
 
 def cmd_connection(args):
@@ -439,7 +433,7 @@ def cmd_connection(args):
 _VERIFY_KEYS = {"weight": None, "symbols": None, "N": None, "periodic": True,
                 "mu_from": None, "mu_to": None, "points": 9, "delta": None,
                 "alpha": 0.5, "cells": None, "out": "verify.json",
-                "outdir": None, "seed": None, "oracle_rtol": 1e-12}
+                "outdir": None, "oracle_rtol": 1e-12}
 
 
 def cmd_verify(args):
@@ -482,7 +476,7 @@ def cmd_verify(args):
 
 _ORACLE_KEYS = {"weight": None, "mu": 0.0, "t0": 0.0, "t1": None, "x": 0.0,
                 "y": 0.0, "u0": 0.0, "du0": 1.0, "s0": None, "rtol": 1e-10,
-                "samples": 400, "out": None, "outdir": None, "seed": None}
+                "samples": 400, "out": None, "outdir": None}
 
 
 def cmd_oracle(args):
@@ -528,55 +522,8 @@ def cmd_oracle(args):
 
 
 _SWEEP_KEYS = {"weight": None, "codes": "1,10,110", "mu_from": 10.0,
-               "mu_to": 1e5, "points": 9, "jobs": 2, "delta": None,
-               "cells": None, "k": None, "outdir": None, "seed": None}
-
-
-def _sweep_job(w, code, mu_list, opts, delta):
-    """Full continuation over mu_list for one code; never raises."""
-    window = solver.make_window(code, periodic=True)
-    rows, samples = [], []
-    error = None
-    try:
-        for mu, gf, report in solver.continuation_states(
-                w, window, mu_list, opts):
-            sol = solver.Solution(u=gf, mu=mu, window=window, report=report)
-            maxima = verify.interior_maxima(sol, delta)
-            sample = max(m for m, _ in maxima) if maxima else float("nan")
-            rows.append((mu, report.certified, report.residual_inf,
-                         gf.sup_norm(), sample))
-            samples.append(sample)
-    except MultibumpError as e:
-        error = f"{type(e).__name__}: {e}"
-        reached = {r[0] for r in rows}
-        rows.extend((mu, False, float("nan"), float("nan"), float("nan"))
-                    for mu in mu_list if mu not in reached)
-    fit = None
-    good = [(mu, s) for (mu, ok, _, _, s), _ in zip(rows, samples)
-            if ok and s > 0 and math.isfinite(s)]
-    if len(good) >= 3:
-        lm = np.log([g[0] for g in good])
-        ls = np.log([g[1] for g in good])
-        A = np.vstack([lm, np.ones_like(lm)]).T
-        coef, *_ = np.linalg.lstsq(A, ls, rcond=None)
-        fit = {"slope": float(coef[0]), "intercept": float(coef[1]),
-               "points": len(good)}
-    return {"code": code, "rows": sorted(rows), "fit": fit, "error": error}
-
-
-def _bracket(rows):
-    """mu* bracket from (mu, certified) outcomes sorted by mu."""
-    fails = [mu for mu, ok in rows if not ok]
-    passes = [mu for mu, ok in rows if ok]
-    if not passes:
-        return (max(fails), float("inf"))
-    if not fails:
-        return (0.0, min(passes))
-    last_fail = max(fails)
-    above = [mu for mu in passes if mu > last_fail]
-    if above:
-        return (last_fail, min(above))
-    return (max(mu for mu, _ in rows), float("inf"))
+               "mu_to": 1e5, "points": 9, "delta": None, "cells": None,
+               "outdir": None}
 
 
 def cmd_sweep(args):
@@ -584,31 +531,43 @@ def cmd_sweep(args):
     w, label, blob = resolve_weight(cfg["weight"])
     run = RunDir("sweep", cfg["outdir"] or "sweep_out", cfg, label, blob)
     try:
-        codes = [solver.parse_symbols(c)
-                 for c in str(cfg["codes"]).split(",") if c]
+        codes = sorted(solver.parse_symbols(c)
+                       for c in str(cfg["codes"]).split(",") if c)
         if not codes:
             raise WeightError("no codes given")
         mu_list = _mu_grid(cfg)
         opts = _solve_options(cfg)
         delta = float(cfg["delta"]) if cfg["delta"] is not None else \
             0.2 * (w.period - w.tau)
-        jobs = max(1, int(cfg["jobs"]))
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                lambda c: _sweep_job(w, c, mu_list, opts, delta), codes))
-        results.sort(key=lambda r: r["code"])
 
-        agg_rows, bracket_rows, fits = [], [], {}
-        for res in results:
-            name = "".join(map(str, res["code"]))
-            for mu, ok, resid, sup, sample in res["rows"]:
-                agg_rows.append((name, mu, ok, resid, sup, sample))
-            lo, hi = _bracket([(mu, ok) for mu, ok, *_ in res["rows"]])
-            bracket_rows.append((name, lo, hi))
-            if res["fit"]:
-                fits[name] = res["fit"]
+        agg_rows, bracket_rows, code_fits, errors = [], [], [], {}
+        for code in codes:
+            name = "".join(map(str, code))
+            rows = []           # (mu, certified, residual, sup, interior sup)
+            try:
+                for sol, maxima in verify.sweep_solutions(w, code, mu_list,
+                                                          delta, opts):
+                    rows.append((sol.mu, sol.report.certified,
+                                 sol.report.residual_inf, sol.u.sup_norm(),
+                                 max(m for m, _ in maxima)))
+            except NonConvergence as e:
+                # the mu values the continuation did not reach count as failing
+                errors[name] = f"{type(e).__name__}: {e}"
+                rows += [(mu, False, math.nan, math.nan, math.nan)
+                         for mu in mu_list[len(rows):]]
+            agg_rows += [(name,) + row for row in rows]
+            bracket_rows.append(
+                (name,) + solver.bracket([row[:2] for row in rows]))
+            good = [(mu, s) for mu, ok, _, _, s in rows
+                    if ok and s > 0 and math.isfinite(s)]
+            fit = None
+            if len(good) >= 3:
+                slope, intercept, _ = verify.loglog_fit(*zip(*good))
+                fit = {"slope": slope, "intercept": intercept,
+                       "points": len(good)}
+            code_fits.append((name, fit))
             run.add_csv(f"decay_{name}.csv", ["mu", "interior_sup"],
-                        [(mu, s) for mu, ok, _, _, s in res["rows"]
+                        [(mu, s) for mu, _, _, _, s in rows
                          if math.isfinite(s)])
         run.add_csv("aggregate.csv",
                     ["code", "mu", "certified", "residual", "sup",
@@ -616,15 +575,16 @@ def cmd_sweep(args):
         run.add_csv("brackets.csv", ["code", "mu_fail", "mu_pass"],
                     [(n, lo, "inf" if math.isinf(hi) else hi)
                      for n, lo, hi in bracket_rows])
+        fits = {name: fit for name, fit in code_fits if fit}
         run.add_json("fits.json", fits)
-        run.add_text("plot.gp", _gnuplot_script(
-            [("".join(map(str, r["code"])), r["fit"]) for r in results]))
+        run.add_text("plot.gp", _gnuplot_script(code_fits))
         run.finish()
         for name, lo, hi in bracket_rows:
             hi_s = "inf" if math.isinf(hi) else f"{hi:g}"
             print(f"{name}: bracket=({lo:g}, {hi_s})"
                   + (f" slope={fits[name]['slope']:.4f}"
-                     if name in fits else ""))
+                     if name in fits else "")
+                  + (f" error={errors[name]}" if name in errors else ""))
         return EXIT_OK
     except BaseException as e:
         run.finish("failed", f"{type(e).__name__}: {e}")
@@ -660,7 +620,6 @@ def _add_common(sp):
     sp.add_argument("--weight",
                     help="'step', 'sine', or a weight JSON file")
     sp.add_argument("--outdir", help="artifact directory")
-    sp.add_argument("--seed", type=int, help="rng seed recorded in the manifest")
 
 
 def build_parser():
@@ -735,16 +694,14 @@ def build_parser():
     p.add_argument("--samples", type=int, help="CSV sample count")
     p.add_argument("--out", help="dense output CSV name")
 
-    p = sub.add_parser("sweep", help="concurrent mu sweeps over codes")
+    p = sub.add_parser("sweep", help="mu sweeps over codes")
     _add_common(p)
     p.add_argument("--codes", help="comma separated 0/1 codes, e.g. 1,10,110")
     p.add_argument("--mu-from", dest="mu_from", type=float)
     p.add_argument("--mu-to", dest="mu_to", type=float)
     p.add_argument("--points", type=int)
-    p.add_argument("--jobs", type=int, help="concurrent jobs")
     p.add_argument("--delta", type=float)
     p.add_argument("--cells", type=int)
-    p.add_argument("--k", type=int)
 
     return ap
 

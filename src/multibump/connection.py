@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded, solveh_banded
 
 from . import assembly
 from .assembly import GridFunction
@@ -31,7 +30,6 @@ from .errors import (InteriorityFailure, NonConvergence, SingularLinearization,
                      WeightError)
 
 _ARMIJO = 1e-4
-_UNDAMPED_BELOW = 1e-4
 _CAP_SLACK = 1e-9          # relative slack kept free of each cap by retraction
 
 
@@ -251,27 +249,6 @@ def _check_interiority(p, grid, full):
 # -- the block solver ----------------------------------------------------------
 
 
-def _stiffness_precond(grid):
-    """Cholesky-banded factorizable interior stiffness (upper form)."""
-    h = grid.tables.h
-    n = len(grid.nodes) - 2
-    ab = np.zeros((2, n))
-    ab[1] = 1.0 / h[:-1] + 1.0 / h[1:]
-    ab[0, 1:] = -1.0 / h[1:-1]
-    return ab
-
-
-def _interior_bands(tb, mu, full):
-    """Tridiagonal (1,1) banded form of the interior residual Jacobian."""
-    dLL, dLR, dRR = assembly.jacobian_bands(tb, mu, full)
-    n = len(full) - 2
-    ab = np.zeros((3, n))
-    ab[1] = dRR[:-1] + dLL[1:]
-    ab[0, 1:] = dLR[1:-1]
-    ab[2, :-1] = dLR[1:-1]
-    return ab
-
-
 def _block_action(tb, mu, full):
     return 0.5 * assembly.dirichlet_integral(tb, full) - \
         0.25 * assembly.quartic_integral(tb, mu, full)
@@ -280,7 +257,6 @@ def _block_action(tb, mu, full):
 def _descent(p, grid, full, max_iter, rtol):
     """Stiffness-preconditioned projected descent with Armijo backtracking."""
     tb = grid.tables
-    ab = _stiffness_precond(grid)
     J = _block_action(tb, p.mu, full)
     r_int = assembly.residual_full(tb, p.mu, full)[1:-1]
     r0 = max(float(np.max(np.abs(r_int))), 1e-30)
@@ -290,7 +266,7 @@ def _descent(p, grid, full, max_iter, rtol):
         rn = float(np.max(np.abs(r_int)))
         if rn <= rtol * r0:
             break
-        d = solveh_banded(ab, r_int)
+        d = assembly.solve_interior(tb, r_int)
         slope = float(r_int @ d)
         alpha = 1.0
         stalled = False
@@ -311,43 +287,6 @@ def _descent(p, grid, full, max_iter, rtol):
         done += 1
         r_int = assembly.residual_full(tb, p.mu, full)[1:-1]
     return full, done, hits
-
-
-def _newton_interior(p, grid, full, tol, max_iter):
-    """Damped Newton on the unconstrained Euler-Lagrange interior system."""
-    tb = grid.tables
-    r = assembly.residual_full(tb, p.mu, full)[1:-1]
-    floor = 200.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(full)))) \
-        * float(np.max(1.0 / tb.h))
-    tol = max(tol * max(1.0, abs(p.x), abs(p.y)), floor)
-    for it in range(1, max_iter + 1):
-        rn = float(np.max(np.abs(r)))
-        if rn <= tol:
-            return full, it - 1
-        ab = _interior_bands(tb, p.mu, full)
-        try:
-            step = solve_banded((1, 1), ab, r)
-        except np.linalg.LinAlgError as e:
-            raise NonConvergence(f"singular block Jacobian: {e}") from None
-        if not np.all(np.isfinite(step)):
-            raise NonConvergence("block Jacobian solve produced non-finite step")
-        phi0 = float(r @ r)
-        alpha = 1.0
-        while True:
-            trial = full.copy()
-            trial[1:-1] -= alpha * step
-            rt = assembly.residual_full(tb, p.mu, trial)[1:-1]
-            if float(rt @ rt) <= (1.0 - 2.0 * _ARMIJO * alpha) * phi0 \
-                    or rn < _UNDAMPED_BELOW:
-                full, r = trial, rt
-                break
-            alpha *= 0.5
-            if alpha < 1e-8:
-                raise NonConvergence(
-                    f"block line search failed at residual {rn:.3e}")
-    raise NonConvergence(f"block Newton: no convergence in {max_iter} "
-                         f"iterations (residual "
-                         f"{float(np.max(np.abs(r))):.3e})")
 
 
 @dataclass(eq=False)
@@ -394,13 +333,18 @@ def solve_connection(p, cells=None, init=None, max_descent=200,
     full[0], full[-1] = p.x, p.y
     _retract(p, grid, full)
 
+    tb = grid.tables
     full, n_desc, hits = _descent(p, grid, full, max_descent, rtol=1e-4)
     n_newt = 0
     for attempt in range(3):
         final = attempt == 2
+        # tolerance scaled to the data, floored at the rounding level
+        floor = 200.0 * np.finfo(float).eps * \
+            max(1.0, float(np.max(np.abs(full)))) * float(np.max(1.0 / tb.h))
+        tol = max(newton_tol * max(1.0, abs(p.x), abs(p.y)), floor)
         try:
-            cand, n_newt = _newton_interior(p, grid, full, newton_tol,
-                                            max_newton)
+            cand, n_newt = assembly.newton_dirichlet(tb, p.mu, full, tol,
+                                                     max_newton)
         except NonConvergence:
             if final:
                 # a pinned minimizer has no interior stationary point to
@@ -430,7 +374,7 @@ def solve_connection(p, cells=None, init=None, max_descent=200,
         n_desc += n2
         hits += h2
 
-    r_full = assembly.residual_full(grid.tables, p.mu, full)
+    r_full = assembly.residual_full(tb, p.mu, full)
     sol = ConnectionSolution(
         problem=p,
         u=GridFunction(grid, full),
@@ -449,14 +393,13 @@ def _linearized_solve(sol, left_val, right_val):
     p = sol.problem
     grid = sol.grid
     full = sol.u.values
-    ab = _interior_bands(grid.tables, p.mu, full)
-    dLL, dLR, dRR = assembly.jacobian_bands(grid.tables, p.mu, full)
-    n = len(full)
-    rhs = np.zeros(n - 2)
+    bands = assembly.jacobian_bands(grid.tables, p.mu, full)
+    dLR = bands[1]
+    rhs = np.zeros(len(full) - 2)
     rhs[0] -= dLR[0] * left_val
     rhs[-1] -= dLR[-1] * right_val
     try:
-        interior = solve_banded((1, 1), ab, rhs)
+        interior = assembly.solve_interior(grid.tables, rhs, bands)
     except np.linalg.LinAlgError as e:
         raise SingularLinearization(str(e)) from None
     if not np.all(np.isfinite(interior)):

@@ -32,7 +32,7 @@ class NonConvergence(MultibumpError):
 
 
 class NewtonFailure(NonConvergence):
-    """Shooting Newton iteration failed."""
+    """A Newton iteration (damped or shooting) failed."""
 
 
 class BlowUp(MultibumpError):

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from . import assembly
-from .errors import DegenerateDirection, NewtonFailure, WeightError
+from .errors import DegenerateDirection, WeightError
 
 _ARMIJO = 1e-4
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -64,63 +64,46 @@ def default_cells(w, length=None):
     return max(200, int(math.ceil(200.0 * length)))
 
 
-# -- clamped Newton machinery -------------------------------------------------
+# -- Nehari-quotient descent ---------------------------------------------------
 
 
-def _tridiag_parts(dLL, dLR, dRR):
-    """Interior tridiagonal (diag, off) from cellwise 2x2 blocks."""
-    diag = dRR[:-1] + dLL[1:]
-    off = dLR[1:-1]
-    return diag, off
+def _quotient_parts(tb, v):
+    return assembly.dirichlet_integral(tb, v), \
+        assembly.quartic_integral(tb, 0.0, v)
 
 
-def _solve_tridiag(diag, off, rhs):
-    n = len(diag)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = off
-    ab[1, :] = diag
-    ab[2, :-1] = off
-    return scipy.linalg.solve_banded((1, 1), ab, rhs)
+def _descend(tb, u, kin, quart, max_iter, keep=None):
+    """Minimize the scale-invariant quotient (int u'^2)^2 / int a+ u^4 over
+    the interior nodes, or only the nodes in ``keep``, by
+    stiffness-preconditioned descent with Armijo backtracking, from u with
+    its (int u'^2, int a+ u^4) = (kin, quart).
 
-
-def _stiff_solve(tb, rhs_int):
-    inv = 1.0 / tb.h
-    diag = inv[:-1] + inv[1:]
-    off = -inv[1:-1]
-    ab = np.zeros((2, len(diag)))
-    ab[0, 1:] = off
-    ab[1, :] = diag
-    return scipy.linalg.solveh_banded(ab, rhs_int)
-
-
-def _newton_clamped(tb, u_full, mu, tol, max_iter=60):
-    """Damped Newton for the Dirichlet Euler-Lagrange system; in-place on a copy."""
-    u = u_full.copy()
-    r = assembly.residual_full(tb, mu, u)[1:-1]
+    Returns (u, int u'^2, int a+ u^4) at the last accepted iterate.
+    """
+    free = slice(1, -1) if keep is None else keep
+    fval = kin * kin / quart
     for _ in range(max_iter):
-        rn = float(np.max(np.abs(r)))
-        if rn <= tol:
-            return u, rn
-        dLL, dLR, dRR = assembly.jacobian_bands(tb, mu, u)
-        diag, off = _tridiag_parts(dLL, dLR, dRR)
-        step = _solve_tridiag(diag, off, r)
-        phi0 = float(r @ r)
-        alpha = 1.0
-        while alpha > 1e-10:
-            trial = u.copy()
-            trial[1:-1] -= alpha * step
-            rt = assembly.residual_full(tb, mu, trial)[1:-1]
-            if float(rt @ rt) <= (1.0 - 2.0 * _ARMIJO * alpha) * phi0 \
-                    or rn < 1e-4:
-                u, r = trial, rt
-                break
-            alpha *= 0.5
-        else:
+        grad_full = (4.0 * kin / quart) * assembly.stiffness_full(tb, u) \
+            - (4.0 * fval / quart) * assembly.cubic_full(tb, 0.0, u)
+        g = grad_full[free]
+        d = assembly.solve_interior(tb, g, keep=keep)
+        slope = -float(g @ d)
+        if slope > -1e-13 * max(fval, 1e-300):
             break
-    rn = float(np.max(np.abs(r)))
-    if rn > tol:
-        raise NewtonFailure(f"clamped Newton stalled at residual {rn:.3e}")
-    return u, rn
+        alpha = 1.0
+        while True:
+            trial = u.copy()
+            trial[free] -= alpha * d
+            k2, q4 = _quotient_parts(tb, trial)
+            if q4 > 0:
+                f2 = k2 * k2 / q4
+                if f2 <= fval + _ARMIJO * alpha * slope:
+                    u, kin, quart, fval = trial, k2, q4, f2
+                    break
+            alpha *= 0.5
+            if alpha <= 1e-12:
+                return u, kin, quart
+    return u, kin, quart
 
 
 def _ground_on(w, t0, t1, n, tol=1e-10, max_descent=400):
@@ -134,44 +117,14 @@ def _ground_on(w, t0, t1, n, tol=1e-10, max_descent=400):
     x = grid.nodes
     u = np.sin(math.pi * (x - t0) / (t1 - t0))
 
-    def parts(v):
-        return assembly.dirichlet_integral(tb, v), \
-            assembly.quartic_integral(tb, 0.0, v)
-
-    kin, quart = parts(u)
+    kin, quart = _quotient_parts(tb, u)
     if quart <= 1e-14 * kin * float(np.max(u * u)):
         return grid, np.zeros_like(u), float("inf"), 0.0, 0.0
-
-    # minimize the scale-invariant quotient (int u'^2)^2 / int a+ u^4 by
-    # stiffness-preconditioned descent with Armijo backtracking
-    fval = kin * kin / quart
-    for _ in range(max_descent):
-        grad_full = (4.0 * kin / quart) * assembly.stiffness_full(tb, u) \
-            - (4.0 * fval / quart) * assembly.cubic_full(tb, 0.0, u)
-        g = grad_full[1:-1]
-        d = _stiff_solve(tb, g)
-        slope = -float(g @ d)
-        if slope > -1e-13 * max(fval, 1e-300):
-            break
-        alpha = 1.0
-        accepted = False
-        while alpha > 1e-12:
-            trial = u.copy()
-            trial[1:-1] -= alpha * d
-            k2, q4 = parts(trial)
-            if q4 > 0:
-                f2 = k2 * k2 / q4
-                if f2 <= fval + _ARMIJO * alpha * slope:
-                    u, kin, quart, fval = trial, k2, q4, f2
-                    accepted = True
-                    break
-            alpha *= 0.5
-        if not accepted:
-            break
+    u, kin, quart = _descend(tb, u, kin, quart, max_descent)
 
     # project onto the constraint and polish the Euler-Lagrange system
     u *= math.sqrt(kin / quart)
-    u, _ = _newton_clamped(tb, u, 0.0, tol)
+    u, _ = assembly.newton_dirichlet(tb, 0.0, u, tol, 60)
     if np.max(u) < -np.min(u):
         u = -u
     r_full = assembly.residual_full(tb, 0.0, u)
@@ -285,54 +238,14 @@ def pinned_level_direct(w, tbar, mesh=None):
     for s in starts:
         s[0] = s[-1] = s[pin] = 0.0
 
-    def parts(v):
-        return assembly.dirichlet_integral(tb, v), \
-            assembly.quartic_integral(tb, 0.0, v)
-
-    inv = 1.0 / tb.h
-    kdiag = (inv[:-1] + inv[1:])[free - 1]
-    # the pinned node decouples its neighbors; drop those couplings
-    fset = set(free.tolist())
-    koff = np.array([-inv[j] if (j in fset and j + 1 in fset) else 0.0
-                     for j in free[:-1]])
-
-    def stiff_solve_free(rhs):
-        ab = np.zeros((2, len(kdiag)))
-        ab[0, 1:] = koff
-        ab[1, :] = kdiag
-        return scipy.linalg.solveh_banded(ab, rhs)
-
     best = float("inf")
     for u in starts:
-        kin, quart = parts(u)
+        kin, quart = _quotient_parts(tb, u)
         if quart <= 0:
             continue
-        fval = kin * kin / quart
-        for _ in range(600):
-            grad_full = (4.0 * kin / quart) * assembly.stiffness_full(tb, u) \
-                - (4.0 * fval / quart) * assembly.cubic_full(tb, 0.0, u)
-            g = grad_full[free]
-            d = stiff_solve_free(g)
-            slope = -float(g @ d)
-            if slope > -1e-13 * fval:
-                break
-            alpha = 1.0
-            accepted = False
-            while alpha > 1e-12:
-                trial = u.copy()
-                trial[free] -= alpha * d
-                k2, q4 = parts(trial)
-                if q4 > 0:
-                    f2 = k2 * k2 / q4
-                    if f2 <= fval + _ARMIJO * alpha * slope:
-                        u, kin, quart, fval = trial, k2, q4, f2
-                        accepted = True
-                        break
-                alpha *= 0.5
-            if not accepted:
-                break
+        _, kin, quart = _descend(tb, u, kin, quart, 600, keep=free)
         # level of the projected minimizer: (1/4) K^2 / Q
-        best = min(best, 0.25 * fval)
+        best = min(best, 0.25 * (kin * kin / quart))
     if not math.isfinite(best):
         raise DegenerateDirection("pinned direction has no quartic mass")
     return best
@@ -373,13 +286,10 @@ def principal_eigenvalue(w, mesh=None, method="dense"):
         nu = float(vals[-1])
         phi = vecs[:, -1]
     elif method == "power":
-        ab = np.zeros((2, len(kdiag)))
-        ab[0, 1:] = koff
-        ab[1, :] = kdiag
         phi = np.sin(math.pi * grid.nodes[1:-1] / w.tau)
         nu = 0.0
         for _ in range(1000):
-            y = scipy.linalg.solveh_banded(ab, mass_apply(phi))
+            y = assembly.solve_interior(tb, mass_apply(phi))
             phi = y / float(np.max(np.abs(y)))
             my = mass_apply(phi)
             nu_new = float(phi @ my) / float(phi @ (kdiag * phi)

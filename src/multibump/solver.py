@@ -19,8 +19,6 @@ from .errors import (CertificationFailure, ContinuationBreakdown,
                      NewtonFailure, ScheduleExhausted, WeightError)
 from .weight import build_constant_pack
 
-_UNDAMPED_BELOW = 1e-4
-_ARMIJO = 1e-4
 _AMP_CAP = 1e6
 
 
@@ -162,38 +160,22 @@ def auto_cells(w, mu):
 # -- Newton and continuation --------------------------------------------------
 
 
-def _newton(grid, values, mu, tol, max_iter):
+def _converge(grid, values, mu, opts):
     """Damped Newton for gradient(u, mu) = 0 on the grid's dofs."""
-    u = values.copy()
-    r = assembly.gradient(assembly.GridFunction(grid, u), mu).values
-    for it in range(1, max_iter + 1):
-        rn = float(np.max(np.abs(r)))
-        if rn <= tol:
-            return u, it - 1
-        J = assembly.jacobian_matrix(assembly.GridFunction(grid, u), mu)
+    def residual(v):
+        if np.max(np.abs(v)) > _AMP_CAP:
+            return None
+        return assembly.gradient(assembly.GridFunction(grid, v), mu).values
+
+    def solve(v, r):
+        J = assembly.jacobian_matrix(assembly.GridFunction(grid, v), mu)
         try:
-            step = spla.splu(J.tocsc()).solve(r)
+            return spla.splu(J.tocsc()).solve(r)
         except RuntimeError as e:
             raise NewtonFailure(f"singular Jacobian: {e}") from None
-        phi0 = float(r @ r)
-        alpha = 1.0
-        while True:
-            trial = u - alpha * step
-            if np.max(np.abs(trial)) > _AMP_CAP:
-                rt = None
-            else:
-                rt = assembly.gradient(
-                    assembly.GridFunction(grid, trial), mu).values
-                if float(rt @ rt) <= (1.0 - 2.0 * _ARMIJO * alpha) * phi0 \
-                        or rn < _UNDAMPED_BELOW:
-                    u, r = trial, rt
-                    break
-            alpha *= 0.5
-            if alpha < 1e-8:
-                raise NewtonFailure(
-                    f"line search failed at residual {rn:.3e}")
-    raise NewtonFailure(f"no convergence in {max_iter} iterations "
-                        f"(residual {float(np.max(np.abs(r))):.3e})")
+
+    return assembly.newton(values, residual, solve, opts.newton_tol,
+                           opts.max_newton)
 
 
 def _continue_mu(grid, values, mu_from, mu_to, opts, path):
@@ -205,7 +187,7 @@ def _continue_mu(grid, values, mu_from, mu_to, opts, path):
     while mu < mu_to * (1.0 - 1e-12):
         nxt = min(mu * g, mu_to)
         try:
-            u2, iters = _newton(grid, u, nxt, opts.newton_tol, opts.max_newton)
+            u2, iters = _converge(grid, u, nxt, opts)
         except NewtonFailure:
             refine += 1
             if refine > opts.max_refine:
@@ -324,48 +306,10 @@ def _prepare(w, window, opts):
     return consts, ev
 
 
-def solve_multibump(w, window, mu_target, opts=None):
-    """Certified multibump solution at mu_target for the given window."""
-    opts = opts or SolveOptions()
-    if mu_target <= 0:
-        raise WeightError("mu_target must be positive")
-    consts, ev = _prepare(w, window, opts)
-    bump = ev.ground_bump() if ev is not None else \
-        localfield.ground_state(w, opts.levels_mesh)
-
-    cells = opts.cells_per_interval or auto_cells(w, mu_target)
-    grid = assembly.span_grid(w, window.i_start, len(window.symbols), cells,
-                              periodic=True)
-    guess = initial_guess(w, window, bump, grid)
-
-    path = []
-    mu_start = min(opts.mu0, mu_target)
-    try:
-        u, iters = _newton(grid, guess.values, mu_start, opts.newton_tol,
-                           opts.max_newton)
-    except NewtonFailure as e:
-        raise ContinuationBreakdown(
-            f"Newton failed at the schedule start mu={mu_start:.4g}: {e}") \
-            from None
-    path.append((mu_start, iters))
-    u = _continue_mu(grid, u, mu_start, mu_target, opts, path)
-
-    gf = assembly.GridFunction(grid, u)
-    report = check_membership(gf, mu_target, consts, window)
-    report.continuation_path = path
-    if not report.certified:
-        raise CertificationFailure(
-            f"conditions failed at mu={mu_target:.4g}: {report.failing()}",
-            report=report)
-    return Solution(u=gf, mu=float(mu_target), window=window, report=report)
-
-
-def continuation_states(w, window, mu_list, opts=None):
-    """Yield (mu, GridFunction, SolveReport) along an increasing mu list,
-    reusing each converged iterate for the next target; certification is
-    evaluated (not enforced) at every stop."""
-    opts = opts or SolveOptions()
-    mu_list = sorted(float(m) for m in mu_list)
+def _continuation(w, window, mu_list, opts):
+    """Yield (mu, GridFunction, SolveReport) along an increasing float mu
+    list; the one continuation path behind solve_multibump and
+    continuation_states."""
     consts, ev = _prepare(w, window, opts)
     bump = ev.ground_bump() if ev is not None else \
         localfield.ground_state(w, opts.levels_mesh)
@@ -377,8 +321,7 @@ def continuation_states(w, window, mu_list, opts=None):
     path = []
     mu_start = min(opts.mu0, mu_list[0])
     try:
-        u, iters = _newton(grid, guess.values, mu_start, opts.newton_tol,
-                           opts.max_newton)
+        u, iters = _converge(grid, guess.values, mu_start, opts)
     except NewtonFailure as e:
         raise ContinuationBreakdown(
             f"Newton failed at the schedule start mu={mu_start:.4g}: {e}") \
@@ -395,12 +338,44 @@ def continuation_states(w, window, mu_list, opts=None):
         yield mu, gf, report
 
 
+def solve_multibump(w, window, mu_target, opts=None):
+    """Certified multibump solution at mu_target for the given window."""
+    opts = opts or SolveOptions()
+    if mu_target <= 0:
+        raise WeightError("mu_target must be positive")
+    _, gf, report = next(_continuation(w, window, [float(mu_target)], opts))
+    if not report.certified:
+        raise CertificationFailure(
+            f"conditions failed at mu={mu_target:.4g}: {report.failing()}",
+            report=report)
+    return Solution(u=gf, mu=float(mu_target), window=window, report=report)
+
+
+def continuation_states(w, window, mu_list, opts=None):
+    """Yield (mu, GridFunction, SolveReport) along an increasing mu list,
+    reusing each converged iterate for the next target; certification is
+    evaluated (not enforced) at every stop."""
+    opts = opts or SolveOptions()
+    yield from _continuation(w, window, sorted(float(m) for m in mu_list),
+                             opts)
+
+
+def bracket(outcomes):
+    """(mu_fail, mu_pass) from (mu, certified) pairs in any order: mu_fail is
+    the largest failing mu (0 when none fails), mu_pass the smallest
+    certified mu above it (inf when none is)."""
+    mu_fail = max((mu for mu, ok in outcomes if not ok), default=0.0)
+    mu_pass = min((mu for mu, ok in outcomes if ok and mu > mu_fail),
+                  default=math.inf)
+    return mu_fail, mu_pass
+
+
 def estimate_mu_star(w, k, probe_windows, schedule=None, opts=None):
     """Empirical bracket [mu_fail, mu_pass] for the certification threshold.
 
-    mu_pass is the smallest scheduled mu at which every probe window
-    certifies; mu_fail is the largest scheduled mu below it at which some
-    probe failed (0 when every scheduled value passes).
+    mu_fail is the largest scheduled mu at which some probe window failed
+    (0 when every scheduled value passes); mu_pass is the smallest scheduled
+    mu above it, at which every probe certifies.
     """
     opts = opts or SolveOptions()
     if schedule is None:
@@ -420,16 +395,12 @@ def estimate_mu_star(w, k, probe_windows, schedule=None, opts=None):
             outcomes.extend((m, False) for m in schedule if m not in reached)
         table[win.symbols] = outcomes
 
-    mu_pass = None
-    mu_fail = 0.0
-    for j, mu in enumerate(schedule):
-        if all(dict(table[w_])[mu] for w_ in table):
-            mu_pass = mu
-            break
-        mu_fail = mu
-    if mu_pass is None:
+    mu_fail, mu_pass = bracket(
+        [(mu, all(dict(table[w_])[mu] for w_ in table)) for mu in schedule])
+    if math.isinf(mu_pass):
         raise ScheduleExhausted(
-            f"no scheduled mu up to {schedule[-1]:.4g} certifies all probes")
+            f"no scheduled mu up to {schedule[-1]:.4g} certifies all probes "
+            f"above the last failure")
     return MuStarBracket(mu_fail=mu_fail, mu_pass=mu_pass, table=table)
 
 

@@ -217,8 +217,6 @@ class DecayFit:
     slope: float                 # d log(max) / d log(mu)
     stderr: float
     intercept: float
-    law_slope: float             # d log(max) / d log(data/mu); 1/3 if the
-    law_stderr: float            # bound is tracked with a constant ratio
     c_delta: float
     delta: float
 
@@ -247,6 +245,28 @@ def interior_maxima(sol, delta):
     return out
 
 
+def sweep_solutions(w, symbols, mu_list, delta, opts=None):
+    """Yield (Solution, interior_maxima rows) along a continuation sweep of
+    the periodic code ``symbols``; the one per-mu driver behind decay_rate,
+    run_sweep and the sweep subcommand."""
+    if not 0.0 < delta < 0.5 * (w.period - w.tau):
+        raise WeightError("delta must sit inside the negativity interval")
+    win = solver.make_window(symbols, periodic=True)
+    for mu, gf, report in solver.continuation_states(w, win, mu_list, opts):
+        sol = solver.Solution(u=gf, mu=mu, window=win, report=report)
+        yield sol, interior_maxima(sol, delta)
+
+
+def loglog_fit(mu_list, values):
+    """(slope, intercept, stderr) of log(values) against log(mu); NaN when a
+    value is not positive."""
+    vals = np.asarray(values, dtype=float)
+    if np.any(vals <= 0.0):
+        return float("nan"), float("nan"), float("nan")
+    fit = linregress(np.log(mu_list), np.log(vals))
+    return float(fit.slope), float(fit.intercept), float(fit.stderr)
+
+
 def decay_rate(w, symbols, mu_list, delta, opts=None):
     """Fit log(interior max) against log(mu) along a continuation sweep.
 
@@ -257,28 +277,18 @@ def decay_rate(w, symbols, mu_list, delta, opts=None):
     mu_list = sorted(float(m) for m in mu_list)
     if mu_list[-1] < 100.0 * mu_list[0]:
         raise InsufficientSweep("mu sweep must span at least two decades")
-    if not 0.0 < delta < 0.5 * (w.period - w.tau):
-        raise WeightError("delta must sit inside the negativity interval")
-    win = solver.make_window(symbols, periodic=True)
+    samples, data = [], []
+    for _, rows in sweep_solutions(w, symbols, mu_list, delta, opts):
+        samples.append(max(r[0] for r in rows))
+        data.append(max(r[1] for r in rows))
     d_left, d_right = w.edge_double_integrals(delta)
     c_delta = min(d_left, d_right) ** (-1.0 / 3.0)
-    samples, data, bounds = [], [], []
-    for mu, gf, report in solver.continuation_states(w, win, mu_list, opts):
-        sol = solver.Solution(u=gf, mu=mu, window=win, report=report)
-        rows = interior_maxima(sol, delta)
-        m = max(r[0] for r in rows)
-        d = max(r[1] for r in rows)
-        samples.append(m)
-        data.append(d)
-        bounds.append(c_delta * (d / mu) ** (1.0 / 3.0))
-    fit = linregress(np.log(mu_list), np.log(samples))
-    law = linregress(np.log(np.asarray(data) / np.asarray(mu_list)),
-                     np.log(samples))
+    bounds = [c_delta * (d / mu) ** (1.0 / 3.0)
+              for d, mu in zip(data, mu_list)]
+    slope, intercept, stderr = loglog_fit(mu_list, samples)
     return DecayFit(mu_list=mu_list, samples=samples, end_data=data,
-                    bounds=bounds, slope=float(fit.slope),
-                    stderr=float(fit.stderr), intercept=float(fit.intercept),
-                    law_slope=float(law.slope), law_stderr=float(law.stderr),
-                    c_delta=c_delta, delta=delta)
+                    bounds=bounds, slope=slope, stderr=stderr,
+                    intercept=intercept, c_delta=c_delta, delta=delta)
 
 
 # -- distance to the singular limit ---------------------------------------------
@@ -474,14 +484,6 @@ class AsymptoticReport:
         }
 
 
-def _fit(mu_list, values):
-    vals = np.asarray(values, dtype=float)
-    if np.any(vals <= 0.0):
-        return float("nan"), float("nan")
-    fit = linregress(np.log(mu_list), np.log(vals))
-    return float(fit.slope), 2.0 * float(fit.stderr)
-
-
 def run_sweep(w, symbols, mu_list, delta=None, alpha=0.5, opts=None,
               bump=None):
     """Continuation sweep with every per-mu audit quantity recorded."""
@@ -496,11 +498,11 @@ def run_sweep(w, symbols, mu_list, delta=None, alpha=0.5, opts=None,
 
     rows = {k: [] for k in ("decay", "p1", "p2", "p3", "sup", "holder",
                             "lip", "dsup", "minv")}
-    for mu, gf, report in solver.continuation_states(w, win, mu_list, opts):
-        sol = solver.Solution(u=gf, mu=mu, window=win, report=report)
+    for sol, maxima in sweep_solutions(w, symbols, mu_list, delta, opts):
+        gf = sol.u
         full = gf.full()
         h = gf.grid.tables.h
-        rows["decay"].append(max(r[0] for r in interior_maxima(sol, delta)))
+        rows["decay"].append(max(r[0] for r in maxima))
         p1 = 0.0
         for j, _ in enumerate(win.symbols):
             i = win.i_start + j
@@ -521,10 +523,10 @@ def run_sweep(w, symbols, mu_list, delta=None, alpha=0.5, opts=None,
         rows["dsup"].append(float(np.max(np.abs(np.diff(full) / h))))
         rows["minv"].append(float(np.min(gf.values)))
 
-    fits = {"decay": _fit(mu_list, rows["decay"]),
-            "p1": _fit(mu_list, rows["p1"]),
-            "sup": _fit(mu_list, rows["sup"]),
-            "holder": _fit(mu_list, rows["holder"])}
+    fits = {}
+    for name in ("decay", "p1", "sup", "holder"):
+        slope, _, stderr = loglog_fit(mu_list, rows[name])
+        fits[name] = (slope, 2.0 * stderr)
     kend = {}
     for name in ("p1", "p2", "decay", "sup", "holder"):
         res = kendalltau(mu_list, rows[name])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from multibump import assembly, weight
-from multibump.errors import IndexOutOfWindow, WeightError
+from multibump.errors import IndexOutOfWindow, NewtonFailure, WeightError
 
 
 def segment(w, a, b, n):
@@ -182,3 +182,18 @@ def test_fundamental_inequality_random(step_weight, rng):
         sup = np.max(np.abs(full))
         lo = np.min(np.abs(full))
         assert sup <= lo + math.sqrt(L * ddot) + 1e-12
+
+
+def test_newton_rejects_non_finite_step():
+    def solve(x, r):
+        step = r / (3.0 * x * x)
+        step[0] = np.nan
+        return step
+
+    with pytest.raises(NewtonFailure, match="non-finite"):
+        assembly.newton(np.array([2.0, 3.0]), lambda x: x ** 3 - 1.0, solve,
+                        1e-12, 20)
+    # the same iteration converges once the step is finite
+    x, steps = assembly.newton(np.array([2.0, 3.0]), lambda x: x ** 3 - 1.0,
+                               lambda x, r: r / (3.0 * x * x), 1e-12, 20)
+    assert np.allclose(x, 1.0) and 0 < steps < 20

@@ -4,6 +4,7 @@ import json
 import os
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from multibump import cli
 
@@ -57,6 +58,26 @@ def test_missing_weight_file_is_input_error(tmp_path):
     assert rc == 2
 
 
+def test_non_finite_newton_step_is_convergence_failure(tmp_path,
+                                                       monkeypatch):
+    real = spla.splu
+
+    class NanLU:
+        def __init__(self, A):
+            self.lu = real(A)
+
+        def solve(self, r):
+            step = self.lu.solve(r)
+            step[len(step) // 2] = np.nan
+            return step
+
+    monkeypatch.setattr(spla, "splu", NanLU)
+    rc = cli.main(["solve", "--symbols", "10", "--mu", "800",
+                   "--cells", "160", "--outdir", str(tmp_path)])
+    assert rc == 4
+    assert os.path.exists(tmp_path / "FAILED")
+
+
 def test_failed_marker_set_and_cleared(tmp_path):
     d = str(tmp_path)
     rc = cli.main(["solve", "--symbols", "10", "--mu", "0.5",
@@ -73,19 +94,23 @@ def test_failed_marker_set_and_cleared(tmp_path):
 
 
 def test_reproducible_artifacts(tmp_path):
-    args = ["solve", "--symbols", "10", "--mu", "600", "--cells", "160"]
-    da, db = str(tmp_path / "a"), str(tmp_path / "b")
-    assert cli.main(args + ["--outdir", da]) == 0
-    assert cli.main(args + ["--outdir", db]) == 0
-    with open(os.path.join(da, "sol.csv"), "rb") as f:
-        bytes_a = f.read()
-    with open(os.path.join(db, "sol.csv"), "rb") as f:
-        bytes_b = f.read()
-    assert bytes_a == bytes_b
-    ma = _read_json(os.path.join(da, "manifest.json"))
-    mb = _read_json(os.path.join(db, "manifest.json"))
-    assert ma["manifest_hash"] == mb["manifest_hash"]
-    assert ma["outputs"] == mb["outputs"]
+    for k, args in enumerate(
+            (["solve", "--symbols", "10", "--mu", "600", "--cells", "160"],
+             ["local", "--mesh", "200"])):
+        da, db = str(tmp_path / f"a{k}"), str(tmp_path / f"b{k}")
+        assert cli.main(args + ["--outdir", da]) == 0
+        assert cli.main(args + ["--outdir", db]) == 0
+        ma = _read_json(os.path.join(da, "manifest.json"))
+        mb = _read_json(os.path.join(db, "manifest.json"))
+        assert ma["outputs"]
+        for name in ma["outputs"]:
+            with open(os.path.join(da, name), "rb") as f:
+                bytes_a = f.read()
+            with open(os.path.join(db, name), "rb") as f:
+                bytes_b = f.read()
+            assert bytes_a == bytes_b, name
+        assert ma["manifest_hash"] == mb["manifest_hash"]
+        assert ma["outputs"] == mb["outputs"]
 
 
 def test_flags_beat_config(tmp_path):
@@ -149,7 +174,7 @@ def test_sweep_artifacts(tmp_path):
     d = str(tmp_path)
     rc = cli.main(["sweep", "--codes", "1,10", "--mu-from", "100",
                    "--mu-to", "1000", "--points", "3", "--cells", "160",
-                   "--jobs", "2", "--outdir", d])
+                   "--outdir", d])
     assert rc == 0
     for name in ("aggregate.csv", "brackets.csv", "decay_1.csv",
                  "decay_10.csv", "fits.json", "plot.gp", "manifest.json"):
@@ -162,6 +187,15 @@ def test_sweep_artifacts(tmp_path):
     assert len(brackets) == 2
     fits = _read_json(os.path.join(d, "fits.json"))
     assert set(fits) == {"1", "10"}
+
+
+def test_sweep_input_error_is_not_swallowed(tmp_path):
+    # delta 0.9 leaves no interior on the step weight's negativity interval
+    rc = cli.main(["sweep", "--codes", "1", "--delta", "0.9",
+                   "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert os.path.exists(tmp_path / "FAILED")
+    assert _read_json(tmp_path / "manifest.json")["status"] == "failed"
 
 
 def test_verify_report(tmp_path):

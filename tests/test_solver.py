@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from multibump import assembly, solver, weight
 from multibump.errors import (CertificationFailure, ScheduleExhausted,
@@ -124,6 +126,21 @@ def test_estimate_mu_star_bracket(step_weight, consts):
     assert set(br.table) == {(1,), (1, 0)}
     for outcomes in br.table.values():
         assert [m for m, _ in outcomes] == [50.0, 100.0, 200.0]
+
+
+@given(st.lists(st.tuples(st.floats(1e-3, 1e6), st.booleans()),
+                unique_by=lambda t: t[0], max_size=30))
+def test_bracket_property(outcomes):
+    mu_fail, mu_pass = solver.bracket(outcomes)
+    ok = dict(outcomes)
+    if math.isinf(mu_pass):
+        # nothing certified above the last failure
+        assert not any(ok[mu] for mu in ok if mu > mu_fail)
+        return
+    assert ok[mu_pass]
+    assert all(ok[mu] for mu in ok if mu > mu_pass)
+    assert mu_fail == max((mu for mu in ok if mu < mu_pass and not ok[mu]),
+                          default=0.0)
 
 
 def test_estimate_mu_star_exhausted(step_weight, consts):
