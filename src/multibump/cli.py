@@ -54,6 +54,10 @@ EXIT_INTERNAL = 5
 
 def classify_error(exc):
     """Map an exception to the documented exit code."""
+    # LinAlgError subclasses ValueError, but a failed factorization or
+    # eigensolve is numerical, not bad input
+    if isinstance(exc, np.linalg.LinAlgError):
+        return EXIT_CONVERGENCE
     if isinstance(exc, (WeightError, ScopeError, NoAdmissibleZeta,
                         InsufficientSweep, FileNotFoundError,
                         IsADirectoryError, PermissionError,
@@ -241,12 +245,13 @@ def _window_from(config):
     return solver.make_window(code, periodic=bool(config.get("periodic", True)))
 
 
-def _solve_options(config):
+def _solve_options(config, levels=None):
     return solver.SolveOptions(
         cells_per_interval=int(config.get("cells") or 0),
         newton_tol=float(config.get("newton_tol") or 1e-10),
         mu0=float(config.get("mu0") or 10.0),
         growth=float(config.get("growth") or 2.0),
+        levels=levels,
     )
 
 
@@ -446,10 +451,14 @@ def cmd_verify(args):
     try:
         window = _window_from(cfg)
         mu_list = _mu_grid(cfg)
-        opts = _solve_options(cfg)
+        # one evaluator: the sweep, its limit distances and the final solve
+        # share the ground bump and the constant pack's levels
+        ev = localfield.LevelEvaluator(w)
+        opts = _solve_options(cfg, levels=ev)
         delta = float(cfg["delta"]) if cfg["delta"] is not None else None
         report = verify.run_sweep(w, window.symbols, mu_list, delta=delta,
-                                  alpha=float(cfg["alpha"]), opts=opts)
+                                  alpha=float(cfg["alpha"]), opts=opts,
+                                  bump=ev.ground_bump())
         sol = solver.solve_multibump(w, window, mu_list[-1], opts)
         identities = verify.nehari_identities(sol)
         check = verify.oracle_residual(sol, rtol=float(cfg["oracle_rtol"]))
@@ -536,7 +545,8 @@ def cmd_sweep(args):
         if not codes:
             raise WeightError("no codes given")
         mu_list = _mu_grid(cfg)
-        opts = _solve_options(cfg)
+        # one evaluator: every code's constant pack reuses the same levels
+        opts = _solve_options(cfg, levels=localfield.LevelEvaluator(w))
         delta = float(cfg["delta"]) if cfg["delta"] is not None else \
             0.2 * (w.period - w.tau)
 

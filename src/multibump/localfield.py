@@ -78,10 +78,15 @@ def _descend(tb, u, kin, quart, max_iter, keep=None):
     stiffness-preconditioned descent with Armijo backtracking, from u with
     its (int u'^2, int a+ u^4) = (kin, quart).
 
+    Each line search starts at twice the last accepted step (at most 1), and
+    the descent stops once an accepted step lowers the quotient by no more
+    than 1e-15 relative, where further steps only move round-off.
+
     Returns (u, int u'^2, int a+ u^4) at the last accepted iterate.
     """
     free = slice(1, -1) if keep is None else keep
     fval = kin * kin / quart
+    alpha = 0.5                        # so the first search starts at 1
     for _ in range(max_iter):
         grad_full = (4.0 * kin / quart) * assembly.stiffness_full(tb, u) \
             - (4.0 * fval / quart) * assembly.cubic_full(tb, 0.0, u)
@@ -90,7 +95,7 @@ def _descend(tb, u, kin, quart, max_iter, keep=None):
         slope = -float(g @ d)
         if slope > -1e-13 * max(fval, 1e-300):
             break
-        alpha = 1.0
+        alpha = min(1.0, 2.0 * alpha)
         while True:
             trial = u.copy()
             trial[free] -= alpha * d
@@ -98,11 +103,14 @@ def _descend(tb, u, kin, quart, max_iter, keep=None):
             if q4 > 0:
                 f2 = k2 * k2 / q4
                 if f2 <= fval + _ARMIJO * alpha * slope:
-                    u, kin, quart, fval = trial, k2, q4, f2
                     break
             alpha *= 0.5
             if alpha <= 1e-12:
                 return u, kin, quart
+        stalled = fval - f2 <= 1e-15 * fval
+        u, kin, quart, fval = trial, k2, q4, f2
+        if stalled:
+            break
     return u, kin, quart
 
 

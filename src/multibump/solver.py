@@ -143,7 +143,7 @@ class SolveOptions:
     growth: float = 2.0
     max_refine: int = 3
     consts: object = None              # precomputed ConstantPack
-    levels_mesh: int = None
+    levels: object = None              # shared localfield.LevelEvaluator
 
 
 def auto_cells(w, mu):
@@ -299,20 +299,25 @@ def check_membership(u, mu, consts, window):
 
 
 def _prepare(w, window, opts):
-    if opts.consts is not None:
-        return opts.consts, None
-    ev = localfield.LevelEvaluator(w, opts.levels_mesh)
-    consts = build_constant_pack(w, ev, k=window.k_bound)
-    return consts, ev
+    """(ConstantPack, ground bump) of a solve; the levels come from
+    opts.levels when given, so callers that share one evaluator solve each
+    level once."""
+    ev = opts.levels
+    if ev is None:
+        ev = localfield.LevelEvaluator(w)
+    elif ev.w is not w:
+        raise WeightError("the shared levels belong to another weight")
+    consts = opts.consts
+    if consts is None:
+        consts = build_constant_pack(w, ev, k=window.k_bound)
+    return consts, ev.ground_bump()
 
 
 def _continuation(w, window, mu_list, opts):
     """Yield (mu, GridFunction, SolveReport) along an increasing float mu
     list; the one continuation path behind solve_multibump and
     continuation_states."""
-    consts, ev = _prepare(w, window, opts)
-    bump = ev.ground_bump() if ev is not None else \
-        localfield.ground_state(w, opts.levels_mesh)
+    consts, bump = _prepare(w, window, opts)
     cells = opts.cells_per_interval or auto_cells(w, mu_list[-1])
     grid = assembly.span_grid(w, window.i_start, len(window.symbols), cells,
                               periodic=True)

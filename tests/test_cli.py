@@ -6,7 +6,7 @@ import os
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from multibump import cli
+from multibump import cli, localfield
 
 C_STEP = 15.756060010769785
 
@@ -76,6 +76,45 @@ def test_non_finite_newton_step_is_convergence_failure(tmp_path,
                    "--cells", "160", "--outdir", str(tmp_path)])
     assert rc == 4
     assert os.path.exists(tmp_path / "FAILED")
+
+
+def test_linalg_error_is_convergence_failure(tmp_path, monkeypatch):
+    # LinAlgError subclasses ValueError; it must not read as bad input
+    def broken_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalue solver did not converge")
+
+    monkeypatch.setattr(localfield.scipy.linalg, "eigh", broken_eigh)
+    rc = cli.main(["local", "--outdir", str(tmp_path)])
+    assert rc == 4
+    assert os.path.exists(tmp_path / "FAILED")
+
+
+def test_levels_built_once_per_command(tmp_path, monkeypatch):
+    """verify and sweep solve the ground bump and the pinned levels as often
+    as local does: once per command, through one shared evaluator."""
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("ground_state", "pinned_zero_detail"):
+        monkeypatch.setattr(localfield, name,
+                            counted(name, getattr(localfield, name)))
+    mu_range = ["--mu-from", "1e2", "--mu-to", "1e3", "--points", "2"]
+    runs = {"local": ["local"],
+            "verify": ["verify", "--symbols", "10"] + mu_range,
+            "sweep": ["sweep", "--codes", "10,11"] + mu_range}
+    seen = {}
+    for cmd, argv in runs.items():
+        counts.clear()
+        assert cli.main(argv + ["--outdir", str(tmp_path / cmd)]) == 0
+        seen[cmd] = dict(counts)
+    assert seen["local"] == {"ground_state": 1, "pinned_zero_detail": 2}
+    assert seen["verify"] == seen["local"]
+    assert seen["sweep"] == seen["local"]
 
 
 def test_failed_marker_set_and_cleared(tmp_path):

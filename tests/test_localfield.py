@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multibump import assembly, localfield, oracle, weight
 from multibump.errors import DegenerateDirection
@@ -130,3 +132,56 @@ def test_level_evaluator_caches(step_weight):
     p2 = ev.pinned_level(0.125)
     assert p1 == p2
     assert ev.ground_level() == b1.level
+
+
+@pytest.mark.parametrize("name,c,c_zeta", [
+    ("step", 15.756802489165743, 23.520697506848535),
+    ("sine", 0.5514246200560065, 0.8211636916879304),
+])
+def test_default_mesh_levels_pinned(name, c, c_zeta):
+    """c and c_zeta at the default mesh, as computed before the descent's
+    line search started from the last accepted step: the faster descent
+    must land on the same minimizers."""
+    w = weight.make_step_weight() if name == "step" else \
+        weight.make_sine_weight()
+    ev = localfield.LevelEvaluator(w)
+    zeta, got_zeta, _ = weight.choose_zeta(w, ev)
+    if name == "step":
+        assert zeta == 0.125
+    assert math.isclose(ev.ground_level(), c, rel_tol=1e-12)
+    assert math.isclose(got_zeta, c_zeta, rel_tol=1e-12)
+
+
+def _two_level_weight(tau, frac, lo, hi, k=1.0):
+    """a+ = k lo on [0, frac tau), k hi on [frac tau, tau]; a- = 1."""
+    tb = frac * tau
+    return weight.build_weight(tau + 1.0, tau, [
+        weight.Piece(0.0, tb, "poly", (k * lo,)),
+        weight.Piece(tb, tau, "poly", (k * hi,)),
+        weight.Piece(tau, tau + 1.0, "poly", (-1.0,)),
+    ])
+
+
+_two_levels = dict(tau=st.floats(0.5, 1.5), frac=st.floats(0.25, 0.75),
+                   lo=st.floats(0.5, 2.0), hi=st.floats(0.5, 2.0))
+
+
+@settings(max_examples=5, deadline=None)
+@given(k=st.floats(0.25, 4.0), **_two_levels)
+def test_ground_level_scales_inversely_with_weight(tau, frac, lo, hi, k):
+    """u -> u / sqrt(k) maps solutions for a+ to solutions for k a+, so the
+    ground level scales as 1/k on the same mesh."""
+    w = _two_level_weight(tau, frac, lo, hi)
+    n = localfield.default_cells(w)
+    c = localfield.ground_state(w, n).level
+    ck = localfield.ground_state(_two_level_weight(tau, frac, lo, hi, k),
+                                 n).level
+    assert math.isclose(k * ck, c, rel_tol=1e-9)
+
+
+@settings(max_examples=5, deadline=None)
+@given(**_two_levels)
+def test_ground_level_matches_oracle_two_level(tau, frac, lo, hi):
+    w = _two_level_weight(tau, frac, lo, hi)
+    c = localfield.ground_state(w).level
+    assert math.isclose(c, oracle.brute_ground_level(w), rel_tol=2e-4)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multibump import assembly, solver, weight
+from multibump import assembly, localfield, solver, weight
 from multibump.errors import (CertificationFailure, ScheduleExhausted,
                               WeightError)
 
@@ -157,6 +157,13 @@ def test_subharmonic_minimal_period(step_weight, consts, code, mult):
     opts = solver.SolveOptions(cells_per_interval=200, consts=consts)
     sol, period = solver.subharmonic(step_weight, window, 400.0, opts)
     assert math.isclose(period, mult * step_weight.period, rel_tol=1e-12)
+
+
+def test_shared_levels_must_match_weight(step_weight, sine_weight):
+    opts = solver.SolveOptions(levels=localfield.LevelEvaluator(sine_weight))
+    with pytest.raises(WeightError):
+        solver.solve_multibump(step_weight, solver.make_window((1, 0)), 1e3,
+                               opts)
 
 
 def test_auto_cells_monotone(step_weight):
