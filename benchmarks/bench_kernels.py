@@ -1,6 +1,7 @@
-"""Compare the jitted kernels against their pure-numpy twins.
+"""Compare the jitted scatter kernels against their pure-numpy twins, and
+time the shooting oracle's integrator.
 
-Both variants are importable side by side (the wired names follow the
+Both scatter variants are importable side by side (the wired names follow the
 MULTIBUMP_NUMBA flag, the ``*_py`` names are always the numpy path), so one
 process can time the pair directly.  Run with MULTIBUMP_NUMBA=0 to confirm
 the fallback wiring: the ratio column collapses to ~1.
@@ -13,7 +14,7 @@ import time
 
 import numpy as np
 
-from multibump import _kernels, assembly, solver, weight
+from multibump import _kernels, assembly, oracle, solver, weight
 
 
 def best_of(fn, repeats):
@@ -26,34 +27,16 @@ def best_of(fn, repeats):
 
 
 def bench_integrator(w, repeats):
-    """One period of the full system at mu = 1, restarted per repetition.
+    """One period at mu = 1 with the variational pair, restarted per
+    repetition: the oracle's shooting workload (DOP853, dense output kept).
+    Returns (best seconds, accepted steps)."""
+    st = oracle.IvpState(t=0.0, u=0.0, du=1.0)
 
-    This is the oracle's shooting workload: short adaptive runs from fresh
-    boundary data, dense record kept.
-    """
-    nrec = 1 << 12
-    rec_t = np.empty(nrec)
-    rec_y = np.empty((nrec, 5))
-    knots = w.knots_in_span(0.0, w.period)
-    packs = [w.segment_pack(ta, tb) for ta, tb in zip(knots[:-1], knots[1:])]
+    def run():
+        return oracle.integrate(w, 1.0, st, w.period, rtol=1e-10,
+                                with_sensitivity=True)[1]
 
-    def run(runner):
-        y = np.zeros(5)
-        y[1] = 1.0
-        rec_t[0] = 0.0
-        rec_y[0] = y
-        off = 1
-        for (coefs, tref), ta, tb in zip(packs, knots[:-1], knots[1:]):
-            status, off, _ = runner(coefs, tref, 1.0, ta, tb, y, 2,
-                                    1e-10, 1e-12, 1e6, np.inf,
-                                    rec_t, rec_y, off, nrec)
-            assert status == _kernels.OK
-        return off
-
-    run(_kernels.dp54_run)  # compile outside the clock
-    t_wired = best_of(lambda: run(_kernels.dp54_run), repeats)
-    t_py = best_of(lambda: run(_kernels.dp54_run_py), repeats)
-    return t_wired, t_py
+    return best_of(run, repeats), len(run().ts) - 1
 
 
 def bench_assembly(w, cells, repeats):
@@ -102,11 +85,9 @@ def main():
     w = weight.make_step_weight()
     print(f"wired backend: {_kernels.backend()}")
 
-    rows = []
-    t_wired, t_py = bench_integrator(w, args.repeats)
-    rows.append(("dp54 one period", t_wired, t_py))
-    asm_rows, ncells = bench_assembly(w, args.cells, args.repeats)
-    rows.extend(asm_rows)
+    t_int, steps = bench_integrator(w, args.repeats)
+    print(f"oracle.integrate one period: {t_int * 1e3:.2f} ms, {steps} steps")
+    rows, ncells = bench_assembly(w, args.cells, args.repeats)
 
     print(f"assembly rows on {ncells} cells, best of {args.repeats}")
     print(f"{'kernel':<18} {'wired':>10} {'numpy':>10} {'ratio':>7}")

@@ -1,4 +1,4 @@
-"""Hot numeric kernels with a numba path and a pure-numpy fallback.
+"""Assembly scatter kernels with a numba path and a pure-numpy fallback.
 
 The backend is chosen at import time: numba is used when it imports cleanly
 unless the environment variable MULTIBUMP_NUMBA is set to 0/false/off, in
@@ -33,135 +33,6 @@ def _jit(fn):
     return fn
 
 
-# Dormand-Prince 5(4) tableau.  B5 propagates, E = B5 - B4 gives the error.
-_DP_C = np.array([0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0])
-_DP_A = np.zeros((7, 7))
-_DP_A[1, 0] = 1.0 / 5.0
-_DP_A[2, :2] = (3.0 / 40.0, 9.0 / 40.0)
-_DP_A[3, :3] = (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0)
-_DP_A[4, :4] = (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0)
-_DP_A[5, :5] = (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
-                -5103.0 / 18656.0)
-_DP_A[6, :6] = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
-                11.0 / 84.0)
-_DP_B5 = np.array([35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0,
-                   -2187.0 / 6784.0, 11.0 / 84.0, 0.0])
-_DP_E = _DP_B5 - np.array([5179.0 / 57600.0, 0.0, 7571.0 / 16695.0, 393.0 / 640.0,
-                           -92097.0 / 339200.0, 187.0 / 2100.0, 1.0 / 40.0])
-
-# dp54_run status codes
-OK = 0
-BLEW_UP = 1
-RECORD_FULL = 2
-STEP_UNDERFLOW = 3
-
-
-def _poly_amu(coefs, tref, mu, t):
-    """a_mu(t) = a+(t) - mu a-(t) for one polynomial piece p: p if p>=0 else mu*p."""
-    s = t - tref
-    p = 0.0
-    for i in range(coefs.shape[0] - 1, -1, -1):
-        p = p * s + coefs[i]
-    if p >= 0.0:
-        return p
-    return mu * p
-
-
-def _rhs(t, y, n, coefs, tref, mu, out):
-    """State layout: (u, du[, v, dv][, q]); q' = du^2, v solves the linearization."""
-    a = _poly_amu(coefs, tref, mu, t)
-    u = y[0]
-    out[0] = y[1]
-    out[1] = -a * u * u * u
-    if n >= 4:
-        out[2] = y[3]
-        out[3] = -3.0 * a * u * u * y[2]
-    if n == 3 or n == 5:
-        out[n - 1] = y[1] * y[1]
-
-
-def _dp54_run(coefs, tref, mu, t0, t1, y, n, rtol, atol, cap, hmax,
-              rec_t, rec_y, off, max_rec):
-    """Adaptive DP5(4) on one smooth weight piece.  Records accepted points.
-
-    Returns (status, new_record_count, t_reached).  y is updated in place.
-    """
-    t = t0
-    span = t1 - t0
-    if span <= 0.0:
-        return OK, off, t
-    h = span * 1e-3
-    if h > hmax:
-        h = hmax
-    k = np.zeros((7, 5))
-    ytmp = np.zeros(5)
-    ynew = np.zeros(5)
-    _rhs(t, y, n, coefs, tref, mu, k[0])
-    while t < t1:
-        if h > t1 - t:
-            h = t1 - t
-        for s in range(1, 7):
-            for j in range(n):
-                acc = 0.0
-                for m in range(s):
-                    acc += _DP_A[s, m] * k[m, j]
-                ytmp[j] = y[j] + h * acc
-            _rhs(t + _DP_C[s] * h, ytmp, n, coefs, tref, mu, k[s])
-        errsq = 0.0
-        for j in range(n):
-            acc = 0.0
-            eacc = 0.0
-            for s in range(7):
-                acc += _DP_B5[s] * k[s, j]
-                eacc += _DP_E[s] * k[s, j]
-            ynew[j] = y[j] + h * acc
-            ay = abs(y[j])
-            ayn = abs(ynew[j])
-            sc = atol + rtol * (ay if ay > ayn else ayn)
-            e = h * eacc / sc
-            errsq += e * e
-        err = np.sqrt(errsq / n)
-        if err != err:
-            # a trial stage overflowed and poisoned the estimate; shrink hard
-            # and classify as blow-up once no finite step length remains
-            h = h * 0.1
-            if h < 1e-14 * (abs(t) + 1.0):
-                if abs(ytmp[0]) > cap or ytmp[0] != ytmp[0]:
-                    return BLEW_UP, off, t
-                return STEP_UNDERFLOW, off, t
-            continue
-        if err <= 1.0:
-            t = t + h
-            for j in range(n):
-                y[j] = ynew[j]
-            if off >= max_rec:
-                return RECORD_FULL, off, t
-            rec_t[off] = t
-            for j in range(n):
-                rec_y[off, j] = y[j]
-            off += 1
-            if abs(y[0]) > cap:
-                return BLEW_UP, off, t
-            _rhs(t, y, n, coefs, tref, mu, k[0])
-            if err == 0.0:
-                fac = 5.0
-            else:
-                fac = 0.9 * err ** -0.2
-                if fac > 5.0:
-                    fac = 5.0
-            h = h * fac
-            if h > hmax:
-                h = hmax
-        else:
-            fac = 0.9 * err ** -0.2
-            if fac < 0.1:
-                fac = 0.1
-            h = h * fac
-        if h < 1e-14 * (abs(t) + 1.0):
-            return STEP_UNDERFLOW, off, t
-    return OK, off, t
-
-
 def _scatter_hat_loop(out, coef, lam, dofL, dofR):
     for q in range(coef.shape[0]):
         c = coef[q]
@@ -192,22 +63,13 @@ def _hess_cells_numpy(cLL, cLR, cRR, qcell, coef, lam):
 
 
 if NUMBA_ENABLED:
-    _poly_amu = _jit(_poly_amu)
-    _rhs = _jit(_rhs)
-    dp54_run = _jit(_dp54_run)
     scatter_hat = _jit(_scatter_hat_loop)
     hess_cells = _jit(_hess_cells_loop)
 else:
-    dp54_run = _dp54_run
     scatter_hat = _scatter_hat_numpy
     hess_cells = _hess_cells_numpy
 
 # Both variants stay importable for parity tests and the benchmark.
-dp54_run_py = _dp54_run
 scatter_hat_py = _scatter_hat_numpy
 hess_cells_py = _hess_cells_numpy
 
-
-def poly_amu(coefs, tref, mu, t):
-    """Python-callable piece evaluation (used by tests)."""
-    return _poly_amu(np.asarray(coefs, dtype=float), float(tref), float(mu), float(t))

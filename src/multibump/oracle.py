@@ -1,10 +1,11 @@
-"""Shooting oracle: adaptive Dormand-Prince 5(4) integration of the ODE
-u'' + a_mu(t) u^3 = 0 with restarts at weight breakpoints.
+"""Shooting oracle: DOP853 integration of the ODE u'' + a_mu(t) u^3 = 0 with
+restarts at weight breakpoints.
 
 This path is deliberately independent of the FEM machinery: no quadrature
 tables or assembly code are shared.  It provides initial-value integration
-with dense (quintic Hermite) output, Dirichlet shooting on an interval, and a
-brute-force ground-level computation used to cross-validate the local solver.
+with dense output (scipy's ``solve_ivp``, Dormand-Prince 8(5,3) after Hairer,
+Norsett & Wanner), Dirichlet shooting on an interval, and a brute-force
+ground-level computation used to cross-validate the local solver.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import OdeSolution, solve_ivp
 from scipy.optimize import brentq
 
-from . import _kernels
 from .errors import BlowUp, NewtonFailure, NonConvergence, ScopeError
 
 _G5X, _G5W = np.polynomial.legendre.leggauss(5)
@@ -29,87 +30,27 @@ class IvpState:
 
 
 class DenseOutput:
-    """Accepted-step trajectory with quintic Hermite evaluation.
+    """Accepted-step trajectory with DOP853's 7th-order dense output.
 
-    Between accepted points the interpolant uses values, first derivatives and
-    the accelerations the ODE provides, so it matches the integrator's order.
+    ``ts`` holds t0 and every accepted step time, ``ys`` the states there
+    (one row each, layout (u, u'[, v, v'][, q])).  One ``OdeSolution`` spans
+    all weight pieces: its segments are the accepted steps.
     """
 
-    def __init__(self, w, mu, ts, ys, n):
-        self.w = w
-        self.mu = mu
+    def __init__(self, ts, ys, interpolants):
         self.ts = ts
         self.ys = ys
-        self.n = n
-        self._acc = None
+        self._sol = OdeSolution(ts, interpolants)
 
     @property
     def t_end(self):
         return self.ts[-1]
 
-    def _accels(self):
-        """Per-step accelerations of u at both step ends (one-sided at knots)."""
-        if self._acc is None:
-            tm = 0.5 * (self.ts[:-1] + self.ts[1:])
-            tf = self.w.fold(tm)
-            idx = self.w._segment_index(tf)
-            shift = tm - tf
-            a0 = np.empty(len(tm))
-            a1 = np.empty(len(tm))
-            for seg in np.unique(idx):
-                m = idx == seg
-                t0loc = self.ts[:-1][m] - shift[m]
-                t1loc = self.ts[1:][m] - shift[m]
-                raw0 = self.w.seg_eval(seg, t0loc)
-                raw1 = self.w.seg_eval(seg, t1loc)
-                a0[m] = np.where(raw0 >= 0, raw0, self.mu * raw0)
-                a1[m] = np.where(raw1 >= 0, raw1, self.mu * raw1)
-            u0 = self.ys[:-1, 0]
-            u1 = self.ys[1:, 0]
-            self._acc = (-a0 * u0 ** 3, -a1 * u1 ** 3)
-        return self._acc
-
-    def _locate(self, t):
-        t = np.asarray(t, dtype=float)
-        i = np.searchsorted(self.ts, t, side="right") - 1
-        return np.clip(i, 0, len(self.ts) - 2)
-
-    def _hermite(self, i, t, deriv):
-        acc0, acc1 = self._accels()
-        h = self.ts[i + 1] - self.ts[i]
-        s = (t - self.ts[i]) / h
-        p0 = self.ys[i, 0]
-        p1 = self.ys[i + 1, 0]
-        m0 = self.ys[i, 1] * h
-        m1 = self.ys[i + 1, 1] * h
-        a0 = acc0[i] * h * h
-        a1 = acc1[i] * h * h
-        s2 = s * s
-        s3 = s2 * s
-        s4 = s3 * s
-        s5 = s4 * s
-        if not deriv:
-            return (p0 * (1 - 10 * s3 + 15 * s4 - 6 * s5)
-                    + m0 * (s - 6 * s3 + 8 * s4 - 3 * s5)
-                    + a0 * (0.5 * s2 - 1.5 * s3 + 1.5 * s4 - 0.5 * s5)
-                    + p1 * (10 * s3 - 15 * s4 + 6 * s5)
-                    + m1 * (-4 * s3 + 7 * s4 - 3 * s5)
-                    + a1 * (0.5 * s3 - s4 + 0.5 * s5))
-        d = (p0 * (-30 * s2 + 60 * s3 - 30 * s4)
-             + m0 * (1 - 18 * s2 + 32 * s3 - 15 * s4)
-             + a0 * (s - 4.5 * s2 + 6 * s3 - 2.5 * s4)
-             + p1 * (30 * s2 - 60 * s3 + 30 * s4)
-             + m1 * (-12 * s2 + 28 * s3 - 15 * s4)
-             + a1 * (1.5 * s2 - 4 * s3 + 2.5 * s4))
-        return d / h
-
     def eval_u(self, t):
-        i = self._locate(t)
-        return self._hermite(i, np.asarray(t, dtype=float), deriv=False)
+        return self._sol(t)[0]
 
     def eval_du(self, t):
-        i = self._locate(t)
-        return self._hermite(i, np.asarray(t, dtype=float), deriv=True)
+        return self._sol(t)[1]
 
     def first_zero(self, after=None):
         """First time u crosses zero strictly after ``after`` (None if none)."""
@@ -133,85 +74,102 @@ class DenseOutput:
     def quad_du_squared(self, t_end=None):
         """integral of u'(t)^2 over [t_start, t_end] by per-step Gauss rules."""
         t_end = self.t_end if t_end is None else t_end
-        total = 0.0
-        for i in range(len(self.ts) - 1):
-            a = self.ts[i]
-            b = min(self.ts[i + 1], t_end)
-            if b <= a:
-                break
-            half = 0.5 * (b - a)
-            mid = 0.5 * (a + b)
-            tq = mid + half * _G5X
-            dq = self._hermite(np.full(len(tq), i, dtype=int), tq, deriv=True)
-            total += half * float(np.sum(_G5W * dq * dq))
-        return total
+        a = self.ts[:-1]
+        b = np.minimum(self.ts[1:], t_end)
+        a, b = a[b > a], b[b > a]
+        half = 0.5 * (b - a)
+        tq = (0.5 * (a + b))[:, None] + half[:, None] * _G5X
+        dq = self.eval_du(tq.ravel()).reshape(tq.shape)
+        return float(np.sum(half * ((dq * dq) @ _G5W)))
 
 
-_REC_START = 1 << 16
-_REC_MAX = 1 << 24
+def piece_amu(coefs, tref, mu):
+    """a_mu on one smooth weight piece with ascending coefficients in
+    (t - tref): the polynomial p where p >= 0, mu p where p < 0."""
+    cs = [float(c) for c in coefs[::-1]]
+
+    def amu(t):
+        s = t - tref
+        p = 0.0
+        for c in cs:
+            p = p * s + c
+        return p if p >= 0.0 else mu * p
+    return amu
 
 
-def _integrate_raw(w, mu, state, t_end, rtol, atol, cap, n, max_step):
-    """Run the kernel across weight segments.  Returns (status, ts, ys, y_end)."""
-    t0 = state.t
+def _rhs(amu, n):
+    """State layout (u, u'[, v, v'][, q]); q' = u'^2, v solves the
+    linearization."""
+    def f(t, y):
+        a = amu(t)
+        u, du = y[0], y[1]
+        out = [du, -a * u * u * u]
+        if n >= 4:
+            out += [y[3], -3.0 * a * u * u * y[2]]
+        if n in (3, 5):
+            out.append(du * du)
+        return out
+    return f
+
+
+def _integrate_raw(w, mu, t0, y0, t_end, rtol, atol, cap, max_step):
+    """DOP853 from (t0, y0) to t_end, one ``solve_ivp`` call per smooth weight
+    piece.  Returns (DenseOutput, blew_up): |u| reaching ``cap`` ends the
+    run there."""
     if t_end < t0:
         raise ValueError("backward integration is not supported")
-    y = np.zeros(5)
-    y[0] = state.u
-    y[1] = state.du
-    if n >= 4:
-        y[2] = 0.0
-        y[3] = 1.0
-    nrec = _REC_START
-    while True:
-        rec_t = np.empty(nrec)
-        rec_y = np.empty((nrec, 5))
-        rec_t[0] = t0
-        rec_y[0] = y
-        yrun = y.copy()
-        off = 1
-        status = _kernels.OK
-        knots = w.knots_in_span(t0, t_end)
-        for ta, tb in zip(knots[:-1], knots[1:]):
-            if tb - ta <= 1e-15 * max(1.0, abs(tb)):
-                continue
-            coefs, tref = w.segment_pack(ta, tb)
-            status, off, _ = _kernels.dp54_run(
-                coefs, tref, mu, ta, tb, yrun, n, rtol, atol, cap, max_step,
-                rec_t, rec_y, off, nrec)
-            if status != _kernels.OK:
-                break
-        if status == _kernels.RECORD_FULL and nrec < _REC_MAX:
-            nrec *= 4
+
+    def cap_hit(t, y):
+        return cap - abs(y[0])
+    cap_hit.terminal = True
+
+    y = np.asarray(y0, dtype=float)
+    ts, ys, interps = [np.array([t0])], [y[None, :]], []
+    blew_up = False
+    knots = w.knots_in_span(t0, t_end)
+    for ta, tb in zip(knots[:-1], knots[1:]):
+        if tb - ta <= 1e-15 * max(1.0, abs(tb)):
             continue
-        if status == _kernels.RECORD_FULL:
-            raise NonConvergence("integrator exceeded the step budget")
-        if status == _kernels.STEP_UNDERFLOW:
-            raise NonConvergence("integrator step size underflow")
-        return status, rec_t[:off], rec_y[:off], yrun
+        amu = piece_amu(*w.segment_pack(ta, tb), mu)
+        sol = solve_ivp(_rhs(amu, len(y)), (ta, tb), y, method="DOP853",
+                        rtol=rtol, atol=atol, max_step=max_step,
+                        events=cap_hit, dense_output=True)
+        if sol.status < 0:
+            raise NonConvergence(f"integrator failed at t = {sol.t[-1]:.6g}: "
+                                 f"{sol.message}")
+        ts.append(sol.t[1:])
+        ys.append(sol.y[:, 1:].T)
+        interps.extend(sol.sol.interpolants)
+        y = sol.y[:, -1]
+        if sol.status == 1:
+            blew_up = True
+            break
+    return DenseOutput(np.concatenate(ts), np.concatenate(ys), interps), blew_up
 
 
 def integrate(w, mu, state, t_end, rtol=1e-10, atol=None, cap=1e6,
               with_sensitivity=False, with_quadrature=False, max_step=np.inf):
     """Integrate from ``state`` to t_end.  Returns (IvpState, DenseOutput).
 
-    Raises BlowUp if |u| exceeds ``cap``.  With ``with_sensitivity`` the
+    Raises BlowUp if |u| reaches ``cap``.  With ``with_sensitivity`` the
     variational pair (v, v') with v(t0) = 0, v'(t0) = 1 rides along and is
-    available as dense columns 2 and 3.
+    available as dense columns 2 and 3; with ``with_quadrature`` the last
+    column carries q = int u'^2.
     """
     if atol is None:
         atol = rtol * 1e-2
-    n = 2
+    y0 = [state.u, state.du]
     if with_sensitivity:
-        n = 4
+        y0 += [0.0, 1.0]
     if with_quadrature:
-        n += 1
-    status, ts, ys, y = _integrate_raw(w, mu, state, t_end, rtol, atol, cap,
-                                       n, max_step)
-    if status == _kernels.BLEW_UP:
-        raise BlowUp(f"|u| exceeded {cap:g} at t = {ts[-1]:.6g}")
-    end = IvpState(t=float(ts[-1]), u=float(y[0]), du=float(y[1]))
-    return end, DenseOutput(w, mu, ts, ys[:, :n], n)
+        y0.append(0.0)
+    dense, blew_up = _integrate_raw(w, mu, state.t, y0, t_end, rtol, atol,
+                                    cap, max_step)
+    if blew_up:
+        raise BlowUp(f"|u| reached {cap:g} at t = {dense.t_end:.6g}")
+    end = IvpState(t=float(dense.t_end), u=float(dense.ys[-1, 0]),
+                   du=float(dense.ys[-1, 1]))
+    return end, dense
 
 
 @dataclass
@@ -237,12 +195,11 @@ def shoot_dirichlet(w, mu, t0, t1, x, y, rtol=1e-10, s0=None, max_iter=80,
     big = 1e9 * scale
 
     def attempt(s):
-        st = IvpState(t=t0, u=x, du=s)
-        status, ts, ys, yend = _integrate_raw(w, mu, st, t1, rtol, atol, cap,
-                                              4, np.inf)
-        if status == _kernels.BLEW_UP:
-            return math.copysign(big, ys[-1, 0]), None, None
-        dense = DenseOutput(w, mu, ts, ys[:, :4], 4)
+        dense, blew_up = _integrate_raw(w, mu, t0, [x, s, 0.0, 1.0], t1,
+                                        rtol, atol, cap, np.inf)
+        yend = dense.ys[-1]
+        if blew_up:
+            return math.copysign(big, yend[0]), None, None
         return float(yend[0]) - y, float(yend[2]), dense
 
     s = s0 if s0 is not None else (y - x) / (t1 - t0)

@@ -434,7 +434,11 @@ def oracle_residual(sol, rtol=1e-12):
         i = lo_i + j
         for which, tag in (("plus", "+"), ("minus", "-")):
             a, b = grid.interval_nodes(i, which)
-            s0 = (full[a + 1] - full[a]) / h[a]
+            # second-order one-sided slope on the unequal cells h1, h2
+            h1, h2 = h[a], h[a + 1]
+            s0 = (-(2.0 * h1 + h2) / (h1 * (h1 + h2)) * full[a]
+                  + (h1 + h2) / (h1 * h2) * full[a + 1]
+                  - h1 / (h2 * (h1 + h2)) * full[a + 2])
             res = oracle.shoot_dirichlet(w, sol.mu, grid.nodes[a],
                                          grid.nodes[b], full[a], full[b],
                                          rtol=rtol, s0=s0)

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from multibump import cli, localfield
+from multibump import cli, localfield, oracle
 
 C_STEP = 15.756060010769785
 
@@ -74,6 +74,21 @@ def test_non_finite_newton_step_is_convergence_failure(tmp_path,
     monkeypatch.setattr(spla, "splu", NanLU)
     rc = cli.main(["solve", "--symbols", "10", "--mu", "800",
                    "--cells", "160", "--outdir", str(tmp_path)])
+    assert rc == 4
+    assert os.path.exists(tmp_path / "FAILED")
+
+
+def test_integrator_failure_is_convergence_failure(tmp_path, monkeypatch):
+    # solve_ivp reports status -1 (step size underflow): exit 4, not 2
+    def failing(fun, t_span, y0, **kwargs):
+        return type("Failed", (), dict(
+            status=-1, t=np.array([t_span[0]]),
+            message="Required step size is less than spacing between "
+                    "numbers."))()
+
+    monkeypatch.setattr(oracle, "solve_ivp", failing)
+    rc = cli.main(["oracle", "integrate", "--mu", "1", "--t0", "0",
+                   "--t1", "1", "--outdir", str(tmp_path)])
     assert rc == 4
     assert os.path.exists(tmp_path / "FAILED")
 

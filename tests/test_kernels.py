@@ -1,4 +1,5 @@
-"""Backend parity: the numba kernels and the numpy fallbacks must agree."""
+"""Backend parity: the numba scatter kernels and the numpy fallbacks must
+agree."""
 
 import os
 import subprocess
@@ -54,48 +55,3 @@ def test_hess_cells_parity():
         outs.append((cLL, cLR, cRR))
     for a, b in zip(*outs):
         assert np.allclose(a, b, rtol=0, atol=1e-13)
-
-
-def test_dp54_parity():
-    """Same step-size decisions, same accepted points, both backends."""
-    coefs = np.array([1.0])
-    y1 = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
-    y2 = y1.copy()
-    rec_t1 = np.zeros(4096)
-    rec_y1 = np.zeros((4096, 5))
-    rec_t2 = np.zeros(4096)
-    rec_y2 = np.zeros((4096, 5))
-    s1, n1, t1 = _kernels.dp54_run(coefs, 0.0, 0.0, 0.0, 3.0, y1, 2,
-                                   1e-10, 1e-12, 1e6, np.inf,
-                                   rec_t1, rec_y1, 0, 4096)
-    s2, n2, t2 = _kernels.dp54_run_py(coefs, 0.0, 0.0, 0.0, 3.0, y2, 2,
-                                      1e-10, 1e-12, 1e6, np.inf,
-                                      rec_t2, rec_y2, 0, 4096)
-    assert s1 == s2 == _kernels.OK
-    assert n1 == n2
-    assert t1 == t2
-    assert np.array_equal(y1, y2)
-    assert np.array_equal(rec_t1[:n1], rec_t2[:n2])
-    assert np.array_equal(rec_y1[:n1], rec_y2[:n2])
-
-
-def test_dp54_blowup_flag():
-    # u'' = +u^3 from u = 1, u' = 1 escapes in finite time
-    coefs = np.array([-1.0])
-    y = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
-    rec_t = np.zeros(4096)
-    rec_y = np.zeros((4096, 5))
-    status, _, t = _kernels.dp54_run(coefs, 0.0, 1.0, 0.0, 50.0, y, 2,
-                                     1e-8, 1e-10, 1e6, np.inf,
-                                     rec_t, rec_y, 0, 4096)
-    assert status == _kernels.BLEW_UP
-    assert t < 50.0
-
-
-def test_poly_amu_signs():
-    # positive piece kept, negative piece scaled by mu
-    assert _kernels.poly_amu([2.0], 0.0, 30.0, 0.3) == 2.0
-    assert _kernels.poly_amu([-2.0], 0.0, 30.0, 0.3) == -60.0
-    # linear piece changing sign inside: evaluation is pointwise
-    assert _kernels.poly_amu([-1.0, 2.0], 0.0, 10.0, 1.0) == 1.0
-    assert _kernels.poly_amu([-1.0, 2.0], 0.0, 10.0, 0.25) == -5.0
