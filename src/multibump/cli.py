@@ -54,14 +54,14 @@ EXIT_INTERNAL = 5
 
 def classify_error(exc):
     """Map an exception to the documented exit code."""
-    # LinAlgError subclasses ValueError, but a failed factorization or
-    # eigensolve is numerical, not bad input
+    # input is parsed into WeightError, so a stray ValueError is a bug; a
+    # failed factorization or eigensolve (LinAlgError) is numerical
     if isinstance(exc, np.linalg.LinAlgError):
         return EXIT_CONVERGENCE
     if isinstance(exc, (WeightError, ScopeError, NoAdmissibleZeta,
                         InsufficientSweep, FileNotFoundError,
                         IsADirectoryError, PermissionError,
-                        json.JSONDecodeError, ValueError)):
+                        json.JSONDecodeError, UnicodeDecodeError)):
         return EXIT_INPUT
     if isinstance(exc, (CertificationFailure, ScheduleExhausted,
                         InteriorityFailure)):
@@ -97,6 +97,26 @@ def merge_config(args, cfg, keys):
         else:
             out[key] = default
     return out
+
+
+def _num(cfg, key, kind=float):
+    """cfg[key] converted by ``kind``, or None when unset; a value that does
+    not convert is an input error."""
+    value = cfg.get(key)
+    if value is None:
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise WeightError(f"bad value {value!r} for {key}") from None
+
+
+def _count(value):
+    """A non-negative int, for a number of cells or samples."""
+    n = int(value)
+    if n < 0:
+        raise ValueError("negative count")
+    return n
 
 
 def resolve_weight(spec):
@@ -235,11 +255,11 @@ def _window_from(config):
     n = config.get("N")
     if symbols:
         code = solver.parse_symbols(str(symbols))
-        if n is not None and int(n) != len(code):
+        if n is not None and _num(config, "N", int) != len(code):
             raise WeightError(
                 f"N = {n} disagrees with the {len(code)}-symbol code")
     elif n is not None:
-        code = (1,) * int(n)
+        code = (1,) * _num(config, "N", int)
     else:
         raise WeightError("need --symbols or --N")
     return solver.make_window(code, periodic=bool(config.get("periodic", True)))
@@ -247,18 +267,20 @@ def _window_from(config):
 
 def _solve_options(config, levels=None):
     return solver.SolveOptions(
-        cells_per_interval=int(config.get("cells") or 0),
-        newton_tol=float(config.get("newton_tol") or 1e-10),
-        mu0=float(config.get("mu0") or 10.0),
-        growth=float(config.get("growth") or 2.0),
+        cells_per_interval=_num(config, "cells", int) or 0,
+        newton_tol=_num(config, "newton_tol") or 1e-10,
+        mu0=_num(config, "mu0") or 10.0,
+        growth=_num(config, "growth") or 2.0,
         levels=levels,
     )
 
 
 def _mu_grid(config):
-    lo = float(config["mu_from"])
-    hi = float(config["mu_to"])
-    pts = int(config.get("points") or 9)
+    lo = _num(config, "mu_from")
+    hi = _num(config, "mu_to")
+    pts = _num(config, "points", int)
+    if pts is None:
+        pts = 9
     if not (0 < lo <= hi) or pts < 1:
         raise WeightError("need 0 < mu-from <= mu-to and points >= 1")
     if pts == 1 or lo == hi:
@@ -298,11 +320,9 @@ def cmd_local(args):
     w, label, blob = resolve_weight(cfg["weight"])
     run = RunDir("local", cfg["outdir"], cfg, label, blob)
     try:
-        mesh = int(cfg["mesh"]) if cfg["mesh"] else None
-        ev = localfield.LevelEvaluator(w, mesh)
+        ev = localfield.LevelEvaluator(w, _num(cfg, "mesh", _count))
         consts = solver.build_constant_pack(
-            w, ev, k=int(cfg["k"]),
-            K=float(cfg["K"]) if cfg["K"] is not None else None)
+            w, ev, k=_num(cfg, "k", int), K=_num(cfg, "K"))
         payload = {
             "period": w.period,
             "tau": w.tau,
@@ -347,7 +367,7 @@ def cmd_solve(args):
     try:
         window = _window_from(cfg)
         opts = _solve_options(cfg)
-        mu = float(cfg["mu"])
+        mu = _num(cfg, "mu")
         try:
             sol = solver.solve_multibump(w, window, mu, opts)
         except CertificationFailure as e:
@@ -389,11 +409,10 @@ def cmd_connection(args):
     run = RunDir("connection", cfg["outdir"], cfg, label, blob)
     try:
         p = connection.make_connection_problem(
-            w, float(cfg["mu"]), float(cfg["x"]), float(cfg["y"]),
-            i=int(cfg["i"]), l=int(cfg["l"]),
-            K=float(cfg["K"]) if cfg["K"] is not None else None,
-            r=float(cfg["r"]) if cfg["r"] is not None else None)
-        cells = int(cfg["cells"]) if cfg["cells"] else None
+            w, _num(cfg, "mu"), _num(cfg, "x"), _num(cfg, "y"),
+            i=_num(cfg, "i", int), l=_num(cfg, "l", int),
+            K=_num(cfg, "K"), r=_num(cfg, "r"))
+        cells = _num(cfg, "cells", int) or None
         sol = connection.solve_connection(p, cells=cells)
         grid = sol.u.grid
         du = assembly.nodal_derivative(sol.u)
@@ -455,13 +474,13 @@ def cmd_verify(args):
         # share the ground bump and the constant pack's levels
         ev = localfield.LevelEvaluator(w)
         opts = _solve_options(cfg, levels=ev)
-        delta = float(cfg["delta"]) if cfg["delta"] is not None else None
-        report = verify.run_sweep(w, window.symbols, mu_list, delta=delta,
-                                  alpha=float(cfg["alpha"]), opts=opts,
+        report = verify.run_sweep(w, window.symbols, mu_list,
+                                  delta=_num(cfg, "delta"),
+                                  alpha=_num(cfg, "alpha"), opts=opts,
                                   bump=ev.ground_bump())
         sol = solver.solve_multibump(w, window, mu_list[-1], opts)
         identities = verify.nehari_identities(sol)
-        check = verify.oracle_residual(sol, rtol=float(cfg["oracle_rtol"]))
+        check = verify.oracle_residual(sol, rtol=_num(cfg, "oracle_rtol"))
         payload = {
             "sweep": report.to_dict(),
             "identities_at_mu_max": identities,
@@ -497,29 +516,28 @@ def cmd_oracle(args):
         payload = {}
         if args.mode == "ground":
             payload["c"] = oracle.brute_ground_level(
-                w, rtol=float(cfg["rtol"]))
+                w, rtol=_num(cfg, "rtol"))
         else:
             if cfg["t1"] is None:
                 raise WeightError("need --t1")
-            t0, t1 = float(cfg["t0"]), float(cfg["t1"])
-            mu = float(cfg["mu"])
+            t0, t1 = _num(cfg, "t0"), _num(cfg, "t1")
+            mu = _num(cfg, "mu")
             if args.mode == "shoot":
                 res = oracle.shoot_dirichlet(
-                    w, mu, t0, t1, float(cfg["x"]), float(cfg["y"]),
-                    rtol=float(cfg["rtol"]),
-                    s0=float(cfg["s0"]) if cfg["s0"] is not None else None)
+                    w, mu, t0, t1, _num(cfg, "x"), _num(cfg, "y"),
+                    rtol=_num(cfg, "rtol"), s0=_num(cfg, "s0"))
                 dense = res.dense
                 payload.update(slope=res.slope, residual=res.residual,
                                iters=res.iters)
             else:
                 _, dense = oracle.integrate(
-                    w, mu, oracle.IvpState(t=t0, u=float(cfg["u0"]),
-                                           du=float(cfg["du0"])),
-                    t1, rtol=float(cfg["rtol"]))
+                    w, mu, oracle.IvpState(t=t0, u=_num(cfg, "u0"),
+                                           du=_num(cfg, "du0")),
+                    t1, rtol=_num(cfg, "rtol"))
                 payload.update(u_end=dense.eval_u(t1),
                                du_end=dense.eval_du(t1))
             if cfg["out"]:
-                ts = np.linspace(t0, t1, int(cfg["samples"]))
+                ts = np.linspace(t0, t1, _num(cfg, "samples", _count))
                 run.add_csv(cfg["out"], ["t", "u", "du"],
                             zip(ts, dense.eval_u(ts), dense.eval_du(ts)))
         run.finish()
@@ -547,8 +565,9 @@ def cmd_sweep(args):
         mu_list = _mu_grid(cfg)
         # one evaluator: every code's constant pack reuses the same levels
         opts = _solve_options(cfg, levels=localfield.LevelEvaluator(w))
-        delta = float(cfg["delta"]) if cfg["delta"] is not None else \
-            0.2 * (w.period - w.tau)
+        delta = _num(cfg, "delta")
+        if delta is None:
+            delta = 0.2 * (w.period - w.tau)
 
         agg_rows, bracket_rows, code_fits, errors = [], [], [], {}
         for code in codes:

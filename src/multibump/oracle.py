@@ -117,7 +117,7 @@ def _integrate_raw(w, mu, t0, y0, t_end, rtol, atol, cap, max_step):
     piece.  Returns (DenseOutput, blew_up): |u| reaching ``cap`` ends the
     run there."""
     if t_end < t0:
-        raise ValueError("backward integration is not supported")
+        raise ScopeError("backward integration is not supported")
 
     def cap_hit(t, y):
         return cap - abs(y[0])

@@ -76,7 +76,10 @@ def make_window(symbols, periodic=True, k_bound=None, i_start=None):
 def parse_symbols(text):
     """Parse strings like ``110`` or ``1,0,1`` into a 0/1 tuple."""
     text = text.replace(",", "").replace(" ", "")
-    return tuple(int(ch) for ch in text)
+    try:
+        return tuple(int(ch) for ch in text)
+    except ValueError:
+        raise WeightError(f"symbols must be digits, got {text!r}") from None
 
 
 # -- reports ------------------------------------------------------------------

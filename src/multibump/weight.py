@@ -181,6 +181,8 @@ def _expand_piece(piece):
     if piece.kind == "samples":
         ts = np.asarray(piece.data[0], dtype=float)
         vs = np.asarray(piece.data[1], dtype=float)
+        if len(ts) != len(vs):
+            raise WeightError("sample times and values differ in number")
         if len(ts) < 2 or np.any(np.diff(ts) <= 0):
             raise WeightError("sample times must be strictly increasing")
         if not (math.isclose(ts[0], piece.t0) and math.isclose(ts[-1], piece.t1)):
@@ -244,6 +246,8 @@ def build_weight(T, tau, pieces, check=True):
     coefs = np.zeros((len(segs), maxdeg))
     for i, (_, _, c) in enumerate(segs):
         coefs[i, :len(c)] = c
+    if not np.all(np.isfinite(coefs)):
+        raise WeightError("weight values must be finite")
     positive = np.array([0.5 * (a + b) < tau for (a, b, _) in segs])
 
     scale = max(abs(coefs).max(), 1e-300)
@@ -349,21 +353,30 @@ def weight_to_dict(w):
 
 
 def weight_from_dict(d):
-    pieces = []
-    for pd in d["pieces"]:
-        if pd["kind"] == "poly":
-            data = tuple(float(c) for c in pd["data"])
-        elif pd["kind"] == "samples":
-            raw = pd["data"]
-            if isinstance(raw, dict):
-                data = (tuple(map(float, raw["t"])), tuple(map(float, raw["v"])))
-            else:  # list of [t, v] pairs
-                data = (tuple(float(r[0]) for r in raw),
-                        tuple(float(r[1]) for r in raw))
-        else:
-            raise WeightError(f"unknown piece kind {pd['kind']!r}")
-        pieces.append(Piece(float(pd["t0"]), float(pd["t1"]), pd["kind"], data))
-    return build_weight(float(d["T"]), float(d["tau"]), pieces)
+    """Inverse of weight_to_dict; a missing or non-numeric entry is a
+    WeightError."""
+    try:
+        pieces = []
+        for pd in d["pieces"]:
+            if pd["kind"] == "poly":
+                data = tuple(float(c) for c in pd["data"])
+            elif pd["kind"] == "samples":
+                raw = pd["data"]
+                if isinstance(raw, dict):
+                    data = (tuple(map(float, raw["t"])),
+                            tuple(map(float, raw["v"])))
+                else:  # list of [t, v] pairs
+                    data = (tuple(float(r[0]) for r in raw),
+                            tuple(float(r[1]) for r in raw))
+            else:
+                raise WeightError(f"unknown piece kind {pd['kind']!r}")
+            pieces.append(Piece(float(pd["t0"]), float(pd["t1"]), pd["kind"],
+                                data))
+        period, tau = float(d["T"]), float(d["tau"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise WeightError(f"malformed weight: {type(exc).__name__}: {exc}") \
+            from None
+    return build_weight(period, tau, pieces)
 
 
 def load_weight_json(path):

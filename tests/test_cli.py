@@ -6,7 +6,7 @@ import os
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from multibump import cli, localfield, oracle
+from multibump import cli, localfield, oracle, solver, weight
 
 C_STEP = 15.756060010769785
 
@@ -101,6 +101,50 @@ def test_linalg_error_is_convergence_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(localfield.scipy.linalg, "eigh", broken_eigh)
     rc = cli.main(["local", "--outdir", str(tmp_path)])
     assert rc == 4
+    assert os.path.exists(tmp_path / "FAILED")
+
+
+def test_non_numeric_config_value_is_input_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"symbols": "10", "mu": "abc"}))
+    rc = cli.main(["solve", "--config", str(cfg),
+                   "--outdir", str(tmp_path / "out")])
+    assert rc == 2
+    assert os.path.exists(tmp_path / "out" / "FAILED")
+
+
+def test_non_numeric_weight_file_is_input_error(tmp_path):
+    spec = weight.weight_to_dict(weight.make_step_weight())
+    spec["T"] = "x"
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(spec))
+    rc = cli.main(["local", "--weight", str(path),
+                   "--outdir", str(tmp_path / "out")])
+    assert rc == 2
+
+
+def test_bad_count_and_undecodable_file_are_input_errors(tmp_path):
+    assert cli.main(["local", "--mesh", "-3",
+                     "--outdir", str(tmp_path / "mesh")]) == 2
+    assert cli.main(["verify", "--symbols", "10", "--mu-from", "1e2",
+                     "--mu-to", "1e3", "--points", "0",
+                     "--outdir", str(tmp_path / "points")]) == 2
+    path = tmp_path / "w.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    assert cli.main(["local", "--weight", str(path),
+                     "--outdir", str(tmp_path / "bin")]) == 2
+
+
+def test_stray_value_error_is_internal_error(tmp_path, monkeypatch):
+    # input is parsed into WeightError, so a ValueError from inside the
+    # solver is a bug and must not read as bad input
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(solver, "solve_multibump", broken)
+    rc = cli.main(["solve", "--symbols", "10", "--mu", "800",
+                   "--outdir", str(tmp_path)])
+    assert rc == 5
     assert os.path.exists(tmp_path / "FAILED")
 
 

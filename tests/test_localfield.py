@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multibump import assembly, localfield, oracle, weight
@@ -50,28 +50,67 @@ def test_principal_eigenvalue_step(step_weight):
     assert np.max(np.abs(full - np.sin(np.pi * phi.grid.nodes))) < 1e-4
 
 
-def test_principal_eigenvalue_methods_agree(sine_weight):
-    lam_d, _ = localfield.principal_eigenvalue(sine_weight, 800,
-                                               method="dense")
-    lam_p, _ = localfield.principal_eigenvalue(sine_weight, 800,
-                                               method="power")
-    assert math.isclose(lam_d, lam_p, rel_tol=1e-9)
+def _closed_form_errors(values, exact):
+    """Relative errors against ``exact`` and the ratios of successive ones."""
+    errs = [abs(v - exact) / exact for v in values]
+    return errs, [e0 / e1 for e0, e1 in zip(errs, errs[1:])]
+
+
+_MESHES = (200, 400, 800, 1600)
+# lemniscate constant Gamma(1/4)^2 / (2 sqrt(2 pi)): a+ = 1 on [0, 1] has
+# ground level varpi^4 / 3 and end slope sqrt(2) varpi^2
+_VARPI = math.gamma(0.25) ** 2 / (2.0 * math.sqrt(2.0 * math.pi))
+
+
+def test_principal_eigenvalue_methods_agree(step_weight, sine_weight):
+    """The dense eigensolve agrees with the closed form: lambda1 = pi^2 on
+    step at O(h^2), and constant-weight bounds on sine."""
+    lams = [localfield.principal_eigenvalue(step_weight, n)[0]
+            for n in _MESHES]
+    errs, ratios = _closed_form_errors(lams, math.pi ** 2)
+    assert all(3.9 <= r <= 4.1 for r in ratios), (errs, ratios)
+    lam_d, _ = localfield.principal_eigenvalue(sine_weight, 800)
     # comparison with constant-weight bounds: sin <= 1 on (0, pi) pushes
     # the eigenvalue above lambda1(a = 1) = 1
     assert lam_d > 1.0
     assert lam_d < math.pi ** 2  # and far below the a+ = sup on tiny support
 
 
+def test_ground_level_closed_form_convergence(step_weight):
+    """On step the FEM ground level and end slope converge to the
+    lemniscate closed forms at O(h^2)."""
+    bumps = [localfield.ground_state(step_weight, n) for n in _MESHES]
+    errs, ratios = _closed_form_errors([b.level for b in bumps],
+                                       _VARPI ** 4 / 3.0)
+    assert all(3.9 <= r <= 4.1 for r in ratios), (errs, ratios)
+    assert errs[-1] < 1e-6
+    errs, ratios = _closed_form_errors([b.dleft for b in bumps],
+                                       math.sqrt(2.0) * _VARPI ** 2)
+    assert all(3.9 <= r <= 4.1 for r in ratios), (errs, ratios)
+
+
 def test_pinned_level_boundary_configuration(step_weight):
     """For the flat weight the pinned minimizer parks its zero on the
     boundary of the admissible band and carries a single bump."""
     det = localfield.pinned_zero_detail(step_weight, 0.125, 1500)
-    assert not det.interior
-    assert not det.split
     assert math.isclose(det.tbar, 0.875, rel_tol=1e-9)
     # single bump on [0, 1 - zeta]: level scales like length^-3
     c = localfield.ground_state(step_weight, 1500).level
     assert math.isclose(det.c_zeta, c / 0.875 ** 3, rel_tol=1e-5)
+
+
+def test_pinned_level_solves_two_edge_levels(step_weight, monkeypatch):
+    """The pinned level costs the two window-edge ground solves, no more."""
+    calls = []
+    real = localfield._ground_on
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(localfield, "_ground_on", counted)
+    localfield.pinned_zero_detail(step_weight, 0.125)
+    assert calls == [(0.0, 0.875), (0.125, 1.0)]
 
 
 def test_pinned_level_two_entries_agree(step_weight):
@@ -185,3 +224,31 @@ def test_ground_level_matches_oracle_two_level(tau, frac, lo, hi):
     w = _two_level_weight(tau, frac, lo, hi)
     c = localfield.ground_state(w).level
     assert math.isclose(c, oracle.brute_ground_level(w), rel_tol=2e-4)
+
+
+def _sub_level(w, t0, t1, mesh):
+    """Ground level on [t0, t1] at the cell density of ``mesh`` on [0, tau]."""
+    n = max(60, math.ceil(mesh * (t1 - t0) / w.tau))
+    return localfield._ground_on(w, t0, t1, n)[2]
+
+
+@settings(max_examples=8, deadline=None)
+@given(zfrac=st.floats(0.05, 0.45), **_two_levels)
+# the shortest split piece: Newton in _ground_on stalled at round-off there
+@example(zfrac=0.05, tau=0.5, frac=0.5, lo=0.5, hi=1.0)
+def test_pinned_split_never_wins(tau, frac, lo, hi, zfrac):
+    """A bump on each side of a zero at t in [zeta, tau - zeta] costs at
+    least the two window-edge levels together, since the ground level falls
+    as the domain grows; so the pinned level is the cheaper edge level, and
+    the unsplit full-interval descent pinned at its zero agrees."""
+    w = _two_level_weight(tau, frac, lo, hi)
+    zeta, mesh = zfrac * tau, 400
+    left_only = _sub_level(w, 0.0, tau - zeta, mesh)
+    right_only = _sub_level(w, zeta, tau, mesh)
+    for t in np.linspace(zeta, tau - zeta, 5):
+        split = _sub_level(w, 0.0, t, mesh) + _sub_level(w, t, tau, mesh)
+        assert split >= (1.0 - 1e-3) * (left_only + right_only)
+    det = localfield.pinned_zero_detail(w, zeta, mesh)
+    assert det.c_zeta == min(left_only, right_only)
+    direct = localfield.pinned_level_direct(w, det.tbar, mesh)
+    assert math.isclose(det.c_zeta, direct, rel_tol=1e-6)

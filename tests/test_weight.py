@@ -51,6 +51,19 @@ def test_build_weight_rejects_bad_tilings():
         weight.build_weight(2.0, 2.5, [P(0.0, 2.0, "poly", (1.0,))])
 
 
+def test_build_weight_rejects_malformed_values():
+    """Non-finite values and unpaired samples are input errors, not a
+    numerical failure further down."""
+    P = weight.Piece
+    with pytest.raises(WeightError):
+        weight.build_weight(2.0, 1.0, [P(0.0, 1.0, "poly", (math.nan,)),
+                                       P(1.0, 2.0, "poly", (-1.0,))])
+    with pytest.raises(WeightError):
+        weight.build_weight(2.0, 1.0, [
+            P(0.0, 1.0, "samples", ((0.0, 0.5, 1.0), (0.0, 1.0))),
+            P(1.0, 2.0, "poly", (-1.0,))])
+
+
 def test_build_weight_rejects_sign_violations():
     P = weight.Piece
     # negative mass inside the positivity interval
