@@ -13,7 +13,6 @@ Library layout:
 """
 
 from . import errors
-from ._kernels import backend
 from .weight import (ConstantPack, Piece, WeightSpec, build_constant_pack,
                      build_weight, choose_zeta, compute_r, eval_weight,
                      load_weight_json, make_sine_weight, make_step_weight,

@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
-from . import _kernels
 from .errors import IndexOutOfWindow, NewtonFailure, WeightError
 
 _ARMIJO = 1e-4
@@ -89,6 +87,28 @@ def build_tables(w, nodes):
 # -- nodal operations (no boundary conditions applied) ------------------------
 
 
+def _at_points(tb, full):
+    """Interpolant of the nodal values at every quadrature point."""
+    return full[tb.qcell] * (1.0 - tb.qlam) + full[tb.qcell + 1] * tb.qlam
+
+
+def _hat_scatter(tb, coef, n):
+    """Vector of sum_q coef_q phi_j(t_q) over the n nodal hats."""
+    return (np.bincount(tb.qcell, coef * (1.0 - tb.qlam), n)
+            + np.bincount(tb.qcell + 1, coef * tb.qlam, n))
+
+
+def _cell_blocks(tb, coef):
+    """Cellwise 2x2 blocks (LL, LR, RR) of sum_q coef_q phi_a(t_q) phi_b(t_q)
+    over the two hats of each cell."""
+    ncell = len(tb.h)
+    lam = tb.qlam
+    left = coef * (1.0 - lam)
+    return (np.bincount(tb.qcell, left * (1.0 - lam), ncell),
+            np.bincount(tb.qcell, left * lam, ncell),
+            np.bincount(tb.qcell, coef * lam * lam, ncell))
+
+
 def stiffness_full(tb, u_full):
     """Vector of int u' phi_j' over all nodal hats, clamped-end convention."""
     slopes = np.diff(u_full) / tb.h
@@ -100,11 +120,8 @@ def stiffness_full(tb, u_full):
 
 def cubic_full(tb, mu, u_full):
     """Vector of int a_mu u^3 phi_j."""
-    uq = u_full[tb.qcell] * (1.0 - tb.qlam) + u_full[tb.qcell + 1] * tb.qlam
-    coef = tb.qw * tb.amu(mu) * uq ** 3
-    out = np.zeros(len(u_full))
-    _kernels.scatter_hat(out, coef, tb.qlam, tb.qcell, tb.qcell + 1)
-    return out
+    uq = _at_points(tb, u_full)
+    return _hat_scatter(tb, tb.qw * tb.amu(mu) * (uq * uq * uq), len(u_full))
 
 
 def residual_full(tb, mu, u_full):
@@ -119,44 +136,73 @@ def dirichlet_integral(tb, u_full):
 
 def quartic_integral(tb, mu, u_full):
     """int a_mu u^4 by the Simpson tables."""
-    uq = u_full[tb.qcell] * (1.0 - tb.qlam) + u_full[tb.qcell + 1] * tb.qlam
-    return float(np.sum(tb.qw * tb.amu(mu) * uq ** 4))
+    u2 = _at_points(tb, u_full)
+    u2 = u2 * u2
+    return float(np.sum(tb.qw * tb.amu(mu) * (u2 * u2)))
 
 
 def hessian_full(tb, mu, u_full, v_full):
     """Second variation applied to v: int v' phi' - 3 int a_mu u^2 v phi."""
-    uq = u_full[tb.qcell] * (1.0 - tb.qlam) + u_full[tb.qcell + 1] * tb.qlam
-    vq = v_full[tb.qcell] * (1.0 - tb.qlam) + v_full[tb.qcell + 1] * tb.qlam
-    coef = 3.0 * tb.qw * tb.amu(mu) * uq ** 2 * vq
-    out = stiffness_full(tb, v_full)
-    neg = np.zeros(len(u_full))
-    _kernels.scatter_hat(neg, coef, tb.qlam, tb.qcell, tb.qcell + 1)
-    return out - neg
+    uq = _at_points(tb, u_full)
+    coef = 3.0 * tb.qw * tb.amu(mu) * (uq * uq) * _at_points(tb, v_full)
+    return stiffness_full(tb, v_full) - _hat_scatter(tb, coef, len(u_full))
 
 
 def jacobian_bands(tb, mu, u_full):
     """Cellwise 2x2 blocks (LL, LR, RR) of the residual Jacobian."""
-    uq = u_full[tb.qcell] * (1.0 - tb.qlam) + u_full[tb.qcell + 1] * tb.qlam
-    coef = 3.0 * tb.qw * tb.amu(mu) * uq ** 2
-    n = len(tb.h)
-    cLL = np.zeros(n)
-    cLR = np.zeros(n)
-    cRR = np.zeros(n)
-    _kernels.hess_cells(cLL, cLR, cRR, tb.qcell, coef, tb.qlam)
+    uq = _at_points(tb, u_full)
+    cLL, cLR, cRR = _cell_blocks(tb, 3.0 * tb.qw * tb.amu(mu) * (uq * uq))
     inv = 1.0 / tb.h
     return inv - cLL, -inv - cLR, inv - cRR
 
 
-# -- clamped solves and damped Newton ------------------------------------------
+# -- tridiagonal solves and damped Newton --------------------------------------
+
+
+def solve_tridiagonal(diag, off, rhs):
+    """Solve the symmetric tridiagonal system (diag, off) by banded LU.
+
+    When ``off`` is as long as ``diag`` the system is cyclic: ``off[-1]``
+    couples the last unknown to the first.  The corner is then split off as
+    a rank-one term and restored by the Sherman-Morrison formula, both
+    right-hand sides going through one banded solve.  The Sherman-Morrison
+    denominator is not thresholded: the pasted initial guess of adjacent
+    bumps has a Jacobian singular to round-off whose right-hand side lies in
+    its range, and the corrected step is still accurate there.  Raises
+    LinAlgError on an exactly singular band.
+    """
+    n = len(diag)
+    ab = np.zeros((3, n))
+    ab[0, 1:] = off[:n - 1]
+    ab[1] = diag
+    ab[2, :-1] = off[:n - 1]
+    if len(off) < n:
+        return scipy.linalg.solve_banded((1, 1), ab, rhs)
+    # A = T + w v^T with w = (gamma, 0, ..., 0, c), v = (1, 0, ..., 0, c/gamma)
+    c = off[-1]
+    gamma = -diag[0]
+    ratio = c / gamma
+    ab[1, 0] -= gamma
+    ab[1, -1] -= c * ratio
+    w = np.zeros(n)
+    w[0], w[-1] = gamma, c
+    y, z = scipy.linalg.solve_banded((1, 1), ab, np.column_stack([rhs, w])).T
+    den = 1.0 + z[0] + ratio * z[-1]
+    if den == 0.0:
+        # A z = 0 in floating point, so the kernel component of the solution
+        # is free; y solves A x = rhs to round-off when rhs is in the range
+        return y
+    return y - (y[0] + ratio * y[-1]) / den * z
 
 
 def solve_interior(tb, rhs, bands=None, keep=None):
     """Solve with the interior rows of a clamped mesh's tridiagonal system.
 
     ``bands`` are cellwise blocks (LL, LR, RR) as from jacobian_bands and are
-    solved by banded LU; without them the system is the stiffness matrix,
-    positive definite, and is solved by banded Cholesky.  The end nodes are
-    eliminated, and with ``keep`` (node indices) every node left out of it.
+    solved by ``solve_tridiagonal``; without them the system is the
+    stiffness matrix, positive definite, and is solved by banded Cholesky.
+    The end nodes are eliminated, and with ``keep`` (node indices) every
+    node left out of it.
     """
     spd = bands is None
     if spd:
@@ -168,16 +214,12 @@ def solve_interior(tb, rhs, bands=None, keep=None):
     if keep is not None:
         k = keep - 1
         diag, off = diag[k], np.where(np.diff(k) == 1, off[k[:-1]], 0.0)
-    if spd:
-        ab = np.zeros((2, len(diag)))
-        ab[0, 1:] = off
-        ab[1] = diag
-        return scipy.linalg.solveh_banded(ab, rhs)
-    ab = np.zeros((3, len(diag)))
+    if not spd:
+        return solve_tridiagonal(diag, off, rhs)
+    ab = np.zeros((2, len(diag)))
     ab[0, 1:] = off
     ab[1] = diag
-    ab[2, :-1] = off
-    return scipy.linalg.solve_banded((1, 1), ab, rhs)
+    return scipy.linalg.solveh_banded(ab, rhs)
 
 
 def newton(x, residual, solve, tol, max_iter):
@@ -457,17 +499,13 @@ def nodal_derivative(u):
 
 
 def jacobian_matrix(u, mu):
-    """Sparse residual Jacobian on the grid's dofs (folded when periodic)."""
-    grid = u.grid
-    dLL, dLR, dRR = jacobian_bands(grid.tables, mu, u.full())
-    ncell = len(grid.tables.h)
-    L = np.arange(ncell, dtype=np.int64)
-    R = L + 1
-    if grid.periodic:
-        L = L % grid.ndof
-        R = R % grid.ndof
-    rows = np.concatenate([L, R, L, R])
-    cols = np.concatenate([L, R, R, L])
-    data = np.concatenate([dLL, dRR, dLR, dLR])
-    n = grid.ndof
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsc()
+    """Residual Jacobian on the grid's dofs as tridiagonal bands (diag, off).
+
+    On a periodic grid the bands are folded and ``off[-1]`` is the corner
+    coupling the last dof to the first, the cyclic form ``solve_tridiagonal``
+    takes.
+    """
+    dLL, dLR, dRR = jacobian_bands(u.grid.tables, mu, u.full())
+    if u.grid.periodic:
+        return dLL + np.roll(dRR, 1), dLR
+    return np.append(dLL, 0.0) + np.insert(dRR, 0, 0.0), dLR

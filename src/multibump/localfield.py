@@ -238,12 +238,7 @@ def principal_eigenvalue(w, mesh=None):
     grid = assembly.segment_grid(w, np.linspace(0.0, w.tau, n + 1))
     tb = grid.tables
 
-    ncell = len(tb.h)
-    mLL = np.zeros(ncell)
-    mLR = np.zeros(ncell)
-    mRR = np.zeros(ncell)
-    from . import _kernels
-    _kernels.hess_cells(mLL, mLR, mRR, tb.qcell, tb.qw * tb.qap, tb.qlam)
+    mLL, mLR, mRR = assembly._cell_blocks(tb, tb.qw * tb.qap)
     mdiag = mRR[:-1] + mLL[1:]
     moff = mLR[1:-1]
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import assembly, localfield
 from .errors import (CertificationFailure, ContinuationBreakdown,
@@ -171,10 +170,11 @@ def _converge(grid, values, mu, opts):
         return assembly.gradient(assembly.GridFunction(grid, v), mu).values
 
     def solve(v, r):
-        J = assembly.jacobian_matrix(assembly.GridFunction(grid, v), mu)
+        diag, off = assembly.jacobian_matrix(assembly.GridFunction(grid, v),
+                                             mu)
         try:
-            return spla.splu(J.tocsc()).solve(r)
-        except RuntimeError as e:
+            return assembly.solve_tridiagonal(diag, off, r)
+        except np.linalg.LinAlgError as e:
             raise NewtonFailure(f"singular Jacobian: {e}") from None
 
     return assembly.newton(values, residual, solve, opts.newton_tol,

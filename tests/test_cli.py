@@ -4,9 +4,8 @@ import json
 import os
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
-from multibump import cli, localfield, oracle, solver, weight
+from multibump import assembly, cli, localfield, oracle, solver, weight
 
 C_STEP = 15.756060010769785
 
@@ -60,22 +59,40 @@ def test_missing_weight_file_is_input_error(tmp_path):
 
 def test_non_finite_newton_step_is_convergence_failure(tmp_path,
                                                        monkeypatch):
-    real = spla.splu
+    real = assembly.solve_tridiagonal
 
-    class NanLU:
-        def __init__(self, A):
-            self.lu = real(A)
-
-        def solve(self, r):
-            step = self.lu.solve(r)
+    def nan_step(diag, off, rhs):
+        step = real(diag, off, rhs)
+        if len(off) == len(diag):          # the periodic Newton step
             step[len(step) // 2] = np.nan
-            return step
+        return step
 
-    monkeypatch.setattr(spla, "splu", NanLU)
+    monkeypatch.setattr(assembly, "solve_tridiagonal", nan_step)
     rc = cli.main(["solve", "--symbols", "10", "--mu", "800",
                    "--cells", "160", "--outdir", str(tmp_path)])
     assert rc == 4
     assert os.path.exists(tmp_path / "FAILED")
+
+
+def test_singular_periodic_band_is_convergence_failure(tmp_path,
+                                                       monkeypatch):
+    # the cyclic solve sends its two right-hand sides through one banded LU
+    real = assembly.scipy.linalg.solve_banded
+    calls = []
+
+    def singular(l_and_u, ab, b, **kwargs):
+        if np.ndim(b) == 2:
+            calls.append(len(b))
+            raise np.linalg.LinAlgError("singular matrix")
+        return real(l_and_u, ab, b, **kwargs)
+
+    monkeypatch.setattr(assembly.scipy.linalg, "solve_banded", singular)
+    rc = cli.main(["solve", "--symbols", "10", "--mu", "800",
+                   "--cells", "160", "--outdir", str(tmp_path)])
+    assert rc == 4
+    assert calls
+    assert os.path.exists(tmp_path / "FAILED")
+    assert "singular Jacobian" in (tmp_path / "FAILED").read_text()
 
 
 def test_integrator_failure_is_convergence_failure(tmp_path, monkeypatch):
