@@ -31,6 +31,5 @@ from .connection import (ConnectionProblem, ConnectionSolution,
 from .verify import (decay_rate, limit_distance, minimal_period,
                      nehari_identities, oracle_residual, run_sweep)
 from .oracle import IvpState, brute_ground_level, integrate, shoot_dirichlet
-from .cli import main as cli_main
 
 __version__ = "0.1.0"

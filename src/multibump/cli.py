@@ -470,15 +470,24 @@ def cmd_verify(args):
     try:
         window = _window_from(cfg)
         mu_list = _mu_grid(cfg)
-        # one evaluator: the sweep, its limit distances and the final solve
-        # share the ground bump and the constant pack's levels
+        # one evaluator and one continuation: the sweep's last solution is
+        # the one certified, audited and re-integrated below
         ev = localfield.LevelEvaluator(w)
         opts = _solve_options(cfg, levels=ev)
         report = verify.run_sweep(w, window.symbols, mu_list,
                                   delta=_num(cfg, "delta"),
                                   alpha=_num(cfg, "alpha"), opts=opts,
                                   bump=ev.ground_bump())
-        sol = solver.solve_multibump(w, window, mu_list[-1], opts)
+        sol = report.solution
+        if sol.window != window:
+            # the sweep certifies the periodic window; a non-periodic one
+            # ("periodic": false) reads its zero runs without wrap-around,
+            # so its bound k, and with it the constant pack, can differ
+            consts = weight.build_constant_pack(w, ev, k=window.k_bound)
+            sol = solver.Solution(
+                u=sol.u, mu=sol.mu, window=window,
+                report=solver.check_membership(sol.u, sol.mu, consts, window))
+        solver.require_certified(sol.report)
         identities = verify.nehari_identities(sol)
         check = verify.oracle_residual(sol, rtol=_num(cfg, "oracle_rtol"))
         payload = {

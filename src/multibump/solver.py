@@ -352,11 +352,16 @@ def solve_multibump(w, window, mu_target, opts=None):
     if mu_target <= 0:
         raise WeightError("mu_target must be positive")
     _, gf, report = next(_continuation(w, window, [float(mu_target)], opts))
+    require_certified(report)
+    return Solution(u=gf, mu=float(mu_target), window=window, report=report)
+
+
+def require_certified(report):
+    """Raise CertificationFailure, carrying the report, unless it certifies."""
     if not report.certified:
         raise CertificationFailure(
-            f"conditions failed at mu={mu_target:.4g}: {report.failing()}",
+            f"conditions failed at mu={report.mu:.4g}: {report.failing()}",
             report=report)
-    return Solution(u=gf, mu=float(mu_target), window=window, report=report)
 
 
 def continuation_states(w, window, mu_list, opts=None):

@@ -20,6 +20,7 @@ from . import assembly, oracle, solver
 from .errors import InsufficientSweep, WeightError
 
 _G5X, _G5W = np.polynomial.legendre.leggauss(5)
+_PAIR_BLOCK = 1 << 16        # node pairs per block of the Hoelder quotient
 
 
 # -- the cutoff family ---------------------------------------------------------
@@ -306,10 +307,8 @@ def limit_profile(sol, bump):
             continue
         i = lo_i + j
         a, b = grid.interval_nodes(i, "plus")
-        shift = w.period * i
-        for node in range(a, b + 1):
-            vals[grid.dof_of_node(node)] = float(
-                bump.samples.eval(grid.nodes[node] - shift))
+        vals[grid.dof_of_node(np.arange(a, b + 1))] = bump.samples.eval(
+            grid.nodes[a:b + 1] - w.period * i)
     return assembly.GridFunction(grid, vals)
 
 
@@ -323,16 +322,28 @@ class LimitDistance:
 
 
 def _holder_seminorm(ts, d, alpha, min_sep, max_nodes=1600):
+    """max |d_j - d_i| / |t_j - t_i|^alpha over the pairs of every stride-th
+    node (about max_nodes of them) at least min_sep > 0 apart; 0 if none.
+
+    The quotient is symmetric in the pair, so only j > i is visited, a block
+    of rows at a time: the temporaries stay O(rows x n), not n x n.
+    """
     n = len(ts)
     stride = max(1, int(math.ceil(n / max_nodes)))
     t = ts[::stride]
     v = d[::stride]
-    dt = np.abs(t[:, None] - t[None, :])
-    dv = np.abs(v[:, None] - v[None, :])
-    mask = dt >= min_sep
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(dv[mask] / dt[mask] ** alpha))
+    m = len(t)
+    rows = max(1, _PAIR_BLOCK // m)
+    best = 0.0
+    for r0 in range(0, m - 1, rows):
+        r1 = min(r0 + rows, m - 1)
+        # row r is node r0 + r, column c is node r0 + 1 + c: j > i is c >= r
+        dt = np.abs(t[r0 + 1:] - t[r0:r1, None])
+        keep = np.triu(dt >= min_sep)
+        if keep.any():
+            dv = np.abs(v[r0 + 1:] - v[r0:r1, None])
+            best = max(best, float(np.max(dv[keep] / dt[keep] ** alpha)))
+    return best
 
 
 def limit_distance(sol, bump, alpha=0.5):
@@ -470,6 +481,8 @@ class AsymptoticReport:
     kendall: dict                # name -> tau against mu
     alpha: float
     delta: float
+    # the sweep's last Solution, at mu_list[-1]; not serialised
+    solution: object = field(default=None, repr=False, compare=False)
 
     def to_dict(self):
         return {
@@ -490,7 +503,8 @@ class AsymptoticReport:
 
 def run_sweep(w, symbols, mu_list, delta=None, alpha=0.5, opts=None,
               bump=None):
-    """Continuation sweep with every per-mu audit quantity recorded."""
+    """Continuation sweep with every per-mu audit quantity recorded; the
+    report carries the sweep's last Solution."""
     mu_list = sorted(float(m) for m in mu_list)
     if delta is None:
         delta = 0.2 * (w.period - w.tau)
@@ -542,7 +556,8 @@ def run_sweep(w, symbols, mu_list, delta=None, alpha=0.5, opts=None,
         p3=rows["p3"], sup_distances=rows["sup"],
         holder_distances=rows["holder"], lipschitz_distances=rows["lip"],
         sup_slopes=rows["dsup"], min_values=rows["minv"],
-        fitted_slopes=fits, kendall=kend, alpha=alpha, delta=delta)
+        fitted_slopes=fits, kendall=kend, alpha=alpha, delta=delta,
+        solution=sol)
 
 
 def sign_changes(values, tol=0.0):

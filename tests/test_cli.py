@@ -2,8 +2,11 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
 from multibump import assembly, cli, localfield, oracle, solver, weight
 
@@ -165,20 +168,22 @@ def test_stray_value_error_is_internal_error(tmp_path, monkeypatch):
     assert os.path.exists(tmp_path / "FAILED")
 
 
+def _counted(counts, name, fn):
+    """fn, counting its calls into counts[name]."""
+    def wrapper(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_levels_built_once_per_command(tmp_path, monkeypatch):
     """verify and sweep solve the ground bump and the pinned levels as often
     as local does: once per command, through one shared evaluator."""
     counts = {}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] = counts.get(name, 0) + 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     for name in ("ground_state", "pinned_zero_detail"):
         monkeypatch.setattr(localfield, name,
-                            counted(name, getattr(localfield, name)))
+                            _counted(counts, name,
+                                     getattr(localfield, name)))
     mu_range = ["--mu-from", "1e2", "--mu-to", "1e3", "--points", "2"]
     runs = {"local": ["local"],
             "verify": ["verify", "--symbols", "10"] + mu_range,
@@ -191,6 +196,71 @@ def test_levels_built_once_per_command(tmp_path, monkeypatch):
     assert seen["local"] == {"ground_state": 1, "pinned_zero_detail": 2}
     assert seen["verify"] == seen["local"]
     assert seen["sweep"] == seen["local"]
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_verify_runs_one_continuation(tmp_path, monkeypatch, periodic):
+    """verify certifies, audits and re-integrates its own sweep's last
+    solution: one continuation and no second solve per command, also when a
+    non-periodic window changes the zero-run bound of the certificate."""
+    counts = {}
+    for name in ("continuation_states", "solve_multibump"):
+        monkeypatch.setattr(solver, name,
+                            _counted(counts, name, getattr(solver, name)))
+    certs, required = [], []
+    check_membership = solver.check_membership
+    require_certified = solver.require_certified
+
+    def check(u, mu, consts, window):
+        report = check_membership(u, mu, consts, window)
+        certs.append((consts.k, window.periodic, report))
+        return report
+
+    def require(report):
+        required.append(report)
+        return require_certified(report)
+
+    monkeypatch.setattr(solver, "check_membership", check)
+    monkeypatch.setattr(solver, "require_certified", require)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"periodic": periodic}))
+    d = str(tmp_path / "out")
+    rc = cli.main(["verify", "--config", str(cfg), "--symbols", "010",
+                   "--mu-from", "1e2", "--mu-to", "1e3", "--points", "2",
+                   "--cells", "160", "--outdir", d])
+    assert rc == 0
+    assert counts == {"continuation_states": 1}
+    # the certificate is the window's own: 010 has a zero run of 2 read
+    # cyclically and of 1 read as a non-periodic window
+    k, seen_periodic, report = certs[-1]
+    assert len(required) == 1 and required[0] is report
+    assert (k, seen_periodic) == ((2, True) if periodic else (1, False))
+    assert _read_json(os.path.join(d, "verify.json"))["minimal_period_T"] \
+        == 6.0
+
+
+def test_verify_certification_failure_exit_code(tmp_path):
+    d = str(tmp_path)
+    rc = cli.main(["verify", "--symbols", "10", "--mu-from", "0.25",
+                   "--mu-to", "0.5", "--points", "2", "--cells", "160",
+                   "--outdir", d])
+    assert rc == 3
+    with open(os.path.join(d, "FAILED")) as f:
+        assert "CertificationFailure: conditions failed at mu=0.5: ['C1']" \
+            in f.read()
+
+
+@pytest.mark.parametrize("module", ["multibump", "multibump.cli"])
+def test_module_entry_points(module):
+    """Both module forms run from an uninstalled checkout without the
+    double-import RuntimeWarning."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    res = subprocess.run([sys.executable, "-m", module, "--help"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0
+    assert "usage: multibump" in res.stdout
+    assert "RuntimeWarning" not in res.stderr
 
 
 def test_failed_marker_set_and_cleared(tmp_path):

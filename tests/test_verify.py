@@ -1,9 +1,13 @@
 """Audit-suite checks on certified fixture solutions."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from multibump import solver, verify
+from multibump import assembly, solver, verify
 from multibump.errors import InsufficientSweep, WeightError
 
 
@@ -113,6 +117,69 @@ def test_limit_profile_support(sol_10, levels):
     assert np.max(full[a:b + 1]) > 1.0
     c, d = sol_10.grid.interval_nodes(1, "plus")
     assert np.all(full[c:d + 1] == 0.0)
+
+
+def _limit_profile_per_node(sol, bump):
+    """Reference: one scalar bump evaluation per node."""
+    grid = sol.grid
+    vals = np.zeros(grid.ndof)
+    for j, s in enumerate(sol.window.symbols):
+        if s != 1:
+            continue
+        i = sol.window.i_start + j
+        a, b = grid.interval_nodes(i, "plus")
+        shift = grid.w.period * i
+        for node in range(a, b + 1):
+            vals[grid.dof_of_node(node)] = float(
+                bump.samples.eval(grid.nodes[node] - shift))
+    return vals
+
+
+@settings(max_examples=60, deadline=None)
+@given(code=st.lists(st.integers(0, 1), min_size=1, max_size=4).filter(any),
+       i0=st.integers(-2, 2), m=st.integers(8, 300), periodic=st.booleans())
+@example(code=[1, 1, 0], i0=-1, m=200, periodic=True)
+@example(code=[0, 1], i0=0, m=200, periodic=True)
+@example(code=[1, 0], i0=0, m=200, periodic=True)
+def test_limit_profile_matches_per_node_evaluation(step_weight, levels, code,
+                                                   i0, m, periodic):
+    grid = assembly.span_grid(step_weight, i0, len(code), m,
+                              periodic=periodic)
+    win = solver.make_window(code, i_start=i0)
+    sol = solver.Solution(u=assembly.GridFunction(grid, np.zeros(grid.ndof)),
+                          mu=1e3, window=win, report=None)
+    bump = levels.ground_bump()
+    prof = verify.limit_profile(sol, bump)
+    assert np.array_equal(prof.values, _limit_profile_per_node(sol, bump))
+
+
+def _holder_dense(ts, d, alpha, min_sep, max_nodes=1600):
+    """Reference: the pair max over full n x n difference arrays."""
+    stride = max(1, int(math.ceil(len(ts) / max_nodes)))
+    t, v = ts[::stride], d[::stride]
+    dt = np.abs(t[:, None] - t[None, :])
+    dv = np.abs(v[:, None] - v[None, :])
+    mask = dt >= min_sep
+    if not np.any(mask):
+        return 0.0
+    return float(np.max(dv[mask] / dt[mask] ** alpha))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 4000), seed=st.integers(0, 2 ** 32 - 1),
+       alpha=st.floats(0.0, 1.0, exclude_min=True),
+       sep=st.floats(1e-6, 1.2))
+@example(n=6401, seed=0, alpha=0.5, sep=1e-4)
+@example(n=3201, seed=1, alpha=1.0, sep=1.1)
+def test_holder_seminorm_matches_dense_pair_max(n, seed, alpha, sep):
+    rng = np.random.default_rng(seed)
+    ts = np.cumsum(rng.uniform(1e-3, 1.0, n))
+    d = rng.normal(size=n)
+    min_sep = sep * (ts[-1] - ts[0])
+    got = verify._holder_seminorm(ts, d, alpha, min_sep)
+    assert got == _holder_dense(ts, d, alpha, min_sep)
+    if sep > 1.0:
+        assert got == 0.0
 
 
 # -- decay fits --------------------------------------------------------------------
