@@ -22,6 +22,7 @@ Exit codes: 0 success, 2 input error, 3 certification failure,
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -152,11 +153,20 @@ def _fmt(x):
 
 
 def write_csv(path, header, rows):
-    """Write rows with deterministic float formatting, return the bytes."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    data = ("\n".join(lines) + "\n").encode()
+    """Write rows with deterministic float formatting, return the bytes.
+
+    A table of numbers is formatted by one ``%`` operation, which prints
+    what _fmt prints: bools as 1/0, and nan, inf and -inf as such.  It
+    refuses strings, so a table that holds one takes the per-value path and
+    its strings are written as they are.
+    """
+    rows = [tuple(row) for row in rows]
+    try:
+        body = ["\n".join(",".join(("%.17g",) * len(row)) for row in rows)
+                % tuple(itertools.chain.from_iterable(rows))] if rows else []
+    except TypeError:
+        body = [",".join(_fmt(v) for v in row) for row in rows]
+    data = ("\n".join([",".join(header)] + body) + "\n").encode()
     with open(path, "wb") as f:
         f.write(data)
     return data
@@ -680,8 +690,9 @@ def build_parser():
     p.add_argument("--symbols", help="0/1 code, e.g. 110 or 1,1,0")
     p.add_argument("--N", type=int,
                    help="window length; all-ones when --symbols is omitted")
-    p.add_argument("--periodic", action="store_const", const=True,
-                   default=None)
+    p.add_argument("--periodic", action=argparse.BooleanOptionalAction,
+                   help="read zero runs cyclically (default); --no-periodic "
+                   "reads them without wrap-around")
     p.add_argument("--mu", type=float)
     p.add_argument("--cells", type=int, help="cells per subinterval")
     p.add_argument("--newton-tol", dest="newton_tol", type=float)
@@ -708,6 +719,9 @@ def build_parser():
     _add_common(p)
     p.add_argument("--symbols")
     p.add_argument("--N", type=int)
+    p.add_argument("--periodic", action=argparse.BooleanOptionalAction,
+                   help="read zero runs cyclically (default); --no-periodic "
+                   "reads them without wrap-around")
     p.add_argument("--mu-from", dest="mu_from", type=float)
     p.add_argument("--mu-to", dest="mu_to", type=float)
     p.add_argument("--points", type=int)

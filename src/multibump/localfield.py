@@ -69,21 +69,57 @@ def _quotient_parts(tb, v):
         assembly.quartic_integral(tb, 0.0, v)
 
 
+def _first_minimum(kin, quart, b, e, m1, m2, m3, m4):
+    """Exact line search on the quotient K(alpha)^2 / Q(alpha) along
+    u - alpha d, where
+
+        K(alpha) = int (u' - alpha d')^2 = kin - 2 b alpha + e alpha^2,
+        Q(alpha) = int a+ (u - alpha d)^4 = sum_k C(4, k) (-alpha)^k m_k,
+
+    with b = int u' d', e = int d'^2, m_k = int a+ u^(4-k) d^k and
+    m_0 = quart.  The stationary points are the roots of 2 K' Q - K Q'; its
+    alpha^5 terms cancel, as the quotient is invariant under scaling, which
+    leaves a quartic.  Returns (alpha, K, Q) at its first positive root where
+    it turns from negative to positive, the first local minimum along the
+    ray, so that a step never jumps to a far basin; None when the ray has no
+    minimum with Q > 0.
+    """
+    k0, k1, k2 = kin, -2.0 * b, e
+    q0, q1, q2, q3, q4 = quart, -4.0 * m1, 6.0 * m2, -4.0 * m3, m4
+    p = (-2.0 * k1 * q4 + k2 * q3,
+         -k1 * q3 + 2.0 * k2 * q2 - 4.0 * k0 * q4,
+         3.0 * (k2 * q1 - k0 * q3),
+         k1 * q1 + 4.0 * k2 * q0 - 2.0 * k0 * q2,
+         2.0 * k1 * q0 - k0 * q1)
+    roots = np.roots(p)
+    for alpha in np.sort(roots[(roots.imag == 0.0) & (roots.real > 0.0)].real):
+        if ((4.0 * p[0] * alpha + 3.0 * p[1]) * alpha + 2.0 * p[2]) * alpha \
+                + p[3] > 0.0:
+            alpha = float(alpha)
+            q = (((q4 * alpha + q3) * alpha + q2) * alpha + q1) * alpha + q0
+            if q <= 0.0:
+                return None
+            return alpha, (k2 * alpha + k1) * alpha + k0, q
+    return None
+
+
 def _descend(tb, u, kin, quart, max_iter, keep=None):
     """Minimize the scale-invariant quotient (int u'^2)^2 / int a+ u^4 over
     the interior nodes, or only the nodes in ``keep``, by
-    stiffness-preconditioned descent with Armijo backtracking, from u with
-    its (int u'^2, int a+ u^4) = (kin, quart).
+    stiffness-preconditioned descent with an exact line search
+    (_first_minimum), from u with its (int u'^2, int a+ u^4) = (kin, quart).
 
-    Each line search starts at twice the last accepted step (at most 1), and
-    the descent stops once an accepted step lowers the quotient by no more
-    than 1e-15 relative, where further steps only move round-off.
+    A step must pass the Armijo sufficient-decrease test; the descent stops
+    at the first one that does not, once the slope along the direction falls
+    below 1e-13 relative, or once a step lowers the quotient by no more than
+    1e-15 relative, where further steps only move round-off.
 
     Returns (u, int u'^2, int a+ u^4) at the last accepted iterate.
     """
     free = slice(1, -1) if keep is None else keep
+    wq = tb.qw * tb.qap
     fval = kin * kin / quart
-    alpha = 0.5                        # so the first search starts at 1
+    d_full = np.zeros_like(u)
     for _ in range(max_iter):
         grad_full = (4.0 * kin / quart) * assembly.stiffness_full(tb, u) \
             - (4.0 * fval / quart) * assembly.cubic_full(tb, 0.0, u)
@@ -92,20 +128,23 @@ def _descend(tb, u, kin, quart, max_iter, keep=None):
         slope = -float(g @ d)
         if slope > -1e-13 * max(fval, 1e-300):
             break
-        alpha = min(1.0, 2.0 * alpha)
-        while True:
-            trial = u.copy()
-            trial[free] -= alpha * d
-            k2, q4 = _quotient_parts(tb, trial)
-            if q4 > 0:
-                f2 = k2 * k2 / q4
-                if f2 <= fval + _ARMIJO * alpha * slope:
-                    break
-            alpha *= 0.5
-            if alpha <= 1e-12:
-                return u, kin, quart
+        d_full[free] = d
+        du, dd = np.diff(u), np.diff(d_full)
+        uq, dq = assembly._at_points(tb, u), assembly._at_points(tb, d_full)
+        u2, d2, ud = uq * uq, dq * dq, uq * dq
+        step = _first_minimum(kin, quart, float(np.sum(du * dd / tb.h)),
+                              float(np.sum(dd * dd / tb.h)),
+                              float(wq @ (u2 * ud)), float(wq @ (u2 * d2)),
+                              float(wq @ (ud * d2)), float(wq @ (d2 * d2)))
+        if step is None:
+            break
+        alpha, k2, q4 = step
+        f2 = k2 * k2 / q4
+        if f2 > fval + _ARMIJO * alpha * slope:
+            break
         stalled = fval - f2 <= 1e-15 * fval
-        u, kin, quart, fval = trial, k2, q4, f2
+        u = u - alpha * d_full
+        kin, quart, fval = k2, q4, f2
         if stalled:
             break
     return u, kin, quart
@@ -248,9 +287,10 @@ def principal_eigenvalue(w, mesh=None):
 
     K = np.diag(kdiag) + np.diag(koff, 1) + np.diag(koff, -1)
     M = np.diag(mdiag) + np.diag(moff, 1) + np.diag(moff, -1)
-    vals, vecs = scipy.linalg.eigh(M, K)
-    nu = float(vals[-1])
-    phi = vecs[:, -1]
+    top = len(kdiag) - 1
+    vals, vecs = scipy.linalg.eigh(M, K, subset_by_index=[top, top])
+    nu = float(vals[0])
+    phi = vecs[:, 0]
 
     if nu <= 0:
         raise DegenerateDirection("weighted mass matrix is not positive")

@@ -399,17 +399,37 @@ def compute_r(w):
     return (32.0 * w.sup_a_plus * w.tau ** 3) ** -0.5
 
 
+# lemniscate constant Gamma(1/4)^2 / (2 sqrt(2 pi)): the ground level of
+# u'' + A u^3 = 0 on an interval of length L is varpi^4 / (3 A L^3)
+_VARPI4 = (math.gamma(0.25) ** 2 / (2.0 * math.sqrt(2.0 * math.pi))) ** 4
+
+
+def pinned_level_floor(w, zeta):
+    """Lower bound varpi^4 / (3 ||a+|| (tau - zeta)^3) of the pinned-zero
+    level: both of its window-edge intervals have length tau - zeta, and
+    a+ <= ||a+|| bounds each edge level below by the constant weight's."""
+    return _VARPI4 / (3.0 * w.sup_a_plus * (w.tau - zeta) ** 3)
+
+
 def choose_zeta(w, levels, margin=0.9):
     """Halve zeta from (T - tau)/4 until 2 ||a+|| (c + c_zeta) zeta^3 <= margin.
 
     ``levels`` provides ground_level() and pinned_level(zeta); see
-    localfield.LevelEvaluator.  Returns (zeta, c_zeta, attained_value).
+    localfield.LevelEvaluator.  A zeta whose condition already fails by 1%
+    with c_zeta replaced by pinned_level_floor is skipped without a pinned
+    solve; the 1% covers the quadrature error of the FEM levels.  Returns
+    (zeta, c_zeta, attained_value).
     """
     c = levels.ground_level()
     zeta = (w.period - w.tau) / 4.0
     while zeta >= w.tau / 2.0:
         zeta /= 2.0
     for _ in range(60):
+        floor = 2.0 * w.sup_a_plus * (c + pinned_level_floor(w, zeta)) \
+            * zeta ** 3
+        if floor > 1.01 * margin:
+            zeta /= 2.0
+            continue
         c_zeta = levels.pinned_level(zeta)
         val = 2.0 * w.sup_a_plus * (c + c_zeta) * zeta ** 3
         if val <= margin:

@@ -1,12 +1,15 @@
 """End-to-end runs of the command line front end."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multibump import assembly, cli, localfield, oracle, solver, weight
 
@@ -178,7 +181,9 @@ def _counted(counts, name, fn):
 
 def test_levels_built_once_per_command(tmp_path, monkeypatch):
     """verify and sweep solve the ground bump and the pinned levels as often
-    as local does: once per command, through one shared evaluator."""
+    as local does: once per command, through one shared evaluator.  On step
+    the closed-form floor rejects the first zeta, so one pinned level is
+    solved."""
     counts = {}
     for name in ("ground_state", "pinned_zero_detail"):
         monkeypatch.setattr(localfield, name,
@@ -193,7 +198,7 @@ def test_levels_built_once_per_command(tmp_path, monkeypatch):
         counts.clear()
         assert cli.main(argv + ["--outdir", str(tmp_path / cmd)]) == 0
         seen[cmd] = dict(counts)
-    assert seen["local"] == {"ground_state": 1, "pinned_zero_detail": 2}
+    assert seen["local"] == {"ground_state": 1, "pinned_zero_detail": 1}
     assert seen["verify"] == seen["local"]
     assert seen["sweep"] == seen["local"]
 
@@ -237,6 +242,35 @@ def test_verify_runs_one_continuation(tmp_path, monkeypatch, periodic):
     assert (k, seen_periodic) == ((2, True) if periodic else (1, False))
     assert _read_json(os.path.join(d, "verify.json"))["minimal_period_T"] \
         == 6.0
+
+
+def test_verify_no_periodic_flag(tmp_path, monkeypatch):
+    """--no-periodic sets the periodic key to false without a config file:
+    010 then has a zero run of 1 and certifies with k = 1."""
+    certs = []
+    check_membership = solver.check_membership
+
+    def check(u, mu, consts, window):
+        certs.append((consts.k, window.periodic))
+        return check_membership(u, mu, consts, window)
+
+    monkeypatch.setattr(solver, "check_membership", check)
+    d = str(tmp_path)
+    rc = cli.main(["verify", "--symbols", "010", "--no-periodic",
+                   "--mu-from", "1e2", "--mu-to", "1e3", "--points", "2",
+                   "--cells", "400", "--outdir", d])
+    assert rc == 0
+    assert certs[-1] == (1, False)
+    assert _read_json(os.path.join(d, "manifest.json"))["config"][
+        "periodic"] is False
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_periodic_switch_parses(command):
+    parse = cli.build_parser().parse_args
+    assert parse([command]).periodic is None
+    assert parse([command, "--periodic"]).periodic is True
+    assert parse([command, "--no-periodic"]).periodic is False
 
 
 def test_verify_certification_failure_exit_code(tmp_path):
@@ -394,3 +428,45 @@ def test_verify_report(tmp_path):
     assert rep["identities_at_mu_max"]["iii"] < 1e-12
     assert rep["minimal_period_T"] == 4.0
     assert rep["oracle"]["rel"] < 1e-3
+
+
+def _fmt_reference(x):
+    """Reference: the per-value CSV formatter."""
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, str):
+        return x
+    v = float(x)
+    if math.isnan(v):
+        return "nan"
+    return "%.17g" % v
+
+
+_csv_values = {
+    "float": st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf]),
+    "float64": st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    "bool": st.booleans(),
+    "bool_": st.booleans().map(np.bool_),
+    "int": st.integers(-2 ** 60, 2 ** 60),
+    "int64": st.integers(-2 ** 62, 2 ** 62).map(np.int64),
+    "code": st.text("01", min_size=1, max_size=6),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(),
+       kinds=st.lists(st.sampled_from(sorted(_csv_values)), min_size=1,
+                      max_size=5),
+       nrows=st.integers(0, 8))
+def test_write_csv_matches_per_value_formatting(data, kinds, nrows):
+    """The one-pass CSV formatting writes the bytes of the per-value
+    formatter, and a table with a string column keeps its strings ("01"
+    stays "01")."""
+    rows = [tuple(data.draw(_csv_values[k]) for k in kinds)
+            for _ in range(nrows)]
+    header = [f"c{i}" for i in range(len(kinds))]
+    want = "\n".join([",".join(header)]
+                     + [",".join(_fmt_reference(v) for v in row)
+                        for row in rows]) + "\n"
+    assert cli.write_csv(os.devnull, header, iter(rows)) == want.encode()

@@ -252,3 +252,118 @@ def test_pinned_split_never_wins(tau, frac, lo, hi, zfrac):
     assert det.c_zeta == min(left_only, right_only)
     direct = localfield.pinned_level_direct(w, det.tbar, mesh)
     assert math.isclose(det.c_zeta, direct, rel_tol=1e-6)
+
+
+def _armijo_descend(tb, u, kin, quart, max_iter, keep=None):
+    """Reference: the quotient descent with Armijo backtracking, each line
+    search starting at twice the last accepted step (at most 1)."""
+    free = slice(1, -1) if keep is None else keep
+    fval = kin * kin / quart
+    alpha = 0.5
+    for _ in range(max_iter):
+        grad_full = (4.0 * kin / quart) * assembly.stiffness_full(tb, u) \
+            - (4.0 * fval / quart) * assembly.cubic_full(tb, 0.0, u)
+        g = grad_full[free]
+        d = assembly.solve_interior(tb, g, keep=keep)
+        slope = -float(g @ d)
+        if slope > -1e-13 * max(fval, 1e-300):
+            break
+        alpha = min(1.0, 2.0 * alpha)
+        while True:
+            trial = u.copy()
+            trial[free] -= alpha * d
+            k2, q4 = localfield._quotient_parts(tb, trial)
+            if q4 > 0:
+                f2 = k2 * k2 / q4
+                if f2 <= fval + 1e-4 * alpha * slope:
+                    break
+            alpha *= 0.5
+            if alpha <= 1e-12:
+                return u, kin, quart
+        stalled = fval - f2 <= 1e-15 * fval
+        u, kin, quart, fval = trial, k2, q4, f2
+        if stalled:
+            break
+    return u, kin, quart
+
+
+@settings(max_examples=15, deadline=None)
+@given(lo_frac=st.floats(0.0, 0.4), hi_frac=st.floats(0.6, 1.0),
+       pin_frac=st.floats(0.1, 0.9), n=st.integers(60, 800), **_two_levels)
+def test_exact_line_search_matches_armijo(tau, frac, lo, hi, lo_frac, hi_frac,
+                                          pin_frac, n):
+    """The exact line search lands on the levels of Armijo backtracking:
+    the polished ground level on a subinterval, and the raw descent level of
+    pinned_level_direct, whose minimizer has no Newton polish."""
+    w = _two_level_weight(tau, frac, lo, hi)
+    t0, t1, tbar = lo_frac * tau, hi_frac * tau, pin_frac * tau
+    exact = (localfield._ground_on(w, t0, t1, n)[2],
+             localfield.pinned_level_direct(w, tbar, n))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(localfield, "_descend", _armijo_descend)
+        ref = (localfield._ground_on(w, t0, t1, n)[2],
+               localfield.pinned_level_direct(w, tbar, n))
+    for got, want in zip(exact, ref):
+        assert math.isclose(got, want, rel_tol=1e-12)
+
+
+def test_pinned_edge_solve_descent_steps(step_weight, monkeypatch):
+    """The edge solve [0, 0.875] of the accepted pinned level on step at
+    its default 175 cells: with Armijo backtracking the descent made 79
+    stiffness solves, one per step; with the exact line search it makes 8."""
+    solves = []
+    real = assembly.solve_interior
+
+    def counted(tb, rhs, bands=None, keep=None):
+        if bands is None:
+            solves.append(len(rhs))
+        return real(tb, rhs, bands=bands, keep=keep)
+
+    monkeypatch.setattr(assembly, "solve_interior", counted)
+    level = localfield._ground_on(step_weight, 0.0, 0.875, 175)[2]
+    assert len(solves) <= 12
+    assert math.isclose(level, 23.520697506848535, rel_tol=1e-12)
+
+
+def _ray_coefficients(tb, u, d):
+    """(int u'^2, int a+ u^4, int u' d', int d'^2, int a+ u^3 d, ...,
+    int a+ d^4): the arguments of _first_minimum for the ray u - alpha d."""
+    du, dd = np.diff(u), np.diff(d)
+    uq = assembly._at_points(tb, u)
+    dq = assembly._at_points(tb, d)
+    wq = tb.qw * tb.qap
+    kin, quart = localfield._quotient_parts(tb, u)
+    return (kin, quart, float(np.sum(du * dd / tb.h)),
+            float(np.sum(dd * dd / tb.h)),
+            *(float(wq @ (uq ** (4 - k) * dq ** k)) for k in range(1, 5)))
+
+
+def test_line_search_takes_the_first_minimum(step_weight):
+    """Along a ray that first improves a tent on [0, 0.3] and then moves
+    into a bump on [0.35, 1], whose level is far lower, the quotient has two
+    local minima; the step stops at the first, near alpha = 0.067."""
+    grid = assembly.segment_grid(step_weight, np.linspace(0.0, 1.0, 201))
+    tb, x = grid.tables, grid.nodes
+    tent = np.where(x <= 0.3, np.minimum(x, 0.3 - x) / 0.15, 0.0)
+    sine_a = np.where(x <= 0.3, np.sin(math.pi * x / 0.3), 0.0)
+    sine_b = np.where(x >= 0.35, np.sin(math.pi * (x - 0.35) / 0.65), 0.0)
+    d = 1.6 * tent - sine_a - 2.0 * sine_b
+
+    def quotient(alpha):
+        kin, quart = localfield._quotient_parts(tb, tent - alpha * d)
+        return kin * kin / quart
+
+    alphas = np.linspace(0.0, 4.0, 4001)
+    f = np.array([quotient(a) for a in alphas])
+    minima = [i for i in range(1, len(f) - 1)
+              if f[i] < f[i - 1] and f[i] <= f[i + 1]]
+    assert len(minima) == 2 and f[minima[1]] < 0.2 * f[minima[0]]
+
+    alpha, kin, quart = localfield._first_minimum(
+        *_ray_coefficients(tb, tent, d))
+    assert abs(alpha - alphas[minima[0]]) <= 1e-3
+    # K and Q expanded in alpha agree with the quotient parts of the step
+    want = localfield._quotient_parts(tb, tent - alpha * d)
+    assert math.isclose(kin, want[0], rel_tol=1e-12)
+    assert math.isclose(quart, want[1], rel_tol=1e-12)
+    assert kin * kin / quart <= f[minima[0]]

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from multibump import localfield, weight
 from multibump.errors import (EdgeMassViolation, NoAdmissibleZeta,
@@ -114,6 +116,101 @@ def test_choose_zeta_raises_when_impossible(step_weight):
 
     with pytest.raises(NoAdmissibleZeta):
         weight.choose_zeta(step_weight, Stubbornly(), margin=0.9)
+
+
+def _reference_choose_zeta(w, levels, margin=0.9):
+    """Reference: the halving search with a pinned solve at every zeta."""
+    c = levels.ground_level()
+    zeta = (w.period - w.tau) / 4.0
+    while zeta >= w.tau / 2.0:
+        zeta /= 2.0
+    for _ in range(60):
+        c_zeta = levels.pinned_level(zeta)
+        val = 2.0 * w.sup_a_plus * (c + c_zeta) * zeta ** 3
+        if val <= margin:
+            return zeta, c_zeta, val
+        zeta /= 2.0
+    raise NoAdmissibleZeta("smallness condition not reachable by halving")
+
+
+class _RecordingLevels:
+    """LevelEvaluator that records (zeta, c_zeta) of every pinned solve."""
+
+    def __init__(self, w, mesh):
+        self.ev = localfield.LevelEvaluator(w, mesh)
+        self.pinned = []
+
+    def ground_level(self):
+        return self.ev.ground_level()
+
+    def pinned_level(self, zeta):
+        c_zeta = self.ev.pinned_level(zeta)
+        self.pinned.append((zeta, c_zeta))
+        return c_zeta
+
+
+@settings(max_examples=25, deadline=None)
+@given(tau=st.floats(0.5, 1.5), frac=st.floats(0.25, 0.75),
+       lo=st.floats(0.5, 2.0), hi=st.floats(0.5, 2.0),
+       neg=st.floats(0.1, 2.0))
+# the first zeta, 0.05, is accepted
+@example(tau=1.5, frac=0.5, lo=1.0, hi=1.0, neg=0.2)
+# the first zeta, 0.25, is rejected by the floor, as on step
+@example(tau=1.0, frac=0.5, lo=1.0, hi=1.0, neg=1.0)
+def test_choose_zeta_skips_only_failing_zetas(tau, frac, lo, hi, neg):
+    """choose_zeta returns what the halving search with a pinned solve at
+    every zeta returns, and solves no zeta that the closed-form floor of
+    the pinned level rejects."""
+    w = weight.build_weight(tau + neg, tau, [
+        weight.Piece(0.0, frac * tau, "poly", (lo,)),
+        weight.Piece(frac * tau, tau, "poly", (hi,)),
+        weight.Piece(tau, tau + neg, "poly", (-1.0,)),
+    ])
+    ref_levels, levels = _RecordingLevels(w, 100), _RecordingLevels(w, 100)
+    ref = _reference_choose_zeta(w, ref_levels)
+    assert weight.choose_zeta(w, levels) == ref
+    c = levels.ground_level()
+
+    def rejected(zeta):
+        floor = weight.pinned_level_floor(w, zeta)
+        return 2.0 * w.sup_a_plus * (c + floor) * zeta ** 3 > 1.01 * 0.9
+
+    assert levels.pinned == [p for p in ref_levels.pinned
+                             if not rejected(p[0])]
+    for zeta, c_zeta in ref_levels.pinned:
+        assert weight.pinned_level_floor(w, zeta) <= 1.01 * c_zeta
+
+
+def test_pinned_level_floor_is_the_step_edge_level(step_weight):
+    """With a+ = 1 the floor is the closed-form ground level of the edge
+    interval [0, 1 - zeta], which the FEM pinned level approaches."""
+    c_zeta = localfield.pinned_zero_level(step_weight, 0.125, 1600)
+    floor = weight.pinned_level_floor(step_weight, 0.125)
+    assert floor <= c_zeta
+    assert math.isclose(floor, c_zeta, rel_tol=1e-5)
+
+
+def test_choose_zeta_floor_has_one_percent_slack(step_weight):
+    """The floor skips the first zeta, 0.25, only when its value beats the
+    margin by more than 1%."""
+
+    class Stub:
+        def __init__(self):
+            self.pinned = []
+
+        def ground_level(self):
+            return 15.0
+
+        def pinned_level(self, zeta):
+            self.pinned.append(zeta)
+            return 0.0
+
+    floor = 2.0 * (15.0 + weight.pinned_level_floor(step_weight, 0.25)) \
+        * 0.25 ** 3
+    for margin, first in ((floor / 1.005, 0.25), (floor / 1.015, 0.125)):
+        stub = Stub()
+        weight.choose_zeta(step_weight, stub, margin=margin)
+        assert stub.pinned == [first]
 
 
 def test_constant_pack_contents(step_weight, consts):
