@@ -429,8 +429,7 @@ def cmd_connection(args):
         run.add_csv(cfg["out"], ["t", "u", "du"],
                     zip(grid.nodes, sol.u.full(), du))
         fd_step = 1e-6 * max(1.0, abs(p.x), abs(p.y))
-        djdx, djdy = connection.energy_derivatives(sol, fd_step=fd_step,
-                                                   cells=cells)
+        djdx, djdy = connection.energy_derivatives(sol, fd_step=fd_step)
         fdc = sol.fd_check
         v, z = sol.sensitivities
         payload = {

@@ -7,7 +7,11 @@ respect the amplitude cap |u(sigma_j)| <= K and the energy cap
 int u'^2 <= r^2 on every interior positivity interval.  For mu large the caps
 are slack at the minimizer, the solution decays like a boundary layer away
 from the block ends, and the linearization carries the sensitivity pair
-(v, z) whose one-sided end slopes drive the gluing estimates.
+(v, z) whose one-sided end slopes drive the gluing estimates.  The energy
+derivatives dJ/dx = -u'(t_lo+), dJ/dy = u'(t_hi-) are checked by central
+differences whose four perturbed blocks are solved on the solution's own
+mesh from the tangent predictor u + dx v + dy z: by the discrete implicit
+function theorem it misses them by O(h^2), inside Newton's full-step region.
 
 The block solver reuses the finite-element machinery on a clamped sub-grid;
 boundary conditions are imposed by node elimination.  Constraints are handled
@@ -318,23 +322,37 @@ def solve_connection(p, cells=None, init=None, max_descent=200,
     """Minimize the block action over the admissible class at data (x, y).
 
     Projected descent under the caps finds the basin; unconstrained Newton on
-    the Euler-Lagrange system polishes.  A cap active (or violated) after the
-    polish raises InteriorityFailure.
+    the Euler-Lagrange system polishes.  A start already in Newton's
+    full-step region goes straight to the polish: reducing its residual by
+    the descent's factor 1e-4 would ask for less than round-off.  A cap
+    active (or violated) after the polish raises InteriorityFailure.
+
+    ``init`` is None (the decay profile), nodal values on
+    ``connection_grid(p, cells)``, or a GridFunction on a clamped mesh of
+    the block, which is then the mesh solved on (``cells`` is unused).
     """
-    grid = connection_grid(p, cells)
-    if init is None:
-        full = decay_profile(p, grid.nodes)
-    elif isinstance(init, GridFunction):
-        full = np.asarray(init.eval(grid.nodes), dtype=float)
+    if isinstance(init, GridFunction):
+        grid = init.grid
+        if grid.periodic or (grid.nodes[0], grid.nodes[-1]) != p.block:
+            raise WeightError("init must live on a clamped mesh of the block")
+        full = init.values.copy()
     else:
-        full = np.asarray(init, dtype=float).copy()
-        if len(full) != len(grid.nodes):
-            raise WeightError("init must carry one value per mesh node")
+        grid = connection_grid(p, cells)
+        if init is None:
+            full = decay_profile(p, grid.nodes)
+        else:
+            full = np.asarray(init, dtype=float).copy()
+            if len(full) != len(grid.nodes):
+                raise WeightError("init must carry one value per mesh node")
     full[0], full[-1] = p.x, p.y
     _retract(p, grid, full)
 
     tb = grid.tables
-    full, n_desc, hits = _descent(p, grid, full, max_descent, rtol=1e-4)
+    r0 = float(np.max(np.abs(assembly.residual_full(tb, p.mu, full)[1:-1])))
+    if r0 < assembly._UNDAMPED_BELOW:
+        n_desc = hits = 0
+    else:
+        full, n_desc, hits = _descent(p, grid, full, max_descent, rtol=1e-4)
     n_newt = 0
     for attempt in range(3):
         final = attempt == 2
@@ -439,33 +457,40 @@ def sensitivity_end_slopes(sol, which="v"):
     return -float(r[0]), float(r[-1])
 
 
-def energy_derivatives(sol, fd_step=None, cells=None):
+def energy_derivatives(sol, fd_step=None):
     """(dJ/dx, dJ/dy) = (-u'(t_lo+), +u'(t_hi-)).
 
     With ``fd_step`` the pair is cross-checked against central finite
-    differences of the block action in (x, y); relative errors land in
-    ``sol.fd_check``.
+    differences of the block action in (x, y).  Each perturbed block is
+    solved on sol's own mesh from the tangent predictor u + dx v + dy z,
+    which (v and z being the exact derivatives of the discrete minimizer)
+    misses it by O(fd_step^2).  Relative errors and the descent steps of
+    the four perturbed solves land in ``sol.fd_check``.
     """
     dlo, dhi = sol.boundary_slopes
     pair = (-dlo, dhi)
     if fd_step is not None:
         p = sol.problem
+        v, z = sol.sensitivities
         h = fd_step
-        vals = {}
+        vals, steps = {}, []
         for name, (dx, dy) in (("x+", (h, 0.0)), ("x-", (-h, 0.0)),
                                ("y+", (0.0, h)), ("y-", (0.0, -h))):
             q = ConnectionProblem(w=p.w, mu=p.mu, x=p.x + dx, y=p.y + dy,
                                   i=p.i, l=p.l, K=p.K, r=p.r)
-            s = solve_connection(q, cells=cells, init=sol.u,
-                                 with_sensitivities=False)
+            start = GridFunction(sol.grid, sol.u.values + dx * v.values
+                                 + dy * z.values)
+            s = solve_connection(q, init=start, with_sensitivities=False)
             vals[name] = block_action(s)
+            steps.append(s.descent_iters)
         fd = ((vals["x+"] - vals["x-"]) / (2.0 * h),
               (vals["y+"] - vals["y-"]) / (2.0 * h))
         scale = max(abs(pair[0]), abs(pair[1]), 1e-30)
         sol.fd_check = {"step": h,
                         "fd": fd,
                         "rel_err": (abs(fd[0] - pair[0]) / scale,
-                                    abs(fd[1] - pair[1]) / scale)}
+                                    abs(fd[1] - pair[1]) / scale),
+                        "descent_iters": tuple(steps)}
     return pair
 
 

@@ -16,9 +16,11 @@ import numpy as np
 import scipy.linalg
 
 from . import assembly
-from .errors import DegenerateDirection, WeightError
+from .errors import DegenerateDirection, NonConvergence, WeightError
 
 _ARMIJO = 1e-4
+_EIGEN_TOL = 1e-13         # sup change of the max-normalized eigenvector
+_EIGEN_MAX_ITER = 2000
 
 
 @dataclass(eq=False)
@@ -272,6 +274,13 @@ def pinned_level_direct(w, tbar, mesh=None):
 def principal_eigenvalue(w, mesh=None):
     """Smallest lambda with a nontrivial solution of phi'' + lambda a+ phi = 0,
     phi(0) = phi(tau) = 0; the eigenfunction is positive, normalized to max 1.
+
+    Inverse iteration phi <- K^-1 M phi on the tridiagonal pencil (K the
+    stiffness, M the a+-weighted mass), with K factored once by banded
+    Cholesky.  K^-1 is entrywise positive and M nonnegative, so a positive
+    start stays positive and converges to the principal eigenvector at the
+    rate lambda1/lambda2; 1/lambda1 is the Rayleigh quotient of K^-1 M in
+    the M inner product.
     """
     n = mesh or default_cells(w)
     grid = assembly.segment_grid(w, np.linspace(0.0, w.tau, n + 1))
@@ -282,25 +291,30 @@ def principal_eigenvalue(w, mesh=None):
     moff = mLR[1:-1]
 
     inv = 1.0 / tb.h
-    kdiag = inv[:-1] + inv[1:]
-    koff = -inv[1:-1]
+    chol = scipy.linalg.cholesky_banded(
+        np.vstack([np.concatenate([[0.0], -inv[1:-1]]), inv[:-1] + inv[1:]]))
 
-    K = np.diag(kdiag) + np.diag(koff, 1) + np.diag(koff, -1)
-    M = np.diag(mdiag) + np.diag(moff, 1) + np.diag(moff, -1)
-    top = len(kdiag) - 1
-    vals, vecs = scipy.linalg.eigh(M, K, subset_by_index=[top, top])
-    nu = float(vals[0])
-    phi = vecs[:, 0]
-
-    if nu <= 0:
-        raise DegenerateDirection("weighted mass matrix is not positive")
-    lam1 = 1.0 / nu
+    phi = np.sin(math.pi * grid.nodes[1:-1] / w.tau)
+    for _ in range(_EIGEN_MAX_ITER):
+        m_phi = mdiag * phi
+        m_phi[:-1] += moff * phi[1:]
+        m_phi[1:] += moff * phi[:-1]
+        mass = float(phi @ m_phi)
+        if mass <= 0.0:
+            raise DegenerateDirection("weighted mass matrix is not positive")
+        nxt = scipy.linalg.cho_solve_banded((chol, False), m_phi)
+        nu = float(nxt @ m_phi) / mass
+        nxt /= np.max(nxt)
+        step = float(np.max(np.abs(nxt - phi)))
+        phi = nxt
+        if step <= _EIGEN_TOL:
+            break
+    else:
+        raise NonConvergence(f"inverse iteration for lambda1 stalled at "
+                             f"eigenvector change {step:.3e}")
     full = np.zeros(len(grid.nodes))
     full[1:-1] = phi
-    if abs(np.min(full)) > abs(np.max(full)):
-        full = -full
-    full /= np.max(full)
-    return lam1, assembly.GridFunction(grid, full)
+    return 1.0 / nu, assembly.GridFunction(grid, full)
 
 
 def nehari_project(u):

@@ -213,7 +213,7 @@ def test_criterion_07_connection_diagnostics(step_weight, consts):
              and bool(np.all(np.diff(v.full()) < 0))
              and bool(np.all(z.full()[1:] > 0))
              and bool(np.all(np.diff(z.full()) > 0)))
-    connection.energy_derivatives(sol, fd_step=1e-6, cells=400)
+    connection.energy_derivatives(sol, fd_step=1e-6)
     fd_rel = max(sol.fd_check["rel_err"])
     probe_ok = connection.uniqueness_probe(p, 10, cells=140,
                                            rng=np.random.default_rng(11))

@@ -118,10 +118,11 @@ def test_integrator_failure_is_convergence_failure(tmp_path, monkeypatch):
 
 def test_linalg_error_is_convergence_failure(tmp_path, monkeypatch):
     # LinAlgError subclasses ValueError; it must not read as bad input
-    def broken_eigh(*args, **kwargs):
-        raise np.linalg.LinAlgError("eigenvalue solver did not converge")
+    def broken_cholesky(*args, **kwargs):
+        raise np.linalg.LinAlgError("matrix is not positive definite")
 
-    monkeypatch.setattr(localfield.scipy.linalg, "eigh", broken_eigh)
+    monkeypatch.setattr(localfield.scipy.linalg, "cholesky_banded",
+                        broken_cholesky)
     rc = cli.main(["local", "--outdir", str(tmp_path)])
     assert rc == 4
     assert os.path.exists(tmp_path / "FAILED")
@@ -380,6 +381,19 @@ def test_connection_report(tmp_path):
     assert all(signs.values())
     assert max(rep["fd_checks"]["rel_err"]) < 1e-5
     assert all(mk > 0.0 and mr > 0.0 for mk, mr in rep["cap_margins"])
+    # a start far from the minimizer still descends before the polish
+    assert (rep["descent_iters"], rep["newton_iters"]) == (6, 3)
+
+
+def test_connection_fd_check_on_one_mesh(tmp_path):
+    """The layer-resolving mesh grows with max(|x|, |y|), so x + h and
+    x - h once got meshes of 139 and 136 nodes and rel_err 67; the
+    perturbed blocks are now solved on the solution's own mesh."""
+    rc = cli.main(["connection", "--mu", "10000", "--x", "1.1606473157077815",
+                   "--y", "0.1", "--cells", "16", "--outdir", str(tmp_path)])
+    assert rc == 0
+    rep = _read_json(os.path.join(str(tmp_path), "connection.json"))
+    assert max(rep["fd_checks"]["rel_err"]) < 1e-7
 
 
 def test_connection_interiority_exit_code(tmp_path):

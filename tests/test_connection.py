@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from multibump import connection, weight
-from multibump.errors import InteriorityFailure
+from multibump import assembly, connection, weight
+from multibump.errors import InteriorityFailure, WeightError
 
 
 @pytest.fixture(scope="module")
@@ -72,12 +74,66 @@ def test_cap_margins_nonnegative(sol, problem):
 
 
 def test_energy_derivatives_match_fd(sol):
-    pair = connection.energy_derivatives(sol, fd_step=1e-6, cells=200)
+    pair = connection.energy_derivatives(sol, fd_step=1e-6)
     assert sol.fd_check["rel_err"][0] < 1e-7
     assert sol.fd_check["rel_err"][1] < 1e-7
     # derivatives are the boundary fluxes
     dlo, dhi = sol.boundary_slopes
     assert pair == (-dlo, dhi)
+
+
+@pytest.fixture(scope="module")
+def default_caps(step_weight):
+    """(K, r) of a ``connection`` call that gives neither."""
+    p = connection.make_connection_problem(step_weight, 1.0, 0.0, 0.0)
+    return p.K, p.r
+
+
+@settings(max_examples=60, deadline=None)
+@given(mu=st.floats(1e2, 1e4),
+       x=st.floats(0.01, 1.0, exclude_max=True),
+       y=st.floats(0.01, 1.0, exclude_max=True),
+       l=st.sampled_from([1, 2]))
+def test_fd_check_starts_from_the_tangent_predictor(step_weight, default_caps,
+                                                    mu, x, y, l):
+    """u + dx v + dy z lands inside Newton's full-step region, so none of
+    the four perturbed solves takes a descent step, and the differences
+    match the derivative of the action at the converged iterate.
+
+    That derivative is the gradient against the tangents (1, v) and (z, 1):
+    the boundary flux dJ/dx plus r . v over the interior residual r that
+    Newton leaves, which at mu = 100, x = y = 1/32 is 3.1e-6 of dJ/dx.
+    Below data of 0.01 the check stops resolving the derivative: Newton's
+    tolerance is absolute, and at x = y = 1e-4 the step 1e-6 leaves a
+    truncation error of 7.7e-6.
+    """
+    K, r = default_caps
+    p = connection.make_connection_problem(step_weight, mu, x, y, l=l,
+                                           K=K, r=r)
+    s = connection.solve_connection(p)
+    pair = connection.energy_derivatives(s, fd_step=1e-6)
+    assert s.fd_check["descent_iters"] == (0, 0, 0, 0)
+    grad = assembly.residual_full(s.grid.tables, mu, s.u.values)
+    v, z = s.sensitivities
+    exact = (float(grad @ v.values), float(grad @ z.values))
+    scale = max(abs(pair[0]), abs(pair[1]))
+    for fd, want in zip(s.fd_check["fd"], exact):
+        assert abs(fd - want) < 1e-6 * scale
+
+
+def test_gridfunction_init_keeps_its_mesh(sol, problem):
+    """A GridFunction start is solved on its own mesh, whatever ``cells``
+    would have built; a mesh of another interval is refused."""
+    s = connection.solve_connection(problem, cells=40, init=sol.u,
+                                    with_sensitivities=False)
+    assert s.grid is sol.grid
+    assert (s.descent_iters, s.newton_iters) == (0, 0)
+    assert np.array_equal(s.u.values, sol.u.values)
+    other = connection.make_connection_problem(
+        problem.w, problem.mu, problem.x, problem.y, l=2, K=problem.K,
+        r=problem.r)
+    with pytest.raises(WeightError):
+        connection.solve_connection(other, init=sol.u)
 
 
 def test_sensitivity_signs(sol):

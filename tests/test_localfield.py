@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -63,7 +64,7 @@ _VARPI = math.gamma(0.25) ** 2 / (2.0 * math.sqrt(2.0 * math.pi))
 
 
 def test_principal_eigenvalue_methods_agree(step_weight, sine_weight):
-    """The dense eigensolve agrees with the closed form: lambda1 = pi^2 on
+    """The eigensolve agrees with the closed form: lambda1 = pi^2 on
     step at O(h^2), and constant-weight bounds on sine."""
     lams = [localfield.principal_eigenvalue(step_weight, n)[0]
             for n in _MESHES]
@@ -74,6 +75,35 @@ def test_principal_eigenvalue_methods_agree(step_weight, sine_weight):
     # the eigenvalue above lambda1(a = 1) = 1
     assert lam_d > 1.0
     assert lam_d < math.pi ** 2  # and far below the a+ = sup on tiny support
+
+
+def _dense_principal_eigenvalue(w, n):
+    """Reference: the dense generalized eigensolve of the same pencil, for
+    the largest eigenvalue 1/lambda1 of M phi = nu K phi."""
+    grid = assembly.segment_grid(w, np.linspace(0.0, w.tau, n + 1))
+    tb = grid.tables
+    mLL, mLR, mRR = assembly._cell_blocks(tb, tb.qw * tb.qap)
+    inv = 1.0 / tb.h
+    K = np.diag(inv[:-1] + inv[1:]) - np.diag(inv[1:-1], 1) \
+        - np.diag(inv[1:-1], -1)
+    M = np.diag(mRR[:-1] + mLL[1:]) + np.diag(mLR[1:-1], 1) \
+        + np.diag(mLR[1:-1], -1)
+    top = len(K) - 1
+    vals, vecs = scipy.linalg.eigh(M, K, subset_by_index=[top, top])
+    phi = vecs[:, 0]
+    if abs(np.min(phi)) > abs(np.max(phi)):
+        phi = -phi
+    return 1.0 / float(vals[0]), phi / np.max(phi)
+
+
+@pytest.mark.parametrize("n", _MESHES)
+def test_principal_eigenvalue_matches_dense(step_weight, sine_weight, n):
+    """Banded inverse iteration reproduces the dense eigenpair."""
+    for w in (step_weight, sine_weight):
+        lam, phi = localfield.principal_eigenvalue(w, n)
+        lam_d, phi_d = _dense_principal_eigenvalue(w, n)
+        assert abs(lam - lam_d) <= 1e-12 * lam_d, (n, lam, lam_d)
+        assert np.max(np.abs(phi.full()[1:-1] - phi_d)) < 1e-10
 
 
 def test_ground_level_closed_form_convergence(step_weight):
