@@ -21,6 +21,7 @@ Exit codes: 0 success, 2 input error, 3 certification failure,
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -280,7 +281,6 @@ def _solve_options(config, levels=None):
         cells_per_interval=_num(config, "cells", int) or 0,
         newton_tol=_num(config, "newton_tol") or 1e-10,
         mu0=_num(config, "mu0") or 10.0,
-        growth=_num(config, "growth") or 2.0,
         levels=levels,
     )
 
@@ -363,8 +363,8 @@ def cmd_local(args):
 
 _SOLVE_KEYS = {"weight": None, "symbols": None, "N": None, "periodic": True,
                "mu": None, "cells": None, "newton_tol": None, "mu0": None,
-               "growth": None, "out": "sol.csv", "report": "report.json",
-               "outdir": None, "identities": True}
+               "out": "sol.csv", "report": "report.json", "outdir": None,
+               "identities": True}
 
 
 def cmd_solve(args):
@@ -598,10 +598,12 @@ def cmd_sweep(args):
                                  sol.report.residual_inf, sol.u.sup_norm(),
                                  max(m for m, _ in maxima)))
             except NonConvergence as e:
-                # the mu values the continuation did not reach count as failing
+                # the walk runs downward, so it reaches the higher mu; every
+                # scheduled mu without a row counts as failing
                 errors[name] = f"{type(e).__name__}: {e}"
-                rows += [(mu, False, math.nan, math.nan, math.nan)
-                         for mu in mu_list[len(rows):]]
+                reached = {row[0] for row in rows}
+                rows = sorted(rows + [(mu, False, math.nan, math.nan, math.nan)
+                                      for mu in mu_list if mu not in reached])
             agg_rows += [(name,) + row for row in rows]
             bracket_rows.append(
                 (name,) + solver.bracket([row[:2] for row in rows]))
@@ -669,7 +671,9 @@ def _add_common(sp):
     sp.add_argument("--outdir", help="artifact directory")
 
 
+@functools.cache
 def build_parser():
+    """The command line parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="multibump",
         description="Multibump solutions of u'' + (a+ - mu a-) u^3 = 0")
@@ -695,8 +699,8 @@ def build_parser():
     p.add_argument("--mu", type=float)
     p.add_argument("--cells", type=int, help="cells per subinterval")
     p.add_argument("--newton-tol", dest="newton_tol", type=float)
-    p.add_argument("--mu0", type=float, help="continuation start")
-    p.add_argument("--growth", type=float, help="continuation step factor")
+    p.add_argument("--mu0", type=float, help="lowest mu at which Newton "
+                   "starts from the pasted ground bumps")
     p.add_argument("--out", help="solution CSV name")
     p.add_argument("--report", help="certification report JSON name")
 

@@ -48,7 +48,7 @@ class IndexOutOfWindow(MultibumpError, IndexError):
 
 
 class ContinuationBreakdown(NonConvergence):
-    """mu-continuation could not be refined any further."""
+    """Newton failed partway along the downward mu walk."""
 
 
 class CertificationFailure(MultibumpError):

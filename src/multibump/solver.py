@@ -1,9 +1,11 @@
 """Multibump solves on periodic windows.
 
 The solution with prescribed bump code is obtained by damped Newton from the
-singular-limit guess (bumps pasted where the code is 1), continued upward in
-mu along a geometric schedule, and then certified a posteriori against the
-energy dichotomy, positivity, amplitude and junction-slope conditions.
+singular-limit guess (bumps pasted where the code is 1) at the top of the mu
+schedule, where that guess is closest, continued downward through the
+scheduled mu (natural-parameter continuation, each mu started from the last
+converged iterate), and then certified a posteriori against the energy
+dichotomy, positivity, amplitude and junction-slope conditions.
 """
 
 from __future__ import annotations
@@ -141,9 +143,7 @@ class SolveOptions:
     cells_per_interval: int = 0        # 0: pick from mu_target
     newton_tol: float = 1e-10
     max_newton: int = 40
-    mu0: float = 10.0
-    growth: float = 2.0
-    max_refine: int = 3
+    mu0: float = 10.0                  # lowest mu of the pasted-bump start
     consts: object = None              # precomputed ConstantPack
     levels: object = None              # shared localfield.LevelEvaluator
 
@@ -163,7 +163,10 @@ def auto_cells(w, mu):
 
 
 def _converge(grid, values, mu, opts):
-    """Damped Newton for gradient(u, mu) = 0 on the grid's dofs."""
+    """Damped Newton for gradient(u, mu) = 0 on the grid's dofs, then one
+    more full step, counted: Newton converges quadratically there, so the
+    step takes the residual from just below newton_tol to rounding level,
+    which the window identities (verify.nehari_identities) read."""
     def residual(v):
         if np.max(np.abs(v)) > _AMP_CAP:
             return None
@@ -177,31 +180,9 @@ def _converge(grid, values, mu, opts):
         except np.linalg.LinAlgError as e:
             raise NewtonFailure(f"singular Jacobian: {e}") from None
 
-    return assembly.newton(values, residual, solve, opts.newton_tol,
-                           opts.max_newton)
-
-
-def _continue_mu(grid, values, mu_from, mu_to, opts, path):
-    """Walk mu geometrically from mu_from to mu_to, reusing iterates."""
-    u = values
-    mu = mu_from
-    g = opts.growth
-    refine = 0
-    while mu < mu_to * (1.0 - 1e-12):
-        nxt = min(mu * g, mu_to)
-        try:
-            u2, iters = _converge(grid, u, nxt, opts)
-        except NewtonFailure:
-            refine += 1
-            if refine > opts.max_refine:
-                raise ContinuationBreakdown(
-                    f"Newton failed at mu={nxt:.4g} after "
-                    f"{refine - 1} schedule refinements") from None
-            g = math.sqrt(g)
-            continue
-        u, mu = u2, nxt
-        path.append((mu, iters))
-    return u
+    u, iters = assembly.newton(values, residual, solve, opts.newton_tol,
+                               opts.max_newton)
+    return u - solve(u, residual(u)), iters + 1
 
 
 # -- construction of guess and certification ----------------------------------
@@ -319,31 +300,37 @@ def _prepare(w, window, opts):
 def _continuation(w, window, mu_list, opts):
     """Yield (mu, GridFunction, SolveReport) along an increasing float mu
     list; the one continuation path behind solve_multibump and
-    continuation_states."""
+    continuation_states.
+
+    Newton starts from the pasted ground bumps at max(opts.mu0, mu_list[-1])
+    and walks the list downward, each mu from the last converged iterate.
+    The states come out in increasing mu once the walk ends, each carrying
+    the whole walk as continuation_path.  When Newton fails partway down,
+    the higher mu reached are yielded before ContinuationBreakdown.
+    """
     consts, bump = _prepare(w, window, opts)
     cells = opts.cells_per_interval or auto_cells(w, mu_list[-1])
     grid = assembly.span_grid(w, window.i_start, len(window.symbols), cells,
                               periodic=True)
-    guess = initial_guess(w, window, bump, grid)
-
-    path = []
-    mu_start = min(opts.mu0, mu_list[0])
-    try:
-        u, iters = _converge(grid, guess.values, mu_start, opts)
-    except NewtonFailure as e:
-        raise ContinuationBreakdown(
-            f"Newton failed at the schedule start mu={mu_start:.4g}: {e}") \
-            from None
-    path.append((mu_start, iters))
-    mu_cur = mu_start
-    for mu in mu_list:
-        if mu > mu_cur:
-            u = _continue_mu(grid, u, mu_cur, mu, opts, path)
-            mu_cur = mu
-        gf = assembly.GridFunction(grid, u.copy())
+    u = initial_guess(w, window, bump, grid).values
+    top = [opts.mu0] if opts.mu0 > mu_list[-1] else []
+    path, reached, failure = [], [], None
+    for mu in top + mu_list[::-1]:
+        try:
+            u, iters = _converge(grid, u, mu, opts)
+        except NewtonFailure as e:
+            failure = ContinuationBreakdown(f"Newton failed at mu={mu:.4g}: "
+                                            f"{e}")
+            break
+        path.append((mu, iters))
+        reached.append((mu, u))
+    for mu, u in reversed(reached[len(top):]):
+        gf = assembly.GridFunction(grid, u)
         report = check_membership(gf, mu, consts, window)
         report.continuation_path = list(path)
         yield mu, gf, report
+    if failure is not None:
+        raise failure
 
 
 def solve_multibump(w, window, mu_target, opts=None):
@@ -365,8 +352,8 @@ def require_certified(report):
 
 
 def continuation_states(w, window, mu_list, opts=None):
-    """Yield (mu, GridFunction, SolveReport) along an increasing mu list,
-    reusing each converged iterate for the next target; certification is
+    """Yield (mu, GridFunction, SolveReport) in increasing mu, solved by one
+    downward walk from the largest mu (see _continuation); certification is
     evaluated (not enforced) at every stop."""
     opts = opts or SolveOptions()
     yield from _continuation(w, window, sorted(float(m) for m in mu_list),

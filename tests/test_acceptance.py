@@ -90,7 +90,8 @@ def test_criterion_03_certification(step_weight, consts):
         rep = sol.report
         if not rep.mu <= 1e5:
             failures.append((code, "mu"))
-        if rep.continuation_path[0][0] != 10.0:
+        walk = [m for m, _ in rep.continuation_path]
+        if walk[0] != max(10.0, MU_CERT) or walk != sorted(walk, reverse=True):
             failures.append((code, "schedule"))
         if not rep.residual_inf <= 1e-9:
             failures.append((code, "residual"))
@@ -112,7 +113,7 @@ def test_criterion_03_certification(step_weight, consts):
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 600.0
     _line(3, ok, f"codes {list(sols)} certified at mu={MU_CERT:g} <= 1e5 "
-          f"(geometric schedule from 10), residual <= 1e-9, C1-C4, "
+          f"(walk down from max(10, mu)), residual <= 1e-9, C1-C4, "
           f"dichotomy ({elapsed:.1f}s)")
     assert not failures, failures
     assert elapsed < 600.0

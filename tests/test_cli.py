@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multibump import assembly, cli, localfield, oracle, solver, weight
+from multibump.errors import NewtonFailure
 
 C_STEP = 15.756060010769785
 
@@ -429,6 +430,94 @@ def test_sweep_input_error_is_not_swallowed(tmp_path):
     assert rc == 2
     assert os.path.exists(tmp_path / "FAILED")
     assert _read_json(tmp_path / "manifest.json")["status"] == "failed"
+
+
+def _read_csv(path):
+    return np.genfromtxt(path, delimiter=",", names=True, dtype=None,
+                         encoding="utf-8")
+
+
+def test_sweep_newton_failure_keeps_the_higher_mu(tmp_path, monkeypatch):
+    """The walk runs downward, so a Newton failure at a middle mu leaves the
+    mu above it certified and the failing mu and those below it as failing
+    rows of nan, in increasing mu."""
+    real = solver._converge
+
+    def fail_in_the_middle(grid, values, mu, opts):
+        if 200.0 < mu < 500.0:
+            raise NewtonFailure("injected")
+        return real(grid, values, mu, opts)
+
+    monkeypatch.setattr(solver, "_converge", fail_in_the_middle)
+    d = str(tmp_path)
+    rc = cli.main(["sweep", "--codes", "10", "--mu-from", "100",
+                   "--mu-to", "1000", "--points", "3", "--cells", "160",
+                   "--outdir", d])
+    assert rc == 0
+    agg = _read_csv(os.path.join(d, "aggregate.csv"))
+    mid = math.sqrt(1e5)
+    assert np.allclose(agg["mu"], [100.0, mid, 1000.0], rtol=1e-12)
+    assert list(agg["certified"]) == [0, 0, 1]
+    for name in ("residual", "sup", "interior_sup"):
+        assert np.all(np.isnan(agg[name][:2]))
+        assert np.isfinite(agg[name][2])
+    br = _read_csv(os.path.join(d, "brackets.csv"))
+    assert math.isclose(float(br["mu_fail"]), mid, rel_tol=1e-12)
+    assert float(br["mu_pass"]) == 1000.0
+
+
+def test_sweep_from_mu_one_keeps_the_codes(tmp_path):
+    """Started at the top of the schedule, every code stays on its branch
+    down to mu 10; only mu 1 fails."""
+    d = str(tmp_path)
+    rc = cli.main(["sweep", "--codes", "1,10,110", "--mu-from", "1",
+                   "--mu-to", "1e4", "--points", "5", "--outdir", d])
+    assert rc == 0
+    agg = _read_csv(os.path.join(d, "aggregate.csv"))
+    for code in (1, 10, 110):
+        rows = agg[agg["code"] == code]
+        assert np.allclose(rows["mu"], [1.0, 10.0, 100.0, 1e3, 1e4])
+        assert list(rows["certified"]) == [0, 1, 1, 1, 1]
+        assert abs(rows["sup"][1] - 2.1) < 0.05
+    br = _read_csv(os.path.join(d, "brackets.csv"))
+    assert np.allclose(br["mu_fail"], 1.0)
+    assert np.allclose(br["mu_pass"], 10.0)
+
+
+def test_solve_below_mu0_certifies(tmp_path):
+    d = str(tmp_path)
+    rc = cli.main(["solve", "--symbols", "1", "--mu", "4", "--outdir", d])
+    assert rc == 0
+    report = _read_json(os.path.join(d, "report.json"))
+    assert report["certified"] is True
+    assert [m for m, _ in report["continuation_path"]] == [10.0, 4.0]
+    data = np.genfromtxt(os.path.join(d, "sol.csv"), delimiter=",",
+                         names=True)
+    assert abs(np.max(data["u"]) - 1.65) < 0.01
+
+
+def test_parser_built_once_per_process(monkeypatch, capsys):
+    """main reuses one parser; each parse holds only its own command's
+    flags, and --help still exits 0."""
+    seen = []
+    for command in ("solve", "connection"):
+        monkeypatch.setitem(cli._DISPATCH, command,
+                            lambda args: seen.append(vars(args)) or 0)
+    assert cli.main(["solve", "--symbols", "10", "--mu", "800"]) == 0
+    assert cli.main(["connection", "--mu", "100", "--x", "0.5",
+                     "--y", "0.25"]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    solve_args, conn_args = seen
+    assert solve_args["symbols"] == "10" and solve_args["mu"] == 800.0
+    assert "x" not in solve_args
+    assert conn_args["x"] == 0.5 and conn_args["y"] == 0.25
+    assert "symbols" not in conn_args and "mu0" not in conn_args
+    for argv in (["--help"], ["solve", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "Newton starts from the pasted ground bumps" in help_text
 
 
 def test_verify_report(tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multibump import assembly, localfield, solver, weight
@@ -98,7 +98,9 @@ def test_report_roundtrip(sol_10):
     assert d["mu"] == 1e3
     assert set(d["condition_flags"]) == {"C1", "C2", "C3", "C4"}
     assert isinstance(d["continuation_path"], list)
-    assert d["continuation_path"][0][0] == 10.0
+    walk = [m for m, _ in d["continuation_path"]]
+    assert walk[0] == max(10.0, 1e3)
+    assert walk == sorted(walk, reverse=True)
 
 
 def test_continuation_states_reuse(step_weight, consts):
@@ -113,6 +115,36 @@ def test_continuation_states_reuse(step_weight, consts):
     assert all(ok for _, ok, _ in seen)
     # sup norm grows mildly with mu while the small interval drains
     assert seen[-1][2] >= seen[0][2] - 0.1
+
+
+@pytest.fixture(scope="module")
+def sine_levels(sine_weight):
+    return localfield.LevelEvaluator(sine_weight)
+
+
+@settings(max_examples=20, deadline=None)
+@given(code=st.lists(st.integers(0, 1), min_size=1, max_size=6).filter(any),
+       mus=st.lists(st.floats(30.0, 1e3), min_size=1, max_size=3,
+                    unique=True),
+       sine=st.just(False))
+@example(code=[1, 1, 0], mus=[30.0, 1e3], sine=True)
+def test_walk_down_from_pasted_bumps(step_weight, levels, sine_weight,
+                                     sine_levels, code, mus, sine):
+    """Newton starts from the pasted bumps at max(mu0, max(mus)), walks mu
+    downward, and certifies every scheduled state."""
+    w, ev = (sine_weight, sine_levels) if sine else (step_weight, levels)
+    opts = solver.SolveOptions(cells_per_interval=200, levels=ev)
+    states = list(solver.continuation_states(w, solver.make_window(code),
+                                             mus, opts))
+    assert [mu for mu, _, _ in states] == sorted(mus)
+    assert all(rep.certified for _, _, rep in states)
+    path = states[-1][2].continuation_path
+    walk = [mu for mu, _ in path]
+    assert walk[0] == max(opts.mu0, max(mus))
+    assert walk == sorted(walk, reverse=True)
+    # at most 12 damped Newton iterations plus the counted extra step (all
+    # 120 codes of length 1-6 at mu 30, 1e2, 3e2 and 1e3 on step: 7 to 13)
+    assert path[0][1] <= 13
 
 
 def test_estimate_mu_star_bracket(step_weight, consts):
