@@ -20,10 +20,9 @@ from .weight import (ConstantPack, Piece, WeightSpec, build_constant_pack,
 from .localfield import (LevelEvaluator, ground_state, local_levels,
                          nehari_project, pinned_zero_level,
                          principal_eigenvalue)
-from .assembly import Grid, GridFunction, make_grid, span_grid
-from .solver import (MuStarBracket, Solution, SolveOptions, SolveReport,
-                     SymbolWindow, estimate_mu_star, make_window,
-                     parse_symbols, solve_multibump, subharmonic)
+from .assembly import Grid, GridFunction, span_grid
+from .solver import (Solution, SolveOptions, SolveReport, SymbolWindow,
+                     make_window, parse_symbols, solve_multibump)
 from .connection import (ConnectionProblem, ConnectionSolution,
                          energy_derivatives, make_connection_problem,
                          slope_matching_mu, solve_connection,

@@ -223,7 +223,8 @@ def solve_interior(tb, rhs, bands=None, keep=None):
 
 
 def newton(x, residual, solve, tol, max_iter):
-    """Damped Newton for residual(x) = 0; returns (x, steps taken).
+    """Damped Newton for residual(x) = 0; returns (x, steps taken,
+    residual at x).
 
     ``solve(x, r)`` returns the Newton step for residual r at x.  A step is
     halved until |r|^2 falls by the Armijo factor, except below a residual of
@@ -235,7 +236,7 @@ def newton(x, residual, solve, tol, max_iter):
     for it in range(max_iter + 1):
         rn = float(np.max(np.abs(r)))
         if rn <= tol:
-            return x, it
+            return x, it, r
         if it == max_iter:
             break
         step = solve(x, r)
@@ -276,7 +277,7 @@ def newton_dirichlet(tb, mu, u_full, tol, max_iter):
         except np.linalg.LinAlgError as e:
             raise NewtonFailure(f"singular Jacobian: {e}") from None
 
-    x, steps = newton(u_full[1:-1], residual, solve, tol, max_iter)
+    x, steps, _ = newton(u_full[1:-1], residual, solve, tol, max_iter)
     return embed(x), steps
 
 
@@ -293,7 +294,6 @@ class Grid:
     w: object
     nodes: np.ndarray
     periodic: bool
-    N: int = 0                 # half-width for symmetric windows, 0 otherwise
     i0: int = 0                # first interval index covered (window grids)
     n_int: int = 0             # number of weight periods covered (0: segment)
     m: int = 0                 # cells per subinterval (0: free mesh)
@@ -395,17 +395,8 @@ def span_grid(w, i0, n_int, cells_per_interval, periodic=True):
         parts.append(np.linspace(w.tau_i(i), w.sigma(i + 1), m + 1)[:-1])
     parts.append(np.array([w.sigma(i0 + n_int)]))
     nodes = np.concatenate(parts)
-    return Grid(w=w, nodes=nodes, periodic=periodic, N=0, i0=i0,
-                n_int=n_int, m=m)
-
-
-def make_grid(w, N, cells_per_interval):
-    """Periodic mesh on the symmetric window [sigma_{-N}, sigma_{N+1}]."""
-    if N < 0:
-        raise WeightError("window half-width must be >= 0")
-    g = span_grid(w, -N, 2 * N + 1, cells_per_interval, periodic=True)
-    g.N = int(N)
-    return g
+    return Grid(w=w, nodes=nodes, periodic=periodic, i0=i0, n_int=n_int,
+                m=m)
 
 
 def segment_grid(w, nodes):

@@ -41,7 +41,6 @@ from .errors import (
     MultibumpError,
     NoAdmissibleZeta,
     NonConvergence,
-    ScheduleExhausted,
     ScopeError,
     SingularLinearization,
     WeightError,
@@ -65,8 +64,7 @@ def classify_error(exc):
                         IsADirectoryError, PermissionError,
                         json.JSONDecodeError, UnicodeDecodeError)):
         return EXIT_INPUT
-    if isinstance(exc, (CertificationFailure, ScheduleExhausted,
-                        InteriorityFailure)):
+    if isinstance(exc, (CertificationFailure, InteriorityFailure)):
         return EXIT_CERTIFICATION
     if isinstance(exc, (NonConvergence, BlowUp, SingularLinearization,
                         DegenerateDirection)):
@@ -273,14 +271,13 @@ def _window_from(config):
         code = (1,) * _num(config, "N", int)
     else:
         raise WeightError("need --symbols or --N")
-    return solver.make_window(code, periodic=bool(config.get("periodic", True)))
+    return solver.make_window(code)
 
 
 def _solve_options(config, levels=None):
     return solver.SolveOptions(
         cells_per_interval=_num(config, "cells", int) or 0,
         newton_tol=_num(config, "newton_tol") or 1e-10,
-        mu0=_num(config, "mu0") or 10.0,
         levels=levels,
     )
 
@@ -321,7 +318,7 @@ def _crossings(nodes, values):
 # -- subcommands ----------------------------------------------------------------
 
 
-_LOCAL_KEYS = {"weight": None, "mesh": None, "k": 1, "K": None,
+_LOCAL_KEYS = {"weight": None, "mesh": None, "K": None,
                "out": "local.json", "bump_csv": None, "outdir": None}
 
 
@@ -331,8 +328,7 @@ def cmd_local(args):
     run = RunDir("local", cfg["outdir"], cfg, label, blob)
     try:
         ev = localfield.LevelEvaluator(w, _num(cfg, "mesh", _count))
-        consts = solver.build_constant_pack(
-            w, ev, k=_num(cfg, "k", int), K=_num(cfg, "K"))
+        consts = solver.build_constant_pack(w, ev, K=_num(cfg, "K"))
         payload = {
             "period": w.period,
             "tau": w.tau,
@@ -346,7 +342,6 @@ def cmd_local(args):
             "r": consts.r,
             "rho": consts.rho,
             "rho_attained": consts.rho_attained,
-            "k": consts.k,
         }
         run.add_json(cfg["out"], payload)
         if cfg["bump_csv"]:
@@ -361,10 +356,9 @@ def cmd_local(args):
         raise
 
 
-_SOLVE_KEYS = {"weight": None, "symbols": None, "N": None, "periodic": True,
-               "mu": None, "cells": None, "newton_tol": None, "mu0": None,
-               "out": "sol.csv", "report": "report.json", "outdir": None,
-               "identities": True}
+_SOLVE_KEYS = {"weight": None, "symbols": None, "N": None, "mu": None,
+               "cells": None, "newton_tol": None, "out": "sol.csv",
+               "report": "report.json", "outdir": None, "identities": True}
 
 
 def cmd_solve(args):
@@ -463,10 +457,10 @@ def cmd_connection(args):
         raise
 
 
-_VERIFY_KEYS = {"weight": None, "symbols": None, "N": None, "periodic": True,
-                "mu_from": None, "mu_to": None, "points": 9, "delta": None,
-                "alpha": 0.5, "cells": None, "out": "verify.json",
-                "outdir": None, "oracle_rtol": 1e-12}
+_VERIFY_KEYS = {"weight": None, "symbols": None, "N": None, "mu_from": None,
+                "mu_to": None, "points": 9, "delta": None, "alpha": 0.5,
+                "cells": None, "out": "verify.json", "outdir": None,
+                "oracle_rtol": 1e-12}
 
 
 def cmd_verify(args):
@@ -488,14 +482,6 @@ def cmd_verify(args):
                                   alpha=_num(cfg, "alpha"), opts=opts,
                                   bump=ev.ground_bump())
         sol = report.solution
-        if sol.window != window:
-            # the sweep certifies the periodic window; a non-periodic one
-            # ("periodic": false) reads its zero runs without wrap-around,
-            # so its bound k, and with it the constant pack, can differ
-            consts = weight.build_constant_pack(w, ev, k=window.k_bound)
-            sol = solver.Solution(
-                u=sol.u, mu=sol.mu, window=window,
-                report=solver.check_membership(sol.u, sol.mu, consts, window))
         solver.require_certified(sol.report)
         identities = verify.nehari_identities(sol)
         check = verify.oracle_residual(sol, rtol=_num(cfg, "oracle_rtol"))
@@ -682,7 +668,6 @@ def build_parser():
     p = sub.add_parser("local", help="weight constants and local levels")
     _add_common(p)
     p.add_argument("--mesh", type=int, help="cells for the level solves")
-    p.add_argument("--k", type=int, help="zero-run bound (default 1)")
     p.add_argument("--K", type=float, help="endpoint cap override")
     p.add_argument("--out", help="JSON output name")
     p.add_argument("--bump-csv", dest="bump_csv",
@@ -693,14 +678,11 @@ def build_parser():
     p.add_argument("--symbols", help="0/1 code, e.g. 110 or 1,1,0")
     p.add_argument("--N", type=int,
                    help="window length; all-ones when --symbols is omitted")
-    p.add_argument("--periodic", action=argparse.BooleanOptionalAction,
-                   help="read zero runs cyclically (default); --no-periodic "
-                   "reads them without wrap-around")
-    p.add_argument("--mu", type=float)
+    p.add_argument("--mu", type=float,
+                   help="target mu; Newton starts from the pasted ground "
+                   f"bumps at max({solver.MU0:g}, mu) and walks down to it")
     p.add_argument("--cells", type=int, help="cells per subinterval")
     p.add_argument("--newton-tol", dest="newton_tol", type=float)
-    p.add_argument("--mu0", type=float, help="lowest mu at which Newton "
-                   "starts from the pasted ground bumps")
     p.add_argument("--out", help="solution CSV name")
     p.add_argument("--report", help="certification report JSON name")
 
@@ -722,9 +704,6 @@ def build_parser():
     _add_common(p)
     p.add_argument("--symbols")
     p.add_argument("--N", type=int)
-    p.add_argument("--periodic", action=argparse.BooleanOptionalAction,
-                   help="read zero runs cyclically (default); --no-periodic "
-                   "reads them without wrap-around")
     p.add_argument("--mu-from", dest="mu_from", type=float)
     p.add_argument("--mu-to", dest="mu_to", type=float)
     p.add_argument("--points", type=int)

@@ -35,6 +35,9 @@ from .errors import (InteriorityFailure, NonConvergence, SingularLinearization,
 
 _ARMIJO = 1e-4
 _CAP_SLACK = 1e-9          # relative slack kept free of each cap by retraction
+_MAX_DESCENT = 200
+_NEWTON_TOL = 1e-10
+_MAX_NEWTON = 60
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,7 @@ class ConnectionProblem:
 
 
 def make_connection_problem(w, mu, x, y, i=-1, l=1, K=None, r=None,
-                            k_bound=None, consts=None):
+                            consts=None):
     """Validated problem; caps default from ``consts`` or are recomputed.
 
     When neither K nor consts is given, K falls back to twice the amplitude
@@ -94,8 +97,6 @@ def make_connection_problem(w, mu, x, y, i=-1, l=1, K=None, r=None,
         raise WeightError("mu must be positive")
     if l < 0:
         raise WeightError("l must be >= 0")
-    if k_bound is not None and l > k_bound:
-        raise WeightError(f"l={l} exceeds the zero-run bound k={k_bound}")
     if abs(x) > K or abs(y) > K:
         raise WeightError(f"|x|, |y| must not exceed K = {K:g}")
     return ConnectionProblem(w=w, mu=mu, x=float(x), y=float(y), i=int(i),
@@ -317,8 +318,7 @@ class ConnectionSolution:
         return self.v, self.z
 
 
-def solve_connection(p, cells=None, init=None, max_descent=200,
-                     newton_tol=1e-10, max_newton=60, with_sensitivities=True):
+def solve_connection(p, cells=None, init=None, with_sensitivities=True):
     """Minimize the block action over the admissible class at data (x, y).
 
     Projected descent under the caps finds the basin; unconstrained Newton on
@@ -352,17 +352,17 @@ def solve_connection(p, cells=None, init=None, max_descent=200,
     if r0 < assembly._UNDAMPED_BELOW:
         n_desc = hits = 0
     else:
-        full, n_desc, hits = _descent(p, grid, full, max_descent, rtol=1e-4)
+        full, n_desc, hits = _descent(p, grid, full, _MAX_DESCENT, rtol=1e-4)
     n_newt = 0
     for attempt in range(3):
         final = attempt == 2
         # tolerance scaled to the data, floored at the rounding level
         floor = 200.0 * np.finfo(float).eps * \
             max(1.0, float(np.max(np.abs(full)))) * float(np.max(1.0 / tb.h))
-        tol = max(newton_tol * max(1.0, abs(p.x), abs(p.y)), floor)
+        tol = max(_NEWTON_TOL * max(1.0, abs(p.x), abs(p.y)), floor)
         try:
             cand, n_newt = assembly.newton_dirichlet(tb, p.mu, full, tol,
-                                                     max_newton)
+                                                     _MAX_NEWTON)
         except NonConvergence:
             if final:
                 # a pinned minimizer has no interior stationary point to
@@ -388,7 +388,7 @@ def solve_connection(p, cells=None, init=None, max_descent=200,
             full = cand
             full[0], full[-1] = p.x, p.y
             _retract(p, grid, full)
-        full, n2, h2 = _descent(p, grid, full, 4 * max_descent, rtol=1e-7)
+        full, n2, h2 = _descent(p, grid, full, 4 * _MAX_DESCENT, rtol=1e-7)
         n_desc += n2
         hits += h2
 
@@ -438,10 +438,6 @@ def compute_sensitivities(sol):
     sol.v = _linearized_solve(sol, 1.0, 0.0)
     sol.z = _linearized_solve(sol, 0.0, 1.0)
     return sol.v, sol.z
-
-
-def sensitivities(sol):
-    return sol.sensitivities
 
 
 def sensitivity_end_slopes(sol, which="v"):

@@ -62,10 +62,6 @@ class CertificationFailure(MultibumpError):
         self.report = report
 
 
-class ScheduleExhausted(MultibumpError):
-    """No mu in the schedule certified every probe window."""
-
-
 class InteriorityFailure(MultibumpError):
     """Connection minimizer sits on one of the caps (mu too small)."""
 

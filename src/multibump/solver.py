@@ -17,44 +17,28 @@ import numpy as np
 
 from . import assembly, localfield
 from .errors import (CertificationFailure, ContinuationBreakdown,
-                     NewtonFailure, ScheduleExhausted, WeightError)
+                     NewtonFailure, WeightError)
 from .weight import build_constant_pack
 
 _AMP_CAP = 1e6
+MU0 = 10.0              # lowest mu at which Newton starts from the pasted bumps
+_MAX_NEWTON = 40
 
 
 # -- symbol windows -----------------------------------------------------------
-
-
-def max_zero_run(symbols, periodic=True):
-    """Longest run of zeros, measured cyclically for periodic windows."""
-    s = list(symbols)
-    if all(v == 0 for v in s):
-        return len(s)
-    if periodic:
-        # rotate so the scan starts right after a 1; then runs cannot wrap
-        j = s.index(1)
-        s = s[j:] + s[:j]
-    run = best = 0
-    for v in s:
-        run = run + 1 if v == 0 else 0
-        best = max(best, run)
-    return best
 
 
 @dataclass(frozen=True)
 class SymbolWindow:
     """A finite 0/1 code, one symbol per positivity interval."""
     symbols: tuple
-    periodic: bool = True
-    k_bound: int = 0
     i_start: int = 0
 
     def __len__(self):
         return len(self.symbols)
 
 
-def make_window(symbols, periodic=True, k_bound=None, i_start=None):
+def make_window(symbols, i_start=None):
     symbols = tuple(int(v) for v in symbols)
     if not symbols:
         raise WeightError("empty symbol window")
@@ -62,16 +46,10 @@ def make_window(symbols, periodic=True, k_bound=None, i_start=None):
         raise WeightError("symbols must be 0 or 1")
     if not any(symbols):
         raise WeightError("the code must contain at least one 1")
-    run = max_zero_run(symbols, periodic)
-    if k_bound is None:
-        k_bound = run
-    elif run > k_bound:
-        raise WeightError(f"zero run {run} exceeds the bound {k_bound}")
     if i_start is None:
         # symmetric placement for odd windows, anchored at 0 otherwise
         i_start = -(len(symbols) - 1) // 2 if len(symbols) % 2 else 0
-    return SymbolWindow(symbols=symbols, periodic=periodic,
-                        k_bound=int(k_bound), i_start=int(i_start))
+    return SymbolWindow(symbols=symbols, i_start=int(i_start))
 
 
 def parse_symbols(text):
@@ -142,9 +120,6 @@ class Solution:
 class SolveOptions:
     cells_per_interval: int = 0        # 0: pick from mu_target
     newton_tol: float = 1e-10
-    max_newton: int = 40
-    mu0: float = 10.0                  # lowest mu of the pasted-bump start
-    consts: object = None              # precomputed ConstantPack
     levels: object = None              # shared localfield.LevelEvaluator
 
 
@@ -180,9 +155,9 @@ def _converge(grid, values, mu, opts):
         except np.linalg.LinAlgError as e:
             raise NewtonFailure(f"singular Jacobian: {e}") from None
 
-    u, iters = assembly.newton(values, residual, solve, opts.newton_tol,
-                               opts.max_newton)
-    return u - solve(u, residual(u)), iters + 1
+    u, iters, r = assembly.newton(values, residual, solve, opts.newton_tol,
+                                  _MAX_NEWTON)
+    return u - solve(u, r), iters + 1
 
 
 # -- construction of guess and certification ----------------------------------
@@ -282,7 +257,7 @@ def check_membership(u, mu, consts, window):
 # -- top-level solves ----------------------------------------------------------
 
 
-def _prepare(w, window, opts):
+def _prepare(w, opts):
     """(ConstantPack, ground bump) of a solve; the levels come from
     opts.levels when given, so callers that share one evaluator solve each
     level once."""
@@ -291,10 +266,7 @@ def _prepare(w, window, opts):
         ev = localfield.LevelEvaluator(w)
     elif ev.w is not w:
         raise WeightError("the shared levels belong to another weight")
-    consts = opts.consts
-    if consts is None:
-        consts = build_constant_pack(w, ev, k=window.k_bound)
-    return consts, ev.ground_bump()
+    return build_constant_pack(w, ev), ev.ground_bump()
 
 
 def _continuation(w, window, mu_list, opts):
@@ -302,18 +274,18 @@ def _continuation(w, window, mu_list, opts):
     list; the one continuation path behind solve_multibump and
     continuation_states.
 
-    Newton starts from the pasted ground bumps at max(opts.mu0, mu_list[-1])
+    Newton starts from the pasted ground bumps at max(MU0, mu_list[-1])
     and walks the list downward, each mu from the last converged iterate.
     The states come out in increasing mu once the walk ends, each carrying
     the whole walk as continuation_path.  When Newton fails partway down,
     the higher mu reached are yielded before ContinuationBreakdown.
     """
-    consts, bump = _prepare(w, window, opts)
+    consts, bump = _prepare(w, opts)
     cells = opts.cells_per_interval or auto_cells(w, mu_list[-1])
     grid = assembly.span_grid(w, window.i_start, len(window.symbols), cells,
                               periodic=True)
     u = initial_guess(w, window, bump, grid).values
-    top = [opts.mu0] if opts.mu0 > mu_list[-1] else []
+    top = [MU0] if MU0 > mu_list[-1] else []
     path, reached, failure = [], [], None
     for mu in top + mu_list[::-1]:
         try:
@@ -368,60 +340,3 @@ def bracket(outcomes):
     mu_pass = min((mu for mu, ok in outcomes if ok and mu > mu_fail),
                   default=math.inf)
     return mu_fail, mu_pass
-
-
-def estimate_mu_star(w, k, probe_windows, schedule=None, opts=None):
-    """Empirical bracket [mu_fail, mu_pass] for the certification threshold.
-
-    mu_fail is the largest scheduled mu at which some probe window failed
-    (0 when every scheduled value passes); mu_pass is the smallest scheduled
-    mu above it, at which every probe certifies.
-    """
-    opts = opts or SolveOptions()
-    if schedule is None:
-        schedule = [10.0 * 2.0 ** j for j in range(14)]
-    schedule = sorted(float(m) for m in schedule)
-    table = {}
-    for win in probe_windows:
-        if win.k_bound > k:
-            raise WeightError("probe window exceeds the zero-run bound")
-        outcomes = []
-        try:
-            for mu, _, report in continuation_states(w, win, schedule, opts):
-                outcomes.append((mu, report.certified))
-        except (ContinuationBreakdown, NewtonFailure):
-            # whatever was not reached counts as failing
-            reached = {m for m, _ in outcomes}
-            outcomes.extend((m, False) for m in schedule if m not in reached)
-        table[win.symbols] = outcomes
-
-    mu_fail, mu_pass = bracket(
-        [(mu, all(dict(table[w_])[mu] for w_ in table)) for mu in schedule])
-    if math.isinf(mu_pass):
-        raise ScheduleExhausted(
-            f"no scheduled mu up to {schedule[-1]:.4g} certifies all probes "
-            f"above the last failure")
-    return MuStarBracket(mu_fail=mu_fail, mu_pass=mu_pass, table=table)
-
-
-@dataclass
-class MuStarBracket:
-    mu_fail: float
-    mu_pass: float
-    table: dict
-
-    def __float__(self):
-        return float(self.mu_pass)
-
-
-def subharmonic(w, window, mu, opts=None):
-    """Solve on one mT cell and detect the minimal period.
-
-    Returns (Solution, minimal_period) with the period a multiple of T.
-    """
-    if not window.periodic:
-        raise WeightError("subharmonic windows must be periodic")
-    sol = solve_multibump(w, window, mu, opts)
-    from .verify import minimal_period
-    d = minimal_period(sol, len(window.symbols))
-    return sol, d * w.period

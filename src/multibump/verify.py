@@ -252,7 +252,7 @@ def sweep_solutions(w, symbols, mu_list, delta, opts=None):
     run_sweep and the sweep subcommand."""
     if not 0.0 < delta < 0.5 * (w.period - w.tau):
         raise WeightError("delta must sit inside the negativity interval")
-    win = solver.make_window(symbols, periodic=True)
+    win = solver.make_window(symbols)
     for mu, gf, report in solver.continuation_states(w, win, mu_list, opts):
         sol = solver.Solution(u=gf, mu=mu, window=win, report=report)
         yield sol, interior_maxima(sol, delta)
@@ -511,7 +511,7 @@ def run_sweep(w, symbols, mu_list, delta=None, alpha=0.5, opts=None,
     if bump is None:
         from .localfield import LevelEvaluator
         bump = LevelEvaluator(w).ground_bump()
-    win = solver.make_window(symbols, periodic=True)
+    win = solver.make_window(symbols)
     coded = {win.i_start + j for j, s in enumerate(win.symbols) if s == 1}
 
     rows = {k: [] for k in ("decay", "p1", "p2", "p3", "sup", "holder",

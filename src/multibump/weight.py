@@ -459,15 +459,14 @@ class ConstantPack:
     zeta: float
     K: float
     rho: float
-    k: int
     c: float
     c_zeta: float
     zeta_margin: float = float("nan")      # attained value of the zeta condition
     rho_attained: float = float("nan")     # |u'(0)| + |u'(tau)| of the ground bump
 
 
-def build_constant_pack(w, levels, k, K=None):
-    """Assemble every certification constant for weight w and zero-run bound k."""
+def build_constant_pack(w, levels, K=None):
+    """Assemble every certification constant for weight w."""
     c = levels.ground_level()
     bump = levels.ground_bump()
     zeta, c_zeta, val = choose_zeta(w, levels)
@@ -479,7 +478,7 @@ def build_constant_pack(w, levels, k, K=None):
         raise WeightError("slope threshold bound failed to dominate")
     if c >= c_zeta:
         raise WeightError("pinned-zero level does not exceed the ground level")
-    return ConstantPack(r=compute_r(w), zeta=zeta, K=float(K), rho=rho, k=int(k),
+    return ConstantPack(r=compute_r(w), zeta=zeta, K=float(K), rho=rho,
                         c=c, c_zeta=c_zeta, zeta_margin=val, rho_attained=attained)
 
 

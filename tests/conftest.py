@@ -21,21 +21,21 @@ def levels(step_weight):
 
 @pytest.fixture(scope="session")
 def consts(step_weight, levels):
-    return weight.build_constant_pack(step_weight, levels, k=1)
+    return weight.build_constant_pack(step_weight, levels)
 
 
 @pytest.fixture(scope="session")
-def sol_10(step_weight, consts):
+def sol_10(step_weight, levels):
     """Certified (1, 0) solution at mu = 1e3 on a moderate mesh."""
     window = solver.make_window((1, 0))
-    opts = solver.SolveOptions(cells_per_interval=400, consts=consts)
+    opts = solver.SolveOptions(cells_per_interval=400, levels=levels)
     return solver.solve_multibump(step_weight, window, 1e3, opts)
 
 
 @pytest.fixture(scope="session")
-def sol_110(step_weight, consts):
+def sol_110(step_weight, levels):
     window = solver.make_window((1, 1, 0))
-    opts = solver.SolveOptions(cells_per_interval=300, consts=consts)
+    opts = solver.SolveOptions(cells_per_interval=300, levels=levels)
     return solver.solve_multibump(step_weight, window, 1e3, opts)
 
 

@@ -34,11 +34,11 @@ def _line(num, ok, detail):
     print(f"criterion {num:2d}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-def _certified(w, consts):
+def _certified(w, levels):
     """Certified solutions shared by criteria 3, 4, 8 and 9."""
     if not _CERT:
         opts = solver.SolveOptions(cells_per_interval=CELLS_CERT,
-                                   consts=consts)
+                                   levels=levels)
         for code in CODES:
             win = solver.make_window(code)
             _CERT[code] = solver.solve_multibump(w, win, MU_CERT, opts)
@@ -81,9 +81,9 @@ def test_criterion_02_ground_level_oracle(step_weight):
     assert elapsed < 60.0
 
 
-def test_criterion_03_certification(step_weight, consts):
+def test_criterion_03_certification(step_weight, consts, levels):
     t0 = time.perf_counter()
-    sols = _certified(step_weight, consts)
+    sols = _certified(step_weight, levels)
     r2 = consts.r ** 2
     failures = []
     for code, sol in sols.items():
@@ -119,8 +119,8 @@ def test_criterion_03_certification(step_weight, consts):
     assert elapsed < 600.0
 
 
-def test_criterion_04_window_identities(step_weight, consts):
-    sols = _certified(step_weight, consts)
+def test_criterion_04_window_identities(step_weight, levels):
+    sols = _certified(step_weight, levels)
     worst = {"ii": 0.0, "iii": 0.0, "iv": 0.0}
     for sol in sols.values():
         ids = verify.nehari_identities(sol)
@@ -141,12 +141,12 @@ def _junction_tail(mu, a_minus, d, delta):
     return d / (1.0 + math.sqrt(0.5 * mu * a_minus) * d * delta)
 
 
-def test_criterion_05_decay_law(step_weight, consts):
+def test_criterion_05_decay_law(step_weight, levels):
     t0 = time.perf_counter()
     w = step_weight
     mus = list(np.geomspace(100.0, 1e4, 9))
     delta = 0.2
-    opts = solver.SolveOptions(cells_per_interval=400, consts=consts)
+    opts = solver.SolveOptions(cells_per_interval=400, levels=levels)
     fit = verify.decay_rate(w, (1, 0), mus, delta, opts=opts)
     elapsed = time.perf_counter() - t0
     bound_hits = sum(s <= b for s, b in zip(fit.samples, fit.bounds))
@@ -185,8 +185,8 @@ def test_criterion_05_decay_law(step_weight, consts):
     assert elapsed < 900.0
 
 
-def test_criterion_06_singular_limit(step_weight, consts):
-    opts = solver.SolveOptions(cells_per_interval=400, consts=consts)
+def test_criterion_06_singular_limit(step_weight, levels):
+    opts = solver.SolveOptions(cells_per_interval=400, levels=levels)
     rep = verify.run_sweep(step_weight, (1, 0),
                            [300.0, 1000.0, 3000.0, 10000.0], opts=opts)
     decreasing = {
@@ -244,10 +244,10 @@ def test_criterion_07_connection_diagnostics(step_weight, consts):
     assert not grid_bad, grid_bad
 
 
-def test_criterion_08_subharmonics(step_weight, consts):
-    sols = _certified(step_weight, consts)
+def test_criterion_08_subharmonics(step_weight, levels):
+    sols = _certified(step_weight, levels)
     got = {code: verify.minimal_period(sols[code]) for code in CODES}
-    opts = solver.SolveOptions(cells_per_interval=200, consts=consts)
+    opts = solver.SolveOptions(cells_per_interval=200, levels=levels)
     for code in ((1, 1), (1, 1, 1)):
         win = solver.make_window(code)
         s = solver.solve_multibump(step_weight, win, 400.0, opts)
@@ -258,8 +258,8 @@ def test_criterion_08_subharmonics(step_weight, consts):
     assert got == want
 
 
-def test_criterion_09_oracle_cross_validation(step_weight, consts):
-    sols = _certified(step_weight, consts)
+def test_criterion_09_oracle_cross_validation(step_weight, consts, levels):
+    sols = _certified(step_weight, levels)
     worst_rel = max(verify.oracle_residual(s, rtol=1e-12).rel
                     for s in sols.values())
     p = connection.make_connection_problem(step_weight, 2000.0, 0.6, 0.4,

@@ -196,9 +196,12 @@ def test_newton_rejects_non_finite_step():
         assembly.newton(np.array([2.0, 3.0]), lambda x: x ** 3 - 1.0, solve,
                         1e-12, 20)
     # the same iteration converges once the step is finite
-    x, steps = assembly.newton(np.array([2.0, 3.0]), lambda x: x ** 3 - 1.0,
-                               lambda x, r: r / (3.0 * x * x), 1e-12, 20)
+    x, steps, r = assembly.newton(np.array([2.0, 3.0]),
+                                  lambda x: x ** 3 - 1.0,
+                                  lambda x, r: r / (3.0 * x * x), 1e-12, 20)
     assert np.allclose(x, 1.0) and 0 < steps < 20
+    # the residual handed back is the one at the returned iterate
+    assert np.array_equal(r, x ** 3 - 1.0)
 
 
 @settings(max_examples=100, deadline=None)

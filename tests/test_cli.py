@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 
@@ -205,11 +206,10 @@ def test_levels_built_once_per_command(tmp_path, monkeypatch):
     assert seen["sweep"] == seen["local"]
 
 
-@pytest.mark.parametrize("periodic", [True, False])
-def test_verify_runs_one_continuation(tmp_path, monkeypatch, periodic):
+def test_verify_runs_one_continuation(tmp_path, monkeypatch):
     """verify certifies, audits and re-integrates its own sweep's last
-    solution: one continuation and no second solve per command, also when a
-    non-periodic window changes the zero-run bound of the certificate."""
+    solution: one continuation and no second solve or certificate per
+    command."""
     counts = {}
     for name in ("continuation_states", "solve_multibump"):
         monkeypatch.setattr(solver, name,
@@ -220,7 +220,7 @@ def test_verify_runs_one_continuation(tmp_path, monkeypatch, periodic):
 
     def check(u, mu, consts, window):
         report = check_membership(u, mu, consts, window)
-        certs.append((consts.k, window.periodic, report))
+        certs.append(report)
         return report
 
     def require(report):
@@ -229,50 +229,46 @@ def test_verify_runs_one_continuation(tmp_path, monkeypatch, periodic):
 
     monkeypatch.setattr(solver, "check_membership", check)
     monkeypatch.setattr(solver, "require_certified", require)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"periodic": periodic}))
     d = str(tmp_path / "out")
-    rc = cli.main(["verify", "--config", str(cfg), "--symbols", "010",
-                   "--mu-from", "1e2", "--mu-to", "1e3", "--points", "2",
-                   "--cells", "160", "--outdir", d])
+    rc = cli.main(["verify", "--symbols", "010", "--mu-from", "1e2",
+                   "--mu-to", "1e3", "--points", "2", "--cells", "160",
+                   "--outdir", d])
     assert rc == 0
     assert counts == {"continuation_states": 1}
-    # the certificate is the window's own: 010 has a zero run of 2 read
-    # cyclically and of 1 read as a non-periodic window
-    k, seen_periodic, report = certs[-1]
-    assert len(required) == 1 and required[0] is report
-    assert (k, seen_periodic) == ((2, True) if periodic else (1, False))
+    # one certificate per scheduled mu; the last one is the one required
+    assert len(certs) == 2
+    assert len(required) == 1 and required[0] is certs[-1]
     assert _read_json(os.path.join(d, "verify.json"))["minimal_period_T"] \
         == 6.0
 
 
-def test_verify_no_periodic_flag(tmp_path, monkeypatch):
-    """--no-periodic sets the periodic key to false without a config file:
-    010 then has a zero run of 1 and certifies with k = 1."""
-    certs = []
-    check_membership = solver.check_membership
-
-    def check(u, mu, consts, window):
-        certs.append((consts.k, window.periodic))
-        return check_membership(u, mu, consts, window)
-
-    monkeypatch.setattr(solver, "check_membership", check)
-    d = str(tmp_path)
-    rc = cli.main(["verify", "--symbols", "010", "--no-periodic",
-                   "--mu-from", "1e2", "--mu-to", "1e3", "--points", "2",
-                   "--cells", "400", "--outdir", d])
-    assert rc == 0
-    assert certs[-1] == (1, False)
-    assert _read_json(os.path.join(d, "manifest.json"))["config"][
-        "periodic"] is False
+def _readme_cli_calls():
+    """Every ``multibump ...`` call of README's CLI block, as argv lists."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as f:
+        text = f.read()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("multibump ")]
 
 
-@pytest.mark.parametrize("command", ["solve", "verify"])
-def test_periodic_switch_parses(command):
-    parse = cli.build_parser().parse_args
-    assert parse([command]).periodic is None
-    assert parse([command, "--periodic"]).periodic is True
-    assert parse([command, "--no-periodic"]).periodic is False
+def test_readme_cli_calls_run(tmp_path):
+    """The README's CLI examples run as written, each into its own outdir."""
+    calls = _readme_cli_calls()
+    assert len(calls) >= 6
+    for n, argv in enumerate(calls):
+        argv = list(argv)
+        outdir = str(tmp_path / f"call{n}")
+        if "--outdir" in argv:
+            argv[argv.index("--outdir") + 1] = outdir
+        else:
+            argv += ["--outdir", outdir]
+        try:
+            rc = cli.main(argv)
+        except SystemExit as e:          # argparse rejects the call
+            rc = e.code
+        assert rc == 0, argv
 
 
 def test_verify_certification_failure_exit_code(tmp_path):
@@ -511,7 +507,7 @@ def test_parser_built_once_per_process(monkeypatch, capsys):
     assert solve_args["symbols"] == "10" and solve_args["mu"] == 800.0
     assert "x" not in solve_args
     assert conn_args["x"] == 0.5 and conn_args["y"] == 0.25
-    assert "symbols" not in conn_args and "mu0" not in conn_args
+    assert "symbols" not in conn_args and "newton_tol" not in conn_args
     for argv in (["--help"], ["solve", "--help"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from multibump import assembly, localfield, solver, weight
-from multibump.errors import (CertificationFailure, ScheduleExhausted,
-                              WeightError)
+from multibump import assembly, localfield, solver
+from multibump.errors import CertificationFailure, WeightError
 
 
 def test_parse_symbols():
@@ -16,16 +15,8 @@ def test_parse_symbols():
     assert solver.parse_symbols("1 0") == (1, 0)
 
 
-def test_max_zero_run_cyclic():
-    assert solver.max_zero_run((0, 1, 0), periodic=True) == 2
-    assert solver.max_zero_run((0, 1, 0), periodic=False) == 1
-    assert solver.max_zero_run((1, 1), periodic=True) == 0
-    assert solver.max_zero_run((1, 0, 0, 1, 0), periodic=True) == 2
-
-
 def test_make_window_validation():
     win = solver.make_window((1, 1, 0))
-    assert win.k_bound == 1
     assert win.i_start == -1  # symmetric placement for odd length
     with pytest.raises(WeightError):
         solver.make_window(())
@@ -33,13 +24,11 @@ def test_make_window_validation():
         solver.make_window((0, 0))
     with pytest.raises(WeightError):
         solver.make_window((1, 2))
-    with pytest.raises(WeightError):
-        solver.make_window((1, 0, 0), k_bound=1)
 
 
-def test_certified_single_bump(step_weight, consts):
+def test_certified_single_bump(step_weight, levels):
     window = solver.make_window((1,))
-    opts = solver.SolveOptions(cells_per_interval=300, consts=consts)
+    opts = solver.SolveOptions(cells_per_interval=300, levels=levels)
     sol = solver.solve_multibump(step_weight, window, 1e3, opts)
     rep = sol.report
     assert rep.certified
@@ -81,9 +70,9 @@ def test_positivity_everywhere(sol_10):
     assert np.max(full[a:b + 1]) < 0.75
 
 
-def test_certification_failure_carries_report(step_weight, consts):
+def test_certification_failure_carries_report(step_weight, levels):
     window = solver.make_window((1, 0))
-    opts = solver.SolveOptions(cells_per_interval=200, consts=consts)
+    opts = solver.SolveOptions(cells_per_interval=200, levels=levels)
     with pytest.raises(CertificationFailure) as exc:
         solver.solve_multibump(step_weight, window, 0.5, opts)
     rep = exc.value.report
@@ -103,9 +92,28 @@ def test_report_roundtrip(sol_10):
     assert walk == sorted(walk, reverse=True)
 
 
-def test_continuation_states_reuse(step_weight, consts):
+def test_one_gradient_per_iterate(step_weight, levels, monkeypatch):
+    """A solve evaluates the gradient once per (iterate, mu): the counted
+    extra Newton step reuses the residual Newton returns at its iterate."""
+    seen = []
+    gradient = assembly.gradient
+
+    def counted(u, mu):
+        seen.append((float(mu), u.values.tobytes()))
+        return gradient(u, mu)
+
+    monkeypatch.setattr(assembly, "gradient", counted)
+    opts = solver.SolveOptions(cells_per_interval=200, levels=levels)
+    sol = solver.solve_multibump(step_weight, solver.make_window((1, 0)),
+                                 1e3, opts)
+    assert sol.report.certified
+    # Newton's residuals plus the one certificate; no iterate twice
+    assert len(seen) == len(set(seen)) > 1
+
+
+def test_continuation_states_reuse(step_weight, levels):
     window = solver.make_window((1, 0))
-    opts = solver.SolveOptions(cells_per_interval=200, consts=consts)
+    opts = solver.SolveOptions(cells_per_interval=200, levels=levels)
     mus = [200.0, 800.0, 3200.0]
     seen = []
     for mu, gf, rep in solver.continuation_states(step_weight, window, mus,
@@ -130,7 +138,7 @@ def sine_levels(sine_weight):
 @example(code=[1, 1, 0], mus=[30.0, 1e3], sine=True)
 def test_walk_down_from_pasted_bumps(step_weight, levels, sine_weight,
                                      sine_levels, code, mus, sine):
-    """Newton starts from the pasted bumps at max(mu0, max(mus)), walks mu
+    """Newton starts from the pasted bumps at max(MU0, max(mus)), walks mu
     downward, and certifies every scheduled state."""
     w, ev = (sine_weight, sine_levels) if sine else (step_weight, levels)
     opts = solver.SolveOptions(cells_per_interval=200, levels=ev)
@@ -140,24 +148,11 @@ def test_walk_down_from_pasted_bumps(step_weight, levels, sine_weight,
     assert all(rep.certified for _, _, rep in states)
     path = states[-1][2].continuation_path
     walk = [mu for mu, _ in path]
-    assert walk[0] == max(opts.mu0, max(mus))
+    assert walk[0] == max(solver.MU0, max(mus))
     assert walk == sorted(walk, reverse=True)
     # at most 12 damped Newton iterations plus the counted extra step (all
     # 120 codes of length 1-6 at mu 30, 1e2, 3e2 and 1e3 on step: 7 to 13)
     assert path[0][1] <= 13
-
-
-def test_estimate_mu_star_bracket(step_weight, consts):
-    opts = solver.SolveOptions(cells_per_interval=200, consts=consts)
-    probes = [solver.make_window((1,)), solver.make_window((1, 0))]
-    br = solver.estimate_mu_star(step_weight, 1, probes,
-                                 schedule=[50.0, 100.0, 200.0], opts=opts)
-    assert br.mu_pass in (50.0, 100.0, 200.0)
-    assert br.mu_fail < br.mu_pass
-    assert float(br) == br.mu_pass
-    assert set(br.table) == {(1,), (1, 0)}
-    for outcomes in br.table.values():
-        assert [m for m, _ in outcomes] == [50.0, 100.0, 200.0]
 
 
 @given(st.lists(st.tuples(st.floats(1e-3, 1e6), st.booleans()),
@@ -175,22 +170,6 @@ def test_bracket_property(outcomes):
                           default=0.0)
 
 
-def test_estimate_mu_star_exhausted(step_weight, consts):
-    opts = solver.SolveOptions(cells_per_interval=200, consts=consts)
-    probes = [solver.make_window((1, 0))]
-    with pytest.raises(ScheduleExhausted):
-        solver.estimate_mu_star(step_weight, 1, probes, schedule=[0.5],
-                                opts=opts)
-
-
-@pytest.mark.parametrize("code,mult", [((1,), 1), ((1, 0), 2), ((1, 1, 0), 3)])
-def test_subharmonic_minimal_period(step_weight, consts, code, mult):
-    window = solver.make_window(code)
-    opts = solver.SolveOptions(cells_per_interval=200, consts=consts)
-    sol, period = solver.subharmonic(step_weight, window, 400.0, opts)
-    assert math.isclose(period, mult * step_weight.period, rel_tol=1e-12)
-
-
 def test_shared_levels_must_match_weight(step_weight, sine_weight):
     opts = solver.SolveOptions(levels=localfield.LevelEvaluator(sine_weight))
     with pytest.raises(WeightError):
@@ -206,7 +185,7 @@ def test_auto_cells_monotone(step_weight):
 
 
 def test_initial_guess_supports(step_weight, levels):
-    window = solver.make_window((1, 0, 1), periodic=True)
+    window = solver.make_window((1, 0, 1))
     grid = assembly.span_grid(step_weight, window.i_start, 3, 40,
                               periodic=True)
     guess = solver.initial_guess(step_weight, window, levels.ground_bump(),

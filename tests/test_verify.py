@@ -11,9 +11,9 @@ from multibump import assembly, solver, verify
 from multibump.errors import InsufficientSweep, WeightError
 
 
-def _solve(w, code, mu, cells, consts):
+def _solve(w, code, mu, cells, levels):
     win = solver.make_window(code)
-    opts = solver.SolveOptions(cells_per_interval=cells, consts=consts)
+    opts = solver.SolveOptions(cells_per_interval=cells, levels=levels)
     return solver.solve_multibump(w, win, mu, opts)
 
 
@@ -38,10 +38,10 @@ def test_identities_three_bump(sol_110):
     assert ids["iv"] < 2e-5
 
 
-def test_identity_iv_mesh_rate(step_weight, consts):
+def test_identity_iv_mesh_rate(step_weight, levels):
     """Residual (iv) drops at the h^2 rate under mesh doubling."""
-    coarse = _solve(step_weight, (1,), 1e3, 200, consts)
-    fine = _solve(step_weight, (1,), 1e3, 400, consts)
+    coarse = _solve(step_weight, (1,), 1e3, 200, levels)
+    fine = _solve(step_weight, (1,), 1e3, 400, levels)
     r_c = verify.nehari_identities(coarse)["iv"]
     r_f = verify.nehari_identities(fine)["iv"]
     assert r_c / r_f > 3.0
@@ -84,8 +84,8 @@ def test_cutoff_derivative_fd(step_weight):
     ((1, 0), 2),
     ((1, 1, 0), 3),
 ])
-def test_minimal_period(step_weight, consts, code, expect):
-    sol = _solve(step_weight, code, 400.0, 200, consts)
+def test_minimal_period(step_weight, levels, code, expect):
+    sol = _solve(step_weight, code, 400.0, 200, levels)
     assert verify.minimal_period(sol) == expect
 
 
@@ -97,11 +97,11 @@ def test_minimal_period_window_mismatch(sol_10):
 # -- singular-limit distances ------------------------------------------------------
 
 
-def test_limit_distance_decreases(step_weight, consts, levels, sol_10):
+def test_limit_distance_decreases(step_weight, levels, sol_10):
     bump = levels.ground_bump()
     lo = verify.limit_distance(sol_10, bump)
     hi = verify.limit_distance(
-        _solve(step_weight, (1, 0), 1e4, 400, consts), bump)
+        _solve(step_weight, (1, 0), 1e4, 400, levels), bump)
     assert hi.sup < lo.sup
     assert hi.holder < lo.holder
     for i in lo.per_interval:
@@ -185,8 +185,8 @@ def test_holder_seminorm_matches_dense_pair_max(n, seed, alpha, sep):
 # -- decay fits --------------------------------------------------------------------
 
 
-def test_decay_rate_two_decades(step_weight, consts):
-    opts = solver.SolveOptions(cells_per_interval=240, consts=consts)
+def test_decay_rate_two_decades(step_weight, levels):
+    opts = solver.SolveOptions(cells_per_interval=240, levels=levels)
     fit = verify.decay_rate(step_weight, (1, 0), [100.0, 1000.0, 10000.0],
                             0.2, opts=opts)
     assert fit.slope < -0.25
@@ -195,8 +195,8 @@ def test_decay_rate_two_decades(step_weight, consts):
     assert len(fit.samples) == len(fit.bounds) == 3
 
 
-def test_decay_rate_guards(step_weight, consts):
-    opts = solver.SolveOptions(cells_per_interval=200, consts=consts)
+def test_decay_rate_guards(step_weight, levels):
+    opts = solver.SolveOptions(cells_per_interval=200, levels=levels)
     with pytest.raises(InsufficientSweep):
         verify.decay_rate(step_weight, (1, 0), [100.0, 1000.0], 0.2,
                           opts=opts)
@@ -208,8 +208,8 @@ def test_decay_rate_guards(step_weight, consts):
 # -- sweeps ------------------------------------------------------------------------
 
 
-def test_run_sweep_smoke(step_weight, consts):
-    opts = solver.SolveOptions(cells_per_interval=240, consts=consts)
+def test_run_sweep_smoke(step_weight, levels):
+    opts = solver.SolveOptions(cells_per_interval=240, levels=levels)
     rep = verify.run_sweep(step_weight, (1, 0), [300.0, 1000.0, 3000.0],
                            opts=opts)
     assert rep.symbols == (1, 0)

@@ -214,7 +214,6 @@ def test_choose_zeta_floor_has_one_percent_slack(step_weight):
 
 
 def test_constant_pack_contents(step_weight, consts):
-    assert consts.k == 1
     assert math.isclose(consts.r ** 2, 1.0 / 32.0)
     assert consts.rho > 0
     assert consts.K > 0
