@@ -17,8 +17,8 @@ from .weight import (ConstantPack, Piece, WeightSpec, build_constant_pack,
                      build_weight, choose_zeta, compute_r, eval_weight,
                      load_weight_json, make_sine_weight, make_step_weight,
                      save_weight_json)
-from .localfield import (LevelEvaluator, ground_state, local_levels,
-                         nehari_project, pinned_zero_level,
+from .localfield import (LevelEvaluator, ground_state, levels_of,
+                         local_levels, nehari_project, pinned_zero_level,
                          principal_eigenvalue)
 from .assembly import Grid, GridFunction, span_grid
 from .solver import (Solution, SolveOptions, SolveReport, SymbolWindow,

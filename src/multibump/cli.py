@@ -119,22 +119,32 @@ def _count(value):
     return n
 
 
+def _canonical_bytes(w):
+    return json.dumps(weight.weight_to_dict(w), sort_keys=True).encode()
+
+
+@functools.cache
+def _builtin_weight(name):
+    """(WeightSpec, canonical bytes) of a built-in weight, built once per
+    process; its arrays are read-only, as every caller shares them."""
+    make = {"step": weight.make_step_weight, "sine": weight.make_sine_weight}
+    w = make[name]()
+    for arr in (w.seg_knots, w.seg_coefs, w.seg_positive):
+        arr.flags.writeable = False
+    return w, _canonical_bytes(w)
+
+
 def resolve_weight(spec):
     """Return (WeightSpec, source label, canonical bytes) for a weight name.
 
     ``spec`` is "step", "sine", or a path to a JSON weight file.
     """
-    if spec in (None, "step"):
-        w = weight.make_step_weight()
-        label = "builtin:step"
-    elif spec == "sine":
-        w = weight.make_sine_weight()
-        label = "builtin:sine"
-    else:
-        w = weight.load_weight_json(spec)
-        label = spec
-    blob = json.dumps(weight.weight_to_dict(w), sort_keys=True).encode()
-    return w, label, blob
+    if spec in (None, "step", "sine"):
+        name = spec or "step"
+        w, blob = _builtin_weight(name)
+        return w, "builtin:" + name, blob
+    w = weight.load_weight_json(spec)
+    return w, spec, _canonical_bytes(w)
 
 
 # -- artifacts ----------------------------------------------------------------
@@ -274,11 +284,10 @@ def _window_from(config):
     return solver.make_window(code)
 
 
-def _solve_options(config, levels=None):
+def _solve_options(config):
     return solver.SolveOptions(
         cells_per_interval=_num(config, "cells", int) or 0,
         newton_tol=_num(config, "newton_tol") or 1e-10,
-        levels=levels,
     )
 
 
@@ -327,7 +336,7 @@ def cmd_local(args):
     w, label, blob = resolve_weight(cfg["weight"])
     run = RunDir("local", cfg["outdir"], cfg, label, blob)
     try:
-        ev = localfield.LevelEvaluator(w, _num(cfg, "mesh", _count))
+        ev = localfield.levels_of(w, _num(cfg, "mesh", _count))
         consts = solver.build_constant_pack(w, ev, K=_num(cfg, "K"))
         payload = {
             "period": w.period,
@@ -473,14 +482,12 @@ def cmd_verify(args):
     try:
         window = _window_from(cfg)
         mu_list = _mu_grid(cfg)
-        # one evaluator and one continuation: the sweep's last solution is
-        # the one certified, audited and re-integrated below
-        ev = localfield.LevelEvaluator(w)
-        opts = _solve_options(cfg, levels=ev)
+        # one continuation: the sweep's last solution is the one
+        # certified, audited and re-integrated below
         report = verify.run_sweep(w, window.symbols, mu_list,
                                   delta=_num(cfg, "delta"),
-                                  alpha=_num(cfg, "alpha"), opts=opts,
-                                  bump=ev.ground_bump())
+                                  alpha=_num(cfg, "alpha"),
+                                  opts=_solve_options(cfg))
         sol = report.solution
         solver.require_certified(sol.report)
         identities = verify.nehari_identities(sol)
@@ -567,8 +574,7 @@ def cmd_sweep(args):
         if not codes:
             raise WeightError("no codes given")
         mu_list = _mu_grid(cfg)
-        # one evaluator: every code's constant pack reuses the same levels
-        opts = _solve_options(cfg, levels=localfield.LevelEvaluator(w))
+        opts = _solve_options(cfg)
         delta = _num(cfg, "delta")
         if delta is None:
             delta = 0.2 * (w.period - w.tau)

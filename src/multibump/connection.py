@@ -77,22 +77,18 @@ class ConnectionProblem:
         return range(self.i, self.i + self.l + 1)
 
 
-def make_connection_problem(w, mu, x, y, i=-1, l=1, K=None, r=None,
-                            consts=None):
-    """Validated problem; caps default from ``consts`` or are recomputed.
+def make_connection_problem(w, mu, x, y, i=-1, l=1, K=None, r=None):
+    """Validated problem; caps not given are recomputed.
 
-    When neither K nor consts is given, K falls back to twice the amplitude
-    of the limit bump (a local ground-state solve pays for the default).
+    K defaults to twice the amplitude of the limit bump, taken from the
+    process's shared levels of w (localfield.levels_of).
     """
-    if consts is not None:
-        K = consts.K if K is None else K
-        r = consts.r if r is None else r
     if r is None:
         from .weight import compute_r
         r = compute_r(w)
     if K is None:
-        from .localfield import LevelEvaluator
-        K = 2.0 * LevelEvaluator(w).ground_bump().samples.sup_norm()
+        from .localfield import levels_of
+        K = 2.0 * levels_of(w).ground_bump().samples.sup_norm()
     if mu <= 0.0:
         raise WeightError("mu must be positive")
     if l < 0:

@@ -10,6 +10,7 @@ the constraint set int u'^2 = int a+ u^4.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import DegenerateDirection, NonConvergence, WeightError
 _ARMIJO = 1e-4
 _EIGEN_TOL = 1e-13         # sup change of the max-normalized eigenvector
 _EIGEN_MAX_ITER = 2000
+_LEVELS_KEPT = 4           # (weight, mesh) pairs whose levels levels_of keeps
 
 
 @dataclass(eq=False)
@@ -330,9 +332,15 @@ def nehari_project(u):
     return assembly.GridFunction(u.grid, lam * u.values)
 
 
+def weight_key(w):
+    """The content that fixes a weight's levels: equal keys, equal levels."""
+    return w.period, w.tau, w.pieces
+
+
 class LevelEvaluator:
     """Caching facade over the local solves; duck-typed for the constant
-    builders (ground_level, pinned_level, ground_bump)."""
+    builders (ground_level, pinned_level, ground_bump).  The arrays it hands
+    out are read-only, as it hands the same ones to every caller."""
 
     def __init__(self, w, mesh=None):
         self.w = w
@@ -343,7 +351,9 @@ class LevelEvaluator:
 
     def ground_bump(self):
         if self._bump is None:
-            self._bump = ground_state(self.w, self.mesh)
+            bump = ground_state(self.w, self.mesh)
+            bump.samples.values.flags.writeable = False
+            self._bump = bump
         return self._bump
 
     def ground_level(self):
@@ -360,15 +370,42 @@ class LevelEvaluator:
 
     def eigen(self):
         if self._eigen is None:
-            self._eigen = principal_eigenvalue(self.w, self.mesh)
+            lam1, phi = principal_eigenvalue(self.w, self.mesh)
+            phi.values.flags.writeable = False
+            self._eigen = lam1, phi
         return self._eigen
+
+
+_levels = OrderedDict()    # (weight_key, mesh) -> LevelEvaluator, oldest first
+
+
+def levels_of(w, mesh=None):
+    """The process's LevelEvaluator for w's content on the level mesh, so
+    that each level of a weight is solved once per process however many
+    commands and solves ask for it.  The _LEVELS_KEPT most recently asked
+    (weight, mesh) pairs are kept; a level solve that raises caches
+    nothing."""
+    key = weight_key(w) + (mesh or default_cells(w),)
+    ev = _levels.get(key)
+    if ev is None:
+        ev = _levels[key] = LevelEvaluator(w, mesh)
+        if len(_levels) > _LEVELS_KEPT:
+            _levels.popitem(last=False)
+    else:
+        _levels.move_to_end(key)
+    return ev
+
+
+def clear_levels():
+    """Forget every level levels_of holds."""
+    _levels.clear()
 
 
 def local_levels(w, zeta=None, mesh=None):
     """One-stop summary: c, c_zeta, the zeta used, and the eigenpair."""
     from .weight import choose_zeta
 
-    ev = LevelEvaluator(w, mesh)
+    ev = levels_of(w, mesh)
     if zeta is None:
         zeta, c_zeta, _ = choose_zeta(w, ev)
     else:

@@ -120,7 +120,7 @@ class Solution:
 class SolveOptions:
     cells_per_interval: int = 0        # 0: pick from mu_target
     newton_tol: float = 1e-10
-    levels: object = None              # shared localfield.LevelEvaluator
+    levels: object = None              # LevelEvaluator on a non-default mesh
 
 
 def auto_cells(w, mu):
@@ -259,12 +259,12 @@ def check_membership(u, mu, consts, window):
 
 def _prepare(w, opts):
     """(ConstantPack, ground bump) of a solve; the levels come from
-    opts.levels when given, so callers that share one evaluator solve each
-    level once."""
+    opts.levels when given, else from the process's default-mesh levels of
+    w (localfield.levels_of), so each level is solved once per process."""
     ev = opts.levels
     if ev is None:
-        ev = localfield.LevelEvaluator(w)
-    elif ev.w is not w:
+        ev = localfield.levels_of(w)
+    elif localfield.weight_key(ev.w) != localfield.weight_key(w):
         raise WeightError("the shared levels belong to another weight")
     return build_constant_pack(w, ev), ev.ground_bump()
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import kendalltau, linregress
 
-from . import assembly, oracle, solver
+from . import assembly, localfield, oracle, solver
 from .errors import InsufficientSweep, WeightError
 
 _G5X, _G5W = np.polynomial.legendre.leggauss(5)
@@ -501,16 +501,14 @@ class AsymptoticReport:
         }
 
 
-def run_sweep(w, symbols, mu_list, delta=None, alpha=0.5, opts=None,
-              bump=None):
-    """Continuation sweep with every per-mu audit quantity recorded; the
-    report carries the sweep's last Solution."""
+def run_sweep(w, symbols, mu_list, delta=None, alpha=0.5, opts=None):
+    """Continuation sweep with every per-mu audit quantity recorded, the
+    limit distance against the default-mesh ground bump of w's shared levels
+    (localfield.levels_of); the report carries the sweep's last Solution."""
     mu_list = sorted(float(m) for m in mu_list)
     if delta is None:
         delta = 0.2 * (w.period - w.tau)
-    if bump is None:
-        from .localfield import LevelEvaluator
-        bump = LevelEvaluator(w).ground_bump()
+    bump = localfield.levels_of(w).ground_bump()
     win = solver.make_window(symbols)
     coded = {win.i_start + j for j, s in enumerate(win.symbols) if s == 1}
 

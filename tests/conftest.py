@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from multibump import localfield, solver, weight
+from multibump import cli, localfield, solver, weight
+
+
+@pytest.fixture(autouse=True)
+def fresh_process_memos():
+    """Every test starts with no shared levels and no built-in weight, as a
+    new process does, so no test depends on what an earlier one solved."""
+    localfield.clear_levels()
+    cli._builtin_weight.cache_clear()
 
 
 @pytest.fixture(scope="session")

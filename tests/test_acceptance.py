@@ -207,7 +207,7 @@ def test_criterion_06_singular_limit(step_weight, levels):
 
 def test_criterion_07_connection_diagnostics(step_weight, consts):
     p = connection.make_connection_problem(step_weight, 2000.0, 0.6, 0.4,
-                                           consts=consts)
+                                           K=consts.K, r=consts.r)
     sol = connection.solve_connection(p, cells=400)
     v, z = sol.sensitivities
     vz_ok = (bool(np.all(v.full()[:-1] > 0))
@@ -222,7 +222,7 @@ def test_criterion_07_connection_diagnostics(step_weight, consts):
     for x in (-0.6, -0.3, 0.3, 0.6, 0.9):
         for y in (-0.6, -0.3, 0.3, 0.6, 0.9):
             q = connection.make_connection_problem(step_weight, 2000.0, x, y,
-                                                   consts=consts)
+                                                   K=consts.K, r=consts.r)
             s = connection.solve_connection(q, cells=160,
                                             with_sensitivities=False)
             f = s.u.full()
@@ -263,7 +263,7 @@ def test_criterion_09_oracle_cross_validation(step_weight, consts, levels):
     worst_rel = max(verify.oracle_residual(s, rtol=1e-12).rel
                     for s in sols.values())
     p = connection.make_connection_problem(step_weight, 2000.0, 0.6, 0.4,
-                                           consts=consts)
+                                           K=consts.K, r=consts.r)
     sol = connection.solve_connection(p, cells=2000,
                                       with_sensitivities=False)
     grid = sol.u.grid

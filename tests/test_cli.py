@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multibump import assembly, cli, localfield, oracle, solver, weight
-from multibump.errors import NewtonFailure
+from multibump.errors import NewtonFailure, WeightError
 
 C_STEP = 15.756060010769785
 
@@ -182,11 +182,11 @@ def _counted(counts, name, fn):
     return wrapper
 
 
-def test_levels_built_once_per_command(tmp_path, monkeypatch):
-    """verify and sweep solve the ground bump and the pinned levels as often
-    as local does: once per command, through one shared evaluator.  On step
-    the closed-form floor rejects the first zeta, so one pinned level is
-    solved."""
+def test_levels_built_once_per_process(tmp_path, monkeypatch):
+    """local, verify, sweep and connection on one weight in one process
+    solve its ground bump once and its pinned level once, through the
+    process's shared levels.  On step the closed-form floor rejects the
+    first zeta, so one pinned level is solved."""
     counts = {}
     for name in ("ground_state", "pinned_zero_detail"):
         monkeypatch.setattr(localfield, name,
@@ -195,15 +195,42 @@ def test_levels_built_once_per_command(tmp_path, monkeypatch):
     mu_range = ["--mu-from", "1e2", "--mu-to", "1e3", "--points", "2"]
     runs = {"local": ["local"],
             "verify": ["verify", "--symbols", "10"] + mu_range,
-            "sweep": ["sweep", "--codes", "10,11"] + mu_range}
-    seen = {}
+            "sweep": ["sweep", "--codes", "10,11"] + mu_range,
+            "connection": ["connection", "--mu", "2000", "--x", "0.6",
+                           "--y", "0.4"]}
     for cmd, argv in runs.items():
-        counts.clear()
         assert cli.main(argv + ["--outdir", str(tmp_path / cmd)]) == 0
-        seen[cmd] = dict(counts)
-    assert seen["local"] == {"ground_state": 1, "pinned_zero_detail": 1}
-    assert seen["verify"] == seen["local"]
-    assert seen["sweep"] == seen["local"]
+    assert counts == {"ground_state": 1, "pinned_zero_detail": 1}
+
+
+def test_weight_file_shared_across_commands(tmp_path, sine_weight):
+    """Two loads of one weight file are two objects with one content: the
+    second command takes the first one's levels, while levels of another
+    weight are still refused."""
+    path = tmp_path / "w.json"
+    weight.save_weight_json(weight.make_step_weight(), path)
+    assert cli.main(["solve", "--weight", str(path), "--symbols", "10",
+                     "--mu", "1e3", "--outdir", str(tmp_path / "solve")]) == 0
+    assert cli.main(["verify", "--weight", str(path), "--symbols", "10",
+                     "--mu-from", "1e2", "--mu-to", "1e3", "--points", "2",
+                     "--outdir", str(tmp_path / "verify")]) == 0
+    w = weight.load_weight_json(path)
+    window = solver.make_window((1, 0))
+    shared = localfield.levels_of(w)
+    assert shared.w is not w
+    solver.solve_multibump(w, window, 1e3, solver.SolveOptions(levels=shared))
+    opts = solver.SolveOptions(levels=localfield.LevelEvaluator(sine_weight))
+    with pytest.raises(WeightError):
+        solver.solve_multibump(w, window, 1e3, opts)
+
+
+def test_shared_arrays_are_read_only():
+    w = cli.resolve_weight("step")[0]
+    ev = localfield.levels_of(w)
+    for arr in (ev.ground_bump().samples.values, ev.eigen()[1].values,
+                w.seg_knots, w.seg_coefs, w.seg_positive):
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
 
 
 def test_verify_runs_one_continuation(tmp_path, monkeypatch):

@@ -12,7 +12,7 @@ from multibump.errors import InteriorityFailure, WeightError
 @pytest.fixture(scope="module")
 def problem(step_weight, consts):
     return connection.make_connection_problem(
-        step_weight, 2000.0, 0.6, 0.4, l=1, consts=consts)
+        step_weight, 2000.0, 0.6, 0.4, l=1, K=consts.K, r=consts.r)
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +31,7 @@ def test_problem_geometry(problem, step_weight):
 
 def test_zero_data_gives_zero(step_weight, consts):
     p = connection.make_connection_problem(step_weight, 500.0, 0.0, 0.0,
-                                           consts=consts)
+                                           K=consts.K, r=consts.r)
     s = connection.solve_connection(p, cells=120, with_sensitivities=False)
     assert s.u.sup_norm() < 1e-12
 
@@ -46,7 +46,7 @@ def test_boundary_values_and_sign(sol, problem):
 
 def test_symmetric_slope_pair(step_weight, consts):
     p = connection.make_connection_problem(step_weight, 1000.0, 0.5, 0.5,
-                                           consts=consts)
+                                           K=consts.K, r=consts.r)
     s = connection.solve_connection(p, cells=200, with_sensitivities=False)
     dlo, dhi = s.boundary_slopes
     assert math.isclose(dlo, -dhi, rel_tol=1e-9)
@@ -55,7 +55,7 @@ def test_symmetric_slope_pair(step_weight, consts):
 
 def test_opposite_sign_single_crossing(step_weight, consts):
     p = connection.make_connection_problem(step_weight, 1000.0, 0.5, -0.5,
-                                           consts=consts)
+                                           K=consts.K, r=consts.r)
     s = connection.solve_connection(p, cells=200, with_sensitivities=False)
     full = s.u.full()
     crossings = np.sum(full[:-1] * full[1:] < 0.0)
@@ -154,7 +154,7 @@ def test_sensitivity_fd(step_weight, consts):
     sols = {}
     for dx in (0.0, h, -h):
         p = connection.make_connection_problem(step_weight, mu, x + dx, y,
-                                               consts=consts)
+                                               K=consts.K, r=consts.r)
         sols[dx] = connection.solve_connection(p, cells=160,
                                                with_sensitivities=(dx == 0.0))
     v, _ = sols[0.0].sensitivities
@@ -173,7 +173,7 @@ def test_interior_smallness_shrinks_with_mu(step_weight, consts):
     sups = []
     for mu in (1e3, 1.6e4):
         p = connection.make_connection_problem(step_weight, mu, 0.5, 0.5,
-                                               l=1, consts=consts)
+                                               l=1, K=consts.K, r=consts.r)
         s = connection.solve_connection(p, cells=200,
                                         with_sensitivities=False)
         sups.append(connection.interior_smallness(s))
@@ -197,7 +197,7 @@ def test_uniqueness_probe(problem):
 
 def test_interiority_failure_small_mu(step_weight, consts):
     p = connection.make_connection_problem(step_weight, 0.05, consts.K,
-                                           consts.K, consts=consts)
+                                           consts.K, K=consts.K, r=consts.r)
     with pytest.raises(InteriorityFailure):
         connection.solve_connection(p, cells=120, with_sensitivities=False)
 
@@ -209,7 +209,7 @@ def test_block_action_positive(sol):
 
 def test_longer_block(step_weight, consts):
     p = connection.make_connection_problem(step_weight, 3000.0, 0.5, 0.5,
-                                           l=2, consts=consts)
+                                           l=2, K=consts.K, r=consts.r)
     s = connection.solve_connection(p, cells=160, with_sensitivities=False)
     assert list(p.plus_indices()) == [0, 1]
     assert np.all(s.u.full() > 0.0)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multibump import assembly, localfield, oracle, weight
-from multibump.errors import DegenerateDirection
+from multibump.errors import DegenerateDirection, NonConvergence
 
 C_STEP = 15.756060010769785
 T1 = 3.118169499510998
@@ -254,6 +254,73 @@ def test_ground_level_matches_oracle_two_level(tau, frac, lo, hi):
     w = _two_level_weight(tau, frac, lo, hi)
     c = localfield.ground_state(w).level
     assert math.isclose(c, oracle.brute_ground_level(w), rel_tol=2e-4)
+
+
+def _step_levels_weight(tau, frac, levels):
+    """Piecewise constant: levels[0] on [0, frac tau), levels[1] on
+    [frac tau, tau], -levels[2] on [tau, tau + 1]."""
+    tb = frac * tau
+    return weight.build_weight(tau + 1.0, tau, [
+        weight.Piece(0.0, tb, "poly", (levels[0],)),
+        weight.Piece(tb, tau, "poly", (levels[1],)),
+        weight.Piece(tau, tau + 1.0, "poly", (-levels[2],)),
+    ])
+
+
+@settings(max_examples=8, deadline=None)
+@given(tau=st.floats(0.5, 1.5), frac=st.floats(0.25, 0.75),
+       levels=st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
+       moved=st.integers(0, 2), mesh=st.none() | st.integers(60, 400))
+def test_levels_of_keyed_by_content(tau, frac, levels, moved, mesh):
+    """levels_of hands out one evaluator per (weight content, level mesh):
+    a rebuilt equal weight gets it, a one-ulp change of one piece level or
+    another mesh gets a new one, the memo never outgrows its bound, and the
+    shared levels equal a fresh evaluator's bit for bit."""
+    localfield.clear_levels()
+    kept = localfield._LEVELS_KEPT
+
+    def shared(w, m):
+        ev = localfield.levels_of(w, m)
+        assert len(localfield._levels) <= kept
+        return ev
+
+    w = _step_levels_weight(tau, frac, levels)
+    ev = shared(w, mesh)
+    assert shared(_step_levels_weight(tau, frac, levels), mesh) is ev
+    bumped = list(levels)
+    bumped[moved] = float(np.nextafter(bumped[moved], np.inf))
+    assert shared(_step_levels_weight(tau, frac, bumped), mesh) is not ev
+    n = mesh or localfield.default_cells(w)
+    assert shared(w, n) is ev
+    assert shared(w, n + 1) is not ev
+
+    fresh = localfield.LevelEvaluator(w, mesh)
+    pack = weight.build_constant_pack(w, ev)
+    ref = weight.build_constant_pack(w, fresh)
+    assert (pack.c, pack.c_zeta, pack.K) == (ref.c, ref.c_zeta, ref.K)
+    assert ev.eigen()[0] == fresh.eigen()[0]
+    assert shared(_step_levels_weight(tau, frac, levels), n) is ev
+
+    for extra in range(kept):
+        shared(w, n + 2 + extra)
+    assert shared(w, mesh) is not ev
+
+
+def test_failed_level_solve_is_not_cached(step_weight, monkeypatch):
+    """A shared level whose solve raised is solved again on the next ask."""
+    def broken(*args, **kwargs):
+        raise NonConvergence("broken on purpose")
+
+    monkeypatch.setattr(localfield, "_ground_on", broken)
+    monkeypatch.setattr(localfield.scipy.linalg, "cholesky_banded", broken)
+    ev = localfield.levels_of(step_weight)
+    for solve in (ev.ground_bump, ev.eigen):
+        with pytest.raises(NonConvergence):
+            solve()
+    monkeypatch.undo()
+    assert localfield.levels_of(step_weight) is ev
+    assert ev.ground_level() == localfield.ground_state(step_weight).level
+    assert ev.eigen()[0] > 0.0
 
 
 def _sub_level(w, t0, t1, mesh):
