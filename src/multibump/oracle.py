@@ -4,8 +4,29 @@ restarts at weight breakpoints.
 This path is deliberately independent of the FEM machinery: no quadrature
 tables or assembly code are shared.  It provides initial-value integration
 with dense output (scipy's ``solve_ivp``, Dormand-Prince 8(5,3) after Hairer,
-Norsett & Wanner), Dirichlet shooting on an interval, and a brute-force
+Norsett & Wanner), Dirichlet shooting on intervals, and a brute-force
 ground-level computation used to cross-validate the local solver.
+
+One integrator, ``_integrate_raw``, carries a batch of runs at once.  Run k
+goes from its t_from to its t_to, in either direction, on a common
+s in [0, 1] (t = t_from + (t_to - t_from) s), with its derivative columns
+taken along the direction of travel.  The pieces of s are the union of the
+runs' weight knots, one ``solve_ivp`` call each.  A piece's first step is
+twice the larger of the last two steps before it, capped at the piece.
+scipy's error norm is a root mean square over all components, so a batch
+of n runs divides rtol and atol by sqrt(n): the batch's norm is then the
+root-sum-square of the runs' own, and a step it accepts passes each run's
+test (DOP853 blends a 5th- and a 3rd-order estimate, which keeps this up to
+the runs' mix of the two).  A run whose |u| reaches the cap stops there and
+stays frozen, and the other runs go on.
+
+A Dirichlet shot starts at the end where |u| is smaller, t0 on ties: the
+solutions are small or large on each interval, and shooting from the large
+end is the ill-conditioned direction.  ``shoot_batch`` shoots a set of
+intervals in rounds.  Each round is one batched integration holding one
+attempt of every open shot; each shot keeps its own Newton/bracket state,
+and an accepted shot leaves the batch.  ``shoot_dirichlet`` is its one-shot
+case, and ``integrate`` the one-run case of ``_integrate_raw``.
 """
 
 from __future__ import annotations
@@ -20,6 +41,8 @@ from scipy.optimize import brentq
 from .errors import BlowUp, NewtonFailure, NonConvergence, ScopeError
 
 _G5X, _G5W = np.polynomial.legendre.leggauss(5)
+# s-knots of different runs closer than this are one knot
+_S_GAP = 1e-13
 
 
 @dataclass
@@ -30,27 +53,38 @@ class IvpState:
 
 
 class DenseOutput:
-    """Accepted-step trajectory with DOP853's 7th-order dense output.
+    """One run's accepted-step trajectory with DOP853's 7th-order dense output.
 
-    ``ts`` holds t0 and every accepted step time, ``ys`` the states there
-    (one row each, layout (u, u'[, v, v'][, q])).  One ``OdeSolution`` spans
-    all weight pieces: its segments are the accepted steps.
+    ``ts`` holds the run's accepted step times in increasing t, both ends
+    included, and ``ys`` the states there (one row each, layout
+    (u, u'[, v, v'][, q]), derivatives in t).  ``sol`` is the batch's
+    ``OdeSolution`` in s, whose columns from ``col`` on are this run's, with
+    t = t_from + span s.
     """
 
-    def __init__(self, ts, ys, interpolants):
+    def __init__(self, ts, ys, sol, col, t_from, span):
         self.ts = ts
         self.ys = ys
-        self._sol = OdeSolution(ts, interpolants)
+        self._sol = sol
+        self._col = col
+        self._t_from = t_from
+        self._span = span
 
     @property
     def t_end(self):
         return self.ts[-1]
 
+    def _at(self, t, j):
+        v = self._sol((np.asarray(t, dtype=float) - self._t_from)
+                      / self._span)[self._col + j]
+        # odd columns are derivatives along the direction of travel
+        return -v if j % 2 and self._span < 0 else v
+
     def eval_u(self, t):
-        return self._sol(t)[0]
+        return self._at(t, 0)
 
     def eval_du(self, t):
-        return self._sol(t)[1]
+        return self._at(t, 1)
 
     def first_zero(self, after=None):
         """First time u crosses zero strictly after ``after`` (None if none)."""
@@ -97,54 +131,127 @@ def piece_amu(coefs, tref, mu):
     return amu
 
 
-def _rhs(amu, n):
-    """State layout (u, u'[, v, v'][, q]); q' = u'^2, v solves the
-    linearization."""
-    def f(t, y):
-        a = amu(t)
-        u, du = y[0], y[1]
-        out = [du, -a * u * u * u]
-        if n >= 4:
-            out += [y[3], -3.0 * a * u * u * y[2]]
-        if n in (3, 5):
-            out.append(du * du)
+def _rhs(amus, span, live, m):
+    """d/ds of the stacked state; run k has layout (u, u'[, v, v'][, q]), q'
+    = u'^2 and v solving the linearization, amus[k](s) is L a_mu(t(s)), and
+    frozen runs stay put.  A plain loop returning a list: a numpy version
+    costs more per call at these sizes, and the right-hand side dominates a
+    lone hard shot."""
+    size = m * len(span)
+    runs = [(m * k, amus[k], abs(span[k])) for k in live]
+    sens, quad = m >= 4, m % 2 == 1
+
+    def f(s, y):
+        y = y.tolist()
+        out = [0.0] * size
+        for j, amu, L in runs:
+            u, du = y[j], y[j + 1]
+            a = amu(s)
+            out[j] = L * du
+            out[j + 1] = -a * u * u * u
+            if sens:
+                out[j + 2] = L * y[j + 3]
+                out[j + 3] = -3.0 * a * u * u * y[j + 2]
+            if quad:
+                out[j + m - 1] = L * du * du
         return out
     return f
 
 
-def _integrate_raw(w, mu, t0, y0, t_end, rtol, atol, cap, max_step):
-    """DOP853 from (t0, y0) to t_end, one ``solve_ivp`` call per smooth weight
-    piece.  Returns (DenseOutput, blew_up): |u| reaching ``cap`` ends the
-    run there."""
-    if t_end < t0:
-        raise ScopeError("backward integration is not supported")
+def _cap_event(live, m, cap):
+    cols = [m * k for k in live]
 
-    def cap_hit(t, y):
-        return cap - abs(y[0])
+    def cap_hit(s, y):
+        return cap - max([abs(y[j]) for j in cols])
     cap_hit.terminal = True
+    return cap_hit
 
-    y = np.asarray(y0, dtype=float)
-    ts, ys, interps = [np.array([t0])], [y[None, :]], []
-    blew_up = False
-    knots = w.knots_in_span(t0, t_end)
-    for ta, tb in zip(knots[:-1], knots[1:]):
-        if tb - ta <= 1e-15 * max(1.0, abs(tb)):
-            continue
-        amu = piece_amu(*w.segment_pack(ta, tb), mu)
-        sol = solve_ivp(_rhs(amu, len(y)), (ta, tb), y, method="DOP853",
-                        rtol=rtol, atol=atol, max_step=max_step,
-                        events=cap_hit, dense_output=True)
-        if sol.status < 0:
-            raise NonConvergence(f"integrator failed at t = {sol.t[-1]:.6g}: "
-                                 f"{sol.message}")
-        ts.append(sol.t[1:])
-        ys.append(sol.y[:, 1:].T)
-        interps.extend(sol.sol.interpolants)
-        y = sol.y[:, -1]
-        if sol.status == 1:
-            blew_up = True
+
+def _piece_in_s(w, mu, t0, d, sa, sb):
+    """L a_mu(t0 + d s) as a function of s on [sa, sb], with L = |d|: since
+    t - tref = d (s - sref) with sref = (tref - t0) / d, coefficient i of the
+    piece's polynomial scales by L d^i."""
+    coefs, tref = w.segment_pack(*sorted((t0 + d * sa, t0 + d * sb)))
+    scaled = abs(d) * np.asarray(coefs) * d ** np.arange(len(coefs))
+    return piece_amu(scaled, (tref - t0) / d, mu)
+
+
+def _integrate_raw(w, mu, runs, rtol, atol, cap, max_step):
+    """DOP853 on a batch of runs (t_from, t_to, y0), one ``solve_ivp`` call
+    per piece of s (see the module docstring).  Every y0 has the same width
+    and layout (u, u'[, v, v'][, q]), derivatives along the direction of
+    travel.  ``max_step`` bounds the step in t.  Returns one
+    (DenseOutput, end state, blew_up) per run; the end state is in the
+    run's own layout, and |u| reaching ``cap`` ends that run there."""
+    n, m = len(runs), len(runs[0][2])
+    t_from = [float(r[0]) for r in runs]
+    span = [float(r[1]) - t0 for r, t0 in zip(runs, t_from)]
+    live = [k for k in range(n) if span[k] != 0.0]
+    ends = [None if k in live else 0 for k in range(n)]  # last step index
+    blown = [False] * n
+    knots = [np.array([0.0, 1.0])]
+    for k in live:
+        lo, hi = sorted((t_from[k], float(runs[k][1])))
+        knots.append((w.knots_in_span(lo, hi) - t_from[k]) / span[k])
+    s_all = np.sort(np.concatenate(knots))
+    s_knots = s_all[np.concatenate(([True], np.diff(s_all) > _S_GAP))]
+    s_knots[-1] = 1.0
+    root_n = math.sqrt(n)
+    rtol, atol = rtol / root_n, atol / root_n
+    max_step = max_step / (max(map(abs, span)) or 1.0)
+
+    y = np.concatenate([np.asarray(r[2], dtype=float) for r in runs])
+    ss, yss, interps = [np.array([0.0])], [y[None, :]], []
+    n_steps, h = 0, None
+    for sa, sb in zip(s_knots[:-1], s_knots[1:]):
+        amus = [_piece_in_s(w, mu, t0, d, sa, sb) if d else None
+                for t0, d in zip(t_from, span)]
+        s0 = sa
+        while live and s0 < sb:
+            sol = solve_ivp(_rhs(amus, span, live, m), (s0, sb), y,
+                            method="DOP853", rtol=rtol, atol=atol,
+                            max_step=max_step, events=_cap_event(live, m, cap),
+                            dense_output=True,
+                            first_step=None if h is None else min(h, sb - s0))
+            if sol.status < 0:
+                t_fail = t_from[live[0]] + span[live[0]] * sol.t[-1]
+                raise NonConvergence(f"integrator failed at t = {t_fail:.6g}: "
+                                     f"{sol.message}")
+            ss.append(sol.t[1:])
+            yss.append(sol.y[:, 1:].T)
+            interps.extend(sol.sol.interpolants)
+            n_steps += len(sol.t) - 1
+            # the knot clips the last step, so the larger of the last two
+            # only bounds the controller's next step from below: offer twice
+            h = 2.0 * float(np.max(np.diff(sol.t[-3:]), initial=0.0)) or h
+            y = sol.y[:, -1]
+            s0 = sol.t[-1]
+            if sol.status == 1:
+                top = max(abs(y[m * k]) for k in live)
+                for k in live:
+                    if abs(y[m * k]) >= min(top, cap * (1.0 - 1e-9)):
+                        ends[k], blown[k] = n_steps, True
+                live = [k for k in live if not blown[k]]
+        if not live:
             break
-    return DenseOutput(np.concatenate(ts), np.concatenate(ys), interps), blew_up
+
+    S, Y = np.concatenate(ss), np.concatenate(yss)
+    sol = OdeSolution(S, interps)
+    out = []
+    for k in range(n):
+        j = n_steps if ends[k] is None else ends[k]
+        cols = slice(m * k, m * k + m)
+        ts = t_from[k] + span[k] * S[:j + 1]
+        ts[0] = t_from[k]
+        ys = Y[:j + 1, cols].copy()
+        if not blown[k]:
+            ts[-1] = float(runs[k][1])
+        if span[k] < 0:
+            ys[:, 1::2] *= -1.0
+            ts, ys = ts[::-1].copy(), ys[::-1].copy()
+        out.append((DenseOutput(ts, ys, sol, m * k, t_from[k], span[k]),
+                    Y[j, cols].copy(), blown[k]))
+    return out
 
 
 def integrate(w, mu, state, t_end, rtol=1e-10, atol=None, cap=1e6,
@@ -156,6 +263,8 @@ def integrate(w, mu, state, t_end, rtol=1e-10, atol=None, cap=1e6,
     available as dense columns 2 and 3; with ``with_quadrature`` the last
     column carries q = int u'^2.
     """
+    if t_end < state.t:
+        raise ScopeError("backward integration is not supported")
     if atol is None:
         atol = rtol * 1e-2
     y0 = [state.u, state.du]
@@ -163,74 +272,150 @@ def integrate(w, mu, state, t_end, rtol=1e-10, atol=None, cap=1e6,
         y0 += [0.0, 1.0]
     if with_quadrature:
         y0.append(0.0)
-    dense, blew_up = _integrate_raw(w, mu, state.t, y0, t_end, rtol, atol,
-                                    cap, max_step)
+    ((dense, end, blew_up),) = _integrate_raw(
+        w, mu, [(state.t, t_end, y0)], rtol, atol, cap, max_step)
     if blew_up:
         raise BlowUp(f"|u| reached {cap:g} at t = {dense.t_end:.6g}")
-    end = IvpState(t=float(dense.t_end), u=float(dense.ys[-1, 0]),
-                   du=float(dense.ys[-1, 1]))
-    return end, dense
+    return IvpState(t=float(dense.t_end), u=float(end[0]),
+                    du=float(end[1])), dense
 
 
 @dataclass
 class ShootResult:
-    slope: float
-    residual: float
+    slope: float           # u' at the end the shot starts from
+    residual: float        # u at the far end minus its datum
     iters: int
     dense: DenseOutput
 
 
-def shoot_dirichlet(w, mu, t0, t1, x, y, rtol=1e-10, s0=None, max_iter=80,
-                    cap=1e6, tol=None):
-    """Find u'(t0) so that the trajectory from u(t0) = x reaches u(t1) = y.
+def shoots_from_t1(x, y):
+    """Whether a Dirichlet shot from u(t0) = x to u(t1) = y starts at t1: a
+    shot starts at the end where |u| is smaller, and ties go to t0."""
+    return abs(y) < abs(x)
 
-    Newton on the end value using the variational equation, with bracketing
-    and bisection fallback; trajectories that blow up count as infinite
-    residuals of the corresponding sign.
-    """
-    atol = rtol * 1e-2
-    scale = max(1.0, abs(x), abs(y))
-    if tol is None:
-        tol = 1e-9 * scale
-    big = 1e9 * scale
 
-    def attempt(s):
-        dense, blew_up = _integrate_raw(w, mu, t0, [x, s, 0.0, 1.0], t1,
-                                        rtol, atol, cap, np.inf)
-        yend = dense.ys[-1]
+class _Shot:
+    """Newton on one shot's far-end value using the variational equation,
+    with bracketing and bisection fallback.  The slope ``p`` is taken along
+    the direction of travel, so on a negativity interval a larger p raises
+    the far-end value from either end, which the one-sided walk relies on.
+    On a positive interval R(p) need not be monotone: the bracket keeps a
+    sign change either way round, and Newton steps that stall without one
+    give way to probes on both sides of the best slope."""
+
+    def __init__(self, t0, t1, x, y, s0, tol):
+        back = shoots_from_t1(x, y)
+        self.sign = -1.0 if back else 1.0
+        self.t_from, self.t_to = (t1, t0) if back else (t0, t1)
+        self.u_from, self.target = (y, x) if back else (x, y)
+        scale = max(1.0, abs(x), abs(y))
+        self.tol = 1e-9 * scale if tol is None else tol
+        self.big = 1e9 * scale
+        self.p = self.sign * (s0 if s0 is not None else (y - x) / (t1 - t0))
+        self.lo = self.hi = None        # bracket: R(lo) < 0 < R(hi)
+        self.best = None
+        # finite, unbracketed attempts in a row that did not halve the best
+        # |R|, and the probes made once they stalled
+        self.stall = self.probes = 0
+        self.iters = 0
+        self.result = None
+
+    def run(self):
+        return self.t_from, self.t_to, [self.u_from, self.p, 0.0, 1.0]
+
+    def update(self, dense, end, blew_up):
+        """Take one attempt's outcome; True once the shot is accepted."""
+        self.iters += 1
+        s = self.p
         if blew_up:
-            return math.copysign(big, yend[0]), None, None
-        return float(yend[0]) - y, float(yend[2]), dense
-
-    s = s0 if s0 is not None else (y - x) / (t1 - t0)
-    lo = hi = None          # bracket: R(lo) < 0 < R(hi)
-    best = None
-    for it in range(1, max_iter + 1):
-        R, dR, dense = attempt(s)
-        if dense is not None and abs(R) <= tol:
-            return ShootResult(slope=s, residual=R, iters=it, dense=dense)
-        if R < 0.0 and (lo is None or s > lo):
-            lo = s
-        if R > 0.0 and (hi is None or s < hi):
-            hi = s
-        if best is None or abs(R) < best[0]:
-            best = (abs(R), s)
+            # a blow-up counts as a residual of its sign, which tells which
+            # side of the connecting slope the attempt is on
+            R, dR = math.copysign(self.big, end[0]), None
+        else:
+            R, dR = float(end[0]) - self.target, float(end[2])
+            if abs(R) <= self.tol:
+                self.result = ShootResult(slope=self.sign * s, residual=R,
+                                          iters=self.iters, dense=dense)
+                return True
+        lo, hi = self.lo, self.hi
+        if lo is not None and hi is not None:
+            # a point inside the bracket replaces the end of its sign, so the
+            # bracket shrinks also where R falls with p (a positive interval)
+            if min(lo, hi) < s < max(lo, hi):
+                if R < 0.0:
+                    self.lo = lo = s
+                elif R > 0.0:
+                    self.hi = hi = s
+        elif R < 0.0 and (lo is None or s > lo):
+            self.lo = lo = s
+        elif R > 0.0 and (hi is None or s < hi):
+            self.hi = hi = s
+        bracketed = lo is not None and hi is not None
+        if not (blew_up or bracketed):
+            halved = self.best is None or abs(R) < 0.5 * self.best[0]
+            self.stall = 0 if halved else self.stall + 1
+        if self.best is None or abs(R) < self.best[0]:
+            self.best = (abs(R), s)
         step = None
-        if dR is not None and dR != 0.0 and abs(R) < big:
+        if dR is not None and dR != 0.0 and abs(R) < self.big:
             step = -R / dR
             cand = s + step
-            if lo is not None and hi is not None and not (min(lo, hi) < cand < max(lo, hi)):
+            if bracketed and not (min(lo, hi) < cand < max(lo, hi)):
                 step = None
         if step is None:
-            if lo is not None and hi is not None:
+            if bracketed:
                 cand = 0.5 * (lo + hi)
             else:
-                # one-sided: walk against the residual sign (blow-ups included,
-                # their sign tells which side of the connecting slope we are on)
+                # one-sided: walk against the residual sign
                 cand = s - math.copysign(max(1.0, abs(s)) * 0.5, R)
-        s = cand
-    raise NewtonFailure(
-        f"shooting failed to reach |residual| <= {tol:g}; best {best[0]:g}")
+        if not bracketed and self.stall >= 3:
+            # Newton circles an extremum of R that misses zero (R need not
+            # be monotone on a positive interval): probe ever farther on
+            # both sides of the best slope until R changes sign
+            k, s_best = self.probes, self.best[1]
+            reach = max(1.0, abs(s_best)) * 0.5 * 2.0 ** (k // 2)
+            cand = s_best + (reach if k % 2 == 0 else -reach)
+            self.probes += 1
+        self.p = cand
+        return False
+
+
+def shoot_batch(w, mu, problems, rtol=1e-10, max_iter=80, cap=1e6, tol=None):
+    """Solve every Dirichlet problem (t0, t1, x, y, s0) -- u(t0) = x,
+    u(t1) = y -- by shooting; returns their ShootResults in order.
+
+    Each shot starts at the end where |u| is smaller (``shoots_from_t1``),
+    and s0 guesses u' there (None: the chord slope).  One batched
+    integration per round holds one attempt of every open shot; a trajectory
+    that blows up counts as a residual of its sign and stops only its own
+    run.  Raises NewtonFailure when a shot has made ``max_iter`` attempts.
+    """
+    atol = rtol * 1e-2
+    shots = [_Shot(*p, tol=tol) for p in problems]
+    todo = shots
+    while todo:
+        runs = _integrate_raw(w, mu, [s.run() for s in todo], rtol, atol,
+                              cap, np.inf)
+        left = []
+        for shot, run in zip(todo, runs):
+            if shot.update(*run):
+                continue
+            if shot.iters >= max_iter:
+                raise NewtonFailure(
+                    f"shooting failed to reach |residual| <= {shot.tol:g}; "
+                    f"best {shot.best[0]:g}")
+            left.append(shot)
+        todo = left
+    return [s.result for s in shots]
+
+
+def shoot_dirichlet(w, mu, t0, t1, x, y, rtol=1e-10, s0=None, max_iter=80,
+                    cap=1e6, tol=None):
+    """Find the slope that joins u(t0) = x to u(t1) = y: the one-shot case of
+    ``shoot_batch``, so the shot starts at t1 when |y| < |x| and s0 (and the
+    result's slope) is u' at that end."""
+    return shoot_batch(w, mu, [(t0, t1, x, y, s0)], rtol, max_iter, cap,
+                       tol)[0]
 
 
 def _constant_first_return(value=1.0, slope=1.0):

@@ -427,35 +427,46 @@ class OracleCheck:
         return self.rel <= rtol
 
 
+def _end_slope(full, h, e, d):
+    """Second-order one-sided u' at node e from the nodes e + d and e + 2d
+    (d = 1 or -1), on the unequal cells h1, h2."""
+    h1, h2 = (h[e], h[e + 1]) if d > 0 else (h[e - 1], h[e - 2])
+    g = (-(2.0 * h1 + h2) / (h1 * (h1 + h2)) * full[e]
+         + (h1 + h2) / (h1 * h2) * full[e + d]
+         - h1 / (h2 * (h1 + h2)) * full[e + 2 * d])
+    return d * g
+
+
 def oracle_residual(sol, rtol=1e-12):
     """Shoot every subinterval from the solution's own nodal boundary data.
 
     The oracle shares no quadrature or assembly code with the FEM path; the
     sup of the nodal gaps measures how well the computed branch solves the
-    ODE, independently of the machinery that produced it.
+    ODE, independently of the machinery that produced it.  All subintervals
+    are shot together (``oracle.shoot_batch``), each from the end where |u|
+    is smaller, started from the one-sided FEM slope there.
     """
     grid = sol.grid
     full = sol.u.full()
     h = grid.tables.h
-    w = grid.w
     sup = float(np.max(np.abs(full)))
-    per = {}
+    keys, spans, problems = [], [], []
     lo_i = sol.window.i_start
     for j, _ in enumerate(sol.window.symbols):
         i = lo_i + j
         for which, tag in (("plus", "+"), ("minus", "-")):
             a, b = grid.interval_nodes(i, which)
-            # second-order one-sided slope on the unequal cells h1, h2
-            h1, h2 = h[a], h[a + 1]
-            s0 = (-(2.0 * h1 + h2) / (h1 * (h1 + h2)) * full[a]
-                  + (h1 + h2) / (h1 * h2) * full[a + 1]
-                  - h1 / (h2 * (h1 + h2)) * full[a + 2])
-            res = oracle.shoot_dirichlet(w, sol.mu, grid.nodes[a],
-                                         grid.nodes[b], full[a], full[b],
-                                         rtol=rtol, s0=s0)
-            ts = grid.nodes[a:b + 1]
-            uo = res.dense.eval_u(ts)
-            per[(i, tag)] = float(np.max(np.abs(uo - full[a:b + 1])))
+            back = oracle.shoots_from_t1(full[a], full[b])
+            e, d = (b, -1) if back else (a, 1)
+            problems.append((grid.nodes[a], grid.nodes[b], full[a], full[b],
+                             _end_slope(full, h, e, d)))
+            keys.append((i, tag))
+            spans.append((a, b))
+    results = oracle.shoot_batch(grid.w, sol.mu, problems, rtol=rtol)
+    per = {}
+    for key, (a, b), res in zip(keys, spans, results):
+        uo = res.dense.eval_u(grid.nodes[a:b + 1])
+        per[key] = float(np.max(np.abs(uo - full[a:b + 1])))
     gap = max(per.values())
     return OracleCheck(per_interval=per, gap=gap,
                        rel=gap / sup if sup > 0 else 0.0)

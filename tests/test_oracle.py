@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma as G
 
@@ -259,19 +259,24 @@ _level = st.floats(0.5, 2.0)
 _datum = st.floats(0.05, 1.0)
 
 
-@settings(max_examples=8, deadline=None)
-@given(tau=st.floats(0.5, 1.5), frac=st.floats(0.25, 0.75), lo=_level,
-       hi=_level, nfrac=st.floats(0.25, 0.75), nlo=_level, nhi=_level,
-       mu=st.floats(1.0, 1e3), x=_datum, y=_datum, negative=st.booleans())
-def test_shoot_two_level_property(tau, frac, lo, hi, nfrac, nlo, nhi, mu,
-                                  x, y, negative):
-    """Shooting hits the Dirichlet data, and inside each constant piece the
-    energy u'^2/2 + a_mu u^4/4 stays constant."""
-    w = _two_level_weight(tau, frac, lo, hi, nfrac, nlo, nhi)
-    t0, t1 = (tau, tau + 1.0) if negative else (0.0, tau)
-    res = oracle.shoot_dirichlet(w, mu, t0, t1, x, y, rtol=1e-12)
+def _assert_hits_and_conserves(w, mu, t0, t1, x, y, res):
+    """The shot hits its data, and inside each constant piece the energy
+    u'^2/2 + a_mu u^4/4 stays constant."""
     assert abs(res.residual) <= 1e-9
+    assert res.dense.ts[0] == t0 and res.dense.ts[-1] == t1
+    assert np.all(np.diff(res.dense.ts) > 0)
+    assert abs(res.dense.eval_u(t0) - x) <= 1e-9
+    assert abs(res.dense.eval_u(t1) - y) <= 1e-9
+    # slope and every u' column are u' in t, whichever end the shot left from
+    start = t1 if oracle.shoots_from_t1(x, y) else t0
+    assert math.isclose(res.dense.eval_du(start), res.slope, rel_tol=1e-9,
+                        abs_tol=1e-9)
+    assert np.allclose(res.dense.eval_du(res.dense.ts), res.dense.ys[:, 1],
+                       rtol=1e-9, atol=1e-9)
     knots = w.knots_in_span(t0, t1)
+    tm, h = 0.5 * (knots[0] + knots[1]), 1e-6 * (knots[1] - knots[0])
+    fd = (res.dense.eval_u(tm + h) - res.dense.eval_u(tm - h)) / (2 * h)
+    assert math.isclose(fd, res.dense.eval_du(tm), rel_tol=1e-5, abs_tol=1e-6)
     for ta, tb in zip(knots[:-1], knots[1:]):
         amu = oracle.piece_amu(*w.segment_pack(ta, tb), mu)(0.5 * (ta + tb))
         ts = np.linspace(ta, tb, 101)
@@ -279,3 +284,73 @@ def test_shoot_two_level_property(tau, frac, lo, hi, nfrac, nlo, nhi, mu,
         E = 0.5 * du ** 2 + 0.25 * amu * u ** 4
         scale = np.max(0.5 * du ** 2 + 0.25 * abs(amu) * u ** 4)
         assert np.max(np.abs(E - E[0])) <= 1e-8 * scale
+
+
+@settings(max_examples=8, deadline=None)
+@given(tau=st.floats(0.5, 1.5), frac=st.floats(0.25, 0.75), lo=_level,
+       hi=_level, nfrac=st.floats(0.25, 0.75), nlo=_level, nhi=_level,
+       mu=st.floats(1.0, 1e3), x=_datum, y=_datum, negative=st.booleans())
+# R(p) is not monotone on these positive intervals, and the chord start
+# once failed on both: on the first the bracket repeated one midpoint, on the
+# second Newton circled a maximum of R below zero
+@example(tau=1.5, frac=0.5, lo=1.0, hi=2.0, nfrac=0.5, nlo=1.0, nhi=1.0,
+         mu=1.0, x=0.6796875, y=1.0, negative=False)
+@example(tau=1.171875, frac=0.375, lo=1.0, hi=1.5625, nfrac=0.5, nlo=1.0,
+         nhi=1.0, mu=1.0, x=0.68359375, y=1.0, negative=False)
+def test_shoot_two_level_property(tau, frac, lo, hi, nfrac, nlo, nhi, mu,
+                                  x, y, negative):
+    """Shooting hits the Dirichlet data and conserves the piecewise energy:
+    from t1 (the smaller datum on the right), and in a batch with an interval
+    of the other sign."""
+    w = _two_level_weight(tau, frac, lo, hi, nfrac, nlo, nhi)
+    spans = [(tau, tau + 1.0), (0.0, tau)]
+    if not negative:
+        spans.reverse()
+    (t0, t1), other = spans
+    big, small = max(x, y), min(x, y)
+    assert oracle.shoots_from_t1(big, small) or big == small
+    from_t1 = oracle.shoot_dirichlet(w, mu, t0, t1, big, small, rtol=1e-12)
+    batch = oracle.shoot_batch(w, mu, [(t0, t1, x, y, None),
+                                       (*other, x, y, None)], rtol=1e-12)
+    for (a, b, u0, u1), res in zip(
+            [(t0, t1, big, small), (t0, t1, x, y), (*other, x, y)],
+            [from_t1, *batch]):
+        _assert_hits_and_conserves(w, mu, a, b, u0, u1, res)
+
+
+def test_blowup_stays_in_its_shot(step_weight):
+    """A shot that blows up in a batch is frozen there, and the other shot of
+    the batch converges to its lone slope; max_iter still bounds each shot."""
+    mu = 1e4
+    with pytest.raises(BlowUp):
+        oracle.integrate(step_weight, mu, oracle.IvpState(1.0, 0.4, 0.0), 2.0)
+    well = (3.0, 4.0, 0.4, 0.05, 0.1678)
+    lone = oracle.shoot_dirichlet(step_weight, mu, *well[:4], s0=well[4])
+    wild, tame = oracle.shoot_batch(step_weight, mu,
+                                    [(1.0, 2.0, 0.4, 0.4, 0.0), well])
+    assert abs(wild.residual) <= 1e-9 and abs(tame.residual) <= 1e-9
+    assert tame.iters < wild.iters
+    assert math.isclose(tame.slope, lone.slope, rel_tol=1e-10)
+    assert math.isclose(wild.slope, -11.3134, rel_tol=1e-5)
+    with pytest.raises(NewtonFailure):
+        oracle.shoot_batch(step_weight, mu, [(1.0, 2.0, 0.4, 0.4, 0.0), well],
+                           max_iter=5)
+
+
+def test_bracket_shrinks_where_R_falls():
+    """Once R changes sign between two slopes, an attempt between them
+    replaces the end of its sign, also where R falls as the slope grows (a
+    positive interval); the bracket then shrinks instead of repeating its
+    midpoint."""
+    shot = oracle._Shot(0.0, 1.0, 0.0, 1.0, 5.0, tol=1e-9)
+
+    def attempt(p, R):
+        shot.p = p
+        # far-end value 1 + R against the datum 1; no usable derivative
+        assert not shot.update(None, [1.0 + R, 0.0, 0.0, 0.0], False)
+        return shot.p
+
+    attempt(5.0, -3.0)
+    assert attempt(-9.0, 2.0) == -2.0
+    assert attempt(-2.0, -2.3) == -5.5
+    assert (shot.lo, shot.hi) == (-2.0, -9.0)

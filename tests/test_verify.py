@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from multibump import assembly, solver, verify
+from multibump import assembly, cli, oracle, solver, verify
 from multibump.errors import InsufficientSweep, WeightError
 
 
@@ -235,6 +235,64 @@ def test_oracle_residual(sol_10):
     assert check.rel < 2e-5
     assert check.ok(rtol=1e-4)
     assert not check.ok(rtol=1e-7)
+
+
+def _shoot_window(monkeypatch, sol):
+    """verify.oracle_residual on sol, with the problems it hands to
+    oracle.shoot_batch, its ShootResults and its accepted RK steps."""
+    seen = {"steps": 0}
+    real_batch, real_ivp = oracle.shoot_batch, oracle.solve_ivp
+
+    def batch(w, mu, problems, **kw):
+        seen["problems"] = problems
+        seen["results"] = real_batch(w, mu, problems, **kw)
+        return seen["results"]
+
+    def ivp(*args, **kw):
+        out = real_ivp(*args, **kw)
+        seen["steps"] += len(out.t) - 1
+        return out
+
+    monkeypatch.setattr(oracle, "shoot_batch", batch)
+    monkeypatch.setattr(oracle, "solve_ivp", ivp)
+    check = verify.oracle_residual(sol, rtol=1e-12)
+    monkeypatch.undo()
+    return check, seen
+
+
+@pytest.mark.parametrize("name, cells", [("step", 1600), ("sine", 0)])
+def test_oracle_batch_equals_lone_shots(monkeypatch, name, cells):
+    """Each interval's gap from the window's batched shots equals the gap
+    from shoot_dirichlet shooting that interval alone."""
+    w = cli.resolve_weight(name)[0]
+    sol = _solve(w, (1, 0), 1e3, cells, None)
+    check, seen = _shoot_window(monkeypatch, sol)
+    full, nodes = sol.u.full(), sol.grid.nodes
+    keys = list(check.per_interval)
+    assert len(seen["problems"]) == len(keys) == 4
+    for key, (t0, t1, x, y, s0) in zip(keys, seen["problems"]):
+        a, b = sol.grid.interval_nodes(key[0], "plus" if key[1] == "+"
+                                       else "minus")
+        assert (nodes[a], nodes[b], full[a], full[b]) == (t0, t1, x, y)
+        lone = oracle.shoot_dirichlet(w, sol.mu, t0, t1, x, y, rtol=1e-12,
+                                      s0=s0)
+        gap = float(np.max(np.abs(lone.dense.eval_u(nodes[a:b + 1])
+                                  - full[a:b + 1])))
+        assert abs(gap - check.per_interval[key]) <= 1e-9
+
+
+@pytest.mark.parametrize("mu, cells, rounds, steps", [(1e3, 1600, 2, 136),
+                                                      (1e4, 0, 3, 244)])
+def test_oracle_rounds_pinned(monkeypatch, step_weight, mu, cells, rounds,
+                              steps):
+    """Shot from their smaller ends, the four intervals of step 10 finish in
+    a few rounds: one shot from a large end took 5 attempts at mu 1e3 with
+    1600 cells and 17 at mu 1e4."""
+    sol = _solve(step_weight, (1, 0), mu, cells, None)
+    check, seen = _shoot_window(monkeypatch, sol)
+    assert max(r.iters for r in seen["results"]) == rounds
+    assert seen["steps"] == steps
+    assert check.ok()
 
 
 # -- sign counting -----------------------------------------------------------------
