@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import OdeSolution, solve_ivp
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import BlowUp, NewtonFailure, NonConvergence, ScopeError
@@ -52,20 +52,56 @@ class IvpState:
     du: float
 
 
+class _Steps:
+    """A batch's accepted steps in s with their DOP853 dense-output
+    coefficients, stacked once: step i spans [S[i], S[i+1]] and carries the
+    t_old, h, F and y_old of scipy's ``Dop853DenseOutput``.
+
+    ``column`` evaluates one state column at any s, choosing each point's
+    step as ``OdeSolution`` does on increasing times and running
+    ``Dop853DenseOutput._call_impl``'s recurrence on that column only: the
+    same operations in the same order, so the same bits, with one
+    ``searchsorted`` instead of one interpolant call per step."""
+
+    def __init__(self, S, interps):
+        self.S = S
+        self.t_old = np.array([p.t_old for p in interps])
+        self.h = np.array([p.h for p in interps])
+        self.F = np.array([p.F for p in interps])
+        self.y_old = np.array([p.y_old for p in interps])
+
+    def column(self, s, j):
+        # OdeSolution: side "left", so a step time picks the earlier step,
+        # and points outside [S[0], S[-1]] take the end steps
+        seg = np.clip(np.searchsorted(self.S, s, side="left") - 1,
+                      0, len(self.h) - 1)
+        x = (s - self.t_old[seg]) / self.h[seg]
+        F = self.F[seg, :, j]
+        y = np.zeros_like(x)
+        for i in range(F.shape[-1]):
+            y += F[..., -1 - i]
+            if i % 2 == 0:
+                y *= x
+            else:
+                y *= 1 - x
+        y += self.y_old[seg, j]
+        return y[()]
+
+
 class DenseOutput:
     """One run's accepted-step trajectory with DOP853's 7th-order dense output.
 
     ``ts`` holds the run's accepted step times in increasing t, both ends
     included, and ``ys`` the states there (one row each, layout
-    (u, u'[, v, v'][, q]), derivatives in t).  ``sol`` is the batch's
-    ``OdeSolution`` in s, whose columns from ``col`` on are this run's, with
+    (u, u'[, v, v'][, q]), derivatives in t).  ``steps`` is the batch's
+    ``_Steps`` in s, whose columns from ``col`` on are this run's, with
     t = t_from + span s.
     """
 
-    def __init__(self, ts, ys, sol, col, t_from, span):
+    def __init__(self, ts, ys, steps, col, t_from, span):
         self.ts = ts
         self.ys = ys
-        self._sol = sol
+        self._steps = steps
         self._col = col
         self._t_from = t_from
         self._span = span
@@ -75,8 +111,8 @@ class DenseOutput:
         return self.ts[-1]
 
     def _at(self, t, j):
-        v = self._sol((np.asarray(t, dtype=float) - self._t_from)
-                      / self._span)[self._col + j]
+        v = self._steps.column((np.asarray(t, dtype=float) - self._t_from)
+                               / self._span, self._col + j)
         # odd columns are derivatives along the direction of travel
         return -v if j % 2 and self._span < 0 else v
 
@@ -236,7 +272,7 @@ def _integrate_raw(w, mu, runs, rtol, atol, cap, max_step):
             break
 
     S, Y = np.concatenate(ss), np.concatenate(yss)
-    sol = OdeSolution(S, interps)
+    steps = _Steps(S, interps)
     out = []
     for k in range(n):
         j = n_steps if ends[k] is None else ends[k]
@@ -249,7 +285,7 @@ def _integrate_raw(w, mu, runs, rtol, atol, cap, max_step):
         if span[k] < 0:
             ys[:, 1::2] *= -1.0
             ts, ys = ts[::-1].copy(), ys[::-1].copy()
-        out.append((DenseOutput(ts, ys, sol, m * k, t_from[k], span[k]),
+        out.append((DenseOutput(ts, ys, steps, m * k, t_from[k], span[k]),
                     Y[j, cols].copy(), blown[k]))
     return out
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import kendalltau, linregress
 
 from . import assembly, localfield, oracle, solver
 from .errors import InsufficientSweep, WeightError
@@ -260,12 +259,62 @@ def sweep_solutions(w, symbols, mu_list, delta, opts=None):
 
 def loglog_fit(mu_list, values):
     """(slope, intercept, stderr) of log(values) against log(mu); NaN when a
-    value is not positive."""
+    value is not positive or NaN, or there are fewer than two.
+
+    The least-squares line by ``scipy.stats.linregress``'s own formulas and
+    operations, so the same bits without importing ``scipy.stats``; like it,
+    it raises ValueError when every mu is the same.
+    """
     vals = np.asarray(values, dtype=float)
-    if np.any(vals <= 0.0):
-        return float("nan"), float("nan"), float("nan")
-    fit = linregress(np.log(mu_list), np.log(vals))
-    return float(fit.slope), float(fit.intercept), float(fit.stderr)
+    nan = float("nan")
+    if len(vals) < 2 or not np.all(vals > 0.0):
+        return nan, nan, nan
+    x, y = np.log(np.asarray(mu_list, dtype=float)), np.log(vals)
+    if np.amax(x) == np.amin(x):
+        raise ValueError("Cannot calculate a linear regression "
+                         "if all x values are identical")
+    n = len(x)
+    xmean, ymean = np.mean(x, None), np.mean(y, None)
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.asarray(np.nan if ssxym == 0 else 0.0)[()]
+    else:
+        r = ssxym / np.sqrt(ssxm * ssym)
+        if r > 1.0:
+            r = 1.0
+        elif r < -1.0:
+            r = -1.0
+    slope = ssxym / ssxm
+    intercept = ymean - slope * xmean
+    if n == 2:
+        stderr = 0.0
+    else:
+        stderr = np.sqrt((1 - r ** 2) * ssym / ssxm / (n - 2))
+    return float(slope), float(intercept), float(stderr)
+
+
+def kendall_tau(x, y):
+    """Kendall's tau-b of two equal-length sequences, as
+    ``scipy.stats.kendalltau`` computes it: concordant minus discordant
+    pairs over the geometric mean of the pairs untied in x and in y, clipped
+    to [-1, 1].  NaN when an input holds a NaN, there are fewer than two
+    points, or every pair ties in x or in y.  O(n^2) pair signs: the sweeps
+    here have a few points."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    size = len(x)
+    if size < 2 or np.isnan(x).any() or np.isnan(y).any():
+        return float("nan")
+    i, j = np.triu_indices(size, 1)
+    sx = (x[j] > x[i]).astype(int) - (x[j] < x[i])
+    sy = (y[j] > y[i]).astype(int) - (y[j] < y[i])
+    tot = size * (size - 1) // 2
+    xtie, ytie = int(np.sum(sx == 0)), int(np.sum(sy == 0))
+    if xtie == tot or ytie == tot:
+        return float("nan")
+    con_minus_dis = int(np.sum(sx * sy))
+    tau = con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
+    return float(np.minimum(1.0, max(-1.0, tau)))
 
 
 def decay_rate(w, symbols, mu_list, delta, opts=None):
@@ -321,28 +370,84 @@ class LimitDistance:
     per_interval: dict           # i -> W^{2,inf} distance on I_i^+
 
 
+def _pair_max(dt, dv, alpha, min_sep, best):
+    """The larger of best and the largest quotient |dv| / |dt|^alpha of the
+    pairs at least min_sep apart: the one expression of every Hoelder
+    quotient."""
+    dt = np.abs(dt)
+    keep = dt >= min_sep
+    if keep.any():
+        best = max(best, float(np.max(np.abs(dv[keep]) / dt[keep] ** alpha)))
+    return best
+
+
+def _holder_band(best, lip, reach, alpha, min_sep):
+    """Per row, the dt range outside which no pair's quotient can exceed
+    best when |dv| <= lip dt and |dv| <= the row's reach; both ends are
+    widened by relative margins far above the quotients' rounding."""
+    lo = min_sep
+    if alpha < 1.0 and best > 0.0 and lip > 0.0:
+        try:
+            lo = max(lo, (best / lip * (1.0 - 1e-12)) ** (1.0 / (1.0 - alpha)))
+        except OverflowError:
+            lo = math.inf
+    if best > 0.0:
+        with np.errstate(over="ignore"):
+            hi = (reach / best * (1.0 + 1e-12)) ** (1.0 / alpha)
+    else:
+        hi = np.full(len(reach), np.inf)
+    return lo * (1.0 - 1e-9), hi * (1.0 + 1e-9)
+
+
 def _holder_seminorm(ts, d, alpha, min_sep, max_nodes=1600):
     """max |d_j - d_i| / |t_j - t_i|^alpha over the pairs of every stride-th
-    node (about max_nodes of them) at least min_sep > 0 apart; 0 if none.
+    node (about max_nodes of them, ts increasing) at least min_sep > 0
+    apart; 0 if none.
 
-    The quotient is symmetric in the pair, so only j > i is visited, a block
-    of rows at a time: the temporaries stay O(rows x n), not n x n.
+    On the sampled nodes |v_j - v_i| <= L dt, L their largest chord slope,
+    and for j > i it is at most the reach of v_i to the extremes of the
+    values after it.  So pair (i, j) can beat the best quotient so far only
+    if dt lies between (best / L)^(1/(1-alpha)) and (reach / best)^(1/alpha).
+    Node offsets 1, 2, 4, ... seed the best.  Then every row's columns are
+    cut to its band, which narrows as the best grows, and the pairs are
+    visited about _PAIR_BLOCK at a time.  The pairs left out cannot exceed
+    the best, so the result is the max over all pairs, bit for bit.
     """
     n = len(ts)
     stride = max(1, int(math.ceil(n / max_nodes)))
     t = ts[::stride]
     v = d[::stride]
     m = len(t)
-    rows = max(1, _PAIR_BLOCK // m)
     best = 0.0
-    for r0 in range(0, m - 1, rows):
-        r1 = min(r0 + rows, m - 1)
-        # row r is node r0 + r, column c is node r0 + 1 + c: j > i is c >= r
-        dt = np.abs(t[r0 + 1:] - t[r0:r1, None])
-        keep = np.triu(dt >= min_sep)
-        if keep.any():
-            dv = np.abs(v[r0 + 1:] - v[r0:r1, None])
-            best = max(best, float(np.max(dv[keep] / dt[keep] ** alpha)))
+    k = 1
+    while k < m:
+        best = _pair_max(t[k:] - t[:-k], v[k:] - v[:-k], alpha, min_sep, best)
+        k *= 2
+    if m < 2:
+        return best
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lip = float(np.max(np.abs(np.diff(v)) / np.diff(t)))
+    after_max = np.maximum.accumulate(v[:0:-1])[::-1]    # max of v[i + 1:]
+    after_min = np.minimum.accumulate(v[:0:-1])[::-1]
+    reach = np.maximum(after_max - v[:-1], v[:-1] - after_min)
+    # absolute slack for the rounding of t_i + lo and t_i + hi
+    slack = 4.0 * np.finfo(float).eps * max(abs(t[0]), abs(t[-1]))
+    r = 0
+    while r < m - 1:
+        lo, hi = _holder_band(best, lip, reach[r:], alpha, min_sep)
+        rows = np.arange(r, m - 1)
+        c0 = np.maximum(np.searchsorted(t, t[r:-1] + (lo - slack)), rows + 1)
+        c1 = np.searchsorted(t, t[r:-1] + (hi + slack), side="right")
+        cnt = np.maximum(c1 - c0, 0)
+        ends = np.cumsum(cnt)
+        k = max(1, int(np.searchsorted(ends, _PAIR_BLOCK, side="right")))
+        if ends[k - 1]:
+            # row i's columns c0[i] .. c1[i] - 1, flattened
+            i = np.repeat(rows[:k], cnt[:k])
+            j = np.arange(ends[k - 1]) + np.repeat(c0[:k] - ends[:k] + cnt[:k],
+                                                   cnt[:k])
+            best = _pair_max(t[j] - t[i], v[j] - v[i], alpha, min_sep, best)
+        r += k
     return best
 
 
@@ -556,9 +661,7 @@ def run_sweep(w, symbols, mu_list, delta=None, alpha=0.5, opts=None):
         fits[name] = (slope, 2.0 * stderr)
     kend = {}
     for name in ("p1", "p2", "decay", "sup", "holder"):
-        res = kendalltau(mu_list, rows[name])
-        tau = getattr(res, "statistic", getattr(res, "correlation", None))
-        kend[name] = float(tau) if tau is not None else float("nan")
+        kend[name] = kendall_tau(mu_list, rows[name])
     return AsymptoticReport(
         symbols=tuple(win.symbols), mu_list=mu_list,
         decay_samples=rows["decay"], p1=rows["p1"], p2=rows["p2"],

@@ -168,6 +168,72 @@ def test_dense_output_eval_consistency(step_weight):
     assert math.isclose(fd, dense.eval_du(t), rel_tol=1e-7)
 
 
+def _record_ode_solutions(monkeypatch):
+    """Give every batch's steps scipy's own ``OdeSolution`` of them."""
+    from scipy.integrate import OdeSolution
+    real = oracle._Steps.__init__
+
+    def init(self, S, interps):
+        real(self, S, interps)
+        self.reference = OdeSolution(S, interps)
+    monkeypatch.setattr(oracle._Steps, "__init__", init)
+
+
+def _ode_solution_at(dense, t, j):
+    """Column j of a run read through scipy's OdeSolution of its batch."""
+    s = (np.asarray(t, dtype=float) - dense._t_from) / dense._span
+    v = dense._steps.reference(s)[dense._col + j]
+    return -v if j % 2 and dense._span < 0 else v
+
+
+def test_dense_output_equals_scipy_ode_solution(step_weight, monkeypatch):
+    """eval_u and eval_du read DOP853's dense output as scipy's OdeSolution
+    of the same batch does, bit for bit: at scalar and array t, inside, at
+    and past the step times, on a forward run, a backward run across a knot
+    and a run frozen where it blew up."""
+    _record_ode_solutions(monkeypatch)
+    runs = oracle._integrate_raw(step_weight, 1e3, [
+        (0.0, 1.0, [0.3, 0.4, 0.0, 1.0]),
+        (3.9, 2.3, [0.05, -0.1, 0.0, 1.0]),
+        (1.0, 2.0, [0.4, 30.0, 0.0, 1.0])], 1e-10, 1e-12, 10.0, np.inf)
+    assert [blew_up for _, _, blew_up in runs] == [False, False, True]
+    for dense, _, _ in runs:
+        ts = np.concatenate([np.linspace(dense.ts[0] - 0.1,
+                                         dense.ts[-1] + 0.1, 513), dense.ts])
+        for j, ev in ((0, dense.eval_u), (1, dense.eval_du)):
+            assert np.array_equal(ev(ts), _ode_solution_at(dense, ts, j))
+            for t in ts[::17]:
+                got, ref = ev(t), _ode_solution_at(dense, t, j)
+                assert got == ref and type(got) is type(ref)
+
+
+def test_steps_choose_steps_like_ode_solution():
+    """On random coefficients, where neighbouring steps disagree at their
+    common time, each point still takes OdeSolution's step: the earlier one
+    at a step time, and the end steps outside the range."""
+    from scipy.integrate import OdeSolution
+    from scipy.integrate._ivp.rk import Dop853DenseOutput
+    rng = np.random.default_rng(7)
+    S = np.cumsum(np.r_[0.0, rng.uniform(0.1, 1.0, 6)])
+    interps = [Dop853DenseOutput(a, b, rng.normal(size=3),
+                                 rng.normal(size=(7, 3)))
+               for a, b in zip(S[:-1], S[1:])]
+    steps, ref = oracle._Steps(S, interps), OdeSolution(S, interps)
+    s = np.concatenate([S, rng.uniform(S[0] - 1.0, S[-1] + 1.0, 50)])
+    for j in range(3):
+        assert np.array_equal(steps.column(s, j), ref(s)[j])
+        assert all(steps.column(x, j) == ref(x)[j] for x in s)
+
+
+def test_ground_level_reads_like_ode_solution(step_weight, monkeypatch):
+    """brute_ground_level on step is the same number read through scipy's
+    OdeSolution."""
+    got = oracle.brute_ground_level(step_weight)
+    _record_ode_solutions(monkeypatch)
+    monkeypatch.setattr(oracle.DenseOutput, "_at", _ode_solution_at)
+    assert oracle.brute_ground_level(step_weight) == got
+
+
 def test_first_zero(step_weight):
     """u = lam w(lam t) with lam = T1/0.5 returns to zero at exactly 0.5."""
     lam = T1 / 0.5

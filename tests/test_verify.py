@@ -1,11 +1,13 @@
 """Audit-suite checks on certified fixture solutions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import kendalltau, linregress
 
 from multibump import assembly, cli, oracle, solver, verify
 from multibump.errors import InsufficientSweep, WeightError
@@ -165,16 +167,37 @@ def _holder_dense(ts, d, alpha, min_sep, max_nodes=1600):
     return float(np.max(dv[mask] / dt[mask] ** alpha))
 
 
+def _holder_data(n, seed, smooth):
+    """Increasing times and values: white noise, or a smooth profile with a
+    kink and a sharp bump like a solution's distance to its limit, where the
+    band leaves most pairs out."""
+    rng = np.random.default_rng(seed)
+    ts = np.cumsum(rng.uniform(1e-3, 1.0, n))
+    if not smooth:
+        return ts, rng.normal(size=n)
+    s = (ts - ts[0]) / max(ts[-1] - ts[0], 1e-300)
+    a, f, c = rng.uniform(0.1, 2.0, 3), rng.uniform(0.5, 6.0, 3), rng.random()
+    d = (a[0] * np.sin(2.0 * math.pi * f[0] * s) + a[1] * np.abs(s - c)
+         + a[2] * np.exp(-((s - c) * 4.0 * f[2]) ** 2))
+    return ts, d
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 4000), seed=st.integers(0, 2 ** 32 - 1),
        alpha=st.floats(0.0, 1.0, exclude_min=True),
-       sep=st.floats(1e-6, 1.2))
-@example(n=6401, seed=0, alpha=0.5, sep=1e-4)
-@example(n=3201, seed=1, alpha=1.0, sep=1.1)
-def test_holder_seminorm_matches_dense_pair_max(n, seed, alpha, sep):
-    rng = np.random.default_rng(seed)
-    ts = np.cumsum(rng.uniform(1e-3, 1.0, n))
-    d = rng.normal(size=n)
+       sep=st.floats(1e-6, 1.2), smooth=st.booleans())
+@example(n=6401, seed=0, alpha=0.5, sep=1e-4, smooth=False)
+@example(n=6401, seed=0, alpha=0.5, sep=1e-4, smooth=True)
+# every pair closer than min_sep
+@example(n=3201, seed=1, alpha=1.0, sep=1.1, smooth=False)
+@example(n=50, seed=4, alpha=0.5, sep=1.1, smooth=True)
+# alpha = 1: no lower band end
+@example(n=2000, seed=2, alpha=1.0, sep=1e-4, smooth=True)
+# (reach / best)^(1 / alpha) overflows a float
+@example(n=3, seed=0, alpha=1e-6, sep=1.0, smooth=False)
+@example(n=800, seed=3, alpha=1e-6, sep=1e-3, smooth=True)
+def test_holder_seminorm_matches_dense_pair_max(n, seed, alpha, sep, smooth):
+    ts, d = _holder_data(n, seed, smooth)
     min_sep = sep * (ts[-1] - ts[0])
     got = verify._holder_seminorm(ts, d, alpha, min_sep)
     assert got == _holder_dense(ts, d, alpha, min_sep)
@@ -203,6 +226,72 @@ def test_decay_rate_guards(step_weight, levels):
     with pytest.raises(WeightError):
         verify.decay_rate(step_weight, (1, 0), [100.0, 10000.0], 0.6,
                           opts=opts)
+
+
+def _scipy_loglog_fit(mu_list, values):
+    """The fit as scipy.stats computes it."""
+    vals = np.asarray(values, dtype=float)
+    if np.any(vals <= 0.0):
+        return float("nan"), float("nan"), float("nan")
+    fit = linregress(np.log(mu_list), np.log(vals))
+    return float(fit.slope), float(fit.intercept), float(fit.stderr)
+
+
+def _same(a, b):
+    """Equal numbers, NaN matching NaN."""
+    return np.array_equal(np.array(a), np.array(b), equal_nan=True)
+
+
+@st.composite
+def _fit_tables(draw):
+    """(mu, values) of 1-12 points: free, tied or constant positive values,
+    with a NaN or a non-positive value mixed in, against distinct or tied
+    mu."""
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        mu = sorted(draw(st.lists(st.floats(1e-2, 1e6), min_size=n,
+                                  max_size=n, unique=True)))
+    else:
+        mu = sorted(draw(st.lists(st.sampled_from([1e2, 1e3, 1e4]),
+                                  min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["free", "tied", "constant", "nan",
+                                 "nonpositive"]))
+    if kind == "tied":
+        vals = draw(st.lists(st.sampled_from([0.5, 1.0, 3.0]), min_size=n,
+                             max_size=n))
+    elif kind == "constant":
+        vals = [draw(st.floats(1e-3, 1e3))] * n
+    else:
+        vals = draw(st.lists(st.floats(1e-8, 1e8), min_size=n, max_size=n))
+        if kind != "free":
+            bad = float("nan") if kind == "nan" else draw(
+                st.floats(-1e3, 0.0))
+            vals[draw(st.integers(0, n - 1))] = bad
+    return mu, vals
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_fit_tables())
+@example(table=([1e2, 1e3], [0.5, 0.25]))
+@example(table=([1e2, 1e3, 1e4], [2.0, 2.0, 2.0]))
+@example(table=([1e2, 1e3, 1e4], [0.1, 0.2, 0.3]))
+@example(table=([1e2], [0.3]))
+def test_fits_equal_scipy_stats(table):
+    """loglog_fit and kendall_tau give scipy.stats' linregress (slope,
+    intercept, stderr) and kendalltau bit for bit, NaN where it does."""
+    mu, vals = table
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            ref = _scipy_loglog_fit(mu, vals)
+        except ValueError:
+            with pytest.raises(ValueError):
+                verify.loglog_fit(mu, vals)
+        else:
+            assert _same(verify.loglog_fit(mu, vals), ref)
+        for x, y in ((mu, vals), (vals, mu)):
+            assert _same(verify.kendall_tau(x, y),
+                         float(kendalltau(x, y).statistic))
 
 
 # -- sweeps ------------------------------------------------------------------------
