@@ -6,7 +6,8 @@ Library layout:
 - localfield: ground bump, pinned-zero level, principal eigenvalue
 - assembly: P1 finite-element machinery on periodic interval windows
 - solver: multibump Newton/continuation solver with certification
-- connection: Dirichlet block problems, sensitivities, uniqueness probes
+- connection: Dirichlet block problems, sensitivities, energy derivatives,
+  uniqueness probe
 - verify: identities, decay rates, distances to the singular limit
 - oracle: independent shooting/IVP cross-validation path
 - cli: command-line entry points
@@ -18,15 +19,14 @@ from .weight import (ConstantPack, Piece, WeightSpec, build_constant_pack,
                      load_weight_json, make_sine_weight, make_step_weight,
                      save_weight_json)
 from .localfield import (LevelEvaluator, ground_state, levels_of,
-                         local_levels, nehari_project, pinned_zero_level,
+                         nehari_project, pinned_zero_level,
                          principal_eigenvalue)
 from .assembly import Grid, GridFunction, span_grid
 from .solver import (Solution, SolveOptions, SolveReport, SymbolWindow,
                      make_window, parse_symbols, solve_multibump)
 from .connection import (ConnectionProblem, ConnectionSolution,
                          energy_derivatives, make_connection_problem,
-                         slope_matching_mu, solve_connection,
-                         uniqueness_probe)
+                         solve_connection, uniqueness_probe)
 from .verify import (decay_rate, limit_distance, minimal_period,
                      nehari_identities, oracle_residual, run_sweep)
 from .oracle import IvpState, brute_ground_level, integrate, shoot_dirichlet

@@ -101,14 +101,17 @@ def merge_config(args, cfg, keys):
 
 def _num(cfg, key, kind=float):
     """cfg[key] converted by ``kind``, or None when unset; a value that does
-    not convert is an input error."""
+    not convert to a finite number (nan, inf) is an input error."""
     value = cfg.get(key)
     if value is None:
         return None
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise WeightError(f"bad value {value!r} for {key}") from None
+        out = kind(value)
+        if math.isfinite(out):
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise WeightError(f"bad value {value!r} for {key}")
 
 
 def _count(value):
@@ -202,7 +205,12 @@ def _jsonable(x):
 
 
 class RunDir:
-    """Output directory with manifest bookkeeping."""
+    """Output directory with manifest bookkeeping.
+
+    As a context manager it runs one command's lifecycle: leaving the block
+    writes the ok manifest, or on any exception the failed manifest and the
+    ``FAILED`` marker, and the exception propagates.
+    """
 
     def __init__(self, command, outdir, config, weight_label, weight_blob):
         self.command = command
@@ -246,7 +254,11 @@ class RunDir:
         self.outputs[os.path.basename(p)] = hashlib.sha256(data).hexdigest()
         return p
 
-    def finish(self, status="ok", error=None):
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        error = None if exc is None else f"{kind.__name__}: {exc}"
         manifest = {
             "command": self.command,
             "config": self.config,
@@ -254,16 +266,17 @@ class RunDir:
                        "weight_sha256": self.weight_sha},
             "manifest_hash": self.manifest_hash,
             "outputs": self.outputs,
-            "status": status,
+            "status": "ok" if exc is None else "failed",
             "error": error,
         }
         write_json(os.path.join(self.outdir, "manifest.json"), manifest)
         marker = os.path.join(self.outdir, "FAILED")
-        if status != "ok":
+        if exc is not None:
             with open(marker, "w") as f:
-                f.write((error or "failed") + "\n")
+                f.write(error + "\n")
         elif os.path.exists(marker):
             os.remove(marker)
+        return False
 
 
 # -- shared pieces ------------------------------------------------------------
@@ -286,9 +299,7 @@ def _window_from(config):
 
 def _solve_options(config):
     return solver.SolveOptions(
-        cells_per_interval=_num(config, "cells", int) or 0,
-        newton_tol=_num(config, "newton_tol") or 1e-10,
-    )
+        cells_per_interval=_num(config, "cells", int) or 0)
 
 
 def _mu_grid(config):
@@ -334,8 +345,7 @@ _LOCAL_KEYS = {"weight": None, "mesh": None, "K": None,
 def cmd_local(args):
     cfg = merge_config(args, load_config(args.config), _LOCAL_KEYS)
     w, label, blob = resolve_weight(cfg["weight"])
-    run = RunDir("local", cfg["outdir"], cfg, label, blob)
-    try:
+    with RunDir("local", cfg["outdir"], cfg, label, blob) as run:
         ev = localfield.levels_of(w, _num(cfg, "mesh", _count))
         consts = solver.build_constant_pack(w, ev, K=_num(cfg, "K"))
         payload = {
@@ -357,17 +367,13 @@ def cmd_local(args):
             bump = ev.ground_bump()
             run.add_csv(cfg["bump_csv"], ["t", "u"],
                         zip(bump.t, bump.u))
-        run.finish()
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return EXIT_OK
-    except BaseException as e:
-        run.finish("failed", f"{type(e).__name__}: {e}")
-        raise
+    print(json.dumps(payload, indent=2, sort_keys=True))
+    return EXIT_OK
 
 
 _SOLVE_KEYS = {"weight": None, "symbols": None, "N": None, "mu": None,
-               "cells": None, "newton_tol": None, "out": "sol.csv",
-               "report": "report.json", "outdir": None, "identities": True}
+               "cells": None, "out": "sol.csv", "report": "report.json",
+               "outdir": None}
 
 
 def cmd_solve(args):
@@ -375,9 +381,7 @@ def cmd_solve(args):
     if cfg["mu"] is None:
         raise WeightError("need --mu")
     w, label, blob = resolve_weight(cfg["weight"])
-    run = RunDir("solve", cfg["outdir"], cfg, label, blob)
-    report_payload = None
-    try:
+    with RunDir("solve", cfg["outdir"], cfg, label, blob) as run:
         window = _window_from(cfg)
         opts = _solve_options(cfg)
         mu = _num(cfg, "mu")
@@ -395,16 +399,11 @@ def cmd_solve(args):
         report_payload["i_start"] = window.i_start
         report_payload["cells_per_interval"] = \
             len(sol.grid.tables.h) // (2 * len(window.symbols))
-        if cfg["identities"]:
-            report_payload["identities"] = verify.nehari_identities(sol)
+        report_payload["identities"] = verify.nehari_identities(sol)
         run.add_json(cfg["report"], report_payload)
-        run.finish()
-        print(f"certified mu={mu:g} residual={sol.report.residual_inf:.3e} "
-              f"sup={sol.u.sup_norm():.6g}")
-        return EXIT_OK
-    except BaseException as e:
-        run.finish("failed", f"{type(e).__name__}: {e}")
-        raise
+    print(f"certified mu={mu:g} residual={sol.report.residual_inf:.3e} "
+          f"sup={sol.u.sup_norm():.6g}")
+    return EXIT_OK
 
 
 _CONN_KEYS = {"weight": None, "mu": None, "x": None, "y": None, "l": 1,
@@ -419,8 +418,7 @@ def cmd_connection(args):
         if cfg[need] is None:
             raise WeightError(f"need --{need}")
     w, label, blob = resolve_weight(cfg["weight"])
-    run = RunDir("connection", cfg["outdir"], cfg, label, blob)
-    try:
+    with RunDir("connection", cfg["outdir"], cfg, label, blob) as run:
         p = connection.make_connection_problem(
             w, _num(cfg, "mu"), _num(cfg, "x"), _num(cfg, "y"),
             i=_num(cfg, "i", int), l=_num(cfg, "l", int),
@@ -456,20 +454,15 @@ def cmd_connection(args):
             "newton_iters": sol.newton_iters,
         }
         run.add_json(cfg["report"], payload)
-        run.finish()
-        print(f"slopes=({sol.boundary_slopes[0]:.6g}, "
-              f"{sol.boundary_slopes[1]:.6g}) "
-              f"zeros={len(payload['zeros'])}")
-        return EXIT_OK
-    except BaseException as e:
-        run.finish("failed", f"{type(e).__name__}: {e}")
-        raise
+    print(f"slopes=({sol.boundary_slopes[0]:.6g}, "
+          f"{sol.boundary_slopes[1]:.6g}) "
+          f"zeros={len(payload['zeros'])}")
+    return EXIT_OK
 
 
 _VERIFY_KEYS = {"weight": None, "symbols": None, "N": None, "mu_from": None,
-                "mu_to": None, "points": 9, "delta": None, "alpha": 0.5,
-                "cells": None, "out": "verify.json", "outdir": None,
-                "oracle_rtol": 1e-12}
+                "mu_to": None, "points": 9, "delta": None, "cells": None,
+                "out": "verify.json", "outdir": None}
 
 
 def cmd_verify(args):
@@ -478,20 +471,18 @@ def cmd_verify(args):
         if cfg[need] is None:
             raise WeightError(f"need --{need.replace('_', '-')}")
     w, label, blob = resolve_weight(cfg["weight"])
-    run = RunDir("verify", cfg["outdir"], cfg, label, blob)
-    try:
+    with RunDir("verify", cfg["outdir"], cfg, label, blob) as run:
         window = _window_from(cfg)
         mu_list = _mu_grid(cfg)
         # one continuation: the sweep's last solution is the one
         # certified, audited and re-integrated below
         report = verify.run_sweep(w, window.symbols, mu_list,
                                   delta=_num(cfg, "delta"),
-                                  alpha=_num(cfg, "alpha"),
                                   opts=_solve_options(cfg))
         sol = report.solution
         solver.require_certified(sol.report)
         identities = verify.nehari_identities(sol)
-        check = verify.oracle_residual(sol, rtol=_num(cfg, "oracle_rtol"))
+        check = verify.oracle_residual(sol)
         payload = {
             "sweep": report.to_dict(),
             "identities_at_mu_max": identities,
@@ -501,16 +492,10 @@ def cmd_verify(args):
                 sol, len(window.symbols)) * w.period,
         }
         run.add_json(cfg["out"], payload)
-        run.finish()
-        fit = report.fitted_slopes.get("decay")
-        slope = "none" if fit is None else f"{fit[0]:.4f}"
-        print(f"decay slope={slope} "
-              f"identities={max(identities.values()):.3e} "
-              f"oracle_rel={check.rel:.3e}")
-        return EXIT_OK
-    except BaseException as e:
-        run.finish("failed", f"{type(e).__name__}: {e}")
-        raise
+    print(f"decay slope={report.fitted_slopes['decay'][0]:.4f} "
+          f"identities={max(identities.values()):.3e} "
+          f"oracle_rel={check.rel:.3e}")
+    return EXIT_OK
 
 
 _ORACLE_KEYS = {"weight": None, "mu": 0.0, "t0": 0.0, "t1": None, "x": 0.0,
@@ -522,8 +507,7 @@ def cmd_oracle(args):
     cfg = merge_config(args, load_config(args.config), _ORACLE_KEYS)
     w, label, blob = resolve_weight(cfg["weight"])
     cfg["mode"] = args.mode
-    run = RunDir("oracle", cfg["outdir"], cfg, label, blob)
-    try:
+    with RunDir("oracle", cfg["outdir"], cfg, label, blob) as run:
         payload = {}
         if args.mode == "ground":
             payload["c"] = oracle.brute_ground_level(
@@ -551,12 +535,8 @@ def cmd_oracle(args):
                 ts = np.linspace(t0, t1, _num(cfg, "samples", _count))
                 run.add_csv(cfg["out"], ["t", "u", "du"],
                             zip(ts, dense.eval_u(ts), dense.eval_du(ts)))
-        run.finish()
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return EXIT_OK
-    except BaseException as e:
-        run.finish("failed", f"{type(e).__name__}: {e}")
-        raise
+    print(json.dumps(payload, indent=2, sort_keys=True))
+    return EXIT_OK
 
 
 _SWEEP_KEYS = {"weight": None, "codes": "1,10,110", "mu_from": 10.0,
@@ -567,8 +547,8 @@ _SWEEP_KEYS = {"weight": None, "codes": "1,10,110", "mu_from": 10.0,
 def cmd_sweep(args):
     cfg = merge_config(args, load_config(args.config), _SWEEP_KEYS)
     w, label, blob = resolve_weight(cfg["weight"])
-    run = RunDir("sweep", cfg["outdir"] or "sweep_out", cfg, label, blob)
-    try:
+    with RunDir("sweep", cfg["outdir"] or "sweep_out", cfg, label,
+                blob) as run:
         codes = sorted(solver.parse_symbols(c)
                        for c in str(cfg["codes"]).split(",") if c)
         if not codes:
@@ -619,17 +599,12 @@ def cmd_sweep(args):
         fits = {name: fit for name, fit in code_fits if fit}
         run.add_json("fits.json", fits)
         run.add_text("plot.gp", _gnuplot_script(code_fits))
-        run.finish()
-        for name, lo, hi in bracket_rows:
-            hi_s = "inf" if math.isinf(hi) else f"{hi:g}"
-            print(f"{name}: bracket=({lo:g}, {hi_s})"
-                  + (f" slope={fits[name]['slope']:.4f}"
-                     if name in fits else "")
-                  + (f" error={errors[name]}" if name in errors else ""))
-        return EXIT_OK
-    except BaseException as e:
-        run.finish("failed", f"{type(e).__name__}: {e}")
-        raise
+    for name, lo, hi in bracket_rows:
+        hi_s = "inf" if math.isinf(hi) else f"{hi:g}"
+        print(f"{name}: bracket=({lo:g}, {hi_s})"
+              + (f" slope={fits[name]['slope']:.4f}" if name in fits else "")
+              + (f" error={errors[name]}" if name in errors else ""))
+    return EXIT_OK
 
 
 def _gnuplot_script(code_fits):
@@ -688,7 +663,6 @@ def build_parser():
                    help="target mu; Newton starts from the pasted ground "
                    f"bumps at max({solver.MU0:g}, mu) and walks down to it")
     p.add_argument("--cells", type=int, help="cells per subinterval")
-    p.add_argument("--newton-tol", dest="newton_tol", type=float)
     p.add_argument("--out", help="solution CSV name")
     p.add_argument("--report", help="certification report JSON name")
 
@@ -714,9 +688,7 @@ def build_parser():
     p.add_argument("--mu-to", dest="mu_to", type=float)
     p.add_argument("--points", type=int)
     p.add_argument("--delta", type=float, help="interior margin")
-    p.add_argument("--alpha", type=float, help="Holder exponent")
     p.add_argument("--cells", type=int)
-    p.add_argument("--oracle-rtol", dest="oracle_rtol", type=float)
     p.add_argument("--out", help="report JSON name")
 
     p = sub.add_parser("oracle", help="reference shooting and IVP runs")

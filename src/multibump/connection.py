@@ -7,11 +7,17 @@ respect the amplitude cap |u(sigma_j)| <= K and the energy cap
 int u'^2 <= r^2 on every interior positivity interval.  For mu large the caps
 are slack at the minimizer, the solution decays like a boundary layer away
 from the block ends, and the linearization carries the sensitivity pair
-(v, z) whose one-sided end slopes drive the gluing estimates.  The energy
+(v, z), the derivatives of the minimizer in x and y.  The energy
 derivatives dJ/dx = -u'(t_lo+), dJ/dy = u'(t_hi-) are checked by central
 differences whose four perturbed blocks are solved on the solution's own
 mesh from the tangent predictor u + dx v + dy z: by the discrete implicit
 function theorem it misses them by O(h^2), inside Newton's full-step region.
+
+The certifier of periodic solutions (solver, verify) never calls this
+module: it certifies through conditions C1-C4, the window identities and
+the shooting oracle.  The blocks serve the ``connection`` subcommand, whose
+report holds the end slopes, sensitivity signs, energy derivatives and cap
+margins, and the uniqueness probe of the acceptance suite.
 
 The block solver reuses the finite-element machinery on a clamped sub-grid;
 boundary conditions are imposed by node elimination.  Constraints are handled
@@ -72,10 +78,6 @@ class ConnectionProblem:
         """Indices j of the interior positivity intervals I_j^+."""
         return range(self.i + 1, self.i + self.l + 1)
 
-    def minus_indices(self):
-        """Indices j of the negativity intervals I_j^- inside the block."""
-        return range(self.i, self.i + self.l + 1)
-
 
 def make_connection_problem(w, mu, x, y, i=-1, l=1, K=None, r=None):
     """Validated problem; caps not given are recomputed.
@@ -91,6 +93,8 @@ def make_connection_problem(w, mu, x, y, i=-1, l=1, K=None, r=None):
         K = 2.0 * levels_of(w).ground_bump().samples.sup_norm()
     if mu <= 0.0:
         raise WeightError("mu must be positive")
+    if not (K > 0.0 and r > 0.0):
+        raise WeightError("the caps K and r must be positive")
     if l < 0:
         raise WeightError("l must be >= 0")
     if abs(x) > K or abs(y) > K:
@@ -436,19 +440,6 @@ def compute_sensitivities(sol):
     return sol.v, sol.z
 
 
-def sensitivity_end_slopes(sol, which="v"):
-    """One-sided slopes of v or z at the block ends, quadrature-corrected.
-
-    The linearized weak residual against the boundary hats equals the
-    one-sided flux, exactly as for the nonlinear solution itself.
-    """
-    g = {"v": lambda: sol.sensitivities[0],
-         "z": lambda: sol.sensitivities[1]}[which]()
-    r = assembly.hessian_full(sol.grid.tables, sol.problem.mu,
-                              sol.u.values, g.values)
-    return -float(r[0]), float(r[-1])
-
-
 def energy_derivatives(sol, fd_step=None):
     """(dJ/dx, dJ/dy) = (-u'(t_lo+), +u'(t_hi-)).
 
@@ -491,7 +482,7 @@ def block_action(sol):
     return _block_action(sol.grid.tables, sol.problem.mu, sol.u.full())
 
 
-# -- probes and recorded inequalities -------------------------------------------
+# -- uniqueness probe ----------------------------------------------------------
 
 
 def uniqueness_probe(p, n_starts, cells=None, rng=None, tol=1e-6):
@@ -522,121 +513,3 @@ def uniqueness_probe(p, n_starts, cells=None, rng=None, tol=1e-6):
         if float(np.max(np.abs(s.u.values - base.u.values))) > tol * ref:
             return False
     return True
-
-
-def interior_smallness(sol):
-    """(sup |u|, sup |u'|) over the interior positivity intervals."""
-    p = sol.problem
-    grid = sol.grid
-    full = sol.u.values
-    h = grid.tables.h
-    su = sdu = 0.0
-    for a, b in _plus_ranges(p, grid):
-        su = max(su, float(np.max(np.abs(full[a:b + 1]))))
-        sdu = max(sdu, float(np.max(np.abs(np.diff(full[a:b + 1]) / h[a:b]))))
-    return su, sdu
-
-
-def negativity_cap_report(sol):
-    """Per negativity interval: (sup |u| inside, max |u| at its endpoints).
-
-    Convexity of |u| where the weight is negative forces the first column to
-    stay at or below the second.
-    """
-    p = sol.problem
-    grid = sol.grid
-    full = sol.u.values
-    out = []
-    for j in p.minus_indices():
-        lo, hi = grid.interval_nodes(j, "minus")
-        seg = full[lo:hi + 1]
-        out.append((float(np.max(np.abs(seg))),
-                    max(abs(float(seg[0])), abs(float(seg[-1])))))
-    return out
-
-
-def far_slope_bound(sol):
-    """(|v'(t_hi-)|, 2/length): the far-end sensitivity slope and its bound."""
-    _, dv_hi = sensitivity_end_slopes(sol, "v")
-    return abs(dv_hi), 2.0 / sol.problem.length
-
-
-def near_slope_bound(sol):
-    """(|x v'(t_lo+)|, 2K/length + 5 sup|u'|): checked margin, not sharpness."""
-    dv_lo, _ = sensitivity_end_slopes(sol, "v")
-    p = sol.problem
-    h = sol.grid.tables.h
-    sup_du = float(np.max(np.abs(np.diff(sol.u.values) / h)))
-    return abs(p.x * dv_lo), 2.0 * p.K / p.length + 5.0 * sup_du
-
-
-def combined_end_slopes(sol):
-    """One-sided slopes of v + z at the block ends: (left, right)."""
-    dv = sensitivity_end_slopes(sol, "v")
-    dz = sensitivity_end_slopes(sol, "z")
-    return dv[0] + dz[0], dv[1] + dz[1]
-
-
-def decay_interior_bound(sol, delta):
-    """Per negativity interval: (sup |u| at distance delta from its ends,
-    C_delta * (max(|x|,|y|)/mu)^{1/3}), with C_delta from the edge mass of a-.
-    """
-    p = sol.problem
-    d_left, d_right = p.w.edge_double_integrals(delta)
-    c_delta = min(d_left, d_right) ** (-1.0 / 3.0)
-    bound = c_delta * (max(abs(p.x), abs(p.y)) / p.mu) ** (1.0 / 3.0)
-    grid = sol.grid
-    full = sol.u.values
-    out = []
-    for j in p.minus_indices():
-        lo, hi = grid.interval_nodes(j, "minus")
-        t0, t1 = grid.nodes[lo], grid.nodes[hi]
-        if t1 - t0 <= 2.0 * delta:
-            raise WeightError("delta leaves no interior on a negativity "
-                              "interval")
-        mask = (grid.nodes >= t0 + delta) & (grid.nodes <= t1 - delta)
-        out.append((float(np.max(np.abs(full[mask]))), bound))
-    return out
-
-
-def slope_matching_mu(w, rho, x=None, K=None, r=None, i=-1, l=1, cells=None,
-                      mu0=None, tol=1e-3, max_iter=40):
-    """Secant search for mu making the block end slopes equal -/+ rho.
-
-    Symmetric data x = y turns the two-sided condition into the scalar
-    equation |u'(t_lo+)| = rho; the decay profile gives the starting scale
-    mu ~ 2 (rho / x^2)^2.  Returns (mu, ConnectionSolution).
-    """
-    if K is None or r is None:
-        probe = make_connection_problem(w, 1.0, 0.0, 0.0, i=i, l=l, K=K, r=r)
-        K = probe.K if K is None else K
-        r = probe.r if r is None else r
-    if x is None:
-        x = 0.5 * K
-    if mu0 is None:
-        mu0 = 2.0 * (rho / x ** 2) ** 2
-
-    def end_slope(mu):
-        q = ConnectionProblem(w=w, mu=mu, x=x, y=x, i=i, l=l, K=K, r=r)
-        s = solve_connection(q, cells=cells, with_sensitivities=False)
-        return abs(s.boundary_slopes[0]), s
-
-    f0, _ = end_slope(mu0)
-    mu1 = mu0 * (rho / f0) ** 2 if f0 > 0 else 2.0 * mu0
-    f1, _ = end_slope(mu1)
-    a, fa, b, fb = mu0, f0 - rho, mu1, f1 - rho
-    for _ in range(max_iter):
-        if abs(fb) <= tol * rho:
-            return b, solve_connection(
-                ConnectionProblem(w=w, mu=b, x=x, y=x, i=i, l=l, K=K, r=r),
-                cells=cells)
-        if fb == fa:
-            raise NonConvergence("secant stalled while matching slopes")
-        c = b - fb * (b - a) / (fb - fa)
-        if c <= 0.0:
-            c = 0.5 * b
-        a, fa = b, fb
-        fc, _ = end_slope(c)
-        b, fb = c, fc - rho
-    raise NonConvergence(f"slope matching missed rho = {rho:g}; last "
-                         f"mismatch {fb:.3e} at mu = {b:.4g}")

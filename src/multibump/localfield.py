@@ -44,15 +44,6 @@ class BumpProfile:
 
 
 @dataclass(eq=False)
-class LocalLevels:
-    c: float
-    c_zeta: float
-    zeta: float
-    lambda1: float
-    eigenfunction: assembly.GridFunction
-
-
-@dataclass(eq=False)
 class PinnedDetail:
     c_zeta: float
     tbar: float        # the pinned zero: an edge of [zeta, tau - zeta]
@@ -399,17 +390,3 @@ def levels_of(w, mesh=None):
 def clear_levels():
     """Forget every level levels_of holds."""
     _levels.clear()
-
-
-def local_levels(w, zeta=None, mesh=None):
-    """One-stop summary: c, c_zeta, the zeta used, and the eigenpair."""
-    from .weight import choose_zeta
-
-    ev = levels_of(w, mesh)
-    if zeta is None:
-        zeta, c_zeta, _ = choose_zeta(w, ev)
-    else:
-        c_zeta = ev.pinned_level(zeta)
-    lam1, phi = ev.eigen()
-    return LocalLevels(c=ev.ground_level(), c_zeta=c_zeta, zeta=float(zeta),
-                       lambda1=lam1, eigenfunction=phi)

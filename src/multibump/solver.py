@@ -22,6 +22,7 @@ from .weight import build_constant_pack
 
 _AMP_CAP = 1e6
 MU0 = 10.0              # lowest mu at which Newton starts from the pasted bumps
+NEWTON_TOL = 1e-10      # sup-norm residual at which Newton stops
 _MAX_NEWTON = 40
 
 
@@ -119,7 +120,6 @@ class Solution:
 @dataclass
 class SolveOptions:
     cells_per_interval: int = 0        # 0: pick from mu_target
-    newton_tol: float = 1e-10
     levels: object = None              # LevelEvaluator on a non-default mesh
 
 
@@ -137,10 +137,10 @@ def auto_cells(w, mu):
 # -- Newton and continuation --------------------------------------------------
 
 
-def _converge(grid, values, mu, opts):
+def _converge(grid, values, mu):
     """Damped Newton for gradient(u, mu) = 0 on the grid's dofs, then one
     more full step, counted: Newton converges quadratically there, so the
-    step takes the residual from just below newton_tol to rounding level,
+    step takes the residual from just below NEWTON_TOL to rounding level,
     which the window identities (verify.nehari_identities) read."""
     def residual(v):
         if np.max(np.abs(v)) > _AMP_CAP:
@@ -155,7 +155,7 @@ def _converge(grid, values, mu, opts):
         except np.linalg.LinAlgError as e:
             raise NewtonFailure(f"singular Jacobian: {e}") from None
 
-    u, iters, r = assembly.newton(values, residual, solve, opts.newton_tol,
+    u, iters, r = assembly.newton(values, residual, solve, NEWTON_TOL,
                                   _MAX_NEWTON)
     return u - solve(u, r), iters + 1
 
@@ -289,7 +289,7 @@ def _continuation(w, window, mu_list, opts):
     path, reached, failure = [], [], None
     for mu in top + mu_list[::-1]:
         try:
-            u, iters = _converge(grid, u, mu, opts)
+            u, iters = _converge(grid, u, mu)
         except NewtonFailure as e:
             failure = ContinuationBreakdown(f"Newton failed at mu={mu:.4g}: "
                                             f"{e}")

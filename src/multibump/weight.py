@@ -467,6 +467,8 @@ class ConstantPack:
 
 def build_constant_pack(w, levels, K=None):
     """Assemble every certification constant for weight w."""
+    if K is not None and not K > 0.0:
+        raise WeightError("the cap K must be positive")
     c = levels.ground_level()
     bump = levels.ground_bump()
     zeta, c_zeta, val = choose_zeta(w, levels)

@@ -137,6 +137,10 @@ def test_non_numeric_config_value_is_input_error(tmp_path):
                    "--outdir", str(tmp_path / "out")])
     assert rc == 2
     assert os.path.exists(tmp_path / "out" / "FAILED")
+    # JSON reads 1e400 as inf, which no count converts to
+    cfg.write_text('{"symbols": "10", "mu": 800, "cells": 1e400}')
+    assert cli.main(["solve", "--config", str(cfg),
+                     "--outdir", str(tmp_path / "big")]) == 2
 
 
 def test_non_numeric_weight_file_is_input_error(tmp_path):
@@ -159,6 +163,34 @@ def test_bad_count_and_undecodable_file_are_input_errors(tmp_path):
     path.write_bytes(b"\xff\xfe\x00")
     assert cli.main(["local", "--weight", str(path),
                      "--outdir", str(tmp_path / "bin")]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--symbols", "10", "--mu", "inf"],
+    ["solve", "--symbols", "10", "--mu", "nan"],
+    ["verify", "--symbols", "10", "--mu-from", "1e2", "--mu-to", "inf"],
+    ["connection", "--mu", "inf", "--x", "0.6", "--y", "0.4"],
+    ["connection", "--mu", "2000", "--x", "nan", "--y", "0.4"],
+    ["oracle", "integrate", "--t1", "nan"],
+    ["oracle", "shoot", "--mu", "nan", "--t0", "0", "--t1", "1",
+     "--x", "0", "--y", "0.3"],
+    ["local", "--K", "-1"],
+    ["local", "--K", "0"],
+])
+def test_non_finite_or_non_positive_value_is_input_error(tmp_path, argv):
+    """nan and inf are bad input, as is a cap K that |u| < K can never
+    meet; each run leaves its FAILED marker."""
+    assert cli.main(argv + ["--outdir", str(tmp_path)]) == 2
+    assert os.path.exists(tmp_path / "FAILED")
+
+
+@pytest.mark.parametrize("flag", [["solve", "--newton-tol", "1e-8"],
+                                  ["verify", "--alpha", "0.5"],
+                                  ["verify", "--oracle-rtol", "1e-12"]])
+def test_deleted_flags_are_refused(flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(flag)
+    assert exc.value.code == 2
 
 
 def test_stray_value_error_is_internal_error(tmp_path, monkeypatch):
@@ -479,10 +511,10 @@ def test_sweep_newton_failure_keeps_the_higher_mu(tmp_path, monkeypatch):
     rows of nan, in increasing mu."""
     real = solver._converge
 
-    def fail_in_the_middle(grid, values, mu, opts):
+    def fail_in_the_middle(grid, values, mu):
         if 200.0 < mu < 500.0:
             raise NewtonFailure("injected")
-        return real(grid, values, mu, opts)
+        return real(grid, values, mu)
 
     monkeypatch.setattr(solver, "_converge", fail_in_the_middle)
     d = str(tmp_path)
@@ -547,7 +579,7 @@ def test_parser_built_once_per_process(monkeypatch, capsys):
     assert solve_args["symbols"] == "10" and solve_args["mu"] == 800.0
     assert "x" not in solve_args
     assert conn_args["x"] == 0.5 and conn_args["y"] == 0.25
-    assert "symbols" not in conn_args and "newton_tol" not in conn_args
+    assert "symbols" not in conn_args and "N" not in conn_args
     for argv in (["--help"], ["solve", "--help"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

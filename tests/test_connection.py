@@ -26,7 +26,14 @@ def test_problem_geometry(problem, step_weight):
     assert p.t_hi == step_weight.sigma(1)
     assert math.isclose(p.length, p.t_hi - p.t_lo)
     assert list(p.plus_indices()) == [0]
-    assert list(p.minus_indices()) == [-1, 0]
+
+
+@pytest.mark.parametrize("caps", [{"K": 0.0}, {"K": -1.0}, {"r": 0.0},
+                                  {"r": -0.5}])
+def test_caps_must_be_positive(step_weight, caps):
+    with pytest.raises(WeightError):
+        connection.make_connection_problem(step_weight, 500.0, 0.0, 0.0,
+                                           **caps)
 
 
 def test_zero_data_gives_zero(step_weight, consts):
@@ -162,35 +169,6 @@ def test_sensitivity_fd(step_weight, consts):
     assert np.max(np.abs(fd - v.full())) < 1e-5
 
 
-def test_far_and_near_slope_bounds(sol):
-    val, bound = connection.far_slope_bound(sol)
-    assert val <= bound
-    val, bound = connection.near_slope_bound(sol)
-    assert val <= bound
-
-
-def test_interior_smallness_shrinks_with_mu(step_weight, consts):
-    sups = []
-    for mu in (1e3, 1.6e4):
-        p = connection.make_connection_problem(step_weight, mu, 0.5, 0.5,
-                                               l=1, K=consts.K, r=consts.r)
-        s = connection.solve_connection(p, cells=200,
-                                        with_sensitivities=False)
-        sups.append(connection.interior_smallness(s))
-    assert sups[1][0] < sups[0][0]
-    assert sups[1][1] < sups[0][1]
-
-
-def test_negativity_cap_report_convexity(sol):
-    for inside, ends in connection.negativity_cap_report(sol):
-        assert inside <= ends * (1 + 1e-12)
-
-
-def test_decay_interior_bound(sol):
-    for got, bound in connection.decay_interior_bound(sol, 0.2):
-        assert got <= bound
-
-
 def test_uniqueness_probe(problem):
     assert connection.uniqueness_probe(problem, 4, cells=140, rng=3) is True
 
@@ -213,20 +191,3 @@ def test_longer_block(step_weight, consts):
     s = connection.solve_connection(p, cells=160, with_sensitivities=False)
     assert list(p.plus_indices()) == [0, 1]
     assert np.all(s.u.full() > 0.0)
-    # interior intervals stay tiny at large mu
-    su, sdu = connection.interior_smallness(s)
-    assert su < 0.1
-
-
-def test_slope_matching_secant(step_weight, consts):
-    """Secant in mu drives the end slopes to -/+ rho; the combined
-    sensitivity v + z then slopes strictly inward at both ends."""
-    rho = consts.rho
-    mu_star, s = connection.slope_matching_mu(step_weight, rho,
-                                              K=consts.K, r=consts.r)
-    dlo, dhi = s.boundary_slopes
-    assert math.isclose(abs(dlo), rho, rel_tol=2e-3)
-    assert math.isclose(abs(dhi), rho, rel_tol=2e-3)
-    left, right = connection.combined_end_slopes(s)
-    assert left < 0.0 < right
-    assert mu_star > 1e6

@@ -49,6 +49,10 @@ def test_principal_eigenvalue_step(step_weight):
     assert math.isclose(np.max(full), 1.0, rel_tol=1e-12)
     # against the exact eigenfunction sin(pi t)
     assert np.max(np.abs(full - np.sin(np.pi * phi.grid.nodes))) < 1e-4
+    # the shared levels hand out the same eigenpair, exactly max-normalized
+    lam1, phi1 = localfield.levels_of(step_weight, 1200).eigen()
+    assert math.isclose(lam1, math.pi ** 2, rel_tol=1e-5)
+    assert phi1.sup_norm() == 1.0
 
 
 def _closed_form_errors(values, exact):
@@ -147,14 +151,6 @@ def test_pinned_level_two_entries_agree(step_weight):
     a = localfield.pinned_zero_level(step_weight, 0.125, 1200)
     b = localfield.pinned_level_direct(step_weight, 0.875, 1200)
     assert math.isclose(a, b, rel_tol=1e-6)
-
-
-def test_local_levels_summary(step_weight):
-    lv = localfield.local_levels(step_weight, mesh=1200)
-    assert math.isclose(lv.zeta, 0.125, rel_tol=1e-12)
-    assert lv.c < lv.c_zeta
-    assert math.isclose(lv.lambda1, math.pi ** 2, rel_tol=1e-5)
-    assert lv.eigenfunction.sup_norm() == 1.0
 
 
 def test_nehari_project_identity(step_weight, rng):

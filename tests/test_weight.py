@@ -221,6 +221,13 @@ def test_constant_pack_contents(step_weight, consts):
     assert consts.rho >= consts.rho_attained
 
 
+@pytest.mark.parametrize("K", [0.0, -1.0, float("nan")])
+def test_constant_pack_rejects_non_positive_cap(step_weight, levels, K):
+    """C3 asks |u| < K, which no solution meets when K <= 0."""
+    with pytest.raises(WeightError):
+        weight.build_constant_pack(step_weight, levels, K=K)
+
+
 def test_roundtrip_json(tmp_path, step_weight, sine_weight):
     for w in (step_weight, sine_weight):
         path = tmp_path / "w.json"
