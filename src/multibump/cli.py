@@ -509,9 +509,11 @@ def cmd_oracle(args):
     cfg["mode"] = args.mode
     with RunDir("oracle", cfg["outdir"], cfg, label, blob) as run:
         payload = {}
+        rtol = _num(cfg, "rtol")
+        if rtol is None or rtol <= 0.0:
+            raise WeightError(f"rtol must be positive, got {rtol!r}")
         if args.mode == "ground":
-            payload["c"] = oracle.brute_ground_level(
-                w, rtol=_num(cfg, "rtol"))
+            payload["c"] = oracle.brute_ground_level(w, rtol=rtol)
         else:
             if cfg["t1"] is None:
                 raise WeightError("need --t1")
@@ -520,7 +522,7 @@ def cmd_oracle(args):
             if args.mode == "shoot":
                 res = oracle.shoot_dirichlet(
                     w, mu, t0, t1, _num(cfg, "x"), _num(cfg, "y"),
-                    rtol=_num(cfg, "rtol"), s0=_num(cfg, "s0"))
+                    rtol=rtol, s0=_num(cfg, "s0"))
                 dense = res.dense
                 payload.update(slope=res.slope, residual=res.residual,
                                iters=res.iters)
@@ -528,7 +530,7 @@ def cmd_oracle(args):
                 _, dense = oracle.integrate(
                     w, mu, oracle.IvpState(t=t0, u=_num(cfg, "u0"),
                                            du=_num(cfg, "du0")),
-                    t1, rtol=_num(cfg, "rtol"))
+                    t1, rtol=rtol)
                 payload.update(u_end=dense.eval_u(t1),
                                du_end=dense.eval_du(t1))
             if cfg["out"]:
@@ -661,7 +663,8 @@ def build_parser():
                    help="window length; all-ones when --symbols is omitted")
     p.add_argument("--mu", type=float,
                    help="target mu; Newton starts from the pasted ground "
-                   f"bumps at max({solver.MU0:g}, mu) and walks down to it")
+                   f"bumps at max({solver.MU0:g}, mu) and walks down to it, "
+                   f"first on a mesh of 1/{solver.COARSE_DIV} the cells")
     p.add_argument("--cells", type=int, help="cells per subinterval")
     p.add_argument("--out", help="solution CSV name")
     p.add_argument("--report", help="certification report JSON name")

@@ -23,6 +23,9 @@ _ARMIJO = 1e-4
 _EIGEN_TOL = 1e-13         # sup change of the max-normalized eigenvector
 _EIGEN_MAX_ITER = 2000
 _LEVELS_KEPT = 4           # (weight, mesh) pairs whose levels levels_of keeps
+# fewest cells of a level mesh: on 2 cells the ground state's tridiagonal
+# solve has one interior node and no off-diagonal, which LAPACK refuses
+_MIN_MESH = 3
 
 
 @dataclass(eq=False)
@@ -336,6 +339,9 @@ class LevelEvaluator:
     def __init__(self, w, mesh=None):
         self.w = w
         self.mesh = mesh or default_cells(w)
+        if self.mesh < _MIN_MESH:
+            raise WeightError(f"a level mesh needs at least {_MIN_MESH} "
+                              f"cells, got {self.mesh}")
         self._bump = None
         self._pinned = {}
         self._eigen = None

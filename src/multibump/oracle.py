@@ -3,15 +3,23 @@ restarts at weight breakpoints.
 
 This path is deliberately independent of the FEM machinery: no quadrature
 tables or assembly code are shared.  It provides initial-value integration
-with dense output (scipy's ``solve_ivp``, Dormand-Prince 8(5,3) after Hairer,
-Norsett & Wanner), Dirichlet shooting on intervals, and a brute-force
-ground-level computation used to cross-validate the local solver.
+with dense output (Dormand-Prince 8(5,3) after Hairer, Norsett & Wanner),
+Dirichlet shooting on intervals, and a brute-force ground-level computation
+used to cross-validate the local solver.
+
+The integration is scipy's DOP853 without ``solve_ivp``: ``_dop853``
+repeats, operation for operation, what ``solve_ivp(method="DOP853",
+dense_output=True)`` with a terminal event does, with scipy's own tableau,
+initial-step rule and step-size constants and its stage arithmetic, so it
+takes the same steps to the bit.  It leaves out the machinery around each
+step (solver, interpolant and result objects, event bookkeeping), and
+appends each step's dense-output coefficients straight into ``_Steps``.
 
 One integrator, ``_integrate_raw``, carries a batch of runs at once.  Run k
 goes from its t_from to its t_to, in either direction, on a common
 s in [0, 1] (t = t_from + (t_to - t_from) s), with its derivative columns
 taken along the direction of travel.  The pieces of s are the union of the
-runs' weight knots, one ``solve_ivp`` call each.  A piece's first step is
+runs' weight knots, one ``_dop853`` call each.  A piece's first step is
 twice the larger of the last two steps before it, capped at the piece.
 scipy's error norm is a root mean square over all components, so a batch
 of n runs divides rtol and atol by sqrt(n): the batch's norm is then the
@@ -35,7 +43,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as _dop
+from scipy.integrate._ivp.common import select_initial_step
+from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 from scipy.optimize import brentq
 
 from .errors import BlowUp, NewtonFailure, NonConvergence, ScopeError
@@ -43,6 +53,11 @@ from .errors import BlowUp, NewtonFailure, NonConvergence, ScopeError
 _G5X, _G5W = np.polynomial.legendre.leggauss(5)
 # s-knots of different runs closer than this are one knot
 _S_GAP = 1e-13
+
+_EPS = np.finfo(float).eps
+_N_STAGES = _dop.N_STAGES             # stages of a step; 3 more for dense
+_ERROR_ORDER = 7                      # order of the error estimator
+_ERROR_EXPONENT = -1 / (_ERROR_ORDER + 1)
 
 
 @dataclass
@@ -54,8 +69,9 @@ class IvpState:
 
 class _Steps:
     """A batch's accepted steps in s with their DOP853 dense-output
-    coefficients, stacked once: step i spans [S[i], S[i+1]] and carries the
-    t_old, h, F and y_old of scipy's ``Dop853DenseOutput``.
+    coefficients: step i spans [S[i], S[i+1]] and carries the t_old, h, F
+    and y_old of scipy's ``Dop853DenseOutput``.  ``_dop853`` appends each
+    step with ``add``, and ``close`` stacks them once the batch is done.
 
     ``column`` evaluates one state column at any s, choosing each point's
     step as ``OdeSolution`` does on increasing times and running
@@ -63,12 +79,21 @@ class _Steps:
     same operations in the same order, so the same bits, with one
     ``searchsorted`` instead of one interpolant call per step."""
 
-    def __init__(self, S, interps):
+    def __init__(self):
+        self.t_old, self.h, self.F, self.y_old = [], [], [], []
+
+    def add(self, t_old, h, F, y_old):
+        self.t_old.append(t_old)
+        self.h.append(h)
+        self.F.append(F)
+        self.y_old.append(y_old)
+
+    def close(self, S):
         self.S = S
-        self.t_old = np.array([p.t_old for p in interps])
-        self.h = np.array([p.h for p in interps])
-        self.F = np.array([p.F for p in interps])
-        self.y_old = np.array([p.y_old for p in interps])
+        self.t_old = np.array(self.t_old)
+        self.h = np.array(self.h)
+        self.F = np.array(self.F)
+        self.y_old = np.array(self.y_old)
 
     def column(self, s, j):
         # OdeSolution: side "left", so a step time picks the earlier step,
@@ -157,6 +182,10 @@ def piece_amu(coefs, tref, mu):
     """a_mu on one smooth weight piece with ascending coefficients in
     (t - tref): the polynomial p where p >= 0, mu p where p < 0."""
     cs = [float(c) for c in coefs[::-1]]
+    if len(cs) == 1 and cs[0] != 0.0:
+        # Horner's 0 (t - tref) + c is c itself at every finite t
+        value = cs[0] if cs[0] >= 0.0 else mu * cs[0]
+        return lambda t: value
 
     def amu(t):
         s = t - tref
@@ -194,13 +223,133 @@ def _rhs(amus, span, live, m):
     return f
 
 
-def _cap_event(live, m, cap):
-    cols = [m * k for k in live]
+def _error_norm(KT, h, scale):
+    """DOP853's scaled error norm of a step from its stages KT (one column
+    each): scipy's ``DOP853._estimate_error_norm``, with
+    ``np.linalg.norm(x)**2`` written out as the same ``sqrt(x.dot(x))**2``.
+    The 5th-order estimate, damped where the 3rd-order one is larger."""
+    err5 = np.dot(KT, _dop.E5) / scale
+    err3 = np.dot(KT, _dop.E3) / scale
+    err5_norm_2 = np.sqrt(err5.dot(err5))**2
+    err3_norm_2 = np.sqrt(err3.dot(err3))**2
+    if err5_norm_2 == 0 and err3_norm_2 == 0:
+        return 0.0
+    denom = err5_norm_2 + 0.01 * err3_norm_2
+    return abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
-    def cap_hit(s, y):
-        return cap - max([abs(y[j]) for j in cols])
-    cap_hit.terminal = True
-    return cap_hit
+
+def _dense_at(t, t_old, h, F, y_old):
+    """The state at scalar t from one step's dense output
+    (``Dop853DenseOutput._call_impl``)."""
+    x = (np.asarray(t) - t_old) / h
+    y = np.zeros_like(y_old)
+    for i, f in enumerate(reversed(F)):
+        y += f
+        if i % 2 == 0:
+            y *= x
+        else:
+            y *= 1 - x
+    y += y_old
+    return y
+
+
+def _dop853(rhs, t, t_bound, y, rtol, atol, max_step, first_step, cap, cols,
+            steps):
+    """One forward DOP853 integration from t to t_bound > t: scipy's
+    ``solve_ivp(rhs, (t, t_bound), y, method="DOP853", rtol=rtol,
+    atol=atol, max_step=max_step, first_step=first_step, dense_output=True,
+    events=cap_hit)`` with ``cap_hit(t, y) = cap - max |y[cols]|``
+    terminal, repeated operation for operation without its per-step
+    objects.  Each accepted step's dense output goes to ``steps``.  Returns
+    (ts, ys, status) as solve_ivp's t, y columns and status: 0 at t_bound,
+    1 where |u| reached the cap (the state read from that step's dense
+    output at the root), -1 when the step fell below 10 ulp of t."""
+    def cap_hit(v):
+        return cap - max([abs(v[j]) for j in cols])
+
+    n = len(y)
+    K_extended = np.empty((_dop.N_STAGES_EXTENDED, n))
+    K = K_extended[:_N_STAGES + 1]
+    def stage(s):
+        # the slices of K and of the tableau that scipy takes anew at
+        # every step, taken once
+        return s, K_extended[:s].T, _dop.A[s, :s], _dop.C[s]
+    stages = [stage(s) for s in range(1, _N_STAGES)]
+    extra = [stage(s) for s in range(_N_STAGES + 1, _dop.N_STAGES_EXTENDED)]
+    KB, KE = K[:-1].T, K.T
+    f = rhs(t, y)
+    if first_step is None:
+        h_abs = select_initial_step(rhs, t, y, t_bound, max_step,
+                                    np.asarray(f, dtype=float), 1.0,
+                                    _ERROR_ORDER, rtol, atol)
+    else:
+        h_abs = first_step
+    g = cap_hit(y)
+    ts, ys = [t], [y]
+    while True:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return ts, ys, -1
+            t_new = t + h_abs
+            if t_new > t_bound:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            # rk_step
+            K[0] = f
+            for s, KT, a, c in stages:
+                K[s] = rhs(t + c * h, y + np.dot(KT, a) * h)
+            y_new = y + h * np.dot(KB, _dop.B)
+            K[-1] = f_new = rhs(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _error_norm(KE, h, scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR,
+                                 SAFETY * error_norm ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        status = 0 if t_new >= t_bound else None
+
+        # dense output: three more stages, then the interpolant's F
+        for s, KT, a, c in extra:
+            K_extended[s] = rhs(t + c * h, y + np.dot(KT, a) * h)
+        F = np.empty((_dop.INTERPOLATOR_POWER, n))
+        f_old = K[0]
+        delta_y = y_new - y
+        F[0] = delta_y
+        F[1] = h * f_old - delta_y
+        F[2] = 2 * delta_y - h * (K[-1] + f_old)
+        F[3:] = h * np.dot(_dop.D, K_extended)
+
+        t_end, y_end = t_new, y_new
+        g_new = cap_hit(y_new)
+        if g <= 0 <= g_new or g_new <= 0 <= g:
+            t_end = brentq(lambda x: cap_hit(_dense_at(x, t, h, F, y)),
+                           t, t_new, xtol=4 * _EPS, rtol=4 * _EPS)
+            y_end = _dense_at(t_end, t, h, F, y)
+            status = 1
+        g = g_new
+        # solve_ivp drops a step that ends where the last one did
+        if not (len(ts) > 1 and ts[-1] == t_end):
+            steps.add(t, h, F, y)
+            ts.append(t_end)
+            ys.append(y_end)
+        if status is not None:
+            return ts, ys, status
+        t, y, f = t_new, y_new, f_new
 
 
 def _piece_in_s(w, mu, t0, d, sa, sb):
@@ -213,12 +362,14 @@ def _piece_in_s(w, mu, t0, d, sa, sb):
 
 
 def _integrate_raw(w, mu, runs, rtol, atol, cap, max_step):
-    """DOP853 on a batch of runs (t_from, t_to, y0), one ``solve_ivp`` call
+    """DOP853 on a batch of runs (t_from, t_to, y0), one ``_dop853`` call
     per piece of s (see the module docstring).  Every y0 has the same width
     and layout (u, u'[, v, v'][, q]), derivatives along the direction of
     travel.  ``max_step`` bounds the step in t.  Returns one
     (DenseOutput, end state, blew_up) per run; the end state is in the
     run's own layout, and |u| reaching ``cap`` ends that run there."""
+    if not (rtol > 0.0 and atol >= 0.0):
+        raise ScopeError("rtol must be positive and atol non-negative")
     n, m = len(runs), len(runs[0][2])
     t_from = [float(r[0]) for r in runs]
     span = [float(r[1]) - t0 for r, t0 in zip(runs, t_from)]
@@ -233,36 +384,38 @@ def _integrate_raw(w, mu, runs, rtol, atol, cap, max_step):
     s_knots = s_all[np.concatenate(([True], np.diff(s_all) > _S_GAP))]
     s_knots[-1] = 1.0
     root_n = math.sqrt(n)
-    rtol, atol = rtol / root_n, atol / root_n
+    # scipy's floor on rtol (validate_tol)
+    rtol, atol = max(rtol / root_n, 100 * _EPS), atol / root_n
     max_step = max_step / (max(map(abs, span)) or 1.0)
 
     y = np.concatenate([np.asarray(r[2], dtype=float) for r in runs])
-    ss, yss, interps = [np.array([0.0])], [y[None, :]], []
+    S, Y, steps = [0.0], [y], _Steps()
     n_steps, h = 0, None
     for sa, sb in zip(s_knots[:-1], s_knots[1:]):
         amus = [_piece_in_s(w, mu, t0, d, sa, sb) if d else None
                 for t0, d in zip(t_from, span)]
-        s0 = sa
+        s0 = float(sa)
         while live and s0 < sb:
-            sol = solve_ivp(_rhs(amus, span, live, m), (s0, sb), y,
-                            method="DOP853", rtol=rtol, atol=atol,
-                            max_step=max_step, events=_cap_event(live, m, cap),
-                            dense_output=True,
-                            first_step=None if h is None else min(h, sb - s0))
-            if sol.status < 0:
-                t_fail = t_from[live[0]] + span[live[0]] * sol.t[-1]
+            ts, ys, status = _dop853(
+                _rhs(amus, span, live, m), s0, float(sb), y, rtol, atol,
+                max_step, None if h is None else min(h, sb - s0), cap,
+                [m * k for k in live], steps)
+            if status < 0:
+                t_fail = t_from[live[0]] + span[live[0]] * ts[-1]
                 raise NonConvergence(f"integrator failed at t = {t_fail:.6g}: "
-                                     f"{sol.message}")
-            ss.append(sol.t[1:])
-            yss.append(sol.y[:, 1:].T)
-            interps.extend(sol.sol.interpolants)
-            n_steps += len(sol.t) - 1
+                                     "Required step size is less than "
+                                     "spacing between numbers.")
+            S.extend(ts[1:])
+            Y.extend(ys[1:])
+            n_steps += len(ts) - 1
             # the knot clips the last step, so the larger of the last two
             # only bounds the controller's next step from below: offer twice
-            h = 2.0 * float(np.max(np.diff(sol.t[-3:]), initial=0.0)) or h
-            y = sol.y[:, -1]
-            s0 = sol.t[-1]
-            if sol.status == 1:
+            last = ts[-3:]
+            h = 2.0 * max([b - a for a, b in zip(last, last[1:])],
+                          default=0.0) or h
+            y = ys[-1]
+            s0 = ts[-1]
+            if status == 1:
                 top = max(abs(y[m * k]) for k in live)
                 for k in live:
                     if abs(y[m * k]) >= min(top, cap * (1.0 - 1e-9)):
@@ -271,8 +424,8 @@ def _integrate_raw(w, mu, runs, rtol, atol, cap, max_step):
         if not live:
             break
 
-    S, Y = np.concatenate(ss), np.concatenate(yss)
-    steps = _Steps(S, interps)
+    S, Y = np.array(S), np.array(Y)
+    steps.close(S)
     out = []
     for k in range(n):
         j = n_steps if ends[k] is None else ends[k]

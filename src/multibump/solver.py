@@ -6,6 +6,12 @@ schedule, where that guess is closest, continued downward through the
 scheduled mu (natural-parameter continuation, each mu started from the last
 converged iterate), and then certified a posteriori against the energy
 dichotomy, positivity, amplitude and junction-slope conditions.
+
+The walk is nested: it runs first on a mesh with 1/COARSE_DIV of the cells,
+and each stop's Newton on the solve mesh starts from the interpolated coarse
+solution.  Newton's step count does not depend on the mesh (the
+mesh-independence principle of Allgower, Boehmer, Potra & Rheinboldt), so
+the coarse mesh takes most of the steps at a fraction of their cost.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ _AMP_CAP = 1e6
 MU0 = 10.0              # lowest mu at which Newton starts from the pasted bumps
 NEWTON_TOL = 1e-10      # sup-norm residual at which Newton stops
 _MAX_NEWTON = 40
+COARSE_DIV = 8          # coarse walk: max(8, cells // COARSE_DIV) cells
 
 
 # -- symbol windows -----------------------------------------------------------
@@ -73,7 +80,8 @@ class SolveReport:
     positivity: bool
     dichotomy: dict                   # i -> "small" | "large"
     ties: dict                        # i -> True when E is within noise of r^2
-    continuation_path: list = field(default_factory=list)
+    continuation_path: list = field(default_factory=list)  # (mu, steps)
+    coarse_path: list = field(default_factory=list)  # (mu, steps or None)
     mu: float = float("nan")
 
     @property
@@ -102,6 +110,8 @@ class SolveReport:
             "ties": {str(i): bool(v) for i, v in self.ties.items()},
             "continuation_path": [[m, int(it)]
                                   for m, it in self.continuation_path],
+            "coarse_path": [[m, None if it is None else int(it)]
+                            for m, it in self.coarse_path],
         }
 
 
@@ -276,30 +286,50 @@ def _continuation(w, window, mu_list, opts):
 
     Newton starts from the pasted ground bumps at max(MU0, mu_list[-1])
     and walks the list downward, each mu from the last converged iterate.
+    The walk runs on a coarse mesh of max(8, cells // COARSE_DIV) cells per
+    subinterval, and each stop's Newton on the solve mesh starts from the
+    coarse solution interpolated there.  Where the coarse Newton fails, the
+    stop starts from the last fine iterate (the pasted bumps at the top) and
+    the coarse walk resumes from the fine solution at the coarse nodes.
     The states come out in increasing mu once the walk ends, each carrying
-    the whole walk as continuation_path.  When Newton fails partway down,
-    the higher mu reached are yielded before ContinuationBreakdown.
+    the whole walk as continuation_path (fine Newton steps) and coarse_path
+    (coarse steps, None where the coarse Newton failed).  When the fine
+    Newton fails partway down, the higher mu reached are yielded before
+    ContinuationBreakdown.
     """
     consts, bump = _prepare(w, opts)
     cells = opts.cells_per_interval or auto_cells(w, mu_list[-1])
-    grid = assembly.span_grid(w, window.i_start, len(window.symbols), cells,
-                              periodic=True)
-    u = initial_guess(w, window, bump, grid).values
+    grid, coarse = (assembly.span_grid(w, window.i_start, len(window.symbols),
+                                       m, periodic=True)
+                    for m in (cells, max(8, cells // COARSE_DIV)))
+    v = initial_guess(w, window, bump, coarse).values
+    u = None
     top = [MU0] if MU0 > mu_list[-1] else []
-    path, reached, failure = [], [], None
+    path, coarse_path, reached, failure = [], [], [], None
     for mu in top + mu_list[::-1]:
         try:
-            u, iters = _converge(grid, u, mu)
+            v, steps = _converge(coarse, v, mu)
+            start = coarse.eval(v, grid.nodes[:grid.ndof])
+        except NewtonFailure:
+            v, steps = None, None
+            start = initial_guess(w, window, bump, grid).values if u is None \
+                else u
+        try:
+            u, iters = _converge(grid, start, mu)
         except NewtonFailure as e:
             failure = ContinuationBreakdown(f"Newton failed at mu={mu:.4g}: "
                                             f"{e}")
             break
+        if v is None:
+            v = grid.eval(u, coarse.nodes[:coarse.ndof])
         path.append((mu, iters))
+        coarse_path.append((mu, steps))
         reached.append((mu, u))
     for mu, u in reversed(reached[len(top):]):
         gf = assembly.GridFunction(grid, u)
         report = check_membership(gf, mu, consts, window)
         report.continuation_path = list(path)
+        report.coarse_path = list(coarse_path)
         yield mu, gf, report
     if failure is not None:
         raise failure

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import shlex
+import signal
 import subprocess
 import sys
 
@@ -104,18 +105,38 @@ def test_singular_periodic_band_is_convergence_failure(tmp_path,
 
 
 def test_integrator_failure_is_convergence_failure(tmp_path, monkeypatch):
-    # solve_ivp reports status -1 (step size underflow): exit 4, not 2
-    def failing(fun, t_span, y0, **kwargs):
-        return type("Failed", (), dict(
-            status=-1, t=np.array([t_span[0]]),
-            message="Required step size is less than spacing between "
-                    "numbers."))()
-
-    monkeypatch.setattr(oracle, "solve_ivp", failing)
+    # every step rejected until it falls below 10 ulp of t (scipy's "step
+    # size underflow"): exit 4, not 2
+    monkeypatch.setattr(oracle, "_error_norm", lambda K, h, scale: np.inf)
     rc = cli.main(["oracle", "integrate", "--mu", "1", "--t0", "0",
                    "--t1", "1", "--outdir", str(tmp_path)])
     assert rc == 4
     assert os.path.exists(tmp_path / "FAILED")
+    assert "Required step size" in (tmp_path / "FAILED").read_text()
+
+
+@pytest.mark.parametrize("rtol", ["-1", "0"])
+@pytest.mark.parametrize("mode", [
+    ["integrate", "--t1", "1"],
+    ["shoot", "--mu", "10", "--t0", "0", "--t1", "1", "--x", "0",
+     "--y", "0.3"],
+    ["ground"]])
+def test_oracle_rtol_must_be_positive(tmp_path, mode, rtol):
+    """A non-positive --rtol is bad input, refused before any integration:
+    rtol 0 once ran without end and rtol -1 exited 5."""
+    def too_slow(signum, frame):
+        raise TimeoutError("the oracle did not return at once")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        rc = cli.main(["oracle", *mode, "--rtol", rtol,
+                       "--outdir", str(tmp_path)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rc == 2
+    assert "rtol must be positive" in (tmp_path / "FAILED").read_text()
 
 
 def test_linalg_error_is_convergence_failure(tmp_path, monkeypatch):
@@ -156,6 +177,11 @@ def test_non_numeric_weight_file_is_input_error(tmp_path):
 def test_bad_count_and_undecodable_file_are_input_errors(tmp_path):
     assert cli.main(["local", "--mesh", "-3",
                      "--outdir", str(tmp_path / "mesh")]) == 2
+    # too few cells for the level solves (LAPACK refused 2; 1 left none)
+    for mesh in ("1", "2"):
+        out = tmp_path / f"mesh{mesh}"
+        assert cli.main(["local", "--mesh", mesh, "--outdir", str(out)]) == 2
+        assert "at least 3 cells" in (out / "FAILED").read_text()
     assert cli.main(["verify", "--symbols", "10", "--mu-from", "1e2",
                      "--mu-to", "1e3", "--points", "0",
                      "--outdir", str(tmp_path / "points")]) == 2

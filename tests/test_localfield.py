@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multibump import assembly, localfield, oracle, weight
-from multibump.errors import DegenerateDirection, NonConvergence
+from multibump.errors import DegenerateDirection, NonConvergence, WeightError
 
 C_STEP = 15.756060010769785
 T1 = 3.118169499510998
@@ -300,6 +300,21 @@ def test_levels_of_keyed_by_content(tau, frac, levels, moved, mesh):
     for extra in range(kept):
         shared(w, n + 2 + extra)
     assert shared(w, mesh) is not ev
+
+
+def test_level_mesh_needs_three_cells(step_weight):
+    """A level mesh of 1 or 2 cells is refused (on 2 the ground state's
+    tridiagonal solve failed inside LAPACK), and nothing is kept for it;
+    mesh 0 means the default and 3 cells still solve."""
+    for mesh in (1, 2):
+        with pytest.raises(WeightError):
+            localfield.levels_of(step_weight, mesh)
+        with pytest.raises(WeightError):
+            localfield.LevelEvaluator(step_weight, mesh)
+    assert not localfield._levels
+    assert localfield.LevelEvaluator(step_weight, 0).mesh == \
+        localfield.default_cells(step_weight)
+    assert localfield.levels_of(step_weight, 3).ground_level() > 0.0
 
 
 def test_failed_level_solve_is_not_cached(step_weight, monkeypatch):

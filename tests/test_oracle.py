@@ -169,14 +169,22 @@ def test_dense_output_eval_consistency(step_weight):
 
 
 def _record_ode_solutions(monkeypatch):
-    """Give every batch's steps scipy's own ``OdeSolution`` of them."""
+    """Give every batch's steps scipy's own ``OdeSolution`` of them, built
+    from one ``Dop853DenseOutput`` per recorded step."""
     from scipy.integrate import OdeSolution
-    real = oracle._Steps.__init__
+    from scipy.integrate._ivp.rk import Dop853DenseOutput
+    real = oracle._Steps.close
 
-    def init(self, S, interps):
-        real(self, S, interps)
+    def close(self, S):
+        real(self, S)
+        interps = []
+        for t_old, h, F, y_old in zip(self.t_old, self.h, self.F,
+                                      self.y_old):
+            p = Dop853DenseOutput(t_old, t_old + h, y_old, F)
+            p.h = h
+            interps.append(p)
         self.reference = OdeSolution(S, interps)
-    monkeypatch.setattr(oracle._Steps, "__init__", init)
+    monkeypatch.setattr(oracle._Steps, "close", close)
 
 
 def _ode_solution_at(dense, t, j):
@@ -218,11 +226,67 @@ def test_steps_choose_steps_like_ode_solution():
     interps = [Dop853DenseOutput(a, b, rng.normal(size=3),
                                  rng.normal(size=(7, 3)))
                for a, b in zip(S[:-1], S[1:])]
-    steps, ref = oracle._Steps(S, interps), OdeSolution(S, interps)
+    steps = oracle._Steps()
+    for p in interps:
+        steps.add(p.t_old, p.h, p.F, p.y_old)
+    steps.close(S)
+    ref = OdeSolution(S, interps)
     s = np.concatenate([S, rng.uniform(S[0] - 1.0, S[-1] + 1.0, 50)])
     for j in range(3):
         assert np.array_equal(steps.column(s, j), ref(s)[j])
         assert all(steps.column(x, j) == ref(x)[j] for x in s)
+
+
+def _solve_ivp_dop853(rhs, t, t_bound, y, rtol, atol, max_step, first_step,
+                      cap, cols, steps):
+    """``oracle._dop853`` done by scipy's solve_ivp itself."""
+    from scipy.integrate import solve_ivp
+
+    def cap_hit(s, v):
+        return cap - max([abs(v[j]) for j in cols])
+    cap_hit.terminal = True
+    sol = solve_ivp(rhs, (t, t_bound), y, method="DOP853", rtol=rtol,
+                    atol=atol, max_step=max_step, first_step=first_step,
+                    events=cap_hit, dense_output=True)
+    for p in sol.sol.interpolants:
+        steps.add(p.t_old, p.h, p.F, p.y_old)
+    return list(sol.t), list(sol.y.T), sol.status
+
+
+@pytest.mark.parametrize("max_step", [np.inf, 0.05])
+def test_dop853_loop_equals_solve_ivp(step_weight, monkeypatch, max_step):
+    """The loop takes solve_ivp's DOP853 steps bit for bit: the same step
+    times, states, ends and dense-output coefficients, on a batch with a
+    forward run, a backward run across a knot and a run that blows up,
+    whose first piece starts from select_initial_step and whose later
+    pieces and the restart after the blow-up start from a given step."""
+    runs = [(0.0, 1.0, [0.3, 0.4, 0.0, 1.0]),
+            (3.9, 2.3, [0.05, -0.1, 0.0, 1.0]),
+            (1.0, 2.0, [0.4, 30.0, 0.0, 1.0])]
+    calls = []
+    real = oracle._dop853
+
+    def spy(*args):
+        calls.append(args[7])                 # first_step
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_dop853", spy)
+    got = oracle._integrate_raw(step_weight, 1e3, runs, 1e-10, 1e-12, 10.0,
+                                max_step)
+    monkeypatch.setattr(oracle, "_dop853", _solve_ivp_dop853)
+    ref = oracle._integrate_raw(step_weight, 1e3, runs, 1e-10, 1e-12, 10.0,
+                                max_step)
+    assert calls[0] is None and len(calls) >= 3
+    assert all(h is not None for h in calls[1:])
+    assert [b for _, _, b in got] == [b for _, _, b in ref] == \
+        [False, False, True]
+    for (dense, end, _), (dense_ref, end_ref, _) in zip(got, ref):
+        assert np.array_equal(dense.ts, dense_ref.ts)
+        assert np.array_equal(dense.ys, dense_ref.ys)
+        assert np.array_equal(end, end_ref)
+    steps, steps_ref = got[0][0]._steps, ref[0][0]._steps
+    for name in ("S", "t_old", "h", "F", "y_old"):
+        assert np.array_equal(getattr(steps, name), getattr(steps_ref, name))
 
 
 def test_ground_level_reads_like_ode_solution(step_weight, monkeypatch):
@@ -293,14 +357,14 @@ def test_dense_ts_are_the_accepted_steps(step_weight, monkeypatch):
     """``ts`` runs strictly increasing from t0 to t1 with one entry per
     accepted step after t0; the benchmark's step count reads it."""
     steps = []
-    real = oracle.solve_ivp
+    real = oracle._dop853
 
-    def counting(*args, **kwargs):
-        sol = real(*args, **kwargs)
-        steps.append(len(sol.t) - 1)
-        return sol
+    def counting(*args):
+        ts, ys, status = real(*args)
+        steps.append(len(ts) - 1)
+        return ts, ys, status
 
-    monkeypatch.setattr(oracle, "solve_ivp", counting)
+    monkeypatch.setattr(oracle, "_dop853", counting)
     _, dense = oracle.integrate(step_weight, 1.0,
                                 oracle.IvpState(t=0.3, u=0.1, du=0.1), 3.7)
     res = oracle.shoot_dirichlet(step_weight, 50.0, 1.0, 2.0, 0.4, 0.3)

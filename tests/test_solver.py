@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from multibump import assembly, localfield, solver
-from multibump.errors import CertificationFailure, WeightError
+from multibump import assembly, localfield, solver, weight
+from multibump.errors import CertificationFailure, NewtonFailure, WeightError
 
 
 def test_parse_symbols():
@@ -150,9 +150,107 @@ def test_walk_down_from_pasted_bumps(step_weight, levels, sine_weight,
     walk = [mu for mu, _ in path]
     assert walk[0] == max(solver.MU0, max(mus))
     assert walk == sorted(walk, reverse=True)
-    # at most 12 damped Newton iterations plus the counted extra step (all
-    # 120 codes of length 1-6 at mu 30, 1e2, 3e2 and 1e3 on step: 7 to 13)
-    assert path[0][1] <= 13
+    # from the coarse solution, at most 3 Newton iterations plus the counted
+    # extra step (all 120 codes of length 1-6 at mu 30, 1e2, 3e2 and 1e3 on
+    # step: 3 to 4; from the pasted bumps it took 7 to 13)
+    assert path[0][1] <= 4
+
+
+def _fine_walk(w, ev, window, mus, cells):
+    """The states of the walk on the solve mesh alone: Newton from the
+    pasted bumps at the top, each lower mu from the last iterate."""
+    cells = cells or solver.auto_cells(w, max(mus))
+    grid = assembly.span_grid(w, window.i_start, len(window.symbols), cells)
+    u = solver.initial_guess(w, window, ev.ground_bump(), grid).values
+    top = [solver.MU0] if solver.MU0 > max(mus) else []
+    states = {}
+    for mu in top + sorted(mus, reverse=True):
+        u, _ = solver._converge(grid, u, mu)
+        states[mu] = u
+    return states
+
+
+def _assert_same_states(w, ev, window, mus, states, rel):
+    """Where the walk on the solve mesh alone (_fine_walk) certifies, the
+    states of continuation_states equal its states to rel, with the same
+    flags; where it does not, they certify or carry its flags."""
+    consts = weight.build_constant_pack(w, ev)
+    ref = _fine_walk(w, ev, window, mus, states[0][1].grid.m)
+    for mu, gf, rep in states:
+        u = ref[mu]
+        want = solver.check_membership(assembly.GridFunction(gf.grid, u), mu,
+                                       consts, window)
+        if not want.certified:
+            assert rep.certified or (
+                rep.condition_flags, rep.positivity) == \
+                (want.condition_flags, want.positivity)
+            continue
+        assert np.max(np.abs(gf.values - u)) <= rel * np.max(np.abs(u))
+        assert rep.condition_flags == want.condition_flags
+        assert (rep.positivity, rep.dichotomy, rep.ties) == \
+            (want.positivity, want.dichotomy, want.ties)
+
+
+@settings(max_examples=12, deadline=None)
+@given(code=st.lists(st.integers(0, 1), min_size=1, max_size=5).filter(any),
+       mus=st.lists(st.floats(30.0, 1e4), min_size=1, max_size=3,
+                    unique=True),
+       sine=st.booleans(), cells=st.sampled_from([0, 200, 1600]))
+# the walk from the pasted bumps on the solve mesh ends on a small
+# near-constant state here (C1 fails); the nested walk certifies
+@example(code=[1, 1, 0, 1, 1], mus=[32.71631679352486], sine=False,
+         cells=1600)
+# the largest gap between two certified Newton limits seen: 2.5e-12
+@example(code=[0, 0, 1, 0], mus=[5884.653967871251], sine=True, cells=1600)
+def test_nested_start_reaches_the_fine_walk(step_weight, levels, sine_weight,
+                                            sine_levels, code, mus, sine,
+                                            cells):
+    """Each stop's Newton started from the coarse solution converges to the
+    state the walk on the solve mesh alone reaches where that walk
+    certifies, with the same flags.  The bound is 1e-11 relative: two
+    Newton limits at rounding level differed by up to 2.5e-12 (sine, mu
+    near 6e3, 1600 cells) and by at most 2e-16 at 200 cells.  At 1600 cells
+    and mu below 50, the walk from the pasted bumps on the solve mesh
+    reached -u or a small near-constant state on about 1 draw in 700; the
+    nested walk certified each of those."""
+    w, ev = (sine_weight, sine_levels) if sine else (step_weight, levels)
+    window = solver.make_window(code)
+    opts = solver.SolveOptions(cells_per_interval=cells, levels=ev)
+    states = list(solver.continuation_states(w, window, mus, opts))
+    coarse = states[-1][2].coarse_path
+    assert [mu for mu, _ in coarse] == \
+        [mu for mu, _ in states[-1][2].continuation_path]
+    assert all(steps is not None for _, steps in coarse)
+    _assert_same_states(w, ev, window, mus, states, 1e-11)
+
+
+def test_failed_coarse_newton_falls_back(step_weight, levels, monkeypatch):
+    """Where the coarse Newton fails, the stop starts from the last fine
+    iterate (the pasted bumps at the top), as the walk on the solve mesh
+    alone does, and the coarse walk resumes from the fine solution: failing
+    at every stop gives that walk's states bit for bit, failing at the top
+    only the same states to rounding."""
+    window = solver.make_window((1, 1, 0))
+    mus = [100.0, 300.0, 1000.0]
+    opts = solver.SolveOptions(cells_per_interval=200, levels=levels)
+    converge = solver._converge
+
+    def failing_on_coarse(fail_at):
+        def wrapped(grid, values, mu):
+            if grid.m < 200 and mu in fail_at:
+                raise NewtonFailure("coarse Newton failed on purpose")
+            return converge(grid, values, mu)
+        return wrapped
+
+    for fail_at, rel in ((set(mus), 0.0), ({1000.0}, 1e-12)):
+        monkeypatch.setattr(solver, "_converge", failing_on_coarse(fail_at))
+        states = list(solver.continuation_states(step_weight, window, mus,
+                                                 opts))
+        monkeypatch.undo()
+        assert [mu for mu, _, _ in states] == mus
+        assert [mu for mu, steps in states[-1][2].coarse_path
+                if steps is None] == sorted(fail_at, reverse=True)
+        _assert_same_states(step_weight, levels, window, mus, states, rel)
 
 
 @given(st.lists(st.tuples(st.floats(1e-3, 1e6), st.booleans()),

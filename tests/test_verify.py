@@ -330,20 +330,20 @@ def _shoot_window(monkeypatch, sol):
     """verify.oracle_residual on sol, with the problems it hands to
     oracle.shoot_batch, its ShootResults and its accepted RK steps."""
     seen = {"steps": 0}
-    real_batch, real_ivp = oracle.shoot_batch, oracle.solve_ivp
+    real_batch, real_dop853 = oracle.shoot_batch, oracle._dop853
 
     def batch(w, mu, problems, **kw):
         seen["problems"] = problems
         seen["results"] = real_batch(w, mu, problems, **kw)
         return seen["results"]
 
-    def ivp(*args, **kw):
-        out = real_ivp(*args, **kw)
-        seen["steps"] += len(out.t) - 1
-        return out
+    def dop853(*args):
+        ts, ys, status = real_dop853(*args)
+        seen["steps"] += len(ts) - 1
+        return ts, ys, status
 
     monkeypatch.setattr(oracle, "shoot_batch", batch)
-    monkeypatch.setattr(oracle, "solve_ivp", ivp)
+    monkeypatch.setattr(oracle, "_dop853", dop853)
     check = verify.oracle_residual(sol, rtol=1e-12)
     monkeypatch.undo()
     return check, seen
