@@ -5,14 +5,24 @@ periodic identification, or on clamped sub-blocks.  Meshes always place nodes
 on every sigma_i and tau_i.  Stiffness terms are exact for the interpolant;
 the quartic weight terms use composite Simpson subdivided at the weight's
 polynomial breakpoints, so no order is lost at kinks of a(t).
+
+Newton works through one ``Operator`` per mesh and mu: it forms the
+mu-dependent quadrature products once, gives the folded weak residual, and
+solves for the step from the residual's own point values.  Tridiagonal
+systems go to LAPACK ?gtsv directly, cyclic ones through a Sherman-Morrison
+correction (Press et al., Numerical Recipes, sec. 2.7).  The one-call
+functions (gradient, jacobian_matrix, residual_full, jacobian_bands) use
+the same operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgtsv
 
 from .errors import IndexOutOfWindow, NewtonFailure, WeightError
 
@@ -42,6 +52,19 @@ class QuadTables:
     def amu(self, mu):
         return self.qap - mu * self.qam
 
+    # mu-independent products, formed once per mesh
+    @cached_property
+    def rlam(self):
+        return 1.0 - self.qlam
+
+    @cached_property
+    def qcell1(self):
+        return self.qcell + 1
+
+    @cached_property
+    def inv_h(self):
+        return 1.0 / self.h
+
 
 def build_tables(w, nodes):
     nodes = np.ascontiguousarray(nodes, dtype=float)
@@ -70,10 +93,7 @@ def build_tables(w, nodes):
     qseg = np.concatenate([seg, seg, seg])
     qshift = np.concatenate([shift, shift, shift])
 
-    raw = np.empty_like(qt)
-    for s in np.unique(qseg):
-        m = qseg == s
-        raw[m] = w.seg_eval(int(s), qt[m] - qshift[m])
+    raw = w.seg_eval(qseg, qt - qshift)
     pos = w.seg_positive[qseg]
     qap = np.where(pos, np.maximum(raw, 0.0), 0.0)
     qam = np.where(pos, 0.0, np.maximum(-raw, 0.0))
@@ -89,22 +109,22 @@ def build_tables(w, nodes):
 
 def _at_points(tb, full):
     """Interpolant of the nodal values at every quadrature point."""
-    return full[tb.qcell] * (1.0 - tb.qlam) + full[tb.qcell + 1] * tb.qlam
+    return full[tb.qcell] * tb.rlam + full[tb.qcell1] * tb.qlam
 
 
 def _hat_scatter(tb, coef, n):
     """Vector of sum_q coef_q phi_j(t_q) over the n nodal hats."""
-    return (np.bincount(tb.qcell, coef * (1.0 - tb.qlam), n)
-            + np.bincount(tb.qcell + 1, coef * tb.qlam, n))
+    return (np.bincount(tb.qcell, coef * tb.rlam, n)
+            + np.bincount(tb.qcell1, coef * tb.qlam, n))
 
 
 def _cell_blocks(tb, coef):
     """Cellwise 2x2 blocks (LL, LR, RR) of sum_q coef_q phi_a(t_q) phi_b(t_q)
     over the two hats of each cell."""
     ncell = len(tb.h)
-    lam = tb.qlam
-    left = coef * (1.0 - lam)
-    return (np.bincount(tb.qcell, left * (1.0 - lam), ncell),
+    lam, rlam = tb.qlam, tb.rlam
+    left = coef * rlam
+    return (np.bincount(tb.qcell, left * rlam, ncell),
             np.bincount(tb.qcell, left * lam, ncell),
             np.bincount(tb.qcell, coef * lam * lam, ncell))
 
@@ -125,7 +145,8 @@ def cubic_full(tb, mu, u_full):
 
 
 def residual_full(tb, mu, u_full):
-    return stiffness_full(tb, u_full) - cubic_full(tb, mu, u_full)
+    """Weak residual against every nodal hat, clamped-end convention."""
+    return Operator(tb, mu).residual(u_full)
 
 
 def dirichlet_integral(tb, u_full):
@@ -150,17 +171,105 @@ def hessian_full(tb, mu, u_full, v_full):
 
 def jacobian_bands(tb, mu, u_full):
     """Cellwise 2x2 blocks (LL, LR, RR) of the residual Jacobian."""
-    uq = _at_points(tb, u_full)
-    cLL, cLR, cRR = _cell_blocks(tb, 3.0 * tb.qw * tb.amu(mu) * (uq * uq))
-    inv = 1.0 / tb.h
-    return inv - cLL, -inv - cLR, inv - cRR
+    return Operator(tb, mu).bands(u_full)
+
+
+class Operator:
+    """Weak residual and Newton step of the action at one mu on one mesh.
+
+    The mu-dependent quadrature products c = qw a_mu and k = 3 qw a_mu are
+    formed once, and ``step`` reuses the point values of the last
+    ``residual`` when called at the same iterate.  On a periodic mesh
+    values and residuals live on the folded dofs and the step solves the
+    cyclic system; on a clamped mesh they carry every node, and the step
+    solves the interior rows with the end values held (r then holds the
+    interior residual rows only).
+    """
+
+    def __init__(self, tb, mu, periodic=False):
+        self.tb = tb
+        self.mu = mu
+        self.periodic = periodic
+        self._amu = tb.amu(mu)
+        self.c = tb.qw * self._amu
+        self._last = None          # (values, point values) of the last residual
+
+    @cached_property
+    def k(self):
+        return 3.0 * self.tb.qw * self._amu
+
+    def _full(self, values):
+        values = np.asarray(values, dtype=float)
+        return np.concatenate([values, values[:1]]) if self.periodic \
+            else values
+
+    def _points(self, values):
+        last = self._last
+        if last is not None and np.array_equal(last[0], values):
+            return last[1]
+        return _at_points(self.tb, self._full(values))
+
+    def residual(self, values):
+        """Weak residual at values: folded on a periodic mesh, one row per
+        node on a clamped one."""
+        tb = self.tb
+        full = self._full(values)
+        uq = _at_points(tb, full)
+        self._last = (np.array(values, dtype=float), uq)
+        r = stiffness_full(tb, full) - \
+            _hat_scatter(tb, self.c * (uq * uq * uq), len(full))
+        if self.periodic:
+            r, r_end = r[:-1], r[-1]
+            r[0] += r_end
+        return r
+
+    def bands(self, values):
+        """Cellwise 2x2 blocks (LL, LR, RR) of the residual Jacobian."""
+        uq = self._points(values)
+        cLL, cLR, cRR = _cell_blocks(self.tb, self.k * (uq * uq))
+        inv = self.tb.inv_h
+        return inv - cLL, -inv - cLR, inv - cRR
+
+    def tridiagonal(self, values):
+        """Jacobian on the dofs as bands (diag, off); on a periodic mesh
+        ``off[-1]`` is the corner coupling the last dof to the first, the
+        cyclic form ``solve_tridiagonal`` takes."""
+        dLL, dLR, dRR = self.bands(values)
+        if not self.periodic:
+            return np.append(dLL, 0.0) + np.insert(dRR, 0, 0.0), dLR
+        diag = np.empty(len(dLL))
+        diag[0] = dLL[0] + dRR[-1]
+        np.add(dLL[1:], dRR[:-1], out=diag[1:])
+        return diag, dLR
+
+    def step(self, values, r):
+        """Newton step for residual rows r at values; raises LinAlgError on
+        a singular or non-finite solve."""
+        if self.periodic:
+            return solve_tridiagonal(*self.tridiagonal(values), r)
+        return solve_interior(self.tb, r, self.bands(values))
 
 
 # -- tridiagonal solves and damped Newton --------------------------------------
 
 
+def _gtsv(off, diag, b):
+    """x with T x = b for the symmetric tridiagonal T = (diag, off), by
+    LAPACK ?gtsv (LU with partial pivoting), the routine scipy's
+    solve_banded calls for one band on each side; a 1 x 1 system divides,
+    as solve_banded does.  Raises LinAlgError on an exactly singular band."""
+    if len(diag) == 1:
+        return b / diag[0]
+    _, _, _, x, info = dgtsv(off, diag, off, b)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gtsv")
+    return x
+
+
 def solve_tridiagonal(diag, off, rhs):
-    """Solve the symmetric tridiagonal system (diag, off) by banded LU.
+    """Solve the symmetric tridiagonal system (diag, off) by LAPACK ?gtsv.
 
     When ``off`` is as long as ``diag`` the system is cyclic: ``off[-1]``
     couples the last unknown to the first.  The corner is then split off as
@@ -169,30 +278,32 @@ def solve_tridiagonal(diag, off, rhs):
     denominator is not thresholded: the pasted initial guess of adjacent
     bumps has a Jacobian singular to round-off whose right-hand side lies in
     its range, and the corrected step is still accurate there.  Raises
-    LinAlgError on an exactly singular band.
+    LinAlgError on an exactly singular band or a non-finite solution (a
+    non-finite band, or overflow).
     """
     n = len(diag)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = off[:n - 1]
-    ab[1] = diag
-    ab[2, :-1] = off[:n - 1]
     if len(off) < n:
-        return scipy.linalg.solve_banded((1, 1), ab, rhs)
-    # A = T + w v^T with w = (gamma, 0, ..., 0, c), v = (1, 0, ..., 0, c/gamma)
-    c = off[-1]
-    gamma = -diag[0]
-    ratio = c / gamma
-    ab[1, 0] -= gamma
-    ab[1, -1] -= c * ratio
-    w = np.zeros(n)
-    w[0], w[-1] = gamma, c
-    y, z = scipy.linalg.solve_banded((1, 1), ab, np.column_stack([rhs, w])).T
-    den = 1.0 + z[0] + ratio * z[-1]
-    if den == 0.0:
-        # A z = 0 in floating point, so the kernel component of the solution
-        # is free; y solves A x = rhs to round-off when rhs is in the range
-        return y
-    return y - (y[0] + ratio * y[-1]) / den * z
+        x = _gtsv(off, diag, rhs)
+    else:
+        # A = T + w v^T with w = (gamma, 0, ..., 0, c),
+        # v = (1, 0, ..., 0, c/gamma)
+        c = off[-1]
+        gamma = -diag[0]
+        ratio = c / gamma
+        d = np.array(diag, dtype=float)
+        d[0] -= gamma
+        d[-1] -= c * ratio
+        w = np.zeros(n)
+        w[0], w[-1] = gamma, c
+        y, z = _gtsv(off[:n - 1], d, np.column_stack([rhs, w])).T
+        den = 1.0 + z[0] + ratio * z[-1]
+        # at den == 0, A z = 0 in floating point, so the kernel component of
+        # the solution is free; y solves A x = rhs to round-off when rhs is
+        # in the range
+        x = y if den == 0.0 else y - (y[0] + ratio * y[-1]) / den * z
+    if not np.all(np.isfinite(x)):
+        raise np.linalg.LinAlgError("non-finite tridiagonal solve")
+    return x
 
 
 def solve_interior(tb, rhs, bands=None, keep=None):
@@ -262,6 +373,7 @@ def newton(x, residual, solve, tol, max_iter):
 def newton_dirichlet(tb, mu, u_full, tol, max_iter):
     """Damped Newton (``newton``) on the interior nodes of a clamped mesh
     with the end values held; returns (full nodal values, steps taken)."""
+    op = Operator(tb, mu)
     full = u_full.copy()          # reused for every trial; never the iterate
 
     def embed(x):
@@ -269,11 +381,11 @@ def newton_dirichlet(tb, mu, u_full, tol, max_iter):
         return full
 
     def residual(x):
-        return residual_full(tb, mu, embed(x))[1:-1]
+        return op.residual(embed(x))[1:-1]
 
     def solve(x, r):
         try:
-            return solve_interior(tb, r, jacobian_bands(tb, mu, embed(x)))
+            return op.step(embed(x), r)
         except np.linalg.LinAlgError as e:
             raise NewtonFailure(f"singular Jacobian: {e}") from None
 
@@ -453,8 +565,9 @@ def action(u, mu):
 
 def gradient(u, mu):
     """Weak residual against every hat function (periodic hats when folded)."""
-    r = residual_full(u.grid.tables, mu, u.full())
-    return GridFunction(u.grid, u.grid.fold(r))
+    grid = u.grid
+    r = Operator(grid.tables, mu, grid.periodic).residual(u.values)
+    return GridFunction(grid, r)
 
 
 def hessian_apply(u, mu, v):
@@ -496,7 +609,5 @@ def jacobian_matrix(u, mu):
     coupling the last dof to the first, the cyclic form ``solve_tridiagonal``
     takes.
     """
-    dLL, dLR, dRR = jacobian_bands(u.grid.tables, mu, u.full())
-    if u.grid.periodic:
-        return dLL + np.roll(dRR, 1), dLR
-    return np.append(dLL, 0.0) + np.insert(dRR, 0, 0.0), dLR
+    grid = u.grid
+    return Operator(grid.tables, mu, grid.periodic).tridiagonal(u.values)

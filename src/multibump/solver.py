@@ -152,16 +152,16 @@ def _converge(grid, values, mu):
     more full step, counted: Newton converges quadratically there, so the
     step takes the residual from just below NEWTON_TOL to rounding level,
     which the window identities (verify.nehari_identities) read."""
+    op = assembly.Operator(grid.tables, mu, grid.periodic)
+
     def residual(v):
         if np.max(np.abs(v)) > _AMP_CAP:
             return None
-        return assembly.gradient(assembly.GridFunction(grid, v), mu).values
+        return op.residual(v)
 
     def solve(v, r):
-        diag, off = assembly.jacobian_matrix(assembly.GridFunction(grid, v),
-                                             mu)
         try:
-            return assembly.solve_tridiagonal(diag, off, r)
+            return op.step(v, r)
         except np.linalg.LinAlgError as e:
             raise NewtonFailure(f"singular Jacobian: {e}") from None
 

@@ -61,20 +61,15 @@ class WeightSpec:
     def _eval_raw(self, t):
         """Signed weight value a(t), vectorized, periodic."""
         tf = np.atleast_1d(self.fold(t))
-        idx = self._segment_index(tf)
-        out = np.empty_like(tf)
-        for seg in np.unique(idx):
-            m = idx == seg
-            out[m] = self.seg_eval(seg, tf[m])
-        return out
+        return self.seg_eval(self._segment_index(tf), tf)
 
     def seg_eval(self, seg, t):
-        """Evaluate segment seg's polynomial at absolute times t."""
+        """Evaluate the polynomial of segment seg at absolute times t by
+        Horner's rule; seg is one index or an index array matching t."""
         s = np.asarray(t, dtype=float) - self.seg_knots[seg]
-        c = self.seg_coefs[seg]
         p = np.zeros_like(s)
-        for i in range(len(c) - 1, -1, -1):
-            p = p * s + c[i]
+        for c in self.seg_coefs.T[::-1]:
+            p = p * s + c[seg]
         return p
 
     def a_plus(self, t):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -243,3 +244,170 @@ def test_newton_step_solves_the_second_variation(step_weight, code, i0, m,
             tb, r, assembly.jacobian_bands(tb, mu, full))
         applied = assembly.hessian_full(tb, mu, full, step)[1:-1]
     assert np.max(np.abs(applied - r)) <= 1e-9 * np.max(np.abs(r))
+
+
+# -- the operator against the expressions it replaced --------------------------
+#
+# Kept verbatim as the reference: every product of the operator must keep
+# their association, so the results are equal bit for bit, not to a tolerance.
+
+
+def _ref_tables(w, nodes):
+    """build_tables with one Horner pass per weight segment (np.unique)."""
+    nodes = np.ascontiguousarray(nodes, dtype=float)
+    h = np.diff(nodes)
+    T = w.period
+    bounds = np.union1d(nodes, w.knots_in_span(nodes[0], nodes[-1]))
+    keep = np.concatenate([[True], np.diff(bounds) > 1e-12 * max(T, 1.0)])
+    bounds = bounds[keep]
+    bounds[0], bounds[-1] = nodes[0], nodes[-1]
+    a, b = bounds[:-1], bounds[1:]
+    mid = 0.5 * (a + b)
+    d = b - a
+    cell = np.clip(np.searchsorted(nodes, mid, side="right") - 1, 0, len(h) - 1)
+    shift = T * np.floor(mid / T)
+    seg = w._segment_index(mid - shift)
+    qt = np.concatenate([a, mid, b])
+    qw = np.concatenate([d, 4.0 * d, d]) / 6.0
+    qcell = np.concatenate([cell, cell, cell]).astype(np.int64)
+    qseg = np.concatenate([seg, seg, seg])
+    qshift = np.concatenate([shift, shift, shift])
+    raw = np.empty_like(qt)
+    for s in np.unique(qseg):
+        m = qseg == s
+        x = qt[m] - qshift[m] - w.seg_knots[s]
+        c = w.seg_coefs[s]
+        p = np.zeros_like(x)
+        for i in range(len(c) - 1, -1, -1):
+            p = p * x + c[i]
+        raw[m] = p
+    pos = w.seg_positive[qseg]
+    return dict(nodes=nodes, h=h, qcell=qcell,
+                qlam=np.clip((qt - nodes[qcell]) / h[qcell], 0.0, 1.0), qw=qw,
+                qap=np.where(pos, np.maximum(raw, 0.0), 0.0),
+                qam=np.where(pos, 0.0, np.maximum(-raw, 0.0)))
+
+
+def _ref_points(tb, full):
+    return full[tb.qcell] * (1.0 - tb.qlam) + full[tb.qcell + 1] * tb.qlam
+
+
+def _ref_residual_full(tb, mu, full):
+    slopes = np.diff(full) / tb.h
+    stiff = np.zeros(len(full))
+    stiff[:-1] -= slopes
+    stiff[1:] += slopes
+    uq = _ref_points(tb, full)
+    coef = tb.qw * tb.amu(mu) * (uq * uq * uq)
+    return stiff - (np.bincount(tb.qcell, coef * (1.0 - tb.qlam), len(full))
+                    + np.bincount(tb.qcell + 1, coef * tb.qlam, len(full)))
+
+
+def _ref_jacobian_bands(tb, mu, full):
+    uq = _ref_points(tb, full)
+    coef = 3.0 * tb.qw * tb.amu(mu) * (uq * uq)
+    ncell, lam = len(tb.h), tb.qlam
+    left = coef * (1.0 - lam)
+    inv = 1.0 / tb.h
+    return (inv - np.bincount(tb.qcell, left * (1.0 - lam), ncell),
+            -inv - np.bincount(tb.qcell, left * lam, ncell),
+            inv - np.bincount(tb.qcell, coef * lam * lam, ncell))
+
+
+def _ref_solve_tridiagonal(diag, off, rhs):
+    n = len(diag)
+    ab = np.zeros((3, n))
+    ab[0, 1:] = off[:n - 1]
+    ab[1] = diag
+    ab[2, :-1] = off[:n - 1]
+    if len(off) < n:
+        return scipy.linalg.solve_banded((1, 1), ab, rhs)
+    c = off[-1]
+    gamma = -diag[0]
+    ratio = c / gamma
+    ab[1, 0] -= gamma
+    ab[1, -1] -= c * ratio
+    w = np.zeros(n)
+    w[0], w[-1] = gamma, c
+    y, z = scipy.linalg.solve_banded((1, 1), ab, np.column_stack([rhs, w])).T
+    den = 1.0 + z[0] + ratio * z[-1]
+    if den == 0.0:
+        return y
+    return y - (y[0] + ratio * y[-1]) / den * z
+
+
+def _ref_residual_and_step(tb, mu, values, periodic):
+    """(residual, Newton step) on the dofs as the solver formed them."""
+    full = np.concatenate([values, values[:1]]) if periodic else values
+    r = _ref_residual_full(tb, mu, full)
+    dLL, dLR, dRR = _ref_jacobian_bands(tb, mu, full)
+    if periodic:
+        r_end = r[-1]
+        r = r[:-1].copy()
+        r[0] += r_end
+        return r, _ref_solve_tridiagonal(dLL + np.roll(dRR, 1), dLR, r)
+    return r, _ref_solve_tridiagonal(dRR[:-1] + dLL[1:], dLR[1:-1], r[1:-1])
+
+
+def _two_level(tau, frac, lo, hi):
+    """a+ = lo on [0, frac tau), hi on [frac tau, tau]; a- = 1."""
+    return weight.build_weight(tau + 1.0, tau, [
+        weight.Piece(0.0, frac * tau, "poly", (lo,)),
+        weight.Piece(frac * tau, tau, "poly", (hi,)),
+        weight.Piece(tau, tau + 1.0, "poly", (-1.0,)),
+    ])
+
+
+_weights = st.one_of(
+    st.sampled_from(["step", "sine"]),
+    st.builds(_two_level, tau=st.floats(0.5, 1.5), frac=st.floats(0.25, 0.75),
+              lo=st.floats(0.5, 2.0), hi=st.floats(0.5, 2.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(w=_weights,
+       code=st.lists(st.integers(0, 1), min_size=1, max_size=3).filter(any),
+       cells=st.integers(8, 400), mu=st.floats(1.0, 1e5),
+       periodic=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_operator_matches_reference_bits(step_weight, sine_weight, w, code,
+                                         cells, mu, periodic, seed):
+    """The operator's residual and Newton step, at a fresh iterate and
+    reusing the residual's point values, equal the reference bit for bit on
+    periodic and clamped meshes."""
+    w = {"step": step_weight, "sine": sine_weight}.get(w, w)
+    grid = assembly.span_grid(w, -1, len(code), cells, periodic=periodic)
+    tb = grid.tables
+    rng = np.random.default_rng(seed)
+    # a plateau of height 1-3 on each coded I_i^+ over noise
+    plateau = np.append(np.repeat([[s, 0] for s in code], cells), 0.0)
+    values = rng.uniform(-0.5, 0.5, grid.ndof) + \
+        rng.uniform(1.0, 3.0) * plateau[:grid.ndof]
+    r_ref, step_ref = _ref_residual_and_step(tb, mu, values, periodic)
+    op = assembly.Operator(tb, mu, periodic)
+    r = op.residual(values)
+    rows = r if periodic else r[1:-1]
+    assert np.array_equal(r, r_ref)
+    assert np.array_equal(op.step(values, rows), step_ref)
+    fresh = assembly.Operator(tb, mu, periodic)
+    assert np.array_equal(fresh.step(values, rows), step_ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(w=_weights, t0=st.floats(-3.0, 3.0), span=st.floats(0.1, 8.0),
+       n=st.integers(2, 300), near=st.sampled_from([0.0, 1e-14, 1e-13, 1e-9]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_build_tables_matches_reference_bits(step_weight, sine_weight, w, t0,
+                                             span, n, near, seed):
+    """Tables on random meshes, with weight knots inside cells and nodes
+    within ``near`` of a knot (merged below 1e-12 T), equal the reference
+    field by field."""
+    w = {"step": step_weight, "sine": sine_weight}.get(w, w)
+    rng = np.random.default_rng(seed)
+    knots = w.knots_in_span(t0, t0 + span)[1:-1]
+    nodes = np.concatenate([[t0, t0 + span], rng.uniform(t0, t0 + span, n),
+                            knots[rng.random(len(knots)) < 0.5] + near])
+    nodes = np.unique(nodes[(nodes >= t0) & (nodes <= t0 + span)])
+    tb = assembly.build_tables(w, nodes)
+    for name, ref in _ref_tables(w, nodes).items():
+        got = getattr(tb, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), name

@@ -85,21 +85,46 @@ def test_non_finite_newton_step_is_convergence_failure(tmp_path,
 
 def test_singular_periodic_band_is_convergence_failure(tmp_path,
                                                        monkeypatch):
-    # the cyclic solve sends its two right-hand sides through one banded LU
-    real = assembly.scipy.linalg.solve_banded
+    # the cyclic solve sends its two right-hand sides through one gtsv call;
+    # a positive info is LAPACK's exactly zero pivot
+    real = assembly.dgtsv
     calls = []
 
-    def singular(l_and_u, ab, b, **kwargs):
+    def singular(dl, d, du, b, **flags):
         if np.ndim(b) == 2:
-            calls.append(len(b))
-            raise np.linalg.LinAlgError("singular matrix")
-        return real(l_and_u, ab, b, **kwargs)
+            calls.append(np.shape(b)[1])
+            return dl, d, du, b, 1
+        return real(dl, d, du, b, **flags)
 
-    monkeypatch.setattr(assembly.scipy.linalg, "solve_banded", singular)
+    monkeypatch.setattr(assembly, "dgtsv", singular)
     rc = cli.main(["solve", "--symbols", "10", "--mu", "800",
                    "--cells", "160", "--outdir", str(tmp_path)])
     assert rc == 4
-    assert calls
+    assert calls and set(calls) == {2}
+    assert os.path.exists(tmp_path / "FAILED")
+    assert "singular Jacobian" in (tmp_path / "FAILED").read_text()
+
+
+@pytest.mark.parametrize("periodic", [True, False],
+                         ids=["periodic", "levels"])
+def test_non_finite_jacobian_is_convergence_failure(tmp_path, monkeypatch,
+                                                    periodic):
+    """A NaN in the Jacobian bands, of the window's Newton (periodic) or of
+    the ground level's (clamped), makes the tridiagonal solve non-finite:
+    exit 4, not 5 (a NaN reached scipy's finiteness check once)."""
+    real = assembly.Operator.bands
+
+    def nan_bands(self, values):
+        LL, LR, RR = real(self, values)
+        if self.periodic == periodic:
+            LL = LL.copy()
+            LL[len(LL) // 2] = np.nan
+        return LL, LR, RR
+
+    monkeypatch.setattr(assembly.Operator, "bands", nan_bands)
+    rc = cli.main(["solve", "--symbols", "10", "--mu", "800",
+                   "--cells", "160", "--outdir", str(tmp_path)])
+    assert rc == 4
     assert os.path.exists(tmp_path / "FAILED")
     assert "singular Jacobian" in (tmp_path / "FAILED").read_text()
 

@@ -94,21 +94,32 @@ def test_report_roundtrip(sol_10):
 
 def test_one_gradient_per_iterate(step_weight, levels, monkeypatch):
     """A solve evaluates the gradient once per (iterate, mu): the counted
-    extra Newton step reuses the residual Newton returns at its iterate."""
+    extra Newton step reuses the residual Newton returns at its iterate,
+    and every Newton step reuses the point values of that residual."""
+    weight.build_constant_pack(step_weight, levels)   # levels solved before
+    levels.ground_bump()
     seen = []
-    gradient = assembly.gradient
+    points = []
+    residual = assembly.Operator.residual
+    at_points = assembly._at_points
 
-    def counted(u, mu):
-        seen.append((float(mu), u.values.tobytes()))
-        return gradient(u, mu)
+    def counted(op, values):
+        seen.append((op.mu, np.asarray(values).tobytes()))
+        return residual(op, values)
 
-    monkeypatch.setattr(assembly, "gradient", counted)
+    def counted_points(tb, full):
+        points.append(len(full))
+        return at_points(tb, full)
+
+    monkeypatch.setattr(assembly.Operator, "residual", counted)
+    monkeypatch.setattr(assembly, "_at_points", counted_points)
     opts = solver.SolveOptions(cells_per_interval=200, levels=levels)
     sol = solver.solve_multibump(step_weight, solver.make_window((1, 0)),
                                  1e3, opts)
     assert sol.report.certified
     # Newton's residuals plus the one certificate; no iterate twice
     assert len(seen) == len(set(seen)) > 1
+    assert len(points) == len(seen)
 
 
 def test_continuation_states_reuse(step_weight, levels):
