@@ -22,7 +22,7 @@ from .localfield import (LevelEvaluator, ground_state, levels_of,
                          nehari_project, pinned_zero_level,
                          principal_eigenvalue)
 from .assembly import Grid, GridFunction, span_grid
-from .solver import (Solution, SolveOptions, SolveReport, SymbolWindow,
+from .solver import (Solution, SolveReport, SymbolWindow,
                      make_window, parse_symbols, solve_multibump)
 from .connection import (ConnectionProblem, ConnectionSolution,
                          energy_derivatives, make_connection_problem,

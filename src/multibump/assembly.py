@@ -149,10 +149,17 @@ def residual_full(tb, mu, u_full):
     return Operator(tb, mu).residual(u_full)
 
 
+def dirichlet_energy(h, u):
+    """int u'^2 of the interpolant of nodal values u on the cells h (one
+    fewer than the values): the sum of (du/h)^2 h, exact for the
+    interpolant.  Every P1 energy of a node range is this expression."""
+    slopes = np.diff(u) / h
+    return float(np.sum(slopes * slopes * h))
+
+
 def dirichlet_integral(tb, u_full):
     """int u'^2 over the whole mesh (exact for the interpolant)."""
-    slopes = np.diff(u_full) / tb.h
-    return float(np.sum(slopes * slopes * tb.h))
+    return dirichlet_energy(tb.h, u_full)
 
 
 def quartic_integral(tb, mu, u_full):
@@ -581,10 +588,7 @@ def hessian_apply(u, mu, v):
 def interval_energy(u, i, which="plus"):
     """int of u'^2 over I_i^+ or I_i^- (exact for the interpolant)."""
     a, b = u.grid.interval_nodes(i, which)
-    full = u.full()
-    h = u.grid.tables.h[a:b]
-    slopes = np.diff(full[a:b + 1]) / h
-    return float(np.sum(slopes * slopes * h))
+    return dirichlet_energy(u.grid.tables.h[a:b], u.full()[a:b + 1])
 
 
 def nodal_derivative(u):

@@ -86,7 +86,9 @@ def load_config(path):
 
 
 def merge_config(args, cfg, keys):
-    """Merged run configuration: flag values beat config file values."""
+    """Merged run configuration: flag values beat config file values.  The
+    config file's keys that the command does not read go, sorted, under
+    "unread", which RunDir refuses."""
     out = {}
     for key, default in keys.items():
         flag = getattr(args, key, None)
@@ -96,6 +98,9 @@ def merge_config(args, cfg, keys):
             out[key] = cfg[key]
         else:
             out[key] = default
+    unread = sorted(set(cfg) - set(keys))
+    if unread:
+        out["unread"] = unread
     return out
 
 
@@ -209,7 +214,8 @@ class RunDir:
 
     As a context manager it runs one command's lifecycle: leaving the block
     writes the ok manifest, or on any exception the failed manifest and the
-    ``FAILED`` marker, and the exception propagates.
+    ``FAILED`` marker, and the exception propagates.  A config holding keys
+    the command does not read ("unread", see merge_config) fails on entry.
     """
 
     def __init__(self, command, outdir, config, weight_label, weight_blob):
@@ -255,6 +261,12 @@ class RunDir:
         return p
 
     def __enter__(self):
+        unread = self.config.get("unread")
+        if unread:
+            exc = WeightError(f"{self.command} does not read config key(s) "
+                              + ", ".join(map(repr, unread)))
+            self.__exit__(WeightError, exc, None)
+            raise exc
         return self
 
     def __exit__(self, kind, exc, tb):
@@ -297,9 +309,9 @@ def _window_from(config):
     return solver.make_window(code)
 
 
-def _solve_options(config):
-    return solver.SolveOptions(
-        cells_per_interval=_num(config, "cells", int) or 0)
+def _cells(config):
+    """Cells per subinterval of a solve; 0 picks solver.auto_cells."""
+    return _num(config, "cells", int) or 0
 
 
 def _mu_grid(config):
@@ -383,10 +395,9 @@ def cmd_solve(args):
     w, label, blob = resolve_weight(cfg["weight"])
     with RunDir("solve", cfg["outdir"], cfg, label, blob) as run:
         window = _window_from(cfg)
-        opts = _solve_options(cfg)
         mu = _num(cfg, "mu")
         try:
-            sol = solver.solve_multibump(w, window, mu, opts)
+            sol = solver.solve_multibump(w, window, mu, _cells(cfg))
         except CertificationFailure as e:
             if e.report is not None:
                 report_payload = e.report.to_dict()
@@ -397,8 +408,7 @@ def cmd_solve(args):
         report_payload = sol.report.to_dict()
         report_payload["symbols"] = list(window.symbols)
         report_payload["i_start"] = window.i_start
-        report_payload["cells_per_interval"] = \
-            len(sol.grid.tables.h) // (2 * len(window.symbols))
+        report_payload["cells_per_interval"] = sol.grid.m
         report_payload["identities"] = verify.nehari_identities(sol)
         run.add_json(cfg["report"], report_payload)
     print(f"certified mu={mu:g} residual={sol.report.residual_inf:.3e} "
@@ -429,8 +439,7 @@ def cmd_connection(args):
         du = assembly.nodal_derivative(sol.u)
         run.add_csv(cfg["out"], ["t", "u", "du"],
                     zip(grid.nodes, sol.u.full(), du))
-        fd_step = 1e-6 * max(1.0, abs(p.x), abs(p.y))
-        djdx, djdy = connection.energy_derivatives(sol, fd_step=fd_step)
+        djdx, djdy = connection.energy_derivatives(sol)
         fdc = sol.fd_check
         v, z = sol.sensitivities
         payload = {
@@ -478,7 +487,7 @@ def cmd_verify(args):
         # certified, audited and re-integrated below
         report = verify.run_sweep(w, window.symbols, mu_list,
                                   delta=_num(cfg, "delta"),
-                                  opts=_solve_options(cfg))
+                                  cells=_cells(cfg))
         sol = report.solution
         solver.require_certified(sol.report)
         identities = verify.nehari_identities(sol)
@@ -488,8 +497,7 @@ def cmd_verify(args):
             "identities_at_mu_max": identities,
             "oracle": {"rel": check.rel, "gap": check.gap,
                        "ok": check.ok()},
-            "minimal_period_T": verify.minimal_period(
-                sol, len(window.symbols)) * w.period,
+            "minimal_period_T": verify.minimal_period(sol) * w.period,
         }
         run.add_json(cfg["out"], payload)
     print(f"decay slope={report.fitted_slopes['decay'][0]:.4f} "
@@ -556,7 +564,7 @@ def cmd_sweep(args):
         if not codes:
             raise WeightError("no codes given")
         mu_list = _mu_grid(cfg)
-        opts = _solve_options(cfg)
+        cells = _cells(cfg)
         delta = _num(cfg, "delta")
         if delta is None:
             delta = 0.2 * (w.period - w.tau)
@@ -567,7 +575,7 @@ def cmd_sweep(args):
             rows = []           # (mu, certified, residual, sup, interior sup)
             try:
                 for sol, maxima in verify.sweep_solutions(w, code, mu_list,
-                                                          delta, opts):
+                                                          delta, cells):
                     rows.append((sol.mu, sol.report.certified,
                                  sol.report.residual_inf, sol.u.sup_norm(),
                                  max(m for m, _ in maxima)))

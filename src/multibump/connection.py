@@ -38,12 +38,16 @@ from . import assembly
 from .assembly import GridFunction
 from .errors import (InteriorityFailure, NonConvergence, SingularLinearization,
                      WeightError)
+from .localfield import levels_of
+from .weight import compute_r, default_cap
 
 _ARMIJO = 1e-4
 _CAP_SLACK = 1e-9          # relative slack kept free of each cap by retraction
 _MAX_DESCENT = 200
 _NEWTON_TOL = 1e-10
 _MAX_NEWTON = 60
+_FD_STEP = 1e-6            # FD step of energy_derivatives, per max(1, |x|, |y|)
+_PROBE_TOL = 1e-6          # sup gap, relative to max(1, sup|u|), of a probe
 
 
 @dataclass(frozen=True)
@@ -82,15 +86,13 @@ class ConnectionProblem:
 def make_connection_problem(w, mu, x, y, i=-1, l=1, K=None, r=None):
     """Validated problem; caps not given are recomputed.
 
-    K defaults to twice the amplitude of the limit bump, taken from the
+    K defaults to weight.default_cap of the limit bump, taken from the
     process's shared levels of w (localfield.levels_of).
     """
     if r is None:
-        from .weight import compute_r
         r = compute_r(w)
     if K is None:
-        from .localfield import levels_of
-        K = 2.0 * levels_of(w).ground_bump().samples.sup_norm()
+        K = default_cap(levels_of(w).ground_bump())
     if mu <= 0.0:
         raise WeightError("mu must be positive")
     if not (K > 0.0 and r > 0.0):
@@ -176,9 +178,7 @@ def _retract(p, grid, full):
             full[a] = math.copysign(K_eff, full[a])
             hits += 1
         seg_h = h[a:b]
-        slopes = np.diff(full[a:b + 1]) / seg_h
-        energy = float(np.sum(slopes * slopes * seg_h))
-        if energy <= r2_eff:
+        if assembly.dirichlet_energy(seg_h, full[a:b + 1]) <= r2_eff:
             continue
         hits += 1
         length = float(grid.nodes[b] - grid.nodes[a])
@@ -191,8 +191,7 @@ def _retract(p, grid, full):
             e_aff = gap * gap / length
         affine = full[a] + gap * (grid.nodes[a:b + 1] - grid.nodes[a]) / length
         dev = full[a:b + 1] - affine
-        dev_h = np.diff(dev) / seg_h
-        e_dev = float(np.sum(dev_h * dev_h * seg_h))
+        e_dev = assembly.dirichlet_energy(seg_h, dev)
         if e_dev > 0.0:
             theta = math.sqrt(max(r2_eff - e_aff, 0.0) / e_dev)
             full[a:b + 1] = affine + theta * dev
@@ -202,13 +201,9 @@ def _retract(p, grid, full):
 def cap_margins(p, grid, full):
     """Slack of each cap: (K - |u(sigma_j)|, r^2 - int u'^2) per interior I_j^+."""
     h = grid.tables.h
-    out = []
-    for a, b in _plus_ranges(p, grid):
-        seg_h = h[a:b]
-        slopes = np.diff(full[a:b + 1]) / seg_h
-        energy = float(np.sum(slopes * slopes * seg_h))
-        out.append((p.K - abs(float(full[a])), p.r ** 2 - energy))
-    return out
+    return [(p.K - abs(float(full[a])),
+             p.r ** 2 - assembly.dirichlet_energy(h[a:b], full[a:b + 1]))
+            for a, b in _plus_ranges(p, grid)]
 
 
 def _caps_clear(p, grid, full):
@@ -438,40 +433,40 @@ def compute_sensitivities(sol):
     return sol.v, sol.z
 
 
-def energy_derivatives(sol, fd_step=None):
+def energy_derivatives(sol):
     """(dJ/dx, dJ/dy) = (-u'(t_lo+), +u'(t_hi-)).
 
-    With ``fd_step`` the pair is cross-checked against central finite
-    differences of the block action in (x, y).  Each perturbed block is
-    solved on sol's own mesh from the tangent predictor u + dx v + dy z,
-    which (v and z being the exact derivatives of the discrete minimizer)
-    misses it by O(fd_step^2).  Relative errors and the descent steps of
-    the four perturbed solves land in ``sol.fd_check``.
+    The pair is cross-checked against central finite differences of the
+    block action in (x, y), with step h = _FD_STEP max(1, |x|, |y|).  Each
+    perturbed block is solved on sol's own mesh from the tangent predictor
+    u + dx v + dy z, which (v and z being the exact derivatives of the
+    discrete minimizer) misses it by O(h^2).  The step, relative errors and
+    the descent steps of the four perturbed solves land in
+    ``sol.fd_check``.
     """
     dlo, dhi = sol.boundary_slopes
     pair = (-dlo, dhi)
-    if fd_step is not None:
-        p = sol.problem
-        v, z = sol.sensitivities
-        h = fd_step
-        vals, steps = {}, []
-        for name, (dx, dy) in (("x+", (h, 0.0)), ("x-", (-h, 0.0)),
-                               ("y+", (0.0, h)), ("y-", (0.0, -h))):
-            q = ConnectionProblem(w=p.w, mu=p.mu, x=p.x + dx, y=p.y + dy,
-                                  i=p.i, l=p.l, K=p.K, r=p.r)
-            start = GridFunction(sol.grid, sol.u.values + dx * v.values
-                                 + dy * z.values)
-            s = solve_connection(q, init=start, with_sensitivities=False)
-            vals[name] = block_action(s)
-            steps.append(s.descent_iters)
-        fd = ((vals["x+"] - vals["x-"]) / (2.0 * h),
-              (vals["y+"] - vals["y-"]) / (2.0 * h))
-        scale = max(abs(pair[0]), abs(pair[1]), 1e-30)
-        sol.fd_check = {"step": h,
-                        "fd": fd,
-                        "rel_err": (abs(fd[0] - pair[0]) / scale,
-                                    abs(fd[1] - pair[1]) / scale),
-                        "descent_iters": tuple(steps)}
+    p = sol.problem
+    v, z = sol.sensitivities
+    h = _FD_STEP * max(1.0, abs(p.x), abs(p.y))
+    vals, steps = {}, []
+    for name, (dx, dy) in (("x+", (h, 0.0)), ("x-", (-h, 0.0)),
+                           ("y+", (0.0, h)), ("y-", (0.0, -h))):
+        q = ConnectionProblem(w=p.w, mu=p.mu, x=p.x + dx, y=p.y + dy,
+                              i=p.i, l=p.l, K=p.K, r=p.r)
+        start = GridFunction(sol.grid, sol.u.values + dx * v.values
+                             + dy * z.values)
+        s = solve_connection(q, init=start, with_sensitivities=False)
+        vals[name] = block_action(s)
+        steps.append(s.descent_iters)
+    fd = ((vals["x+"] - vals["x-"]) / (2.0 * h),
+          (vals["y+"] - vals["y-"]) / (2.0 * h))
+    scale = max(abs(pair[0]), abs(pair[1]), 1e-30)
+    sol.fd_check = {"step": h,
+                    "fd": fd,
+                    "rel_err": (abs(fd[0] - pair[0]) / scale,
+                                abs(fd[1] - pair[1]) / scale),
+                    "descent_iters": tuple(steps)}
     return pair
 
 
@@ -483,8 +478,9 @@ def block_action(sol):
 # -- uniqueness probe ----------------------------------------------------------
 
 
-def uniqueness_probe(p, n_starts, cells=None, rng=None, tol=1e-6):
-    """Re-solve from randomized admissible starts; True iff all agree.
+def uniqueness_probe(p, n_starts, cells=None, rng=None):
+    """Re-solve from randomized admissible starts; True iff each lands
+    within _PROBE_TOL max(1, sup|u|) of the first solve.
 
     Starts are smooth noise (coarse normal samples, linearly interpolated)
     retracted into the admissible set, always with the prescribed endpoints.
@@ -508,6 +504,7 @@ def uniqueness_probe(p, n_starts, cells=None, rng=None, tol=1e-6):
                                  with_sensitivities=False)
         except (NonConvergence, InteriorityFailure):
             return False
-        if float(np.max(np.abs(s.u.values - base.u.values))) > tol * ref:
+        if float(np.max(np.abs(s.u.values - base.u.values))) > \
+                _PROBE_TOL * ref:
             return False
     return True

@@ -59,6 +59,12 @@ _N_STAGES = _dop.N_STAGES             # stages of a step; 3 more for dense
 _ERROR_ORDER = 7                      # order of the error estimator
 _ERROR_EXPONENT = -1 / (_ERROR_ORDER + 1)
 
+# Dirichlet shots: attempts per shot, the |u| that stops a trajectory, and
+# the accepted far-end residual relative to max(1, |x|, |y|)
+_MAX_SHOTS = 80
+_SHOT_CAP = 1e6
+_SHOT_TOL = 1e-9
+
 
 @dataclass
 class IvpState:
@@ -118,7 +124,7 @@ class DenseOutput:
 
     ``ts`` holds the run's accepted step times in increasing t, both ends
     included, and ``ys`` the states there (one row each, layout
-    (u, u'[, v, v'][, q]), derivatives in t).  ``steps`` is the batch's
+    (u, u'[, v, v']), derivatives in t).  ``steps`` is the batch's
     ``_Steps`` in s, whose columns from ``col`` on are this run's, with
     t = t_from + span s.
     """
@@ -197,14 +203,14 @@ def piece_amu(coefs, tref, mu):
 
 
 def _rhs(amus, span, live, m):
-    """d/ds of the stacked state; run k has layout (u, u'[, v, v'][, q]), q'
-    = u'^2 and v solving the linearization, amus[k](s) is L a_mu(t(s)), and
-    frozen runs stay put.  A plain loop returning a list: a numpy version
-    costs more per call at these sizes, and the right-hand side dominates a
-    lone hard shot."""
+    """d/ds of the stacked state; run k has layout (u, u'[, v, v']), v
+    solving the linearization, amus[k](s) is L a_mu(t(s)), and frozen runs
+    stay put.  A plain loop returning a list: a numpy version costs more per
+    call at these sizes, and the right-hand side dominates a lone hard
+    shot."""
     size = m * len(span)
     runs = [(m * k, amus[k], abs(span[k])) for k in live]
-    sens, quad = m >= 4, m % 2 == 1
+    sens = m == 4
 
     def f(s, y):
         y = y.tolist()
@@ -217,8 +223,6 @@ def _rhs(amus, span, live, m):
             if sens:
                 out[j + 2] = L * y[j + 3]
                 out[j + 3] = -3.0 * a * u * u * y[j + 2]
-            if quad:
-                out[j + m - 1] = L * du * du
         return out
     return f
 
@@ -364,7 +368,7 @@ def _piece_in_s(w, mu, t0, d, sa, sb):
 def _integrate_raw(w, mu, runs, rtol, atol, cap, max_step):
     """DOP853 on a batch of runs (t_from, t_to, y0), one ``_dop853`` call
     per piece of s (see the module docstring).  Every y0 has the same width
-    and layout (u, u'[, v, v'][, q]), derivatives along the direction of
+    and layout (u, u'[, v, v']), derivatives along the direction of
     travel.  ``max_step`` bounds the step in t.  Returns one
     (DenseOutput, end state, blew_up) per run; the end state is in the
     run's own layout, and |u| reaching ``cap`` ends that run there."""
@@ -444,25 +448,16 @@ def _integrate_raw(w, mu, runs, rtol, atol, cap, max_step):
 
 
 def integrate(w, mu, state, t_end, rtol=1e-10, atol=None, cap=1e6,
-              with_sensitivity=False, with_quadrature=False, max_step=np.inf):
-    """Integrate from ``state`` to t_end.  Returns (IvpState, DenseOutput).
-
-    Raises BlowUp if |u| reaches ``cap``.  With ``with_sensitivity`` the
-    variational pair (v, v') with v(t0) = 0, v'(t0) = 1 rides along and is
-    available as dense columns 2 and 3; with ``with_quadrature`` the last
-    column carries q = int u'^2.
-    """
+              max_step=np.inf):
+    """Integrate (u, u') from ``state`` to t_end.  Returns (IvpState,
+    DenseOutput).  Raises BlowUp if |u| reaches ``cap``."""
     if t_end < state.t:
         raise ScopeError("backward integration is not supported")
     if atol is None:
         atol = rtol * 1e-2
-    y0 = [state.u, state.du]
-    if with_sensitivity:
-        y0 += [0.0, 1.0]
-    if with_quadrature:
-        y0.append(0.0)
     ((dense, end, blew_up),) = _integrate_raw(
-        w, mu, [(state.t, t_end, y0)], rtol, atol, cap, max_step)
+        w, mu, [(state.t, t_end, [state.u, state.du])], rtol, atol, cap,
+        max_step)
     if blew_up:
         raise BlowUp(f"|u| reached {cap:g} at t = {dense.t_end:.6g}")
     return IvpState(t=float(dense.t_end), u=float(end[0]),
@@ -492,13 +487,13 @@ class _Shot:
     sign change either way round, and Newton steps that stall without one
     give way to probes on both sides of the best slope."""
 
-    def __init__(self, t0, t1, x, y, s0, tol):
+    def __init__(self, t0, t1, x, y, s0):
         back = shoots_from_t1(x, y)
         self.sign = -1.0 if back else 1.0
         self.t_from, self.t_to = (t1, t0) if back else (t0, t1)
         self.u_from, self.target = (y, x) if back else (x, y)
         scale = max(1.0, abs(x), abs(y))
-        self.tol = 1e-9 * scale if tol is None else tol
+        self.tol = _SHOT_TOL * scale
         self.big = 1e9 * scale
         self.p = self.sign * (s0 if s0 is not None else (y - x) / (t1 - t0))
         self.lo = self.hi = None        # bracket: R(lo) < 0 < R(hi)
@@ -569,27 +564,29 @@ class _Shot:
         return False
 
 
-def shoot_batch(w, mu, problems, rtol=1e-10, max_iter=80, cap=1e6, tol=None):
+def shoot_batch(w, mu, problems, rtol=1e-10):
     """Solve every Dirichlet problem (t0, t1, x, y, s0) -- u(t0) = x,
     u(t1) = y -- by shooting; returns their ShootResults in order.
 
     Each shot starts at the end where |u| is smaller (``shoots_from_t1``),
-    and s0 guesses u' there (None: the chord slope).  One batched
-    integration per round holds one attempt of every open shot; a trajectory
-    that blows up counts as a residual of its sign and stops only its own
-    run.  Raises NewtonFailure when a shot has made ``max_iter`` attempts.
+    and s0 guesses u' there (None: the chord slope).  A shot is accepted
+    when its far-end residual is at most _SHOT_TOL max(1, |x|, |y|).  One
+    batched integration per round holds one attempt of every open shot; a
+    trajectory whose |u| reaches _SHOT_CAP counts as a residual of its sign
+    and stops only its own run.  Raises NewtonFailure when a shot has made
+    _MAX_SHOTS attempts.
     """
     atol = rtol * 1e-2
-    shots = [_Shot(*p, tol=tol) for p in problems]
+    shots = [_Shot(*p) for p in problems]
     todo = shots
     while todo:
         runs = _integrate_raw(w, mu, [s.run() for s in todo], rtol, atol,
-                              cap, np.inf)
+                              _SHOT_CAP, np.inf)
         left = []
         for shot, run in zip(todo, runs):
             if shot.update(*run):
                 continue
-            if shot.iters >= max_iter:
+            if shot.iters >= _MAX_SHOTS:
                 raise NewtonFailure(
                     f"shooting failed to reach |residual| <= {shot.tol:g}; "
                     f"best {shot.best[0]:g}")
@@ -598,13 +595,11 @@ def shoot_batch(w, mu, problems, rtol=1e-10, max_iter=80, cap=1e6, tol=None):
     return [s.result for s in shots]
 
 
-def shoot_dirichlet(w, mu, t0, t1, x, y, rtol=1e-10, s0=None, max_iter=80,
-                    cap=1e6, tol=None):
+def shoot_dirichlet(w, mu, t0, t1, x, y, rtol=1e-10, s0=None):
     """Find the slope that joins u(t0) = x to u(t1) = y: the one-shot case of
     ``shoot_batch``, so the shot starts at t1 when |y| < |x| and s0 (and the
     result's slope) is u' at that end."""
-    return shoot_batch(w, mu, [(t0, t1, x, y, s0)], rtol, max_iter, cap,
-                       tol)[0]
+    return shoot_batch(w, mu, [(t0, t1, x, y, s0)], rtol)[0]
 
 
 def _constant_first_return(value=1.0, slope=1.0):

@@ -127,12 +127,6 @@ class Solution:
         return self.u.grid
 
 
-@dataclass
-class SolveOptions:
-    cells_per_interval: int = 0        # 0: pick from mu_target
-    levels: object = None              # LevelEvaluator on a non-default mesh
-
-
 def auto_cells(w, mu):
     """Cells per subinterval needed to track the sharpening interior layers.
 
@@ -267,22 +261,19 @@ def check_membership(u, mu, consts, window):
 # -- top-level solves ----------------------------------------------------------
 
 
-def _prepare(w, opts):
-    """(ConstantPack, ground bump) of a solve; the levels come from
-    opts.levels when given, else from the process's default-mesh levels of
-    w (localfield.levels_of), so each level is solved once per process."""
-    ev = opts.levels
-    if ev is None:
-        ev = localfield.levels_of(w)
-    elif localfield.weight_key(ev.w) != localfield.weight_key(w):
-        raise WeightError("the shared levels belong to another weight")
+def _prepare(w):
+    """(ConstantPack, ground bump) of a solve, from the process's
+    default-mesh levels of w (localfield.levels_of), so each level is solved
+    once per process."""
+    ev = localfield.levels_of(w)
     return build_constant_pack(w, ev), ev.ground_bump()
 
 
-def _continuation(w, window, mu_list, opts):
+def _continuation(w, window, mu_list, cells):
     """Yield (mu, GridFunction, SolveReport) along an increasing float mu
     list; the one continuation path behind solve_multibump and
-    continuation_states.
+    continuation_states, on ``cells`` cells per subinterval (0: auto_cells
+    at the largest mu).
 
     Newton starts from the pasted ground bumps at max(MU0, mu_list[-1])
     and walks the list downward, each mu from the last converged iterate.
@@ -297,8 +288,8 @@ def _continuation(w, window, mu_list, opts):
     Newton fails partway down, the higher mu reached are yielded before
     ContinuationBreakdown.
     """
-    consts, bump = _prepare(w, opts)
-    cells = opts.cells_per_interval or auto_cells(w, mu_list[-1])
+    consts, bump = _prepare(w)
+    cells = cells or auto_cells(w, mu_list[-1])
     grid, coarse = (assembly.span_grid(w, window.i_start, len(window.symbols),
                                        m, periodic=True)
                     for m in (cells, max(8, cells // COARSE_DIV)))
@@ -335,12 +326,12 @@ def _continuation(w, window, mu_list, opts):
         raise failure
 
 
-def solve_multibump(w, window, mu_target, opts=None):
-    """Certified multibump solution at mu_target for the given window."""
-    opts = opts or SolveOptions()
+def solve_multibump(w, window, mu_target, cells=0):
+    """Certified multibump solution at mu_target for the given window, on
+    ``cells`` cells per subinterval (0: auto_cells)."""
     if mu_target <= 0:
         raise WeightError("mu_target must be positive")
-    _, gf, report = next(_continuation(w, window, [float(mu_target)], opts))
+    _, gf, report = next(_continuation(w, window, [float(mu_target)], cells))
     require_certified(report)
     return Solution(u=gf, mu=float(mu_target), window=window, report=report)
 
@@ -353,13 +344,12 @@ def require_certified(report):
             report=report)
 
 
-def continuation_states(w, window, mu_list, opts=None):
+def continuation_states(w, window, mu_list, cells=0):
     """Yield (mu, GridFunction, SolveReport) in increasing mu, solved by one
     downward walk from the largest mu (see _continuation); certification is
     evaluated (not enforced) at every stop."""
-    opts = opts or SolveOptions()
     yield from _continuation(w, window, sorted(float(m) for m in mu_list),
-                             opts)
+                             cells)
 
 
 def bracket(outcomes):

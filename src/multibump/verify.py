@@ -20,6 +20,8 @@ from .errors import InsufficientSweep, WeightError
 
 _G5X, _G5W = np.polynomial.legendre.leggauss(5)
 _PAIR_BLOCK = 1 << 16        # node pairs per block of the Hoelder quotient
+HOLDER_ALPHA = 0.5           # exponent of the Hoelder distance to the limit
+ORACLE_RTOL = 1e-12          # rtol of the oracle's re-integration
 
 
 # -- the cutoff family ---------------------------------------------------------
@@ -114,8 +116,7 @@ def _one_sided_slopes(grid, mu, full, node, side):
         slope = (full[c + 1] - full[c]) / tb.h[c]
         sign = -1.0
     uq = full[c] * (1.0 - tb.qlam[mask]) + full[c + 1] * tb.qlam[mask]
-    corr = float(np.sum(tb.qw[mask] * (tb.qap[mask] - mu * tb.qam[mask])
-                        * uq ** 3 * ramp))
+    corr = float(np.sum(tb.qw[mask] * tb.amu(mu)[mask] * uq ** 3 * ramp))
     return slope + sign * corr
 
 
@@ -151,14 +152,11 @@ def nehari_identities(sol):
     res_ii = 0.0
     for i in coded:
         a, b = grid.interval_nodes(i, "plus")
-        h = tb.h[a:b]
-        slopes = np.diff(full[a:b + 1]) / h
-        kin = float(np.sum(slopes * slopes * h))
+        kin = assembly.dirichlet_energy(tb.h[a:b], full[a:b + 1])
         mask = (tb.qcell >= a) & (tb.qcell < b)
         uq = full[tb.qcell[mask]] * (1.0 - tb.qlam[mask]) + \
             full[tb.qcell[mask] + 1] * tb.qlam[mask]
-        quart = float(np.sum(tb.qw[mask] * (tb.qap[mask] - mu * tb.qam[mask])
-                             * uq ** 4))
+        quart = float(np.sum(tb.qw[mask] * tb.amu(mu)[mask] * uq ** 4))
         # outside-cell corrected fluxes make the discrete identity exact:
         # summing u_j g_j over the interval's nodes telescopes to exactly
         # these boundary terms, so a converged iterate leaves machine noise
@@ -244,14 +242,15 @@ def interior_maxima(sol, delta):
     return out
 
 
-def sweep_solutions(w, symbols, mu_list, delta, opts=None):
+def sweep_solutions(w, symbols, mu_list, delta, cells=0):
     """Yield (Solution, interior_maxima rows) along a continuation sweep of
-    the periodic code ``symbols``; the one per-mu driver behind decay_rate,
-    run_sweep and the sweep subcommand."""
+    the periodic code ``symbols`` on ``cells`` cells per subinterval (0:
+    solver.auto_cells); the one per-mu driver behind decay_rate, run_sweep
+    and the sweep subcommand."""
     if not 0.0 < delta < 0.5 * (w.period - w.tau):
         raise WeightError("delta must sit inside the negativity interval")
     win = solver.make_window(symbols)
-    for mu, gf, report in solver.continuation_states(w, win, mu_list, opts):
+    for mu, gf, report in solver.continuation_states(w, win, mu_list, cells):
         sol = solver.Solution(u=gf, mu=mu, window=win, report=report)
         yield sol, interior_maxima(sol, delta)
 
@@ -316,7 +315,7 @@ def kendall_tau(x, y):
     return float(np.minimum(1.0, max(-1.0, tau)))
 
 
-def decay_rate(w, symbols, mu_list, delta, opts=None):
+def decay_rate(w, symbols, mu_list, delta, cells=0):
     """Fit log(interior max) against log(mu) along a continuation sweep.
 
     The sweep must span at least two decades.  Each per-mu sample also gets
@@ -327,7 +326,7 @@ def decay_rate(w, symbols, mu_list, delta, opts=None):
     if mu_list[-1] < 100.0 * mu_list[0]:
         raise InsufficientSweep("mu sweep must span at least two decades")
     samples, data = [], []
-    for _, rows in sweep_solutions(w, symbols, mu_list, delta, opts):
+    for _, rows in sweep_solutions(w, symbols, mu_list, delta, cells):
         samples.append(max(r[0] for r in rows))
         data.append(max(r[1] for r in rows))
     d_left, d_right = w.edge_double_integrals(delta)
@@ -365,7 +364,6 @@ class LimitDistance:
     sup: float
     holder: float
     lipschitz: float
-    alpha: float
     per_interval: dict           # i -> W^{2,inf} distance on I_i^+
 
 
@@ -450,9 +448,10 @@ def _holder_seminorm(ts, d, alpha, min_sep, max_nodes=1600):
     return best
 
 
-def limit_distance(sol, bump, alpha=0.5):
-    """(sup, C^{0,alpha} seminorm, Lipschitz seminorm, per-interval W^{2,inf})
-    distances between the solution and its singular-limit candidate.
+def limit_distance(sol, bump):
+    """(sup, C^{0,alpha} seminorm with alpha = HOLDER_ALPHA, Lipschitz
+    seminorm, per-interval W^{2,inf}) distances between the solution and its
+    singular-limit candidate.
 
     Pair quotients use node pairs separated by at least the mesh width; the
     Lipschitz seminorm of the interpolant is the exact max cell slope.
@@ -468,7 +467,8 @@ def limit_distance(sol, bump, alpha=0.5):
 
     h = grid.tables.h
     lip = float(np.max(np.abs(np.diff(dfull) / h)))
-    holder = _holder_seminorm(grid.nodes, dfull, alpha, float(np.max(h)))
+    holder = _holder_seminorm(grid.nodes, dfull, HOLDER_ALPHA,
+                              float(np.max(h)))
 
     ufull = sol.u.full()
     lfull = grid.full_values(limit.values)
@@ -489,24 +489,22 @@ def limit_distance(sol, bump, alpha=0.5):
         d2 = float(np.max(np.abs(ap * (ufull[a:b + 1] ** 3
                                        - lfull[a:b + 1] ** 3))))
         per[i] = max(d0, d1, d2)
-    return LimitDistance(sup=sup, holder=holder, lipschitz=lip, alpha=alpha,
+    return LimitDistance(sup=sup, holder=holder, lipschitz=lip,
                          per_interval=per)
 
 
 # -- minimal period ---------------------------------------------------------------
 
 
-def minimal_period(sol, m=None):
-    """Smallest divisor d of m with u(. + dT) = u within 1e-6 sup-relative."""
+def minimal_period(sol):
+    """Smallest divisor d of the window's m periods with u(. + dT) = u
+    within 1e-6 sup-relative."""
     grid = sol.grid
     if not grid.periodic:
         raise WeightError("minimal period needs a periodic grid")
     if grid.m <= 0:
         raise WeightError("minimal period needs uniform cells per subinterval")
-    if m is None:
-        m = grid.n_int
-    if m != grid.n_int:
-        raise WeightError(f"grid covers {grid.n_int} periods, not {m}")
+    m = grid.n_int
     vals = sol.u.values
     tol = 1e-6 * max(float(np.max(np.abs(vals))), 1e-300)
     per_period = 2 * grid.m
@@ -541,8 +539,9 @@ def _end_slope(full, h, e, d):
     return d * g
 
 
-def oracle_residual(sol, rtol=1e-12):
-    """Shoot every subinterval from the solution's own nodal boundary data.
+def oracle_residual(sol):
+    """Shoot every subinterval from the solution's own nodal boundary data,
+    at rtol ORACLE_RTOL.
 
     The oracle shares no quadrature or assembly code with the FEM path; the
     sup of the nodal gaps measures how well the computed branch solves the
@@ -566,7 +565,7 @@ def oracle_residual(sol, rtol=1e-12):
                              _end_slope(full, h, e, d)))
             keys.append((i, tag))
             spans.append((a, b))
-    results = oracle.shoot_batch(grid.w, sol.mu, problems, rtol=rtol)
+    results = oracle.shoot_batch(grid.w, sol.mu, problems, rtol=ORACLE_RTOL)
     per = {}
     for key, (a, b), res in zip(keys, spans, results):
         uo = res.dense.eval_u(grid.nodes[a:b + 1])
@@ -594,7 +593,6 @@ class AsymptoticReport:
     min_values: list             # per mu: min of u (positivity record)
     fitted_slopes: dict          # name -> (slope, half_width)
     kendall: dict                # name -> tau against mu
-    alpha: float
     delta: float
     # the sweep's last Solution, at mu_list[-1]; not serialised
     solution: object = field(default=None, repr=False, compare=False)
@@ -612,11 +610,11 @@ class AsymptoticReport:
             "min_values": list(self.min_values),
             "fitted_slopes": {k: list(v) for k, v in self.fitted_slopes.items()},
             "kendall": dict(self.kendall),
-            "alpha": self.alpha, "delta": self.delta,
+            "alpha": HOLDER_ALPHA, "delta": self.delta,
         }
 
 
-def run_sweep(w, symbols, mu_list, delta=None, alpha=0.5, opts=None):
+def run_sweep(w, symbols, mu_list, delta=None, cells=0):
     """Continuation sweep with every per-mu audit quantity recorded, the
     limit distance against the default-mesh ground bump of w's shared levels
     (localfield.levels_of); the report carries the sweep's last Solution."""
@@ -629,7 +627,7 @@ def run_sweep(w, symbols, mu_list, delta=None, alpha=0.5, opts=None):
 
     rows = {k: [] for k in ("decay", "p1", "p2", "p3", "sup", "holder",
                             "lip", "dsup", "minv")}
-    for sol, maxima in sweep_solutions(w, symbols, mu_list, delta, opts):
+    for sol, maxima in sweep_solutions(w, symbols, mu_list, delta, cells):
         gf = sol.u
         full = gf.full()
         h = gf.grid.tables.h
@@ -638,12 +636,10 @@ def run_sweep(w, symbols, mu_list, delta=None, alpha=0.5, opts=None):
         for j, _ in enumerate(win.symbols):
             i = win.i_start + j
             a, b = gf.grid.interval_nodes(i, "minus")
-            seg_h = h[a:b]
-            slopes = np.diff(full[a:b + 1]) / seg_h
             p1 = max(p1, float(np.max(np.abs(full[a:b + 1])))
-                     + float(np.sum(slopes * slopes * seg_h)))
+                     + assembly.dirichlet_energy(h[a:b], full[a:b + 1]))
         rows["p1"].append(p1)
-        ld = limit_distance(sol, bump, alpha=alpha)
+        ld = limit_distance(sol, bump)
         per = ld.per_interval
         rows["p2"].append(max(per[i] for i in per if i in coded))
         p3 = [per[i] for i in per if i not in coded]
@@ -667,7 +663,7 @@ def run_sweep(w, symbols, mu_list, delta=None, alpha=0.5, opts=None):
         p3=rows["p3"], sup_distances=rows["sup"],
         holder_distances=rows["holder"], lipschitz_distances=rows["lip"],
         sup_slopes=rows["dsup"], min_values=rows["minv"],
-        fitted_slopes=fits, kendall=kend, alpha=alpha, delta=delta,
+        fitted_slopes=fits, kendall=kend, delta=delta,
         solution=sol)
 
 

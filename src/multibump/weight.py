@@ -460,6 +460,11 @@ class ConstantPack:
     rho_attained: float = float("nan")     # |u'(0)| + |u'(tau)| of the ground bump
 
 
+def default_cap(bump):
+    """The default endpoint cap K: twice the amplitude of the ground bump."""
+    return 2.0 * float(np.max(np.abs(bump.u)))
+
+
 def build_constant_pack(w, levels, K=None):
     """Assemble every certification constant for weight w."""
     if K is not None and not K > 0.0:
@@ -468,7 +473,7 @@ def build_constant_pack(w, levels, K=None):
     bump = levels.ground_bump()
     zeta, c_zeta, val = choose_zeta(w, levels)
     if K is None:
-        K = 2.0 * float(np.max(np.abs(bump.u)))
+        K = default_cap(bump)
     rho = bound_rho(w, c, c_zeta, K)
     attained = abs(bump.dleft) + abs(bump.dright)
     if not (rho > attained and rho > 2.0 * K / (w.period - w.tau)):

@@ -33,18 +33,16 @@ def consts(step_weight, levels):
 
 
 @pytest.fixture(scope="session")
-def sol_10(step_weight, levels):
+def sol_10(step_weight):
     """Certified (1, 0) solution at mu = 1e3 on a moderate mesh."""
     window = solver.make_window((1, 0))
-    opts = solver.SolveOptions(cells_per_interval=400, levels=levels)
-    return solver.solve_multibump(step_weight, window, 1e3, opts)
+    return solver.solve_multibump(step_weight, window, 1e3, cells=400)
 
 
 @pytest.fixture(scope="session")
-def sol_110(step_weight, levels):
+def sol_110(step_weight):
     window = solver.make_window((1, 1, 0))
-    opts = solver.SolveOptions(cells_per_interval=300, levels=levels)
-    return solver.solve_multibump(step_weight, window, 1e3, opts)
+    return solver.solve_multibump(step_weight, window, 1e3, cells=300)
 
 
 @pytest.fixture()

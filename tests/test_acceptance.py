@@ -34,14 +34,13 @@ def _line(num, ok, detail):
     print(f"criterion {num:2d}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-def _certified(w, levels):
+def _certified(w):
     """Certified solutions shared by criteria 3, 4, 8 and 9."""
     if not _CERT:
-        opts = solver.SolveOptions(cells_per_interval=CELLS_CERT,
-                                   levels=levels)
         for code in CODES:
             win = solver.make_window(code)
-            _CERT[code] = solver.solve_multibump(w, win, MU_CERT, opts)
+            _CERT[code] = solver.solve_multibump(w, win, MU_CERT,
+                                                 cells=CELLS_CERT)
     return _CERT
 
 
@@ -81,10 +80,10 @@ def test_criterion_02_ground_level_oracle(step_weight):
     assert elapsed < 60.0
 
 
-def test_criterion_03_certification(step_weight, consts, levels):
+def test_criterion_03_certification(step_weight):
     t0 = time.perf_counter()
-    sols = _certified(step_weight, levels)
-    r2 = consts.r ** 2
+    sols = _certified(step_weight)
+    r2 = weight.compute_r(step_weight) ** 2
     failures = []
     for code, sol in sols.items():
         rep = sol.report
@@ -119,8 +118,8 @@ def test_criterion_03_certification(step_weight, consts, levels):
     assert elapsed < 600.0
 
 
-def test_criterion_04_window_identities(step_weight, levels):
-    sols = _certified(step_weight, levels)
+def test_criterion_04_window_identities(step_weight):
+    sols = _certified(step_weight)
     worst = {"ii": 0.0, "iii": 0.0, "iv": 0.0}
     for sol in sols.values():
         ids = verify.nehari_identities(sol)
@@ -141,13 +140,12 @@ def _junction_tail(mu, a_minus, d, delta):
     return d / (1.0 + math.sqrt(0.5 * mu * a_minus) * d * delta)
 
 
-def test_criterion_05_decay_law(step_weight, levels):
+def test_criterion_05_decay_law(step_weight):
     t0 = time.perf_counter()
     w = step_weight
     mus = list(np.geomspace(100.0, 1e4, 9))
     delta = 0.2
-    opts = solver.SolveOptions(cells_per_interval=400, levels=levels)
-    fit = verify.decay_rate(w, (1, 0), mus, delta, opts=opts)
+    fit = verify.decay_rate(w, (1, 0), mus, delta, cells=400)
     elapsed = time.perf_counter() - t0
     bound_hits = sum(s <= b for s, b in zip(fit.samples, fit.bounds))
     ratios = [s / b for s, b in zip(fit.samples, fit.bounds)]
@@ -185,10 +183,9 @@ def test_criterion_05_decay_law(step_weight, levels):
     assert elapsed < 900.0
 
 
-def test_criterion_06_singular_limit(step_weight, levels):
-    opts = solver.SolveOptions(cells_per_interval=400, levels=levels)
+def test_criterion_06_singular_limit(step_weight):
     rep = verify.run_sweep(step_weight, (1, 0),
-                           [300.0, 1000.0, 3000.0, 10000.0], opts=opts)
+                           [300.0, 1000.0, 3000.0, 10000.0], cells=400)
     decreasing = {
         "sup": all(a > b for a, b in zip(rep.sup_distances,
                                          rep.sup_distances[1:])),
@@ -205,24 +202,22 @@ def test_criterion_06_singular_limit(step_weight, levels):
     assert lip_floor > 1.0
 
 
-def test_criterion_07_connection_diagnostics(step_weight, consts):
-    p = connection.make_connection_problem(step_weight, 2000.0, 0.6, 0.4,
-                                           K=consts.K, r=consts.r)
+def test_criterion_07_connection_diagnostics(step_weight):
+    p = connection.make_connection_problem(step_weight, 2000.0, 0.6, 0.4)
     sol = connection.solve_connection(p, cells=400)
     v, z = sol.sensitivities
     vz_ok = (bool(np.all(v.full()[:-1] > 0))
              and bool(np.all(np.diff(v.full()) < 0))
              and bool(np.all(z.full()[1:] > 0))
              and bool(np.all(np.diff(z.full()) > 0)))
-    connection.energy_derivatives(sol, fd_step=1e-6)
+    connection.energy_derivatives(sol)
     fd_rel = max(sol.fd_check["rel_err"])
     probe_ok = connection.uniqueness_probe(p, 10, cells=140,
                                            rng=np.random.default_rng(11))
     grid_bad = []
     for x in (-0.6, -0.3, 0.3, 0.6, 0.9):
         for y in (-0.6, -0.3, 0.3, 0.6, 0.9):
-            q = connection.make_connection_problem(step_weight, 2000.0, x, y,
-                                                   K=consts.K, r=consts.r)
+            q = connection.make_connection_problem(step_weight, 2000.0, x, y)
             s = connection.solve_connection(q, cells=160,
                                             with_sensitivities=False)
             f = s.u.full()
@@ -244,13 +239,12 @@ def test_criterion_07_connection_diagnostics(step_weight, consts):
     assert not grid_bad, grid_bad
 
 
-def test_criterion_08_subharmonics(step_weight, levels):
-    sols = _certified(step_weight, levels)
+def test_criterion_08_subharmonics(step_weight):
+    sols = _certified(step_weight)
     got = {code: verify.minimal_period(sols[code]) for code in CODES}
-    opts = solver.SolveOptions(cells_per_interval=200, levels=levels)
     for code in ((1, 1), (1, 1, 1)):
         win = solver.make_window(code)
-        s = solver.solve_multibump(step_weight, win, 400.0, opts)
+        s = solver.solve_multibump(step_weight, win, 400.0, cells=200)
         got[code] = verify.minimal_period(s)
     want = {(1,): 1, (1, 0): 2, (1, 1, 0): 3, (1, 1): 1, (1, 1, 1): 1}
     ok = got == want
@@ -258,12 +252,10 @@ def test_criterion_08_subharmonics(step_weight, levels):
     assert got == want
 
 
-def test_criterion_09_oracle_cross_validation(step_weight, consts, levels):
-    sols = _certified(step_weight, levels)
-    worst_rel = max(verify.oracle_residual(s, rtol=1e-12).rel
-                    for s in sols.values())
-    p = connection.make_connection_problem(step_weight, 2000.0, 0.6, 0.4,
-                                           K=consts.K, r=consts.r)
+def test_criterion_09_oracle_cross_validation(step_weight):
+    sols = _certified(step_weight)
+    worst_rel = max(verify.oracle_residual(s).rel for s in sols.values())
+    p = connection.make_connection_problem(step_weight, 2000.0, 0.6, 0.4)
     sol = connection.solve_connection(p, cells=2000,
                                       with_sensitivities=False)
     grid = sol.u.grid

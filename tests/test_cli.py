@@ -1,5 +1,6 @@
 """End-to-end runs of the command line front end."""
 
+import argparse
 import json
 import math
 import os
@@ -286,10 +287,9 @@ def test_levels_built_once_per_process(tmp_path, monkeypatch):
     assert counts == {"ground_state": 1, "pinned_zero_detail": 1}
 
 
-def test_weight_file_shared_across_commands(tmp_path, sine_weight):
+def test_weight_file_shared_across_commands(tmp_path):
     """Two loads of one weight file are two objects with one content: the
-    second command takes the first one's levels, while levels of another
-    weight are still refused."""
+    second command takes the first one's levels."""
     path = tmp_path / "w.json"
     weight.save_weight_json(weight.make_step_weight(), path)
     assert cli.main(["solve", "--weight", str(path), "--symbols", "10",
@@ -298,13 +298,10 @@ def test_weight_file_shared_across_commands(tmp_path, sine_weight):
                      "--mu-from", "1e2", "--mu-to", "1e3", "--points", "2",
                      "--outdir", str(tmp_path / "verify")]) == 0
     w = weight.load_weight_json(path)
-    window = solver.make_window((1, 0))
     shared = localfield.levels_of(w)
     assert shared.w is not w
-    solver.solve_multibump(w, window, 1e3, solver.SolveOptions(levels=shared))
-    opts = solver.SolveOptions(levels=localfield.LevelEvaluator(sine_weight))
-    with pytest.raises(WeightError):
-        solver.solve_multibump(w, window, 1e3, opts)
+    solver.solve_multibump(w, solver.make_window((1, 0)), 1e3)
+    assert localfield.levels_of(w) is shared
 
 
 def test_shared_arrays_are_read_only():
@@ -451,6 +448,51 @@ def test_reproducible_artifacts(tmp_path):
             assert bytes_a == bytes_b, name
         assert ma["manifest_hash"] == mb["manifest_hash"]
         assert ma["outputs"] == mb["outputs"]
+
+
+_COMMAND_ARGV = {
+    "local": ["local"],
+    "solve": ["solve", "--symbols", "10", "--mu", "800"],
+    "connection": ["connection", "--mu", "2000", "--x", "0.6", "--y", "0.4"],
+    "verify": ["verify", "--symbols", "10", "--mu-from", "1e2",
+               "--mu-to", "1e3"],
+    "oracle": ["oracle", "integrate", "--t1", "1"],
+    "sweep": ["sweep", "--codes", "10"],
+}
+
+
+# a misspelled key, then keys of options deleted earlier
+_UNREAD_KEYS = ["cels", "newton_tol", "alpha", "oracle_rtol", "identities",
+                "periodic", "mu0"]
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_ARGV))
+def test_unread_config_key_is_input_error(tmp_path, command):
+    """A config key the command does not read is bad input named in the
+    FAILED marker, not a silently ignored value."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict.fromkeys(_UNREAD_KEYS, 1)))
+    out = tmp_path / "out"
+    rc = cli.main(_COMMAND_ARGV[command]
+                  + ["--config", str(cfg), "--outdir", str(out)])
+    assert rc == 2
+    failed = (out / "FAILED").read_text()
+    assert all(repr(key) in failed for key in _UNREAD_KEYS)
+    assert set(os.listdir(out)) == {"FAILED", "manifest.json"}
+
+
+def test_config_keys_are_the_flags():
+    """Each command reads exactly the config keys its flags set."""
+    keys = {"local": cli._LOCAL_KEYS, "solve": cli._SOLVE_KEYS,
+            "connection": cli._CONN_KEYS, "verify": cli._VERIFY_KEYS,
+            "oracle": cli._ORACLE_KEYS, "sweep": cli._SWEEP_KEYS}
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(keys)
+    for name, parser in sub.choices.items():
+        dests = {a.dest for a in parser._actions} - {"help", "config",
+                                                      "mode"}
+        assert dests == set(keys[name]), name
 
 
 def test_flags_beat_config(tmp_path):

@@ -10,9 +10,9 @@ from multibump.errors import InteriorityFailure, WeightError
 
 
 @pytest.fixture(scope="module")
-def problem(step_weight, consts):
-    return connection.make_connection_problem(
-        step_weight, 2000.0, 0.6, 0.4, l=1, K=consts.K, r=consts.r)
+def problem(step_weight):
+    return connection.make_connection_problem(step_weight, 2000.0, 0.6, 0.4,
+                                              l=1)
 
 
 @pytest.fixture(scope="module")
@@ -36,9 +36,8 @@ def test_caps_must_be_positive(step_weight, caps):
                                            **caps)
 
 
-def test_zero_data_gives_zero(step_weight, consts):
-    p = connection.make_connection_problem(step_weight, 500.0, 0.0, 0.0,
-                                           K=consts.K, r=consts.r)
+def test_zero_data_gives_zero(step_weight):
+    p = connection.make_connection_problem(step_weight, 500.0, 0.0, 0.0)
     s = connection.solve_connection(p, cells=120, with_sensitivities=False)
     assert s.u.sup_norm() < 1e-12
 
@@ -51,18 +50,16 @@ def test_boundary_values_and_sign(sol, problem):
     assert np.all(full > 0.0)
 
 
-def test_symmetric_slope_pair(step_weight, consts):
-    p = connection.make_connection_problem(step_weight, 1000.0, 0.5, 0.5,
-                                           K=consts.K, r=consts.r)
+def test_symmetric_slope_pair(step_weight):
+    p = connection.make_connection_problem(step_weight, 1000.0, 0.5, 0.5)
     s = connection.solve_connection(p, cells=200, with_sensitivities=False)
     dlo, dhi = s.boundary_slopes
     assert math.isclose(dlo, -dhi, rel_tol=1e-9)
     assert dlo < 0.0 < dhi
 
 
-def test_opposite_sign_single_crossing(step_weight, consts):
-    p = connection.make_connection_problem(step_weight, 1000.0, 0.5, -0.5,
-                                           K=consts.K, r=consts.r)
+def test_opposite_sign_single_crossing(step_weight):
+    p = connection.make_connection_problem(step_weight, 1000.0, 0.5, -0.5)
     s = connection.solve_connection(p, cells=200, with_sensitivities=False)
     full = s.u.full()
     crossings = np.sum(full[:-1] * full[1:] < 0.0)
@@ -81,7 +78,7 @@ def test_cap_margins_nonnegative(sol, problem):
 
 
 def test_energy_derivatives_match_fd(sol):
-    pair = connection.energy_derivatives(sol, fd_step=1e-6)
+    pair = connection.energy_derivatives(sol)
     assert sol.fd_check["rel_err"][0] < 1e-7
     assert sol.fd_check["rel_err"][1] < 1e-7
     # derivatives are the boundary fluxes
@@ -118,7 +115,7 @@ def test_fd_check_starts_from_the_tangent_predictor(step_weight, default_caps,
     p = connection.make_connection_problem(step_weight, mu, x, y, l=l,
                                            K=K, r=r)
     s = connection.solve_connection(p)
-    pair = connection.energy_derivatives(s, fd_step=1e-6)
+    pair = connection.energy_derivatives(s)
     assert s.fd_check["descent_iters"] == (0, 0, 0, 0)
     grad = assembly.residual_full(s.grid.tables, mu, s.u.values)
     v, z = s.sensitivities
@@ -154,14 +151,13 @@ def test_sensitivity_signs(sol):
     assert np.all(np.diff(zf) > 0.0)
 
 
-def test_sensitivity_fd(step_weight, consts):
+def test_sensitivity_fd(step_weight):
     """v approximates the x-derivative of the solution itself."""
     mu, x, y = 1500.0, 0.5, 0.45
     h = 1e-5
     sols = {}
     for dx in (0.0, h, -h):
-        p = connection.make_connection_problem(step_weight, mu, x + dx, y,
-                                               K=consts.K, r=consts.r)
+        p = connection.make_connection_problem(step_weight, mu, x + dx, y)
         sols[dx] = connection.solve_connection(p, cells=160,
                                                with_sensitivities=(dx == 0.0))
     v, _ = sols[0.0].sensitivities
@@ -173,9 +169,9 @@ def test_uniqueness_probe(problem):
     assert connection.uniqueness_probe(problem, 4, cells=140, rng=3) is True
 
 
-def test_interiority_failure_small_mu(step_weight, consts):
-    p = connection.make_connection_problem(step_weight, 0.05, consts.K,
-                                           consts.K, K=consts.K, r=consts.r)
+def test_interiority_failure_small_mu(step_weight, default_caps):
+    K, _ = default_caps
+    p = connection.make_connection_problem(step_weight, 0.05, K, K)
     with pytest.raises(InteriorityFailure):
         connection.solve_connection(p, cells=120, with_sensitivities=False)
 
@@ -185,9 +181,9 @@ def test_block_action_positive(sol):
     assert connection.block_action(sol) > 0.0
 
 
-def test_longer_block(step_weight, consts):
+def test_longer_block(step_weight):
     p = connection.make_connection_problem(step_weight, 3000.0, 0.5, 0.5,
-                                           l=2, K=consts.K, r=consts.r)
+                                           l=2)
     s = connection.solve_connection(p, cells=160, with_sensitivities=False)
     assert list(p.plus_indices()) == [0, 1]
     assert np.all(s.u.full() > 0.0)

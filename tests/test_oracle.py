@@ -147,12 +147,12 @@ def test_shoot_dirichlet_monotone_negativity(step_weight):
     assert u.min() < 0.05
 
 
-def test_shoot_reports_failure():
+def test_shoot_reports_failure(monkeypatch):
     """An unreachable right value must not loop forever."""
     w = weight.make_step_weight()
+    monkeypatch.setattr(oracle, "_MAX_SHOTS", 8)
     with pytest.raises((NewtonFailure, BlowUp)):
-        oracle.shoot_dirichlet(w, 1e6, 1.0, 2.0, 1e5, 1e5, rtol=1e-8,
-                               max_iter=8)
+        oracle.shoot_dirichlet(w, 1e6, 1.0, 2.0, 1e5, 1e5, rtol=1e-8)
 
 
 def test_dense_output_eval_consistency(step_weight):
@@ -342,15 +342,17 @@ def test_negative_piece_uses_mu(step_weight):
 
 
 def test_integrate_is_deterministic(sine_weight):
-    """Two identical runs take the same steps and end in the same state."""
-    runs = [oracle.integrate(sine_weight, 100.0,
-                             oracle.IvpState(t=0.2, u=0.3, du=0.7), 1.7,
-                             rtol=1e-10, with_sensitivity=True)
+    """Two identical runs, the variational pair (v, v') riding along as a
+    shot's does, take the same steps and end in the same state."""
+    runs = [oracle._integrate_raw(sine_weight, 100.0,
+                                  [(0.2, 1.7, [0.3, 0.7, 0.0, 1.0])],
+                                  1e-10, 1e-12, 1e6, np.inf)[0]
             for _ in range(2)]
-    (e1, d1), (e2, d2) = runs
+    (d1, e1, b1), (d2, e2, b2) = runs
+    assert d1.ys.shape[1] == 4
     assert np.array_equal(d1.ts, d2.ts)
     assert np.array_equal(d1.ys, d2.ys)
-    assert (e1.t, e1.u, e1.du) == (e2.t, e2.u, e2.du)
+    assert np.array_equal(e1, e2) and not (b1 or b2)
 
 
 def test_dense_ts_are_the_accepted_steps(step_weight, monkeypatch):
@@ -448,9 +450,10 @@ def test_shoot_two_level_property(tau, frac, lo, hi, nfrac, nlo, nhi, mu,
         _assert_hits_and_conserves(w, mu, a, b, u0, u1, res)
 
 
-def test_blowup_stays_in_its_shot(step_weight):
+def test_blowup_stays_in_its_shot(step_weight, monkeypatch):
     """A shot that blows up in a batch is frozen there, and the other shot of
-    the batch converges to its lone slope; max_iter still bounds each shot."""
+    the batch converges to its lone slope; _MAX_SHOTS still bounds each
+    shot."""
     mu = 1e4
     with pytest.raises(BlowUp):
         oracle.integrate(step_weight, mu, oracle.IvpState(1.0, 0.4, 0.0), 2.0)
@@ -462,9 +465,9 @@ def test_blowup_stays_in_its_shot(step_weight):
     assert tame.iters < wild.iters
     assert math.isclose(tame.slope, lone.slope, rel_tol=1e-10)
     assert math.isclose(wild.slope, -11.3134, rel_tol=1e-5)
+    monkeypatch.setattr(oracle, "_MAX_SHOTS", 5)
     with pytest.raises(NewtonFailure):
-        oracle.shoot_batch(step_weight, mu, [(1.0, 2.0, 0.4, 0.4, 0.0), well],
-                           max_iter=5)
+        oracle.shoot_batch(step_weight, mu, [(1.0, 2.0, 0.4, 0.4, 0.0), well])
 
 
 def test_bracket_shrinks_where_R_falls():
@@ -472,7 +475,7 @@ def test_bracket_shrinks_where_R_falls():
     replaces the end of its sign, also where R falls as the slope grows (a
     positive interval); the bracket then shrinks instead of repeating its
     midpoint."""
-    shot = oracle._Shot(0.0, 1.0, 0.0, 1.0, 5.0, tol=1e-9)
+    shot = oracle._Shot(0.0, 1.0, 0.0, 1.0, 5.0)
 
     def attempt(p, R):
         shot.p = p

@@ -26,10 +26,9 @@ def test_make_window_validation():
         solver.make_window((1, 2))
 
 
-def test_certified_single_bump(step_weight, levels):
+def test_certified_single_bump(step_weight):
     window = solver.make_window((1,))
-    opts = solver.SolveOptions(cells_per_interval=300, levels=levels)
-    sol = solver.solve_multibump(step_weight, window, 1e3, opts)
+    sol = solver.solve_multibump(step_weight, window, 1e3, cells=300)
     rep = sol.report
     assert rep.certified
     assert rep.positivity
@@ -70,11 +69,10 @@ def test_positivity_everywhere(sol_10):
     assert np.max(full[a:b + 1]) < 0.75
 
 
-def test_certification_failure_carries_report(step_weight, levels):
+def test_certification_failure_carries_report(step_weight):
     window = solver.make_window((1, 0))
-    opts = solver.SolveOptions(cells_per_interval=200, levels=levels)
     with pytest.raises(CertificationFailure) as exc:
-        solver.solve_multibump(step_weight, window, 0.5, opts)
+        solver.solve_multibump(step_weight, window, 0.5, cells=200)
     rep = exc.value.report
     assert rep is not None
     assert not rep.certified
@@ -92,12 +90,12 @@ def test_report_roundtrip(sol_10):
     assert walk == sorted(walk, reverse=True)
 
 
-def test_one_gradient_per_iterate(step_weight, levels, monkeypatch):
+def test_one_gradient_per_iterate(step_weight, monkeypatch):
     """A solve evaluates the gradient once per (iterate, mu): the counted
     extra Newton step reuses the residual Newton returns at its iterate,
     and every Newton step reuses the point values of that residual."""
-    weight.build_constant_pack(step_weight, levels)   # levels solved before
-    levels.ground_bump()
+    # the levels are solved before
+    weight.build_constant_pack(step_weight, localfield.levels_of(step_weight))
     seen = []
     points = []
     residual = assembly.Operator.residual
@@ -113,32 +111,25 @@ def test_one_gradient_per_iterate(step_weight, levels, monkeypatch):
 
     monkeypatch.setattr(assembly.Operator, "residual", counted)
     monkeypatch.setattr(assembly, "_at_points", counted_points)
-    opts = solver.SolveOptions(cells_per_interval=200, levels=levels)
     sol = solver.solve_multibump(step_weight, solver.make_window((1, 0)),
-                                 1e3, opts)
+                                 1e3, cells=200)
     assert sol.report.certified
     # Newton's residuals plus the one certificate; no iterate twice
     assert len(seen) == len(set(seen)) > 1
     assert len(points) == len(seen)
 
 
-def test_continuation_states_reuse(step_weight, levels):
+def test_continuation_states_reuse(step_weight):
     window = solver.make_window((1, 0))
-    opts = solver.SolveOptions(cells_per_interval=200, levels=levels)
     mus = [200.0, 800.0, 3200.0]
     seen = []
     for mu, gf, rep in solver.continuation_states(step_weight, window, mus,
-                                                  opts):
+                                                  cells=200):
         seen.append((mu, rep.certified, gf.sup_norm()))
     assert [m for m, _, _ in seen] == mus
     assert all(ok for _, ok, _ in seen)
     # sup norm grows mildly with mu while the small interval drains
     assert seen[-1][2] >= seen[0][2] - 0.1
-
-
-@pytest.fixture(scope="module")
-def sine_levels(sine_weight):
-    return localfield.LevelEvaluator(sine_weight)
 
 
 @settings(max_examples=20, deadline=None)
@@ -147,14 +138,13 @@ def sine_levels(sine_weight):
                     unique=True),
        sine=st.just(False))
 @example(code=[1, 1, 0], mus=[30.0, 1e3], sine=True)
-def test_walk_down_from_pasted_bumps(step_weight, levels, sine_weight,
-                                     sine_levels, code, mus, sine):
+def test_walk_down_from_pasted_bumps(step_weight, sine_weight, code, mus,
+                                     sine):
     """Newton starts from the pasted bumps at max(MU0, max(mus)), walks mu
     downward, and certifies every scheduled state."""
-    w, ev = (sine_weight, sine_levels) if sine else (step_weight, levels)
-    opts = solver.SolveOptions(cells_per_interval=200, levels=ev)
+    w = sine_weight if sine else step_weight
     states = list(solver.continuation_states(w, solver.make_window(code),
-                                             mus, opts))
+                                             mus, cells=200))
     assert [mu for mu, _, _ in states] == sorted(mus)
     assert all(rep.certified for _, _, rep in states)
     path = states[-1][2].continuation_path
@@ -167,12 +157,13 @@ def test_walk_down_from_pasted_bumps(step_weight, levels, sine_weight,
     assert path[0][1] <= 4
 
 
-def _fine_walk(w, ev, window, mus, cells):
+def _fine_walk(w, window, mus, cells):
     """The states of the walk on the solve mesh alone: Newton from the
     pasted bumps at the top, each lower mu from the last iterate."""
     cells = cells or solver.auto_cells(w, max(mus))
     grid = assembly.span_grid(w, window.i_start, len(window.symbols), cells)
-    u = solver.initial_guess(w, window, ev.ground_bump(), grid).values
+    bump = localfield.levels_of(w).ground_bump()
+    u = solver.initial_guess(w, window, bump, grid).values
     top = [solver.MU0] if solver.MU0 > max(mus) else []
     states = {}
     for mu in top + sorted(mus, reverse=True):
@@ -181,12 +172,12 @@ def _fine_walk(w, ev, window, mus, cells):
     return states
 
 
-def _assert_same_states(w, ev, window, mus, states, rel):
+def _assert_same_states(w, window, mus, states, rel):
     """Where the walk on the solve mesh alone (_fine_walk) certifies, the
     states of continuation_states equal its states to rel, with the same
     flags; where it does not, they certify or carry its flags."""
-    consts = weight.build_constant_pack(w, ev)
-    ref = _fine_walk(w, ev, window, mus, states[0][1].grid.m)
+    consts = weight.build_constant_pack(w, localfield.levels_of(w))
+    ref = _fine_walk(w, window, mus, states[0][1].grid.m)
     for mu, gf, rep in states:
         u = ref[mu]
         want = solver.check_membership(assembly.GridFunction(gf.grid, u), mu,
@@ -213,9 +204,8 @@ def _assert_same_states(w, ev, window, mus, states, rel):
          cells=1600)
 # the largest gap between two certified Newton limits seen: 2.5e-12
 @example(code=[0, 0, 1, 0], mus=[5884.653967871251], sine=True, cells=1600)
-def test_nested_start_reaches_the_fine_walk(step_weight, levels, sine_weight,
-                                            sine_levels, code, mus, sine,
-                                            cells):
+def test_nested_start_reaches_the_fine_walk(step_weight, sine_weight, code,
+                                            mus, sine, cells):
     """Each stop's Newton started from the coarse solution converges to the
     state the walk on the solve mesh alone reaches where that walk
     certifies, with the same flags.  The bound is 1e-11 relative: two
@@ -224,18 +214,17 @@ def test_nested_start_reaches_the_fine_walk(step_weight, levels, sine_weight,
     and mu below 50, the walk from the pasted bumps on the solve mesh
     reached -u or a small near-constant state on about 1 draw in 700; the
     nested walk certified each of those."""
-    w, ev = (sine_weight, sine_levels) if sine else (step_weight, levels)
+    w = sine_weight if sine else step_weight
     window = solver.make_window(code)
-    opts = solver.SolveOptions(cells_per_interval=cells, levels=ev)
-    states = list(solver.continuation_states(w, window, mus, opts))
+    states = list(solver.continuation_states(w, window, mus, cells))
     coarse = states[-1][2].coarse_path
     assert [mu for mu, _ in coarse] == \
         [mu for mu, _ in states[-1][2].continuation_path]
     assert all(steps is not None for _, steps in coarse)
-    _assert_same_states(w, ev, window, mus, states, 1e-11)
+    _assert_same_states(w, window, mus, states, 1e-11)
 
 
-def test_failed_coarse_newton_falls_back(step_weight, levels, monkeypatch):
+def test_failed_coarse_newton_falls_back(step_weight, monkeypatch):
     """Where the coarse Newton fails, the stop starts from the last fine
     iterate (the pasted bumps at the top), as the walk on the solve mesh
     alone does, and the coarse walk resumes from the fine solution: failing
@@ -243,7 +232,6 @@ def test_failed_coarse_newton_falls_back(step_weight, levels, monkeypatch):
     only the same states to rounding."""
     window = solver.make_window((1, 1, 0))
     mus = [100.0, 300.0, 1000.0]
-    opts = solver.SolveOptions(cells_per_interval=200, levels=levels)
     converge = solver._converge
 
     def failing_on_coarse(fail_at):
@@ -256,12 +244,12 @@ def test_failed_coarse_newton_falls_back(step_weight, levels, monkeypatch):
     for fail_at, rel in ((set(mus), 0.0), ({1000.0}, 1e-12)):
         monkeypatch.setattr(solver, "_converge", failing_on_coarse(fail_at))
         states = list(solver.continuation_states(step_weight, window, mus,
-                                                 opts))
+                                                 cells=200))
         monkeypatch.undo()
         assert [mu for mu, _, _ in states] == mus
         assert [mu for mu, steps in states[-1][2].coarse_path
                 if steps is None] == sorted(fail_at, reverse=True)
-        _assert_same_states(step_weight, levels, window, mus, states, rel)
+        _assert_same_states(step_weight, window, mus, states, rel)
 
 
 @given(st.lists(st.tuples(st.floats(1e-3, 1e6), st.booleans()),
@@ -279,13 +267,6 @@ def test_bracket_property(outcomes):
                           default=0.0)
 
 
-def test_shared_levels_must_match_weight(step_weight, sine_weight):
-    opts = solver.SolveOptions(levels=localfield.LevelEvaluator(sine_weight))
-    with pytest.raises(WeightError):
-        solver.solve_multibump(step_weight, solver.make_window((1, 0)), 1e3,
-                               opts)
-
-
 def test_auto_cells_monotone(step_weight):
     cells = [solver.auto_cells(step_weight, mu) for mu in (1e2, 1e3, 1e4, 1e6)]
     assert all(a <= b for a, b in zip(cells, cells[1:]))
@@ -293,12 +274,12 @@ def test_auto_cells_monotone(step_weight):
     assert cells[-1] <= 6000
 
 
-def test_initial_guess_supports(step_weight, levels):
+def test_initial_guess_supports(step_weight):
     window = solver.make_window((1, 0, 1))
     grid = assembly.span_grid(step_weight, window.i_start, 3, 40,
                               periodic=True)
-    guess = solver.initial_guess(step_weight, window, levels.ground_bump(),
-                                 grid)
+    bump = localfield.levels_of(step_weight).ground_bump()
+    guess = solver.initial_guess(step_weight, window, bump, grid)
     full = guess.full()
     for p, sym in enumerate(window.symbols):
         i = window.i_start + p

@@ -9,14 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kendalltau, linregress
 
-from multibump import assembly, cli, oracle, solver, verify
+from multibump import assembly, cli, localfield, oracle, solver, verify
 from multibump.errors import InsufficientSweep, WeightError
 
 
-def _solve(w, code, mu, cells, levels):
-    win = solver.make_window(code)
-    opts = solver.SolveOptions(cells_per_interval=cells, levels=levels)
-    return solver.solve_multibump(w, win, mu, opts)
+def _solve(w, code, mu, cells):
+    return solver.solve_multibump(w, solver.make_window(code), mu, cells)
 
 
 # -- window identities ----------------------------------------------------------
@@ -40,10 +38,10 @@ def test_identities_three_bump(sol_110):
     assert ids["iv"] < 2e-5
 
 
-def test_identity_iv_mesh_rate(step_weight, levels):
+def test_identity_iv_mesh_rate(step_weight):
     """Residual (iv) drops at the h^2 rate under mesh doubling."""
-    coarse = _solve(step_weight, (1,), 1e3, 200, levels)
-    fine = _solve(step_weight, (1,), 1e3, 400, levels)
+    coarse = _solve(step_weight, (1,), 1e3, 200)
+    fine = _solve(step_weight, (1,), 1e3, 400)
     r_c = verify.nehari_identities(coarse)["iv"]
     r_f = verify.nehari_identities(fine)["iv"]
     assert r_c / r_f > 3.0
@@ -86,24 +84,18 @@ def test_cutoff_derivative_fd(step_weight):
     ((1, 0), 2),
     ((1, 1, 0), 3),
 ])
-def test_minimal_period(step_weight, levels, code, expect):
-    sol = _solve(step_weight, code, 400.0, 200, levels)
+def test_minimal_period(step_weight, code, expect):
+    sol = _solve(step_weight, code, 400.0, 200)
     assert verify.minimal_period(sol) == expect
-
-
-def test_minimal_period_window_mismatch(sol_10):
-    with pytest.raises(WeightError):
-        verify.minimal_period(sol_10, m=3)
 
 
 # -- singular-limit distances ------------------------------------------------------
 
 
-def test_limit_distance_decreases(step_weight, levels, sol_10):
-    bump = levels.ground_bump()
+def test_limit_distance_decreases(step_weight, sol_10):
+    bump = localfield.levels_of(step_weight).ground_bump()
     lo = verify.limit_distance(sol_10, bump)
-    hi = verify.limit_distance(
-        _solve(step_weight, (1, 0), 1e4, 400, levels), bump)
+    hi = verify.limit_distance(_solve(step_weight, (1, 0), 1e4, 400), bump)
     assert hi.sup < lo.sup
     assert hi.holder < lo.holder
     for i in lo.per_interval:
@@ -112,8 +104,9 @@ def test_limit_distance_decreases(step_weight, levels, sol_10):
     assert lo.lipschitz > 1.0 and hi.lipschitz > 1.0
 
 
-def test_limit_profile_support(sol_10, levels):
-    prof = verify.limit_profile(sol_10, levels.ground_bump())
+def test_limit_profile_support(step_weight, sol_10):
+    bump = localfield.levels_of(step_weight).ground_bump()
+    prof = verify.limit_profile(sol_10, bump)
     full = prof.grid.full_values(prof.values)
     a, b = sol_10.grid.interval_nodes(0, "plus")
     assert np.max(full[a:b + 1]) > 1.0
@@ -143,14 +136,14 @@ def _limit_profile_per_node(sol, bump):
 @example(code=[1, 1, 0], i0=-1, m=200, periodic=True)
 @example(code=[0, 1], i0=0, m=200, periodic=True)
 @example(code=[1, 0], i0=0, m=200, periodic=True)
-def test_limit_profile_matches_per_node_evaluation(step_weight, levels, code,
-                                                   i0, m, periodic):
+def test_limit_profile_matches_per_node_evaluation(step_weight, code, i0, m,
+                                                   periodic):
     grid = assembly.span_grid(step_weight, i0, len(code), m,
                               periodic=periodic)
     win = solver.make_window(code, i_start=i0)
     sol = solver.Solution(u=assembly.GridFunction(grid, np.zeros(grid.ndof)),
                           mu=1e3, window=win, report=None)
-    bump = levels.ground_bump()
+    bump = localfield.levels_of(step_weight).ground_bump()
     prof = verify.limit_profile(sol, bump)
     assert np.array_equal(prof.values, _limit_profile_per_node(sol, bump))
 
@@ -208,24 +201,22 @@ def test_holder_seminorm_matches_dense_pair_max(n, seed, alpha, sep, smooth):
 # -- decay fits --------------------------------------------------------------------
 
 
-def test_decay_rate_two_decades(step_weight, levels):
-    opts = solver.SolveOptions(cells_per_interval=240, levels=levels)
+def test_decay_rate_two_decades(step_weight):
     fit = verify.decay_rate(step_weight, (1, 0), [100.0, 1000.0, 10000.0],
-                            0.2, opts=opts)
+                            0.2, cells=240)
     assert fit.slope < -0.25
     assert fit.bound_satisfied()
     assert fit.c_delta > 0.0
     assert len(fit.samples) == len(fit.bounds) == 3
 
 
-def test_decay_rate_guards(step_weight, levels):
-    opts = solver.SolveOptions(cells_per_interval=200, levels=levels)
+def test_decay_rate_guards(step_weight):
     with pytest.raises(InsufficientSweep):
         verify.decay_rate(step_weight, (1, 0), [100.0, 1000.0], 0.2,
-                          opts=opts)
+                          cells=200)
     with pytest.raises(WeightError):
         verify.decay_rate(step_weight, (1, 0), [100.0, 10000.0], 0.6,
-                          opts=opts)
+                          cells=200)
 
 
 def _scipy_loglog_fit(mu_list, values):
@@ -297,10 +288,9 @@ def test_fits_equal_scipy_stats(table):
 # -- sweeps ------------------------------------------------------------------------
 
 
-def test_run_sweep_smoke(step_weight, levels):
-    opts = solver.SolveOptions(cells_per_interval=240, levels=levels)
+def test_run_sweep_smoke(step_weight):
     rep = verify.run_sweep(step_weight, (1, 0), [300.0, 1000.0, 3000.0],
-                           opts=opts)
+                           cells=240)
     assert rep.symbols == (1, 0)
     for seq in (rep.sup_distances, rep.p2, rep.p3, rep.holder_distances,
                 rep.decay_samples, rep.p1):
@@ -318,7 +308,7 @@ def test_run_sweep_smoke(step_weight, levels):
 
 
 def test_oracle_residual(sol_10):
-    check = verify.oracle_residual(sol_10, rtol=1e-12)
+    check = verify.oracle_residual(sol_10)
     assert set(check.per_interval) == {(0, "+"), (0, "-"), (1, "+"), (1, "-")}
     assert check.gap == max(check.per_interval.values())
     assert check.rel < 2e-5
@@ -344,7 +334,7 @@ def _shoot_window(monkeypatch, sol):
 
     monkeypatch.setattr(oracle, "shoot_batch", batch)
     monkeypatch.setattr(oracle, "_dop853", dop853)
-    check = verify.oracle_residual(sol, rtol=1e-12)
+    check = verify.oracle_residual(sol)
     monkeypatch.undo()
     return check, seen
 
@@ -354,7 +344,7 @@ def test_oracle_batch_equals_lone_shots(monkeypatch, name, cells):
     """Each interval's gap from the window's batched shots equals the gap
     from shoot_dirichlet shooting that interval alone."""
     w = cli.resolve_weight(name)[0]
-    sol = _solve(w, (1, 0), 1e3, cells, None)
+    sol = _solve(w, (1, 0), 1e3, cells)
     check, seen = _shoot_window(monkeypatch, sol)
     full, nodes = sol.u.full(), sol.grid.nodes
     keys = list(check.per_interval)
@@ -377,7 +367,7 @@ def test_oracle_rounds_pinned(monkeypatch, step_weight, mu, cells, rounds,
     """Shot from their smaller ends, the four intervals of step 10 finish in
     a few rounds: one shot from a large end took 5 attempts at mu 1e3 with
     1600 cells and 17 at mu 1e4."""
-    sol = _solve(step_weight, (1, 0), mu, cells, None)
+    sol = _solve(step_weight, (1, 0), mu, cells)
     check, seen = _shoot_window(monkeypatch, sol)
     assert max(r.iters for r in seen["results"]) == rounds
     assert seen["steps"] == steps
