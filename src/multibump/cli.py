@@ -9,11 +9,17 @@ verify      asymptotic mu sweep with decay fits and identity checks
 oracle      shooting / IVP / ground-level reference runs
 sweep       mu sweeps over several codes
 
-Configuration comes from an optional JSON file (``--config``) merged with
-command line flags; flags win.  Every run writes ``manifest.json`` into the
-output directory with the merged configuration, a content hash of the weight
-input, and sha256 digests of every artifact.  Failed runs leave a ``FAILED``
-marker next to whatever partial artifacts exist.
+Each subcommand declares its options once (``_COMMANDS``): flag, kind,
+default and help.  The parser and the config merge both read that
+declaration.  ``main`` runs every subcommand through one lifecycle: it opens
+the output directory, loads the optional JSON file (``--config``), merges it
+with the flags (flags win), converts each value once by its kind, refuses
+config keys the command does not read, resolves the weight and calls the
+command body.  Every run that argparse accepts writes ``manifest.json`` into
+the output directory with the converted configuration, a content hash of the
+weight input, and sha256 digests of every artifact; a failed run, input
+errors included, also leaves a ``FAILED`` marker next to whatever partial
+artifacts exist, and its manifest holds null for what it did not reach.
 
 Exit codes: 0 success, 2 input error, 3 certification failure,
 4 convergence failure, 5 internal error.
@@ -28,6 +34,7 @@ import json
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,6 +82,30 @@ def classify_error(exc):
 # -- configuration ------------------------------------------------------------
 
 
+def _count(value):
+    """A non-negative int, for a number of cells or samples."""
+    n = int(value)
+    if n < 0:
+        raise ValueError("negative count")
+    return n
+
+
+class Option(NamedTuple):
+    """One option of a subcommand: its flag, the kind its value converts to
+    (str, int, _count or float), its default and its help.  A ``--`` flag is
+    also the config key ``key``; a positional is read from the command line
+    only."""
+    flag: str
+    kind: type = str
+    default: object = None
+    help: str = None
+    choices: tuple = None
+
+    @property
+    def key(self):
+        return self.flag.lstrip("-").replace("-", "_")
+
+
 def load_config(path):
     if path is None:
         return {}
@@ -85,46 +116,35 @@ def load_config(path):
     return {k.replace("-", "_"): v for k, v in cfg.items()}
 
 
-def merge_config(args, cfg, keys):
-    """Merged run configuration: flag values beat config file values.  The
-    config file's keys that the command does not read go, sorted, under
-    "unread", which RunDir refuses."""
+def merge_config(args, cfg, options):
+    """Merged run configuration, one entry per option: flag values beat
+    config file values beat the declared defaults."""
     out = {}
-    for key, default in keys.items():
-        flag = getattr(args, key, None)
+    for opt in options:
+        flag = getattr(args, opt.key)
         if flag is not None:
-            out[key] = flag
-        elif key in cfg:
-            out[key] = cfg[key]
+            out[opt.key] = flag
+        elif opt.key in cfg:
+            out[opt.key] = cfg[opt.key]
         else:
-            out[key] = default
-    unread = sorted(set(cfg) - set(keys))
-    if unread:
-        out["unread"] = unread
+            out[opt.key] = opt.default
     return out
 
 
-def _num(cfg, key, kind=float):
-    """cfg[key] converted by ``kind``, or None when unset; a value that does
+def _convert(opt, value):
+    """value converted by the option's kind, None kept; a value that does
     not convert to a finite number (nan, inf) is an input error."""
-    value = cfg.get(key)
     if value is None:
         return None
+    if opt.kind is str:
+        return str(value)
     try:
-        out = kind(value)
+        out = opt.kind(value)
         if math.isfinite(out):
             return out
     except (TypeError, ValueError, OverflowError):
         pass
-    raise WeightError(f"bad value {value!r} for {key}")
-
-
-def _count(value):
-    """A non-negative int, for a number of cells or samples."""
-    n = int(value)
-    if n < 0:
-        raise ValueError("negative count")
-    return n
+    raise WeightError(f"bad value {value!r} for {opt.key}")
 
 
 def _canonical_bytes(w):
@@ -210,30 +230,44 @@ def _jsonable(x):
 
 
 class RunDir:
-    """Output directory with manifest bookkeeping.
+    """Output directory with manifest bookkeeping for one command's run.
 
-    As a context manager it runs one command's lifecycle: leaving the block
-    writes the ok manifest, or on any exception the failed manifest and the
-    ``FAILED`` marker, and the exception propagates.  A config holding keys
-    the command does not read ("unread", see merge_config) fails on entry.
+    ``open`` creates the directory; ``config`` and ``set_weight`` record the
+    run's inputs as they become known.  As a context manager it closes the
+    run: leaving the block writes the ok manifest, or on any exception the
+    failed manifest (null for the inputs not yet recorded) and the
+    ``FAILED`` marker, and the exception propagates.  A run whose directory
+    could not be created writes nothing.
     """
 
-    def __init__(self, command, outdir, config, weight_label, weight_blob):
+    def __init__(self, command):
         self.command = command
-        self.outdir = outdir or "."
-        os.makedirs(self.outdir, exist_ok=True)
-        self.config = dict(config)
-        self.weight_label = weight_label
-        self.weight_sha = hashlib.sha256(weight_blob).hexdigest()
+        self.outdir = None
+        self.config = None
+        self.weight_label = self.weight_sha = None
         self.outputs = {}
-        # artifact locations do not influence the computed bytes, so they
-        # stay out of the hash: equal hashes promise equal CSV content
+
+    def open(self, outdir):
+        os.makedirs(outdir, exist_ok=True)
+        self.outdir = outdir
+
+    def set_weight(self, label, blob):
+        self.weight_label = label
+        self.weight_sha = hashlib.sha256(blob).hexdigest()
+
+    def manifest_hash(self):
+        """sha256 of the command, the config and the weight's sha256, or
+        None before both are recorded.  Artifact locations do not influence
+        the computed bytes, so they stay out of the hash: equal hashes
+        promise equal CSV content."""
+        if self.config is None or self.weight_sha is None:
+            return None
         content_cfg = {k: v for k, v in self.config.items()
                        if k not in ("outdir", "out", "report", "bump_csv")}
-        seed = json.dumps({"command": command, "config": content_cfg,
+        seed = json.dumps({"command": self.command, "config": content_cfg,
                            "weight_sha256": self.weight_sha},
                           sort_keys=True, default=_jsonable)
-        self.manifest_hash = hashlib.sha256(seed.encode()).hexdigest()
+        return hashlib.sha256(seed.encode()).hexdigest()
 
     def path(self, name):
         if os.path.isabs(name):
@@ -261,22 +295,18 @@ class RunDir:
         return p
 
     def __enter__(self):
-        unread = self.config.get("unread")
-        if unread:
-            exc = WeightError(f"{self.command} does not read config key(s) "
-                              + ", ".join(map(repr, unread)))
-            self.__exit__(WeightError, exc, None)
-            raise exc
         return self
 
     def __exit__(self, kind, exc, tb):
+        if self.outdir is None:
+            return False
         error = None if exc is None else f"{kind.__name__}: {exc}"
         manifest = {
             "command": self.command,
             "config": self.config,
             "inputs": {"weight": self.weight_label,
                        "weight_sha256": self.weight_sha},
-            "manifest_hash": self.manifest_hash,
+            "manifest_hash": self.manifest_hash(),
             "outputs": self.outputs,
             "status": "ok" if exc is None else "failed",
             "error": error,
@@ -295,42 +325,26 @@ class RunDir:
 
 
 def _window_from(config):
-    symbols = config.get("symbols")
-    n = config.get("N")
+    symbols, n = config["symbols"], config["N"]
     if symbols:
-        code = solver.parse_symbols(str(symbols))
-        if n is not None and _num(config, "N", int) != len(code):
+        code = solver.parse_symbols(symbols)
+        if n is not None and n != len(code):
             raise WeightError(
                 f"N = {n} disagrees with the {len(code)}-symbol code")
     elif n is not None:
-        code = (1,) * _num(config, "N", int)
+        code = (1,) * n
     else:
         raise WeightError("need --symbols or --N")
     return solver.make_window(code)
 
 
-def _cells(config):
-    """Cells per subinterval of a solve; 0 picks solver.auto_cells."""
-    return _num(config, "cells", int) or 0
-
-
 def _mu_grid(config):
-    lo = _num(config, "mu_from")
-    hi = _num(config, "mu_to")
-    pts = _num(config, "points", int)
-    if pts is None:
-        pts = 9
-    if not (0 < lo <= hi) or pts < 1:
+    lo, hi, pts = config["mu_from"], config["mu_to"], config["points"]
+    if None in (lo, hi, pts) or not (0 < lo <= hi) or pts < 1:
         raise WeightError("need 0 < mu-from <= mu-to and points >= 1")
     if pts == 1 or lo == hi:
         return [hi]
     return list(np.geomspace(lo, hi, pts))
-
-
-def _solution_rows(sol):
-    grid = sol.grid
-    full = sol.u.full()
-    return list(zip(grid.nodes, full))
 
 
 def _crossings(nodes, values):
@@ -348,273 +362,213 @@ def _crossings(nodes, values):
 
 
 # -- subcommands ----------------------------------------------------------------
+#
+# Each body takes the converted config, the weight and the open RunDir, and
+# returns its stdout summary, which main prints once the manifest is written.
 
 
-_LOCAL_KEYS = {"weight": None, "mesh": None, "K": None,
-               "out": "local.json", "bump_csv": None, "outdir": None}
+def cmd_local(cfg, w, run):
+    ev = localfield.levels_of(w, cfg["mesh"])
+    consts = solver.build_constant_pack(w, ev, K=cfg["K"])
+    payload = {
+        "period": w.period,
+        "tau": w.tau,
+        "sup_a_plus": w.sup_a_plus,
+        "c": consts.c,
+        "c_zeta": consts.c_zeta,
+        "zeta": consts.zeta,
+        "zeta_margin": consts.zeta_margin,
+        "lambda1": ev.eigen()[0],
+        "K": consts.K,
+        "r": consts.r,
+        "rho": consts.rho,
+        "rho_attained": consts.rho_attained,
+    }
+    run.add_json(cfg["out"], payload)
+    if cfg["bump_csv"]:
+        bump = ev.ground_bump()
+        run.add_csv(cfg["bump_csv"], ["t", "u"], zip(bump.t, bump.u))
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def cmd_local(args):
-    cfg = merge_config(args, load_config(args.config), _LOCAL_KEYS)
-    w, label, blob = resolve_weight(cfg["weight"])
-    with RunDir("local", cfg["outdir"], cfg, label, blob) as run:
-        ev = localfield.levels_of(w, _num(cfg, "mesh", _count))
-        consts = solver.build_constant_pack(w, ev, K=_num(cfg, "K"))
-        payload = {
-            "period": w.period,
-            "tau": w.tau,
-            "sup_a_plus": w.sup_a_plus,
-            "c": consts.c,
-            "c_zeta": consts.c_zeta,
-            "zeta": consts.zeta,
-            "zeta_margin": consts.zeta_margin,
-            "lambda1": ev.eigen()[0],
-            "K": consts.K,
-            "r": consts.r,
-            "rho": consts.rho,
-            "rho_attained": consts.rho_attained,
-        }
-        run.add_json(cfg["out"], payload)
-        if cfg["bump_csv"]:
-            bump = ev.ground_bump()
-            run.add_csv(cfg["bump_csv"], ["t", "u"],
-                        zip(bump.t, bump.u))
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return EXIT_OK
-
-
-_SOLVE_KEYS = {"weight": None, "symbols": None, "N": None, "mu": None,
-               "cells": None, "out": "sol.csv", "report": "report.json",
-               "outdir": None}
-
-
-def cmd_solve(args):
-    cfg = merge_config(args, load_config(args.config), _SOLVE_KEYS)
-    if cfg["mu"] is None:
+def cmd_solve(cfg, w, run):
+    mu = cfg["mu"]
+    if mu is None:
         raise WeightError("need --mu")
-    w, label, blob = resolve_weight(cfg["weight"])
-    with RunDir("solve", cfg["outdir"], cfg, label, blob) as run:
-        window = _window_from(cfg)
-        mu = _num(cfg, "mu")
-        try:
-            sol = solver.solve_multibump(w, window, mu, _cells(cfg))
-        except CertificationFailure as e:
-            if e.report is not None:
-                report_payload = e.report.to_dict()
-                report_payload["symbols"] = list(window.symbols)
-                run.add_json(cfg["report"], report_payload)
-            raise
-        run.add_csv(cfg["out"], ["t", "u"], _solution_rows(sol))
-        report_payload = sol.report.to_dict()
-        report_payload["symbols"] = list(window.symbols)
-        report_payload["i_start"] = window.i_start
-        report_payload["cells_per_interval"] = sol.grid.m
-        report_payload["identities"] = verify.nehari_identities(sol)
-        run.add_json(cfg["report"], report_payload)
-    print(f"certified mu={mu:g} residual={sol.report.residual_inf:.3e} "
-          f"sup={sol.u.sup_norm():.6g}")
-    return EXIT_OK
+    window = _window_from(cfg)
+    try:
+        sol = solver.solve_multibump(w, window, mu, cfg["cells"] or 0)
+    except CertificationFailure as e:
+        if e.report is not None:
+            report_payload = e.report.to_dict()
+            report_payload["symbols"] = list(window.symbols)
+            run.add_json(cfg["report"], report_payload)
+        raise
+    run.add_csv(cfg["out"], ["t", "u"], zip(sol.grid.nodes, sol.u.full()))
+    report_payload = sol.report.to_dict()
+    report_payload["symbols"] = list(window.symbols)
+    report_payload["i_start"] = window.i_start
+    report_payload["cells_per_interval"] = sol.grid.m
+    report_payload["identities"] = verify.nehari_identities(sol)
+    run.add_json(cfg["report"], report_payload)
+    return (f"certified mu={mu:g} residual={sol.report.residual_inf:.3e} "
+            f"sup={sol.u.sup_norm():.6g}")
 
 
-_CONN_KEYS = {"weight": None, "mu": None, "x": None, "y": None, "l": 1,
-              "i": -1, "K": None, "r": None, "cells": None,
-              "out": "connection.csv", "report": "connection.json",
-              "outdir": None}
-
-
-def cmd_connection(args):
-    cfg = merge_config(args, load_config(args.config), _CONN_KEYS)
+def cmd_connection(cfg, w, run):
     for need in ("mu", "x", "y"):
         if cfg[need] is None:
             raise WeightError(f"need --{need}")
-    w, label, blob = resolve_weight(cfg["weight"])
-    with RunDir("connection", cfg["outdir"], cfg, label, blob) as run:
-        p = connection.make_connection_problem(
-            w, _num(cfg, "mu"), _num(cfg, "x"), _num(cfg, "y"),
-            i=_num(cfg, "i", int), l=_num(cfg, "l", int),
-            K=_num(cfg, "K"), r=_num(cfg, "r"))
-        cells = _num(cfg, "cells", int) or None
-        sol = connection.solve_connection(p, cells=cells)
-        grid = sol.u.grid
-        du = assembly.nodal_derivative(sol.u)
-        run.add_csv(cfg["out"], ["t", "u", "du"],
-                    zip(grid.nodes, sol.u.full(), du))
-        djdx, djdy = connection.energy_derivatives(sol)
-        fdc = sol.fd_check
-        v, z = sol.sensitivities
-        payload = {
-            "block": [p.t_lo, p.t_hi],
-            "slopes": list(sol.boundary_slopes),
-            "zeros": _crossings(grid.nodes, sol.u.full()),
-            # v is pinned to 1 at t_lo and 0 at t_hi (z the reverse), so
-            # positivity is meaningful away from the pinned zero only
-            "sensitivity_signs": {
-                "v_positive": bool(np.all(v.full()[:-1] > 0)),
-                "v_decreasing": bool(np.all(np.diff(v.full()) < 0)),
-                "z_positive": bool(np.all(z.full()[1:] > 0)),
-                "z_increasing": bool(np.all(np.diff(z.full()) > 0)),
-            },
-            "fd_checks": {"dJ_dx": djdx, "dJ_dy": djdy,
-                          "fd": list(fdc["fd"]),
-                          "rel_err": list(fdc["rel_err"]),
-                          "step": fdc["step"]},
-            "cap_margins": connection.cap_margins(p, grid, sol.u.full()),
-            "descent_iters": sol.descent_iters,
-            "newton_iters": sol.newton_iters,
-        }
-        run.add_json(cfg["report"], payload)
-    print(f"slopes=({sol.boundary_slopes[0]:.6g}, "
-          f"{sol.boundary_slopes[1]:.6g}) "
-          f"zeros={len(payload['zeros'])}")
-    return EXIT_OK
+    p = connection.make_connection_problem(
+        w, cfg["mu"], cfg["x"], cfg["y"], i=cfg["i"], l=cfg["l"],
+        K=cfg["K"], r=cfg["r"])
+    sol = connection.solve_connection(p, cells=cfg["cells"] or None)
+    grid = sol.u.grid
+    du = assembly.nodal_derivative(sol.u)
+    run.add_csv(cfg["out"], ["t", "u", "du"],
+                zip(grid.nodes, sol.u.full(), du))
+    djdx, djdy = connection.energy_derivatives(sol)
+    fdc = sol.fd_check
+    v, z = sol.sensitivities
+    payload = {
+        "block": [p.t_lo, p.t_hi],
+        "slopes": list(sol.boundary_slopes),
+        "zeros": _crossings(grid.nodes, sol.u.full()),
+        # v is pinned to 1 at t_lo and 0 at t_hi (z the reverse), so
+        # positivity is meaningful away from the pinned zero only
+        "sensitivity_signs": {
+            "v_positive": bool(np.all(v.full()[:-1] > 0)),
+            "v_decreasing": bool(np.all(np.diff(v.full()) < 0)),
+            "z_positive": bool(np.all(z.full()[1:] > 0)),
+            "z_increasing": bool(np.all(np.diff(z.full()) > 0)),
+        },
+        "fd_checks": {"dJ_dx": djdx, "dJ_dy": djdy,
+                      "fd": list(fdc["fd"]),
+                      "rel_err": list(fdc["rel_err"]),
+                      "step": fdc["step"]},
+        "cap_margins": connection.cap_margins(p, grid, sol.u.full()),
+        "descent_iters": sol.descent_iters,
+        "newton_iters": sol.newton_iters,
+    }
+    run.add_json(cfg["report"], payload)
+    return (f"slopes=({sol.boundary_slopes[0]:.6g}, "
+            f"{sol.boundary_slopes[1]:.6g}) "
+            f"zeros={len(payload['zeros'])}")
 
 
-_VERIFY_KEYS = {"weight": None, "symbols": None, "N": None, "mu_from": None,
-                "mu_to": None, "points": 9, "delta": None, "cells": None,
-                "out": "verify.json", "outdir": None}
-
-
-def cmd_verify(args):
-    cfg = merge_config(args, load_config(args.config), _VERIFY_KEYS)
+def cmd_verify(cfg, w, run):
     for need in ("mu_from", "mu_to"):
         if cfg[need] is None:
             raise WeightError(f"need --{need.replace('_', '-')}")
-    w, label, blob = resolve_weight(cfg["weight"])
-    with RunDir("verify", cfg["outdir"], cfg, label, blob) as run:
-        window = _window_from(cfg)
-        mu_list = _mu_grid(cfg)
-        # one continuation: the sweep's last solution is the one
-        # certified, audited and re-integrated below
-        report = verify.run_sweep(w, window.symbols, mu_list,
-                                  delta=_num(cfg, "delta"),
-                                  cells=_cells(cfg))
-        sol = report.solution
-        solver.require_certified(sol.report)
-        identities = verify.nehari_identities(sol)
-        check = verify.oracle_residual(sol)
-        payload = {
-            "sweep": report.to_dict(),
-            "identities_at_mu_max": identities,
-            "oracle": {"rel": check.rel, "gap": check.gap,
-                       "ok": check.ok()},
-            "minimal_period_T": verify.minimal_period(sol) * w.period,
-        }
-        run.add_json(cfg["out"], payload)
-    print(f"decay slope={report.fitted_slopes['decay'][0]:.4f} "
-          f"identities={max(identities.values()):.3e} "
-          f"oracle_rel={check.rel:.3e}")
-    return EXIT_OK
+    window = _window_from(cfg)
+    mu_list = _mu_grid(cfg)
+    # one continuation: the sweep's last solution is the one certified,
+    # audited and re-integrated below
+    report = verify.run_sweep(w, window.symbols, mu_list, delta=cfg["delta"],
+                              cells=cfg["cells"] or 0)
+    sol = report.solution
+    solver.require_certified(sol.report)
+    identities = verify.nehari_identities(sol)
+    check = verify.oracle_residual(sol)
+    payload = {
+        "sweep": report.to_dict(),
+        "identities_at_mu_max": identities,
+        "oracle": {"rel": check.rel, "gap": check.gap, "ok": check.ok()},
+        "minimal_period_T": verify.minimal_period(sol) * w.period,
+    }
+    run.add_json(cfg["out"], payload)
+    return (f"decay slope={report.fitted_slopes['decay'][0]:.4f} "
+            f"identities={max(identities.values()):.3e} "
+            f"oracle_rel={check.rel:.3e}")
 
 
-_ORACLE_KEYS = {"weight": None, "mu": 0.0, "t0": 0.0, "t1": None, "x": 0.0,
-                "y": 0.0, "u0": 0.0, "du0": 1.0, "s0": None, "rtol": 1e-10,
-                "samples": 400, "out": None, "outdir": None}
-
-
-def cmd_oracle(args):
-    cfg = merge_config(args, load_config(args.config), _ORACLE_KEYS)
-    w, label, blob = resolve_weight(cfg["weight"])
-    cfg["mode"] = args.mode
-    with RunDir("oracle", cfg["outdir"], cfg, label, blob) as run:
-        payload = {}
-        rtol = _num(cfg, "rtol")
-        if rtol is None or rtol <= 0.0:
-            raise WeightError(f"rtol must be positive, got {rtol!r}")
-        if args.mode == "ground":
-            payload["c"] = oracle.brute_ground_level(w, rtol=rtol)
+def cmd_oracle(cfg, w, run):
+    payload = {}
+    rtol = cfg["rtol"]
+    if rtol is None or rtol <= 0.0:
+        raise WeightError(f"rtol must be positive, got {rtol!r}")
+    if cfg["mode"] == "ground":
+        payload["c"] = oracle.brute_ground_level(w, rtol=rtol)
+    else:
+        if cfg["t1"] is None:
+            raise WeightError("need --t1")
+        t0, t1, mu = cfg["t0"], cfg["t1"], cfg["mu"]
+        if cfg["mode"] == "shoot":
+            res = oracle.shoot_dirichlet(w, mu, t0, t1, cfg["x"], cfg["y"],
+                                         rtol=rtol, s0=cfg["s0"])
+            dense = res.dense
+            payload.update(slope=res.slope, residual=res.residual,
+                           iters=res.iters)
         else:
-            if cfg["t1"] is None:
-                raise WeightError("need --t1")
-            t0, t1 = _num(cfg, "t0"), _num(cfg, "t1")
-            mu = _num(cfg, "mu")
-            if args.mode == "shoot":
-                res = oracle.shoot_dirichlet(
-                    w, mu, t0, t1, _num(cfg, "x"), _num(cfg, "y"),
-                    rtol=rtol, s0=_num(cfg, "s0"))
-                dense = res.dense
-                payload.update(slope=res.slope, residual=res.residual,
-                               iters=res.iters)
-            else:
-                _, dense = oracle.integrate(
-                    w, mu, oracle.IvpState(t=t0, u=_num(cfg, "u0"),
-                                           du=_num(cfg, "du0")),
-                    t1, rtol=rtol)
-                payload.update(u_end=dense.eval_u(t1),
-                               du_end=dense.eval_du(t1))
-            if cfg["out"]:
-                ts = np.linspace(t0, t1, _num(cfg, "samples", _count))
-                run.add_csv(cfg["out"], ["t", "u", "du"],
-                            zip(ts, dense.eval_u(ts), dense.eval_du(ts)))
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return EXIT_OK
+            _, dense = oracle.integrate(
+                w, mu, oracle.IvpState(t=t0, u=cfg["u0"], du=cfg["du0"]),
+                t1, rtol=rtol)
+            payload.update(u_end=dense.eval_u(t1), du_end=dense.eval_du(t1))
+        if cfg["out"]:
+            ts = np.linspace(t0, t1, cfg["samples"])
+            run.add_csv(cfg["out"], ["t", "u", "du"],
+                        zip(ts, dense.eval_u(ts), dense.eval_du(ts)))
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
-_SWEEP_KEYS = {"weight": None, "codes": "1,10,110", "mu_from": 10.0,
-               "mu_to": 1e5, "points": 9, "delta": None, "cells": None,
-               "outdir": None}
+def cmd_sweep(cfg, w, run):
+    codes = sorted(solver.parse_symbols(c)
+                   for c in (cfg["codes"] or "").split(",") if c)
+    if not codes:
+        raise WeightError("no codes given")
+    mu_list = _mu_grid(cfg)
+    cells = cfg["cells"] or 0
+    delta = cfg["delta"]
+    if delta is None:
+        delta = 0.2 * (w.period - w.tau)
 
-
-def cmd_sweep(args):
-    cfg = merge_config(args, load_config(args.config), _SWEEP_KEYS)
-    w, label, blob = resolve_weight(cfg["weight"])
-    with RunDir("sweep", cfg["outdir"] or "sweep_out", cfg, label,
-                blob) as run:
-        codes = sorted(solver.parse_symbols(c)
-                       for c in str(cfg["codes"]).split(",") if c)
-        if not codes:
-            raise WeightError("no codes given")
-        mu_list = _mu_grid(cfg)
-        cells = _cells(cfg)
-        delta = _num(cfg, "delta")
-        if delta is None:
-            delta = 0.2 * (w.period - w.tau)
-
-        agg_rows, bracket_rows, code_fits, errors = [], [], [], {}
-        for code in codes:
-            name = "".join(map(str, code))
-            rows = []           # (mu, certified, residual, sup, interior sup)
-            try:
-                for sol, maxima in verify.sweep_solutions(w, code, mu_list,
-                                                          delta, cells):
-                    rows.append((sol.mu, sol.report.certified,
-                                 sol.report.residual_inf, sol.u.sup_norm(),
-                                 max(m for m, _ in maxima)))
-            except NonConvergence as e:
-                # the walk runs downward, so it reaches the higher mu; every
-                # scheduled mu without a row counts as failing
-                errors[name] = f"{type(e).__name__}: {e}"
-                reached = {row[0] for row in rows}
-                rows = sorted(rows + [(mu, False, math.nan, math.nan, math.nan)
-                                      for mu in mu_list if mu not in reached])
-            agg_rows += [(name,) + row for row in rows]
-            bracket_rows.append(
-                (name,) + solver.bracket([row[:2] for row in rows]))
-            good = [(mu, s) for mu, ok, _, _, s in rows
-                    if ok and s > 0 and math.isfinite(s)]
-            fit = None
-            if len(good) >= 3:
-                slope, intercept, _ = verify.loglog_fit(*zip(*good))
-                fit = {"slope": slope, "intercept": intercept,
-                       "points": len(good)}
-            code_fits.append((name, fit))
-            run.add_csv(f"decay_{name}.csv", ["mu", "interior_sup"],
-                        [(mu, s) for mu, _, _, _, s in rows
-                         if math.isfinite(s)])
-        run.add_csv("aggregate.csv",
-                    ["code", "mu", "certified", "residual", "sup",
-                     "interior_sup"], agg_rows)
-        run.add_csv("brackets.csv", ["code", "mu_fail", "mu_pass"],
-                    [(n, lo, "inf" if math.isinf(hi) else hi)
-                     for n, lo, hi in bracket_rows])
-        fits = {name: fit for name, fit in code_fits if fit}
-        run.add_json("fits.json", fits)
-        run.add_text("plot.gp", _gnuplot_script(code_fits))
+    agg_rows, bracket_rows, code_fits, errors = [], [], [], {}
+    for code in codes:
+        name = "".join(map(str, code))
+        rows = []           # (mu, certified, residual, sup, interior sup)
+        try:
+            for sol, maxima in verify.sweep_solutions(w, code, mu_list,
+                                                      delta, cells):
+                rows.append((sol.mu, sol.report.certified,
+                             sol.report.residual_inf, sol.u.sup_norm(),
+                             max(m for m, _ in maxima)))
+        except NonConvergence as e:
+            # the walk runs downward, so it reaches the higher mu; every
+            # scheduled mu without a row counts as failing
+            errors[name] = f"{type(e).__name__}: {e}"
+            reached = {row[0] for row in rows}
+            rows = sorted(rows + [(mu, False, math.nan, math.nan, math.nan)
+                                  for mu in mu_list if mu not in reached])
+        agg_rows += [(name,) + row for row in rows]
+        bracket_rows.append(
+            (name,) + solver.bracket([row[:2] for row in rows]))
+        good = [(mu, s) for mu, ok, _, _, s in rows
+                if ok and s > 0 and math.isfinite(s)]
+        fit = None
+        if len(good) >= 3:
+            slope, intercept, _ = verify.loglog_fit(*zip(*good))
+            fit = {"slope": slope, "intercept": intercept,
+                   "points": len(good)}
+        code_fits.append((name, fit))
+        run.add_csv(f"decay_{name}.csv", ["mu", "interior_sup"],
+                    [(mu, s) for mu, _, _, _, s in rows if math.isfinite(s)])
+    run.add_csv("aggregate.csv",
+                ["code", "mu", "certified", "residual", "sup",
+                 "interior_sup"], agg_rows)
+    run.add_csv("brackets.csv", ["code", "mu_fail", "mu_pass"],
+                [(n, lo, "inf" if math.isinf(hi) else hi)
+                 for n, lo, hi in bracket_rows])
+    fits = {name: fit for name, fit in code_fits if fit}
+    run.add_json("fits.json", fits)
+    run.add_text("plot.gp", _gnuplot_script(code_fits))
+    lines = []
     for name, lo, hi in bracket_rows:
         hi_s = "inf" if math.isinf(hi) else f"{hi:g}"
-        print(f"{name}: bracket=({lo:g}, {hi_s})"
-              + (f" slope={fits[name]['slope']:.4f}" if name in fits else "")
-              + (f" error={errors[name]}" if name in errors else ""))
-    return EXIT_OK
+        lines.append(f"{name}: bracket=({lo:g}, {hi_s})"
+                     + (f" slope={fits[name]['slope']:.4f}"
+                        if name in fits else "")
+                     + (f" error={errors[name]}" if name in errors else ""))
+    return "\n".join(lines)
 
 
 def _gnuplot_script(code_fits):
@@ -638,14 +592,99 @@ def _gnuplot_script(code_fits):
     return "\n".join(lines) + "\n"
 
 
+# -- declarations ---------------------------------------------------------------
+
+
+class Command(NamedTuple):
+    """A subcommand's help line, its body, its options in --help order
+    (after --config) and its output directory when neither flag nor config
+    sets one."""
+    help: str
+    body: object
+    options: tuple
+    outdir: str = "."
+
+
+_WEIGHT = Option("--weight", help="'step', 'sine', or a weight JSON file")
+_OUTDIR = Option("--outdir", help="artifact directory")
+
+_COMMANDS = {
+    "local": Command("weight constants and local levels", cmd_local, (
+        _WEIGHT, _OUTDIR,
+        Option("--mesh", _count, help="cells for the level solves"),
+        Option("--K", float, help="endpoint cap override"),
+        Option("--out", default="local.json", help="JSON output name"),
+        Option("--bump-csv", help="also write the ground bump profile"),
+    )),
+    "solve": Command("certified periodic multibump solve", cmd_solve, (
+        _WEIGHT, _OUTDIR,
+        Option("--symbols", help="0/1 code, e.g. 110 or 1,1,0"),
+        Option("--N", int,
+               help="window length; all-ones when --symbols is omitted"),
+        Option("--mu", float,
+               help="target mu; Newton starts from the pasted ground bumps "
+               f"at max({solver.MU0:g}, mu) and walks down to it, first on "
+               f"a mesh of 1/{solver.COARSE_DIV} the cells"),
+        Option("--cells", int, help="cells per subinterval"),
+        Option("--out", default="sol.csv", help="solution CSV name"),
+        Option("--report", default="report.json",
+               help="certification report JSON name"),
+    )),
+    "connection": Command("two-point connection on one block",
+                          cmd_connection, (
+        _WEIGHT, _OUTDIR,
+        Option("--mu", float),
+        Option("--x", float, help="left endpoint value"),
+        Option("--y", float, help="right endpoint value"),
+        Option("--l", int, 1, help="interior positivity intervals"),
+        Option("--i", int, -1, help="index of the starting block"),
+        Option("--K", float, help="endpoint cap"),
+        Option("--r", float, help="interior energy cap"),
+        Option("--cells", int),
+        Option("--out", default="connection.csv", help="profile CSV name"),
+        Option("--report", default="connection.json",
+               help="diagnostics JSON name"),
+    )),
+    "verify": Command("asymptotic sweep report", cmd_verify, (
+        _WEIGHT, _OUTDIR,
+        Option("--symbols"),
+        Option("--N", int),
+        Option("--mu-from", float),
+        Option("--mu-to", float),
+        Option("--points", int, 9),
+        Option("--delta", float, help="interior margin"),
+        Option("--cells", int),
+        Option("--out", default="verify.json", help="report JSON name"),
+    )),
+    "oracle": Command("reference shooting and IVP runs", cmd_oracle, (
+        Option("mode", choices=("shoot", "integrate", "ground")),
+        _WEIGHT, _OUTDIR,
+        Option("--mu", float, 0.0),
+        Option("--t0", float, 0.0),
+        Option("--t1", float),
+        Option("--x", float, 0.0, help="u(t0) for shooting"),
+        Option("--y", float, 0.0, help="u(t1) for shooting"),
+        Option("--u0", float, 0.0, help="u(t0) for plain integration"),
+        Option("--du0", float, 1.0, help="u'(t0) for plain integration"),
+        Option("--s0", float, help="initial shooting slope"),
+        Option("--rtol", float, 1e-10),
+        Option("--samples", _count, 400, help="CSV sample count"),
+        Option("--out", help="dense output CSV name"),
+    )),
+    "sweep": Command("mu sweeps over codes", cmd_sweep, (
+        _WEIGHT, _OUTDIR,
+        Option("--codes", default="1,10,110",
+               help="comma separated 0/1 codes, e.g. 1,10,110"),
+        Option("--mu-from", float, 10.0),
+        Option("--mu-to", float, 1e5),
+        Option("--points", int, 9),
+        Option("--delta", float),
+        Option("--cells", int),
+    ), outdir="sweep_out"),
+}
+
+
 # -- entry point ----------------------------------------------------------------
-
-
-def _add_common(sp):
-    sp.add_argument("--config", help="JSON config file; flags win")
-    sp.add_argument("--weight",
-                    help="'step', 'sine', or a weight JSON file")
-    sp.add_argument("--outdir", help="artifact directory")
 
 
 @functools.cache
@@ -655,94 +694,49 @@ def build_parser():
         prog="multibump",
         description="Multibump solutions of u'' + (a+ - mu a-) u^3 = 0")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("local", help="weight constants and local levels")
-    _add_common(p)
-    p.add_argument("--mesh", type=int, help="cells for the level solves")
-    p.add_argument("--K", type=float, help="endpoint cap override")
-    p.add_argument("--out", help="JSON output name")
-    p.add_argument("--bump-csv", dest="bump_csv",
-                   help="also write the ground bump profile")
-
-    p = sub.add_parser("solve", help="certified periodic multibump solve")
-    _add_common(p)
-    p.add_argument("--symbols", help="0/1 code, e.g. 110 or 1,1,0")
-    p.add_argument("--N", type=int,
-                   help="window length; all-ones when --symbols is omitted")
-    p.add_argument("--mu", type=float,
-                   help="target mu; Newton starts from the pasted ground "
-                   f"bumps at max({solver.MU0:g}, mu) and walks down to it, "
-                   f"first on a mesh of 1/{solver.COARSE_DIV} the cells")
-    p.add_argument("--cells", type=int, help="cells per subinterval")
-    p.add_argument("--out", help="solution CSV name")
-    p.add_argument("--report", help="certification report JSON name")
-
-    p = sub.add_parser("connection",
-                       help="two-point connection on one block")
-    _add_common(p)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--x", type=float, help="left endpoint value")
-    p.add_argument("--y", type=float, help="right endpoint value")
-    p.add_argument("--l", type=int, help="interior positivity intervals")
-    p.add_argument("--i", type=int, help="index of the starting block")
-    p.add_argument("--K", type=float, help="endpoint cap")
-    p.add_argument("--r", type=float, help="interior energy cap")
-    p.add_argument("--cells", type=int)
-    p.add_argument("--out", help="profile CSV name")
-    p.add_argument("--report", help="diagnostics JSON name")
-
-    p = sub.add_parser("verify", help="asymptotic sweep report")
-    _add_common(p)
-    p.add_argument("--symbols")
-    p.add_argument("--N", type=int)
-    p.add_argument("--mu-from", dest="mu_from", type=float)
-    p.add_argument("--mu-to", dest="mu_to", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--delta", type=float, help="interior margin")
-    p.add_argument("--cells", type=int)
-    p.add_argument("--out", help="report JSON name")
-
-    p = sub.add_parser("oracle", help="reference shooting and IVP runs")
-    p.add_argument("mode", choices=["shoot", "integrate", "ground"])
-    _add_common(p)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--t0", type=float)
-    p.add_argument("--t1", type=float)
-    p.add_argument("--x", type=float, help="u(t0) for shooting")
-    p.add_argument("--y", type=float, help="u(t1) for shooting")
-    p.add_argument("--u0", type=float, help="u(t0) for plain integration")
-    p.add_argument("--du0", type=float, help="u'(t0) for plain integration")
-    p.add_argument("--s0", type=float, help="initial shooting slope")
-    p.add_argument("--rtol", type=float)
-    p.add_argument("--samples", type=int, help="CSV sample count")
-    p.add_argument("--out", help="dense output CSV name")
-
-    p = sub.add_parser("sweep", help="mu sweeps over codes")
-    _add_common(p)
-    p.add_argument("--codes", help="comma separated 0/1 codes, e.g. 1,10,110")
-    p.add_argument("--mu-from", dest="mu_from", type=float)
-    p.add_argument("--mu-to", dest="mu_to", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--cells", type=int)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", help="JSON config file; flags win")
+        for opt in command.options:
+            # a negative count parses, so that it fails in _convert and
+            # leaves its FAILED marker
+            p.add_argument(opt.flag, type=int if opt.kind is _count
+                           else opt.kind, choices=opt.choices, help=opt.help)
     return ap
 
 
-_DISPATCH = {
-    "local": cmd_local,
-    "solve": cmd_solve,
-    "connection": cmd_connection,
-    "verify": cmd_verify,
-    "oracle": cmd_oracle,
-    "sweep": cmd_sweep,
-}
+def _run(args, run):
+    """One command's lifecycle inside its open RunDir; returns the body's
+    stdout summary."""
+    command = _COMMANDS[args.command]
+    loaded = {}
+    try:
+        loaded = load_config(args.config)
+    finally:
+        # a config file that fails to load still leaves its failed run
+        outdir = args.outdir if args.outdir is not None \
+            else loaded.get("outdir")
+        run.open(str(outdir) if outdir else command.outdir)
+    cfg = run.config = merge_config(args, loaded, command.options)
+    cfg = run.config = {opt.key: _convert(opt, cfg[opt.key])
+                        for opt in command.options}
+    unread = sorted(set(loaded) - {opt.key for opt in command.options
+                                   if opt.flag.startswith("--")})
+    if unread:
+        raise WeightError(f"{args.command} does not read config key(s) "
+                          + ", ".join(map(repr, unread)))
+    w, label, blob = resolve_weight(cfg["weight"])
+    run.set_weight(label, blob)
+    return command.body(cfg, w, run)
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        with RunDir(args.command) as run:
+            text = _run(args, run)
+        print(text)
+        return EXIT_OK
     except KeyboardInterrupt:
         raise
     except BaseException as e:

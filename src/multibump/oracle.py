@@ -106,17 +106,8 @@ class _Steps:
         # and points outside [S[0], S[-1]] take the end steps
         seg = np.clip(np.searchsorted(self.S, s, side="left") - 1,
                       0, len(self.h) - 1)
-        x = (s - self.t_old[seg]) / self.h[seg]
-        F = self.F[seg, :, j]
-        y = np.zeros_like(x)
-        for i in range(F.shape[-1]):
-            y += F[..., -1 - i]
-            if i % 2 == 0:
-                y *= x
-            else:
-                y *= 1 - x
-        y += self.y_old[seg, j]
-        return y[()]
+        return _dense_at(s, self.t_old[seg], self.h[seg],
+                         self.F[seg, :, j].T, self.y_old[seg, j])[()]
 
 
 class DenseOutput:
@@ -243,8 +234,10 @@ def _error_norm(KT, h, scale):
 
 
 def _dense_at(t, t_old, h, F, y_old):
-    """The state at scalar t from one step's dense output
-    (``Dop853DenseOutput._call_impl``)."""
+    """DOP853's dense output (``Dop853DenseOutput._call_impl``) at t: F holds
+    the interpolant's powers on its first axis, and t, t_old, h, y_old and
+    each F[k] broadcast together (one step's state at scalar t, or one
+    column at one step per point)."""
     x = (np.asarray(t) - t_old) / h
     y = np.zeros_like(y_old)
     for i, f in enumerate(reversed(F)):

@@ -94,29 +94,25 @@ def _gauss_segments(breaks):
     return tq, wq
 
 
-def _one_sided_slopes(grid, mu, full, node, side):
-    """Quadrature-corrected one-sided derivative of the interpolant at a node.
+def _one_sided_slopes(grid, mu, full, uq, node, side):
+    """Quadrature-corrected one-sided derivative of the interpolant at a node;
+    uq holds the interpolant at every quadrature point.
 
     The weak residual of the half-hat supported on one neighbouring cell
     recovers the ODE flux there:  u'(t_j+) = slope_right + int a_mu u^3 ramp,
     u'(t_j-) = slope_left - int a_mu u^3 ramp (mirrored ramp).
     """
     tb = grid.tables
-    nd = grid.ndof
     if side == "+":
         c = node if node < len(tb.h) else 0
-        mask = tb.qcell == c
-        ramp = 1.0 - tb.qlam[mask]
-        slope = (full[c + 1] - full[c]) / tb.h[c]
-        sign = 1.0
+        ramp, sign = tb.rlam, 1.0
     else:
         c = node - 1 if node > 0 else len(tb.h) - 1
-        mask = tb.qcell == c
-        ramp = tb.qlam[mask]
-        slope = (full[c + 1] - full[c]) / tb.h[c]
-        sign = -1.0
-    uq = full[c] * (1.0 - tb.qlam[mask]) + full[c + 1] * tb.qlam[mask]
-    corr = float(np.sum(tb.qw[mask] * tb.amu(mu)[mask] * uq ** 3 * ramp))
+        ramp, sign = tb.qlam, -1.0
+    mask = tb.qcell == c
+    slope = (full[c + 1] - full[c]) / tb.h[c]
+    corr = float(np.sum(tb.qw[mask] * tb.amu(mu)[mask] * uq[mask] ** 3
+                        * ramp[mask]))
     return slope + sign * corr
 
 
@@ -150,18 +146,18 @@ def nehari_identities(sol):
     res_i = float(np.max(np.abs(g[keep]))) if np.any(keep) else 0.0
 
     res_ii = 0.0
+    uq_all = assembly._at_points(tb, full)
     for i in coded:
         a, b = grid.interval_nodes(i, "plus")
         kin = assembly.dirichlet_energy(tb.h[a:b], full[a:b + 1])
         mask = (tb.qcell >= a) & (tb.qcell < b)
-        uq = full[tb.qcell[mask]] * (1.0 - tb.qlam[mask]) + \
-            full[tb.qcell[mask] + 1] * tb.qlam[mask]
-        quart = float(np.sum(tb.qw[mask] * tb.amu(mu)[mask] * uq ** 4))
+        quart = float(np.sum(tb.qw[mask] * tb.amu(mu)[mask]
+                             * uq_all[mask] ** 4))
         # outside-cell corrected fluxes make the discrete identity exact:
         # summing u_j g_j over the interval's nodes telescopes to exactly
         # these boundary terms, so a converged iterate leaves machine noise
-        du_right = _one_sided_slopes(grid, mu, full, b, "+")
-        du_left = _one_sided_slopes(grid, mu, full, a, "-")
+        du_right = _one_sided_slopes(grid, mu, full, uq_all, b, "+")
+        du_left = _one_sided_slopes(grid, mu, full, uq_all, a, "-")
         bdry = du_right * full[b] - du_left * full[a]
         res_ii = max(res_ii, abs(kin - quart - bdry) / max(kin, 1.0))
 

@@ -430,16 +430,23 @@ def test_failed_marker_set_and_cleared(tmp_path):
     assert not os.path.exists(os.path.join(d, "FAILED"))
 
 
-def test_reproducible_artifacts(tmp_path):
-    for k, args in enumerate(
-            (["solve", "--symbols", "10", "--mu", "600", "--cells", "160"],
-             ["local", "--mesh", "200"])):
+def test_reproducible_artifacts(tmp_path, capsys):
+    """Each README call, every subcommand once, run twice in one process
+    gives the same stdout, artifact bytes and manifest hash."""
+    calls = _readme_cli_calls()
+    assert {args[0] for args in calls} == set(cli._COMMANDS)
+    for k, args in enumerate(calls):
+        i = args.index("--outdir")
+        args = args[:i] + args[i + 2:]
         da, db = str(tmp_path / f"a{k}"), str(tmp_path / f"b{k}")
         assert cli.main(args + ["--outdir", da]) == 0
+        out_a = capsys.readouterr().out
         assert cli.main(args + ["--outdir", db]) == 0
+        assert capsys.readouterr().out == out_a != ""
         ma = _read_json(os.path.join(da, "manifest.json"))
         mb = _read_json(os.path.join(db, "manifest.json"))
-        assert ma["outputs"]
+        # oracle writes its dense output CSV only when --out names one
+        assert ma["outputs"] or args[0] == "oracle"
         for name in ma["outputs"]:
             with open(os.path.join(da, name), "rb") as f:
                 bytes_a = f.read()
@@ -482,17 +489,60 @@ def test_unread_config_key_is_input_error(tmp_path, command):
 
 
 def test_config_keys_are_the_flags():
-    """Each command reads exactly the config keys its flags set."""
-    keys = {"local": cli._LOCAL_KEYS, "solve": cli._SOLVE_KEYS,
-            "connection": cli._CONN_KEYS, "verify": cli._VERIFY_KEYS,
-            "oracle": cli._ORACLE_KEYS, "sweep": cli._SWEEP_KEYS}
+    """Each command's parser holds exactly its declared options, plus
+    --config and --help, in the declared order."""
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    assert set(sub.choices) == set(keys)
+    assert list(sub.choices) == list(cli._COMMANDS)
     for name, parser in sub.choices.items():
-        dests = {a.dest for a in parser._actions} - {"help", "config",
-                                                      "mode"}
-        assert dests == set(keys[name]), name
+        dests = [a.dest for a in parser._actions
+                 if a.dest not in ("help", "config")]
+        assert dests == [opt.key for opt in cli._COMMANDS[name].options], \
+            name
+
+
+@pytest.mark.parametrize("case", [
+    "solve-no-mu", "verify-no-mu-to", "connection-no-y", "missing-weight",
+    "undecodable-weight", "missing-config"])
+def test_input_error_leaves_failed_manifest(tmp_path, case):
+    """Input errors found before any computation still leave the FAILED
+    marker and a failed manifest; once they left no outdir at all."""
+    binary = tmp_path / "w.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    argv = {
+        "solve-no-mu": ["solve", "--symbols", "10"],
+        "verify-no-mu-to": ["verify", "--symbols", "10", "--mu-from", "1e2"],
+        "connection-no-y": ["connection", "--mu", "2000", "--x", "0.6"],
+        "missing-weight": ["local", "--weight", str(tmp_path / "nope.json")],
+        "undecodable-weight": ["local", "--weight", str(binary)],
+        "missing-config": ["local", "--config", str(tmp_path / "nope.json")],
+    }[case]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--outdir", str(out)]) == 2
+    assert set(os.listdir(out)) == {"FAILED", "manifest.json"}
+    manifest = _read_json(out / "manifest.json")
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == (out / "FAILED").read_text().strip()
+    assert manifest["error"]
+
+
+def test_config_and_flags_hash_alike(tmp_path):
+    """A value is recorded after conversion, so a config file's K = 8 and
+    the flag's 8.0 give one manifest hash and the same artifacts."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mesh": 200, "K": 8}))
+    runs = {"flags": ["local", "--mesh", "200", "--K", "8"],
+            "config": ["local", "--config", str(cfg)]}
+    manifests = {}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert cli.main(argv + ["--outdir", str(out)]) == 0
+        manifests[name] = _read_json(out / "manifest.json")
+    recorded = manifests["config"]["config"]
+    assert type(recorded["K"]) is float and type(recorded["mesh"]) is int
+    assert manifests["flags"]["manifest_hash"] \
+        == manifests["config"]["manifest_hash"]
+    assert manifests["flags"]["outputs"] == manifests["config"]["outputs"]
 
 
 def test_flags_beat_config(tmp_path):
@@ -657,13 +707,15 @@ def test_solve_below_mu0_certifies(tmp_path):
     assert abs(np.max(data["u"]) - 1.65) < 0.01
 
 
-def test_parser_built_once_per_process(monkeypatch, capsys):
+def test_parser_built_once_per_process(tmp_path, monkeypatch, capsys):
     """main reuses one parser; each parse holds only its own command's
     flags, and --help still exits 0."""
     seen = []
+    monkeypatch.chdir(tmp_path)          # the runs' default outdir
     for command in ("solve", "connection"):
-        monkeypatch.setitem(cli._DISPATCH, command,
-                            lambda args: seen.append(vars(args)) or 0)
+        monkeypatch.setitem(
+            cli._COMMANDS, command, cli._COMMANDS[command]._replace(
+                body=lambda cfg, w, run: seen.append(cfg) or ""))
     assert cli.main(["solve", "--symbols", "10", "--mu", "800"]) == 0
     assert cli.main(["connection", "--mu", "100", "--x", "0.5",
                      "--y", "0.25"]) == 0
