@@ -15,20 +15,18 @@ Library layout:
 
 from . import errors
 from .weight import (ConstantPack, Piece, WeightSpec, build_constant_pack,
-                     build_weight, choose_zeta, compute_r, eval_weight,
-                     load_weight_json, make_sine_weight, make_step_weight,
-                     save_weight_json)
+                     build_weight, choose_zeta, compute_r, load_weight_json,
+                     make_sine_weight, make_step_weight, save_weight_json)
 from .localfield import (LevelEvaluator, ground_state, levels_of,
-                         nehari_project, pinned_zero_level,
-                         principal_eigenvalue)
+                         nehari_project, principal_eigenvalue)
 from .assembly import Grid, GridFunction, span_grid
 from .solver import (Solution, SolveReport, SymbolWindow,
                      make_window, parse_symbols, solve_multibump)
 from .connection import (ConnectionProblem, ConnectionSolution,
                          energy_derivatives, make_connection_problem,
                          solve_connection, uniqueness_probe)
-from .verify import (decay_rate, limit_distance, minimal_period,
-                     nehari_identities, oracle_residual, run_sweep)
+from .verify import (limit_distance, minimal_period, nehari_identities,
+                     oracle_residual, run_sweep)
 from .oracle import IvpState, brute_ground_level, integrate, shoot_dirichlet
 
 __version__ = "0.1.0"

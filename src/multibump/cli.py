@@ -43,7 +43,6 @@ from .errors import (
     BlowUp,
     CertificationFailure,
     DegenerateDirection,
-    InsufficientSweep,
     InteriorityFailure,
     MultibumpError,
     NoAdmissibleZeta,
@@ -67,9 +66,9 @@ def classify_error(exc):
     if isinstance(exc, np.linalg.LinAlgError):
         return EXIT_CONVERGENCE
     if isinstance(exc, (WeightError, ScopeError, NoAdmissibleZeta,
-                        InsufficientSweep, FileNotFoundError,
-                        IsADirectoryError, PermissionError,
-                        json.JSONDecodeError, UnicodeDecodeError)):
+                        FileNotFoundError, IsADirectoryError,
+                        PermissionError, json.JSONDecodeError,
+                        UnicodeDecodeError)):
         return EXIT_INPUT
     if isinstance(exc, (CertificationFailure, InteriorityFailure)):
         return EXIT_CERTIFICATION
@@ -118,13 +117,14 @@ def load_config(path):
 
 def merge_config(args, cfg, options):
     """Merged run configuration, one entry per option: flag values beat
-    config file values beat the declared defaults."""
+    config file values beat the declared defaults; a config null means the
+    default, as an absent key does."""
     out = {}
     for opt in options:
         flag = getattr(args, opt.key)
         if flag is not None:
             out[opt.key] = flag
-        elif opt.key in cfg:
+        elif cfg.get(opt.key) is not None:
             out[opt.key] = cfg[opt.key]
         else:
             out[opt.key] = opt.default
@@ -464,20 +464,23 @@ def cmd_verify(cfg, w, run):
     mu_list = _mu_grid(cfg)
     # one continuation: the sweep's last solution is the one certified,
     # audited and re-integrated below
-    report = verify.run_sweep(w, window.symbols, mu_list, delta=cfg["delta"],
-                              cells=cfg["cells"] or 0)
-    sol = report.solution
+    sweep, sol = verify.run_sweep(w, window.symbols, mu_list,
+                                  cells=cfg["cells"] or 0)
     solver.require_certified(sol.report)
     identities = verify.nehari_identities(sol)
     check = verify.oracle_residual(sol)
     payload = {
-        "sweep": report.to_dict(),
+        "sweep": sweep,
         "identities_at_mu_max": identities,
         "oracle": {"rel": check.rel, "gap": check.gap, "ok": check.ok()},
         "minimal_period_T": verify.minimal_period(sol) * w.period,
     }
     run.add_json(cfg["out"], payload)
-    return (f"decay slope={report.fitted_slopes['decay'][0]:.4f} "
+    if not payload["oracle"]["ok"]:
+        raise CertificationFailure(
+            f"oracle re-integration rel {check.rel:.3e} exceeds "
+            f"{verify.ORACLE_BOUND:g}")
+    return (f"decay slope={sweep['fitted_slopes']['decay'][0]:.4f} "
             f"identities={max(identities.values()):.3e} "
             f"oracle_rel={check.rel:.3e}")
 
@@ -518,9 +521,6 @@ def cmd_sweep(cfg, w, run):
         raise WeightError("no codes given")
     mu_list = _mu_grid(cfg)
     cells = cfg["cells"] or 0
-    delta = cfg["delta"]
-    if delta is None:
-        delta = 0.2 * (w.period - w.tau)
 
     agg_rows, bracket_rows, code_fits, errors = [], [], [], {}
     for code in codes:
@@ -528,7 +528,7 @@ def cmd_sweep(cfg, w, run):
         rows = []           # (mu, certified, residual, sup, interior sup)
         try:
             for sol, maxima in verify.sweep_solutions(w, code, mu_list,
-                                                      delta, cells):
+                                                      cells):
                 rows.append((sol.mu, sol.report.certified,
                              sol.report.residual_inf, sol.u.sup_norm(),
                              max(m for m, _ in maxima)))
@@ -652,7 +652,6 @@ _COMMANDS = {
         Option("--mu-from", float),
         Option("--mu-to", float),
         Option("--points", int, 9),
-        Option("--delta", float, help="interior margin"),
         Option("--cells", int),
         Option("--out", default="verify.json", help="report JSON name"),
     )),
@@ -678,7 +677,6 @@ _COMMANDS = {
         Option("--mu-from", float, 10.0),
         Option("--mu-to", float, 1e5),
         Option("--points", int, 9),
-        Option("--delta", float),
         Option("--cells", int),
     ), outdir="sweep_out"),
 }

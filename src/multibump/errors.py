@@ -68,7 +68,3 @@ class InteriorityFailure(MultibumpError):
 
 class SingularLinearization(MultibumpError):
     """Linearized operator of a connection solution is numerically singular."""
-
-
-class InsufficientSweep(MultibumpError):
-    """mu sweep spans less than the required range."""

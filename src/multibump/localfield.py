@@ -23,6 +23,8 @@ _ARMIJO = 1e-4
 _EIGEN_TOL = 1e-13         # sup change of the max-normalized eigenvector
 _EIGEN_MAX_ITER = 2000
 _LEVELS_KEPT = 4           # (weight, mesh) pairs whose levels levels_of keeps
+_GROUND_TOL = 1e-10        # weak residual of a ground bump's Newton polish
+_GROUND_DESCENT = 400      # descent steps before a ground bump's Newton
 # fewest cells of a level mesh: on 2 cells the ground state's tridiagonal
 # solve has one interior node and no off-diagonal, which LAPACK refuses
 _MIN_MESH = 3
@@ -52,11 +54,9 @@ class PinnedDetail:
     tbar: float        # the pinned zero: an edge of [zeta, tau - zeta]
 
 
-def default_cells(w, length=None):
-    """200 cells per unit length, at least 200 on the full interval."""
-    if length is None:
-        length = w.tau
-    return max(200, int(math.ceil(200.0 * length)))
+def default_cells(w):
+    """200 cells per unit length of [0, tau], at least 200."""
+    return max(200, int(math.ceil(200.0 * w.tau)))
 
 
 # -- Nehari-quotient descent ---------------------------------------------------
@@ -148,8 +148,9 @@ def _descend(tb, u, kin, quart, max_iter, keep=None):
     return u, kin, quart
 
 
-def _ground_on(w, t0, t1, n, tol=1e-10, max_descent=400):
-    """Ground bump of the Dirichlet problem on [t0, t1] with weight a+.
+def _ground_on(w, t0, t1, n):
+    """Ground bump of the Dirichlet problem on [t0, t1] with weight a+: at
+    most _GROUND_DESCENT descent steps, then Newton to _GROUND_TOL.
 
     Returns (grid, u_full, level, dleft, dright); level is inf when a+ has no
     mass on the subinterval.
@@ -162,14 +163,15 @@ def _ground_on(w, t0, t1, n, tol=1e-10, max_descent=400):
     kin, quart = _quotient_parts(tb, u)
     if quart <= 1e-14 * kin * float(np.max(u * u)):
         return grid, np.zeros_like(u), float("inf"), 0.0, 0.0
-    u, kin, quart = _descend(tb, u, kin, quart, max_descent)
+    u, kin, quart = _descend(tb, u, kin, quart, _GROUND_DESCENT)
 
     # project onto the constraint and polish the Euler-Lagrange system; the
     # weak residual stalls near eps max|u| / h, which exceeds tol on short or
     # finely cut intervals, so the tolerance stays 16 times above that floor
     u *= math.sqrt(kin / quart)
     floor = np.finfo(float).eps * float(np.max(np.abs(u)) / np.min(tb.h))
-    u, _ = assembly.newton_dirichlet(tb, 0.0, u, max(tol, 16.0 * floor), 60)
+    u, _ = assembly.newton_dirichlet(tb, 0.0, u,
+                                     max(_GROUND_TOL, 16.0 * floor), 60)
     if np.max(u) < -np.min(u):
         u = -u
     r_full = assembly.residual_full(tb, 0.0, u)
@@ -218,10 +220,6 @@ def pinned_zero_detail(w, zeta, mesh=None):
     if left_only <= right_only:
         return PinnedDetail(c_zeta=left_only, tbar=float(tau - zeta))
     return PinnedDetail(c_zeta=right_only, tbar=float(zeta))
-
-
-def pinned_zero_level(w, zeta, mesh=None):
-    return pinned_zero_detail(w, zeta, mesh).c_zeta
 
 
 def pinned_level_direct(w, tbar, mesh=None):

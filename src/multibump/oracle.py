@@ -59,10 +59,13 @@ _N_STAGES = _dop.N_STAGES             # stages of a step; 3 more for dense
 _ERROR_ORDER = 7                      # order of the error estimator
 _ERROR_EXPONENT = -1 / (_ERROR_ORDER + 1)
 
-# Dirichlet shots: attempts per shot, the |u| that stops a trajectory, and
-# the accepted far-end residual relative to max(1, |x|, |y|)
+# every integration: the |u| that stops a trajectory, and the bound of the
+# step in t
+_CAP = 1e6
+_MAX_STEP = np.inf
+# Dirichlet shots: attempts per shot, and the accepted far-end residual
+# relative to max(1, |x|, |y|)
 _MAX_SHOTS = 80
-_SHOT_CAP = 1e6
 _SHOT_TOL = 1e-9
 
 
@@ -358,15 +361,15 @@ def _piece_in_s(w, mu, t0, d, sa, sb):
     return piece_amu(scaled, (tref - t0) / d, mu)
 
 
-def _integrate_raw(w, mu, runs, rtol, atol, cap, max_step):
+def _integrate_raw(w, mu, runs, rtol):
     """DOP853 on a batch of runs (t_from, t_to, y0), one ``_dop853`` call
-    per piece of s (see the module docstring).  Every y0 has the same width
-    and layout (u, u'[, v, v']), derivatives along the direction of
-    travel.  ``max_step`` bounds the step in t.  Returns one
+    per piece of s (see the module docstring), at atol = rtol / 100.  Every
+    y0 has the same width and layout (u, u'[, v, v']), derivatives along
+    the direction of travel.  _MAX_STEP bounds the step in t.  Returns one
     (DenseOutput, end state, blew_up) per run; the end state is in the
-    run's own layout, and |u| reaching ``cap`` ends that run there."""
-    if not (rtol > 0.0 and atol >= 0.0):
-        raise ScopeError("rtol must be positive and atol non-negative")
+    run's own layout, and |u| reaching _CAP ends that run there."""
+    if not rtol > 0.0:
+        raise ScopeError("rtol must be positive")
     n, m = len(runs), len(runs[0][2])
     t_from = [float(r[0]) for r in runs]
     span = [float(r[1]) - t0 for r, t0 in zip(runs, t_from)]
@@ -382,8 +385,8 @@ def _integrate_raw(w, mu, runs, rtol, atol, cap, max_step):
     s_knots[-1] = 1.0
     root_n = math.sqrt(n)
     # scipy's floor on rtol (validate_tol)
-    rtol, atol = max(rtol / root_n, 100 * _EPS), atol / root_n
-    max_step = max_step / (max(map(abs, span)) or 1.0)
+    rtol, atol = max(rtol / root_n, 100 * _EPS), rtol * 1e-2 / root_n
+    max_step = _MAX_STEP / (max(map(abs, span)) or 1.0)
 
     y = np.concatenate([np.asarray(r[2], dtype=float) for r in runs])
     S, Y, steps = [0.0], [y], _Steps()
@@ -395,7 +398,7 @@ def _integrate_raw(w, mu, runs, rtol, atol, cap, max_step):
         while live and s0 < sb:
             ts, ys, status = _dop853(
                 _rhs(amus, span, live, m), s0, float(sb), y, rtol, atol,
-                max_step, None if h is None else min(h, sb - s0), cap,
+                max_step, None if h is None else min(h, sb - s0), _CAP,
                 [m * k for k in live], steps)
             if status < 0:
                 t_fail = t_from[live[0]] + span[live[0]] * ts[-1]
@@ -415,7 +418,7 @@ def _integrate_raw(w, mu, runs, rtol, atol, cap, max_step):
             if status == 1:
                 top = max(abs(y[m * k]) for k in live)
                 for k in live:
-                    if abs(y[m * k]) >= min(top, cap * (1.0 - 1e-9)):
+                    if abs(y[m * k]) >= min(top, _CAP * (1.0 - 1e-9)):
                         ends[k], blown[k] = n_steps, True
                 live = [k for k in live if not blown[k]]
         if not live:
@@ -440,19 +443,15 @@ def _integrate_raw(w, mu, runs, rtol, atol, cap, max_step):
     return out
 
 
-def integrate(w, mu, state, t_end, rtol=1e-10, atol=None, cap=1e6,
-              max_step=np.inf):
+def integrate(w, mu, state, t_end, rtol=1e-10):
     """Integrate (u, u') from ``state`` to t_end.  Returns (IvpState,
-    DenseOutput).  Raises BlowUp if |u| reaches ``cap``."""
+    DenseOutput).  Raises BlowUp if |u| reaches _CAP."""
     if t_end < state.t:
         raise ScopeError("backward integration is not supported")
-    if atol is None:
-        atol = rtol * 1e-2
     ((dense, end, blew_up),) = _integrate_raw(
-        w, mu, [(state.t, t_end, [state.u, state.du])], rtol, atol, cap,
-        max_step)
+        w, mu, [(state.t, t_end, [state.u, state.du])], rtol)
     if blew_up:
-        raise BlowUp(f"|u| reached {cap:g} at t = {dense.t_end:.6g}")
+        raise BlowUp(f"|u| reached {_CAP:g} at t = {dense.t_end:.6g}")
     return IvpState(t=float(dense.t_end), u=float(end[0]),
                     du=float(end[1])), dense
 
@@ -565,16 +564,14 @@ def shoot_batch(w, mu, problems, rtol=1e-10):
     and s0 guesses u' there (None: the chord slope).  A shot is accepted
     when its far-end residual is at most _SHOT_TOL max(1, |x|, |y|).  One
     batched integration per round holds one attempt of every open shot; a
-    trajectory whose |u| reaches _SHOT_CAP counts as a residual of its sign
+    trajectory whose |u| reaches _CAP counts as a residual of its sign
     and stops only its own run.  Raises NewtonFailure when a shot has made
     _MAX_SHOTS attempts.
     """
-    atol = rtol * 1e-2
     shots = [_Shot(*p) for p in problems]
     todo = shots
     while todo:
-        runs = _integrate_raw(w, mu, [s.run() for s in todo], rtol, atol,
-                              _SHOT_CAP, np.inf)
+        runs = _integrate_raw(w, mu, [s.run() for s in todo], rtol)
         left = []
         for shot, run in zip(todo, runs):
             if shot.update(*run):

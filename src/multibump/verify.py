@@ -11,17 +11,20 @@ re-integration of every subinterval with the shooting oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import assembly, localfield, oracle, solver
-from .errors import InsufficientSweep, WeightError
+from .errors import WeightError
 
 _G5X, _G5W = np.polynomial.legendre.leggauss(5)
 _PAIR_BLOCK = 1 << 16        # node pairs per block of the Hoelder quotient
+_HOLDER_NODES = 1600         # nodes sampled for the Hoelder seminorm
 HOLDER_ALPHA = 0.5           # exponent of the Hoelder distance to the limit
 ORACLE_RTOL = 1e-12          # rtol of the oracle's re-integration
+ORACLE_BOUND = 1e-6          # largest oracle gap relative to sup |u| passed
+DELTA_FRAC = 0.2             # interior margin delta of the decay, over T - tau
 
 
 # -- the cutoff family ---------------------------------------------------------
@@ -201,22 +204,6 @@ def nehari_identities(sol):
 # -- decay of the small part -----------------------------------------------------
 
 
-@dataclass
-class DecayFit:
-    mu_list: list
-    samples: list                # per mu: max over shrunk negativity intervals
-    end_data: list               # per mu: matching max junction datum
-    bounds: list                 # per mu: C_delta (data/mu)^{1/3}
-    slope: float                 # d log(max) / d log(mu)
-    stderr: float
-    intercept: float
-    c_delta: float
-    delta: float
-
-    def bound_satisfied(self):
-        return all(s <= b for s, b in zip(self.samples, self.bounds))
-
-
 def interior_maxima(sol, delta):
     """Per negativity interval: (max |u| on [tau_i+delta, sigma_{i+1}-delta],
     max |u| at the interval's endpoints)."""
@@ -238,13 +225,20 @@ def interior_maxima(sol, delta):
     return out
 
 
-def sweep_solutions(w, symbols, mu_list, delta, cells=0):
-    """Yield (Solution, interior_maxima rows) along a continuation sweep of
-    the periodic code ``symbols`` on ``cells`` cells per subinterval (0:
-    solver.auto_cells); the one per-mu driver behind decay_rate, run_sweep
-    and the sweep subcommand."""
+def _decay_margin(w):
+    """The interior margin delta = DELTA_FRAC (T - tau) of the decay."""
+    delta = DELTA_FRAC * (w.period - w.tau)
     if not 0.0 < delta < 0.5 * (w.period - w.tau):
         raise WeightError("delta must sit inside the negativity interval")
+    return delta
+
+
+def sweep_solutions(w, symbols, mu_list, cells=0):
+    """Yield (Solution, interior_maxima rows at _decay_margin(w)) along a
+    continuation sweep of the periodic code ``symbols`` on ``cells`` cells
+    per subinterval (0: solver.auto_cells); the one per-mu driver behind
+    run_sweep and the sweep subcommand."""
+    delta = _decay_margin(w)
     win = solver.make_window(symbols)
     for mu, gf, report in solver.continuation_states(w, win, mu_list, cells):
         sol = solver.Solution(u=gf, mu=mu, window=win, report=report)
@@ -311,30 +305,6 @@ def kendall_tau(x, y):
     return float(np.minimum(1.0, max(-1.0, tau)))
 
 
-def decay_rate(w, symbols, mu_list, delta, cells=0):
-    """Fit log(interior max) against log(mu) along a continuation sweep.
-
-    The sweep must span at least two decades.  Each per-mu sample also gets
-    the explicit bound C_delta (data/mu)^{1/3} with C_delta computed from the
-    iterated edge integrals of a-.
-    """
-    mu_list = sorted(float(m) for m in mu_list)
-    if mu_list[-1] < 100.0 * mu_list[0]:
-        raise InsufficientSweep("mu sweep must span at least two decades")
-    samples, data = [], []
-    for _, rows in sweep_solutions(w, symbols, mu_list, delta, cells):
-        samples.append(max(r[0] for r in rows))
-        data.append(max(r[1] for r in rows))
-    d_left, d_right = w.edge_double_integrals(delta)
-    c_delta = min(d_left, d_right) ** (-1.0 / 3.0)
-    bounds = [c_delta * (d / mu) ** (1.0 / 3.0)
-              for d, mu in zip(data, mu_list)]
-    slope, intercept, stderr = loglog_fit(mu_list, samples)
-    return DecayFit(mu_list=mu_list, samples=samples, end_data=data,
-                    bounds=bounds, slope=slope, stderr=stderr,
-                    intercept=intercept, c_delta=c_delta, delta=delta)
-
-
 # -- distance to the singular limit ---------------------------------------------
 
 
@@ -392,9 +362,9 @@ def _holder_band(best, lip, reach, alpha, min_sep):
     return lo * (1.0 - 1e-9), hi * (1.0 + 1e-9)
 
 
-def _holder_seminorm(ts, d, alpha, min_sep, max_nodes=1600):
+def _holder_seminorm(ts, d, alpha, min_sep):
     """max |d_j - d_i| / |t_j - t_i|^alpha over the pairs of every stride-th
-    node (about max_nodes of them, ts increasing) at least min_sep > 0
+    node (about _HOLDER_NODES of them, ts increasing) at least min_sep > 0
     apart; 0 if none.
 
     On the sampled nodes |v_j - v_i| <= L dt, L their largest chord slope,
@@ -407,7 +377,7 @@ def _holder_seminorm(ts, d, alpha, min_sep, max_nodes=1600):
     the best, so the result is the max over all pairs, bit for bit.
     """
     n = len(ts)
-    stride = max(1, int(math.ceil(n / max_nodes)))
+    stride = max(1, int(math.ceil(n / _HOLDER_NODES)))
     t = ts[::stride]
     v = d[::stride]
     m = len(t)
@@ -521,8 +491,8 @@ class OracleCheck:
     gap: float                   # max over intervals
     rel: float                   # gap / sup|u|
 
-    def ok(self, rtol=1e-6):
-        return self.rel <= rtol
+    def ok(self):
+        return self.rel <= ORACLE_BOUND
 
 
 def _end_slope(full, h, e, d):
@@ -574,60 +544,27 @@ def oracle_residual(sol):
 # -- sweeps ------------------------------------------------------------------------
 
 
-@dataclass
-class AsymptoticReport:
-    symbols: tuple
-    mu_list: list
-    decay_samples: list          # per mu interior maxima (max over intervals)
-    p1: list                     # per mu: max_i ||u||_inf(I_i^-) + energy
-    p2: list                     # per mu: max W^{2,inf} distance, coded i
-    p3: list                     # per mu: max W^{2,inf} norm, uncoded i
-    sup_distances: list
-    holder_distances: list
-    lipschitz_distances: list
-    sup_slopes: list             # per mu: ||u'||_inf over the window
-    min_values: list             # per mu: min of u (positivity record)
-    fitted_slopes: dict          # name -> (slope, half_width)
-    kendall: dict                # name -> tau against mu
-    delta: float
-    # the sweep's last Solution, at mu_list[-1]; not serialised
-    solution: object = field(default=None, repr=False, compare=False)
-
-    def to_dict(self):
-        return {
-            "symbols": list(self.symbols),
-            "mu_list": list(self.mu_list),
-            "decay_samples": list(self.decay_samples),
-            "p1": list(self.p1), "p2": list(self.p2), "p3": list(self.p3),
-            "sup_distances": list(self.sup_distances),
-            "holder_distances": list(self.holder_distances),
-            "lipschitz_distances": list(self.lipschitz_distances),
-            "sup_slopes": list(self.sup_slopes),
-            "min_values": list(self.min_values),
-            "fitted_slopes": {k: list(v) for k, v in self.fitted_slopes.items()},
-            "kendall": dict(self.kendall),
-            "alpha": HOLDER_ALPHA, "delta": self.delta,
-        }
-
-
-def run_sweep(w, symbols, mu_list, delta=None, cells=0):
+def run_sweep(w, symbols, mu_list, cells=0):
     """Continuation sweep with every per-mu audit quantity recorded, the
     limit distance against the default-mesh ground bump of w's shared levels
-    (localfield.levels_of); the report carries the sweep's last Solution."""
+    (localfield.levels_of).  Returns (payload, the sweep's last Solution):
+    the payload is verify.json's "sweep" entry, whose decay samples come
+    with the explicit bounds C_delta (data/mu)^{1/3}, C_delta computed from
+    the iterated edge integrals of a-."""
     mu_list = sorted(float(m) for m in mu_list)
-    if delta is None:
-        delta = 0.2 * (w.period - w.tau)
+    delta = _decay_margin(w)
     bump = localfield.levels_of(w).ground_bump()
     win = solver.make_window(symbols)
     coded = {win.i_start + j for j, s in enumerate(win.symbols) if s == 1}
 
-    rows = {k: [] for k in ("decay", "p1", "p2", "p3", "sup", "holder",
-                            "lip", "dsup", "minv")}
-    for sol, maxima in sweep_solutions(w, symbols, mu_list, delta, cells):
+    rows = {k: [] for k in ("decay", "data", "p1", "p2", "p3", "sup",
+                            "holder", "lip", "dsup", "minv")}
+    for sol, maxima in sweep_solutions(w, symbols, mu_list, cells):
         gf = sol.u
         full = gf.full()
         h = gf.grid.tables.h
         rows["decay"].append(max(r[0] for r in maxima))
+        rows["data"].append(max(r[1] for r in maxima))
         p1 = 0.0
         for j, _ in enumerate(win.symbols):
             i = win.i_start + j
@@ -649,18 +586,30 @@ def run_sweep(w, symbols, mu_list, delta=None, cells=0):
     fits = {}
     for name in ("decay", "p1", "sup", "holder"):
         slope, _, stderr = loglog_fit(mu_list, rows[name])
-        fits[name] = (slope, 2.0 * stderr)
-    kend = {}
-    for name in ("p1", "p2", "decay", "sup", "holder"):
-        kend[name] = kendall_tau(mu_list, rows[name])
-    return AsymptoticReport(
-        symbols=tuple(win.symbols), mu_list=mu_list,
-        decay_samples=rows["decay"], p1=rows["p1"], p2=rows["p2"],
-        p3=rows["p3"], sup_distances=rows["sup"],
-        holder_distances=rows["holder"], lipschitz_distances=rows["lip"],
-        sup_slopes=rows["dsup"], min_values=rows["minv"],
-        fitted_slopes=fits, kendall=kend, delta=delta,
-        solution=sol)
+        fits[name] = [slope, 2.0 * stderr]
+    c_delta = min(w.edge_double_integrals(delta)) ** (-1.0 / 3.0)
+    payload = {
+        "symbols": list(win.symbols),
+        "mu_list": mu_list,
+        "decay_samples": rows["decay"],
+        "end_data": rows["data"],
+        "decay_bounds": [c_delta * (d / mu) ** (1.0 / 3.0)
+                         for d, mu in zip(rows["data"], mu_list)],
+        "c_delta": c_delta,
+        # max over negativity intervals of sup |u| plus the energy there;
+        # max W^{2,inf} distance to the limit on coded and uncoded intervals
+        "p1": rows["p1"], "p2": rows["p2"], "p3": rows["p3"],
+        "sup_distances": rows["sup"],
+        "holder_distances": rows["holder"],
+        "lipschitz_distances": rows["lip"],
+        "sup_slopes": rows["dsup"],          # ||u'||_inf over the window
+        "min_values": rows["minv"],          # min of u: the positivity record
+        "fitted_slopes": fits,               # name -> [slope, half width]
+        "kendall": {name: kendall_tau(mu_list, rows[name])
+                    for name in ("p1", "p2", "decay", "sup", "holder")},
+        "alpha": HOLDER_ALPHA, "delta": delta,
+    }
+    return payload, sol
 
 
 def sign_changes(values, tol=0.0):

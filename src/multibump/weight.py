@@ -19,6 +19,8 @@ from .errors import (EdgeMassViolation, NoAdmissibleZeta, SignStructureViolation
                      WeightError)
 
 _GAUSS12_X, _GAUSS12_W = np.polynomial.legendre.leggauss(12)
+_SINE_SAMPLES = 256          # samples of the built-in sine weight's period
+ZETA_MARGIN = 0.9            # bound of the zeta condition in choose_zeta
 
 
 @dataclass(frozen=True)
@@ -141,29 +143,22 @@ class WeightSpec:
 
         Left: int_tau^{tau+delta} int_t^{tau+delta} a-(s) ds dt.
         Right: int_{T-delta}^T int_{T-delta}^t a-(s) ds dt.
-        Gauss quadrature on the (piecewise-polynomial) inner antiderivatives,
-        split at weight knots, so the values are exact for polynomial pieces.
+        Exchanging the order of integration leaves one moment each,
+        int (s - tau) a-(s) ds and int (T - s) a-(s) ds, by Gauss quadrature
+        split at the weight knots, so the values are exact for polynomial
+        pieces.
         """
         tau, T = self.tau, self.period
 
-        def outer(lo, hi, inner):
-            total = 0.0
-            for ta, tb in zip(*_split_pairs(self.knots_in_span(lo, hi))):
-                half = 0.5 * (tb - ta)
-                mid = 0.5 * (ta + tb)
-                ts = mid + half * _GAUSS12_X
-                total += half * np.sum(_GAUSS12_W * np.array([inner(t) for t in ts]))
-            return total
+        def moment(lo, hi, arm):
+            knots = self.knots_in_span(lo, hi)
+            half = 0.5 * np.diff(knots)[:, None]
+            ts = 0.5 * (knots[:-1] + knots[1:])[:, None] + half * _GAUSS12_X
+            return float(np.sum(half * _GAUSS12_W * self.a_minus(ts)
+                                * arm(ts)))
 
-        d_left = outer(tau, tau + delta,
-                       lambda t: self.integral_a_minus(t, tau + delta))
-        d_right = outer(T - delta, T,
-                        lambda t: self.integral_a_minus(T - delta, t))
-        return d_left, d_right
-
-
-def _split_pairs(knots):
-    return knots[:-1], knots[1:]
+        return (moment(tau, tau + delta, lambda s: s - tau),
+                moment(T - delta, T, lambda s: T - s))
 
 
 # -- construction -----------------------------------------------------------
@@ -314,14 +309,13 @@ def make_step_weight():
     ])
 
 
-def make_sine_weight(n=256):
-    """sin(t) on [0, 2*pi], sampled at n uniform points (n divisible by 4).
+def make_sine_weight():
+    """sin(t) on [0, 2*pi], sampled at _SINE_SAMPLES uniform points.
 
-    Keeping n divisible by 4 puts nodes at pi/2 and 3*pi/2, so the sampled
-    sup equals 1 and midpoint values of the valleys are exact.
+    _SINE_SAMPLES is divisible by 4, which puts nodes at pi/2 and 3*pi/2, so
+    the sampled sup equals 1 and midpoint values of the valleys are exact.
     """
-    if n % 4:
-        raise WeightError("n must be divisible by 4")
+    n = _SINE_SAMPLES
     ts = np.linspace(0.0, 2.0 * np.pi, n + 1)
     vs = np.sin(ts)
     vs[0] = vs[n // 2] = vs[-1] = 0.0
@@ -406,8 +400,9 @@ def pinned_level_floor(w, zeta):
     return _VARPI4 / (3.0 * w.sup_a_plus * (w.tau - zeta) ** 3)
 
 
-def choose_zeta(w, levels, margin=0.9):
-    """Halve zeta from (T - tau)/4 until 2 ||a+|| (c + c_zeta) zeta^3 <= margin.
+def choose_zeta(w, levels):
+    """Halve zeta from (T - tau)/4 until 2 ||a+|| (c + c_zeta) zeta^3 <=
+    ZETA_MARGIN.
 
     ``levels`` provides ground_level() and pinned_level(zeta); see
     localfield.LevelEvaluator.  A zeta whose condition already fails by 1%
@@ -422,12 +417,12 @@ def choose_zeta(w, levels, margin=0.9):
     for _ in range(60):
         floor = 2.0 * w.sup_a_plus * (c + pinned_level_floor(w, zeta)) \
             * zeta ** 3
-        if floor > 1.01 * margin:
+        if floor > 1.01 * ZETA_MARGIN:
             zeta /= 2.0
             continue
         c_zeta = levels.pinned_level(zeta)
         val = 2.0 * w.sup_a_plus * (c + c_zeta) * zeta ** 3
-        if val <= margin:
+        if val <= ZETA_MARGIN:
             return zeta, c_zeta, val
         zeta /= 2.0
     raise NoAdmissibleZeta("smallness condition not reachable by halving")
@@ -483,10 +478,3 @@ def build_constant_pack(w, levels, K=None):
     return ConstantPack(r=compute_r(w), zeta=zeta, K=float(K), rho=rho,
                         c=c, c_zeta=c_zeta, zeta_margin=val, rho_attained=attained)
 
-
-def eval_weight(w, mu, t):
-    """a_mu(t) = a+(t) - mu a-(t), vectorized and periodic."""
-    out = w.a_mu(mu, t)
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return float(out[0])
-    return out

@@ -144,22 +144,25 @@ def test_criterion_05_decay_law(step_weight):
     t0 = time.perf_counter()
     w = step_weight
     mus = list(np.geomspace(100.0, 1e4, 9))
-    delta = 0.2
-    fit = verify.decay_rate(w, (1, 0), mus, delta, cells=400)
+    sweep, _ = verify.run_sweep(w, (1, 0), mus, cells=400)
     elapsed = time.perf_counter() - t0
-    bound_hits = sum(s <= b for s, b in zip(fit.samples, fit.bounds))
-    ratios = [s / b for s, b in zip(fit.samples, fit.bounds)]
-    bound_ok = fit.bound_satisfied()
+    delta = sweep["delta"]
+    mu_list, samples = sweep["mu_list"], sweep["decay_samples"]
+    slope, half_width = sweep["fitted_slopes"]["decay"]
+    pairs = list(zip(samples, sweep["decay_bounds"]))
+    bound_hits = sum(s <= b for s, b in pairs)
+    ratios = [s / b for s, b in pairs]
+    bound_ok = bound_hits == len(pairs)
     # the closed form needs a- constant on the negativity interval
     a_minus = w.a_minus(np.linspace(w.tau, w.period, 201)[1:-1])
     flat_ok = bool(a_minus[0] > 0.0 and np.ptp(a_minus) == 0.0)
     tails = [_junction_tail(mu, float(a_minus[0]), d, delta)
-             for mu, d in zip(fit.mu_list, fit.end_data)]
-    tail_err = max(abs(s / c - 1.0) for s, c in zip(fit.samples, tails))
+             for mu, d in zip(mu_list, sweep["end_data"])]
+    tail_err = max(abs(s / c - 1.0) for s, c in zip(samples, tails))
     tail_ok = tail_err <= 0.01
-    tail_slope = float(linregress(np.log(fit.mu_list), np.log(tails)).slope)
-    slope_ok = abs(fit.slope - tail_slope) <= 0.05
-    local = np.diff(np.log(fit.samples)) / np.diff(np.log(fit.mu_list))
+    tail_slope = float(linregress(np.log(mu_list), np.log(tails)).slope)
+    slope_ok = abs(slope - tail_slope) <= 0.05
+    local = np.diff(np.log(samples)) / np.diff(np.log(mu_list))
     local_ok = bool(np.all(np.diff(local) < 0.0)
                     and np.all((local > -0.5) & (local < -1.0 / 3.0)))
     ok = (flat_ok and tail_ok and slope_ok and local_ok and bound_ok
@@ -167,7 +170,7 @@ def test_criterion_05_decay_law(step_weight):
     _line(5, ok, f"a- = {a_minus[0]:g} constant on the negativity interval; "
           f"samples within {tail_err:.2%} <= 1% of the closed-form tail "
           f"d/(1+sqrt(mu a-/2) d delta); fitted exponent "
-          f"{fit.slope:.4f}+-{fit.stderr:.4f} vs closed form "
+          f"{slope:.4f}+-{half_width / 2.0:.4f} vs closed form "
           f"{tail_slope:.4f}+-0.05; local exponents {local[0]:.3f} -> "
           f"{local[-1]:.3f}, decreasing inside (-1/2, -1/3): {local_ok}; "
           f"C_delta bound holds at {bound_hits}/{len(mus)} points, "
@@ -184,17 +187,13 @@ def test_criterion_05_decay_law(step_weight):
 
 
 def test_criterion_06_singular_limit(step_weight):
-    rep = verify.run_sweep(step_weight, (1, 0),
-                           [300.0, 1000.0, 3000.0, 10000.0], cells=400)
-    decreasing = {
-        "sup": all(a > b for a, b in zip(rep.sup_distances,
-                                         rep.sup_distances[1:])),
-        "p2": all(a > b for a, b in zip(rep.p2, rep.p2[1:])),
-        "p3": all(a > b for a, b in zip(rep.p3, rep.p3[1:])),
-        "holder": all(a > b for a, b in zip(rep.holder_distances,
-                                            rep.holder_distances[1:])),
-    }
-    lip_floor = min(rep.lipschitz_distances)
+    rep, _ = verify.run_sweep(step_weight, (1, 0),
+                              [300.0, 1000.0, 3000.0, 10000.0], cells=400)
+    decreasing = {name: all(a > b for a, b in zip(rep[key], rep[key][1:]))
+                  for name, key in (("sup", "sup_distances"), ("p2", "p2"),
+                                    ("p3", "p3"),
+                                    ("holder", "holder_distances"))}
+    lip_floor = min(rep["lipschitz_distances"])
     ok = all(decreasing.values()) and lip_floor > 1.0
     _line(6, ok, f"sup/P2/P3/Holder all decrease along the sweep; Lipschitz "
           f"distance stays >= {lip_floor:.2f} > 1")

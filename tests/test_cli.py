@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multibump import assembly, cli, localfield, oracle, solver, weight
+from multibump import (assembly, cli, localfield, oracle, solver, verify,
+                       weight)
 from multibump.errors import NewtonFailure, WeightError
 
 C_STEP = 15.756060010769785
@@ -238,7 +239,9 @@ def test_non_finite_or_non_positive_value_is_input_error(tmp_path, argv):
 
 @pytest.mark.parametrize("flag", [["solve", "--newton-tol", "1e-8"],
                                   ["verify", "--alpha", "0.5"],
-                                  ["verify", "--oracle-rtol", "1e-12"]])
+                                  ["verify", "--oracle-rtol", "1e-12"],
+                                  ["verify", "--delta", "0.2"],
+                                  ["sweep", "--delta", "0.2"]])
 def test_deleted_flags_are_refused(flag):
     with pytest.raises(SystemExit) as exc:
         cli.main(flag)
@@ -278,7 +281,9 @@ def test_levels_built_once_per_process(tmp_path, monkeypatch):
                                      getattr(localfield, name)))
     mu_range = ["--mu-from", "1e2", "--mu-to", "1e3", "--points", "2"]
     runs = {"local": ["local"],
-            "verify": ["verify", "--symbols", "10"] + mu_range,
+            # the oracle check passes at 1600 cells, not at the default mesh
+            "verify": ["verify", "--symbols", "10", "--cells", "1600"]
+            + mu_range,
             "sweep": ["sweep", "--codes", "10,11"] + mu_range,
             "connection": ["connection", "--mu", "2000", "--x", "0.6",
                            "--y", "0.4"]}
@@ -296,6 +301,7 @@ def test_weight_file_shared_across_commands(tmp_path):
                      "--mu", "1e3", "--outdir", str(tmp_path / "solve")]) == 0
     assert cli.main(["verify", "--weight", str(path), "--symbols", "10",
                      "--mu-from", "1e2", "--mu-to", "1e3", "--points", "2",
+                     "--cells", "1600",
                      "--outdir", str(tmp_path / "verify")]) == 0
     w = weight.load_weight_json(path)
     shared = localfield.levels_of(w)
@@ -316,7 +322,8 @@ def test_shared_arrays_are_read_only():
 def test_verify_runs_one_continuation(tmp_path, monkeypatch):
     """verify certifies, audits and re-integrates its own sweep's last
     solution: one continuation and no second solve or certificate per
-    command."""
+    command.  On 160 cells the oracle check fails (rel 4.8e-5), so the run
+    exits 3 with its report written."""
     counts = {}
     for name in ("continuation_states", "solve_multibump"):
         monkeypatch.setattr(solver, name,
@@ -340,13 +347,16 @@ def test_verify_runs_one_continuation(tmp_path, monkeypatch):
     rc = cli.main(["verify", "--symbols", "010", "--mu-from", "1e2",
                    "--mu-to", "1e3", "--points", "2", "--cells", "160",
                    "--outdir", d])
-    assert rc == 0
+    assert rc == 3
+    assert os.path.exists(os.path.join(d, "FAILED"))
     assert counts == {"continuation_states": 1}
     # one certificate per scheduled mu; the last one is the one required
     assert len(certs) == 2
     assert len(required) == 1 and required[0] is certs[-1]
-    assert _read_json(os.path.join(d, "verify.json"))["minimal_period_T"] \
-        == 6.0
+    rep = _read_json(os.path.join(d, "verify.json"))
+    assert rep["minimal_period_T"] == 6.0
+    assert rep["oracle"]["ok"] is False
+    assert rep["oracle"]["rel"] > verify.ORACLE_BOUND
 
 
 def _readme_cli_calls():
@@ -470,7 +480,7 @@ _COMMAND_ARGV = {
 
 # a misspelled key, then keys of options deleted earlier
 _UNREAD_KEYS = ["cels", "newton_tol", "alpha", "oracle_rtol", "identities",
-                "periodic", "mu0"]
+                "periodic", "mu0", "delta"]
 
 
 @pytest.mark.parametrize("command", sorted(_COMMAND_ARGV))
@@ -543,6 +553,20 @@ def test_config_and_flags_hash_alike(tmp_path):
     assert manifests["flags"]["manifest_hash"] \
         == manifests["config"]["manifest_hash"]
     assert manifests["flags"]["outputs"] == manifests["config"]["outputs"]
+
+
+@pytest.mark.parametrize("argv, key, default", [
+    (["local"], "out", "local.json"),
+    (["oracle", "shoot", "--mu", "10", "--t1", "1", "--y", "0.3"], "x", 0.0),
+])
+def test_config_null_means_default(tmp_path, argv, key, default):
+    """A config null falls through to the declared default, as an absent
+    key does."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: None}))
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--config", str(cfg), "--outdir", str(out)]) == 0
+    assert _read_json(out / "manifest.json")["config"][key] == default
 
 
 def test_flags_beat_config(tmp_path):
@@ -634,10 +658,10 @@ def test_sweep_artifacts(tmp_path):
     assert set(fits) == {"1", "10"}
 
 
-def test_sweep_input_error_is_not_swallowed(tmp_path):
-    # delta 0.9 leaves no interior on the step weight's negativity interval
-    rc = cli.main(["sweep", "--codes", "1", "--delta", "0.9",
-                   "--outdir", str(tmp_path)])
+def test_sweep_input_error_is_not_swallowed(tmp_path, monkeypatch):
+    # a margin of 0.9 (T - tau) leaves no interior on a negativity interval
+    monkeypatch.setattr(verify, "DELTA_FRAC", 0.9)
+    rc = cli.main(["sweep", "--codes", "1", "--outdir", str(tmp_path)])
     assert rc == 2
     assert os.path.exists(tmp_path / "FAILED")
     assert _read_json(tmp_path / "manifest.json")["status"] == "failed"
@@ -736,14 +760,20 @@ def test_parser_built_once_per_process(tmp_path, monkeypatch, capsys):
 def test_verify_report(tmp_path):
     d = str(tmp_path)
     rc = cli.main(["verify", "--symbols", "10", "--mu-from", "200",
-                   "--mu-to", "2000", "--points", "3", "--cells", "200",
+                   "--mu-to", "2000", "--points", "3", "--cells", "1600",
                    "--outdir", d])
     assert rc == 0
     rep = _read_json(os.path.join(d, "verify.json"))
-    assert rep["sweep"]["symbols"] == [1, 0]
+    sweep = rep["sweep"]
+    assert sweep["symbols"] == [1, 0]
+    assert len(sweep["end_data"]) == len(sweep["decay_bounds"]) == 3
+    assert all(s <= b for s, b in zip(sweep["decay_samples"],
+                                      sweep["decay_bounds"]))
+    assert sweep["c_delta"] > 0.0
     assert rep["identities_at_mu_max"]["iii"] < 1e-12
     assert rep["minimal_period_T"] == 4.0
-    assert rep["oracle"]["rel"] < 1e-3
+    assert rep["oracle"]["ok"] is True
+    assert rep["oracle"]["rel"] <= verify.ORACLE_BOUND
 
 
 def _fmt_reference(x):

@@ -148,7 +148,7 @@ def test_pinned_level_solves_two_edge_levels(step_weight, monkeypatch):
 
 
 def test_pinned_level_two_entries_agree(step_weight):
-    a = localfield.pinned_zero_level(step_weight, 0.125, 1200)
+    a = localfield.pinned_zero_detail(step_weight, 0.125, 1200).c_zeta
     b = localfield.pinned_level_direct(step_weight, 0.875, 1200)
     assert math.isclose(a, b, rel_tol=1e-6)
 

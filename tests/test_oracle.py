@@ -89,7 +89,7 @@ def test_hamiltonian_conservation(step_weight):
     assert np.max(np.abs(E - E[0])) < 1e-9 * max(1.0, E[0])
 
 
-def test_integrate_order(step_weight):
+def test_integrate_order(step_weight, monkeypatch):
     """Error vs forced max step decays at the scheme's order (8).
 
     The steps are coarse because at h = 0.05 the error already sits at
@@ -100,17 +100,18 @@ def test_integrate_order(step_weight):
     hs = (0.5, 0.25, 0.125)
     for h in hs:
         st = oracle.IvpState(t=0.0, u=0.0, du=1.0)
-        end, _ = oracle.integrate(step_weight, 1.0, st, 1.0, rtol=1e-3,
-                                  atol=1e-3, max_step=h)
+        monkeypatch.setattr(oracle, "_MAX_STEP", h)
+        end, _ = oracle.integrate(step_weight, 1.0, st, 1.0, rtol=1e-3)
         errs.append(abs(end.u - ref.u) + abs(end.du - ref.du))
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert slope >= 7.5
 
 
-def test_blowup_raises(step_weight):
+def test_blowup_raises(step_weight, monkeypatch):
+    monkeypatch.setattr(oracle, "_CAP", 1e5)
     st = oracle.IvpState(t=1.05, u=2.0, du=0.0)
     with pytest.raises(BlowUp):
-        oracle.integrate(step_weight, 1e4, st, 1.95, cap=1e5)
+        oracle.integrate(step_weight, 1e4, st, 1.95)
 
 
 def test_shoot_symmetric_chord(step_weight):
@@ -200,10 +201,11 @@ def test_dense_output_equals_scipy_ode_solution(step_weight, monkeypatch):
     and past the step times, on a forward run, a backward run across a knot
     and a run frozen where it blew up."""
     _record_ode_solutions(monkeypatch)
+    monkeypatch.setattr(oracle, "_CAP", 10.0)
     runs = oracle._integrate_raw(step_weight, 1e3, [
         (0.0, 1.0, [0.3, 0.4, 0.0, 1.0]),
         (3.9, 2.3, [0.05, -0.1, 0.0, 1.0]),
-        (1.0, 2.0, [0.4, 30.0, 0.0, 1.0])], 1e-10, 1e-12, 10.0, np.inf)
+        (1.0, 2.0, [0.4, 30.0, 0.0, 1.0])], 1e-10)
     assert [blew_up for _, _, blew_up in runs] == [False, False, True]
     for dense, _, _ in runs:
         ts = np.concatenate([np.linspace(dense.ts[0] - 0.1,
@@ -270,12 +272,12 @@ def test_dop853_loop_equals_solve_ivp(step_weight, monkeypatch, max_step):
         calls.append(args[7])                 # first_step
         return real(*args)
 
+    monkeypatch.setattr(oracle, "_CAP", 10.0)
+    monkeypatch.setattr(oracle, "_MAX_STEP", max_step)
     monkeypatch.setattr(oracle, "_dop853", spy)
-    got = oracle._integrate_raw(step_weight, 1e3, runs, 1e-10, 1e-12, 10.0,
-                                max_step)
+    got = oracle._integrate_raw(step_weight, 1e3, runs, 1e-10)
     monkeypatch.setattr(oracle, "_dop853", _solve_ivp_dop853)
-    ref = oracle._integrate_raw(step_weight, 1e3, runs, 1e-10, 1e-12, 10.0,
-                                max_step)
+    ref = oracle._integrate_raw(step_weight, 1e3, runs, 1e-10)
     assert calls[0] is None and len(calls) >= 3
     assert all(h is not None for h in calls[1:])
     assert [b for _, _, b in got] == [b for _, _, b in ref] == \
@@ -346,7 +348,7 @@ def test_integrate_is_deterministic(sine_weight):
     shot's does, take the same steps and end in the same state."""
     runs = [oracle._integrate_raw(sine_weight, 100.0,
                                   [(0.2, 1.7, [0.3, 0.7, 0.0, 1.0])],
-                                  1e-10, 1e-12, 1e6, np.inf)[0]
+                                  1e-10)[0]
             for _ in range(2)]
     (d1, e1, b1), (d2, e2, b2) = runs
     assert d1.ys.shape[1] == 4

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import kendalltau, linregress
 
 from multibump import assembly, cli, localfield, oracle, solver, verify
-from multibump.errors import InsufficientSweep, WeightError
+from multibump.errors import WeightError
 
 
 def _solve(w, code, mu, cells):
@@ -148,9 +148,9 @@ def test_limit_profile_matches_per_node_evaluation(step_weight, code, i0, m,
     assert np.array_equal(prof.values, _limit_profile_per_node(sol, bump))
 
 
-def _holder_dense(ts, d, alpha, min_sep, max_nodes=1600):
+def _holder_dense(ts, d, alpha, min_sep):
     """Reference: the pair max over full n x n difference arrays."""
-    stride = max(1, int(math.ceil(len(ts) / max_nodes)))
+    stride = max(1, int(math.ceil(len(ts) / verify._HOLDER_NODES)))
     t, v = ts[::stride], d[::stride]
     dt = np.abs(t[:, None] - t[None, :])
     dv = np.abs(v[:, None] - v[None, :])
@@ -202,21 +202,20 @@ def test_holder_seminorm_matches_dense_pair_max(n, seed, alpha, sep, smooth):
 
 
 def test_decay_rate_two_decades(step_weight):
-    fit = verify.decay_rate(step_weight, (1, 0), [100.0, 1000.0, 10000.0],
-                            0.2, cells=240)
-    assert fit.slope < -0.25
-    assert fit.bound_satisfied()
-    assert fit.c_delta > 0.0
-    assert len(fit.samples) == len(fit.bounds) == 3
+    sweep, _ = verify.run_sweep(step_weight, (1, 0),
+                                [100.0, 1000.0, 10000.0], cells=240)
+    assert sweep["fitted_slopes"]["decay"][0] < -0.25
+    assert all(s <= b for s, b in zip(sweep["decay_samples"],
+                                      sweep["decay_bounds"]))
+    assert sweep["c_delta"] > 0.0
+    assert len(sweep["decay_samples"]) == len(sweep["decay_bounds"]) == 3
 
 
-def test_decay_rate_guards(step_weight):
-    with pytest.raises(InsufficientSweep):
-        verify.decay_rate(step_weight, (1, 0), [100.0, 1000.0], 0.2,
-                          cells=200)
+def test_decay_rate_guards(step_weight, monkeypatch):
+    # a margin of 0.6 (T - tau) leaves no interior on a negativity interval
+    monkeypatch.setattr(verify, "DELTA_FRAC", 0.6)
     with pytest.raises(WeightError):
-        verify.decay_rate(step_weight, (1, 0), [100.0, 10000.0], 0.6,
-                          cells=200)
+        verify.run_sweep(step_weight, (1, 0), [100.0, 10000.0], cells=200)
 
 
 def _scipy_loglog_fit(mu_list, values):
@@ -289,31 +288,34 @@ def test_fits_equal_scipy_stats(table):
 
 
 def test_run_sweep_smoke(step_weight):
-    rep = verify.run_sweep(step_weight, (1, 0), [300.0, 1000.0, 3000.0],
-                           cells=240)
-    assert rep.symbols == (1, 0)
-    for seq in (rep.sup_distances, rep.p2, rep.p3, rep.holder_distances,
-                rep.decay_samples, rep.p1):
+    rep, sol = verify.run_sweep(step_weight, (1, 0),
+                                [300.0, 1000.0, 3000.0], cells=240)
+    assert rep["symbols"] == [1, 0]
+    for key in ("sup_distances", "p2", "p3", "holder_distances",
+                "decay_samples", "p1"):
+        seq = rep[key]
         assert all(a > b for a, b in zip(seq, seq[1:]))
-    assert all(v > 0.0 for v in rep.min_values)
-    assert all(v > 1.0 for v in rep.lipschitz_distances)
-    assert rep.fitted_slopes["decay"][0] < 0.0
-    assert rep.kendall["sup"] == -1.0
-    d = rep.to_dict()
-    assert d["mu_list"] == [300.0, 1000.0, 3000.0]
-    assert len(d["sup_slopes"]) == 3
+    assert all(v > 0.0 for v in rep["min_values"])
+    assert all(v > 1.0 for v in rep["lipschitz_distances"])
+    assert rep["fitted_slopes"]["decay"][0] < 0.0
+    assert rep["kendall"]["sup"] == -1.0
+    assert rep["mu_list"] == [300.0, 1000.0, 3000.0]
+    assert len(rep["sup_slopes"]) == 3
+    assert sol.mu == 3000.0
 
 
 # -- independent re-integration ------------------------------------------------------
 
 
-def test_oracle_residual(sol_10):
+def test_oracle_residual(sol_10, monkeypatch):
     check = verify.oracle_residual(sol_10)
     assert set(check.per_interval) == {(0, "+"), (0, "-"), (1, "+"), (1, "-")}
     assert check.gap == max(check.per_interval.values())
     assert check.rel < 2e-5
-    assert check.ok(rtol=1e-4)
-    assert not check.ok(rtol=1e-7)
+    monkeypatch.setattr(verify, "ORACLE_BOUND", 1e-4)
+    assert check.ok()
+    monkeypatch.setattr(verify, "ORACLE_BOUND", 1e-7)
+    assert not check.ok()
 
 
 def _shoot_window(monkeypatch, sol):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from multibump import localfield, weight
 from multibump.errors import (EdgeMassViolation, NoAdmissibleZeta,
@@ -17,10 +18,10 @@ def test_step_weight_basic(step_weight):
     assert w.tau == 1.0
     assert w.sup_a_plus == 1.0
     ts = np.array([0.1, 0.9, 1.1, 1.9, 2.1, -0.5])
-    vals = weight.eval_weight(w, 1.0, ts)
+    vals = w.a_mu(1.0, ts)
     assert np.allclose(vals, [1, 1, -1, -1, 1, -1])
     # mu scales only the negative part
-    vals = weight.eval_weight(w, 25.0, ts)
+    vals = w.a_mu(25.0, ts)
     assert np.allclose(vals, [1, 1, -25, -25, 1, -25])
 
 
@@ -29,7 +30,7 @@ def test_sine_weight_values(sine_weight):
     assert math.isclose(w.period, 2 * math.pi)
     assert math.isclose(w.tau, math.pi)
     ts = np.linspace(0.05, 2 * math.pi - 0.05, 40)
-    vals = weight.eval_weight(w, 1.0, ts)
+    vals = w.a_mu(1.0, ts)
     # piecewise-linear interpolation of sin on 256 panels: err <= h^2/8
     assert np.max(np.abs(vals - np.sin(ts))) < (2 * math.pi / 256) ** 2 / 8
 
@@ -97,6 +98,26 @@ def test_edge_double_integrals_step(step_weight):
         assert math.isclose(dr, d * d / 2.0, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("frac", [0.05, 0.2, 0.24])
+def test_edge_double_integrals_sine(sine_weight, frac):
+    """On sine, which has no closed form, the one-moment sums agree with the
+    nested quadrature of the exact inner integral of a-, split at the
+    knots."""
+    w = sine_weight
+    tau, T = w.tau, w.period
+    d = frac * (T - tau)
+
+    def nested(lo, hi, inner):
+        knots = w.knots_in_span(lo, hi)
+        return quad(inner, lo, hi, points=knots[1:-1], limit=4 * len(knots),
+                    epsabs=0.0, epsrel=1e-13)[0]
+
+    want = (nested(tau, tau + d, lambda t: w.integral_a_minus(t, tau + d)),
+            nested(T - d, T, lambda t: w.integral_a_minus(T - d, t)))
+    for got, ref in zip(w.edge_double_integrals(d), want):
+        assert math.isclose(got, ref, rel_tol=1e-12)
+
+
 def test_zeta_margin(step_weight, levels, consts):
     """The chosen boundary width satisfies the level gap with >= 10% slack."""
     assert consts.zeta_margin >= 0.10
@@ -115,10 +136,10 @@ def test_choose_zeta_raises_when_impossible(step_weight):
             return zeta ** -3
 
     with pytest.raises(NoAdmissibleZeta):
-        weight.choose_zeta(step_weight, Stubbornly(), margin=0.9)
+        weight.choose_zeta(step_weight, Stubbornly())
 
 
-def _reference_choose_zeta(w, levels, margin=0.9):
+def _reference_choose_zeta(w, levels):
     """Reference: the halving search with a pinned solve at every zeta."""
     c = levels.ground_level()
     zeta = (w.period - w.tau) / 4.0
@@ -127,7 +148,7 @@ def _reference_choose_zeta(w, levels, margin=0.9):
     for _ in range(60):
         c_zeta = levels.pinned_level(zeta)
         val = 2.0 * w.sup_a_plus * (c + c_zeta) * zeta ** 3
-        if val <= margin:
+        if val <= weight.ZETA_MARGIN:
             return zeta, c_zeta, val
         zeta /= 2.0
     raise NoAdmissibleZeta("smallness condition not reachable by halving")
@@ -173,7 +194,8 @@ def test_choose_zeta_skips_only_failing_zetas(tau, frac, lo, hi, neg):
 
     def rejected(zeta):
         floor = weight.pinned_level_floor(w, zeta)
-        return 2.0 * w.sup_a_plus * (c + floor) * zeta ** 3 > 1.01 * 0.9
+        return 2.0 * w.sup_a_plus * (c + floor) * zeta ** 3 \
+            > 1.01 * weight.ZETA_MARGIN
 
     assert levels.pinned == [p for p in ref_levels.pinned
                              if not rejected(p[0])]
@@ -184,13 +206,13 @@ def test_choose_zeta_skips_only_failing_zetas(tau, frac, lo, hi, neg):
 def test_pinned_level_floor_is_the_step_edge_level(step_weight):
     """With a+ = 1 the floor is the closed-form ground level of the edge
     interval [0, 1 - zeta], which the FEM pinned level approaches."""
-    c_zeta = localfield.pinned_zero_level(step_weight, 0.125, 1600)
+    c_zeta = localfield.pinned_zero_detail(step_weight, 0.125, 1600).c_zeta
     floor = weight.pinned_level_floor(step_weight, 0.125)
     assert floor <= c_zeta
     assert math.isclose(floor, c_zeta, rel_tol=1e-5)
 
 
-def test_choose_zeta_floor_has_one_percent_slack(step_weight):
+def test_choose_zeta_floor_has_one_percent_slack(step_weight, monkeypatch):
     """The floor skips the first zeta, 0.25, only when its value beats the
     margin by more than 1%."""
 
@@ -209,7 +231,8 @@ def test_choose_zeta_floor_has_one_percent_slack(step_weight):
         * 0.25 ** 3
     for margin, first in ((floor / 1.005, 0.25), (floor / 1.015, 0.125)):
         stub = Stub()
-        weight.choose_zeta(step_weight, stub, margin=margin)
+        monkeypatch.setattr(weight, "ZETA_MARGIN", margin)
+        weight.choose_zeta(step_weight, stub)
         assert stub.pinned == [first]
 
 
@@ -236,8 +259,7 @@ def test_roundtrip_json(tmp_path, step_weight, sine_weight):
         assert back.period == w.period
         assert back.tau == w.tau
         ts = np.linspace(0, w.period, 257)
-        assert np.allclose(weight.eval_weight(back, 7.0, ts),
-                           weight.eval_weight(w, 7.0, ts), atol=1e-14)
+        assert np.allclose(back.a_mu(7.0, ts), w.a_mu(7.0, ts), atol=1e-14)
 
 
 def test_weight_dict_is_plain_json(step_weight):
