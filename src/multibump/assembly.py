@@ -8,11 +8,17 @@ polynomial breakpoints, so no order is lost at kinks of a(t).
 
 Newton works through one ``Operator`` per mesh and mu: it forms the
 mu-dependent quadrature products once, gives the folded weak residual, and
-solves for the step from the residual's own point values.  Tridiagonal
-systems go to LAPACK ?gtsv directly, cyclic ones through a Sherman-Morrison
-correction (Press et al., Numerical Recipes, sec. 2.7).  The one-call
-functions (gradient, jacobian_matrix, residual_full, jacobian_bands) use
-the same operator.
+solves for the step from the residual's own point values.  The same point
+values give the one-sided slopes u'(t_j-) and u'(t_j+) at every node, the
+flux of the node's half hat on each neighbouring cell (Wheeler, SIAM J.
+Numer. Anal. 11, 1974); that is the one slope recovery of the package.
+Tridiagonal systems go to LAPACK ?gtsv directly, cyclic ones through a
+Sherman-Morrison correction (Press et al., Numerical Recipes, sec. 2.7).
+The one-call functions (gradient, jacobian_matrix, residual_full,
+jacobian_bands) use the same operator.
+
+Grids carry the node index of every sigma_i and tau_i their constructor
+placed (``Grid.marks``), which ``Grid.interval_nodes`` reads.
 """
 
 from __future__ import annotations
@@ -249,6 +255,28 @@ class Operator:
         np.add(dLL[1:], dRR[:-1], out=diag[1:])
         return diag, dLR
 
+    def slopes(self, values):
+        """(u'(t_j-), u'(t_j+)) at every node: the cell slope corrected by
+        the weak residual of the node's half hat on that cell,
+        u'(t_j+) = s_j + int a_mu u^3 (1 - lam) on the right cell and
+        u'(t_j-) = s_{j-1} - int a_mu u^3 lam on the left one, so that
+        left - right is the node's residual row.  One value per dof on a
+        periodic mesh (node 0 takes its left cell from the wrap); one per
+        node on a clamped mesh, NaN where no cell lies, and there u'(t_0+)
+        and u'(t_n-) are the end rows -r_0 and r_n of residual_full, bit
+        for bit.  Reuses the point values of the last ``residual`` at the
+        same values."""
+        tb = self.tb
+        uq = self._points(values)
+        f = self.c * (uq * uq * uq)
+        n = len(tb.h)
+        s = np.diff(self._full(values)) / tb.h
+        into = s - np.bincount(tb.qcell, f * tb.qlam, n)   # u'(t_{c+1}-)
+        out = s + np.bincount(tb.qcell, f * tb.rlam, n)    # u'(t_c+)
+        if self.periodic:
+            return np.roll(into, 1), out
+        return np.append(np.nan, into), np.append(out, np.nan)
+
     def step(self, values, r):
         """Newton step for residual rows r at values; raises LinAlgError on
         a singular or non-finite solve."""
@@ -416,8 +444,9 @@ class Grid:
     i0: int = 0                # first interval index covered (window grids)
     n_int: int = 0             # number of weight periods covered (0: segment)
     m: int = 0                 # cells per subinterval (0: free mesh)
+    # node index of each sigma_i ("s", i) and tau_i ("t", i) placed
+    marks: dict = field(default_factory=dict, repr=False)
     _tables: QuadTables = field(default=None, repr=False)
-    _marks: dict = field(default=None, repr=False)
 
     @property
     def tables(self):
@@ -433,47 +462,19 @@ class Grid:
     def span(self):
         return float(self.nodes[-1] - self.nodes[0])
 
-    # node index of each sigma_i / tau_i present in the mesh
-    @property
-    def marks(self):
-        if self._marks is None:
-            marks = {}
-            t0, t1 = self.nodes[0], self.nodes[-1]
-            T = self.w.period
-            tol = 1e-9 * max(T, 1.0)
-            lo = int(np.floor(t0 / T)) - 1
-            hi = int(np.ceil(t1 / T)) + 1
-            for i in range(lo, hi + 1):
-                for name, t in (("s", self.w.sigma(i)), ("t", self.w.tau_i(i))):
-                    if t0 - tol <= t <= t1 + tol:
-                        j = int(np.searchsorted(self.nodes, t))
-                        for cand in (j - 1, j, j + 1):
-                            if 0 <= cand < len(self.nodes) and \
-                                    abs(self.nodes[cand] - t) <= tol:
-                                marks[(name, i)] = cand
-                                break
-            self._marks = marks
-        return self._marks
-
-    def sigma_node(self, i):
-        try:
-            return self.marks[("s", i)]
-        except KeyError:
-            raise IndexOutOfWindow(f"sigma_{i} is not a mesh node") from None
-
-    def tau_node(self, i):
-        try:
-            return self.marks[("t", i)]
-        except KeyError:
-            raise IndexOutOfWindow(f"tau_{i} is not a mesh node") from None
-
     def interval_nodes(self, i, which):
-        """Node index range (a, b) of I_i^+ or I_i^-."""
+        """Node index range (a, b) of I_i^+ or I_i^-, read from ``marks``."""
         if which in ("plus", "+"):
-            return self.sigma_node(i), self.tau_node(i)
-        if which in ("minus", "-"):
-            return self.tau_node(i), self.sigma_node(i + 1)
-        raise ValueError("which must be 'plus' or 'minus'")
+            keys = ("s", i), ("t", i)
+        elif which in ("minus", "-"):
+            keys = ("t", i), ("s", i + 1)
+        else:
+            raise ValueError("which must be 'plus' or 'minus'")
+        try:
+            return self.marks[keys[0]], self.marks[keys[1]]
+        except KeyError:
+            raise IndexOutOfWindow(f"I_{i}^{which} is not inside the mesh") \
+                from None
 
     def full_values(self, values):
         values = np.asarray(values, dtype=float)
@@ -508,14 +509,16 @@ def span_grid(w, i0, n_int, cells_per_interval, periodic=True):
     if cells_per_interval < 8:
         raise WeightError("need at least 8 cells per subinterval")
     m = int(cells_per_interval)
-    parts = []
-    for i in range(i0, i0 + n_int):
+    parts, marks = [], {}
+    for k, i in enumerate(range(i0, i0 + n_int)):
+        marks[("s", i)], marks[("t", i)] = 2 * m * k, 2 * m * k + m
         parts.append(np.linspace(w.sigma(i), w.tau_i(i), m + 1)[:-1])
         parts.append(np.linspace(w.tau_i(i), w.sigma(i + 1), m + 1)[:-1])
     parts.append(np.array([w.sigma(i0 + n_int)]))
+    marks[("s", i0 + n_int)] = 2 * m * n_int
     nodes = np.concatenate(parts)
     return Grid(w=w, nodes=nodes, periodic=periodic, i0=i0, n_int=n_int,
-                m=m)
+                m=m, marks=marks)
 
 
 def segment_grid(w, nodes):
@@ -589,21 +592,6 @@ def interval_energy(u, i, which="plus"):
     """int of u'^2 over I_i^+ or I_i^- (exact for the interpolant)."""
     a, b = u.grid.interval_nodes(i, which)
     return dirichlet_energy(u.grid.tables.h[a:b], u.full()[a:b + 1])
-
-
-def nodal_derivative(u):
-    """Nodal slope estimates: averaged cell slopes, one-sided at clamped ends."""
-    full = u.full()
-    h = u.grid.tables.h
-    s = np.diff(full) / h
-    out = np.empty(len(full))
-    out[0] = s[0]
-    out[-1] = s[-1]
-    out[1:-1] = (s[:-1] * h[1:] + s[1:] * h[:-1]) / (h[:-1] + h[1:])
-    if u.grid.periodic:
-        wrap = (s[-1] * h[0] + s[0] * h[-1]) / (h[0] + h[-1])
-        out[0] = out[-1] = wrap
-    return out
 
 
 def jacobian_matrix(u, mu):

@@ -210,22 +210,36 @@ def write_csv(path, header, rows):
 
 
 def write_json(path, payload):
-    data = (json.dumps(payload, indent=2, sort_keys=True,
-                       default=_jsonable) + "\n").encode()
+    """Write payload as strict JSON (RFC 8259), return the bytes: a NaN or
+    infinite float, such as the fit of a one-point sweep, is written as
+    null."""
+    data = (json.dumps(_finite(payload), indent=2, sort_keys=True,
+                       default=_jsonable, allow_nan=False) + "\n").encode()
     with open(path, "wb") as f:
         f.write(data)
     return data
 
 
+def _finite(x):
+    """x with each non-finite float in its dicts, lists and tuples None."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _finite(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite(v) for v in x]
+    return x
+
+
 def _jsonable(x):
     if isinstance(x, (np.floating, np.integer)):
-        return x.item()
+        return _finite(x.item())
     if isinstance(x, np.ndarray):
-        return x.tolist()
+        return _finite(x.tolist())
     if isinstance(x, (np.bool_, bool)):
         return bool(x)
     if dataclasses.is_dataclass(x):
-        return dataclasses.asdict(x)
+        return _finite(dataclasses.asdict(x))
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
@@ -424,9 +438,10 @@ def cmd_connection(cfg, w, run):
         K=cfg["K"], r=cfg["r"])
     sol = connection.solve_connection(p, cells=cfg["cells"] or None)
     grid = sol.u.grid
-    du = assembly.nodal_derivative(sol.u)
+    # u'(t+) at every node but the last, which has only u'(t-)
+    left, right = assembly.Operator(grid.tables, p.mu).slopes(sol.u.values)
     run.add_csv(cfg["out"], ["t", "u", "du"],
-                zip(grid.nodes, sol.u.full(), du))
+                zip(grid.nodes, sol.u.full(), np.append(right[:-1], left[-1])))
     djdx, djdy = connection.energy_derivatives(sol)
     fdc = sol.fd_check
     v, z = sol.sensitivities

@@ -122,14 +122,15 @@ def connection_grid(p, cells=None):
     amp = max(abs(p.x), abs(p.y))
     lam = math.sqrt(0.5 * p.mu) * amp
     w = p.w
-    bounds = [p.t_lo]
+    bounds, keys = [p.t_lo], [("t", p.i)]
     for j in p.plus_indices():
-        bounds.append(w.sigma(j))
-        bounds.append(w.tau_i(j))
+        bounds += [w.sigma(j), w.tau_i(j)]
+        keys += [("s", j), ("t", j)]
     bounds.append(p.t_hi)
+    keys.append(("s", p.i + p.l + 1))
 
-    parts = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
+    parts, marks, count = [], {}, 0
+    for key, a, b in zip(keys, bounds[:-1], bounds[1:]):
         L = b - a
         n = base
         if lam > 0.0:
@@ -138,8 +139,12 @@ def connection_grid(p, cells=None):
         n = min(n, 6000)
         k = np.arange(n, dtype=float)
         parts.append(a + 0.5 * L * (1.0 - np.cos(math.pi * k / n)))
+        marks[key] = count
+        count += n
     parts.append(np.array([p.t_hi]))
-    return assembly.segment_grid(w, np.concatenate(parts))
+    marks[keys[-1]] = count
+    return assembly.Grid(w=w, nodes=np.concatenate(parts), periodic=False,
+                         marks=marks)
 
 
 def decay_profile(p, ts):
@@ -387,11 +392,11 @@ def solve_connection(p, cells=None, init=None, with_sensitivities=True):
         n_desc += n2
         hits += h2
 
-    r_full = assembly.residual_full(tb, p.mu, full)
+    left, right = assembly.Operator(tb, p.mu).slopes(full)
     sol = ConnectionSolution(
         problem=p,
         u=GridFunction(grid, full),
-        boundary_slopes=(-float(r_full[0]), float(r_full[-1])),
+        boundary_slopes=(float(right[0]), float(left[-1])),
         descent_iters=n_desc, newton_iters=n_newt, cap_touches=hits)
     if with_sensitivities:
         compute_sensitivities(sol)

@@ -174,9 +174,9 @@ def _ground_on(w, t0, t1, n):
                                      max(_GROUND_TOL, 16.0 * floor), 60)
     if np.max(u) < -np.min(u):
         u = -u
-    r_full = assembly.residual_full(tb, 0.0, u)
+    left, right = assembly.Operator(tb, 0.0).slopes(u)
     level = 0.25 * assembly.dirichlet_integral(tb, u)
-    return grid, u, level, float(-r_full[0]), float(r_full[-1])
+    return grid, u, level, float(right[0]), float(left[-1])
 
 
 # -- public operations --------------------------------------------------------

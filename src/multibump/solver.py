@@ -187,7 +187,11 @@ def initial_guess(w, window, bump, grid):
 
 
 def check_membership(u, mu, consts, window):
-    """Evaluate conditions (C1)-(C4), positivity and the energy dichotomy."""
+    """Evaluate conditions (C1)-(C4), positivity and the energy dichotomy.
+
+    One ``assembly.Operator`` gives the residual and C4's junction slopes
+    u'(sigma_i-) and u'(tau_i+) (``Operator.slopes``) from one evaluation
+    of u at the quadrature points."""
     grid = u.grid
     if len(window.symbols) != grid.n_int:
         raise WeightError("window length does not match the grid span")
@@ -196,6 +200,9 @@ def check_membership(u, mu, consts, window):
     nodes = grid.nodes
     r2 = consts.r ** 2
     upper = 2.0 * (consts.c + consts.c_zeta)
+    op = assembly.Operator(grid.tables, mu, grid.periodic)
+    residual = float(np.max(np.abs(op.residual(u.values))))
+    left, right = op.slopes(u.values)
 
     energies = {}
     c1 = {}
@@ -226,15 +233,10 @@ def check_membership(u, mu, consts, window):
         inner = full[a:b] if b > a else np.array([])
         ends = u.eval(np.array([lo, hi]))
         c2[i] = bool(np.all(inner > 0.0) and np.all(ends > 0.0))
-        # C4: one-sided slopes from the adjacent negativity-side cells
-        sn = grid.sigma_node(i)
-        tn = grid.tau_node(i)
-        h = grid.tables.h
-        us = full[sn]
-        slope_in = (full[sn] - full[sn - 1]) / h[sn - 1] if sn > 0 else \
-            (full[sn] - full[-2]) / h[-1]
-        ut = full[tn]
-        slope_out = (full[tn + 1] - full[tn]) / h[tn]
+        # C4: the slopes u'(sigma_i-) and u'(tau_i+) on the negativity side
+        sn, tn = grid.interval_nodes(i, "plus")
+        us, slope_in = full[sn], left[sn]
+        ut, slope_out = full[tn], right[tn]
         ok = True
         if us >= 0.0:
             ok = ok and slope_in < consts.rho
@@ -246,7 +248,6 @@ def check_membership(u, mu, consts, window):
             ok = ok and slope_out < consts.rho
         c4[i] = bool(ok)
 
-    residual = float(np.max(np.abs(assembly.gradient(u, mu).values)))
     return SolveReport(
         residual_inf=residual,
         interval_energies=energies,

@@ -97,28 +97,6 @@ def _gauss_segments(breaks):
     return tq, wq
 
 
-def _one_sided_slopes(grid, mu, full, uq, node, side):
-    """Quadrature-corrected one-sided derivative of the interpolant at a node;
-    uq holds the interpolant at every quadrature point.
-
-    The weak residual of the half-hat supported on one neighbouring cell
-    recovers the ODE flux there:  u'(t_j+) = slope_right + int a_mu u^3 ramp,
-    u'(t_j-) = slope_left - int a_mu u^3 ramp (mirrored ramp).
-    """
-    tb = grid.tables
-    if side == "+":
-        c = node if node < len(tb.h) else 0
-        ramp, sign = tb.rlam, 1.0
-    else:
-        c = node - 1 if node > 0 else len(tb.h) - 1
-        ramp, sign = tb.qlam, -1.0
-    mask = tb.qcell == c
-    slope = (full[c + 1] - full[c]) / tb.h[c]
-    corr = float(np.sum(tb.qw[mask] * tb.amu(mu)[mask] * uq[mask] ** 3
-                        * ramp[mask]))
-    return slope + sign * corr
-
-
 # -- Nehari identities ----------------------------------------------------------
 
 
@@ -126,8 +104,9 @@ def nehari_identities(sol):
     """Residuals of the four window identities, each in its natural scale.
 
     (i)   weak residual over hats supported away from the coded intervals;
-    (ii)  per coded interval: int u'^2 - int a_mu u^4 - [u' u] with corrected
-          one-sided slopes, relative to the interval energy;
+    (ii)  per coded interval: int u'^2 - int a_mu u^4 - [u' u] with the
+          outside one-sided slopes of ``Operator.slopes``, relative to the
+          interval energy;
     (iii) whole-window int u'^2 = int a_mu u^4, relative to int u'^2;
     (iv)  cutoff identity int ((eta_i u)')^2 = int a_mu eta_i^2 u^4
           + int eta_i'^2 u^2, relative to the left side.
@@ -140,7 +119,9 @@ def nehari_identities(sol):
     tb = grid.tables
     wspec = grid.w
 
-    g = assembly.gradient(u, mu).values
+    op = assembly.Operator(tb, mu, grid.periodic)
+    g = op.residual(u.values)
+    left, right = op.slopes(u.values)
     coded = [w.i_start + j for j, s in enumerate(w.symbols) if s == 1]
     keep = np.ones(grid.ndof, dtype=bool)
     for i in coded:
@@ -156,12 +137,10 @@ def nehari_identities(sol):
         mask = (tb.qcell >= a) & (tb.qcell < b)
         quart = float(np.sum(tb.qw[mask] * tb.amu(mu)[mask]
                              * uq_all[mask] ** 4))
-        # outside-cell corrected fluxes make the discrete identity exact:
+        # the outside half-hat fluxes make the discrete identity exact:
         # summing u_j g_j over the interval's nodes telescopes to exactly
         # these boundary terms, so a converged iterate leaves machine noise
-        du_right = _one_sided_slopes(grid, mu, full, uq_all, b, "+")
-        du_left = _one_sided_slopes(grid, mu, full, uq_all, a, "-")
-        bdry = du_right * full[b] - du_left * full[a]
+        bdry = right[b] * full[b] - left[a] * full[a]
         res_ii = max(res_ii, abs(kin - quart - bdry) / max(kin, 1.0))
 
     kin_all = assembly.dirichlet_integral(tb, full)
@@ -495,16 +474,6 @@ class OracleCheck:
         return self.rel <= ORACLE_BOUND
 
 
-def _end_slope(full, h, e, d):
-    """Second-order one-sided u' at node e from the nodes e + d and e + 2d
-    (d = 1 or -1), on the unequal cells h1, h2."""
-    h1, h2 = (h[e], h[e + 1]) if d > 0 else (h[e - 1], h[e - 2])
-    g = (-(2.0 * h1 + h2) / (h1 * (h1 + h2)) * full[e]
-         + (h1 + h2) / (h1 * h2) * full[e + d]
-         - h1 / (h2 * (h1 + h2)) * full[e + 2 * d])
-    return d * g
-
-
 def oracle_residual(sol):
     """Shoot every subinterval from the solution's own nodal boundary data,
     at rtol ORACLE_RTOL.
@@ -513,11 +482,14 @@ def oracle_residual(sol):
     sup of the nodal gaps measures how well the computed branch solves the
     ODE, independently of the machinery that produced it.  All subintervals
     are shot together (``oracle.shoot_batch``), each from the end where |u|
-    is smaller, started from the one-sided FEM slope there.
+    is smaller, started from the FEM's slope into the interval there
+    (``assembly.Operator.slopes``): u'(t_a+) from the left end, u'(t_b-)
+    from the right.
     """
     grid = sol.grid
     full = sol.u.full()
-    h = grid.tables.h
+    left, right = assembly.Operator(grid.tables, sol.mu,
+                                    grid.periodic).slopes(sol.u.values)
     sup = float(np.max(np.abs(full)))
     keys, spans, problems = [], [], []
     lo_i = sol.window.i_start
@@ -525,10 +497,10 @@ def oracle_residual(sol):
         i = lo_i + j
         for which, tag in (("plus", "+"), ("minus", "-")):
             a, b = grid.interval_nodes(i, which)
-            back = oracle.shoots_from_t1(full[a], full[b])
-            e, d = (b, -1) if back else (a, 1)
+            s0 = left[grid.dof_of_node(b)] \
+                if oracle.shoots_from_t1(full[a], full[b]) else right[a]
             problems.append((grid.nodes[a], grid.nodes[b], full[a], full[b],
-                             _end_slope(full, h, e, d)))
+                             s0))
             keys.append((i, tag))
             spans.append((a, b))
     results = oracle.shoot_batch(grid.w, sol.mu, problems, rtol=ORACLE_RTOL)

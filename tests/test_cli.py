@@ -399,6 +399,27 @@ def test_verify_certification_failure_exit_code(tmp_path):
             in f.read()
 
 
+def test_verify_one_mu_writes_strict_json(tmp_path):
+    """A one-point sweep has no fit or Kendall tau: verify.json holds null
+    there, not the bare NaN that RFC 8259 has no token for."""
+    d = str(tmp_path)
+    rc = cli.main(["verify", "--symbols", "10", "--mu-from", "1e2",
+                   "--mu-to", "1e3", "--points", "1", "--cells", "1600",
+                   "--outdir", d])
+    assert rc == 0
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    with open(os.path.join(d, "verify.json")) as f:
+        payload = json.load(f, parse_constant=refuse)
+    assert payload["sweep"]["fitted_slopes"]["decay"] == [None, None]
+    assert payload["sweep"]["kendall"]["sup"] is None
+    assert cli.write_json(os.path.join(d, "x.json"),
+                          {"a": [math.inf, np.float32("nan"), 1.5]}) \
+        == b'{\n  "a": [\n    null,\n    null,\n    1.5\n  ]\n}\n'
+
+
 @pytest.mark.parametrize("module", ["multibump", "multibump.cli"])
 def test_module_entry_points(module):
     """Both module forms run from an uninstalled checkout without the

@@ -362,18 +362,22 @@ def test_oracle_batch_equals_lone_shots(monkeypatch, name, cells):
         assert abs(gap - check.per_interval[key]) <= 1e-9
 
 
-@pytest.mark.parametrize("mu, cells, rounds, steps", [(1e3, 1600, 2, 136),
-                                                      (1e4, 0, 3, 244)])
-def test_oracle_rounds_pinned(monkeypatch, step_weight, mu, cells, rounds,
-                              steps):
-    """Shot from their smaller ends, the four intervals of step 10 finish in
-    a few rounds: one shot from a large end took 5 attempts at mu 1e3 with
-    1600 cells and 17 at mu 1e4."""
-    sol = _solve(step_weight, (1, 0), mu, cells)
+@pytest.mark.parametrize("code, mu, cells, rounds, steps, ok", [
+    pytest.param((1, 0), 1e3, 1600, 2, 136, True, id="1000.0-1600-2-136"),
+    pytest.param((1, 0), 1e4, 0, 3, 244, True, id="10000.0-0-3-244"),
+    # the default mesh misses the bound at mu 1e3 (rel 2.4e-6, the FEM's
+    # own error); pinned here for the oracle's cost
+    pytest.param((1, 1, 0), 1e3, 0, 6, 545, False, id="1000.0-0-6-545")])
+def test_oracle_rounds_pinned(monkeypatch, step_weight, code, mu, cells,
+                              rounds, steps, ok):
+    """Shot from their smaller ends and started from the FEM's half-hat
+    slope there, the intervals finish in a few rounds: one shot from a
+    large end took 5 attempts at mu 1e3 with 1600 cells and 17 at mu 1e4."""
+    sol = _solve(step_weight, code, mu, cells)
     check, seen = _shoot_window(monkeypatch, sol)
     assert max(r.iters for r in seen["results"]) == rounds
     assert seen["steps"] == steps
-    assert check.ok()
+    assert check.ok() == ok
 
 
 # -- sign counting -----------------------------------------------------------------

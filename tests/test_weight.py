@@ -79,6 +79,32 @@ def test_build_weight_rejects_sign_violations():
                                        P(1.0, 2.0, "poly", (0.5,))])
 
 
+def test_build_weight_interior_extrema():
+    """A quadratic's extremum between its ends sets sup a+, and a dip below
+    zero that both ends miss is a sign violation."""
+    P = weight.Piece
+    w = weight.build_weight(2.0, 1.0, [P(0.0, 1.0, "poly", (1.0, 4.0, -4.0)),
+                                       P(1.0, 2.0, "poly", (-1.0,))])
+    assert w.sup_a_plus == 2.0          # 1 + 4t - 4t^2 at t = 1/2
+    with pytest.raises(SignStructureViolation, match="dips to -2.500e-01"):
+        weight.build_weight(2.0, 1.0, [P(0.0, 1.0, "poly", (1.0, -5.0, 5.0)),
+                                       P(1.0, 2.0, "poly", (-1.0,))])
+
+
+def test_build_weight_splits_a_piece_at_tau():
+    """One cubic over [0, T] that changes sign at tau is cut there, and the
+    half re-centred at tau evaluates as the uncut polynomial."""
+    coefs = (1.0, -1.0, 1.0, -1.0)            # (1 - t)(1 + t^2)
+    w = weight.build_weight(2.0, 1.0, [weight.Piece(0.0, 2.0, "poly", coefs)])
+    assert list(w.seg_knots) == [0.0, 1.0, 2.0]
+    assert list(w.seg_positive) == [True, False]
+    ts = np.linspace(0.0, 2.0, 41)[:-1]
+    want = np.polyval(coefs[::-1], ts)
+    assert np.allclose(w._eval_raw(ts), want, rtol=0.0, atol=1e-14)
+    assert np.allclose(w.a_mu(3.0, ts), np.where(want > 0, want, 3.0 * want),
+                       rtol=0.0, atol=1e-13)
+
+
 def test_build_weight_rejects_empty_edges():
     # a- vanishing on a band right after tau carries no edge mass
     P = weight.Piece
