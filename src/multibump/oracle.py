@@ -9,11 +9,14 @@ used to cross-validate the local solver.
 
 The integration is scipy's DOP853 without ``solve_ivp``: ``_dop853``
 repeats, operation for operation, what ``solve_ivp(method="DOP853",
-dense_output=True)`` with a terminal event does, with scipy's own tableau,
-initial-step rule and step-size constants and its stage arithmetic, so it
-takes the same steps to the bit.  It leaves out the machinery around each
-step (solver, interpolant and result objects, event bookkeeping), and
-appends each step's dense-output coefficients straight into ``_Steps``.
+dense_output=True)`` with a terminal event does, so it takes the same steps
+to the bit.  It leaves out the machinery around each step (solver,
+interpolant and result objects, event bookkeeping), and appends each step's
+dense-output coefficients straight into ``_Steps``.  It never imports
+``scipy.integrate`` or ``scipy.optimize`` (about 0.35 s and 20 MB of a
+process): ``_dop`` is scipy's tableau file, loaded by its path, and
+``_initial_step`` (``select_initial_step``), the step-size factors and
+``_brentq`` (the C ``brentq``) repeat scipy's operations.
 
 One integrator, ``_integrate_raw``, carries a batch of runs at once.  Run k
 goes from its t_from to its t_to, in either direction, on a common
@@ -39,16 +42,24 @@ case, and ``integrate`` the one-run case of ``_integrate_raw``.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as _dop
-from scipy.integrate._ivp.common import select_initial_step
-from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
-from scipy.optimize import brentq
+import scipy
 
 from .errors import BlowUp, NewtonFailure, NonConvergence, ScopeError
+
+# scipy's DOP853 tableau, run from its numpy-only file: scipy.integrate's
+# package __init__ never runs
+_spec = importlib.util.spec_from_file_location(
+    "multibump._dop853_coefficients", os.path.join(
+        os.path.dirname(scipy.__file__), "integrate", "_ivp",
+        "dop853_coefficients.py"))
+_dop = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_dop)
 
 _G5X, _G5W = np.polynomial.legendre.leggauss(5)
 # s-knots of different runs closer than this are one knot
@@ -58,6 +69,10 @@ _EPS = np.finfo(float).eps
 _N_STAGES = _dop.N_STAGES             # stages of a step; 3 more for dense
 _ERROR_ORDER = 7                      # order of the error estimator
 _ERROR_EXPONENT = -1 / (_ERROR_ORDER + 1)
+# scipy's step-size factors (``scipy.integrate._ivp.rk``), and brentq's
+# default iteration limit
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
+_BRENT_ITER = 100
 
 # every integration: the |u| that stops a trajectory, and the bound of the
 # step in t
@@ -159,9 +174,8 @@ class DenseOutput:
             if ua == 0.0 and self.ts[i] >= lo:
                 return self.ts[i]
             if ua * ub < 0.0:
-                return brentq(lambda t: float(self.eval_u(t)),
-                              max(self.ts[i], lo), self.ts[i + 1],
-                              xtol=1e-15, rtol=8.9e-16)
+                return _brentq(self.eval_u, max(self.ts[i], lo),
+                               self.ts[i + 1], 1e-15, 8.9e-16)
             if ub == 0.0:
                 return self.ts[i + 1]
         return None
@@ -236,6 +250,78 @@ def _error_norm(KT, h, scale):
     return abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
 
+def _initial_step(fun, t0, y0, t_bound, max_step, f0, rtol, atol):
+    """The first step of a forward run from t0 < t_bound: scipy's
+    ``select_initial_step`` (Hairer, Norsett & Wanner, Sec. II.4) at
+    DOP853's error order, operation for operation."""
+    def _rms(x):
+        return np.linalg.norm(x) / x.size ** 0.5
+
+    interval_length = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1,
+             interval_length)
+    f1 = fun(t0 + h0, y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** (1 / (_ERROR_ORDER + 1)))
+    return min(100 * h0, h1, interval_length, max_step)
+
+
+def _brentq(f, xa, xb, xtol, rtol):
+    """A root of f between xa and xb: scipy's C ``brentq`` operation for
+    operation, with its wrapper's checks.  A NaN value or f(xa), f(xb) of
+    one sign raise ValueError, and _BRENT_ITER iterations RuntimeError."""
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_ITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf                 # bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:            # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                       # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry     # good short step
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENT_ITER} "
+                       "iterations.")
+
+
 def _dense_at(t, t_old, h, F, y_old):
     """DOP853's dense output (``Dop853DenseOutput._call_impl``) at t: F holds
     the interpolant's powers on its first axis, and t, t_old, h, y_old and
@@ -279,9 +365,8 @@ def _dop853(rhs, t, t_bound, y, rtol, atol, max_step, first_step, cap, cols,
     KB, KE = K[:-1].T, K.T
     f = rhs(t, y)
     if first_step is None:
-        h_abs = select_initial_step(rhs, t, y, t_bound, max_step,
-                                    np.asarray(f, dtype=float), 1.0,
-                                    _ERROR_ORDER, rtol, atol)
+        h_abs = _initial_step(rhs, t, y, t_bound, max_step,
+                              np.asarray(f, dtype=float), rtol, atol)
     else:
         h_abs = first_step
     g = cap_hit(y)
@@ -337,8 +422,8 @@ def _dop853(rhs, t, t_bound, y, rtol, atol, max_step, first_step, cap, cols,
         t_end, y_end = t_new, y_new
         g_new = cap_hit(y_new)
         if g <= 0 <= g_new or g_new <= 0 <= g:
-            t_end = brentq(lambda x: cap_hit(_dense_at(x, t, h, F, y)),
-                           t, t_new, xtol=4 * _EPS, rtol=4 * _EPS)
+            t_end = _brentq(lambda x: cap_hit(_dense_at(x, t, h, F, y)),
+                            t, t_new, 4 * _EPS, 4 * _EPS)
             y_end = _dense_at(t_end, t, h, F, y)
             status = 1
         g = g_new
@@ -448,6 +533,8 @@ def integrate(w, mu, state, t_end, rtol=1e-10):
     DenseOutput).  Raises BlowUp if |u| reaches _CAP."""
     if t_end < state.t:
         raise ScopeError("backward integration is not supported")
+    if t_end == state.t:
+        raise ScopeError("integration over an empty interval (t_end = t0)")
     ((dense, end, blew_up),) = _integrate_raw(
         w, mu, [(state.t, t_end, [state.u, state.du])], rtol)
     if blew_up:
@@ -480,6 +567,8 @@ class _Shot:
     give way to probes on both sides of the best slope."""
 
     def __init__(self, t0, t1, x, y, s0):
+        if t0 == t1:
+            raise ScopeError("shooting over an empty interval (t0 = t1)")
         back = shoots_from_t1(x, y)
         self.sign = -1.0 if back else 1.0
         self.t_from, self.t_to = (t1, t0) if back else (t0, t1)

@@ -433,17 +433,20 @@ def test_module_entry_points(module):
     assert "RuntimeWarning" not in res.stderr
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    """Importing the CLI loads no ``scipy.stats`` module: it alone took
-    about 0.35 s and 20 MB of every process that runs the program."""
+def test_cli_import_leaves_heavy_scipy_out():
+    """Importing the CLI in a fresh interpreter loads no ``scipy.stats``,
+    ``scipy.integrate`` or ``scipy.optimize`` module: together they took
+    about 0.7 s and 40 MB of every process that runs the program."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    probe = ("import sys, multibump.cli; print(sorted(m for m in sys.modules "
-             "if m == 'scipy.stats' or m.startswith('scipy.stats.')))")
+    probe = ("import sys, multibump.cli; print(' '.join(sorted(m for m in "
+             "sys.modules if m.split('.')[:2] in (['scipy', 'stats'], "
+             "['scipy', 'integrate'], ['scipy', 'optimize']))))")
     res = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    loaded = res.stdout.split()
+    assert not loaded, f"import multibump.cli loaded {loaded}"
 
 
 def test_failed_marker_set_and_cleared(tmp_path):
@@ -534,10 +537,13 @@ def test_config_keys_are_the_flags():
 
 @pytest.mark.parametrize("case", [
     "solve-no-mu", "verify-no-mu-to", "connection-no-y", "missing-weight",
-    "undecodable-weight", "missing-config"])
+    "undecodable-weight", "missing-config", "integrate-empty-interval",
+    "shoot-empty-interval"])
 def test_input_error_leaves_failed_manifest(tmp_path, case):
     """Input errors found before any computation still leave the FAILED
-    marker and a failed manifest; once they left no outdir at all."""
+    marker and a failed manifest; once they left no outdir at all, and the
+    oracle's zero-length intervals exited 5 with an IndexError and a
+    ZeroDivisionError."""
     binary = tmp_path / "w.json"
     binary.write_bytes(b"\xff\xfe\x00")
     argv = {
@@ -547,6 +553,10 @@ def test_input_error_leaves_failed_manifest(tmp_path, case):
         "missing-weight": ["local", "--weight", str(tmp_path / "nope.json")],
         "undecodable-weight": ["local", "--weight", str(binary)],
         "missing-config": ["local", "--config", str(tmp_path / "nope.json")],
+        "integrate-empty-interval": ["oracle", "integrate", "--mu", "10",
+                                     "--t0", "0.5", "--t1", "0.5"],
+        "shoot-empty-interval": ["oracle", "shoot", "--mu", "10", "--t0", "1",
+                                 "--t1", "1", "--x", "0.3", "--y", "0.3"],
     }[case]
     out = tmp_path / "out"
     assert cli.main(argv + ["--outdir", str(out)]) == 2

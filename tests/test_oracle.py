@@ -11,6 +11,7 @@ Everything else scales out of these two numbers for constant weights.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -298,6 +299,93 @@ def test_ground_level_reads_like_ode_solution(step_weight, monkeypatch):
     _record_ode_solutions(monkeypatch)
     monkeypatch.setattr(oracle.DenseOutput, "_at", _ode_solution_at)
     assert oracle.brute_ground_level(step_weight) == got
+
+
+def test_tableau_is_scipys():
+    """The tableau loaded from scipy's file is scipy's own, array for
+    array."""
+    from scipy.integrate._ivp import dop853_coefficients as ref
+    for name in ("N_STAGES", "N_STAGES_EXTENDED", "INTERPOLATOR_POWER"):
+        assert getattr(oracle._dop, name) == getattr(ref, name)
+    for name in ("A", "B", "C", "D", "E3", "E5"):
+        assert np.array_equal(getattr(oracle._dop, name), getattr(ref, name))
+
+
+# the tolerances of DenseOutput.first_zero and of _dop853's cap event
+_BRENT_TOLS = [(1e-15, 8.9e-16), (4 * oracle._EPS, 4 * oracle._EPS)]
+
+
+def _brent_outcome(find):
+    try:
+        return find()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.floats(-2.0, 2.0), left=st.floats(0.0, 3.0),
+       right=st.floats(0.0, 3.0), c=st.lists(st.floats(-1.0, 1.0),
+                                             min_size=3, max_size=3),
+       flip=st.booleans(), tols=st.sampled_from(_BRENT_TOLS))
+@example(r=0.5, left=0.0, right=1.0, c=[0.3, -0.2, 0.5], flip=False,
+         tols=_BRENT_TOLS[0])
+@example(r=0.5, left=1.0, right=0.0, c=[0.3, -0.2, 0.5], flip=True,
+         tols=_BRENT_TOLS[1])
+def test_brentq_is_scipys(r, left, right, c, flip, tols):
+    """_brentq finds scipy's brentq root to the bit on smooth functions with
+    one sign change at r, from either end, at both call sites' tolerances,
+    also where the root is an end point; it raises scipy's errors for ends
+    of one sign, a NaN value and too few iterations."""
+    from scipy.optimize import brentq
+
+    def f(x):
+        return (x - r) * (2.5 + c[0] * math.sin(3.0 * x)
+                          + c[1] * x * x / (1.0 + x * x)
+                          + abs(c[2]) * (x - r) ** 2)
+
+    a, b = r - left, r + right
+    if flip:
+        a, b = b, a
+    xtol, rtol = tols
+    for g, maxiter in [(f, 100), (lambda x: 1.0 + f(x) ** 2, 100),
+                       (lambda x: f(x) if x in (a, b) else math.nan, 100),
+                       (f, 1)]:
+        with mock.patch.object(oracle, "_BRENT_ITER", maxiter):
+            got = _brent_outcome(lambda: oracle._brentq(g, a, b, xtol, rtol))
+        ref = _brent_outcome(lambda: brentq(g, a, b, xtol=xtol, rtol=rtol,
+                                            maxiter=maxiter))
+        assert got == ref
+
+
+# below the absolute tolerance, a state's scaled norm d0 falls under 1e-5
+_component = st.one_of(st.just(0.0), st.floats(-1e-20, 1e-20),
+                       st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(y0=st.lists(_component, min_size=4, max_size=4),
+       coef=st.one_of(st.just(0.0), st.floats(-1e4, 1e4)),
+       span=st.floats(0.01, 10.0), rtol=st.floats(1e-13, 1e-3),
+       t0=st.floats(0.0, 0.9), length=st.floats(1e-9, 0.5),
+       max_step=st.sampled_from([np.inf, 0.05, 1e-7]))
+# d0 < 1e-5 (tiny state), and d1, d2 <= 1e-15 (zero state)
+@example(y0=[1e-20, 1e-20, 0.0, 0.0], coef=3.0, span=1.0, rtol=1e-10,
+         t0=0.0, length=0.5, max_step=np.inf)
+@example(y0=[0.0, 0.0, 0.0, 0.0], coef=3.0, span=1.0, rtol=1e-10, t0=0.0,
+         length=0.5, max_step=np.inf)
+def test_initial_step_is_scipys(y0, coef, span, rtol, t0, length, max_step):
+    """_initial_step is scipy's select_initial_step to the bit on the
+    oracle's own right-hand side with sensitivity columns, across its
+    branches."""
+    from scipy.integrate._ivp.common import select_initial_step
+    fun = oracle._rhs([oracle.piece_amu([coef], 0.0, 100.0)], [span], [0], 4)
+    y0 = np.array(y0)
+    f0 = np.asarray(fun(t0, y0), dtype=float)
+    args = (fun, t0, y0, t0 + length, max_step, f0)
+    got = oracle._initial_step(*args, rtol, rtol / 100)
+    ref = select_initial_step(*args, 1.0, oracle._ERROR_ORDER, rtol,
+                              rtol / 100)
+    assert got == ref
 
 
 def test_first_zero(step_weight):
