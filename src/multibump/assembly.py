@@ -14,8 +14,7 @@ flux of the node's half hat on each neighbouring cell (Wheeler, SIAM J.
 Numer. Anal. 11, 1974); that is the one slope recovery of the package.
 Tridiagonal systems go to LAPACK ?gtsv directly, cyclic ones through a
 Sherman-Morrison correction (Press et al., Numerical Recipes, sec. 2.7).
-The one-call functions (gradient, jacobian_matrix, residual_full,
-jacobian_bands) use the same operator.
+The one-call functions gradient and jacobian_matrix use the same operator.
 
 Grids carry the node index of every sigma_i and tau_i their constructor
 placed (``Grid.marks``), which ``Grid.interval_nodes`` reads.
@@ -150,11 +149,6 @@ def cubic_full(tb, mu, u_full):
     return _hat_scatter(tb, tb.qw * tb.amu(mu) * (uq * uq * uq), len(u_full))
 
 
-def residual_full(tb, mu, u_full):
-    """Weak residual against every nodal hat, clamped-end convention."""
-    return Operator(tb, mu).residual(u_full)
-
-
 def dirichlet_energy(h, u):
     """int u'^2 of the interpolant of nodal values u on the cells h (one
     fewer than the values): the sum of (du/h)^2 h, exact for the
@@ -180,11 +174,6 @@ def hessian_full(tb, mu, u_full, v_full):
     uq = _at_points(tb, u_full)
     coef = 3.0 * tb.qw * tb.amu(mu) * (uq * uq) * _at_points(tb, v_full)
     return stiffness_full(tb, v_full) - _hat_scatter(tb, coef, len(u_full))
-
-
-def jacobian_bands(tb, mu, u_full):
-    """Cellwise 2x2 blocks (LL, LR, RR) of the residual Jacobian."""
-    return Operator(tb, mu).bands(u_full)
 
 
 class Operator:
@@ -263,7 +252,7 @@ class Operator:
         left - right is the node's residual row.  One value per dof on a
         periodic mesh (node 0 takes its left cell from the wrap); one per
         node on a clamped mesh, NaN where no cell lies, and there u'(t_0+)
-        and u'(t_n-) are the end rows -r_0 and r_n of residual_full, bit
+        and u'(t_n-) are the end rows -r_0 and r_n of ``residual``, bit
         for bit.  Reuses the point values of the last ``residual`` at the
         same values."""
         tb = self.tb
@@ -344,8 +333,8 @@ def solve_tridiagonal(diag, off, rhs):
 def solve_interior(tb, rhs, bands=None, keep=None):
     """Solve with the interior rows of a clamped mesh's tridiagonal system.
 
-    ``bands`` are cellwise blocks (LL, LR, RR) as from jacobian_bands and are
-    solved by ``solve_tridiagonal``; without them the system is the
+    ``bands`` are cellwise blocks (LL, LR, RR) as from ``Operator.bands``
+    and are solved by ``solve_tridiagonal``; without them the system is the
     stiffness matrix, positive definite, and is solved by banded Cholesky.
     The end nodes are eliminated, and with ``keep`` (node indices) every
     node left out of it.
@@ -405,10 +394,10 @@ def newton(x, residual, solve, tol, max_iter):
                         f"(residual {rn:.3e})")
 
 
-def newton_dirichlet(tb, mu, u_full, tol, max_iter):
-    """Damped Newton (``newton``) on the interior nodes of a clamped mesh
-    with the end values held; returns (full nodal values, steps taken)."""
-    op = Operator(tb, mu)
+def newton_dirichlet(op, u_full, tol, max_iter):
+    """Damped Newton (``newton``) with the clamped-mesh Operator ``op`` on
+    the interior nodes, the end values held; returns (full nodal values,
+    steps taken)."""
     full = u_full.copy()          # reused for every trial; never the iterate
 
     def embed(x):
@@ -557,9 +546,6 @@ class GridFunction:
 
     def eval(self, ts):
         return self.grid.eval(self.values, ts)
-
-    def copy(self):
-        return GridFunction(self.grid, self.values.copy())
 
     def sup_norm(self):
         return float(np.max(np.abs(self.values)))

@@ -437,6 +437,7 @@ def cmd_connection(cfg, w, run):
         w, cfg["mu"], cfg["x"], cfg["y"], i=cfg["i"], l=cfg["l"],
         K=cfg["K"], r=cfg["r"])
     sol = connection.solve_connection(p, cells=cfg["cells"] or None)
+    v, z = sol.sensitivities
     grid = sol.u.grid
     # u'(t+) at every node but the last, which has only u'(t-)
     left, right = assembly.Operator(grid.tables, p.mu).slopes(sol.u.values)
@@ -444,7 +445,6 @@ def cmd_connection(cfg, w, run):
                 zip(grid.nodes, sol.u.full(), np.append(right[:-1], left[-1])))
     djdx, djdy = connection.energy_derivatives(sol)
     fdc = sol.fd_check
-    v, z = sol.sensitivities
     payload = {
         "block": [p.t_lo, p.t_hi],
         "slopes": list(sol.boundary_slopes),
@@ -510,6 +510,10 @@ def cmd_oracle(cfg, w, run):
     else:
         if cfg["t1"] is None:
             raise WeightError("need --t1")
+        if cfg["out"] and cfg["samples"] < 2:
+            raise WeightError(
+                f"--samples must be at least 2 with --out, got "
+                f"{cfg['samples']}")
         t0, t1, mu = cfg["t0"], cfg["t1"], cfg["mu"]
         if cfg["mode"] == "shoot":
             res = oracle.shoot_dirichlet(w, mu, t0, t1, cfg["x"], cfg["y"],

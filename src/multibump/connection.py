@@ -20,11 +20,16 @@ report holds the end slopes, sensitivity signs, energy derivatives and cap
 margins, and the uniqueness probe of the acceptance suite.
 
 The block solver reuses the finite-element machinery on a clamped sub-grid;
-boundary conditions are imposed by node elimination.  Constraints are handled
-by an active-set retraction during descent, never by penalties: the minimizer
-is expected interior, and a cap still active at convergence is reported as
-InteriorityFailure (the operational signal that mu sits below the working
-threshold).
+boundary conditions are imposed by node elimination, and one
+``assembly.Operator`` of the block gives every residual, the Newton step and
+the end slopes.  A solve is one path: projected descent under the caps, then
+a single unconstrained Newton polish, then one verdict.  Constraints are
+handled by an active-set retraction during descent, never by penalties: the
+minimizer is expected interior.  If the polish converges, a cap active (or
+violated) at its result is reported as InteriorityFailure, the operational
+signal that mu sits below the working threshold.  If the polish fails, the
+descent's output is read the same way: on a cap it is InteriorityFailure,
+clear of the caps the polish's NewtonFailure stands.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from .weight import compute_r, default_cap
 _ARMIJO = 1e-4
 _CAP_SLACK = 1e-9          # relative slack kept free of each cap by retraction
 _MAX_DESCENT = 200
+_DESCENT_RTOL = 1e-4       # residual reduction at which descent hands over
 _NEWTON_TOL = 1e-10
 _MAX_NEWTON = 60
 _FD_STEP = 1e-6            # FD step of energy_derivatives, per max(1, |x|, |y|)
@@ -172,20 +178,16 @@ def _retract(p, grid, full):
     Amplitude cap: clamp the value at each interior sigma_j.  Energy cap: the
     affine part between the interval's endpoint values is energy-minimal, so
     the deviation from it is scaled down until the interval energy fits.
-    Returns the number of active-cap touches.
     """
     K_eff = p.K * (1.0 - _CAP_SLACK)
     r2_eff = p.r ** 2 * (1.0 - _CAP_SLACK)
     h = grid.tables.h
-    hits = 0
     for a, b in _plus_ranges(p, grid):
         if abs(full[a]) > K_eff:
             full[a] = math.copysign(K_eff, full[a])
-            hits += 1
         seg_h = h[a:b]
         if assembly.dirichlet_energy(seg_h, full[a:b + 1]) <= r2_eff:
             continue
-        hits += 1
         length = float(grid.nodes[b] - grid.nodes[a])
         gap = full[b] - full[a]
         e_aff = gap * gap / length
@@ -200,7 +202,6 @@ def _retract(p, grid, full):
         if e_dev > 0.0:
             theta = math.sqrt(max(r2_eff - e_aff, 0.0) / e_dev)
             full[a:b + 1] = affine + theta * dev
-    return hits
 
 
 def cap_margins(p, grid, full):
@@ -211,35 +212,6 @@ def cap_margins(p, grid, full):
             for a, b in _plus_ranges(p, grid)]
 
 
-def _caps_clear(p, grid, full):
-    slack_K = _CAP_SLACK * p.K * 2.0
-    slack_r = _CAP_SLACK * p.r ** 2 * 2.0
-    return all(mK > slack_K and mr > slack_r
-               for mK, mr in cap_margins(p, grid, full))
-
-
-def _caps_marginal(p, grid, full):
-    """Within a tenth of each cap: a pinned iterate, not a basin hop."""
-    return all(mK > -0.1 * p.K and mr > -0.1 * p.r ** 2
-               for mK, mr in cap_margins(p, grid, full))
-
-
-def _flatten_pinned(p, grid, full):
-    """Replace energy-pinned I_j^+ segments by their affine interpolant.
-
-    A clamped oscillation can trap the projected descent in a limit cycle:
-    every step re-violates the energy cap and the retraction scales it right
-    back.  The affine profile is the energy-minimal escape from that cycle.
-    """
-    slack_r = _CAP_SLACK * p.r ** 2 * 2.0
-    for (a, b), (_, mr) in zip(_plus_ranges(p, grid),
-                               cap_margins(p, grid, full)):
-        if mr <= slack_r:
-            t = grid.nodes[a:b + 1]
-            lam = (t - t[0]) / (t[-1] - t[0])
-            full[a:b + 1] = full[a] * (1.0 - lam) + full[b] * lam
-
-
 def _check_interiority(p, grid, full):
     """Raise InteriorityFailure when any cap on an interior I_j^+ is active."""
     slack_K = _CAP_SLACK * p.K * 2.0
@@ -247,8 +219,8 @@ def _check_interiority(p, grid, full):
     for j, (mK, mr) in zip(p.plus_indices(), cap_margins(p, grid, full)):
         if mK <= slack_K or mr <= slack_r:
             raise InteriorityFailure(
-                f"cap active on I_{j}^+ after polish (margins K: {mK:.3e}, "
-                f"r^2: {mr:.3e}); mu = {p.mu:g} is below the working threshold")
+                f"cap active on I_{j}^+ (margins K: {mK:.3e}, r^2: {mr:.3e}); "
+                f"mu = {p.mu:g} is below the working threshold")
 
 
 # -- the block solver ----------------------------------------------------------
@@ -259,39 +231,35 @@ def _block_action(tb, mu, full):
         0.25 * assembly.quartic_integral(tb, mu, full)
 
 
-def _descent(p, grid, full, max_iter, rtol):
-    """Stiffness-preconditioned projected descent with Armijo backtracking."""
+def _descent(p, grid, op, full, r_int):
+    """Stiffness-preconditioned projected descent with Armijo backtracking,
+    from ``full`` with interior residual rows ``r_int``, until the residual
+    falls by _DESCENT_RTOL or a line search stalls."""
     tb = grid.tables
     J = _block_action(tb, p.mu, full)
-    r_int = assembly.residual_full(tb, p.mu, full)[1:-1]
     r0 = max(float(np.max(np.abs(r_int))), 1e-30)
-    hits = 0
     done = 0
-    while done < max_iter:
+    while done < _MAX_DESCENT:
         rn = float(np.max(np.abs(r_int)))
-        if rn <= rtol * r0:
+        if rn <= _DESCENT_RTOL * r0:
             break
         d = assembly.solve_interior(tb, r_int)
         slope = float(r_int @ d)
         alpha = 1.0
-        stalled = False
         while True:
             trial = full.copy()
             trial[1:-1] -= alpha * d
-            hits += _retract(p, grid, trial)
+            _retract(p, grid, trial)
             Jt = _block_action(tb, p.mu, trial)
             if Jt <= J - _ARMIJO * alpha * slope:
                 full, J = trial, Jt
                 break
             alpha *= 0.5
             if alpha < 1e-10:
-                stalled = True               # hand over to Newton
-                break
-        if stalled:
-            break
+                return full, done            # stalled: hand over to Newton
         done += 1
-        r_int = assembly.residual_full(tb, p.mu, full)[1:-1]
-    return full, done, hits
+        r_int = op.residual(full)[1:-1]
+    return full, done
 
 
 @dataclass(eq=False)
@@ -304,7 +272,6 @@ class ConnectionSolution:
     z: GridFunction = None
     descent_iters: int = 0
     newton_iters: int = 0
-    cap_touches: int = 0
     fd_check: dict = None
 
     @property
@@ -318,100 +285,70 @@ class ConnectionSolution:
         return self.v, self.z
 
 
-def solve_connection(p, cells=None, init=None, with_sensitivities=True):
+def solve_connection(p, cells=None, init=None):
     """Minimize the block action over the admissible class at data (x, y).
 
-    Projected descent under the caps finds the basin; unconstrained Newton on
-    the Euler-Lagrange system polishes.  A start already in Newton's
-    full-step region goes straight to the polish: reducing its residual by
-    the descent's factor 1e-4 would ask for less than round-off.  A cap
-    active (or violated) after the polish raises InteriorityFailure.
+    Projected descent under the caps finds the basin; one unconstrained
+    Newton polish on the Euler-Lagrange system converges in it.  A start
+    already in Newton's full-step region goes straight to the polish:
+    reducing its residual by the descent's factor would ask for less than
+    round-off.  The verdict reads the caps once: a polish that converges
+    with a cap active (or violated) raises InteriorityFailure, and so does a
+    polish that fails from a descent output pinned on a cap; a polish that
+    fails from a descent output clear of the caps raises its NewtonFailure.
+    All residuals, the polish and the end slopes go through one
+    ``assembly.Operator`` of the block.
 
-    ``init`` is None (the decay profile), nodal values on
-    ``connection_grid(p, cells)``, or a GridFunction on a clamped mesh of
-    the block, which is then the mesh solved on (``cells`` is unused).
+    ``init`` is None (the decay profile on ``connection_grid(p, cells)``) or
+    a GridFunction on a clamped mesh of the block, which is then the mesh
+    solved on (``cells`` is unused).
     """
-    if isinstance(init, GridFunction):
+    if init is None:
+        grid = connection_grid(p, cells)
+        full = decay_profile(p, grid.nodes)
+    else:
         grid = init.grid
         if grid.periodic or (grid.nodes[0], grid.nodes[-1]) != p.block:
             raise WeightError("init must live on a clamped mesh of the block")
         full = init.values.copy()
-    else:
-        grid = connection_grid(p, cells)
-        if init is None:
-            full = decay_profile(p, grid.nodes)
-        else:
-            full = np.asarray(init, dtype=float).copy()
-            if len(full) != len(grid.nodes):
-                raise WeightError("init must carry one value per mesh node")
     full[0], full[-1] = p.x, p.y
     _retract(p, grid, full)
 
-    tb = grid.tables
-    r0 = float(np.max(np.abs(assembly.residual_full(tb, p.mu, full)[1:-1])))
-    if r0 < assembly._UNDAMPED_BELOW:
-        n_desc = hits = 0
-    else:
-        full, n_desc, hits = _descent(p, grid, full, _MAX_DESCENT, rtol=1e-4)
-    n_newt = 0
-    for attempt in range(3):
-        final = attempt == 2
-        # tolerance scaled to the data, floored at the rounding level
-        floor = 200.0 * np.finfo(float).eps * \
-            max(1.0, float(np.max(np.abs(full)))) * float(np.max(1.0 / tb.h))
-        tol = max(_NEWTON_TOL * max(1.0, abs(p.x), abs(p.y)), floor)
-        try:
-            cand, n_newt = assembly.newton_dirichlet(tb, p.mu, full, tol,
-                                                     _MAX_NEWTON)
-        except NonConvergence:
-            if final:
-                # a pinned minimizer has no interior stationary point to
-                # polish; report the active cap instead of the symptom
-                _check_interiority(p, grid, full)
-                raise
-            cand = None
-            _flatten_pinned(p, grid, full)
-        if cand is not None:
-            if _caps_clear(p, grid, cand):
-                full = cand
-                break
-            if _caps_marginal(p, grid, cand):
-                # the stationary point itself sits on a cap: mu is too small
-                _check_interiority(p, grid, cand)
-            if final:
-                # a pinned descent output means the constrained minimizer
-                # lives on the caps no matter where the polish escaped to
-                _check_interiority(p, grid, full)
-                raise NonConvergence("polish keeps leaving the admissible set")
-            # the unconstrained polish jumped basins; pull the iterate back
-            # under the caps and relax again
-            full = cand
-            full[0], full[-1] = p.x, p.y
-            _retract(p, grid, full)
-        full, n2, h2 = _descent(p, grid, full, 4 * _MAX_DESCENT, rtol=1e-7)
-        n_desc += n2
-        hits += h2
+    op = assembly.Operator(grid.tables, p.mu)
+    r_int = op.residual(full)[1:-1]
+    n_desc = 0
+    if float(np.max(np.abs(r_int))) >= assembly._UNDAMPED_BELOW:
+        full, n_desc = _descent(p, grid, op, full, r_int)
+    # tolerance scaled to the data, floored at the rounding level
+    floor = 200.0 * np.finfo(float).eps * \
+        max(1.0, float(np.max(np.abs(full)))) * float(np.max(op.tb.inv_h))
+    tol = max(_NEWTON_TOL * max(1.0, abs(p.x), abs(p.y)), floor)
+    try:
+        full, n_newt = assembly.newton_dirichlet(op, full, tol, _MAX_NEWTON)
+    except NonConvergence:
+        # a pinned minimizer has no interior stationary point to polish;
+        # report the active cap instead of the symptom
+        _check_interiority(p, grid, full)
+        raise
+    _check_interiority(p, grid, full)
 
-    left, right = assembly.Operator(tb, p.mu).slopes(full)
-    sol = ConnectionSolution(
+    left, right = op.slopes(full)
+    return ConnectionSolution(
         problem=p,
         u=GridFunction(grid, full),
         boundary_slopes=(float(right[0]), float(left[-1])),
-        descent_iters=n_desc, newton_iters=n_newt, cap_touches=hits)
-    if with_sensitivities:
-        compute_sensitivities(sol)
-    return sol
+        descent_iters=n_desc, newton_iters=n_newt)
 
 
 # -- sensitivities and derivatives ---------------------------------------------
 
 
-def _linearized_solve(sol, left_val, right_val):
-    """Solve v'' + 3 a_mu u^2 v = 0 weakly with the given end values."""
+def _linearized_solve(sol, bands, left_val, right_val):
+    """Solve v'' + 3 a_mu u^2 v = 0 weakly with the given end values, the
+    Jacobian ``bands`` of the block at sol.u given."""
     p = sol.problem
     grid = sol.grid
     full = sol.u.values
-    bands = assembly.jacobian_bands(grid.tables, p.mu, full)
     dLR = bands[1]
     rhs = np.zeros(len(full) - 2)
     rhs[0] -= dLR[0] * left_val
@@ -433,8 +370,10 @@ def _linearized_solve(sol, left_val, right_val):
 
 def compute_sensitivities(sol):
     """The pair v (left data 1, right 0) and z (left 0, right 1) at sol.u."""
-    sol.v = _linearized_solve(sol, 1.0, 0.0)
-    sol.z = _linearized_solve(sol, 0.0, 1.0)
+    bands = assembly.Operator(sol.grid.tables, sol.problem.mu).bands(
+        sol.u.values)
+    sol.v = _linearized_solve(sol, bands, 1.0, 0.0)
+    sol.z = _linearized_solve(sol, bands, 0.0, 1.0)
     return sol.v, sol.z
 
 
@@ -461,8 +400,8 @@ def energy_derivatives(sol):
                               i=p.i, l=p.l, K=p.K, r=p.r)
         start = GridFunction(sol.grid, sol.u.values + dx * v.values
                              + dy * z.values)
-        s = solve_connection(q, init=start, with_sensitivities=False)
-        vals[name] = block_action(s)
+        s = solve_connection(q, init=start)
+        vals[name] = assembly.action(s.u, p.mu)
         steps.append(s.descent_iters)
     fd = ((vals["x+"] - vals["x-"]) / (2.0 * h),
           (vals["y+"] - vals["y-"]) / (2.0 * h))
@@ -475,11 +414,6 @@ def energy_derivatives(sol):
     return pair
 
 
-def block_action(sol):
-    """Action of the converged block solution (clamped grid, so no folding)."""
-    return _block_action(sol.grid.tables, sol.problem.mu, sol.u.full())
-
-
 # -- uniqueness probe ----------------------------------------------------------
 
 
@@ -487,11 +421,12 @@ def uniqueness_probe(p, n_starts, cells=None, rng=None):
     """Re-solve from randomized admissible starts; True iff each lands
     within _PROBE_TOL max(1, sup|u|) of the first solve.
 
-    Starts are smooth noise (coarse normal samples, linearly interpolated)
-    retracted into the admissible set, always with the prescribed endpoints.
+    Starts are smooth noise (coarse normal samples, linearly interpolated),
+    which solve_connection sets to the prescribed endpoints and retracts
+    into the admissible set.
     """
     rng = np.random.default_rng(rng)
-    base = solve_connection(p, cells=cells, with_sensitivities=False)
+    base = solve_connection(p, cells=cells)
     grid = base.grid
     # noise at the scale of the boundary data: starts stay inside the basin
     # of the interior minimizer instead of probing cap-pinned boundary minima
@@ -501,12 +436,9 @@ def uniqueness_probe(p, n_starts, cells=None, rng=None):
         coarse_n = 12 + 4 * p.l
         anchors = np.linspace(grid.nodes[0], grid.nodes[-1], coarse_n)
         noise = rng.normal(0.0, scale, coarse_n)
-        vals = np.interp(grid.nodes, anchors, noise)
-        vals[0], vals[-1] = p.x, p.y
-        _retract(p, grid, vals)
+        start = GridFunction(grid, np.interp(grid.nodes, anchors, noise))
         try:
-            s = solve_connection(p, cells=cells, init=vals,
-                                 with_sensitivities=False)
+            s = solve_connection(p, init=start)
         except (NonConvergence, InteriorityFailure):
             return False
         if float(np.max(np.abs(s.u.values - base.u.values))) > \

@@ -37,7 +37,6 @@ class BumpProfile:
     level: float
     dleft: float
     dright: float
-    sign: str = "+"
 
     @property
     def t(self):
@@ -170,11 +169,12 @@ def _ground_on(w, t0, t1, n):
     # finely cut intervals, so the tolerance stays 16 times above that floor
     u *= math.sqrt(kin / quart)
     floor = np.finfo(float).eps * float(np.max(np.abs(u)) / np.min(tb.h))
-    u, _ = assembly.newton_dirichlet(tb, 0.0, u,
-                                     max(_GROUND_TOL, 16.0 * floor), 60)
+    op = assembly.Operator(tb, 0.0)
+    u, _ = assembly.newton_dirichlet(op, u, max(_GROUND_TOL, 16.0 * floor),
+                                     60)
     if np.max(u) < -np.min(u):
         u = -u
-    left, right = assembly.Operator(tb, 0.0).slopes(u)
+    left, right = op.slopes(u)
     level = 0.25 * assembly.dirichlet_integral(tb, u)
     return grid, u, level, float(right[0]), float(left[-1])
 
@@ -189,7 +189,7 @@ def ground_state(w, mesh=None):
     if not math.isfinite(level):
         raise DegenerateDirection("weight has no positive mass on [0, tau]")
     return BumpProfile(samples=assembly.GridFunction(grid, u), level=level,
-                       dleft=dleft, dright=dright, sign="+")
+                       dleft=dleft, dright=dright)
 
 
 def pinned_zero_detail(w, zeta, mesh=None):

@@ -42,9 +42,6 @@ class SymbolWindow:
     symbols: tuple
     i_start: int = 0
 
-    def __len__(self):
-        return len(self.symbols)
-
 
 def make_window(symbols, i_start=None):
     symbols = tuple(int(v) for v in symbols)

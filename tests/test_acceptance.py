@@ -217,8 +217,7 @@ def test_criterion_07_connection_diagnostics(step_weight):
     for x in (-0.6, -0.3, 0.3, 0.6, 0.9):
         for y in (-0.6, -0.3, 0.3, 0.6, 0.9):
             q = connection.make_connection_problem(step_weight, 2000.0, x, y)
-            s = connection.solve_connection(q, cells=160,
-                                            with_sensitivities=False)
+            s = connection.solve_connection(q, cells=160)
             f = s.u.full()
             nz = verify.sign_changes(f)
             if x * y > 0:
@@ -255,8 +254,7 @@ def test_criterion_09_oracle_cross_validation(step_weight):
     sols = _certified(step_weight)
     worst_rel = max(verify.oracle_residual(s).rel for s in sols.values())
     p = connection.make_connection_problem(step_weight, 2000.0, 0.6, 0.4)
-    sol = connection.solve_connection(p, cells=2000,
-                                      with_sensitivities=False)
+    sol = connection.solve_connection(p, cells=2000)
     grid = sol.u.grid
     full = sol.u.full()
     h = grid.tables.h

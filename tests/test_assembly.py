@@ -239,10 +239,10 @@ def test_newton_step_solves_the_second_variation(step_weight, code, i0, m,
             u, mu, assembly.GridFunction(grid, step)).values
     else:
         tb, full = grid.tables, u.values
-        r = assembly.residual_full(tb, mu, full)[1:-1]
+        op = assembly.Operator(tb, mu)
+        r = op.residual(full)[1:-1]
         step = np.zeros(len(full))
-        step[1:-1] = assembly.solve_interior(
-            tb, r, assembly.jacobian_bands(tb, mu, full))
+        step[1:-1] = assembly.solve_interior(tb, r, op.bands(full))
         applied = assembly.hessian_full(tb, mu, full, step)[1:-1]
     assert np.max(np.abs(applied - r)) <= 1e-9 * np.max(np.abs(r))
 
@@ -418,7 +418,7 @@ def _ref_one_sided_slope(tb, mu, full, uq, node, side):
 def test_operator_slopes(step_weight, sine_weight, w, code, cells, mu,
                          periodic, seed):
     """Operator.slopes: left - right is the residual row, the clamped end
-    slopes are residual_full's end rows bit for bit, and every slope agrees
+    slopes are the residual's end rows bit for bit, and every slope agrees
     with the per-node half-hat sum to 1e-13 relative."""
     w = {"step": step_weight, "sine": sine_weight}.get(w, w)
     grid = assembly.span_grid(w, -1, len(code), cells, periodic=periodic)

@@ -538,12 +538,13 @@ def test_config_keys_are_the_flags():
 @pytest.mark.parametrize("case", [
     "solve-no-mu", "verify-no-mu-to", "connection-no-y", "missing-weight",
     "undecodable-weight", "missing-config", "integrate-empty-interval",
-    "shoot-empty-interval"])
+    "shoot-empty-interval", "integrate-no-samples", "shoot-one-sample"])
 def test_input_error_leaves_failed_manifest(tmp_path, case):
     """Input errors found before any computation still leave the FAILED
     marker and a failed manifest; once they left no outdir at all, and the
     oracle's zero-length intervals exited 5 with an IndexError and a
-    ZeroDivisionError."""
+    ZeroDivisionError, and an oracle CSV of fewer than 2 samples exited 0
+    with the header alone or t0 alone."""
     binary = tmp_path / "w.json"
     binary.write_bytes(b"\xff\xfe\x00")
     argv = {
@@ -557,6 +558,12 @@ def test_input_error_leaves_failed_manifest(tmp_path, case):
                                      "--t0", "0.5", "--t1", "0.5"],
         "shoot-empty-interval": ["oracle", "shoot", "--mu", "10", "--t0", "1",
                                  "--t1", "1", "--x", "0.3", "--y", "0.3"],
+        "integrate-no-samples": ["oracle", "integrate", "--mu", "10", "--t0",
+                                 "0", "--t1", "1", "--samples", "0", "--out",
+                                 "a.csv"],
+        "shoot-one-sample": ["oracle", "shoot", "--mu", "10", "--t1", "1",
+                             "--y", "0.3", "--samples", "1", "--out",
+                             "a.csv"],
     }[case]
     out = tmp_path / "out"
     assert cli.main(argv + ["--outdir", str(out)]) == 2
@@ -668,6 +675,28 @@ def test_connection_interiority_exit_code(tmp_path):
                    "--cells", "120", "--outdir", str(tmp_path)])
     assert rc == 3
     assert os.path.exists(tmp_path / "FAILED")
+
+
+def test_connection_failed_polish_clear_of_caps_exit_code(tmp_path):
+    """At mu 1.5 the Newton polish's line search fails from a descent
+    output that clears both caps: the NewtonFailure stands (exit 4)."""
+    rc = cli.main(["connection", "--mu", "1.5", "--x", "-2", "--y", "-2.5",
+                   "--outdir", str(tmp_path)])
+    assert rc == 4
+    assert "NewtonFailure" in (tmp_path / "FAILED").read_text()
+
+
+def test_connection_polish_over_cap_exit_code(tmp_path):
+    """At mu 0.07 the Newton polish converges to a stationary point over the
+    energy cap of I_0^+: exit 3, and FAILED names the negative margin."""
+    rc = cli.main(["connection", "--mu", "0.07", "--x", "4.9", "--y", "-1.8",
+                   "--l", "2", "--outdir", str(tmp_path)])
+    assert rc == 3
+    text = (tmp_path / "FAILED").read_text()
+    assert text.startswith("InteriorityFailure: cap active on I_0^+")
+    margins = text.split("(margins K: ")[1].split(")")[0]
+    k_margin, r_margin = (float(m.split()[-1]) for m in margins.split(","))
+    assert k_margin > 0.0 > r_margin
 
 
 def test_sweep_artifacts(tmp_path):

@@ -38,7 +38,7 @@ def test_caps_must_be_positive(step_weight, caps):
 
 def test_zero_data_gives_zero(step_weight):
     p = connection.make_connection_problem(step_weight, 500.0, 0.0, 0.0)
-    s = connection.solve_connection(p, cells=120, with_sensitivities=False)
+    s = connection.solve_connection(p, cells=120)
     assert s.u.sup_norm() < 1e-12
 
 
@@ -52,7 +52,7 @@ def test_boundary_values_and_sign(sol, problem):
 
 def test_symmetric_slope_pair(step_weight):
     p = connection.make_connection_problem(step_weight, 1000.0, 0.5, 0.5)
-    s = connection.solve_connection(p, cells=200, with_sensitivities=False)
+    s = connection.solve_connection(p, cells=200)
     dlo, dhi = s.boundary_slopes
     assert math.isclose(dlo, -dhi, rel_tol=1e-9)
     assert dlo < 0.0 < dhi
@@ -60,7 +60,7 @@ def test_symmetric_slope_pair(step_weight):
 
 def test_opposite_sign_single_crossing(step_weight):
     p = connection.make_connection_problem(step_weight, 1000.0, 0.5, -0.5)
-    s = connection.solve_connection(p, cells=200, with_sensitivities=False)
+    s = connection.solve_connection(p, cells=200)
     full = s.u.full()
     crossings = np.sum(full[:-1] * full[1:] < 0.0)
     assert crossings == 1
@@ -117,7 +117,7 @@ def test_fd_check_starts_from_the_tangent_predictor(step_weight, default_caps,
     s = connection.solve_connection(p)
     pair = connection.energy_derivatives(s)
     assert s.fd_check["descent_iters"] == (0, 0, 0, 0)
-    grad = assembly.residual_full(s.grid.tables, mu, s.u.values)
+    grad = assembly.Operator(s.grid.tables, mu).residual(s.u.values)
     v, z = s.sensitivities
     exact = (float(grad @ v.values), float(grad @ z.values))
     scale = max(abs(pair[0]), abs(pair[1]))
@@ -128,8 +128,7 @@ def test_fd_check_starts_from_the_tangent_predictor(step_weight, default_caps,
 def test_gridfunction_init_keeps_its_mesh(sol, problem):
     """A GridFunction start is solved on its own mesh, whatever ``cells``
     would have built; a mesh of another interval is refused."""
-    s = connection.solve_connection(problem, cells=40, init=sol.u,
-                                    with_sensitivities=False)
+    s = connection.solve_connection(problem, cells=40, init=sol.u)
     assert s.grid is sol.grid
     assert (s.descent_iters, s.newton_iters) == (0, 0)
     assert np.array_equal(s.u.values, sol.u.values)
@@ -158,8 +157,7 @@ def test_sensitivity_fd(step_weight):
     sols = {}
     for dx in (0.0, h, -h):
         p = connection.make_connection_problem(step_weight, mu, x + dx, y)
-        sols[dx] = connection.solve_connection(p, cells=160,
-                                               with_sensitivities=(dx == 0.0))
+        sols[dx] = connection.solve_connection(p, cells=160)
     v, _ = sols[0.0].sensitivities
     fd = (sols[h].u.full() - sols[-h].u.full()) / (2 * h)
     assert np.max(np.abs(fd - v.full())) < 1e-5
@@ -173,17 +171,17 @@ def test_interiority_failure_small_mu(step_weight, default_caps):
     K, _ = default_caps
     p = connection.make_connection_problem(step_weight, 0.05, K, K)
     with pytest.raises(InteriorityFailure):
-        connection.solve_connection(p, cells=120, with_sensitivities=False)
+        connection.solve_connection(p, cells=120)
 
 
 def test_block_action_positive(sol):
     # x = y > 0 data forces kinetic energy through the negativity wells
-    assert connection.block_action(sol) > 0.0
+    assert assembly.action(sol.u, sol.problem.mu) > 0.0
 
 
 def test_longer_block(step_weight):
     p = connection.make_connection_problem(step_weight, 3000.0, 0.5, 0.5,
                                            l=2)
-    s = connection.solve_connection(p, cells=160, with_sensitivities=False)
+    s = connection.solve_connection(p, cells=160)
     assert list(p.plus_indices()) == [0, 1]
     assert np.all(s.u.full() > 0.0)
