@@ -17,7 +17,8 @@ Sherman-Morrison correction (Press et al., Numerical Recipes, sec. 2.7).
 The one-call functions gradient and jacobian_matrix use the same operator.
 
 Grids carry the node index of every sigma_i and tau_i their constructor
-placed (``Grid.marks``), which ``Grid.interval_nodes`` reads.
+placed (``Grid.marks``), which ``Grid.interval_nodes`` reads; a window
+grid's ``Grid.rows`` views its data as one row per I_i^+ and I_i^-.
 """
 
 from __future__ import annotations
@@ -44,7 +45,10 @@ class QuadTables:
 
     Points come in Simpson triples on subsegments that never cross a cell
     boundary or a weight breakpoint, so the raw weight is a single polynomial
-    on each subsegment and its sign is constant there.
+    on each subsegment and its sign is constant there.  The points are
+    stored as three blocks, the subsegments' left ends, midpoints and right
+    ends, each sorted by cell, so the points of a node range are three
+    contiguous slices.
     """
     nodes: np.ndarray        # mesh nodes, increasing
     h: np.ndarray            # cell widths
@@ -151,15 +155,16 @@ def cubic_full(tb, mu, u_full):
 
 def dirichlet_energy(h, u):
     """int u'^2 of the interpolant of nodal values u on the cells h (one
-    fewer than the values): the sum of (du/h)^2 h, exact for the
-    interpolant.  Every P1 energy of a node range is this expression."""
+    fewer than the values), one per row of a stack of ranges: the sum of
+    (du/h)^2 h, exact for the interpolant.  Every P1 energy of a node range
+    is this expression, and a row's sum has the bits of its range's."""
     slopes = np.diff(u) / h
-    return float(np.sum(slopes * slopes * h))
+    return np.sum(slopes * slopes * h, axis=-1)
 
 
 def dirichlet_integral(tb, u_full):
     """int u'^2 over the whole mesh (exact for the interpolant)."""
-    return dirichlet_energy(tb.h, u_full)
+    return float(dirichlet_energy(tb.h, u_full))
 
 
 def quartic_integral(tb, mu, u_full):
@@ -465,6 +470,19 @@ class Grid:
             raise IndexOutOfWindow(f"I_{i}^{which} is not inside the mesh") \
                 from None
 
+    def rows(self, a):
+        """A window grid's data by subinterval, as a read-only view: row 2k
+        is I^+ and row 2k+1 is I^- of interval i0 + k.  Data with one entry
+        per node (``full_values``, ``nodes``) gives m + 1 columns, each row
+        sharing its last node with the next row; data with one per cell
+        gives m."""
+        if self.m <= 0:
+            raise WeightError("rows need uniform cells per subinterval")
+        if len(a) == len(self.nodes):
+            return np.lib.stride_tricks.sliding_window_view(
+                a, self.m + 1)[::self.m]
+        return a.reshape(2 * self.n_int, self.m)
+
     def full_values(self, values):
         values = np.asarray(values, dtype=float)
         if not self.periodic:
@@ -572,12 +590,6 @@ def hessian_apply(u, mu, v):
         raise WeightError("u and v must share a grid")
     r = hessian_full(u.grid.tables, mu, u.full(), v.full())
     return GridFunction(u.grid, u.grid.fold(r))
-
-
-def interval_energy(u, i, which="plus"):
-    """int of u'^2 over I_i^+ or I_i^- (exact for the interpolant)."""
-    a, b = u.grid.interval_nodes(i, which)
-    return dirichlet_energy(u.grid.tables.h[a:b], u.full()[a:b + 1])
 
 
 def jacobian_matrix(u, mu):

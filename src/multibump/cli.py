@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import assembly, connection, localfield, oracle, solver, verify, weight
+from . import connection, localfield, oracle, solver, verify, weight
 from .errors import (
     BlowUp,
     CertificationFailure,
@@ -440,7 +440,7 @@ def cmd_connection(cfg, w, run):
     v, z = sol.sensitivities
     grid = sol.u.grid
     # u'(t+) at every node but the last, which has only u'(t-)
-    left, right = assembly.Operator(grid.tables, p.mu).slopes(sol.u.values)
+    left, right = sol.op.slopes(sol.u.values)
     run.add_csv(cfg["out"], ["t", "u", "du"],
                 zip(grid.nodes, sol.u.full(), np.append(right[:-1], left[-1])))
     djdx, djdy = connection.energy_derivatives(sol)

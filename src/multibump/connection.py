@@ -264,9 +264,12 @@ def _descent(p, grid, op, full, r_int):
 
 @dataclass(eq=False)
 class ConnectionSolution:
-    """Converged block minimizer with its linearization data."""
+    """Converged block minimizer with its linearization data.  ``op`` is
+    the block's ``assembly.Operator`` the solve ran on, whose slopes and
+    Jacobian bands at u the report and the sensitivities read."""
     problem: ConnectionProblem
     u: GridFunction
+    op: assembly.Operator
     boundary_slopes: tuple
     v: GridFunction = None
     z: GridFunction = None
@@ -297,7 +300,7 @@ def solve_connection(p, cells=None, init=None):
     polish that fails from a descent output pinned on a cap; a polish that
     fails from a descent output clear of the caps raises its NewtonFailure.
     All residuals, the polish and the end slopes go through one
-    ``assembly.Operator`` of the block.
+    ``assembly.Operator`` of the block, which the solution keeps.
 
     ``init`` is None (the decay profile on ``connection_grid(p, cells)``) or
     a GridFunction on a clamped mesh of the block, which is then the mesh
@@ -336,6 +339,7 @@ def solve_connection(p, cells=None, init=None):
     return ConnectionSolution(
         problem=p,
         u=GridFunction(grid, full),
+        op=op,
         boundary_slopes=(float(right[0]), float(left[-1])),
         descent_iters=n_desc, newton_iters=n_newt)
 
@@ -370,8 +374,7 @@ def _linearized_solve(sol, bands, left_val, right_val):
 
 def compute_sensitivities(sol):
     """The pair v (left data 1, right 0) and z (left 0, right 1) at sol.u."""
-    bands = assembly.Operator(sol.grid.tables, sol.problem.mu).bands(
-        sol.u.values)
+    bands = sol.op.bands(sol.u.values)
     sol.v = _linearized_solve(sol, bands, 1.0, 0.0)
     sol.z = _linearized_solve(sol, bands, 0.0, 1.0)
     return sol.v, sol.z

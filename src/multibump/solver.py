@@ -12,6 +12,9 @@ and each stop's Newton on the solve mesh starts from the interpolated coarse
 solution.  Newton's step count does not depend on the mesh (the
 mesh-independence principle of Allgower, Boehmer, Potra & Rheinboldt), so
 the coarse mesh takes most of the steps at a fraction of their cost.
+
+The guess and the certificate read each subinterval as a row of the window
+(``assembly.Grid.rows``), every interval in one pass.
 """
 
 from __future__ import annotations
@@ -168,90 +171,75 @@ def initial_guess(w, window, bump, grid):
     """Paste the positive bump on each coded interval, zero elsewhere."""
     if len(window.symbols) != grid.n_int:
         raise WeightError("window length does not match the grid span")
+    k = np.flatnonzero(window.symbols)
+    ts = grid.rows(grid.nodes)[2 * k] - w.sigma(grid.i0 + k)[:, None]
+    vv = np.interp(ts, bump.t - bump.t[0], bump.u)
+    vv[:, [0, -1]] = 0.0
+    dofs = grid.dof_of_node(2 * grid.m * k[:, None] + np.arange(grid.m + 1))
     vals = np.zeros(grid.ndof)
-    bt = bump.t - bump.t[0]
-    for p, sym in enumerate(window.symbols):
-        if not sym:
-            continue
-        i = grid.i0 + p
-        a, b = grid.interval_nodes(i, "plus")
-        ts = grid.nodes[a:b + 1] - w.sigma(i)
-        vv = np.interp(ts, bt, bump.u)
-        vv[0] = vv[-1] = 0.0
-        dofs = np.arange(a, b + 1) % grid.ndof
-        vals[dofs] = vv
+    vals[dofs] = vv
     return assembly.GridFunction(grid, vals)
 
 
 def check_membership(u, mu, consts, window):
     """Evaluate conditions (C1)-(C4), positivity and the energy dichotomy.
 
-    One ``assembly.Operator`` gives the residual and C4's junction slopes
-    u'(sigma_i-) and u'(tau_i+) (``Operator.slopes``) from one evaluation
-    of u at the quadrature points."""
+    The energies of C1 and the dichotomy, C3's sups and C2 come from the
+    window's rows (``assembly.Grid.rows``) in one pass, C4 through the node
+    indices of the coded sigma_i and tau_i.  One ``assembly.Operator``
+    gives the residual and C4's junction slopes u'(sigma_i-) and u'(tau_i+)
+    (``Operator.slopes``) from one evaluation of u at the quadrature
+    points."""
     grid = u.grid
     if len(window.symbols) != grid.n_int:
         raise WeightError("window length does not match the grid span")
-    w = grid.w
-    full = u.full()
-    nodes = grid.nodes
     r2 = consts.r ** 2
     upper = 2.0 * (consts.c + consts.c_zeta)
+    rho = consts.rho
     op = assembly.Operator(grid.tables, mu, grid.periodic)
     residual = float(np.max(np.abs(op.residual(u.values))))
     left, right = op.slopes(u.values)
 
-    energies = {}
-    c1 = {}
-    c2 = {}
-    c3 = {}
-    c4 = {}
-    dich = {}
-    ties = {}
-    for p, sym in enumerate(window.symbols):
-        i = grid.i0 + p
-        ep = assembly.interval_energy(u, i, "plus")
-        em = assembly.interval_energy(u, i, "minus")
-        energies[i] = {"plus": ep, "minus": em}
-        ties[i] = abs(ep - r2) <= 1e-12 * max(r2, 1.0)
-        # measure-zero tie: classify as large and leave the flag raised
-        dich[i] = "large" if ep > r2 or ties[i] else "small"
-        c1[i] = (r2 < ep < upper) if sym else (ep < r2)
-        # C3 on every negativity interval of the window
-        ta, tb = grid.interval_nodes(i, "minus")
-        c3[i] = bool(np.max(np.abs(full[ta:tb + 1])) < consts.K)
-        if not sym:
-            continue
-        # C2: strict positivity on the shrunk positivity interval
-        lo = w.sigma(i) + consts.zeta
-        hi = w.tau_i(i) - consts.zeta
-        a = int(np.searchsorted(nodes, lo))
-        b = int(np.searchsorted(nodes, hi, side="right"))
-        inner = full[a:b] if b > a else np.array([])
-        ends = u.eval(np.array([lo, hi]))
-        c2[i] = bool(np.all(inner > 0.0) and np.all(ends > 0.0))
-        # C4: the slopes u'(sigma_i-) and u'(tau_i+) on the negativity side
-        sn, tn = grid.interval_nodes(i, "plus")
-        us, slope_in = full[sn], left[sn]
-        ut, slope_out = full[tn], right[tn]
-        ok = True
-        if us >= 0.0:
-            ok = ok and slope_in < consts.rho
-        if us <= 0.0:
-            ok = ok and slope_in > -consts.rho
-        if ut >= 0.0:
-            ok = ok and slope_out > -consts.rho
-        if ut <= 0.0:
-            ok = ok and slope_out < consts.rho
-        c4[i] = bool(ok)
+    rows = grid.rows(u.full())
+    energy = assembly.dirichlet_energy(grid.rows(grid.tables.h), rows)
+    ep, em = energy[0::2], energy[1::2]
+    sym = np.array(window.symbols, dtype=bool)
+    tie = np.abs(ep - r2) <= 1e-12 * max(r2, 1.0)
+    # measure-zero tie: classify as large and leave the flag raised
+    large = (ep > r2) | tie
+    c1 = np.where(sym, (r2 < ep) & (ep < upper), ep < r2)
+    # C3 on every negativity interval of the window
+    c3 = np.max(np.abs(rows[1::2]), axis=1) < consts.K
+    # C2: strict positivity on the shrunk positivity interval, nodes and ends
+    k = np.flatnonzero(sym)
+    i = grid.i0 + k
+    lo = grid.w.sigma(i) + consts.zeta
+    hi = grid.w.tau_i(i) - consts.zeta
+    t = grid.rows(grid.nodes)[2 * k]
+    inner = (t >= lo[:, None]) & (t <= hi[:, None])
+    ends = u.eval(np.concatenate([lo, hi])).reshape(2, -1)
+    c2 = np.all((rows[2 * k] > 0.0) | ~inner, axis=1) & \
+        np.all(ends > 0.0, axis=0)
+    # C4: the slopes u'(sigma_i-) and u'(tau_i+) on the negativity side
+    sn = 2 * grid.m * k
+    us, din = rows[2 * k, 0], left[sn]
+    ut, dout = rows[2 * k, -1], right[sn + grid.m]
+    c4 = (((us < 0.0) | (din < rho)) & ((us > 0.0) | (din > -rho))
+          & ((ut < 0.0) | (dout > -rho)) & ((ut > 0.0) | (dout < rho)))
 
+    ids = list(range(grid.i0, grid.i0 + grid.n_int))
+    coded = i.tolist()
     return SolveReport(
         residual_inf=residual,
-        interval_energies=energies,
-        condition_flags={"C1": c1, "C2": c2, "C3": c3, "C4": c4},
+        interval_energies={j: {"plus": a, "minus": b} for j, a, b
+                           in zip(ids, ep.tolist(), em.tolist())},
+        condition_flags={"C1": dict(zip(ids, c1.tolist())),
+                         "C2": dict(zip(coded, c2.tolist())),
+                         "C3": dict(zip(ids, c3.tolist())),
+                         "C4": dict(zip(coded, c4.tolist()))},
         positivity=bool(np.all(u.values > 0.0)),
-        dichotomy=dich,
-        ties=ties,
+        dichotomy=dict(zip(ids, np.where(large, "large", "small").tolist())),
+        ties=dict(zip(ids, tie.tolist())),
         mu=float(mu),
     )
 

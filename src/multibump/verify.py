@@ -6,6 +6,9 @@ distance to the singular-limit profile (a bump copied onto the coded
 intervals, zero elsewhere), Hoelder/Lipschitz seminorm behaviour along a
 sweep, minimal-period detection for subharmonics, and an independent
 re-integration of every subinterval with the shooting oracle.
+
+Per-interval numbers are read from the window's rows
+(``assembly.Grid.rows``), each in one pass over one copy of the window.
 """
 
 from __future__ import annotations
@@ -66,18 +69,11 @@ def cutoff_derivative(w, i, ts):
 # -- piecewise-linear sampling helpers -----------------------------------------
 
 
-def _fold_times(grid, ts):
-    ts = np.asarray(ts, dtype=float)
+def _sample(grid, full, ts):
+    """(u, u') of the interpolant of the node values ``full`` at the times
+    ``ts``, an array (periodic fold if set)."""
     if grid.periodic:
-        t0 = grid.nodes[0]
-        ts = t0 + np.mod(ts - t0, grid.span)
-    return ts
-
-
-def _sample(grid, values, ts):
-    """(u, u') of the interpolant at arbitrary times (periodic fold if set)."""
-    full = grid.full_values(values)
-    ts = _fold_times(grid, ts)
+        ts = grid.nodes[0] + np.mod(ts - grid.nodes[0], grid.span)
     cell = np.clip(np.searchsorted(grid.nodes, ts, side="right") - 1,
                    0, len(grid.nodes) - 2)
     h = grid.tables.h
@@ -110,6 +106,11 @@ def nehari_identities(sol):
     (iii) whole-window int u'^2 = int a_mu u^4, relative to int u'^2;
     (iv)  cutoff identity int ((eta_i u)')^2 = int a_mu eta_i^2 u^4
           + int eta_i'^2 u^2, relative to the left side.
+
+    A coded interval is a row of the window (``assembly.Grid.rows``): (ii)
+    reads its energy from the rows and sums its quadrature points as three
+    contiguous slices of the tables, and (iv) looks up only the mesh nodes
+    of the cutoff's support, sampling one copy of the window.
     """
     w = sol.window
     grid = sol.grid
@@ -118,30 +119,32 @@ def nehari_identities(sol):
     full = u.full()
     tb = grid.tables
     wspec = grid.w
+    m = grid.m
 
     op = assembly.Operator(tb, mu, grid.periodic)
     g = op.residual(u.values)
     left, right = op.slopes(u.values)
-    coded = [w.i_start + j for j, s in enumerate(w.symbols) if s == 1]
+    k = np.flatnonzero(w.symbols)
+    a = 2 * m * k                    # node of sigma_i, and a + m of tau_i
     keep = np.ones(grid.ndof, dtype=bool)
-    for i in coded:
-        a, b = grid.interval_nodes(i, "plus")
-        keep[grid.dof_of_node(np.arange(a - 1, b + 2))] = False
+    keep[grid.dof_of_node(a[:, None] + np.arange(-1, m + 2))] = False
     res_i = float(np.max(np.abs(g[keep]))) if np.any(keep) else 0.0
 
-    res_ii = 0.0
-    uq_all = assembly._at_points(tb, full)
-    for i in coded:
-        a, b = grid.interval_nodes(i, "plus")
-        kin = assembly.dirichlet_energy(tb.h[a:b], full[a:b + 1])
-        mask = (tb.qcell >= a) & (tb.qcell < b)
-        quart = float(np.sum(tb.qw[mask] * tb.amu(mu)[mask]
-                             * uq_all[mask] ** 4))
-        # the outside half-hat fluxes make the discrete identity exact:
-        # summing u_j g_j over the interval's nodes telescopes to exactly
-        # these boundary terms, so a converged iterate leaves machine noise
-        bdry = right[b] * full[b] - left[a] * full[a]
-        res_ii = max(res_ii, abs(kin - quart - bdry) / max(kin, 1.0))
+    kin = assembly.dirichlet_energy(grid.rows(tb.h)[2 * k],
+                                    grid.rows(full)[2 * k])
+    # the points of the cells [a, a + m) are the same slice of each of the
+    # tables' three blocks, summed in the tables' order
+    f = tb.qw * tb.amu(mu) * assembly._at_points(tb, full) ** 4
+    f = f.reshape(3, -1)
+    s0, s1 = np.searchsorted(tb.qcell[:f.shape[1]], [a, a + m])
+    quart = np.array([np.sum(f[:, p:q].ravel()) for p, q in zip(s0, s1)])
+    # the outside half-hat fluxes make the discrete identity exact:
+    # summing u_j g_j over the interval's nodes telescopes to exactly
+    # these boundary terms, so a converged iterate leaves machine noise;
+    # an end interval of a clamped window has no outside slope (NaN)
+    bdry = right[a + m] * full[a + m] - left[a] * full[a]
+    res_ii = float(np.fmax.reduce(
+        np.abs(kin - quart - bdry) / np.maximum(kin, 1.0), initial=0.0))
 
     kin_all = assembly.dirichlet_integral(tb, full)
     quart_all = assembly.quartic_integral(tb, mu, full)
@@ -149,26 +152,24 @@ def nehari_identities(sol):
 
     res_iv = 0.0
     delta = 0.25 * (wspec.period - wspec.tau)
-    for i in coded:
+    for i, j0 in zip((w.i_start + k).tolist(), a - m):
         lo = wspec.sigma(i) - delta
         hi = wspec.tau_i(i) + delta
         joints = [lo, wspec.sigma(i), wspec.tau_i(i), hi]
-        # mesh nodes inside the support, including periodic preimages when
-        # the support spills past the window edge (the interpolant has kinks
-        # at every folded node image, and Gauss segments must not cross them)
+        # the support lies in the rows of I_{i-1}^-, I_i^+ and I_i^-; on a
+        # periodic grid their nodes past the window edge are the periodic
+        # images (the interpolant has kinks at every folded node image, and
+        # Gauss segments must not cross them)
+        j = np.arange(j0, j0 + 3 * m + 1)
         if grid.periodic:
-            span = grid.span
-            k0 = math.floor((lo - grid.nodes[-1]) / span)
-            k1 = math.ceil((hi - grid.nodes[0]) / span)
-            cand = np.concatenate(
-                [grid.nodes[:-1] + k * span for k in range(k0, k1 + 1)])
+            t = grid.nodes[j % grid.ndof] + (j // grid.ndof) * grid.span
         else:
-            cand = grid.nodes
-        inner = cand[(cand > lo) & (cand < hi)]
+            t = grid.nodes[j[(j >= 0) & (j < len(grid.nodes))]]
+        inner = t[(t > lo) & (t < hi)]
         knots = wspec.knots_in_span(lo, hi)
         breaks = np.unique(np.concatenate([joints, inner, knots]))
         tq, wq = _gauss_segments(breaks)
-        uq, duq = _sample(grid, u.values, tq)
+        uq, duq = _sample(grid, full, tq)
         eta = cutoff(wspec, i, tq)
         deta = cutoff_derivative(wspec, i, tq)
         amu = wspec.a_mu(mu, tq)
@@ -185,23 +186,13 @@ def nehari_identities(sol):
 
 def interior_maxima(sol, delta):
     """Per negativity interval: (max |u| on [tau_i+delta, sigma_{i+1}-delta],
-    max |u| at the interval's endpoints)."""
+    max |u| at the interval's endpoints), read from the window's I^- rows."""
     grid = sol.grid
-    full = sol.u.full()
-    w = grid.w
-    out = []
-    lo_i = sol.window.i_start
-    for j, _ in enumerate(sol.window.symbols):
-        i = lo_i + j
-        a, b = grid.interval_nodes(i, "minus")
-        t0, t1 = grid.nodes[a], grid.nodes[b]
-        if t1 - t0 <= 2.0 * delta:
-            raise WeightError("delta leaves no interior on a negativity "
-                              "interval")
-        mask = (grid.nodes >= t0 + delta) & (grid.nodes <= t1 - delta)
-        out.append((float(np.max(np.abs(full[mask]))),
-                    max(abs(float(full[a])), abs(float(full[b])))))
-    return out
+    u = np.abs(grid.rows(sol.u.full())[1::2])
+    t = grid.rows(grid.nodes)[1::2]
+    inner = (t >= t[:, :1] + delta) & (t <= t[:, -1:] - delta)
+    return list(zip(np.max(u, axis=1, where=inner, initial=0.0).tolist(),
+                    np.maximum(u[:, 0], u[:, -1]).tolist()))
 
 
 def _decay_margin(w):
@@ -288,19 +279,14 @@ def kendall_tau(x, y):
 
 
 def limit_profile(sol, bump):
-    """The singular-limit candidate on sol's grid: bump copies on coded
-    intervals, zero elsewhere."""
+    """The singular-limit candidate on sol's grid: bump copies on the coded
+    intervals' I^+ rows, zero elsewhere."""
     grid = sol.grid
-    w = grid.w
+    k = np.flatnonzero(sol.window.symbols)
+    shift = grid.w.period * (sol.window.i_start + k)
     vals = np.zeros(grid.ndof)
-    lo_i = sol.window.i_start
-    for j, s in enumerate(sol.window.symbols):
-        if s != 1:
-            continue
-        i = lo_i + j
-        a, b = grid.interval_nodes(i, "plus")
-        vals[grid.dof_of_node(np.arange(a, b + 1))] = bump.samples.eval(
-            grid.nodes[a:b + 1] - w.period * i)
+    vals[grid.dof_of_node(2 * grid.m * k[:, None] + np.arange(grid.m + 1))] = \
+        bump.samples.eval(grid.rows(grid.nodes)[2 * k] - shift[:, None])
     return assembly.GridFunction(grid, vals)
 
 
@@ -415,27 +401,21 @@ def limit_distance(sol, bump):
     holder = _holder_seminorm(grid.nodes, dfull, HOLDER_ALPHA,
                               float(np.max(h)))
 
-    ufull = sol.u.full()
-    lfull = grid.full_values(limit.values)
-    per = {}
-    lo_i = sol.window.i_start
-    for j, s in enumerate(sol.window.symbols):
-        i = lo_i + j
-        a, b = grid.interval_nodes(i, "plus")
-        seg_h = h[a:b]
-        d0 = float(np.max(np.abs(dfull[a:b + 1])))
-        d1 = float(np.max(np.abs(np.diff(dfull[a:b + 1]) / seg_h)))
-        # weight sampled a hair inside the interval so junction nodes read
-        # the positivity side of the kink (one-sided second derivatives)
-        eps = 1e-9 * w.period
-        tw = np.clip(grid.nodes[a:b + 1], grid.nodes[a] + eps,
-                     grid.nodes[b] - eps)
-        ap = w.a_plus(tw)
-        d2 = float(np.max(np.abs(ap * (ufull[a:b + 1] ** 3
-                                       - lfull[a:b + 1] ** 3))))
-        per[i] = max(d0, d1, d2)
+    # per I^+ row: the distance, its slope and its second derivative
+    d = grid.rows(dfull)[0::2]
+    d1 = np.diff(d) / grid.rows(h)[0::2]
+    # weight sampled a hair inside the interval so junction nodes read
+    # the positivity side of the kink (one-sided second derivatives)
+    eps = 1e-9 * w.period
+    t = grid.rows(grid.nodes)[0::2]
+    ap = w.a_plus(np.clip(t, t[:, :1] + eps, t[:, -1:] - eps))
+    d2 = ap * (grid.rows(sol.u.full() ** 3)[0::2]
+               - grid.rows(grid.full_values(limit.values) ** 3)[0::2])
+    per = np.maximum.reduce([np.max(np.abs(x), axis=1) for x in (d, d1, d2)])
     return LimitDistance(sup=sup, holder=holder, lipschitz=lip,
-                         per_interval=per)
+                         per_interval=dict(zip(
+                             range(grid.i0, grid.i0 + grid.n_int),
+                             per.tolist())))
 
 
 # -- minimal period ---------------------------------------------------------------
@@ -443,20 +423,16 @@ def limit_distance(sol, bump):
 
 def minimal_period(sol):
     """Smallest divisor d of the window's m periods with u(. + dT) = u
-    within 1e-6 sup-relative."""
+    within 1e-6 sup-relative, comparing the window's rows a period apart."""
     grid = sol.grid
     if not grid.periodic:
         raise WeightError("minimal period needs a periodic grid")
-    if grid.m <= 0:
-        raise WeightError("minimal period needs uniform cells per subinterval")
     m = grid.n_int
-    vals = sol.u.values
-    tol = 1e-6 * max(float(np.max(np.abs(vals))), 1e-300)
-    per_period = 2 * grid.m
+    periods = grid.rows(sol.u.values).reshape(m, -1)     # one row per period
+    tol = 1e-6 * max(float(np.max(np.abs(periods))), 1e-300)
     for d in range(1, m + 1):
-        if m % d:
-            continue
-        if float(np.max(np.abs(np.roll(vals, -d * per_period) - vals))) <= tol:
+        if m % d == 0 and float(np.max(np.abs(
+                np.roll(periods, -d, axis=0) - periods))) <= tol:
             return d
     return m
 
@@ -491,23 +467,17 @@ def oracle_residual(sol):
     left, right = assembly.Operator(grid.tables, sol.mu,
                                     grid.periodic).slopes(sol.u.values)
     sup = float(np.max(np.abs(full)))
-    keys, spans, problems = [], [], []
-    lo_i = sol.window.i_start
-    for j, _ in enumerate(sol.window.symbols):
-        i = lo_i + j
-        for which, tag in (("plus", "+"), ("minus", "-")):
-            a, b = grid.interval_nodes(i, which)
-            s0 = left[grid.dof_of_node(b)] \
-                if oracle.shoots_from_t1(full[a], full[b]) else right[a]
-            problems.append((grid.nodes[a], grid.nodes[b], full[a], full[b],
-                             s0))
-            keys.append((i, tag))
-            spans.append((a, b))
-    results = oracle.shoot_batch(grid.w, sol.mu, problems, rtol=ORACLE_RTOL)
-    per = {}
-    for key, (a, b), res in zip(keys, spans, results):
-        uo = res.dense.eval_u(grid.nodes[a:b + 1])
-        per[key] = float(np.max(np.abs(uo - full[a:b + 1])))
+    t, u = grid.rows(grid.nodes), grid.rows(full)
+    a = grid.m * np.arange(2 * grid.n_int)        # first node of each row
+    s0 = np.where(oracle.shoots_from_t1(u[:, 0], u[:, -1]),
+                  left[grid.dof_of_node(a + grid.m)], right[a])
+    results = oracle.shoot_batch(
+        grid.w, sol.mu, list(zip(t[:, 0], t[:, -1], u[:, 0], u[:, -1], s0)),
+        rtol=ORACLE_RTOL)
+    keys = [(i, tag) for i in range(grid.i0, grid.i0 + grid.n_int)
+            for tag in "+-"]
+    per = {key: float(np.max(np.abs(res.dense.eval_u(tr) - ur)))
+           for key, tr, ur, res in zip(keys, t, u, results)}
     gap = max(per.values())
     return OracleCheck(per_interval=per, gap=gap,
                        rel=gap / sup if sup > 0 else 0.0)
@@ -537,13 +507,10 @@ def run_sweep(w, symbols, mu_list, cells=0):
         h = gf.grid.tables.h
         rows["decay"].append(max(r[0] for r in maxima))
         rows["data"].append(max(r[1] for r in maxima))
-        p1 = 0.0
-        for j, _ in enumerate(win.symbols):
-            i = win.i_start + j
-            a, b = gf.grid.interval_nodes(i, "minus")
-            p1 = max(p1, float(np.max(np.abs(full[a:b + 1])))
-                     + assembly.dirichlet_energy(h[a:b], full[a:b + 1]))
-        rows["p1"].append(p1)
+        minus = gf.grid.rows(full)[1::2]
+        rows["p1"].append(float(np.max(
+            np.max(np.abs(minus), axis=1)
+            + assembly.dirichlet_energy(gf.grid.rows(h)[1::2], minus))))
         ld = limit_distance(sol, bump)
         per = ld.per_interval
         rows["p2"].append(max(per[i] for i in per if i in coded))

@@ -92,12 +92,24 @@ def test_stiffness_annihilates_linear(step_weight):
 
 
 def test_interval_energy_partition(step_weight, rng):
-    grid = assembly.span_grid(step_weight, 0, 2, 20, periodic=True)
+    """Grid.rows partitions a window: row 2k is I^+ and row 2k+1 is I^- of
+    interval i0 + k (the ranges Grid.marks records), each row's energy has
+    the bits of its node range's, and the energies sum to the whole."""
+    grid = assembly.span_grid(step_weight, -1, 3, 20, periodic=True)
     u = assembly.GridFunction(grid, rng.standard_normal(grid.ndof))
-    total = assembly.dirichlet_integral(grid.tables, u.full())
-    parts = sum(assembly.interval_energy(u, i, which)
-                for i in (0, 1) for which in ("plus", "minus"))
-    assert math.isclose(total, parts, rel_tol=1e-12)
+    full = u.full()
+    h = grid.tables.h
+    rows = grid.rows(full)
+    assert rows.shape == (6, 21) and grid.rows(h).shape == (6, 20)
+    energies = assembly.dirichlet_energy(grid.rows(h), rows)
+    for k, i in enumerate(range(-1, 2)):
+        for r, which in ((2 * k, "plus"), (2 * k + 1, "minus")):
+            a, b = grid.interval_nodes(i, which)
+            assert np.array_equal(rows[r], full[a:b + 1])
+            assert energies[r] == assembly.dirichlet_energy(h[a:b],
+                                                            full[a:b + 1])
+    total = assembly.dirichlet_integral(grid.tables, full)
+    assert math.isclose(total, float(np.sum(energies)), rel_tol=1e-12)
 
 
 def test_grid_marks(step_weight):

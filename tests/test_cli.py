@@ -370,6 +370,17 @@ def _readme_cli_calls():
             if line.startswith("multibump ")]
 
 
+def test_readme_library_block_runs(capsys):
+    """The README's Library example runs as written and prints the window's
+    minimal period last."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as f:
+        text = f.read()
+    block = text.split("## Library", 1)[1].split("```python\n", 1)[1]
+    exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[-1] == "3"
+
+
 def test_readme_cli_calls_run(tmp_path):
     """The README's CLI examples run as written, each into its own outdir."""
     calls = _readme_cli_calls()
@@ -657,6 +668,25 @@ def test_connection_report(tmp_path):
     assert all(mk > 0.0 and mr > 0.0 for mk, mr in rep["cap_margins"])
     # a start far from the minimizer still descends before the polish
     assert (rep["descent_iters"], rep["newton_iters"]) == (6, 3)
+
+
+def test_connection_builds_one_operator_per_block_solve(tmp_path,
+                                                      monkeypatch):
+    """With the levels cached, a connection run builds one Operator for its
+    block, which the CSV slopes and the sensitivity bands read, and one for
+    each of the four FD solves."""
+    argv = ["connection", "--mu", "2000", "--x", "0.6", "--y", "0.4"]
+    assert cli.main(argv + ["--outdir", str(tmp_path / "warm")]) == 0
+    built = []
+    init = assembly.Operator.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(assembly.Operator, "__init__", counted)
+    assert cli.main(argv + ["--outdir", str(tmp_path / "run")]) == 0
+    assert len(built) == 5
 
 
 def test_connection_fd_check_on_one_mesh(tmp_path):
