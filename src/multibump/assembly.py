@@ -335,26 +335,27 @@ def solve_tridiagonal(diag, off, rhs):
     return x
 
 
-def solve_interior(tb, rhs, bands=None, keep=None):
+def solve_interior(tb, rhs, bands=None, keep=None, definite=False):
     """Solve with the interior rows of a clamped mesh's tridiagonal system.
 
     ``bands`` are cellwise blocks (LL, LR, RR) as from ``Operator.bands``
-    and are solved by ``solve_tridiagonal``; without them the system is the
-    stiffness matrix, positive definite, and is solved by banded Cholesky.
-    The end nodes are eliminated, and with ``keep`` (node indices) every
-    node left out of it.
+    and are solved by ``solve_tridiagonal``, or by banded Cholesky when
+    ``definite``, which raises LinAlgError on a system that is not positive
+    definite; without them the system is the stiffness matrix, positive
+    definite, and is solved by banded Cholesky.  The end nodes are
+    eliminated, and with ``keep`` (node indices) every node left out of it.
     """
-    spd = bands is None
-    if spd:
+    if bands is None:
         inv = 1.0 / tb.h
         diag, off = inv[:-1] + inv[1:], -inv[1:-1]
+        definite = True
     else:
         LL, LR, RR = bands
         diag, off = RR[:-1] + LL[1:], LR[1:-1]
     if keep is not None:
         k = keep - 1
         diag, off = diag[k], np.where(np.diff(k) == 1, off[k[:-1]], 0.0)
-    if not spd:
+    if not definite:
         return solve_tridiagonal(diag, off, rhs)
     ab = np.zeros((2, len(diag)))
     ab[0, 1:] = off

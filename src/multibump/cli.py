@@ -362,17 +362,19 @@ def _mu_grid(config):
 
 
 def _crossings(nodes, values):
-    """Linear-interpolation zero crossings of a nodal function."""
-    out = []
-    for i in range(len(values) - 1):
-        a, b = values[i], values[i + 1]
-        if a == 0.0:
-            out.append(float(nodes[i]))
-        elif a * b < 0.0:
-            out.append(float(nodes[i] - a * (nodes[i + 1] - nodes[i]) / (b - a)))
+    """Linear-interpolation zero crossings of a nodal function, in order:
+    every node where it vanishes, and on every cell whose ends have strict
+    opposite signs the root of its chord."""
+    a, b = values[:-1], values[1:]
+    zero = a == 0.0
+    i = np.flatnonzero(zero | (a * b < 0.0))
+    out = nodes[i].astype(float)
+    cut = ~zero[i]
+    j = i[cut]
+    out[cut] = nodes[j] - a[j] * (nodes[j + 1] - nodes[j]) / (b[j] - a[j])
     if values[-1] == 0.0:
-        out.append(float(nodes[-1]))
-    return out
+        out = np.append(out, nodes[-1])
+    return out.tolist()
 
 
 # -- subcommands ----------------------------------------------------------------

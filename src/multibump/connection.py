@@ -23,13 +23,18 @@ The block solver reuses the finite-element machinery on a clamped sub-grid;
 boundary conditions are imposed by node elimination, and one
 ``assembly.Operator`` of the block gives every residual, the Newton step and
 the end slopes.  A solve is one path: projected descent under the caps, then
-a single unconstrained Newton polish, then one verdict.  Constraints are
+a single unconstrained Newton polish, then one verdict.  Each descent
+direction solves the block's own Hessian (the operator's Jacobian bands at
+the iterate) by banded Cholesky, the stiffness matrix standing in where the
+Hessian is not positive definite; on the step weight at mu 1e2 to 1e4 with
+data in (0, 1), one such step hands over to the polish.  Constraints are
 handled by an active-set retraction during descent, never by penalties: the
 minimizer is expected interior.  If the polish converges, a cap active (or
 violated) at its result is reported as InteriorityFailure, the operational
 signal that mu sits below the working threshold.  If the polish fails, the
-descent's output is read the same way: on a cap it is InteriorityFailure,
-clear of the caps the polish's NewtonFailure stands.
+descent's output is read the same way: on a cap (step weight, mu 1.5,
+x -2, y -2.5) it is InteriorityFailure, clear of the caps the polish's
+NewtonFailure stands.
 """
 
 from __future__ import annotations
@@ -232,9 +237,16 @@ def _block_action(tb, mu, full):
 
 
 def _descent(p, grid, op, full, r_int):
-    """Stiffness-preconditioned projected descent with Armijo backtracking,
-    from ``full`` with interior residual rows ``r_int``, until the residual
-    falls by _DESCENT_RTOL or a line search stalls."""
+    """Projected descent with Armijo backtracking on the block action, from
+    ``full`` with interior residual rows ``r_int``, until the residual falls
+    by _DESCENT_RTOL or a line search stalls.
+
+    Each direction solves the block's Hessian, the Jacobian bands of ``op``
+    at the iterate, on the interior rows by banded Cholesky: near a strict
+    minimizer under simple bounds that is the right metric, and the step is
+    projected Newton's (Bertsekas, SIAM J. Control Optim. 20, 1982).  Where
+    the Hessian is not positive definite (low mu, large data) the stiffness
+    matrix takes its place.  Every trial is retracted under the caps."""
     tb = grid.tables
     J = _block_action(tb, p.mu, full)
     r0 = max(float(np.max(np.abs(r_int))), 1e-30)
@@ -243,7 +255,11 @@ def _descent(p, grid, op, full, r_int):
         rn = float(np.max(np.abs(r_int)))
         if rn <= _DESCENT_RTOL * r0:
             break
-        d = assembly.solve_interior(tb, r_int)
+        try:
+            d = assembly.solve_interior(tb, r_int, op.bands(full),
+                                        definite=True)
+        except np.linalg.LinAlgError:
+            d = assembly.solve_interior(tb, r_int)
         slope = float(r_int @ d)
         alpha = 1.0
         while True:
@@ -291,11 +307,11 @@ class ConnectionSolution:
 def solve_connection(p, cells=None, init=None):
     """Minimize the block action over the admissible class at data (x, y).
 
-    Projected descent under the caps finds the basin; one unconstrained
-    Newton polish on the Euler-Lagrange system converges in it.  A start
-    already in Newton's full-step region goes straight to the polish:
-    reducing its residual by the descent's factor would ask for less than
-    round-off.  The verdict reads the caps once: a polish that converges
+    Projected descent under the caps, preconditioned by the block's
+    Hessian, finds the basin; one unconstrained Newton polish on the
+    Euler-Lagrange system converges in it.  A start already in Newton's
+    full-step region goes straight to the polish: reducing its residual by
+    the descent's factor would ask for less than round-off.  The verdict reads the caps once: a polish that converges
     with a cap active (or violated) raises InteriorityFailure, and so does a
     polish that fails from a descent output pinned on a cap; a polish that
     fails from a descent output clear of the caps raises its NewtonFailure.

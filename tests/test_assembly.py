@@ -259,6 +259,27 @@ def test_newton_step_solves_the_second_variation(step_weight, code, i0, m,
     assert np.max(np.abs(applied - r)) <= 1e-9 * np.max(np.abs(r))
 
 
+def test_solve_interior_definite_bands(step_weight, rng):
+    """Banded Cholesky on the Jacobian bands: the stiffness solve at u = 0,
+    the LU solve's answer where the Hessian is positive definite, and
+    LinAlgError where it is not."""
+    grid = assembly.span_grid(step_weight, 0, 1, 40, periodic=False)
+    tb = grid.tables
+    op = assembly.Operator(tb, 10.0)
+    rhs = rng.normal(size=len(tb.nodes) - 2)
+    zero = np.zeros(len(tb.nodes))
+    assert np.array_equal(
+        assembly.solve_interior(tb, rhs, op.bands(zero), definite=True),
+        assembly.solve_interior(tb, rhs))
+    small = np.full(len(tb.nodes), 0.1)
+    chol = assembly.solve_interior(tb, rhs, op.bands(small), definite=True)
+    lu = assembly.solve_interior(tb, rhs, op.bands(small))
+    assert np.max(np.abs(chol - lu)) <= 1e-12 * np.max(np.abs(lu))
+    with pytest.raises(np.linalg.LinAlgError):
+        assembly.solve_interior(tb, rhs, op.bands(100.0 * small),
+                                definite=True)
+
+
 # -- the operator against the expressions it replaced --------------------------
 #
 # Kept verbatim as the reference: every product of the operator must keep

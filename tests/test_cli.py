@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multibump import (assembly, cli, localfield, oracle, solver, verify,
-                       weight)
+from multibump import (assembly, cli, connection, localfield, oracle, solver,
+                       verify, weight)
 from multibump.errors import NewtonFailure, WeightError
 
 C_STEP = 15.756060010769785
@@ -653,6 +653,46 @@ def test_oracle_integrate_csv(tmp_path):
     assert data["u"][0] == 0.0
 
 
+def _crossings_loop(nodes, values):
+    """The per-node loop ``cli._crossings`` replaced, kept as its reference."""
+    out = []
+    for i in range(len(values) - 1):
+        a, b = values[i], values[i + 1]
+        if a == 0.0:
+            out.append(float(nodes[i]))
+        elif a * b < 0.0:
+            out.append(float(nodes[i] - a * (nodes[i + 1] - nodes[i]) / (b - a)))
+    if values[-1] == 0.0:
+        out.append(float(nodes[-1]))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(2, 40))
+def test_crossings_match_the_loop(data, n):
+    """Same floats in the same order as the loop, on values with exact
+    zeros (of both signs, also at the ends) and sign changes."""
+    gaps = data.draw(st.lists(st.floats(1e-6, 10.0), min_size=n - 1,
+                              max_size=n - 1))
+    start = data.draw(st.floats(-10.0, 10.0))
+    nodes = start + np.concatenate([[0.0], np.cumsum(gaps)])
+    values = np.array(data.draw(st.lists(
+        st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3)
+        | st.floats(-1e-300, 1e-300), min_size=n, max_size=n)))
+    got = cli._crossings(nodes, values)
+    want = _crossings_loop(nodes, values)
+    assert type(got) is list and all(type(t) is float for t in got)
+    assert np.array_equal(got, want)
+
+
+def test_crossings_zeros_at_the_ends():
+    nodes = np.linspace(0.0, 6.0, 7)
+    values = np.array([0.0, 1.0, -1.0, 0.0, -0.0, 2.0, 0.0])
+    want = [0.0, 1.5, 3.0, 4.0, 6.0]
+    assert cli._crossings(nodes, values) == _crossings_loop(nodes, values) \
+        == want
+
+
 def test_connection_report(tmp_path):
     d = str(tmp_path)
     rc = cli.main(["connection", "--mu", "2000", "--x", "0.6", "--y", "0.4",
@@ -666,8 +706,9 @@ def test_connection_report(tmp_path):
     assert all(signs.values())
     assert max(rep["fd_checks"]["rel_err"]) < 1e-5
     assert all(mk > 0.0 and mr > 0.0 for mk, mr in rep["cap_margins"])
-    # a start far from the minimizer still descends before the polish
-    assert (rep["descent_iters"], rep["newton_iters"]) == (6, 3)
+    # a start far from the minimizer still descends before the polish: one
+    # Hessian-preconditioned step, then three Newton steps
+    assert (rep["descent_iters"], rep["newton_iters"]) == (1, 3)
 
 
 def test_connection_builds_one_operator_per_block_solve(tmp_path,
@@ -707,10 +748,37 @@ def test_connection_interiority_exit_code(tmp_path):
     assert os.path.exists(tmp_path / "FAILED")
 
 
-def test_connection_failed_polish_clear_of_caps_exit_code(tmp_path):
-    """At mu 1.5 the Newton polish's line search fails from a descent
-    output that clears both caps: the NewtonFailure stands (exit 4)."""
+def _failed_margins(text):
+    """(K margin, r^2 margin) an InteriorityFailure's FAILED text names."""
+    margins = text.split("(margins K: ")[1].split(")")[0]
+    return tuple(float(m.split()[-1]) for m in margins.split(","))
+
+
+def test_connection_descent_pinned_on_caps_exit_code(tmp_path):
+    """At mu 1.5 the descent reaches the constrained minimizer pinned on
+    both caps of I_0^+, where the polish has no interior stationary point:
+    exit 3, with both margins inside the 2 _CAP_SLACK band."""
     rc = cli.main(["connection", "--mu", "1.5", "--x", "-2", "--y", "-2.5",
+                   "--outdir", str(tmp_path)])
+    assert rc == 3
+    text = (tmp_path / "FAILED").read_text()
+    assert text.startswith("InteriorityFailure: cap active on I_0^+")
+    k_margin, r_margin = _failed_margins(text)
+    # as FAILED prints them, to the last of their four digits
+    assert k_margin == pytest.approx(7.417e-9, rel=2e-4)
+    assert r_margin == pytest.approx(3.125e-11, rel=4e-4)
+    caps = connection.make_connection_problem(weight.make_step_weight(),
+                                              1.5, -2.0, -2.5)
+    assert k_margin <= 2.0 * connection._CAP_SLACK * caps.K
+    assert r_margin <= 2.0 * connection._CAP_SLACK * caps.r ** 2
+
+
+def test_connection_failed_polish_clear_of_caps_exit_code(tmp_path):
+    """With caps K 1.3 and r 1.5 at mu 0.29 the Newton polish's line search
+    fails from a descent output that clears both caps: the NewtonFailure
+    stands (exit 4)."""
+    rc = cli.main(["connection", "--mu", "0.29", "--x", "-0.7", "--y",
+                   "-0.66", "--l", "1", "--K", "1.3", "--r", "1.5",
                    "--outdir", str(tmp_path)])
     assert rc == 4
     assert "NewtonFailure" in (tmp_path / "FAILED").read_text()
@@ -724,8 +792,7 @@ def test_connection_polish_over_cap_exit_code(tmp_path):
     assert rc == 3
     text = (tmp_path / "FAILED").read_text()
     assert text.startswith("InteriorityFailure: cap active on I_0^+")
-    margins = text.split("(margins K: ")[1].split(")")[0]
-    k_margin, r_margin = (float(m.split()[-1]) for m in margins.split(","))
+    k_margin, r_margin = _failed_margins(text)
     assert k_margin > 0.0 > r_margin
 
 

@@ -125,6 +125,34 @@ def test_fd_check_starts_from_the_tangent_predictor(step_weight, default_caps,
         assert abs(fd - want) < 1e-6 * scale
 
 
+@settings(max_examples=60, deadline=None)
+@given(mu=st.floats(1e2, 1e4),
+       x=st.floats(0.01, 1.0, exclude_max=True),
+       y=st.floats(0.01, 1.0, exclude_max=True),
+       l=st.sampled_from([1, 2]))
+def test_descent_takes_one_hessian_step(step_weight, default_caps, mu, x, y,
+                                        l):
+    """On the benchmark's block ranges the block's Hessian is positive
+    definite along the descent, so the decay profile hands over to the
+    polish after one projected Newton step, and the polish converges in
+    at most three more, clear of both caps."""
+    K, r = default_caps
+    p = connection.make_connection_problem(step_weight, mu, x, y, l=l,
+                                           K=K, r=r)
+    s = connection.solve_connection(p)
+    assert s.descent_iters <= 1
+    assert s.descent_iters + s.newton_iters <= 4
+    for mK, mr in connection.cap_margins(p, s.grid, s.u.full()):
+        assert mK > 2.0 * connection._CAP_SLACK * K
+        assert mr > 2.0 * connection._CAP_SLACK * r ** 2
+    # the interior Hessian at the minimizer factors by banded Cholesky
+    tb = s.grid.tables
+    rhs = np.ones(len(tb.nodes) - 2)
+    d = assembly.solve_interior(tb, rhs, s.op.bands(s.u.values),
+                                definite=True)
+    assert np.all(np.isfinite(d))
+
+
 def test_gridfunction_init_keeps_its_mesh(sol, problem):
     """A GridFunction start is solved on its own mesh, whatever ``cells``
     would have built; a mesh of another interval is refused."""
