@@ -1,17 +1,20 @@
 """Piecewise-linear finite elements for the cubic action functional.
 
-The continuous problem lives on windows I_N = [sigma_{-N}, sigma_{N+1}] with
-periodic identification, or on clamped sub-blocks.  Meshes always place nodes
-on every sigma_i and tau_i.  Stiffness terms are exact for the interpolant;
-the quartic weight terms use composite Simpson subdivided at the weight's
-polynomial breakpoints, so no order is lost at kinks of a(t).
+The continuous problem lives on windows [sigma_{i0}, sigma_{i0+L}] of whole
+weight periods, always with periodic identification (``span_grid``), or on
+clamped Dirichlet pieces: the level meshes (``segment_grid``) and the
+connection blocks.  Meshes always place nodes on every sigma_i and tau_i.
+Stiffness terms are exact for the interpolant; the quartic weight terms use
+composite Simpson subdivided at the weight's polynomial breakpoints, so no
+order is lost at kinks of a(t).
 
-Newton works through one ``Operator`` per mesh and mu: it forms the
-mu-dependent quadrature products once, gives the folded weak residual, and
-solves for the step from the residual's own point values.  The same point
-values give the one-sided slopes u'(t_j-) and u'(t_j+) at every node, the
-flux of the node's half hat on each neighbouring cell (Wheeler, SIAM J.
-Numer. Anal. 11, 1974); that is the one slope recovery of the package.
+Newton works through one ``Operator`` per grid and mu: it forms the
+mu-dependent quadrature products once, gives the weak residual (folded by
+the grid on a window), and solves for the step from the residual's own
+point values.  The same point values give the one-sided slopes u'(t_j-)
+and u'(t_j+) at every node, the flux of the node's half hat on each
+neighbouring cell (Wheeler, SIAM J. Numer. Anal. 11, 1974); that is the
+one slope recovery of the package.
 Tridiagonal systems go to LAPACK ?gtsv directly, cyclic ones through a
 Sherman-Morrison correction (Press et al., Numerical Recipes, sec. 2.7).
 The one-call functions gradient and jacobian_matrix use the same operator.
@@ -182,53 +185,45 @@ def hessian_full(tb, mu, u_full, v_full):
 
 
 class Operator:
-    """Weak residual and Newton step of the action at one mu on one mesh.
+    """Weak residual and Newton step of the action at one mu on one grid.
 
     The mu-dependent quadrature products c = qw a_mu and k = 3 qw a_mu are
     formed once, and ``step`` reuses the point values of the last
-    ``residual`` when called at the same iterate.  On a periodic mesh
-    values and residuals live on the folded dofs and the step solves the
-    cyclic system; on a clamped mesh they carry every node, and the step
-    solves the interior rows with the end values held (r then holds the
-    interior residual rows only).
+    ``residual`` when called at the same iterate.  Values carry the grid's
+    dofs: on a periodic window the residual is folded by ``Grid.fold`` and
+    the step solves the cyclic system; on a clamped mesh they carry every
+    node, and the step solves the interior rows with the end values held
+    (r then holds the interior residual rows only).
     """
 
-    def __init__(self, tb, mu, periodic=False):
-        self.tb = tb
+    def __init__(self, grid, mu):
+        self.grid = grid
+        self.tb = grid.tables
         self.mu = mu
-        self.periodic = periodic
-        self._amu = tb.amu(mu)
-        self.c = tb.qw * self._amu
+        self._amu = self.tb.amu(mu)
+        self.c = self.tb.qw * self._amu
         self._last = None          # (values, point values) of the last residual
 
     @cached_property
     def k(self):
         return 3.0 * self.tb.qw * self._amu
 
-    def _full(self, values):
-        values = np.asarray(values, dtype=float)
-        return np.concatenate([values, values[:1]]) if self.periodic \
-            else values
-
     def _points(self, values):
         last = self._last
         if last is not None and np.array_equal(last[0], values):
             return last[1]
-        return _at_points(self.tb, self._full(values))
+        return _at_points(self.tb, self.grid.full_values(values))
 
     def residual(self, values):
-        """Weak residual at values: folded on a periodic mesh, one row per
+        """Weak residual at values: folded on a periodic grid, one row per
         node on a clamped one."""
         tb = self.tb
-        full = self._full(values)
+        full = self.grid.full_values(values)
         uq = _at_points(tb, full)
         self._last = (np.array(values, dtype=float), uq)
-        r = stiffness_full(tb, full) - \
-            _hat_scatter(tb, self.c * (uq * uq * uq), len(full))
-        if self.periodic:
-            r, r_end = r[:-1], r[-1]
-            r[0] += r_end
-        return r
+        return self.grid.fold(stiffness_full(tb, full) -
+                              _hat_scatter(tb, self.c * (uq * uq * uq),
+                                           len(full)))
 
     def bands(self, values):
         """Cellwise 2x2 blocks (LL, LR, RR) of the residual Jacobian."""
@@ -242,7 +237,7 @@ class Operator:
         ``off[-1]`` is the corner coupling the last dof to the first, the
         cyclic form ``solve_tridiagonal`` takes."""
         dLL, dLR, dRR = self.bands(values)
-        if not self.periodic:
+        if not self.grid.periodic:
             return np.append(dLL, 0.0) + np.insert(dRR, 0, 0.0), dLR
         diag = np.empty(len(dLL))
         diag[0] = dLL[0] + dRR[-1]
@@ -264,17 +259,17 @@ class Operator:
         uq = self._points(values)
         f = self.c * (uq * uq * uq)
         n = len(tb.h)
-        s = np.diff(self._full(values)) / tb.h
+        s = np.diff(self.grid.full_values(values)) / tb.h
         into = s - np.bincount(tb.qcell, f * tb.qlam, n)   # u'(t_{c+1}-)
         out = s + np.bincount(tb.qcell, f * tb.rlam, n)    # u'(t_c+)
-        if self.periodic:
+        if self.grid.periodic:
             return np.roll(into, 1), out
         return np.append(np.nan, into), np.append(out, np.nan)
 
     def step(self, values, r):
         """Newton step for residual rows r at values; raises LinAlgError on
         a singular or non-finite solve."""
-        if self.periodic:
+        if self.grid.periodic:
             return solve_tridiagonal(*self.tridiagonal(values), r)
         return solve_interior(self.tb, r, self.bands(values))
 
@@ -401,7 +396,7 @@ def newton(x, residual, solve, tol, max_iter):
 
 
 def newton_dirichlet(op, u_full, tol, max_iter):
-    """Damped Newton (``newton``) with the clamped-mesh Operator ``op`` on
+    """Damped Newton (``newton``) with the Operator ``op`` of a clamped mesh on
     the interior nodes, the end values held; returns (full nodal values,
     steps taken)."""
     full = u_full.copy()          # reused for every trial; never the iterate
@@ -428,7 +423,8 @@ def newton_dirichlet(op, u_full, tol, max_iter):
 
 @dataclass(eq=False)
 class Grid:
-    """A mesh over whole weight periods or an arbitrary clamped segment.
+    """A periodic window over whole weight periods (``span_grid``) or a
+    clamped mesh of a Dirichlet piece (``segment_grid``, connection blocks).
 
     ``values`` arrays carry one scalar per node; when ``periodic`` the
     duplicate right endpoint is collapsed, so len(values) == len(nodes) - 1.
@@ -459,9 +455,9 @@ class Grid:
 
     def interval_nodes(self, i, which):
         """Node index range (a, b) of I_i^+ or I_i^-, read from ``marks``."""
-        if which in ("plus", "+"):
+        if which == "plus":
             keys = ("s", i), ("t", i)
-        elif which in ("minus", "-"):
+        elif which == "minus":
             keys = ("t", i), ("s", i + 1)
         else:
             raise ValueError("which must be 'plus' or 'minus'")
@@ -510,8 +506,9 @@ class Grid:
         return np.interp(ts, self.nodes, full)
 
 
-def span_grid(w, i0, n_int, cells_per_interval, periodic=True):
-    """Mesh covering [sigma_{i0}, sigma_{i0+n_int}], uniform in each I_i^pm."""
+def span_grid(w, i0, n_int, cells_per_interval):
+    """Periodic window over [sigma_{i0}, sigma_{i0+n_int}], uniform in each
+    I_i^pm; its right end is identified with its left."""
     if n_int < 1:
         raise WeightError("need at least one weight period")
     if cells_per_interval < 8:
@@ -525,8 +522,8 @@ def span_grid(w, i0, n_int, cells_per_interval, periodic=True):
     parts.append(np.array([w.sigma(i0 + n_int)]))
     marks[("s", i0 + n_int)] = 2 * m * n_int
     nodes = np.concatenate(parts)
-    return Grid(w=w, nodes=nodes, periodic=periodic, i0=i0, n_int=n_int,
-                m=m, marks=marks)
+    return Grid(w=w, nodes=nodes, periodic=True, i0=i0, n_int=n_int, m=m,
+                marks=marks)
 
 
 def segment_grid(w, nodes):
@@ -580,9 +577,7 @@ def action(u, mu):
 
 def gradient(u, mu):
     """Weak residual against every hat function (periodic hats when folded)."""
-    grid = u.grid
-    r = Operator(grid.tables, mu, grid.periodic).residual(u.values)
-    return GridFunction(grid, r)
+    return GridFunction(u.grid, Operator(u.grid, mu).residual(u.values))
 
 
 def hessian_apply(u, mu, v):
@@ -600,5 +595,4 @@ def jacobian_matrix(u, mu):
     coupling the last dof to the first, the cyclic form ``solve_tridiagonal``
     takes.
     """
-    grid = u.grid
-    return Operator(grid.tables, mu, grid.periodic).tridiagonal(u.values)
+    return Operator(u.grid, mu).tridiagonal(u.values)

@@ -178,31 +178,20 @@ def resolve_weight(spec):
 # -- artifacts ----------------------------------------------------------------
 
 
-def _fmt(x):
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, str):
-        return x
-    v = float(x)
-    if math.isnan(v):
-        return "nan"
-    return "%.17g" % v
-
-
 def write_csv(path, header, rows):
-    """Write rows with deterministic float formatting, return the bytes.
+    """Write rows with deterministic formatting, return the bytes.
 
-    A table of numbers is formatted by one ``%`` operation, which prints
-    what _fmt prints: bools as 1/0, and nan, inf and -inf as such.  It
-    refuses strings, so a table that holds one takes the per-value path and
-    its strings are written as they are.
+    The table is formatted by one ``%`` operation on a row format built
+    from the first row: a str column is written as it is, every other value
+    by ``%.17g``, which prints bools as 1/0, and nan, inf and -inf as such.
     """
     rows = [tuple(row) for row in rows]
-    try:
-        body = ["\n".join(",".join(("%.17g",) * len(row)) for row in rows)
-                % tuple(itertools.chain.from_iterable(rows))] if rows else []
-    except TypeError:
-        body = [",".join(_fmt(v) for v in row) for row in rows]
+    body = []
+    if rows:
+        fmt = ",".join("%s" if isinstance(v, str) else "%.17g"
+                       for v in rows[0])
+        body = ["\n".join([fmt] * len(rows))
+                % tuple(itertools.chain.from_iterable(rows))]
     data = ("\n".join([",".join(header)] + body) + "\n").encode()
     with open(path, "wb") as f:
         f.write(data)
@@ -576,16 +565,13 @@ def cmd_sweep(cfg, w, run):
     run.add_csv("aggregate.csv",
                 ["code", "mu", "certified", "residual", "sup",
                  "interior_sup"], agg_rows)
-    run.add_csv("brackets.csv", ["code", "mu_fail", "mu_pass"],
-                [(n, lo, "inf" if math.isinf(hi) else hi)
-                 for n, lo, hi in bracket_rows])
+    run.add_csv("brackets.csv", ["code", "mu_fail", "mu_pass"], bracket_rows)
     fits = {name: fit for name, fit in code_fits if fit}
     run.add_json("fits.json", fits)
     run.add_text("plot.gp", _gnuplot_script(code_fits))
     lines = []
     for name, lo, hi in bracket_rows:
-        hi_s = "inf" if math.isinf(hi) else f"{hi:g}"
-        lines.append(f"{name}: bracket=({lo:g}, {hi_s})"
+        lines.append(f"{name}: bracket=({lo:g}, {hi:g})"
                      + (f" slope={fits[name]['slope']:.4f}"
                         if name in fits else "")
                      + (f" error={errors[name]}" if name in errors else ""))

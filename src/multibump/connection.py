@@ -231,11 +231,6 @@ def _check_interiority(p, grid, full):
 # -- the block solver ----------------------------------------------------------
 
 
-def _block_action(tb, mu, full):
-    return 0.5 * assembly.dirichlet_integral(tb, full) - \
-        0.25 * assembly.quartic_integral(tb, mu, full)
-
-
 def _descent(p, grid, op, full, r_int):
     """Projected descent with Armijo backtracking on the block action, from
     ``full`` with interior residual rows ``r_int``, until the residual falls
@@ -248,7 +243,7 @@ def _descent(p, grid, op, full, r_int):
     the Hessian is not positive definite (low mu, large data) the stiffness
     matrix takes its place.  Every trial is retracted under the caps."""
     tb = grid.tables
-    J = _block_action(tb, p.mu, full)
+    J = assembly.action(GridFunction(grid, full), p.mu)
     r0 = max(float(np.max(np.abs(r_int))), 1e-30)
     done = 0
     while done < _MAX_DESCENT:
@@ -266,7 +261,7 @@ def _descent(p, grid, op, full, r_int):
             trial = full.copy()
             trial[1:-1] -= alpha * d
             _retract(p, grid, trial)
-            Jt = _block_action(tb, p.mu, trial)
+            Jt = assembly.action(GridFunction(grid, trial), p.mu)
             if Jt <= J - _ARMIJO * alpha * slope:
                 full, J = trial, Jt
                 break
@@ -333,7 +328,7 @@ def solve_connection(p, cells=None, init=None):
     full[0], full[-1] = p.x, p.y
     _retract(p, grid, full)
 
-    op = assembly.Operator(grid.tables, p.mu)
+    op = assembly.Operator(grid, p.mu)
     r_int = op.residual(full)[1:-1]
     n_desc = 0
     if float(np.max(np.abs(r_int))) >= assembly._UNDAMPED_BELOW:

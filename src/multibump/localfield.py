@@ -158,6 +158,8 @@ def _ground_on(w, t0, t1, n):
     tb = grid.tables
     x = grid.nodes
     u = np.sin(math.pi * (x - t0) / (t1 - t0))
+    # the descent and the polish hold both ends, and sin(pi) is not 0
+    u[0] = u[-1] = 0.0
 
     kin, quart = _quotient_parts(tb, u)
     if quart <= 1e-14 * kin * float(np.max(u * u)):
@@ -169,7 +171,7 @@ def _ground_on(w, t0, t1, n):
     # finely cut intervals, so the tolerance stays 16 times above that floor
     u *= math.sqrt(kin / quart)
     floor = np.finfo(float).eps * float(np.max(np.abs(u)) / np.min(tb.h))
-    op = assembly.Operator(tb, 0.0)
+    op = assembly.Operator(grid, 0.0)
     u, _ = assembly.newton_dirichlet(op, u, max(_GROUND_TOL, 16.0 * floor),
                                      60)
     if np.max(u) < -np.min(u):

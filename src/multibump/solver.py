@@ -13,8 +13,12 @@ solution.  Newton's step count does not depend on the mesh (the
 mesh-independence principle of Allgower, Boehmer, Potra & Rheinboldt), so
 the coarse mesh takes most of the steps at a fraction of their cost.
 
+A window is periodic (``assembly.span_grid``); an ``assembly.Operator`` bound
+to it at one mu gives the residuals, Newton steps and junction slopes there.
 The guess and the certificate read each subinterval as a row of the window
-(``assembly.Grid.rows``), every interval in one pass.
+(``assembly.Grid.rows``), every interval in one pass.  The guess is the
+singular-limit profile, the one bump paste of the package, which
+``verify.limit_distance`` measures against as well.
 """
 
 from __future__ import annotations
@@ -146,7 +150,7 @@ def _converge(grid, values, mu):
     more full step, counted: Newton converges quadratically there, so the
     step takes the residual from just below NEWTON_TOL to rounding level,
     which the window identities (verify.nehari_identities) read."""
-    op = assembly.Operator(grid.tables, mu, grid.periodic)
+    op = assembly.Operator(grid, mu)
 
     def residual(v):
         if np.max(np.abs(v)) > _AMP_CAP:
@@ -167,12 +171,14 @@ def _converge(grid, values, mu):
 # -- construction of guess and certification ----------------------------------
 
 
-def initial_guess(w, window, bump, grid):
-    """Paste the positive bump on each coded interval, zero elsewhere."""
+def initial_guess(window, bump, grid):
+    """The singular-limit profile on the window grid: the positive bump
+    pasted on each coded interval's I^+ row, its ends held at zero, and
+    zero elsewhere."""
     if len(window.symbols) != grid.n_int:
         raise WeightError("window length does not match the grid span")
     k = np.flatnonzero(window.symbols)
-    ts = grid.rows(grid.nodes)[2 * k] - w.sigma(grid.i0 + k)[:, None]
+    ts = grid.rows(grid.nodes)[2 * k] - grid.w.sigma(grid.i0 + k)[:, None]
     vv = np.interp(ts, bump.t - bump.t[0], bump.u)
     vv[:, [0, -1]] = 0.0
     dofs = grid.dof_of_node(2 * grid.m * k[:, None] + np.arange(grid.m + 1))
@@ -196,7 +202,7 @@ def check_membership(u, mu, consts, window):
     r2 = consts.r ** 2
     upper = 2.0 * (consts.c + consts.c_zeta)
     rho = consts.rho
-    op = assembly.Operator(grid.tables, mu, grid.periodic)
+    op = assembly.Operator(grid, mu)
     residual = float(np.max(np.abs(op.residual(u.values))))
     left, right = op.slopes(u.values)
 
@@ -276,10 +282,9 @@ def _continuation(w, window, mu_list, cells):
     """
     consts, bump = _prepare(w)
     cells = cells or auto_cells(w, mu_list[-1])
-    grid, coarse = (assembly.span_grid(w, window.i_start, len(window.symbols),
-                                       m, periodic=True)
+    grid, coarse = (assembly.span_grid(w, window.i_start, len(window.symbols), m)
                     for m in (cells, max(8, cells // COARSE_DIV)))
-    v = initial_guess(w, window, bump, coarse).values
+    v = initial_guess(window, bump, coarse).values
     u = None
     top = [MU0] if MU0 > mu_list[-1] else []
     path, coarse_path, reached, failure = [], [], [], None
@@ -289,7 +294,7 @@ def _continuation(w, window, mu_list, cells):
             start = coarse.eval(v, grid.nodes[:grid.ndof])
         except NewtonFailure:
             v, steps = None, None
-            start = initial_guess(w, window, bump, grid).values if u is None \
+            start = initial_guess(window, bump, grid).values if u is None \
                 else u
         try:
             u, iters = _converge(grid, start, mu)

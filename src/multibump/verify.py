@@ -2,13 +2,15 @@
 
 Everything here re-measures a finished solution: the variational identities
 it must satisfy on its window, the decay of its small part in mu, the
-distance to the singular-limit profile (a bump copied onto the coded
-intervals, zero elsewhere), Hoelder/Lipschitz seminorm behaviour along a
-sweep, minimal-period detection for subharmonics, and an independent
-re-integration of every subinterval with the shooting oracle.
+distance to the singular-limit profile (``solver.initial_guess``: a bump
+copied onto the coded intervals, zero elsewhere), Hoelder/Lipschitz seminorm
+behaviour along a sweep, minimal-period detection for subharmonics, and an
+independent re-integration of every subinterval with the shooting oracle.
 
-Per-interval numbers are read from the window's rows
-(``assembly.Grid.rows``), each in one pass over one copy of the window.
+A solution's window is periodic (``assembly.span_grid``), so every node and
+slope it is read at has a neighbour cell on each side.  Per-interval
+numbers are read from the window's rows (``assembly.Grid.rows``), each in
+one pass over one copy of the window.
 """
 
 from __future__ import annotations
@@ -70,10 +72,10 @@ def cutoff_derivative(w, i, ts):
 
 
 def _sample(grid, full, ts):
-    """(u, u') of the interpolant of the node values ``full`` at the times
-    ``ts``, an array (periodic fold if set)."""
-    if grid.periodic:
-        ts = grid.nodes[0] + np.mod(ts - grid.nodes[0], grid.span)
+    """(u, u') of the interpolant of the node values ``full`` of a
+    periodic window at the times ``ts``, an array, folded into the
+    window."""
+    ts = grid.nodes[0] + np.mod(ts - grid.nodes[0], grid.span)
     cell = np.clip(np.searchsorted(grid.nodes, ts, side="right") - 1,
                    0, len(grid.nodes) - 2)
     h = grid.tables.h
@@ -121,7 +123,7 @@ def nehari_identities(sol):
     wspec = grid.w
     m = grid.m
 
-    op = assembly.Operator(tb, mu, grid.periodic)
+    op = assembly.Operator(grid, mu)
     g = op.residual(u.values)
     left, right = op.slopes(u.values)
     k = np.flatnonzero(w.symbols)
@@ -140,11 +142,9 @@ def nehari_identities(sol):
     quart = np.array([np.sum(f[:, p:q].ravel()) for p, q in zip(s0, s1)])
     # the outside half-hat fluxes make the discrete identity exact:
     # summing u_j g_j over the interval's nodes telescopes to exactly
-    # these boundary terms, so a converged iterate leaves machine noise;
-    # an end interval of a clamped window has no outside slope (NaN)
+    # these boundary terms, so a converged iterate leaves machine noise
     bdry = right[a + m] * full[a + m] - left[a] * full[a]
-    res_ii = float(np.fmax.reduce(
-        np.abs(kin - quart - bdry) / np.maximum(kin, 1.0), initial=0.0))
+    res_ii = float(np.max(np.abs(kin - quart - bdry) / np.maximum(kin, 1.0)))
 
     kin_all = assembly.dirichlet_integral(tb, full)
     quart_all = assembly.quartic_integral(tb, mu, full)
@@ -156,15 +156,12 @@ def nehari_identities(sol):
         lo = wspec.sigma(i) - delta
         hi = wspec.tau_i(i) + delta
         joints = [lo, wspec.sigma(i), wspec.tau_i(i), hi]
-        # the support lies in the rows of I_{i-1}^-, I_i^+ and I_i^-; on a
-        # periodic grid their nodes past the window edge are the periodic
-        # images (the interpolant has kinks at every folded node image, and
-        # Gauss segments must not cross them)
+        # the support lies in the rows of I_{i-1}^-, I_i^+ and I_i^-; their
+        # nodes past the window edge are the periodic images (the
+        # interpolant has kinks at every folded node image, and Gauss
+        # segments must not cross them)
         j = np.arange(j0, j0 + 3 * m + 1)
-        if grid.periodic:
-            t = grid.nodes[j % grid.ndof] + (j // grid.ndof) * grid.span
-        else:
-            t = grid.nodes[j[(j >= 0) & (j < len(grid.nodes))]]
+        t = grid.nodes[j % grid.ndof] + (j // grid.ndof) * grid.span
         inner = t[(t > lo) & (t < hi)]
         knots = wspec.knots_in_span(lo, hi)
         breaks = np.unique(np.concatenate([joints, inner, knots]))
@@ -278,18 +275,6 @@ def kendall_tau(x, y):
 # -- distance to the singular limit ---------------------------------------------
 
 
-def limit_profile(sol, bump):
-    """The singular-limit candidate on sol's grid: bump copies on the coded
-    intervals' I^+ rows, zero elsewhere."""
-    grid = sol.grid
-    k = np.flatnonzero(sol.window.symbols)
-    shift = grid.w.period * (sol.window.i_start + k)
-    vals = np.zeros(grid.ndof)
-    vals[grid.dof_of_node(2 * grid.m * k[:, None] + np.arange(grid.m + 1))] = \
-        bump.samples.eval(grid.rows(grid.nodes)[2 * k] - shift[:, None])
-    return assembly.GridFunction(grid, vals)
-
-
 @dataclass
 class LimitDistance:
     sup: float
@@ -382,7 +367,7 @@ def _holder_seminorm(ts, d, alpha, min_sep):
 def limit_distance(sol, bump):
     """(sup, C^{0,alpha} seminorm with alpha = HOLDER_ALPHA, Lipschitz
     seminorm, per-interval W^{2,inf}) distances between the solution and its
-    singular-limit candidate.
+    singular-limit candidate, the bump pasted by ``solver.initial_guess``.
 
     Pair quotients use node pairs separated by at least the mesh width; the
     Lipschitz seminorm of the interpolant is the exact max cell slope.
@@ -391,7 +376,7 @@ def limit_distance(sol, bump):
     """
     grid = sol.grid
     w = grid.w
-    limit = limit_profile(sol, bump)
+    limit = solver.initial_guess(sol.window, bump, grid)
     dvals = sol.u.values - limit.values
     dfull = grid.full_values(dvals)
     sup = float(np.max(np.abs(dvals)))
@@ -425,8 +410,6 @@ def minimal_period(sol):
     """Smallest divisor d of the window's m periods with u(. + dT) = u
     within 1e-6 sup-relative, comparing the window's rows a period apart."""
     grid = sol.grid
-    if not grid.periodic:
-        raise WeightError("minimal period needs a periodic grid")
     m = grid.n_int
     periods = grid.rows(sol.u.values).reshape(m, -1)     # one row per period
     tol = 1e-6 * max(float(np.max(np.abs(periods))), 1e-300)
@@ -464,8 +447,7 @@ def oracle_residual(sol):
     """
     grid = sol.grid
     full = sol.u.full()
-    left, right = assembly.Operator(grid.tables, sol.mu,
-                                    grid.periodic).slopes(sol.u.values)
+    left, right = assembly.Operator(grid, sol.mu).slopes(sol.u.values)
     sup = float(np.max(np.abs(full)))
     t, u = grid.rows(grid.nodes), grid.rows(full)
     a = grid.m * np.arange(2 * grid.n_int)        # first node of each row

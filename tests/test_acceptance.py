@@ -296,7 +296,7 @@ def test_criterion_10_invariant_suite(step_weight, rng):
         if l2sq > L * L * ddot * (1 + 1e-12):
             viol += 1
 
-    grid = assembly.span_grid(w, 0, 1, 24, periodic=True)
+    grid = assembly.span_grid(w, 0, 1, 24)
     mu = 37.0
     u = assembly.GridFunction.from_callable(
         grid, lambda t: 0.8 * np.sin(np.pi * t))

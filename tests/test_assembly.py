@@ -46,7 +46,7 @@ def test_dirichlet_integral_trig(step_weight):
 
 def test_gradient_matches_fd_of_action(step_weight, rng):
     """The weak residual is the exact derivative of the discrete action."""
-    grid = assembly.span_grid(step_weight, 0, 1, 24, periodic=True)
+    grid = assembly.span_grid(step_weight, 0, 1, 24)
     mu = 37.0
     for _ in range(5):
         u = assembly.GridFunction(grid, 0.5 * rng.standard_normal(grid.ndof))
@@ -61,7 +61,7 @@ def test_gradient_matches_fd_of_action(step_weight, rng):
 
 
 def test_hessian_symmetry_and_fd(step_weight, rng):
-    grid = assembly.span_grid(step_weight, -1, 2, 16, periodic=True)
+    grid = assembly.span_grid(step_weight, -1, 2, 16)
     mu = 12.0
     u = assembly.GridFunction(grid, 0.4 * rng.standard_normal(grid.ndof))
     v = assembly.GridFunction(grid, rng.standard_normal(grid.ndof))
@@ -95,7 +95,7 @@ def test_interval_energy_partition(step_weight, rng):
     """Grid.rows partitions a window: row 2k is I^+ and row 2k+1 is I^- of
     interval i0 + k (the ranges Grid.marks records), each row's energy has
     the bits of its node range's, and the energies sum to the whole."""
-    grid = assembly.span_grid(step_weight, -1, 3, 20, periodic=True)
+    grid = assembly.span_grid(step_weight, -1, 3, 20)
     u = assembly.GridFunction(grid, rng.standard_normal(grid.ndof))
     full = u.full()
     h = grid.tables.h
@@ -113,7 +113,7 @@ def test_interval_energy_partition(step_weight, rng):
 
 
 def test_grid_marks(step_weight):
-    grid = assembly.span_grid(step_weight, -1, 3, 12, periodic=True)
+    grid = assembly.span_grid(step_weight, -1, 3, 12)
     a, b = grid.interval_nodes(0, "plus")
     assert (grid.nodes[a], grid.nodes[b]) == (0.0, 1.0)
     a, b = grid.interval_nodes(-1, "plus")
@@ -123,10 +123,12 @@ def test_grid_marks(step_weight):
     assert b - a == 12
     with pytest.raises(IndexOutOfWindow):
         grid.interval_nodes(5, "plus")
+    with pytest.raises(ValueError):
+        grid.interval_nodes(0, "+")
 
 
 def test_periodic_fold_conserves_mass(step_weight, rng):
-    grid = assembly.span_grid(step_weight, 0, 1, 16, periodic=True)
+    grid = assembly.span_grid(step_weight, 0, 1, 16)
     r_full = rng.standard_normal(len(grid.nodes))
     folded = grid.fold(r_full)
     assert len(folded) == grid.ndof
@@ -135,7 +137,7 @@ def test_periodic_fold_conserves_mass(step_weight, rng):
 
 
 def test_gridfunction_validation(step_weight):
-    grid = assembly.span_grid(step_weight, 0, 1, 16, periodic=True)
+    grid = assembly.span_grid(step_weight, 0, 1, 16)
     with pytest.raises(WeightError):
         assembly.GridFunction(grid, np.zeros(grid.ndof + 1))
     bad = np.zeros(grid.ndof)
@@ -145,7 +147,7 @@ def test_gridfunction_validation(step_weight):
 
 
 def test_periodic_eval_wraps(step_weight, rng):
-    grid = assembly.span_grid(step_weight, 0, 1, 16, periodic=True)
+    grid = assembly.span_grid(step_weight, 0, 1, 16)
     u = assembly.GridFunction(grid, rng.standard_normal(grid.ndof))
     ts = np.array([0.31, 1.57, 1.99])
     assert np.allclose(u.eval(ts), u.eval(ts + grid.span), atol=1e-12)
@@ -154,7 +156,7 @@ def test_periodic_eval_wraps(step_weight, rng):
 
 def test_quadrature_weight_split(step_weight):
     """Cells never straddle a sign change: a_mu is single-signed per cell."""
-    grid = assembly.span_grid(step_weight, 0, 2, 10, periodic=True)
+    grid = assembly.span_grid(step_weight, 0, 2, 10)
     tb = grid.tables
     amu = tb.amu(50.0)
     cell_sign = {}
@@ -234,16 +236,18 @@ def test_newton_step_solves_the_second_variation(step_weight, code, i0, m,
                                                  mu, pasted, periodic, seed):
     """The Newton step from the tridiagonal bands reproduces the residual
     under the second variation, on periodic windows (cyclic solve) and on
-    clamped meshes (interior solve)."""
+    clamped meshes of the same nodes (interior solve)."""
     w = step_weight
-    grid = assembly.span_grid(w, i0, len(code), m, periodic=periodic)
+    grid = assembly.span_grid(w, i0, len(code), m)
     if pasted:
         window = solver.make_window(code, i_start=i0)
-        u = solver.initial_guess(w, window, localfield.ground_state(w, m),
-                                 grid)
+        u = solver.initial_guess(window, localfield.ground_state(w, m), grid)
     else:
         rng = np.random.default_rng(seed)
         u = assembly.GridFunction(grid, rng.uniform(-2.0, 2.0, grid.ndof))
+    if not periodic:
+        grid = assembly.segment_grid(w, grid.nodes)
+        u = assembly.GridFunction(grid, u.full())
     if periodic:
         r = assembly.gradient(u, mu).values
         step = assembly.solve_tridiagonal(*assembly.jacobian_matrix(u, mu), r)
@@ -251,7 +255,7 @@ def test_newton_step_solves_the_second_variation(step_weight, code, i0, m,
             u, mu, assembly.GridFunction(grid, step)).values
     else:
         tb, full = grid.tables, u.values
-        op = assembly.Operator(tb, mu)
+        op = assembly.Operator(grid, mu)
         r = op.residual(full)[1:-1]
         step = np.zeros(len(full))
         step[1:-1] = assembly.solve_interior(tb, r, op.bands(full))
@@ -263,9 +267,10 @@ def test_solve_interior_definite_bands(step_weight, rng):
     """Banded Cholesky on the Jacobian bands: the stiffness solve at u = 0,
     the LU solve's answer where the Hessian is positive definite, and
     LinAlgError where it is not."""
-    grid = assembly.span_grid(step_weight, 0, 1, 40, periodic=False)
+    grid = assembly.segment_grid(
+        step_weight, assembly.span_grid(step_weight, 0, 1, 40).nodes)
     tb = grid.tables
-    op = assembly.Operator(tb, 10.0)
+    op = assembly.Operator(grid, 10.0)
     rhs = rng.normal(size=len(tb.nodes) - 2)
     zero = np.zeros(len(tb.nodes))
     assert np.array_equal(
@@ -407,9 +412,11 @@ def test_operator_matches_reference_bits(step_weight, sine_weight, w, code,
                                          cells, mu, periodic, seed):
     """The operator's residual and Newton step, at a fresh iterate and
     reusing the residual's point values, equal the reference bit for bit on
-    periodic and clamped meshes."""
+    periodic windows and on clamped meshes of the same nodes."""
     w = {"step": step_weight, "sine": sine_weight}.get(w, w)
-    grid = assembly.span_grid(w, -1, len(code), cells, periodic=periodic)
+    grid = assembly.span_grid(w, -1, len(code), cells)
+    if not periodic:
+        grid = assembly.segment_grid(w, grid.nodes)
     tb = grid.tables
     rng = np.random.default_rng(seed)
     # a plateau of height 1-3 on each coded I_i^+ over noise
@@ -417,12 +424,12 @@ def test_operator_matches_reference_bits(step_weight, sine_weight, w, code,
     values = rng.uniform(-0.5, 0.5, grid.ndof) + \
         rng.uniform(1.0, 3.0) * plateau[:grid.ndof]
     r_ref, step_ref = _ref_residual_and_step(tb, mu, values, periodic)
-    op = assembly.Operator(tb, mu, periodic)
+    op = assembly.Operator(grid, mu)
     r = op.residual(values)
     rows = r if periodic else r[1:-1]
     assert np.array_equal(r, r_ref)
     assert np.array_equal(op.step(values, rows), step_ref)
-    fresh = assembly.Operator(tb, mu, periodic)
+    fresh = assembly.Operator(grid, mu)
     assert np.array_equal(fresh.step(values, rows), step_ref)
 
 
@@ -452,17 +459,20 @@ def test_operator_slopes(step_weight, sine_weight, w, code, cells, mu,
                          periodic, seed):
     """Operator.slopes: left - right is the residual row, the clamped end
     slopes are the residual's end rows bit for bit, and every slope agrees
-    with the per-node half-hat sum to 1e-13 relative."""
+    with the per-node half-hat sum to 1e-13 relative, on periodic windows
+    and on clamped meshes of the same nodes."""
     w = {"step": step_weight, "sine": sine_weight}.get(w, w)
-    grid = assembly.span_grid(w, -1, len(code), cells, periodic=periodic)
+    grid = assembly.span_grid(w, -1, len(code), cells)
+    if not periodic:
+        grid = assembly.segment_grid(w, grid.nodes)
     tb = grid.tables
     rng = np.random.default_rng(seed)
     values = rng.uniform(-3.0, 3.0, grid.ndof)
-    op = assembly.Operator(tb, mu, periodic)
+    op = assembly.Operator(grid, mu)
     r = op.residual(values)
     left, right = op.slopes(values)
     assert len(left) == len(right) == grid.ndof
-    fresh = assembly.Operator(tb, mu, periodic).slopes(values)
+    fresh = assembly.Operator(grid, mu).slopes(values)
     assert np.array_equal(fresh[0], left, equal_nan=True)
     assert np.array_equal(fresh[1], right, equal_nan=True)
 

@@ -118,7 +118,7 @@ def test_non_finite_jacobian_is_convergence_failure(tmp_path, monkeypatch,
 
     def nan_bands(self, values):
         LL, LR, RR = real(self, values)
-        if self.periodic == periodic:
+        if self.grid.periodic == periodic:
             LL = LL.copy()
             LL[len(LL) // 2] = np.nan
         return LL, LR, RR
@@ -934,7 +934,8 @@ def test_verify_report(tmp_path):
 
 
 def _fmt_reference(x):
-    """Reference: the per-value CSV formatter."""
+    """Reference: the per-value CSV formatter ``cli._fmt`` that tables with
+    a str column once took."""
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, str):
@@ -963,9 +964,8 @@ _csv_values = {
                       max_size=5),
        nrows=st.integers(0, 8))
 def test_write_csv_matches_per_value_formatting(data, kinds, nrows):
-    """The one-pass CSV formatting writes the bytes of the per-value
-    formatter, and a table with a string column keeps its strings ("01"
-    stays "01")."""
+    """The one row format per table writes the bytes of the per-value
+    formatter, and a str column keeps its strings ("01" stays "01")."""
     rows = [tuple(data.draw(_csv_values[k]) for k in kinds)
             for _ in range(nrows)]
     header = [f"c{i}" for i in range(len(kinds))]

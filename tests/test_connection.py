@@ -117,7 +117,7 @@ def test_fd_check_starts_from_the_tangent_predictor(step_weight, default_caps,
     s = connection.solve_connection(p)
     pair = connection.energy_derivatives(s)
     assert s.fd_check["descent_iters"] == (0, 0, 0, 0)
-    grad = assembly.Operator(s.grid.tables, mu).residual(s.u.values)
+    grad = assembly.Operator(s.grid, mu).residual(s.u.values)
     v, z = s.sensitivities
     exact = (float(grad @ v.values), float(grad @ z.values))
     scale = max(abs(pair[0]), abs(pair[1]))

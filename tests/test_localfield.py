@@ -147,6 +147,31 @@ def test_pinned_level_solves_two_edge_levels(step_weight, monkeypatch):
     assert calls == [(0.0, 0.875), (0.125, 1.0)]
 
 
+@pytest.mark.parametrize("name", ["step", "sine"])
+def test_dirichlet_bumps_end_at_zero(step_weight, sine_weight, monkeypatch,
+                                     name):
+    """The ground bump and both edge solves of the pinned level end at +0.0
+    exactly: the descent and the polish hold the ends of their start, whose
+    sine reads sin(pi) = 1.2e-16 there."""
+    w = step_weight if name == "step" else sine_weight
+    ends = []
+    real = localfield._ground_on
+
+    def recorded(*args):
+        out = real(*args)
+        ends.append(out[1][[0, -1]].tolist())
+        return out
+
+    monkeypatch.setattr(localfield, "_ground_on", recorded)
+    bump = localfield.ground_state(w)
+    localfield.pinned_zero_detail(w, w.tau / 8.0)
+    assert len(ends) == 3
+    for left, right in ends:
+        assert (left, right) == (0.0, 0.0)
+        assert math.copysign(1.0, left) == math.copysign(1.0, right) == 1.0
+    assert bump.u[0] == bump.u[-1] == 0.0
+
+
 def test_pinned_level_two_entries_agree(step_weight):
     a = localfield.pinned_zero_detail(step_weight, 0.125, 1200).c_zeta
     b = localfield.pinned_level_direct(step_weight, 0.875, 1200)

@@ -163,7 +163,7 @@ def _fine_walk(w, window, mus, cells):
     cells = cells or solver.auto_cells(w, max(mus))
     grid = assembly.span_grid(w, window.i_start, len(window.symbols), cells)
     bump = localfield.levels_of(w).ground_bump()
-    u = solver.initial_guess(w, window, bump, grid).values
+    u = solver.initial_guess(window, bump, grid).values
     top = [solver.MU0] if solver.MU0 > max(mus) else []
     states = {}
     for mu in top + sorted(mus, reverse=True):
@@ -276,10 +276,9 @@ def test_auto_cells_monotone(step_weight):
 
 def test_initial_guess_supports(step_weight):
     window = solver.make_window((1, 0, 1))
-    grid = assembly.span_grid(step_weight, window.i_start, 3, 40,
-                              periodic=True)
+    grid = assembly.span_grid(step_weight, window.i_start, 3, 40)
     bump = localfield.levels_of(step_weight).ground_bump()
-    guess = solver.initial_guess(step_weight, window, bump, grid)
+    guess = solver.initial_guess(window, bump, grid)
     full = guess.full()
     for p, sym in enumerate(window.symbols):
         i = window.i_start + p

@@ -22,15 +22,16 @@ def _energy(u, i, which):
                                            u.full()[a:b + 1]))
 
 
-def ref_initial_guess(w, window, bump, grid):
+def ref_paste(window, bump, grid):
+    """Reference of the singular-limit profile, Newton's start and the
+    audits' limit: the bump on each coded I_i^+, its ends held at zero."""
     vals = np.zeros(grid.ndof)
-    bt = bump.t - bump.t[0]
     for p, sym in enumerate(window.symbols):
         if not sym:
             continue
         i = grid.i0 + p
         a, b = grid.interval_nodes(i, "plus")
-        vv = np.interp(grid.nodes[a:b + 1] - w.sigma(i), bt, bump.u)
+        vv = bump.samples.eval(grid.nodes[a:b + 1] - grid.w.sigma(i))
         vv[0] = vv[-1] = 0.0
         vals[np.arange(a, b + 1) % grid.ndof] = vv
     return vals
@@ -43,7 +44,7 @@ def ref_check_membership(u, mu, consts, window):
     nodes = grid.nodes
     r2 = consts.r ** 2
     upper = 2.0 * (consts.c + consts.c_zeta)
-    op = assembly.Operator(grid.tables, mu, grid.periodic)
+    op = assembly.Operator(grid, mu)
     residual = float(np.max(np.abs(op.residual(u.values))))
     left, right = op.slopes(u.values)
     energies, c1, c2, c3, c4, dich, ties = {}, {}, {}, {}, {}, {}, {}
@@ -99,23 +100,10 @@ def ref_interior_maxima(sol, delta):
     return out
 
 
-def ref_limit_profile(sol, bump):
-    grid = sol.grid
-    vals = np.zeros(grid.ndof)
-    for j, s in enumerate(sol.window.symbols):
-        if s != 1:
-            continue
-        i = sol.window.i_start + j
-        a, b = grid.interval_nodes(i, "plus")
-        vals[grid.dof_of_node(np.arange(a, b + 1))] = bump.samples.eval(
-            grid.nodes[a:b + 1] - grid.w.period * i)
-    return vals
-
-
 def ref_limit_per_interval(sol, bump):
     grid = sol.grid
     w = grid.w
-    lvals = ref_limit_profile(sol, bump)
+    lvals = ref_paste(sol.window, bump, grid)
     dfull = grid.full_values(sol.u.values - lvals)
     ufull = sol.u.full()
     lfull = grid.full_values(lvals)
@@ -142,8 +130,7 @@ def ref_identities_ii_iv(sol):
     full = sol.u.full()
     tb = grid.tables
     wspec = grid.w
-    left, right = assembly.Operator(tb, mu, grid.periodic).slopes(
-        sol.u.values)
+    left, right = assembly.Operator(grid, mu).slopes(sol.u.values)
     coded = [w.i_start + j for j, s in enumerate(w.symbols) if s == 1]
     res_ii = 0.0
     uq_all = assembly._at_points(tb, full)
@@ -161,14 +148,11 @@ def ref_identities_ii_iv(sol):
         lo = wspec.sigma(i) - delta
         hi = wspec.tau_i(i) + delta
         joints = [lo, wspec.sigma(i), wspec.tau_i(i), hi]
-        if grid.periodic:
-            span = grid.span
-            k0 = math.floor((lo - grid.nodes[-1]) / span)
-            k1 = math.ceil((hi - grid.nodes[0]) / span)
-            cand = np.concatenate(
-                [grid.nodes[:-1] + k * span for k in range(k0, k1 + 1)])
-        else:
-            cand = grid.nodes
+        span = grid.span
+        k0 = math.floor((lo - grid.nodes[-1]) / span)
+        k1 = math.ceil((hi - grid.nodes[0]) / span)
+        cand = np.concatenate(
+            [grid.nodes[:-1] + k * span for k in range(k0, k1 + 1)])
         inner = cand[(cand > lo) & (cand < hi)]
         breaks = np.unique(np.concatenate(
             [joints, inner, wspec.knots_in_span(lo, hi)]))
@@ -187,15 +171,14 @@ def ref_identities_ii_iv(sol):
 # -- windows -------------------------------------------------------------------
 
 
-def _window_solution(w, code, i_start, cells, periodic, mu, scale, lift,
-                     noise, seed):
+def _window_solution(w, code, i_start, cells, mu, scale, lift, noise, seed):
     """A Solution-shaped window, not a solve: scaled pasted bumps, lifted
     by a constant, plus noise, so that across draws every condition and
     positivity both pass and fail."""
     win = solver.make_window(code, i_start)
-    grid = assembly.span_grid(w, i_start, len(code), cells, periodic)
+    grid = assembly.span_grid(w, i_start, len(code), cells)
     bump = localfield.levels_of(w).ground_bump()
-    vals = solver.initial_guess(w, win, bump, grid).values
+    vals = solver.initial_guess(win, bump, grid).values
     rng = np.random.default_rng(seed)
     vals = scale * vals + lift + noise * rng.standard_normal(len(vals))
     return solver.Solution(u=assembly.GridFunction(grid, vals), mu=mu,
@@ -207,33 +190,29 @@ def _window_solution(w, code, i_start, cells, periodic, mu, scale, lift,
        code=st.lists(st.integers(0, 1), min_size=1, max_size=8).filter(any),
        i_start=st.integers(-4, 4),
        cells=st.integers(8, 300),
-       periodic=st.booleans(),
        mu=st.floats(10.0, 1e4),
        scale=st.sampled_from([0.0, 0.5, 1.0, 1.5]),
        lift=st.sampled_from([0.0, 1e-3, 3.0, 10.0]),
        noise=st.sampled_from([0.0, 1e-3, 0.05]),
        seed=st.integers(0, 2 ** 16))
 def test_rows_match_per_interval_loops(step_weight, sine_weight, name, code,
-                                       i_start, cells, periodic, mu, scale,
-                                       lift, noise, seed):
+                                       i_start, cells, mu, scale, lift,
+                                       noise, seed):
     w = step_weight if name == "step" else sine_weight
-    sol = _window_solution(w, tuple(code), i_start, cells, periodic, mu,
-                           scale, lift, noise, seed)
+    sol = _window_solution(w, tuple(code), i_start, cells, mu, scale, lift,
+                           noise, seed)
     grid = sol.grid
     bump = localfield.levels_of(w).ground_bump()
     consts = solver._prepare(w)[0]
 
-    assert np.array_equal(
-        solver.initial_guess(w, sol.window, bump, grid).values,
-        ref_initial_guess(w, sol.window, bump, grid))
+    assert np.array_equal(solver.initial_guess(sol.window, bump, grid).values,
+                          ref_paste(sol.window, bump, grid))
     got = solver.check_membership(sol.u, mu, consts, sol.window)
     ref = ref_check_membership(sol.u, mu, consts, sol.window)
     assert got.to_dict() == ref.to_dict()
     delta = verify._decay_margin(w)
     assert verify.interior_maxima(sol, delta) == \
         ref_interior_maxima(sol, delta)
-    assert np.array_equal(verify.limit_profile(sol, bump).values,
-                          ref_limit_profile(sol, bump))
     assert verify.limit_distance(sol, bump).per_interval == \
         ref_limit_per_interval(sol, bump)
     ids = verify.nehari_identities(sol)
@@ -275,8 +254,8 @@ def test_window_copies_do_not_grow_with_the_window(step_weight, monkeypatch,
     counts = []
     for length in (4, 64):
         code = (1, 0) * (length // 2)
-        sol = _window_solution(step_weight, code, 0, 16, True, 1e3, 1.0,
-                               0.0, 0.0, 0)
+        sol = _window_solution(step_weight, code, 0, 16, 1e3, 1.0, 0.0, 0.0,
+                               0)
         calls.clear()
         run(sol)
         counts.append(len(calls))
