@@ -16,7 +16,15 @@ and u'(t_j+) at every node, the flux of the node's half hat on each
 neighbouring cell (Wheeler, SIAM J. Numer. Anal. 11, 1974); that is the
 one slope recovery of the package.
 Tridiagonal systems go to LAPACK ?gtsv directly, cyclic ones through a
-Sherman-Morrison correction (Press et al., Numerical Recipes, sec. 2.7).
+Sherman-Morrison correction (Press et al., Numerical Recipes, sec. 2.7);
+positive definite ones go to ?ptsv, and a factor kept for many solves to
+?pbtrf and ?pbtrs.  The four routines come from scipy's f2py module
+``scipy.linalg._flapack``, loaded by its path (``_scipy_files``), so
+``scipy.linalg``'s package ``__init__`` never runs.  Each routine gets the
+inputs scipy's banded solver for the job gives it (``solve_banded``,
+``solveh_banded``, ``cholesky_banded``, ``cho_solve_banded``), so the
+results are the same bits, and the definite wrappers keep those functions'
+checks and errors.
 The one-call functions gradient and jacobian_matrix use the same operator.
 
 Grids carry the node index of every sigma_i and tau_i their constructor
@@ -30,10 +38,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgtsv
 
+from ._scipy_files import flapack
 from .errors import IndexOutOfWindow, NewtonFailure, WeightError
+
+_flapack = flapack()
+dgtsv, dptsv = _flapack.dgtsv, _flapack.dptsv
+dpbtrf, dpbtrs = _flapack.dpbtrf, _flapack.dpbtrs
 
 _ARMIJO = 1e-4
 _UNDAMPED_BELOW = 1e-4
@@ -334,11 +345,12 @@ def solve_interior(tb, rhs, bands=None, keep=None, definite=False):
     """Solve with the interior rows of a clamped mesh's tridiagonal system.
 
     ``bands`` are cellwise blocks (LL, LR, RR) as from ``Operator.bands``
-    and are solved by ``solve_tridiagonal``, or by banded Cholesky when
-    ``definite``, which raises LinAlgError on a system that is not positive
-    definite; without them the system is the stiffness matrix, positive
-    definite, and is solved by banded Cholesky.  The end nodes are
-    eliminated, and with ``keep`` (node indices) every node left out of it.
+    and are solved by ``solve_tridiagonal``, or by ``_ptsv`` (the
+    root-free Cholesky L D L^T) when ``definite``, which raises LinAlgError
+    on a system that is not positive definite; without them the system is
+    the stiffness matrix, positive definite, and is solved by ``_ptsv``.
+    The end nodes are eliminated, and with ``keep`` (node indices) every
+    node left out of it.
     """
     if bands is None:
         inv = 1.0 / tb.h
@@ -352,10 +364,55 @@ def solve_interior(tb, rhs, bands=None, keep=None, definite=False):
         diag, off = diag[k], np.where(np.diff(k) == 1, off[k[:-1]], 0.0)
     if not definite:
         return solve_tridiagonal(diag, off, rhs)
-    ab = np.zeros((2, len(diag)))
+    return _ptsv(diag, off, rhs)
+
+
+def _ptsv(diag, off, b):
+    """x with T x = b for the symmetric positive definite tridiagonal
+    T = (diag, off), by LAPACK ?ptsv (L D L^T), the call scipy's
+    solveh_banded makes for one band, with its checks: ValueError on a
+    non-finite input, LinAlgError when T is not positive definite."""
+    _, _, x, info = dptsv(np.asarray_chkfinite(diag),
+                          np.asarray_chkfinite(off), np.asarray_chkfinite(b))
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(
+            f"illegal value in {-info}th argument of internal pbsv")
+    return x
+
+
+def cholesky_factor(diag, off):
+    """Upper banded Cholesky factor of the symmetric positive definite
+    tridiagonal (diag, off), by LAPACK ?pbtrf: what scipy's cholesky_banded
+    returns for the bands ((0, off), diag), with its checks (ValueError on
+    a non-finite input, LinAlgError when not positive definite)."""
+    ab = np.empty((2, len(diag)))
+    ab[0, 0] = 0.0
     ab[0, 1:] = off
     ab[1] = diag
-    return scipy.linalg.solveh_banded(ab, rhs)
+    c, info = dpbtrf(np.asarray_chkfinite(ab))
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(
+            f"illegal value in {info}-th argument of internal pbtrf")
+    return c
+
+
+def cholesky_solve(factor, b):
+    """x with T x = b for T factored by ``cholesky_factor``, by LAPACK
+    ?pbtrs: scipy's cho_solve_banded((factor, False), b), with its checks."""
+    x, info = dpbtrs(np.asarray_chkfinite(factor), np.asarray_chkfinite(b))
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(
+            f"illegal value in {-info}th argument of internal pbtrs")
+    return x
 
 
 def newton(x, residual, solve, tol, max_iter):

@@ -185,7 +185,7 @@ def write_csv(path, header, rows):
     from the first row: a str column is written as it is, every other value
     by ``%.17g``, which prints bools as 1/0, and nan, inf and -inf as such.
     """
-    rows = [tuple(row) for row in rows]
+    rows = list(rows)
     body = []
     if rows:
         fmt = ",".join("%s" if isinstance(v, str) else "%.17g"
@@ -392,7 +392,8 @@ def cmd_local(cfg, w, run):
     run.add_json(cfg["out"], payload)
     if cfg["bump_csv"]:
         bump = ev.ground_bump()
-        run.add_csv(cfg["bump_csv"], ["t", "u"], zip(bump.t, bump.u))
+        run.add_csv(cfg["bump_csv"], ["t", "u"],
+                    np.column_stack([bump.t, bump.u]).tolist())
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
@@ -409,7 +410,8 @@ def cmd_solve(cfg, w, run):
             report_payload["symbols"] = list(window.symbols)
             run.add_json(cfg["report"], report_payload)
         raise
-    run.add_csv(cfg["out"], ["t", "u"], zip(sol.grid.nodes, sol.u.full()))
+    run.add_csv(cfg["out"], ["t", "u"],
+                np.column_stack([sol.grid.nodes, sol.u.full()]).tolist())
     report_payload = sol.report.to_dict()
     report_payload["symbols"] = list(window.symbols)
     report_payload["i_start"] = window.i_start
@@ -433,7 +435,8 @@ def cmd_connection(cfg, w, run):
     # u'(t+) at every node but the last, which has only u'(t-)
     left, right = sol.op.slopes(sol.u.values)
     run.add_csv(cfg["out"], ["t", "u", "du"],
-                zip(grid.nodes, sol.u.full(), np.append(right[:-1], left[-1])))
+                np.column_stack([grid.nodes, sol.u.full(),
+                                 np.append(right[:-1], left[-1])]).tolist())
     djdx, djdy = connection.energy_derivatives(sol)
     fdc = sol.fd_check
     payload = {
@@ -520,7 +523,8 @@ def cmd_oracle(cfg, w, run):
         if cfg["out"]:
             ts = np.linspace(t0, t1, cfg["samples"])
             run.add_csv(cfg["out"], ["t", "u", "du"],
-                        zip(ts, dense.eval_u(ts), dense.eval_du(ts)))
+                        np.column_stack([ts, dense.eval_u(ts),
+                                         dense.eval_du(ts)]).tolist())
     return json.dumps(payload, indent=2, sort_keys=True)
 
 

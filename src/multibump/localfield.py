@@ -14,7 +14,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import assembly
 from .errors import DegenerateDirection, NonConvergence, WeightError
@@ -287,8 +286,7 @@ def principal_eigenvalue(w, mesh=None):
     moff = mLR[1:-1]
 
     inv = 1.0 / tb.h
-    chol = scipy.linalg.cholesky_banded(
-        np.vstack([np.concatenate([[0.0], -inv[1:-1]]), inv[:-1] + inv[1:]]))
+    chol = assembly.cholesky_factor(inv[:-1] + inv[1:], -inv[1:-1])
 
     phi = np.sin(math.pi * grid.nodes[1:-1] / w.tau)
     for _ in range(_EIGEN_MAX_ITER):
@@ -298,7 +296,7 @@ def principal_eigenvalue(w, mesh=None):
         mass = float(phi @ m_phi)
         if mass <= 0.0:
             raise DegenerateDirection("weighted mass matrix is not positive")
-        nxt = scipy.linalg.cho_solve_banded((chol, False), m_phi)
+        nxt = assembly.cholesky_solve(chol, m_phi)
         nu = float(nxt @ m_phi) / mass
         nxt /= np.max(nxt)
         step = float(np.max(np.abs(nxt - phi)))

@@ -14,9 +14,10 @@ to the bit.  It leaves out the machinery around each step (solver,
 interpolant and result objects, event bookkeeping), and appends each step's
 dense-output coefficients straight into ``_Steps``.  It never imports
 ``scipy.integrate`` or ``scipy.optimize`` (about 0.35 s and 20 MB of a
-process): ``_dop`` is scipy's tableau file, loaded by its path, and
-``_initial_step`` (``select_initial_step``), the step-size factors and
-``_brentq`` (the C ``brentq``) repeat scipy's operations.
+process), nor ``scipy`` itself: ``_dop`` is scipy's tableau file, loaded by
+its path (``_scipy_files``), and ``_initial_step``
+(``select_initial_step``), the step-size factors and ``_brentq`` (the C
+``brentq``) repeat scipy's operations.
 
 One integrator, ``_integrate_raw``, carries a batch of runs at once.  Run k
 goes from its t_from to its t_to, in either direction, on a common
@@ -42,24 +43,17 @@ case, and ``integrate`` the one-run case of ``_integrate_raw``.
 
 from __future__ import annotations
 
-import importlib.util
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
+from ._scipy_files import dop853_coefficients
 from .errors import BlowUp, NewtonFailure, NonConvergence, ScopeError
 
-# scipy's DOP853 tableau, run from its numpy-only file: scipy.integrate's
-# package __init__ never runs
-_spec = importlib.util.spec_from_file_location(
-    "multibump._dop853_coefficients", os.path.join(
-        os.path.dirname(scipy.__file__), "integrate", "_ivp",
-        "dop853_coefficients.py"))
-_dop = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(_dop)
+# scipy's DOP853 tableau, run from its numpy-only file: neither scipy's nor
+# scipy.integrate's package __init__ runs
+_dop = dop853_coefficients()
 
 _G5X, _G5W = np.polynomial.legendre.leggauss(5)
 # s-knots of different runs closer than this are one knot

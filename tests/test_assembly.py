@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -283,6 +284,129 @@ def test_solve_interior_definite_bands(step_weight, rng):
     with pytest.raises(np.linalg.LinAlgError):
         assembly.solve_interior(tb, rhs, op.bands(100.0 * small),
                                 definite=True)
+
+
+# -- the LAPACK wrappers against the scipy.linalg functions they replace -------
+
+
+def _spd_system(n, seed, columns):
+    """Cell blocks (LL, LR, RR) of a random diagonally dominant, so
+    positive definite, clamped system with n interior unknowns, the nodes
+    of a clamped mesh of n + 1 random cells, and a right-hand side of
+    ``columns`` columns (0: one vector)."""
+    rng = np.random.default_rng(seed)
+    LR = rng.uniform(-1.0, 1.0, n + 1)
+    LL = np.abs(LR) + rng.uniform(1e-3, 2.0, n + 1)
+    RR = np.abs(LR) + rng.uniform(1e-3, 2.0, n + 1)
+    nodes = np.cumsum(np.concatenate([[0.0], rng.uniform(0.01, 1.0, n + 1)]))
+    rhs = rng.normal(size=(n, columns) if columns else n)
+    return (LL, LR, RR), nodes, rhs
+
+
+def _upper_bands(diag, off):
+    return np.vstack([np.concatenate([[0.0], off]), diag])
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 500), seed=st.integers(0, 2**32 - 1),
+       columns=st.sampled_from([0, 1, 2]))
+@example(n=2, seed=0, columns=0)
+def test_lapack_wrappers_match_scipy_bits(step_weight, n, seed, columns):
+    """``solve_interior``'s definite and stiffness solves are scipy's
+    ``solveh_banded``, and ``cholesky_factor`` with ``cholesky_solve`` are
+    ``cholesky_banded`` with ``cho_solve_banded``, bit for bit.  (One
+    unknown is refused by both; see the next test.)"""
+    (LL, LR, RR), nodes, rhs = _spd_system(n, seed, columns)
+    tb = assembly.segment_grid(step_weight, nodes).tables
+    diag, off = RR[:-1] + LL[1:], LR[1:-1]
+    assert np.array_equal(
+        assembly.solve_interior(tb, rhs, (LL, LR, RR), definite=True),
+        scipy.linalg.solveh_banded(_upper_bands(diag, off), rhs))
+    inv = 1.0 / tb.h
+    assert np.array_equal(
+        assembly.solve_interior(tb, rhs),
+        scipy.linalg.solveh_banded(
+            _upper_bands(inv[:-1] + inv[1:], -inv[1:-1]), rhs))
+    factor = assembly.cholesky_factor(diag, off)
+    ref = scipy.linalg.cholesky_banded(_upper_bands(diag, off))
+    assert np.array_equal(factor, ref)
+    assert np.array_equal(assembly.cholesky_solve(factor, rhs),
+                          scipy.linalg.cho_solve_banded((ref, False), rhs))
+
+
+def _linalg_message(f, *args, **kwargs):
+    with pytest.raises(np.linalg.LinAlgError) as e:
+        f(*args, **kwargs)
+    return str(e.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lapack_wrappers_raise_scipys_errors(step_weight, bad):
+    """A non-finite input raises ValueError, not LinAlgError, and a band
+    that is not positive definite raises LinAlgError with scipy's message,
+    as the scipy.linalg functions do."""
+    (LL, LR, RR), nodes, rhs = _spd_system(6, 3, 0)
+    tb = assembly.segment_grid(step_weight, nodes).tables
+    diag, off = RR[:-1] + LL[1:], LR[1:-1]
+    factor = assembly.cholesky_factor(diag, off)
+    poisoned = rhs.copy()
+    poisoned[2] = bad
+    bad_diag = diag.copy()
+    bad_diag[2] = bad
+    for call in (
+            lambda: assembly.solve_interior(tb, poisoned, (LL, LR, RR),
+                                            definite=True),
+            lambda: assembly.solve_interior(tb, poisoned),
+            lambda: assembly.cholesky_factor(bad_diag, off),
+            lambda: assembly.cholesky_solve(factor, poisoned)):
+        with pytest.raises(ValueError) as e:
+            call()
+        assert not isinstance(e.value, np.linalg.LinAlgError)
+    # row 3 of the interior system is RR[3] + LL[4]
+    RR_bad = RR.copy()
+    RR_bad[3] = -1.0 - LL[4]
+    indefinite = RR_bad[:-1] + LL[1:]
+    ab = _upper_bands(indefinite, off)
+    assert _linalg_message(assembly.solve_interior, tb, rhs,
+                           (LL, LR, RR_bad), definite=True) \
+        == _linalg_message(scipy.linalg.solveh_banded, ab, rhs)
+    assert _linalg_message(assembly.cholesky_factor, indefinite, off) \
+        == _linalg_message(scipy.linalg.cholesky_banded, ab)
+    # ?ptsv's f2py signature refuses one unknown (its empty off-diagonal),
+    # through solveh_banded too; no level mesh or block has fewer than two
+    (LL, LR, RR), nodes, rhs = _spd_system(1, 3, 0)
+    tb = assembly.segment_grid(step_weight, nodes).tables
+    inv = 1.0 / tb.h
+    with pytest.raises(ValueError) as ours:
+        assembly.solve_interior(tb, rhs)
+    with pytest.raises(ValueError) as theirs:
+        scipy.linalg.solveh_banded(
+            _upper_bands(inv[:-1] + inv[1:], -inv[1:-1]), rhs)
+    assert str(ours.value) == str(theirs.value)
+
+
+def test_scipy_files_load_by_path(monkeypatch, tmp_path):
+    """The LAPACK module is scipy's own, which scipy.linalg reuses when
+    imported later; a scipy without one of the files fails at import with
+    an ImportError naming the path and scipy's version."""
+    import importlib.metadata
+
+    import scipy.linalg.lapack
+
+    from multibump import _scipy_files
+
+    assert assembly.dgtsv is scipy.linalg.lapack.dgtsv
+    assert _scipy_files.flapack() is assembly._flapack
+    monkeypatch.setattr(_scipy_files, "_scipy_dir", lambda: str(tmp_path))
+    version = importlib.metadata.version("scipy")
+    for name, load in (("scipy.linalg._flapack", _scipy_files.flapack),
+                       ("multibump._dop853_coefficients",
+                        _scipy_files.dop853_coefficients)):
+        monkeypatch.delitem(sys.modules, name)
+        with pytest.raises(ImportError) as e:
+            load()
+        assert str(tmp_path) in str(e.value)
+        assert f"scipy {version} " in str(e.value)
 
 
 # -- the operator against the expressions it replaced --------------------------

@@ -348,7 +348,7 @@ def test_failed_level_solve_is_not_cached(step_weight, monkeypatch):
         raise NonConvergence("broken on purpose")
 
     monkeypatch.setattr(localfield, "_ground_on", broken)
-    monkeypatch.setattr(localfield.scipy.linalg, "cholesky_banded", broken)
+    monkeypatch.setattr(localfield.assembly, "cholesky_factor", broken)
     ev = localfield.levels_of(step_weight)
     for solve in (ev.ground_bump, ev.eigen):
         with pytest.raises(NonConvergence):
