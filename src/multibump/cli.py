@@ -433,7 +433,7 @@ def cmd_connection(cfg, w, run):
     v, z = sol.sensitivities
     grid = sol.u.grid
     # u'(t+) at every node but the last, which has only u'(t-)
-    left, right = sol.op.slopes(sol.u.values)
+    left, right = sol.slopes
     run.add_csv(cfg["out"], ["t", "u", "du"],
                 np.column_stack([grid.nodes, sol.u.full(),
                                  np.append(right[:-1], left[-1])]).tolist())
@@ -455,7 +455,7 @@ def cmd_connection(cfg, w, run):
                       "fd": list(fdc["fd"]),
                       "rel_err": list(fdc["rel_err"]),
                       "step": fdc["step"]},
-        "cap_margins": connection.cap_margins(p, grid, sol.u.full()),
+        "cap_margins": sol.cap_margins,
         "descent_iters": sol.descent_iters,
         "newton_iters": sol.newton_iters,
     }

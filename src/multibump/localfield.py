@@ -17,6 +17,7 @@ import numpy as np
 
 from . import assembly
 from .errors import DegenerateDirection, NonConvergence, WeightError
+from .weight import weight_key
 
 _ARMIJO = 1e-4
 _EIGEN_TOL = 1e-13         # sup change of the max-normalized eigenvector
@@ -239,7 +240,8 @@ def pinned_level_direct(w, tbar, mesh=None):
     """
     tau = w.tau
     n = mesh or default_cells(w)
-    nodes = np.union1d(np.linspace(0.0, tau, n + 1), [tbar])
+    nodes = assembly.sorted_unique(
+        np.concatenate([np.linspace(0.0, tau, n + 1), [tbar]]))
     grid = assembly.segment_grid(w, nodes)
     tb = grid.tables
     pin = int(np.searchsorted(nodes, tbar))
@@ -322,11 +324,6 @@ def nehari_project(u):
         raise DegenerateDirection("direction has no positive quartic mass")
     lam = math.sqrt(kin / quart)
     return assembly.GridFunction(u.grid, lam * u.values)
-
-
-def weight_key(w):
-    """The content that fixes a weight's levels: equal keys, equal levels."""
-    return w.period, w.tau, w.pieces
 
 
 class LevelEvaluator:

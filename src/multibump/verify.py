@@ -164,7 +164,7 @@ def nehari_identities(sol):
         t = grid.nodes[j % grid.ndof] + (j // grid.ndof) * grid.span
         inner = t[(t > lo) & (t < hi)]
         knots = wspec.knots_in_span(lo, hi)
-        breaks = np.unique(np.concatenate([joints, inner, knots]))
+        breaks = assembly.sorted_unique(np.concatenate([joints, inner, knots]))
         tq, wq = _gauss_segments(breaks)
         uq, duq = _sample(grid, full, tq)
         eta = cutoff(wspec, i, tq)

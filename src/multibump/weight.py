@@ -271,6 +271,12 @@ def build_weight(T, tau, pieces, check=True):
     return w
 
 
+def weight_key(w):
+    """The content that fixes a weight's levels and meshes: equal keys,
+    equal levels and equal grids."""
+    return w.period, w.tau, w.pieces
+
+
 def _recenter(c, dt):
     """Rewrite ascending coefficients in (t - t0) as coefficients in (t - t0 - dt)."""
     n = len(c)

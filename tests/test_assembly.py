@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -638,3 +639,113 @@ def test_build_tables_matches_reference_bits(step_weight, sine_weight, w, t0,
     for name, ref in _ref_tables(w, nodes).items():
         got = getattr(tb, name)
         assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+
+
+# -- grids kept per process ---------------------------------------------------
+
+
+def _two_step(neg_level):
+    return weight.build_weight(2.0, 1.0, [
+        weight.Piece(0.0, 1.0, "poly", (1.0,)),
+        weight.Piece(1.0, 2.0, "poly", (-neg_level,))])
+
+
+def test_weight_file_loaded_twice_shares_its_grids(tmp_path):
+    """Two loads of one weight file are two objects with one content: they
+    get the same window grid and the same block mesh."""
+    from multibump import connection
+
+    path = tmp_path / "w.json"
+    weight.save_weight_json(weight.make_step_weight(), path)
+    w1, w2 = weight.load_weight_json(path), weight.load_weight_json(path)
+    assert w1 is not w2
+    assert assembly.span_grid(w1, -1, 2, 16) is \
+        assembly.span_grid(w2, -1, 2, 16)
+    blocks = [connection.make_connection_problem(w, 1e3, 0.5, 0.5, K=1.0,
+                                                 r=1.0) for w in (w1, w2)]
+    assert connection.connection_grid(blocks[0]) is \
+        connection.connection_grid(blocks[1])
+
+
+def test_grid_keyed_by_negative_pieces_too():
+    """Weights equal on [0, tau] but not on [tau, T] get different grids,
+    whose tables read their own a-."""
+    g1 = assembly.span_grid(_two_step(1.0), 0, 1, 16)
+    g2 = assembly.span_grid(_two_step(2.0), 0, 1, 16)
+    assert g1 is not g2
+    assert np.max(g2.tables.qam) == 2.0 * np.max(g1.tables.qam)
+
+
+def test_at_most_four_grids_kept():
+    """The most recently asked grids are kept, at most _GRIDS_KEPT = 4; the
+    oldest is rebuilt when asked again."""
+    w = weight.make_step_weight()
+    first = assembly.span_grid(w, 0, 1, 8)
+    for m in range(9, 14):
+        assembly.span_grid(w, 0, 1, m)
+        assert len(assembly._grids) <= assembly._GRIDS_KEPT == 4
+    assert assembly.span_grid(w, 0, 1, 13) is assembly.span_grid(w, 0, 1, 13)
+    rebuilt = assembly.span_grid(w, 0, 1, 8)
+    assert rebuilt is not first
+    assert np.array_equal(rebuilt.tables.qw, first.tables.qw)
+
+
+def test_kept_grids_under_threads():
+    """Sweep threads share the kept grids: more threads than cores asking
+    for more keys than are kept, with a short switch interval, each get a
+    grid of their key and never see more than _GRIDS_KEPT kept."""
+    w = weight.make_step_weight()
+    errors, sizes = [], []
+
+    def work(k):
+        try:
+            for j in range(300):
+                m = 8 + (j * (k + 1)) % 10
+                assert assembly.span_grid(w, 0, 1, m).m == m
+                sizes.append(len(assembly._grids))
+        except Exception as e:          # reported by the main thread
+            errors.append(e)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(sizes) == 2400 and max(sizes) <= assembly._GRIDS_KEPT
+
+
+def test_kept_grid_arrays_are_read_only():
+    grid = assembly.span_grid(weight.make_step_weight(), 0, 1, 16)
+    for arr in (grid.nodes, grid.tables.qw, grid.tables.qcell,
+                grid.tables.inv_h):
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+
+
+def test_stacked_residual_rows_match_single_rows(rng):
+    """A stack's residual and actions are each row's own, bit for bit, on
+    a periodic window and on a clamped mesh."""
+    w = weight.make_step_weight()
+    for grid in (assembly.span_grid(w, -1, 3, 20), segment(w, -1.0, 2.0, 90)):
+        stack = rng.standard_normal((3, grid.ndof))
+        op = assembly.Operator(grid, 300.0)
+        rows = op.residual(stack)
+        actions = op.actions(stack)
+        for k, values in enumerate(stack):
+            one = assembly.Operator(grid, 300.0).residual(values.copy())
+            assert np.array_equal(rows[k], one)
+            assert actions[k] == assembly.action(
+                assembly.GridFunction(grid, values.copy()), 300.0)
+
+
+def test_sorted_unique_is_numpys(rng):
+    for a in (rng.integers(0, 20, 50).astype(float), rng.standard_normal(7),
+              np.array([1.0]), np.array([2.0, 2.0, 1.0])):
+        assert np.array_equal(assembly.sorted_unique(a), np.unique(a))

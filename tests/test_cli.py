@@ -462,6 +462,24 @@ def test_cli_import_leaves_heavy_scipy_out():
         f"import multibump.cli loaded {loaded}"
 
 
+def test_local_and_connection_leave_numpy_ma_out(tmp_path):
+    """A fresh process's ``local`` and ``connection`` never import
+    ``numpy.ma`` (15-19 ms), which ``np.unique`` and ``np.union1d`` load on
+    their first call."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    for argv in (["local"],
+                 ["connection", "--mu", "2000", "--x", "0.6", "--y", "0.4"]):
+        argv += ["--outdir", str(tmp_path / argv[0])]
+        probe = ("import sys; from multibump import cli; "
+                 f"rc = cli.main({argv!r}); "
+                 "print(rc, 'numpy.ma' in sys.modules)")
+        res = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split()[-2:] == ["0", "False"], argv
+
+
 def test_failed_marker_set_and_cleared(tmp_path):
     d = str(tmp_path)
     rc = cli.main(["solve", "--symbols", "10", "--mu", "0.5",
@@ -715,21 +733,20 @@ def test_connection_report(tmp_path):
 
 def test_connection_builds_one_operator_per_block_solve(tmp_path,
                                                       monkeypatch):
-    """With the levels cached, a connection run builds one Operator for its
-    block, which the CSV slopes and the sensitivity bands read, and one for
-    each of the four FD solves."""
+    """With the levels and the block's mesh kept, a connection run builds
+    one Operator for its block, which the sensitivity bands and the four
+    FD predictors' stacked residual read, and no quadrature tables: the
+    predictors meet the polish tolerance, so no FD block is solved."""
     argv = ["connection", "--mu", "2000", "--x", "0.6", "--y", "0.4"]
     assert cli.main(argv + ["--outdir", str(tmp_path / "warm")]) == 0
-    built = []
-    init = assembly.Operator.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(assembly.Operator, "__init__", counted)
+    counts = {}
+    for owner, name in ((assembly.Operator, "__init__"),
+                        (assembly, "build_tables"),
+                        (connection, "solve_connection")):
+        monkeypatch.setattr(owner, name,
+                            _counted(counts, name, getattr(owner, name)))
     assert cli.main(argv + ["--outdir", str(tmp_path / "run")]) == 0
-    assert len(built) == 5
+    assert counts == {"__init__": 1, "solve_connection": 1}
 
 
 def test_connection_fd_check_on_one_mesh(tmp_path):

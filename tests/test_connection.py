@@ -213,3 +213,126 @@ def test_longer_block(step_weight):
     s = connection.solve_connection(p, cells=160)
     assert list(p.plus_indices()) == [0, 1]
     assert np.all(s.u.full() > 0.0)
+
+
+# -- one-pass FD check and two-column sensitivities against the loops ---------
+
+
+def ref_sensitivities(sol):
+    """Reference of compute_sensitivities: one solve and one defect check
+    for each of v and z."""
+    p, grid, full = sol.problem, sol.grid, sol.u.values
+    bands = sol.op.bands(full)
+    out = []
+    for left_val, right_val in ((1.0, 0.0), (0.0, 1.0)):
+        rhs = np.zeros(len(full) - 2)
+        rhs[0] -= bands[1][0] * left_val
+        rhs[-1] -= bands[1][-1] * right_val
+        interior = assembly.solve_interior(grid.tables, rhs, bands)
+        vals = np.concatenate([[left_val], interior, [right_val]])
+        res = assembly.hessian_full(grid.tables, p.mu, full, vals)[1:-1]
+        scale = float(np.max(np.abs(vals))) * \
+            float(np.max(1.0 / grid.tables.h))
+        assert float(np.max(np.abs(res))) <= 1e-6 * max(scale, 1.0)
+        out.append(vals)
+    return out
+
+
+def ref_fd_check(sol):
+    """Reference of energy_derivatives' check: each of the four perturbed
+    blocks solved by solve_connection from its tangent predictor."""
+    p = sol.problem
+    v, z = sol.sensitivities
+    h = connection._FD_STEP * max(1.0, abs(p.x), abs(p.y))
+    vals, steps = {}, []
+    for name, (dx, dy) in (("x+", (h, 0.0)), ("x-", (-h, 0.0)),
+                           ("y+", (0.0, h)), ("y-", (0.0, -h))):
+        q = connection.ConnectionProblem(w=p.w, mu=p.mu, x=p.x + dx,
+                                         y=p.y + dy, i=p.i, l=p.l, K=p.K,
+                                         r=p.r)
+        start = assembly.GridFunction(sol.grid, sol.u.values + dx * v.values
+                                      + dy * z.values)
+        s = connection.solve_connection(q, init=start)
+        vals[name] = assembly.action(s.u, p.mu)
+        steps.append(s.descent_iters)
+    dlo, dhi = sol.boundary_slopes
+    fd = ((vals["x+"] - vals["x-"]) / (2.0 * h),
+          (vals["y+"] - vals["y-"]) / (2.0 * h))
+    scale = max(abs(dlo), abs(dhi), 1e-30)
+    return {"step": h, "fd": fd,
+            "rel_err": (abs(fd[0] + dlo) / scale, abs(fd[1] - dhi) / scale),
+            "descent_iters": tuple(steps)}
+
+
+_blocks = dict(mu=st.floats(1e2, 1e4),
+               x=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+               y=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+               l=st.sampled_from([1, 2]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_blocks)
+def test_fd_check_equals_the_four_solves(step_weight, default_caps, mu, x, y,
+                                         l):
+    """The stacked pass gives the four-solve check's values bit for bit."""
+    K, r = default_caps
+    p = connection.make_connection_problem(step_weight, mu, x, y, l=l,
+                                           K=K, r=r)
+    s = connection.solve_connection(p)
+    connection.energy_derivatives(s)
+    assert s.fd_check == ref_fd_check(s)
+
+
+@settings(max_examples=15, deadline=None)
+@given(**_blocks)
+def test_fd_check_falls_back_to_solves(step_weight, default_caps, mu, x, y,
+                                       l):
+    """At a step of 1e-2 the predictors miss the polish tolerance, so the
+    perturbed blocks go through solve_connection, and the check still
+    equals the four-solve reference."""
+    K, r = default_caps
+    p = connection.make_connection_problem(step_weight, mu, x, y, l=l,
+                                           K=K, r=r)
+    s = connection.solve_connection(p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(connection, "_FD_STEP", 1e-2)
+        solves = []
+        real = connection.solve_connection
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return real(*args, **kwargs)
+
+        mp.setattr(connection, "solve_connection", counted)
+        connection.energy_derivatives(s)
+        assert solves
+        mp.setattr(connection, "solve_connection", real)
+        assert s.fd_check == ref_fd_check(s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_blocks)
+def test_sensitivities_equal_two_solves(step_weight, default_caps, mu, x, y,
+                                        l):
+    """v and z from one two-column solve are the two one-column solves."""
+    K, r = default_caps
+    p = connection.make_connection_problem(step_weight, mu, x, y, l=l,
+                                           K=K, r=r)
+    s = connection.solve_connection(p)
+    v, z = connection.compute_sensitivities(s)
+    ref_v, ref_z = ref_sensitivities(s)
+    assert np.array_equal(v.values, ref_v) and np.array_equal(z.values, ref_z)
+
+
+def test_connection_grid_kept_per_process(problem):
+    """Block data with the same cell counts get the same kept mesh; data
+    whose layers need more cells than the minimum get another."""
+    g = connection.connection_grid(problem, cells=8)
+    again = connection.make_connection_problem(
+        problem.w, problem.mu + 1.0, problem.x, problem.y, K=problem.K,
+        r=problem.r)
+    assert connection.connection_grid(again, cells=8) is g
+    steep = connection.make_connection_problem(
+        problem.w, 1e4, 0.9, 0.9, K=problem.K, r=problem.r)
+    assert len(connection.connection_grid(steep, cells=8).nodes) > \
+        len(g.nodes)
