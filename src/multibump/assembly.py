@@ -97,6 +97,10 @@ class QuadTables:
     def inv_h(self):
         return 1.0 / self.h
 
+    @cached_property
+    def max_inv_h(self):
+        return float(np.max(self.inv_h))
+
 
 def sorted_unique(a):
     """The sorted distinct values of a 1-D array, as ``np.unique`` gives
@@ -187,7 +191,7 @@ def _cell_blocks(tb, coef):
 
 def stiffness_full(tb, u_full):
     """Vector of int u' phi_j' over all nodal hats, clamped-end convention."""
-    slopes = np.diff(u_full) / tb.h
+    slopes = (u_full[..., 1:] - u_full[..., :-1]) / tb.h
     r = np.zeros(np.shape(u_full))
     r[..., :-1] -= slopes
     r[..., 1:] += slopes
@@ -205,8 +209,8 @@ def dirichlet_energy(h, u):
     fewer than the values), one per row of a stack of ranges: the sum of
     (du/h)^2 h, exact for the interpolant.  Every P1 energy of a node range
     is this expression, and a row's sum has the bits of its range's."""
-    slopes = np.diff(u) / h
-    return np.sum(slopes * slopes * h, axis=-1)
+    slopes = (u[..., 1:] - u[..., :-1]) / h
+    return (slopes * slopes * h).sum(axis=-1)
 
 
 def dirichlet_integral(tb, u_full):
@@ -238,25 +242,27 @@ class Operator:
     dofs: on a periodic window the residual is folded by ``Grid.fold`` and
     the step solves the cyclic system; on a clamped mesh they carry every
     node, and the step solves the interior rows with the end values held
-    (r then holds the interior residual rows only).  ``residual`` also
-    takes a stack of values, one per row, as ``actions`` does.
+    (r then holds the interior residual rows only).  ``residual`` and
+    ``actions`` also take a stack of values, one per row.
     """
 
     def __init__(self, grid, mu):
         self.grid = grid
         self.tb = grid.tables
         self.mu = mu
-        self._amu = self.tb.amu(mu)
-        self.c = self.tb.qw * self._amu
+        self.c = self.tb.qw * self.tb.amu(mu)
         self._last = None          # (values, point values) of the last residual
 
     @cached_property
     def k(self):
-        return 3.0 * self.tb.qw * self._amu
+        return 3.0 * self.tb.qw * self.tb.amu(self.mu)
 
-    def _points(self, values):
+    def points(self, values):
+        """The interpolant of values at the quadrature points: those of the
+        last ``residual`` when it was at the same values."""
         last = self._last
-        if last is not None and np.array_equal(last[0], values):
+        if last is not None and last[0].shape == np.shape(values) and \
+                (last[0] == values).all():
             return last[1]
         return _at_points(self.tb, self.grid.full_values(values))
 
@@ -271,22 +277,21 @@ class Operator:
                               _hat_scatter(tb, self.c * (uq * uq * uq),
                                            full.shape[-1]))
 
-    def actions(self, stack):
-        """J_mu at each row of a stack of values, from the point values of
-        the last ``residual`` at the same stack.  Each row is summed as a
-        contiguous 1-D array, so it has the bits of ``action`` on its own
-        GridFunction whatever the stack's memory order (summed along a
-        column-major stack's rows, about half the sums move)."""
-        u2 = self._points(stack)
+    def actions(self, values):
+        """J_mu at values, one per row of a stack, from the point values of
+        the last ``residual`` at the same values.  A stack is summed in one
+        pass: each row runs along contiguous memory, so it keeps the bits of
+        ``action`` on its own GridFunction (summed along a column-major
+        stack's rows, about half the sums move)."""
+        u2 = self.points(values)
         u2 = u2 * u2
-        return [0.5 * dirichlet_integral(self.tb, full) -
-                0.25 * float(np.sum(quartic))
-                for full, quartic in zip(self.grid.full_values(stack),
-                                         self.c * (u2 * u2))]
+        full = np.ascontiguousarray(self.grid.full_values(values))
+        return 0.5 * dirichlet_energy(self.tb.h, full) - \
+            0.25 * (self.c * (u2 * u2)).sum(axis=-1)
 
     def bands(self, values):
         """Cellwise 2x2 blocks (LL, LR, RR) of the residual Jacobian."""
-        uq = self._points(values)
+        uq = self.points(values)
         cLL, cLR, cRR = _cell_blocks(self.tb, self.k * (uq * uq))
         inv = self.tb.inv_h
         return inv - cLL, -inv - cLR, inv - cRR
@@ -315,10 +320,11 @@ class Operator:
         for bit.  Reuses the point values of the last ``residual`` at the
         same values."""
         tb = self.tb
-        uq = self._points(values)
+        uq = self.points(values)
         f = self.c * (uq * uq * uq)
         n = len(tb.h)
-        s = np.diff(self.grid.full_values(values)) / tb.h
+        full = self.grid.full_values(values)
+        s = (full[1:] - full[:-1]) / tb.h
         into = s - np.bincount(tb.qcell, f * tb.qlam, n)   # u'(t_{c+1}-)
         out = s + np.bincount(tb.qcell, f * tb.rlam, n)    # u'(t_c+)
         if self.grid.periodic:
@@ -384,7 +390,7 @@ def solve_tridiagonal(diag, off, rhs):
         # the solution is free; y solves A x = rhs to round-off when rhs is
         # in the range
         x = y if den == 0.0 else y - (y[0] + ratio * y[-1]) / den * z
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise np.linalg.LinAlgError("non-finite tridiagonal solve")
     return x
 
@@ -463,9 +469,9 @@ def cholesky_solve(factor, b):
     return x
 
 
-def newton(x, residual, solve, tol, max_iter):
+def newton(x, residual, solve, tol, max_iter, r=None):
     """Damped Newton for residual(x) = 0; returns (x, steps taken,
-    residual at x).
+    residual at x).  ``r`` is residual(x) when the caller has it.
 
     ``solve(x, r)`` returns the Newton step for residual r at x.  A step is
     halved until |r|^2 falls by the Armijo factor, except below a residual of
@@ -473,15 +479,16 @@ def newton(x, residual, solve, tol, max_iter):
     reject a trial outside its domain.  Raises NewtonFailure on a non-finite
     step, a failed line search, or no convergence within max_iter steps.
     """
-    r = residual(x)
+    if r is None:
+        r = residual(x)
     for it in range(max_iter + 1):
-        rn = float(np.max(np.abs(r)))
+        rn = float(np.abs(r).max())
         if rn <= tol:
             return x, it, r
         if it == max_iter:
             break
         step = solve(x, r)
-        if not np.all(np.isfinite(step)):
+        if not np.isfinite(step).all():
             raise NewtonFailure(f"non-finite Newton step at residual {rn:.3e}")
         phi0 = float(r @ r)
         alpha = 1.0
@@ -500,10 +507,11 @@ def newton(x, residual, solve, tol, max_iter):
                         f"(residual {rn:.3e})")
 
 
-def newton_dirichlet(op, u_full, tol, max_iter):
+def newton_dirichlet(op, u_full, tol, max_iter, r=None):
     """Damped Newton (``newton``) with the Operator ``op`` of a clamped mesh on
-    the interior nodes, the end values held; returns (full nodal values,
-    steps taken)."""
+    the interior nodes, the end values held, from the interior residual
+    rows ``r`` at u_full when the caller has them; returns (full nodal
+    values, steps taken)."""
     full = u_full.copy()          # reused for every trial; never the iterate
 
     def embed(x):
@@ -519,7 +527,7 @@ def newton_dirichlet(op, u_full, tol, max_iter):
         except np.linalg.LinAlgError as e:
             raise NewtonFailure(f"singular Jacobian: {e}") from None
 
-    x, steps, _ = newton(u_full[1:-1], residual, solve, tol, max_iter)
+    x, steps, _ = newton(u_full[1:-1], residual, solve, tol, max_iter, r)
     return embed(x), steps
 
 
@@ -689,7 +697,7 @@ class GridFunction:
         if len(self.values) != self.grid.ndof:
             raise WeightError(
                 f"expected {self.grid.ndof} values, got {len(self.values)}")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise WeightError("grid function values must be finite")
 
     @classmethod

@@ -12,9 +12,14 @@ derivatives dJ/dx = -u'(t_lo+), dJ/dy = u'(t_hi-) are checked by central
 differences whose four perturbed blocks start on the solution's own mesh
 from the tangent predictor u + dx v + dy z: by the discrete implicit
 function theorem it misses them by O(h^2), and on the benchmark's ranges
-inside the polish's tolerance.  So the check is one pass: the four
-predictors go through one residual of the solution's operator as a stack,
-and only a predictor that misses the tolerance is solved.
+inside the polish's tolerance.  So the check settles the four predictors
+as one (4, n) stack: end data set, only the rows a cap touches retracted,
+one residual and one action sum on the solution's operator, and the polish
+tolerances and cap margins of all four rows at once.  Only a predictor that
+misses the tolerance is solved, and the rows are read in x+, x-, y+, y-
+order, so an error is the one four solves in turn would raise.  The
+sensitivities are checked against the product of the Jacobian bands they
+were solved with.
 
 The certifier of periodic solutions (solver, verify) never calls this
 module: it certifies through conditions C1-C4, the window identities and
@@ -26,15 +31,17 @@ The block solver reuses the finite-element machinery on a clamped sub-grid,
 which the process keeps with its quadrature tables (``assembly.kept_grid``);
 boundary conditions are imposed by node elimination, and one
 ``assembly.Operator`` of the block gives every residual, the Newton step,
-the end slopes and the sensitivities' bands.  A solve is one path:
-projected descent under the caps, then a single unconstrained Newton
-polish, then one verdict.  Each descent direction solves the block's own
-Hessian (the operator's Jacobian bands at the iterate) by banded Cholesky,
-the stiffness matrix standing in where the Hessian is not positive
-definite; on the step weight at mu 1e2 to 1e4 with data in (0, 1), one
-such step hands over to the polish.  Constraints are
-handled by an active-set retraction during descent, never by penalties: the
-minimizer is expected interior.  If the polish converges, a cap active (or
+the end slopes and the sensitivities' bands; each iterate's residual is
+formed once, and its point values give the action too.  A solve is one
+path: projected descent under the caps, then a single unconstrained Newton
+polish from the descent's last residual, then one verdict.  Each descent
+direction solves the block's own Hessian (the operator's Jacobian bands at
+the iterate) by banded Cholesky, the stiffness matrix standing in where the
+Hessian is not positive definite; on the step weight at mu 1e2 to 1e4 with
+data in (0, 1), one such step hands over to the polish, and so does a
+direction that is not finite, as a stalled line search does.  Constraints
+are handled by an active-set retraction during descent, never by penalties:
+the minimizer is expected interior.  If the polish converges, a cap active (or
 violated) at its result is reported as InteriorityFailure, the operational
 signal that mu sits below the working threshold.  If the polish fails, the
 descent's output is read the same way: on a cap (step weight, mu 1.5,
@@ -44,7 +51,6 @@ NewtonFailure stands.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -222,20 +228,47 @@ def _retract(p, grid, full):
             full[a:b + 1] = affine + theta * dev
 
 
+def _cap_reads(p, grid, full):
+    """(|u(sigma_j)|, int u'^2) on each interior I_j^+ as two arrays with
+    one column per I_j^+, one row per row of a stack.  A row's energy has
+    the bits of its range's alone (``dirichlet_energy``)."""
+    h = grid.tables.h
+    ranges = _plus_ranges(p, grid)
+    amp = np.empty(full.shape[:-1] + (len(ranges),))
+    energy = np.empty_like(amp)
+    for k, (a, b) in enumerate(ranges):
+        amp[..., k] = np.abs(full[..., a])
+        energy[..., k] = assembly.dirichlet_energy(h[a:b], full[..., a:b + 1])
+    return amp, energy
+
+
+def _retract_rows(p, grid, stack):
+    """``_retract`` each row of a stack (in place) that a cap touches: a
+    row whose sigma_j values and interval energies all sit within the
+    retraction's caps is one ``_retract`` leaves as it is.  Returns the
+    cap margins of the retracted rows, as ``cap_margins`` gives them."""
+    amp, energy = _cap_reads(p, grid, stack)
+    touched = np.flatnonzero(np.any(
+        (amp > p.K * (1.0 - _CAP_SLACK))
+        | (energy > p.r ** 2 * (1.0 - _CAP_SLACK)), axis=1))
+    for k in touched:
+        _retract(p, grid, stack[k])
+    if len(touched):
+        amp[touched], energy[touched] = _cap_reads(p, grid, stack[touched])
+    return p.K - amp, p.r ** 2 - energy
+
+
 def cap_margins(p, grid, full):
     """Slack of each cap: (K - |u(sigma_j)|, r^2 - int u'^2) per interior I_j^+."""
-    h = grid.tables.h
-    return [(p.K - abs(float(full[a])),
-             p.r ** 2 - assembly.dirichlet_energy(h[a:b], full[a:b + 1]))
-            for a, b in _plus_ranges(p, grid)]
+    amp, energy = _cap_reads(p, grid, full)
+    return list(zip((p.K - amp).tolist(), (p.r ** 2 - energy).tolist()))
 
 
-def _check_interiority(p, grid, full):
-    """The cap margins of ``full``; raise InteriorityFailure when any cap on
-    an interior I_j^+ is active."""
+def _check_interiority(p, margins):
+    """``margins`` (``cap_margins``); raise InteriorityFailure when any cap
+    on an interior I_j^+ is active."""
     slack_K = _CAP_SLACK * p.K * 2.0
     slack_r = _CAP_SLACK * p.r ** 2 * 2.0
-    margins = cap_margins(p, grid, full)
     for j, (mK, mr) in zip(p.plus_indices(), margins):
         if mK <= slack_K or mr <= slack_r:
             raise InteriorityFailure(
@@ -249,21 +282,24 @@ def _check_interiority(p, grid, full):
 
 def _descent(p, grid, op, full, r_int):
     """Projected descent with Armijo backtracking on the block action, from
-    ``full`` with interior residual rows ``r_int``, until the residual falls
-    by _DESCENT_RTOL or a line search stalls.
+    ``full`` with interior residual rows ``r_int`` (``op``'s last residual),
+    until the residual falls by _DESCENT_RTOL or a line search stalls;
+    returns (iterate, steps, its interior residual rows).
 
     Each direction solves the block's Hessian, the Jacobian bands of ``op``
     at the iterate, on the interior rows by banded Cholesky: near a strict
     minimizer under simple bounds that is the right metric, and the step is
     projected Newton's (Bertsekas, SIAM J. Control Optim. 20, 1982).  Where
     the Hessian is not positive definite (low mu, large data) the stiffness
-    matrix takes its place.  Every trial is retracted under the caps."""
+    matrix takes its place.  A direction that is not finite stalls the
+    descent.  Every trial is retracted under the caps, and its one residual
+    gives its action and, once accepted, the next direction's rows."""
     tb = grid.tables
-    J = assembly.action(GridFunction(grid, full), p.mu)
-    r0 = max(float(np.max(np.abs(r_int))), 1e-30)
+    J = op.actions(full)
+    r0 = max(float(np.abs(r_int).max()), 1e-30)
     done = 0
     while done < _MAX_DESCENT:
-        rn = float(np.max(np.abs(r_int)))
+        rn = float(np.abs(r_int).max())
         if rn <= _DESCENT_RTOL * r0:
             break
         try:
@@ -271,22 +307,24 @@ def _descent(p, grid, op, full, r_int):
                                         definite=True)
         except np.linalg.LinAlgError:
             d = assembly.solve_interior(tb, r_int)
+        if not np.isfinite(d).all():
+            break                     # no direction: hand over to Newton
         slope = float(r_int @ d)
         alpha = 1.0
         while True:
             trial = full.copy()
             trial[1:-1] -= alpha * d
             _retract(p, grid, trial)
-            Jt = assembly.action(GridFunction(grid, trial), p.mu)
+            r_trial = op.residual(trial)[1:-1]
+            Jt = op.actions(trial)
             if Jt <= J - _ARMIJO * alpha * slope:
-                full, J = trial, Jt
+                full, J, r_int = trial, Jt, r_trial
                 break
             alpha *= 0.5
             if alpha < 1e-10:
-                return full, done            # stalled: hand over to Newton
+                return full, done, r_int     # stalled: hand over to Newton
         done += 1
-        r_int = op.residual(full)[1:-1]
-    return full, done
+    return full, done, r_int
 
 
 @dataclass(eq=False)
@@ -350,17 +388,18 @@ def solve_connection(p, cells=None, init=None):
     op = assembly.Operator(grid, p.mu)
     r_int = op.residual(full)[1:-1]
     n_desc = 0
-    if float(np.max(np.abs(r_int))) >= assembly._UNDAMPED_BELOW:
-        full, n_desc = _descent(p, grid, op, full, r_int)
+    if float(np.abs(r_int).max()) >= assembly._UNDAMPED_BELOW:
+        full, n_desc, r_int = _descent(p, grid, op, full, r_int)
     try:
         full, n_newt = assembly.newton_dirichlet(
-            op, full, _polish_tol(p, op, full), _MAX_NEWTON)
+            op, full, _polish_tol(op, full, max(abs(p.x), abs(p.y))),
+            _MAX_NEWTON, r_int)
     except NonConvergence:
         # a pinned minimizer has no interior stationary point to polish;
         # report the active cap instead of the symptom
-        _check_interiority(p, grid, full)
+        _check_interiority(p, cap_margins(p, grid, full))
         raise
-    margins = _check_interiority(p, grid, full)
+    margins = _check_interiority(p, cap_margins(p, grid, full))
 
     left, right = op.slopes(full)
     return ConnectionSolution(
@@ -372,12 +411,13 @@ def solve_connection(p, cells=None, init=None):
         descent_iters=n_desc, newton_iters=n_newt)
 
 
-def _polish_tol(p, op, full):
-    """The polish's Newton tolerance at ``full``: scaled to the data,
-    floored at the rounding level."""
+def _polish_tol(op, full, data):
+    """The polish's Newton tolerance at ``full`` with end data of largest
+    modulus ``data``: scaled to the data, floored at the rounding level; one
+    per row of a stack."""
     floor = 200.0 * np.finfo(float).eps * \
-        max(1.0, float(np.max(np.abs(full)))) * float(np.max(op.tb.inv_h))
-    return max(_NEWTON_TOL * max(1.0, abs(p.x), abs(p.y)), floor)
+        np.maximum(1.0, np.abs(full).max(axis=-1)) * op.tb.max_inv_h
+    return np.maximum(_NEWTON_TOL * np.maximum(1.0, data), floor)
 
 
 # -- sensitivities and derivatives ---------------------------------------------
@@ -386,26 +426,27 @@ def _polish_tol(p, op, full):
 def compute_sensitivities(sol):
     """The pair v (left data 1, right 0) and z (left 0, right 1) at sol.u:
     v'' + 3 a_mu u^2 v = 0 weakly, solved for both from one two-column
-    right-hand side, with one defect check of both."""
-    p = sol.problem
+    right-hand side, with one defect check of both against the bands
+    solved with."""
     grid = sol.grid
     full = sol.u.values
     bands = sol.op.bands(full)
-    dLR = bands[1]
+    LL, LR, RR = bands
     ends = np.eye(2)                 # left, right: one column each for v, z
     rhs = np.zeros((len(full) - 2, 2))
-    rhs[0] -= dLR[0] * ends[0]
-    rhs[-1] -= dLR[-1] * ends[1]
+    rhs[0] -= LR[0] * ends[0]
+    rhs[-1] -= LR[-1] * ends[1]
     try:
         interior = assembly.solve_interior(grid.tables, rhs, bands)
     except np.linalg.LinAlgError as e:
         raise SingularLinearization(str(e)) from None
     vals = np.concatenate([ends[:1], interior, ends[1:]]).T.copy()
-    # defect check: a nearly singular tridiagonal solve passes gtsv
-    # but leaves a large weak residual on the interior rows
-    res = assembly.hessian_full(grid.tables, p.mu, full, vals)[:, 1:-1]
-    scale = np.max(np.abs(vals), axis=1) * float(np.max(1.0 / grid.tables.h))
-    if np.any(np.max(np.abs(res), axis=1) > 1e-6 * np.maximum(scale, 1.0)):
+    # defect check: a nearly singular tridiagonal solve passes gtsv but
+    # leaves a large residual on the interior rows of its bands' product
+    res = (LR[:-1] * vals[:, :-2] + (RR[:-1] + LL[1:]) * vals[:, 1:-1]
+           + LR[1:] * vals[:, 2:])
+    scale = np.abs(vals).max(axis=1) * grid.tables.max_inv_h
+    if (np.abs(res).max(axis=1) > 1e-6 * np.maximum(scale, 1.0)).any():
         raise SingularLinearization(
             "linearized block operator is numerically singular")
     sol.v, sol.z = GridFunction(grid, vals[0]), GridFunction(grid, vals[1])
@@ -419,15 +460,17 @@ def energy_derivatives(sol):
     block action in (x, y), with step h = _FD_STEP max(1, |x|, |y|).  Each
     perturbed block is started on sol's own mesh from the tangent predictor
     u + dx v + dy z, which (v and z being the exact derivatives of the
-    discrete minimizer) misses it by O(h^2).  The four predictors, their
-    end data set and retracted under the caps as ``solve_connection`` sets
-    a start, go through one residual of sol's operator as a stack.  A
-    predictor inside the polish's tolerance is what ``solve_connection``
-    returns from it, with no descent or Newton step: it gets the same cap
-    verdict, and its action comes from the stack's point values.  Any other
-    predictor is solved by ``solve_connection``.  The step, relative errors
-    and the descent steps of the four perturbed blocks land in
-    ``sol.fd_check``.
+    discrete minimizer) misses it by O(h^2).  The four predictors are
+    settled as one (4, n) stack: their end data set, the rows a cap
+    touches retracted as ``solve_connection`` retracts a start, then one
+    residual and one action sum of the stack on sol's operator, and the
+    polish tolerances and cap margins of all four rows at once.  A row
+    inside the polish's tolerance is what ``solve_connection`` returns from
+    it, with no descent or Newton step: it gets the same cap verdict from
+    its margins.  Any other row is solved by ``solve_connection``.  The
+    rows are read in x+, x-, y+, y- order, so the first to fail raises
+    what the four solves in turn would.  The step, relative errors and the
+    descent steps of the four perturbed blocks land in ``sol.fd_check``.
     """
     dlo, dhi = sol.boundary_slopes
     pair = (-dlo, dhi)
@@ -441,20 +484,22 @@ def energy_derivatives(sol):
                                 i=p.i, l=p.l, K=p.K, r=p.r)
               for a, b in zip(dx.tolist(), dy.tolist())]
     starts = sol.u.values + dx[:, None] * v.values + dy[:, None] * z.values
-    finite = np.all(np.isfinite(starts), axis=1)
+    finite = np.isfinite(starts).all(axis=1)
     stack = starts[finite]
-    for q, full in zip(itertools.compress(blocks, finite), stack):
-        full[0], full[-1] = q.x, q.y
-        _retract(q, grid, full)
-    rows = zip(stack, op.residual(stack)[:, 1:-1], op.actions(stack))
+    stack[:, 0], stack[:, -1] = p.x + dx[finite], p.y + dy[finite]
+    mK, mr = _retract_rows(p, grid, stack)
+    rn = np.abs(op.residual(stack)[:, 1:-1]).max(axis=1)
+    tol = _polish_tol(op, stack, np.maximum(np.abs(stack[:, 0]),
+                                            np.abs(stack[:, -1])))
+    settled = (rn < assembly._UNDAMPED_BELOW) & (rn <= tol)
+    rows = zip(settled.tolist(), op.actions(stack).tolist(), mK.tolist(),
+               mr.tolist())
     vals, steps = [], []
     for q, start, ok in zip(blocks, starts, finite):
         if ok:
-            full, r_int, J = next(rows)
-            rn = float(np.max(np.abs(r_int)))
-            if rn < assembly._UNDAMPED_BELOW and \
-                    rn <= _polish_tol(q, op, full):
-                _check_interiority(q, grid, full)
+            done, J, row_K, row_r = next(rows)
+            if done:
+                _check_interiority(q, zip(row_K, row_r))
                 vals.append(J)
                 steps.append(0)
                 continue

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +88,12 @@ class SolveReport:
     continuation_path: list = field(default_factory=list)  # (mu, steps)
     coarse_path: list = field(default_factory=list)  # (mu, steps or None)
     mu: float = float("nan")
+    # the Operator the conditions were read with, its weak residual at u
+    # and its slopes there (Operator.slopes): the audits reuse them, and
+    # to_dict leaves them out
+    op: assembly.Operator = field(default=None, repr=False, compare=False)
+    residual: np.ndarray = field(default=None, repr=False, compare=False)
+    slopes: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def certified(self):
@@ -129,6 +136,17 @@ class Solution:
     @property
     def grid(self):
         return self.u.grid
+
+    @cached_property
+    def linearization(self):
+        """(Operator at mu, weak residual at u, ``Operator.slopes`` at u):
+        the certificate's, from its report; formed here once for a
+        Solution whose report has none."""
+        rep = self.report
+        if rep is not None and rep.op is not None:
+            return rep.op, rep.residual, rep.slopes
+        op = assembly.Operator(self.grid, self.mu)
+        return op, op.residual(self.u.values), op.slopes(self.u.values)
 
 
 def auto_cells(w, mu):
@@ -195,7 +213,7 @@ def check_membership(u, mu, consts, window):
     indices of the coded sigma_i and tau_i.  One ``assembly.Operator``
     gives the residual and C4's junction slopes u'(sigma_i-) and u'(tau_i+)
     (``Operator.slopes``) from one evaluation of u at the quadrature
-    points."""
+    points; the report keeps all three for the audits."""
     grid = u.grid
     if len(window.symbols) != grid.n_int:
         raise WeightError("window length does not match the grid span")
@@ -203,7 +221,7 @@ def check_membership(u, mu, consts, window):
     upper = 2.0 * (consts.c + consts.c_zeta)
     rho = consts.rho
     op = assembly.Operator(grid, mu)
-    residual = float(np.max(np.abs(op.residual(u.values))))
+    g = op.residual(u.values)
     left, right = op.slopes(u.values)
 
     rows = grid.rows(u.full())
@@ -236,7 +254,7 @@ def check_membership(u, mu, consts, window):
     ids = list(range(grid.i0, grid.i0 + grid.n_int))
     coded = i.tolist()
     return SolveReport(
-        residual_inf=residual,
+        residual_inf=float(np.max(np.abs(g))),
         interval_energies={j: {"plus": a, "minus": b} for j, a, b
                            in zip(ids, ep.tolist(), em.tolist())},
         condition_flags={"C1": dict(zip(ids, c1.tolist())),
@@ -247,6 +265,7 @@ def check_membership(u, mu, consts, window):
         dichotomy=dict(zip(ids, np.where(large, "large", "small").tolist())),
         ties=dict(zip(ids, tie.tolist())),
         mu=float(mu),
+        op=op, residual=g, slopes=(left, right),
     )
 
 

@@ -123,9 +123,7 @@ def nehari_identities(sol):
     wspec = grid.w
     m = grid.m
 
-    op = assembly.Operator(grid, mu)
-    g = op.residual(u.values)
-    left, right = op.slopes(u.values)
+    op, g, (left, right) = sol.linearization
     k = np.flatnonzero(w.symbols)
     a = 2 * m * k                    # node of sigma_i, and a + m of tau_i
     keep = np.ones(grid.ndof, dtype=bool)
@@ -136,8 +134,8 @@ def nehari_identities(sol):
                                     grid.rows(full)[2 * k])
     # the points of the cells [a, a + m) are the same slice of each of the
     # tables' three blocks, summed in the tables' order
-    f = tb.qw * tb.amu(mu) * assembly._at_points(tb, full) ** 4
-    f = f.reshape(3, -1)
+    uq = op.points(u.values)
+    f = (op.c * uq ** 4).reshape(3, -1)
     s0, s1 = np.searchsorted(tb.qcell[:f.shape[1]], [a, a + m])
     quart = np.array([np.sum(f[:, p:q].ravel()) for p, q in zip(s0, s1)])
     # the outside half-hat fluxes make the discrete identity exact:
@@ -147,7 +145,8 @@ def nehari_identities(sol):
     res_ii = float(np.max(np.abs(kin - quart - bdry) / np.maximum(kin, 1.0)))
 
     kin_all = assembly.dirichlet_integral(tb, full)
-    quart_all = assembly.quartic_integral(tb, mu, full)
+    u2 = uq * uq
+    quart_all = float(np.sum(op.c * (u2 * u2)))   # as quartic_integral sums
     res_iii = abs(kin_all - quart_all) / max(kin_all, 1.0)
 
     res_iv = 0.0
@@ -447,7 +446,7 @@ def oracle_residual(sol):
     """
     grid = sol.grid
     full = sol.u.full()
-    left, right = assembly.Operator(grid, sol.mu).slopes(sol.u.values)
+    _, _, (left, right) = sol.linearization
     sup = float(np.max(np.abs(full)))
     t, u = grid.rows(grid.nodes), grid.rows(full)
     a = grid.m * np.arange(2 * grid.n_int)        # first node of each row

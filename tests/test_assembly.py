@@ -745,6 +745,38 @@ def test_stacked_residual_rows_match_single_rows(rng):
                 assembly.GridFunction(grid, values.copy()), 300.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(8, 3000), rows=st.integers(1, 5), periodic=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_actions_sum_each_row_alone(n, rows, periodic, seed):
+    """A stack's actions, summed in one pass, are each row's own action bit
+    for bit, for rows long enough to run numpy's pairwise sum in blocks."""
+    w = weight.make_step_weight()
+    grid = (assembly.span_grid(w, 0, 1, max(8, n // 2)) if periodic
+            else segment(w, -1.0, 2.0, n))
+    stack = np.random.default_rng(seed).standard_normal((rows, grid.ndof))
+    op = assembly.Operator(grid, 700.0)
+    op.residual(stack)
+    got = op.actions(stack)
+    for k, values in enumerate(stack):
+        assert got[k] == assembly.action(assembly.GridFunction(grid, values),
+                                         700.0)
+
+
+def test_newton_from_a_given_residual_is_newton(rng):
+    """newton_dirichlet handed the residual at its start takes the steps it
+    takes when it forms that residual itself."""
+    w = weight.make_step_weight()
+    grid = segment(w, -1.0, 2.0, 120)
+    start = 0.3 + 0.05 * rng.standard_normal(grid.ndof)
+    op = assembly.Operator(grid, 50.0)
+    r = op.residual(start)[1:-1]
+    got = assembly.newton_dirichlet(op, start, 1e-10, 40, r)
+    want = assembly.newton_dirichlet(assembly.Operator(grid, 50.0), start,
+                                     1e-10, 40)
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1] > 0
+
+
 def test_sorted_unique_is_numpys(rng):
     for a in (rng.integers(0, 20, 50).astype(float), rng.standard_normal(7),
               np.array([1.0]), np.array([2.0, 2.0, 1.0])):

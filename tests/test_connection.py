@@ -1,12 +1,16 @@
+import dataclasses
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from multibump import assembly, connection, weight
-from multibump.errors import InteriorityFailure, WeightError
+from multibump import assembly, cli, connection, weight
+from multibump.errors import (InteriorityFailure, MultibumpError,
+                              SingularLinearization, WeightError)
 
 
 @pytest.fixture(scope="module")
@@ -268,32 +272,75 @@ _blocks = dict(mu=st.floats(1e2, 1e4),
                x=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
                y=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
                l=st.sampled_from([1, 2]))
+# data of opposite signs near the corners at mu near 1e2 have no interior
+# minimizer: here the r^2 margin on I_0^+ reads -4.5e-4
+_capped_block = example(mu=100.0, x=0.875, y=-0.75, l=1)
+
+
+def _failed_margins(e):
+    """(K margin, r^2 margin) an InteriorityFailure names, to the four
+    digits its message prints."""
+    margins = str(e).split("(margins K: ")[1].split(")")[0]
+    return tuple(float(m.split()[-1]) for m in margins.split(","))
+
+
+def solve_or_verdict(p):
+    """solve_connection(p), or None when it raises InteriorityFailure; the
+    margins that failure names must then be an active cap's, at or below
+    the verdict's slack."""
+    try:
+        return connection.solve_connection(p)
+    except InteriorityFailure as e:
+        mK, mr = _failed_margins(e)
+        assert mK <= 2.0 * connection._CAP_SLACK * p.K or \
+            mr <= 2.0 * connection._CAP_SLACK * p.r ** 2
+        return None
+
+
+def outcome(f):
+    """f()'s value, or the type and message of the package error it
+    raises."""
+    try:
+        return f()
+    except MultibumpError as e:
+        return type(e), str(e)
+
+
+def stacked_fd_check(sol):
+    connection.energy_derivatives(sol)
+    return sol.fd_check
 
 
 @settings(max_examples=40, deadline=None)
 @given(**_blocks)
+@_capped_block
 def test_fd_check_equals_the_four_solves(step_weight, default_caps, mu, x, y,
                                          l):
-    """The stacked pass gives the four-solve check's values bit for bit."""
+    """The stacked pass gives the four-solve check's values bit for bit,
+    or raises the error the four solves in turn raise first."""
     K, r = default_caps
     p = connection.make_connection_problem(step_weight, mu, x, y, l=l,
                                            K=K, r=r)
-    s = connection.solve_connection(p)
-    connection.energy_derivatives(s)
-    assert s.fd_check == ref_fd_check(s)
+    s = solve_or_verdict(p)
+    if s is not None:
+        assert outcome(lambda: stacked_fd_check(s)) == \
+            outcome(lambda: ref_fd_check(s))
 
 
 @settings(max_examples=15, deadline=None)
 @given(**_blocks)
+@_capped_block
 def test_fd_check_falls_back_to_solves(step_weight, default_caps, mu, x, y,
                                        l):
     """At a step of 1e-2 the predictors miss the polish tolerance, so the
     perturbed blocks go through solve_connection, and the check still
-    equals the four-solve reference."""
+    equals the four-solve reference, errors included."""
     K, r = default_caps
     p = connection.make_connection_problem(step_weight, mu, x, y, l=l,
                                            K=K, r=r)
-    s = connection.solve_connection(p)
+    s = solve_or_verdict(p)
+    if s is None:
+        return
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(connection, "_FD_STEP", 1e-2)
         solves = []
@@ -304,21 +351,24 @@ def test_fd_check_falls_back_to_solves(step_weight, default_caps, mu, x, y,
             return real(*args, **kwargs)
 
         mp.setattr(connection, "solve_connection", counted)
-        connection.energy_derivatives(s)
+        got = outcome(lambda: stacked_fd_check(s))
         assert solves
         mp.setattr(connection, "solve_connection", real)
-        assert s.fd_check == ref_fd_check(s)
+        assert got == outcome(lambda: ref_fd_check(s))
 
 
 @settings(max_examples=40, deadline=None)
 @given(**_blocks)
+@_capped_block
 def test_sensitivities_equal_two_solves(step_weight, default_caps, mu, x, y,
                                         l):
     """v and z from one two-column solve are the two one-column solves."""
     K, r = default_caps
     p = connection.make_connection_problem(step_weight, mu, x, y, l=l,
                                            K=K, r=r)
-    s = connection.solve_connection(p)
+    s = solve_or_verdict(p)
+    if s is None:
+        return
     v, z = connection.compute_sensitivities(s)
     ref_v, ref_z = ref_sensitivities(s)
     assert np.array_equal(v.values, ref_v) and np.array_equal(z.values, ref_z)
@@ -336,3 +386,193 @@ def test_connection_grid_kept_per_process(problem):
         problem.w, 1e4, 0.9, 0.9, K=problem.K, r=problem.r)
     assert len(connection.connection_grid(steep, cells=8).nodes) > \
         len(g.nodes)
+
+
+# -- the stacked verdict against the row loop ----------------------------------
+
+
+def ref_cap_margins(p, grid, full):
+    """Reference of cap_margins: one range at a time."""
+    h = grid.tables.h
+    return [(p.K - abs(float(full[a])),
+             p.r ** 2 - assembly.dirichlet_energy(h[a:b], full[a:b + 1]))
+            for a, b in (grid.interval_nodes(j, "plus")
+                         for j in p.plus_indices())]
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_stacked_retraction_is_the_row_loop(step_weight, default_caps, l):
+    """Rows over the amplitude cap, over the energy cap (even affinely),
+    within both, or on the edge of either are retracted as ``_retract``
+    retracts each alone, bit for bit, with the margins of the row loop."""
+    K, r = default_caps
+    p = connection.make_connection_problem(step_weight, 500.0, 0.5, 0.4, l=l,
+                                           K=K, r=r)
+    s = connection.solve_connection(p)
+    grid, u = s.grid, s.u.values
+    K_eff = K * (1.0 - connection._CAP_SLACK)
+    r2_eff = r ** 2 * (1.0 - connection._CAP_SLACK)
+    rows = []
+    for a, b in connection._plus_ranges(p, grid):
+        t = grid.nodes[a:b + 1]
+        bump = np.sin(math.pi * (t - t[0]) / (t[-1] - t[0]))
+        dev = np.zeros_like(u)
+        dev[a:b + 1] = bump
+        e = assembly.dirichlet_energy(grid.tables.h[a:b], bump)
+        for amp in (K, -1.001 * K, K_eff, math.nextafter(K_eff, 2.0 * K)):
+            row = u.copy()
+            row[a] = amp
+            rows.append(row)
+        # energies over, at and just below the cap, and a jump no affine
+        # interpolant fits
+        for target in (4.0 * r ** 2, r2_eff, 0.5 * r2_eff):
+            rows.append(u + math.sqrt(target / e) * dev)
+        row = u.copy()
+        row[b] = row[a] + 10.0 * r
+        rows.append(row)
+    rows.append(u.copy())
+    stack = np.array(rows)
+    want = stack.copy()
+    for row in want:
+        connection._retract(p, grid, row)
+    mK, mr = connection._retract_rows(p, grid, stack)
+    assert np.array_equal(stack, want)
+    assert [list(zip(a, b)) for a, b in zip(mK.tolist(), mr.tolist())] == \
+        [ref_cap_margins(p, grid, row) for row in want]
+    assert not np.array_equal(want, np.array(rows))
+
+
+@pytest.mark.parametrize("cap", ["K", "r"])
+@pytest.mark.parametrize("row", range(4))
+def test_fd_check_raises_the_first_failing_row(step_weight, default_caps, cap,
+                                               row):
+    """With a cap set on the edge of one perturbed block's verdict, the
+    stacked check raises the InteriorityFailure the four solves in turn
+    raise first: the blocks past that cap are solved and fail their own
+    verdict, the one on its edge fails the stacked verdict unsolved."""
+    K, r = default_caps
+    p = connection.make_connection_problem(step_weight, 800.0, 0.6, 0.5, l=1,
+                                           K=K, r=r)
+    s = connection.solve_connection(p)
+    v, z = s.sensitivities
+    h = connection._FD_STEP * max(1.0, abs(p.x), abs(p.y))
+    dx = np.array([h, -h, 0.0, 0.0])
+    dy = np.array([0.0, 0.0, h, -h])
+    starts = s.u.values + dx[:, None] * v.values + dy[:, None] * z.values
+    (a, b), = connection._plus_ranges(p, s.grid)
+    edge = 1.0 - 1.5 * connection._CAP_SLACK     # between slack and 2 slack
+    if cap == "K":
+        q = dataclasses.replace(p, K=abs(starts[row, a]) / edge)
+    else:
+        energy = assembly.dirichlet_energy(s.grid.tables.h[a:b],
+                                           starts[row, a:b + 1])
+        q = dataclasses.replace(p, r=math.sqrt(energy / edge))
+    edged = dataclasses.replace(s, problem=q)
+    got = outcome(lambda: stacked_fd_check(edged))
+    assert got[0] is InteriorityFailure
+    assert got == outcome(lambda: ref_fd_check(edged))
+
+
+def test_actions_of_one_vector_are_the_action(step_weight, rng):
+    """``Operator.actions`` of one vector is ``assembly.action`` of it."""
+    grid = connection.connection_grid(
+        connection.make_connection_problem(step_weight, 500.0, 0.5, 0.4,
+                                           l=2))
+    for _ in range(5):
+        values = rng.standard_normal(grid.ndof)
+        op = assembly.Operator(grid, 500.0)
+        op.residual(values)
+        assert op.actions(values) == assembly.action(
+            assembly.GridFunction(grid, values), 500.0)
+
+
+def test_solve_forms_each_residual_once(problem):
+    """A block solve forms no residual twice at the same iterate: the
+    descent's trials give their actions and the next direction's rows, and
+    the polish starts from the descent's last residual."""
+    seen = []
+    residual = assembly.Operator.residual
+
+    def counted(op, values):
+        seen.append(np.asarray(values).tobytes())
+        return residual(op, values)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assembly.Operator, "residual", counted)
+        s = connection.solve_connection(problem)
+    assert s.descent_iters == 1
+    assert len(seen) == len(set(seen)) > 1
+
+
+# -- numerical failures are never bad input -----------------------------------
+
+
+def _corrupt_directions(monkeypatch, first_only):
+    """Give the descent's direction (and with ``first_only`` False every
+    later solve) one infinite entry."""
+    real = assembly.solve_interior
+    calls = []
+
+    def corrupt(tb, rhs, *args, **kwargs):
+        x = real(tb, rhs, *args, **kwargs)
+        calls.append(1)
+        if len(calls) == 1 or not first_only:
+            x = x.copy()
+            x[len(x) // 2] = np.inf
+        return x
+
+    monkeypatch.setattr(assembly, "solve_interior", corrupt)
+
+
+def test_non_finite_direction_hands_over_to_the_polish(step_weight,
+                                                       monkeypatch, tmp_path):
+    """A descent direction that is not finite stalls the descent before any
+    trial is retracted, and the polish converges from the start: no
+    warning, no WeightError, and the minimizer of the intact solve."""
+    p = connection.make_connection_problem(step_weight, 500.0, 0.5, 0.4, l=1)
+    want = connection.solve_connection(p)
+    _corrupt_directions(monkeypatch, first_only=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = connection.solve_connection(p)
+    assert s.descent_iters == 0
+    assert np.max(np.abs(s.u.values - want.u.values)) < 1e-9
+    _corrupt_directions(monkeypatch, first_only=True)
+    rc = cli.main(["connection", "--mu", "500", "--x", "0.5", "--y", "0.4",
+                   "--l", "1", "--outdir", str(tmp_path)])
+    assert rc == 0
+
+
+def test_non_finite_steps_exit_4(monkeypatch, tmp_path):
+    """When every direction and Newton step is non-finite the polish's
+    NewtonFailure stands: a numerical failure, exit 4, never exit 2."""
+    _corrupt_directions(monkeypatch, first_only=False)
+    rc = cli.main(["connection", "--mu", "500", "--x", "0.5", "--y", "0.4",
+                   "--l", "1", "--outdir", str(tmp_path)])
+    assert rc == 4
+    assert (tmp_path / "FAILED").read_text().startswith("NewtonFailure")
+
+
+def test_sensitivity_guard_catches_a_bad_solve(step_weight, monkeypatch,
+                                               tmp_path):
+    """A two-column solve whose v is off by 1e-3 at one node fails the
+    product of the bands: SingularLinearization, and ``connection`` exits
+    4."""
+    real = assembly.solve_interior
+
+    def off(tb, rhs, *args, **kwargs):
+        x = real(tb, rhs, *args, **kwargs)
+        if np.ndim(rhs) == 2:
+            x = x.copy()
+            x[len(x) // 2, 0] += 1e-3
+        return x
+
+    monkeypatch.setattr(assembly, "solve_interior", off)
+    p = connection.make_connection_problem(step_weight, 2000.0, 0.6, 0.4)
+    s = connection.solve_connection(p)
+    with pytest.raises(SingularLinearization):
+        connection.compute_sensitivities(s)
+    rc = cli.main(["connection", "--mu", "2000", "--x", "0.6", "--y", "0.4",
+                   "--outdir", str(tmp_path)])
+    assert rc == 4
+    assert os.path.exists(tmp_path / "FAILED")

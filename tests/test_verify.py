@@ -30,6 +30,31 @@ def test_identities_certified(sol_10):
     assert ids["iv"] < 1e-5
 
 
+def test_audits_reuse_the_certificate_operator(step_weight, monkeypatch):
+    """The identities and the oracle's start slopes read the Operator the
+    certificate ran on, with its residual, slopes and point values at u:
+    neither builds an Operator or evaluates u at the quadrature points,
+    and both give what they give from an Operator of their own."""
+    sol = _solve(step_weight, (1, 0), 1e3, 200)
+    fresh = solver.Solution(u=sol.u, mu=sol.mu, window=sol.window,
+                            report=None)
+    want = (verify.nehari_identities(fresh),
+            verify.oracle_residual(fresh).per_interval)
+    calls = []
+    for name in ("__init__", "residual", "slopes"):
+        real = getattr(assembly.Operator, name)
+        monkeypatch.setattr(assembly.Operator, name,
+                            lambda *a, _real=real, _name=name:
+                            calls.append(_name) or _real(*a))
+    at_points = assembly._at_points
+    monkeypatch.setattr(assembly, "_at_points",
+                        lambda *a: calls.append("_at_points") or at_points(*a))
+    got = (verify.nehari_identities(sol),
+           verify.oracle_residual(sol).per_interval)
+    assert calls == []
+    assert got == want
+
+
 def test_identities_three_bump(sol_110):
     ids = verify.nehari_identities(sol_110)
     assert ids["i"] < 1e-12
