@@ -34,6 +34,7 @@ import json
 import math
 import os
 import sys
+import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -196,6 +197,20 @@ def write_csv(path, header, rows):
     with open(path, "wb") as f:
         f.write(data)
     return data
+
+
+_node_text = weakref.WeakKeyDictionary()    # Grid -> its nodes, as %.17g
+
+
+def node_rows(grid, *columns):
+    """Rows (t, *values) of a table whose first column is a grid's nodes,
+    for ``write_csv``.  The nodes come as the str ``%.17g`` gives them,
+    formatted once per Grid object and freed with it, so a table on a
+    kept grid (whose nodes are read-only) formats only its value columns."""
+    text = _node_text.get(grid)
+    if text is None:
+        text = _node_text[grid] = ["%.17g" % t for t in grid.nodes.tolist()]
+    return zip(text, *(c.tolist() for c in columns), strict=True)
 
 
 def write_json(path, payload):
@@ -410,8 +425,7 @@ def cmd_solve(cfg, w, run):
             report_payload["symbols"] = list(window.symbols)
             run.add_json(cfg["report"], report_payload)
         raise
-    run.add_csv(cfg["out"], ["t", "u"],
-                np.column_stack([sol.grid.nodes, sol.u.full()]).tolist())
+    run.add_csv(cfg["out"], ["t", "u"], node_rows(sol.grid, sol.u.full()))
     report_payload = sol.report.to_dict()
     report_payload["symbols"] = list(window.symbols)
     report_payload["i_start"] = window.i_start
@@ -435,8 +449,7 @@ def cmd_connection(cfg, w, run):
     # u'(t+) at every node but the last, which has only u'(t-)
     left, right = sol.slopes
     run.add_csv(cfg["out"], ["t", "u", "du"],
-                np.column_stack([grid.nodes, sol.u.full(),
-                                 np.append(right[:-1], left[-1])]).tolist())
+                node_rows(grid, sol.u.full(), np.append(right[:-1], left[-1])))
     djdx, djdy = connection.energy_derivatives(sol)
     fdc = sol.fd_check
     payload = {

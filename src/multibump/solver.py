@@ -90,7 +90,8 @@ class SolveReport:
     mu: float = float("nan")
     # the Operator the conditions were read with, its weak residual at u
     # and its slopes there (Operator.slopes): the audits reuse them, and
-    # to_dict leaves them out
+    # to_dict leaves them out; a continuation keeps them on its largest mu
+    # only
     op: assembly.Operator = field(default=None, repr=False, compare=False)
     residual: np.ndarray = field(default=None, repr=False, compare=False)
     slopes: tuple = field(default=None, repr=False, compare=False)
@@ -297,7 +298,8 @@ def _continuation(w, window, mu_list, cells):
     the whole walk as continuation_path (fine Newton steps) and coarse_path
     (coarse steps, None where the coarse Newton failed).  When the fine
     Newton fails partway down, the higher mu reached are yielded before
-    ContinuationBreakdown.
+    ContinuationBreakdown.  Only the last state's report keeps its
+    certificate's Operator, residual and slopes.
     """
     consts, bump = _prepare(w)
     cells = cells or auto_cells(w, mu_list[-1])
@@ -326,9 +328,15 @@ def _continuation(w, window, mu_list, cells):
         path.append((mu, iters))
         coarse_path.append((mu, steps))
         reached.append((mu, u))
-    for mu, u in reversed(reached[len(top):]):
+    stops = reached[len(top):]
+    for n, (mu, u) in enumerate(reversed(stops), 1):
         gf = assembly.GridFunction(grid, u)
         report = check_membership(gf, mu, consts, window)
+        if n < len(stops):
+            # only the largest mu is audited (a solve's one stop, a
+            # verify's last); an earlier stop's linearization would stay
+            # alive while the next one is formed
+            report.op = report.residual = report.slopes = None
         report.continuation_path = list(path)
         report.coarse_path = list(coarse_path)
         yield mu, gf, report

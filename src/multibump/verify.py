@@ -24,7 +24,7 @@ from . import assembly, localfield, oracle, solver
 from .errors import WeightError
 
 _G5X, _G5W = np.polynomial.legendre.leggauss(5)
-_PAIR_BLOCK = 1 << 16        # node pairs per block of the Hoelder quotient
+_PAIR_BLOCK = 1 << 14        # node pairs per block of the Hoelder quotient
 _HOLDER_NODES = 1600         # nodes sampled for the Hoelder seminorm
 HOLDER_ALPHA = 0.5           # exponent of the Hoelder distance to the limit
 ORACLE_RTOL = 1e-12          # rtol of the oracle's re-integration

@@ -729,6 +729,16 @@ def test_kept_grid_arrays_are_read_only():
             arr[0] = arr[0]
 
 
+def test_kept_grid_kernels_index_writable_arrays():
+    """The kernels gather and scatter through writable index arrays (numpy
+    copies a read-only index on every ``take`` and ``bincount``), and the
+    read-only ``qcell`` handed out is a view of the same memory."""
+    tb = assembly.span_grid(weight.make_step_weight(), 0, 1, 16).tables
+    assert tb._qcell.flags.writeable and tb.qcell1.flags.writeable
+    assert not tb.qcell.flags.writeable
+    assert tb.qcell.base is tb._qcell
+
+
 def test_stacked_residual_rows_match_single_rows(rng):
     """A stack's residual and actions are each row's own, bit for bit, on
     a periodic window and on a clamped mesh."""
