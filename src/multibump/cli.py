@@ -26,7 +26,6 @@ Exit codes: 0 success, 2 input error, 3 certification failure,
 """
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -238,12 +237,6 @@ def _finite(x):
 def _jsonable(x):
     if isinstance(x, (np.floating, np.integer)):
         return _finite(x.item())
-    if isinstance(x, np.ndarray):
-        return _finite(x.tolist())
-    if isinstance(x, (np.bool_, bool)):
-        return bool(x)
-    if dataclasses.is_dataclass(x):
-        return _finite(dataclasses.asdict(x))
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
@@ -281,7 +274,7 @@ class RunDir:
         if self.config is None or self.weight_sha is None:
             return None
         content_cfg = {k: v for k, v in self.config.items()
-                       if k not in ("outdir", "out", "report", "bump_csv")}
+                       if k not in ("outdir", "out", "report")}
         seed = json.dumps({"command": self.command, "config": content_cfg,
                            "weight_sha256": self.weight_sha},
                           sort_keys=True, default=_jsonable)
@@ -343,17 +336,9 @@ class RunDir:
 
 
 def _window_from(config):
-    symbols, n = config["symbols"], config["N"]
-    if symbols:
-        code = solver.parse_symbols(symbols)
-        if n is not None and n != len(code):
-            raise WeightError(
-                f"N = {n} disagrees with the {len(code)}-symbol code")
-    elif n is not None:
-        code = (1,) * n
-    else:
-        raise WeightError("need --symbols or --N")
-    return solver.make_window(code)
+    if not config["symbols"]:
+        raise WeightError("need --symbols")
+    return solver.make_window(solver.parse_symbols(config["symbols"]))
 
 
 def _mu_grid(config):
@@ -405,10 +390,6 @@ def cmd_local(cfg, w, run):
         "rho_attained": consts.rho_attained,
     }
     run.add_json(cfg["out"], payload)
-    if cfg["bump_csv"]:
-        bump = ev.ground_bump()
-        run.add_csv(cfg["bump_csv"], ["t", "u"],
-                    np.column_stack([bump.t, bump.u]).tolist())
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
@@ -441,7 +422,7 @@ def cmd_connection(cfg, w, run):
         if cfg[need] is None:
             raise WeightError(f"need --{need}")
     p = connection.make_connection_problem(
-        w, cfg["mu"], cfg["x"], cfg["y"], i=cfg["i"], l=cfg["l"],
+        w, cfg["mu"], cfg["x"], cfg["y"], l=cfg["l"],
         K=cfg["K"], r=cfg["r"])
     sol = connection.solve_connection(p, cells=cfg["cells"] or None)
     v, z = sol.sensitivities
@@ -638,13 +619,10 @@ _COMMANDS = {
         Option("--mesh", _count, help="cells for the level solves"),
         Option("--K", float, help="endpoint cap override"),
         Option("--out", default="local.json", help="JSON output name"),
-        Option("--bump-csv", help="also write the ground bump profile"),
     )),
     "solve": Command("certified periodic multibump solve", cmd_solve, (
         _WEIGHT, _OUTDIR,
         Option("--symbols", help="0/1 code, e.g. 110 or 1,1,0"),
-        Option("--N", int,
-               help="window length; all-ones when --symbols is omitted"),
         Option("--mu", float,
                help="target mu; Newton starts from the pasted ground bumps "
                f"at max({solver.MU0:g}, mu) and walks down to it, first on "
@@ -661,7 +639,6 @@ _COMMANDS = {
         Option("--x", float, help="left endpoint value"),
         Option("--y", float, help="right endpoint value"),
         Option("--l", int, 1, help="interior positivity intervals"),
-        Option("--i", int, -1, help="index of the starting block"),
         Option("--K", float, help="endpoint cap"),
         Option("--r", float, help="interior energy cap"),
         Option("--cells", int),
@@ -672,7 +649,6 @@ _COMMANDS = {
     "verify": Command("asymptotic sweep report", cmd_verify, (
         _WEIGHT, _OUTDIR,
         Option("--symbols"),
-        Option("--N", int),
         Option("--mu-from", float),
         Option("--mu-to", float),
         Option("--points", int, 9),

@@ -1,25 +1,25 @@
 """Dirichlet blocks between coded bumps: the auxiliary minimization.
 
-A block [tau_i, sigma_{i+l+1}] strings together l "small" positivity
-intervals framed by l+1 negativity intervals.  Boundary amplitudes (x, y) are
-prescribed at the block ends and the action is minimized over functions that
-respect the amplitude cap |u(sigma_j)| <= K and the energy cap
-int u'^2 <= r^2 on every interior positivity interval.  For mu large the caps
-are slack at the minimizer, the solution decays like a boundary layer away
-from the block ends, and the linearization carries the sensitivity pair
-(v, z), the derivatives of the minimizer in x and y.  The energy
-derivatives dJ/dx = -u'(t_lo+), dJ/dy = u'(t_hi-) are checked by central
-differences whose four perturbed blocks start on the solution's own mesh
-from the tangent predictor u + dx v + dy z: by the discrete implicit
-function theorem it misses them by O(h^2), and on the benchmark's ranges
-inside the polish's tolerance.  So the check settles the four predictors
-as one (4, n) stack: end data set, only the rows a cap touches retracted,
-one residual and one action sum on the solution's operator, and the polish
-tolerances and cap margins of all four rows at once.  Only a predictor that
-misses the tolerance is solved, and the rows are read in x+, x-, y+, y-
-order, so an error is the one four solves in turn would raise.  The
-sensitivities are checked against the product of the Jacobian bands they
-were solved with.
+A block [tau_{-1}, sigma_l] strings together l "small" positivity intervals
+framed by l+1 negativity intervals; the weight is T-periodic, so the block
+from any other tau_i is this one shifted by (i + 1)T.  Boundary amplitudes
+(x, y) are prescribed at the block ends and the action is minimized over
+functions that respect the amplitude cap |u(sigma_j)| <= K and the energy
+cap int u'^2 <= r^2 on every interior positivity interval.  For mu large the
+caps are slack at the minimizer, the solution decays like a boundary layer
+away from the block ends, and the linearization carries the sensitivity pair
+(v, z), the derivatives of the minimizer in x and y.  The energy derivatives
+dJ/dx = -u'(t_lo+), dJ/dy = u'(t_hi-) are checked by central differences
+whose four perturbed blocks start on the solution's own mesh from the
+tangent predictor u + dx v + dy z: by the discrete implicit function theorem
+it misses them by O(h^2), and on the benchmark's ranges inside the polish's
+tolerance.  So the check settles the four predictors as one (4, n) stack:
+end data set, only the rows a cap touches retracted, one residual and one
+action sum on the solution's operator, and the polish tolerances and cap
+margins of all four rows at once.  Only a predictor that misses the
+tolerance is solved, and the rows are read in x+, x-, y+, y- order, so an
+error is the one four solves in turn would raise.  The sensitivities are
+checked against the product of the Jacobian bands they were solved with.
 
 The certifier of periodic solutions (solver, verify) never calls this
 module: it certifies through conditions C1-C4, the window identities and
@@ -75,23 +75,23 @@ _PROBE_TOL = 1e-6          # sup gap, relative to max(1, sup|u|), of a probe
 
 @dataclass(frozen=True)
 class ConnectionProblem:
-    """Block data: weight, interval range, boundary amplitudes, caps."""
+    """Block data: weight, interior interval count, boundary amplitudes,
+    caps."""
     w: object
     mu: float
     x: float
     y: float
-    i: int = -1
     l: int = 1
     K: float = 1.0
     r: float = 1.0
 
     @property
     def t_lo(self):
-        return self.w.tau_i(self.i)
+        return self.w.tau_i(-1)
 
     @property
     def t_hi(self):
-        return self.w.sigma(self.i + self.l + 1)
+        return self.w.sigma(self.l)
 
     @property
     def block(self):
@@ -103,10 +103,10 @@ class ConnectionProblem:
 
     def plus_indices(self):
         """Indices j of the interior positivity intervals I_j^+."""
-        return range(self.i + 1, self.i + self.l + 1)
+        return range(self.l)
 
 
-def make_connection_problem(w, mu, x, y, i=-1, l=1, K=None, r=None):
+def make_connection_problem(w, mu, x, y, l=1, K=None, r=None):
     """Validated problem; caps not given are recomputed.
 
     K defaults to weight.default_cap of the limit bump, taken from the
@@ -124,8 +124,8 @@ def make_connection_problem(w, mu, x, y, i=-1, l=1, K=None, r=None):
         raise WeightError("l must be >= 0")
     if abs(x) > K or abs(y) > K:
         raise WeightError(f"|x|, |y| must not exceed K = {K:g}")
-    return ConnectionProblem(w=w, mu=mu, x=float(x), y=float(y), i=int(i),
-                             l=int(l), K=float(K), r=float(r))
+    return ConnectionProblem(w=w, mu=mu, x=float(x), y=float(y), l=int(l),
+                             K=float(K), r=float(r))
 
 
 # -- meshes --------------------------------------------------------------------
@@ -138,7 +138,7 @@ def connection_grid(p, cells=None):
     where the solution develops decay layers of width ~ (mu/2)^{-1/2}/|data|.
     ``cells`` sets the minimum cell count per subinterval; the count grows
     automatically until the first cell resolves the layer.  The process
-    keeps the grid by the weight's content, (i, l) and the cell count of
+    keeps the grid by the weight's content, l and the cell count of
     each subinterval (``assembly.kept_grid``).
     """
     base = 160 if cells is None else int(cells)
@@ -147,12 +147,12 @@ def connection_grid(p, cells=None):
     amp = max(abs(p.x), abs(p.y))
     lam = math.sqrt(0.5 * p.mu) * amp
     w = p.w
-    bounds, keys = [p.t_lo], [("t", p.i)]
+    bounds, keys = [p.t_lo], [("t", -1)]
     for j in p.plus_indices():
         bounds += [w.sigma(j), w.tau_i(j)]
         keys += [("s", j), ("t", j)]
     bounds.append(p.t_hi)
-    keys.append(("s", p.i + p.l + 1))
+    keys.append(("s", p.l))
     counts = []
     for a, b in zip(bounds[:-1], bounds[1:]):
         L = b - a
@@ -174,7 +174,7 @@ def connection_grid(p, cells=None):
         return assembly.Grid(w=w, nodes=np.concatenate(parts),
                              periodic=False, marks=marks)
 
-    return assembly.kept_grid((weight_key(w), p.i, p.l, tuple(counts)), build)
+    return assembly.kept_grid((weight_key(w), p.l, tuple(counts)), build)
 
 
 def decay_profile(p, ts):
@@ -467,7 +467,8 @@ def energy_derivatives(sol):
     polish tolerances and cap margins of all four rows at once.  A row
     inside the polish's tolerance is what ``solve_connection`` returns from
     it, with no descent or Newton step: it gets the same cap verdict from
-    its margins.  Any other row is solved by ``solve_connection``.  The
+    its margins.  Any other row is solved by ``solve_connection`` from its
+    un-retracted predictor.  The
     rows are read in x+, x-, y+, y- order, so the first to fail raises
     what the four solves in turn would.  The step, relative errors and the
     descent steps of the four perturbed blocks land in ``sol.fd_check``.
@@ -481,31 +482,28 @@ def energy_derivatives(sol):
     dx = np.array([h, -h, 0.0, 0.0])            # x+, x-, y+, y-
     dy = np.array([0.0, 0.0, h, -h])
     blocks = [ConnectionProblem(w=p.w, mu=p.mu, x=p.x + a, y=p.y + b,
-                                i=p.i, l=p.l, K=p.K, r=p.r)
+                                l=p.l, K=p.K, r=p.r)
               for a, b in zip(dx.tolist(), dy.tolist())]
     starts = sol.u.values + dx[:, None] * v.values + dy[:, None] * z.values
-    finite = np.isfinite(starts).all(axis=1)
-    stack = starts[finite]
-    stack[:, 0], stack[:, -1] = p.x + dx[finite], p.y + dy[finite]
+    stack = starts.copy()
+    stack[:, 0], stack[:, -1] = p.x + dx, p.y + dy
     mK, mr = _retract_rows(p, grid, stack)
     rn = np.abs(op.residual(stack)[:, 1:-1]).max(axis=1)
     tol = _polish_tol(op, stack, np.maximum(np.abs(stack[:, 0]),
                                             np.abs(stack[:, -1])))
     settled = (rn < assembly._UNDAMPED_BELOW) & (rn <= tol)
-    rows = zip(settled.tolist(), op.actions(stack).tolist(), mK.tolist(),
-               mr.tolist())
     vals, steps = [], []
-    for q, start, ok in zip(blocks, starts, finite):
-        if ok:
-            done, J, row_K, row_r = next(rows)
-            if done:
-                _check_interiority(q, zip(row_K, row_r))
-                vals.append(J)
-                steps.append(0)
-                continue
-        s = solve_connection(q, init=GridFunction(grid, start))
-        vals.append(assembly.action(s.u, p.mu))
-        steps.append(s.descent_iters)
+    for q, start, done, J, row_K, row_r in zip(
+            blocks, starts, settled.tolist(), op.actions(stack).tolist(),
+            mK.tolist(), mr.tolist()):
+        if done:
+            _check_interiority(q, zip(row_K, row_r))
+            vals.append(J)
+            steps.append(0)
+        else:
+            s = solve_connection(q, init=GridFunction(grid, start))
+            vals.append(assembly.action(s.u, p.mu))
+            steps.append(s.descent_iters)
     fd = ((vals[0] - vals[1]) / (2.0 * h), (vals[2] - vals[3]) / (2.0 * h))
     scale = max(abs(pair[0]), abs(pair[1]), 1e-30)
     sol.fd_check = {"step": h,

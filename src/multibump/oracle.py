@@ -442,9 +442,10 @@ def _piece_in_s(w, mu, t0, d, sa, sb):
 
 def _integrate_raw(w, mu, runs, rtol):
     """DOP853 on a batch of runs (t_from, t_to, y0), one ``_dop853`` call
-    per piece of s (see the module docstring), at atol = rtol / 100.  Every
-    y0 has the same width and layout (u, u'[, v, v']), derivatives along
-    the direction of travel.  _MAX_STEP bounds the step in t.  Returns one
+    per piece of s (see the module docstring), at atol = rtol / 100.  No
+    run is empty (t_from != t_to: ``integrate`` and ``_Shot`` refuse an
+    empty interval).  Every y0 has the same width and layout
+    (u, u'[, v, v']), derivatives along the direction of travel.  _MAX_STEP bounds the step in t.  Returns one
     (DenseOutput, end state, blew_up) per run; the end state is in the
     run's own layout, and |u| reaching _CAP ends that run there."""
     if not rtol > 0.0:
@@ -452,8 +453,8 @@ def _integrate_raw(w, mu, runs, rtol):
     n, m = len(runs), len(runs[0][2])
     t_from = [float(r[0]) for r in runs]
     span = [float(r[1]) - t0 for r, t0 in zip(runs, t_from)]
-    live = [k for k in range(n) if span[k] != 0.0]
-    ends = [None if k in live else 0 for k in range(n)]  # last step index
+    live = list(range(n))
+    ends = [None] * n                  # last step index of a blown-up run
     blown = [False] * n
     knots = [np.array([0.0, 1.0])]
     for k in live:
@@ -465,13 +466,13 @@ def _integrate_raw(w, mu, runs, rtol):
     root_n = math.sqrt(n)
     # scipy's floor on rtol (validate_tol)
     rtol, atol = max(rtol / root_n, 100 * _EPS), rtol * 1e-2 / root_n
-    max_step = _MAX_STEP / (max(map(abs, span)) or 1.0)
+    max_step = _MAX_STEP / max(map(abs, span))
 
     y = np.concatenate([np.asarray(r[2], dtype=float) for r in runs])
     S, Y, steps = [0.0], [y], _Steps()
     n_steps, h = 0, None
     for sa, sb in zip(s_knots[:-1], s_knots[1:]):
-        amus = [_piece_in_s(w, mu, t0, d, sa, sb) if d else None
+        amus = [_piece_in_s(w, mu, t0, d, sa, sb)
                 for t0, d in zip(t_from, span)]
         s0 = float(sa)
         while live and s0 < sb:
@@ -675,23 +676,19 @@ def shoot_dirichlet(w, mu, t0, t1, x, y, rtol=1e-10, s0=None):
     return shoot_batch(w, mu, [(t0, t1, x, y, s0)], rtol)[0]
 
 
-def _constant_first_return(value=1.0, slope=1.0):
-    """First return to zero and int u'^2 for u'' + value*u^3 = 0, u(0)=0, u'(0)=slope."""
+def _constant_first_return(rtol):
+    """First return to zero and int u'^2 for u'' + u^3 = 0, u(0) = 0,
+    u'(0) = 1, integrated at ``rtol``."""
     from .weight import Piece, build_weight
-    span = 8.0 / math.sqrt(math.sqrt(value) * max(slope, 1e-12))
-    w1 = build_weight(2.0 * span, span,
-                      [Piece(0.0, span, "poly", (value,)),
-                       Piece(span, 2.0 * span, "poly", (-value,))], check=False)
-    st = IvpState(t=0.0, u=0.0, du=slope)
-    for _ in range(8):
-        _, dense = integrate(w1, 0.0, st, span, rtol=1e-12)
-        tz = dense.first_zero(after=1e-12)
-        if tz is not None:
-            return tz, dense.quad_du_squared(t_end=tz)
-        st = IvpState(t=dense.t_end, u=float(dense.eval_u(dense.t_end)),
-                      du=float(dense.eval_du(dense.t_end)))
-        span *= 2.0
-    raise NonConvergence("no return to zero found")
+    # a+ = 1 on [0, 8] holds the first return, which is near 3.118
+    w1 = build_weight(16.0, 8.0, [Piece(0.0, 8.0, "poly", (1.0,)),
+                                  Piece(8.0, 16.0, "poly", (-1.0,))])
+    _, dense = integrate(w1, 0.0, IvpState(t=0.0, u=0.0, du=1.0), 8.0,
+                         rtol=rtol)
+    tz = dense.first_zero(after=1e-12)
+    if tz is None:
+        raise NonConvergence("no return to zero found")
+    return tz, dense.quad_du_squared(t_end=tz)
 
 
 def brute_ground_level(w, rtol=1e-12):
@@ -709,7 +706,7 @@ def brute_ground_level(w, rtol=1e-12):
     values = coefs[:, 0]
     if np.allclose(values, values[0], rtol=1e-12, atol=0.0):
         k = float(values[0])
-        t1, i1 = _constant_first_return(1.0, 1.0)
+        t1, i1 = _constant_first_return(rtol)
         lam = t1 / w.tau
         return 0.25 * lam ** 3 * i1 / k
 

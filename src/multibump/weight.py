@@ -199,7 +199,7 @@ def _poly_extrema(coefs, lo, hi):
     return min(vals), max(vals)
 
 
-def build_weight(T, tau, pieces, check=True):
+def build_weight(T, tau, pieces):
     """Validate a weight definition and normalize it into a WeightSpec.
 
     Raises SignStructureViolation or EdgeMassViolation on invalid input.
@@ -258,16 +258,14 @@ def build_weight(T, tau, pieces, check=True):
                 raise SignStructureViolation(
                     f"weight rises to {hi:.3e} inside the negativity interval")
             int_minus -= _integ(coefs[i], t1 - t0)
-    if check:
-        if int_plus <= tol * tau:
-            raise SignStructureViolation("weight vanishes identically on [0, tau]")
-        if int_minus <= tol * (T - tau):
-            raise SignStructureViolation("weight vanishes identically on [tau, T]")
+    if int_plus <= tol * tau:
+        raise SignStructureViolation("weight vanishes identically on [0, tau]")
+    if int_minus <= tol * (T - tau):
+        raise SignStructureViolation("weight vanishes identically on [tau, T]")
 
     w = WeightSpec(period=T, tau=tau, pieces=pieces, sup_a_plus=float(sup_plus),
                    seg_knots=knots, seg_coefs=coefs, seg_positive=positive)
-    if check:
-        _check_edge_mass(w)
+    _check_edge_mass(w)
     return w
 
 
@@ -353,18 +351,11 @@ def weight_from_dict(d):
     try:
         pieces = []
         for pd in d["pieces"]:
-            if pd["kind"] == "poly":
+            if pd["kind"] == "samples":
+                data = (tuple(map(float, pd["data"]["t"])),
+                        tuple(map(float, pd["data"]["v"])))
+            else:                 # build_weight refuses an unknown kind
                 data = tuple(float(c) for c in pd["data"])
-            elif pd["kind"] == "samples":
-                raw = pd["data"]
-                if isinstance(raw, dict):
-                    data = (tuple(map(float, raw["t"])),
-                            tuple(map(float, raw["v"])))
-                else:  # list of [t, v] pairs
-                    data = (tuple(float(r[0]) for r in raw),
-                            tuple(float(r[1]) for r in raw))
-            else:
-                raise WeightError(f"unknown piece kind {pd['kind']!r}")
             pieces.append(Piece(float(pd["t0"]), float(pd["t1"]), pd["kind"],
                                 data))
         period, tau = float(d["T"]), float(d["tau"])

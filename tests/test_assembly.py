@@ -691,9 +691,10 @@ def test_at_most_four_grids_kept():
 
 
 def test_kept_grids_under_threads():
-    """Sweep threads share the kept grids: more threads than cores asking
-    for more keys than are kept, with a short switch interval, each get a
-    grid of their key and never see more than _GRIDS_KEPT kept."""
+    """No command starts a thread, but a library caller may share the kept
+    grids across threads: more threads than cores asking for more keys than
+    are kept, with a short switch interval, each get a grid of their key
+    and never see more than _GRIDS_KEPT kept."""
     w = weight.make_step_weight()
     errors, sizes = [], []
 

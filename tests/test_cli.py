@@ -243,11 +243,47 @@ def test_non_finite_or_non_positive_value_is_input_error(tmp_path, argv):
                                   ["verify", "--alpha", "0.5"],
                                   ["verify", "--oracle-rtol", "1e-12"],
                                   ["verify", "--delta", "0.2"],
-                                  ["sweep", "--delta", "0.2"]])
+                                  ["sweep", "--delta", "0.2"],
+                                  ["connection", "--i", "0"],
+                                  ["solve", "--N", "3"],
+                                  ["verify", "--N", "3"],
+                                  ["local", "--bump-csv", "bump.csv"]])
 def test_deleted_flags_are_refused(flag):
     with pytest.raises(SystemExit) as exc:
         cli.main(flag)
     assert exc.value.code == 2
+
+
+_REFUSALS = {
+    "config-list": (["local", "--config", "list.json"],
+                    "config file must hold a JSON object"),
+    "sweep-no-codes": (["sweep", "--codes", ""], "no codes given"),
+    "integrate-no-t1": (["oracle", "integrate"], "need --t1"),
+    "connection-mu-0": (["connection", "--mu", "0", "--x", "0.6",
+                         "--y", "0.4"], "mu must be positive"),
+    "connection-l-negative": (["connection", "--mu", "2000", "--x", "0.6",
+                               "--y", "0.4", "--l", "-1"], "l must be >= 0"),
+    "connection-x-over-K": (["connection", "--mu", "2000", "--x", "100",
+                             "--y", "0.4"], "must not exceed K"),
+    "connection-4-cells": (["connection", "--mu", "2000", "--x", "0.6",
+                            "--y", "0.4", "--cells", "4"],
+                           "at least 8 cells"),
+    "solve-letter-symbol": (["solve", "--symbols", "1a0", "--mu", "800"],
+                            "symbols must be digits"),
+    "solve-mu-0": (["solve", "--symbols", "10", "--mu", "0"],
+                   "mu_target must be positive"),
+    "solve-no-symbols": (["solve", "--mu", "800"], "need --symbols"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_input_refusal_exits_2(tmp_path, monkeypatch, case):
+    """Each input refusal of a command exits 2 and names itself in FAILED."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "list.json").write_text("[1, 2]")
+    argv, message = _REFUSALS[case]
+    assert cli.main(argv + ["--outdir", "out"]) == 2
+    assert message in (tmp_path / "out" / "FAILED").read_text()
 
 
 def test_stray_value_error_is_internal_error(tmp_path, monkeypatch):
@@ -537,7 +573,7 @@ _COMMAND_ARGV = {
 
 # a misspelled key, then keys of options deleted earlier
 _UNREAD_KEYS = ["cels", "newton_tol", "alpha", "oracle_rtol", "identities",
-                "periodic", "mu0", "delta"]
+                "periodic", "mu0", "delta", "i", "N", "bump_csv"]
 
 
 @pytest.mark.parametrize("command", sorted(_COMMAND_ARGV))

@@ -252,8 +252,7 @@ def ref_fd_check(sol):
     for name, (dx, dy) in (("x+", (h, 0.0)), ("x-", (-h, 0.0)),
                            ("y+", (0.0, h)), ("y-", (0.0, -h))):
         q = connection.ConnectionProblem(w=p.w, mu=p.mu, x=p.x + dx,
-                                         y=p.y + dy, i=p.i, l=p.l, K=p.K,
-                                         r=p.r)
+                                         y=p.y + dy, l=p.l, K=p.K, r=p.r)
         start = assembly.GridFunction(sol.grid, sol.u.values + dx * v.values
                                       + dy * z.values)
         s = connection.solve_connection(q, init=start)

@@ -32,9 +32,27 @@ def test_first_return_closed_form():
     i1_gamma = 2.0 ** -0.75 * G(0.25) * G(1.5) / G(1.75)
     assert math.isclose(T1, t1_gamma, rel_tol=5e-13)
     assert math.isclose(I1, i1_gamma, rel_tol=5e-13)
-    t1, i1 = oracle._constant_first_return(1.0, 1.0)
+    t1, i1 = oracle._constant_first_return(1e-12)
     assert math.isclose(t1, t1_gamma, rel_tol=1e-11)
     assert math.isclose(i1, i1_gamma, rel_tol=1e-11)
+
+
+def test_ground_level_honours_rtol(step_weight, monkeypatch):
+    """The scaling branch (constant a+) integrates at the caller's rtol, as
+    the shooting branch does: step's c moves with it."""
+    seen = []
+    real = oracle.integrate
+
+    def spy(*args, rtol, **kwargs):
+        seen.append(rtol)
+        return real(*args, rtol=rtol, **kwargs)
+
+    monkeypatch.setattr(oracle, "integrate", spy)
+    coarse = oracle.brute_ground_level(step_weight, rtol=1e-4)
+    fine = oracle.brute_ground_level(step_weight, rtol=1e-12)
+    assert seen == [1e-4, 1e-12]
+    assert coarse != fine
+    assert math.isclose(coarse, C_STEP, rel_tol=1e-3)
 
 
 def test_ground_level_frozen(step_weight):

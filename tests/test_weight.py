@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from multibump import localfield, weight
+from multibump import cli, localfield, weight
 from multibump.errors import (EdgeMassViolation, NoAdmissibleZeta,
                               SignStructureViolation, WeightError)
 
@@ -291,3 +291,56 @@ def test_roundtrip_json(tmp_path, step_weight, sine_weight):
 def test_weight_dict_is_plain_json(step_weight):
     blob = json.dumps(weight.weight_to_dict(step_weight))
     assert "poly" in blob
+
+
+def _pieces(*pieces):
+    """A weight file's dict on T = 2, tau = 1 from (t0, t1, kind, data)."""
+    return {"T": 2.0, "tau": 1.0,
+            "pieces": [{"t0": t0, "t1": t1, "kind": kind, "data": data}
+                       for t0, t1, kind, data in pieces]}
+
+
+_NEG = (1.0, 2.0, "poly", [-1.0])
+
+_BAD_WEIGHT_FILES = {
+    "samples-not-increasing": (
+        _pieces((0.0, 1.0, "samples", {"t": [0.0, 0.6, 0.5, 1.0],
+                                       "v": [0.0, 1.0, 1.0, 0.0]}), _NEG),
+        "strictly increasing"),
+    "samples-short-of-piece": (
+        _pieces((0.0, 1.0, "samples", {"t": [0.0, 0.5, 0.9],
+                                       "v": [0.0, 1.0, 0.0]}), _NEG),
+        "cover the piece exactly"),
+    "unknown-kind": (
+        _pieces((0.0, 1.0, "spline", [1.0]), _NEG), "unknown piece kind"),
+    "ends-before-T": (
+        _pieces((0.0, 1.0, "poly", [1.0]), (1.0, 1.8, "poly", [-1.0])),
+        "must end at t = T"),
+    "a-plus-zero": (
+        _pieces((0.0, 1.0, "poly", [0.0]), _NEG),
+        r"vanishes identically on \[0, tau\]"),
+    "a-minus-zero": (
+        _pieces((0.0, 1.0, "poly", [1.0]), (1.0, 2.0, "poly", [0.0])),
+        r"vanishes identically on \[tau, T\]"),
+    # a samples piece holds {"t": [...], "v": [...]}, not (t, v) pairs
+    "sample-pairs": (
+        _pieces((0.0, 1.0, "samples", [[0.0, 0.0], [0.5, 1.0], [1.0, 0.0]]),
+                _NEG),
+        "malformed weight"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_WEIGHT_FILES))
+def test_weight_file_refusals(case):
+    spec, message = _BAD_WEIGHT_FILES[case]
+    with pytest.raises(WeightError, match=message):
+        weight.weight_from_dict(spec)
+
+
+def test_weight_file_refusal_exits_2(tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(_BAD_WEIGHT_FILES["sample-pairs"][0]))
+    out = tmp_path / "out"
+    assert cli.main(["local", "--weight", str(path),
+                     "--outdir", str(out)]) == 2
+    assert "malformed weight" in (out / "FAILED").read_text()
