@@ -25,16 +25,17 @@ inputs scipy's banded solver for the job gives it (``solve_banded``,
 ``solveh_banded``, ``cholesky_banded``, ``cho_solve_banded``), so the
 results are the same bits, and the definite wrappers keep those functions'
 checks and errors.
-The one-call functions gradient and jacobian_matrix use the same operator.
+The one-call functions gradient and jacobian_matrix use the same operator,
+whose ``actions`` is the package's one evaluation of the action J_mu.
 
 The process keeps the last _GRIDS_KEPT window grids and connection-block
 meshes by their content (``kept_grid``), tables included, with read-only
 arrays.  Sorted node sets come from ``sorted_unique``, not ``np.unique``,
 which imports ``numpy.ma`` on its first call.
 
-Grids carry the node index of every sigma_i and tau_i their constructor
-placed (``Grid.marks``), which ``Grid.interval_nodes`` reads; a window
-grid's ``Grid.rows`` views its data as one row per I_i^+ and I_i^-.
+A window grid's ``Grid.rows`` views its data as one row per I_i^+ and
+I_i^-: sigma_{i0+k} is node 2 m k, tau_{i0+k} node 2 m k + m.  A connection
+block's mesh records its sigma_j and tau_j nodes (``Grid.marks``).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from ._scipy_files import flapack
-from .errors import IndexOutOfWindow, NewtonFailure, WeightError
+from .errors import NewtonFailure, WeightError
 from .weight import weight_key
 
 _flapack = flapack()
@@ -283,11 +284,11 @@ class Operator:
                                            full.shape[-1]))
 
     def actions(self, values):
-        """J_mu at values, one per row of a stack, from the point values of
-        the last ``residual`` at the same values.  A stack is summed in one
-        pass: each row runs along contiguous memory, so it keeps the bits of
-        ``action`` on its own GridFunction (summed along a column-major
-        stack's rows, about half the sums move)."""
+        """J_mu = 1/2 int u'^2 - 1/4 int a_mu u^4 at values, one per row of
+        a stack, from the point values of the last ``residual`` at the same
+        values.  A stack is summed in one pass: each row runs along
+        contiguous memory, so it keeps the bits of that row alone (summed
+        along a column-major stack's rows, about half the sums move)."""
         u2 = self.points(values)
         u2 = u2 * u2
         full = np.ascontiguousarray(self.grid.full_values(values))
@@ -553,7 +554,7 @@ class Grid:
     i0: int = 0                # first interval index covered (window grids)
     n_int: int = 0             # number of weight periods covered (0: segment)
     m: int = 0                 # cells per subinterval (0: free mesh)
-    # node index of each sigma_i ("s", i) and tau_i ("t", i) placed
+    # node of each sigma_j ("s", j) and tau_j ("t", j) of a connection block
     marks: dict = field(default_factory=dict, repr=False)
     _tables: QuadTables = field(default=None, repr=False)
 
@@ -570,20 +571,6 @@ class Grid:
     @property
     def span(self):
         return float(self.nodes[-1] - self.nodes[0])
-
-    def interval_nodes(self, i, which):
-        """Node index range (a, b) of I_i^+ or I_i^-, read from ``marks``."""
-        if which == "plus":
-            keys = ("s", i), ("t", i)
-        elif which == "minus":
-            keys = ("t", i), ("s", i + 1)
-        else:
-            raise ValueError("which must be 'plus' or 'minus'")
-        try:
-            return self.marks[keys[0]], self.marks[keys[1]]
-        except KeyError:
-            raise IndexOutOfWindow(f"I_{i}^{which} is not inside the mesh") \
-                from None
 
     def rows(self, a):
         """A window grid's data by subinterval, as a read-only view: row 2k
@@ -672,15 +659,13 @@ def span_grid(w, i0, n_int, cells_per_interval):
     m = int(cells_per_interval)
 
     def build():
-        parts, marks = [], {}
-        for k, i in enumerate(range(i0, i0 + n_int)):
-            marks[("s", i)], marks[("t", i)] = 2 * m * k, 2 * m * k + m
+        parts = []
+        for i in range(i0, i0 + n_int):
             parts.append(np.linspace(w.sigma(i), w.tau_i(i), m + 1)[:-1])
             parts.append(np.linspace(w.tau_i(i), w.sigma(i + 1), m + 1)[:-1])
         parts.append(np.array([w.sigma(i0 + n_int)]))
-        marks[("s", i0 + n_int)] = 2 * m * n_int
         return Grid(w=w, nodes=np.concatenate(parts), periodic=True, i0=i0,
-                    n_int=n_int, m=m, marks=marks)
+                    n_int=n_int, m=m)
 
     return kept_grid((weight_key(w), i0, n_int, m), build)
 
@@ -709,13 +694,6 @@ class GridFunction:
         if not np.isfinite(self.values).all():
             raise WeightError("grid function values must be finite")
 
-    @classmethod
-    def from_callable(cls, grid, f):
-        vals = np.asarray(f(grid.nodes), dtype=float)
-        if grid.periodic:
-            vals = vals[:-1]
-        return cls(grid, vals)
-
     def full(self):
         return self.grid.full_values(self.values)
 
@@ -726,25 +704,9 @@ class GridFunction:
         return float(np.max(np.abs(self.values)))
 
 
-def action(u, mu):
-    """J_mu(u) = 1/2 int u'^2 - 1/4 int a_mu u^4 over the grid."""
-    tb = u.grid.tables
-    full = u.full()
-    return 0.5 * dirichlet_integral(tb, full) - \
-        0.25 * quartic_integral(tb, mu, full)
-
-
 def gradient(u, mu):
     """Weak residual against every hat function (periodic hats when folded)."""
     return GridFunction(u.grid, Operator(u.grid, mu).residual(u.values))
-
-
-def hessian_apply(u, mu, v):
-    """Second variation of the action at u applied to v."""
-    if v.grid is not u.grid:
-        raise WeightError("u and v must share a grid")
-    r = hessian_full(u.grid.tables, mu, u.full(), v.full())
-    return GridFunction(u.grid, u.grid.fold(r))
 
 
 def jacobian_matrix(u, mu):

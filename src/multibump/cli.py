@@ -133,14 +133,16 @@ def merge_config(args, cfg, options):
 
 def _convert(opt, value):
     """value converted by the option's kind, None kept; a value that does
-    not convert to a finite number (nan, inf) is an input error."""
+    not convert to a finite number (nan, inf), a bool, or a non-integral
+    float for an int or count (as its flag) is an input error."""
     if value is None:
         return None
     if opt.kind is str:
         return str(value)
     try:
         out = opt.kind(value)
-        if math.isfinite(out):
+        if math.isfinite(out) and not isinstance(value, bool) and \
+                not (isinstance(value, float) and out != value):
             return out
     except (TypeError, ValueError, OverflowError):
         pass

@@ -97,10 +97,6 @@ class ConnectionProblem:
     def block(self):
         return self.t_lo, self.t_hi
 
-    @property
-    def length(self):
-        return self.t_hi - self.t_lo
-
     def plus_indices(self):
         """Indices j of the interior positivity intervals I_j^+."""
         return range(self.l)
@@ -193,7 +189,9 @@ def decay_profile(p, ts):
 
 
 def _plus_ranges(p, grid):
-    return [grid.interval_nodes(j, "plus") for j in p.plus_indices()]
+    """Node ranges (a, b) of the interior I_j^+, from the mesh's marks."""
+    return [(grid.marks[("s", j)], grid.marks[("t", j)])
+            for j in p.plus_indices()]
 
 
 def _retract(p, grid, full):
@@ -371,16 +369,16 @@ def solve_connection(p, cells=None, init=None):
     ``assembly.Operator`` of the block, which the solution keeps.
 
     ``init`` is None (the decay profile on ``connection_grid(p, cells)``) or
-    a GridFunction on a clamped mesh of the block, which is then the mesh
-    solved on (``cells`` is unused).
+    a GridFunction on a ``connection_grid`` of the block, which is then the
+    mesh solved on (``cells`` is unused).
     """
     if init is None:
         grid = connection_grid(p, cells)
         full = decay_profile(p, grid.nodes)
     else:
         grid = init.grid
-        if grid.periodic or (grid.nodes[0], grid.nodes[-1]) != p.block:
-            raise WeightError("init must live on a clamped mesh of the block")
+        if not grid.marks or (grid.nodes[0], grid.nodes[-1]) != p.block:
+            raise WeightError("init must be on a connection_grid of the block")
         full = init.values.copy()
     full[0], full[-1] = p.x, p.y
     _retract(p, grid, full)
@@ -502,7 +500,7 @@ def energy_derivatives(sol):
             steps.append(0)
         else:
             s = solve_connection(q, init=GridFunction(grid, start))
-            vals.append(assembly.action(s.u, p.mu))
+            vals.append(float(s.op.actions(s.u.values)))
             steps.append(s.descent_iters)
     fd = ((vals[0] - vals[1]) / (2.0 * h), (vals[2] - vals[3]) / (2.0 * h))
     scale = max(abs(pair[0]), abs(pair[1]), 1e-30)

@@ -43,10 +43,6 @@ class ScopeError(MultibumpError):
     """Input outside the stated scope of an oracle routine."""
 
 
-class IndexOutOfWindow(MultibumpError, IndexError):
-    """Interval index outside the grid's span."""
-
-
 class ContinuationBreakdown(NonConvergence):
     """Newton failed partway along the downward mu walk."""
 

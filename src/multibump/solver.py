@@ -51,7 +51,7 @@ class SymbolWindow:
     i_start: int = 0
 
 
-def make_window(symbols, i_start=None):
+def make_window(symbols):
     symbols = tuple(int(v) for v in symbols)
     if not symbols:
         raise WeightError("empty symbol window")
@@ -59,10 +59,9 @@ def make_window(symbols, i_start=None):
         raise WeightError("symbols must be 0 or 1")
     if not any(symbols):
         raise WeightError("the code must contain at least one 1")
-    if i_start is None:
-        # symmetric placement for odd windows, anchored at 0 otherwise
-        i_start = -(len(symbols) - 1) // 2 if len(symbols) % 2 else 0
-    return SymbolWindow(symbols=symbols, i_start=int(i_start))
+    # symmetric placement for odd windows, anchored at 0 otherwise
+    i_start = -(len(symbols) - 1) // 2 if len(symbols) % 2 else 0
+    return SymbolWindow(symbols=symbols, i_start=i_start)
 
 
 def parse_symbols(text):
@@ -150,7 +149,7 @@ class Solution:
         return op, op.residual(self.u.values), op.slopes(self.u.values)
 
 
-def auto_cells(w, mu):
+def auto_cells(mu):
     """Cells per subinterval needed to track the sharpening interior layers.
 
     The interior profile on negativity intervals turns over on a length scale
@@ -302,7 +301,7 @@ def _continuation(w, window, mu_list, cells):
     certificate's Operator, residual and slopes.
     """
     consts, bump = _prepare(w)
-    cells = cells or auto_cells(w, mu_list[-1])
+    cells = cells or auto_cells(mu_list[-1])
     grid, coarse = (assembly.span_grid(w, window.i_start, len(window.symbols), m)
                     for m in (cells, max(8, cells // COARSE_DIV)))
     v = initial_guess(window, bump, coarse).values

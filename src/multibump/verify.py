@@ -10,7 +10,7 @@ independent re-integration of every subinterval with the shooting oracle.
 A solution's window is periodic (``assembly.span_grid``), so every node and
 slope it is read at has a neighbour cell on each side.  Per-interval
 numbers are read from the window's rows (``assembly.Grid.rows``), each in
-one pass over one copy of the window.
+one pass over one copy of the window; ``cutoff`` gives eta_i and eta_i'.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ DELTA_FRAC = 0.2             # interior margin delta of the decay, over T - tau
 
 
 def cutoff(w, i, ts):
-    """eta_i: 1 on [sigma_i, tau_i], cosine ramps over quarter gaps outside.
+    """(eta_i, eta_i') at ts: eta_i is 1 on [sigma_i, tau_i], with cosine
+    ramps over quarter gaps outside.
 
     The ramp width is (T - tau)/4, so consecutive cutoffs have disjoint
     supports and eta_i vanishes well inside both neighbouring negativity
@@ -45,27 +46,17 @@ def cutoff(w, i, ts):
     ts = np.asarray(ts, dtype=float)
     delta = 0.25 * (w.period - w.tau)
     lo, hi = w.sigma(i), w.tau_i(i)
-    out = np.zeros_like(ts)
-    inside = (ts >= lo) & (ts <= hi)
-    out[inside] = 1.0
+    eta, deta = np.zeros_like(ts), np.zeros_like(ts)
+    eta[(ts >= lo) & (ts <= hi)] = 1.0
     up = (ts > lo - delta) & (ts < lo)
-    out[up] = 0.5 * (1.0 - np.cos(math.pi * (ts[up] - lo + delta) / delta))
+    phase = math.pi * (ts[up] - lo + delta) / delta
+    eta[up] = 0.5 * (1.0 - np.cos(phase))
+    deta[up] = 0.5 * math.pi / delta * np.sin(phase)
     dn = (ts > hi) & (ts < hi + delta)
-    out[dn] = 0.5 * (1.0 + np.cos(math.pi * (ts[dn] - hi) / delta))
-    return out
-
-
-def cutoff_derivative(w, i, ts):
-    ts = np.asarray(ts, dtype=float)
-    delta = 0.25 * (w.period - w.tau)
-    lo, hi = w.sigma(i), w.tau_i(i)
-    out = np.zeros_like(ts)
-    up = (ts > lo - delta) & (ts < lo)
-    out[up] = 0.5 * math.pi / delta * np.sin(
-        math.pi * (ts[up] - lo + delta) / delta)
-    dn = (ts > hi) & (ts < hi + delta)
-    out[dn] = -0.5 * math.pi / delta * np.sin(math.pi * (ts[dn] - hi) / delta)
-    return out
+    phase = math.pi * (ts[dn] - hi) / delta
+    eta[dn] = 0.5 * (1.0 + np.cos(phase))
+    deta[dn] = -0.5 * math.pi / delta * np.sin(phase)
+    return eta, deta
 
 
 # -- piecewise-linear sampling helpers -----------------------------------------
@@ -166,8 +157,7 @@ def nehari_identities(sol):
         breaks = assembly.sorted_unique(np.concatenate([joints, inner, knots]))
         tq, wq = _gauss_segments(breaks)
         uq, duq = _sample(grid, full, tq)
-        eta = cutoff(wspec, i, tq)
-        deta = cutoff_derivative(wspec, i, tq)
+        eta, deta = cutoff(wspec, i, tq)
         amu = wspec.a_mu(mu, tq)
         lhs = float(np.sum(wq * (eta * duq + deta * uq) ** 2))
         rhs = float(np.sum(wq * (amu * eta ** 2 * uq ** 4
@@ -530,12 +520,3 @@ def run_sweep(w, symbols, mu_list, cells=0):
         "alpha": HOLDER_ALPHA, "delta": delta,
     }
     return payload, sol
-
-
-def sign_changes(values, tol=0.0):
-    """Number of strict sign alternations in a nodal value array."""
-    v = np.asarray(values, dtype=float)
-    s = np.sign(v[np.abs(v) > tol])
-    if len(s) == 0:
-        return 0
-    return int(np.sum(np.abs(np.diff(s)) > 1))

@@ -8,12 +8,26 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from multibump import assembly, localfield, solver, weight
-from multibump.errors import IndexOutOfWindow, NewtonFailure, WeightError
+from multibump import assembly, connection, localfield, solver, weight
+from multibump.errors import NewtonFailure, WeightError
 
 
 def segment(w, a, b, n):
     return assembly.segment_grid(w, np.linspace(a, b, n + 1))
+
+
+def action(grid, mu, values):
+    """J_mu = 1/2 int u'^2 - 1/4 int a_mu u^4 of nodal values, from the two
+    integrals; the reference of ``Operator.actions``."""
+    tb, full = grid.tables, grid.full_values(values)
+    return 0.5 * assembly.dirichlet_integral(tb, full) - \
+        0.25 * assembly.quartic_integral(tb, mu, full)
+
+
+def hessian(grid, mu, u, v):
+    """The second variation at u applied to v on the grid's dofs."""
+    full = grid.full_values
+    return grid.fold(assembly.hessian_full(grid.tables, mu, full(u), full(v)))
 
 
 def p1_l2_squared(grid, full):
@@ -39,9 +53,8 @@ def test_dirichlet_integral_trig(step_weight):
     errs = []
     for n in (64, 128):
         grid = segment(step_weight, 0.0, 2.0, n)
-        u = assembly.GridFunction.from_callable(
-            grid, lambda t: np.sin(np.pi * t))
-        errs.append(abs(assembly.dirichlet_integral(grid.tables, u.full())
+        u = np.sin(np.pi * grid.nodes)
+        errs.append(abs(assembly.dirichlet_integral(grid.tables, u)
                         - np.pi ** 2))
     assert errs[1] < errs[0] / 3.5
 
@@ -56,8 +69,8 @@ def test_gradient_matches_fd_of_action(step_weight, rng):
         for j in rng.integers(0, grid.ndof, 4):
             e = np.zeros(grid.ndof)
             e[j] = 1e-6
-            Jp = assembly.action(assembly.GridFunction(grid, u.values + e), mu)
-            Jm = assembly.action(assembly.GridFunction(grid, u.values - e), mu)
+            Jp = action(grid, mu, u.values + e)
+            Jm = action(grid, mu, u.values - e)
             fd = (Jp - Jm) / 2e-6
             assert math.isclose(g[j], fd, rel_tol=2e-8, abs_tol=2e-8)
 
@@ -68,8 +81,8 @@ def test_hessian_symmetry_and_fd(step_weight, rng):
     u = assembly.GridFunction(grid, 0.4 * rng.standard_normal(grid.ndof))
     v = assembly.GridFunction(grid, rng.standard_normal(grid.ndof))
     wv = assembly.GridFunction(grid, rng.standard_normal(grid.ndof))
-    Hv = assembly.hessian_apply(u, mu, v).values
-    Hw = assembly.hessian_apply(u, mu, wv).values
+    Hv = hessian(grid, mu, u.values, v.values)
+    Hw = hessian(grid, mu, u.values, wv.values)
     assert math.isclose(float(wv.values @ Hv), float(v.values @ Hw),
                         rel_tol=1e-11, abs_tol=1e-11)
     # directional FD of the gradient
@@ -95,8 +108,8 @@ def test_stiffness_annihilates_linear(step_weight):
 
 def test_interval_energy_partition(step_weight, rng):
     """Grid.rows partitions a window: row 2k is I^+ and row 2k+1 is I^- of
-    interval i0 + k (the ranges Grid.marks records), each row's energy has
-    the bits of its node range's, and the energies sum to the whole."""
+    interval i0 + k (nodes m r to m (r + 1) of row r), each row's energy
+    has the bits of its node range's, and the energies sum to the whole."""
     grid = assembly.span_grid(step_weight, -1, 3, 20)
     u = assembly.GridFunction(grid, rng.standard_normal(grid.ndof))
     full = u.full()
@@ -104,29 +117,40 @@ def test_interval_energy_partition(step_weight, rng):
     rows = grid.rows(full)
     assert rows.shape == (6, 21) and grid.rows(h).shape == (6, 20)
     energies = assembly.dirichlet_energy(grid.rows(h), rows)
-    for k, i in enumerate(range(-1, 2)):
-        for r, which in ((2 * k, "plus"), (2 * k + 1, "minus")):
-            a, b = grid.interval_nodes(i, which)
-            assert np.array_equal(rows[r], full[a:b + 1])
-            assert energies[r] == assembly.dirichlet_energy(h[a:b],
-                                                            full[a:b + 1])
+    for r in range(6):
+        a, b = 20 * r, 20 * (r + 1)
+        assert np.array_equal(rows[r], full[a:b + 1])
+        assert energies[r] == assembly.dirichlet_energy(h[a:b], full[a:b + 1])
     total = assembly.dirichlet_integral(grid.tables, full)
     assert math.isclose(total, float(np.sum(energies)), rel_tol=1e-12)
 
 
-def test_grid_marks(step_weight):
-    grid = assembly.span_grid(step_weight, -1, 3, 12)
-    a, b = grid.interval_nodes(0, "plus")
-    assert (grid.nodes[a], grid.nodes[b]) == (0.0, 1.0)
-    a, b = grid.interval_nodes(-1, "plus")
-    assert grid.nodes[a] == -2.0
-    a, b = grid.interval_nodes(1, "minus")
-    assert grid.nodes[a] == 3.0 and grid.nodes[b] == 4.0
-    assert b - a == 12
-    with pytest.raises(IndexOutOfWindow):
-        grid.interval_nodes(5, "plus")
-    with pytest.raises(ValueError):
-        grid.interval_nodes(0, "+")
+@settings(max_examples=60, deadline=None)
+@given(T=st.floats(0.5, 8.0), frac=st.floats(0.1, 0.9),
+       i0=st.integers(-4, 4), L=st.integers(1, 6), m=st.integers(8, 64),
+       l=st.integers(0, 3), mu=st.floats(1.0, 1e4), x=st.floats(-1.0, 1.0),
+       y=st.floats(-1.0, 1.0))
+def test_rows_and_block_marks_land_on_the_knots(T, frac, i0, L, m, l, mu, x,
+                                                y):
+    """Each row of a window grid starts and ends exactly on its sigma_i and
+    tau_i, and a block mesh's marks name the nodes that are exactly
+    tau_{-1}, sigma_j, tau_j and sigma_l."""
+    tau = frac * T
+    w = weight.build_weight(T, tau, [weight.Piece(0.0, tau, "poly", (1.0,)),
+                                     weight.Piece(tau, T, "poly", (-1.0,))])
+    grid = assembly.span_grid(w, i0, L, m)
+    t = grid.rows(grid.nodes)
+    i = np.arange(i0, i0 + L)
+    assert np.array_equal(t[::2, 0], [w.sigma(k) for k in i])
+    assert np.array_equal(t[::2, -1], [w.tau_i(k) for k in i])
+    assert np.array_equal(t[1::2, 0], [w.tau_i(k) for k in i])
+    assert np.array_equal(t[1::2, -1], [w.sigma(k + 1) for k in i])
+    p = connection.ConnectionProblem(w=w, mu=mu, x=x, y=y, l=l)
+    block = connection.connection_grid(p, cells=8)
+    want = {("t", -1): w.tau_i(-1), ("s", l): w.sigma(l)}
+    for j in range(l):
+        want[("s", j)], want[("t", j)] = w.sigma(j), w.tau_i(j)
+    assert {key: block.nodes[j] for key, j in block.marks.items()} == want
 
 
 def test_periodic_fold_conserves_mass(step_weight, rng):
@@ -242,7 +266,7 @@ def test_newton_step_solves_the_second_variation(step_weight, code, i0, m,
     w = step_weight
     grid = assembly.span_grid(w, i0, len(code), m)
     if pasted:
-        window = solver.make_window(code, i_start=i0)
+        window = solver.SymbolWindow(tuple(code), i0)
         u = solver.initial_guess(window, localfield.ground_state(w, m), grid)
     else:
         rng = np.random.default_rng(seed)
@@ -253,8 +277,7 @@ def test_newton_step_solves_the_second_variation(step_weight, code, i0, m,
     if periodic:
         r = assembly.gradient(u, mu).values
         step = assembly.solve_tridiagonal(*assembly.jacobian_matrix(u, mu), r)
-        applied = assembly.hessian_apply(
-            u, mu, assembly.GridFunction(grid, step)).values
+        applied = hessian(grid, mu, u.values, step)
     else:
         tb, full = grid.tables, u.values
         op = assembly.Operator(grid, mu)
@@ -752,8 +775,7 @@ def test_stacked_residual_rows_match_single_rows(rng):
         for k, values in enumerate(stack):
             one = assembly.Operator(grid, 300.0).residual(values.copy())
             assert np.array_equal(rows[k], one)
-            assert actions[k] == assembly.action(
-                assembly.GridFunction(grid, values.copy()), 300.0)
+            assert actions[k] == action(grid, 300.0, values.copy())
 
 
 @settings(max_examples=60, deadline=None)
@@ -770,8 +792,7 @@ def test_stacked_actions_sum_each_row_alone(n, rows, periodic, seed):
     op.residual(stack)
     got = op.actions(stack)
     for k, values in enumerate(stack):
-        assert got[k] == assembly.action(assembly.GridFunction(grid, values),
-                                         700.0)
+        assert got[k] == action(grid, 700.0, values)
 
 
 def test_newton_from_a_given_residual_is_newton(rng):

@@ -273,14 +273,29 @@ _REFUSALS = {
     "solve-mu-0": (["solve", "--symbols", "10", "--mu", "0"],
                    "mu_target must be positive"),
     "solve-no-symbols": (["solve", "--mu", "800"], "need --symbols"),
+    # a config value is converted no more loosely than its flag
+    "config-points-1.9": (["verify", "--symbols", "10", "--mu-from", "1e2",
+                           "--mu-to", "1e3", "--config", "points.json"],
+                          "bad value 1.9 for points"),
+    "config-cells-200.7": (["solve", "--symbols", "10", "--mu", "1e3",
+                            "--config", "cells.json"],
+                           "bad value 200.7 for cells"),
+    "config-mu-true": (["solve", "--symbols", "10", "--config", "mu.json"],
+                       "bad value True for mu"),
+    "config-mesh-true": (["local", "--config", "mesh.json"],
+                         "bad value True for mesh"),
 }
+_CONFIGS = {"list.json": [1, 2], "points.json": {"points": 1.9},
+            "cells.json": {"cells": 200.7}, "mu.json": {"mu": True},
+            "mesh.json": {"mesh": True}}
 
 
 @pytest.mark.parametrize("case", sorted(_REFUSALS))
 def test_input_refusal_exits_2(tmp_path, monkeypatch, case):
     """Each input refusal of a command exits 2 and names itself in FAILED."""
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "list.json").write_text("[1, 2]")
+    for name, cfg in _CONFIGS.items():
+        (tmp_path / name).write_text(json.dumps(cfg))
     argv, message = _REFUSALS[case]
     assert cli.main(argv + ["--outdir", "out"]) == 2
     assert message in (tmp_path / "out" / "FAILED").read_text()
@@ -645,9 +660,10 @@ def test_input_error_leaves_failed_manifest(tmp_path, case):
 
 def test_config_and_flags_hash_alike(tmp_path):
     """A value is recorded after conversion, so a config file's K = 8 and
-    the flag's 8.0 give one manifest hash and the same artifacts."""
+    mesh = 200.0 and the flags' 8.0 and 200 give one manifest hash and the
+    same artifacts."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"mesh": 200, "K": 8}))
+    cfg.write_text(json.dumps({"mesh": 200.0, "K": 8}))
     runs = {"flags": ["local", "--mesh", "200", "--K", "8"],
             "config": ["local", "--config", str(cfg)]}
     manifests = {}

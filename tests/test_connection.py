@@ -13,6 +13,13 @@ from multibump.errors import (InteriorityFailure, MultibumpError,
                               SingularLinearization, WeightError)
 
 
+def action(grid, mu, full):
+    """J_mu = 1/2 int u'^2 - 1/4 int a_mu u^4 of a block's nodal values,
+    from the two integrals; the reference of ``Operator.actions``."""
+    return 0.5 * assembly.dirichlet_integral(grid.tables, full) - \
+        0.25 * assembly.quartic_integral(grid.tables, mu, full)
+
+
 @pytest.fixture(scope="module")
 def problem(step_weight):
     return connection.make_connection_problem(step_weight, 2000.0, 0.6, 0.4,
@@ -28,7 +35,6 @@ def test_problem_geometry(problem, step_weight):
     p = problem
     assert p.t_lo == step_weight.tau_i(-1)
     assert p.t_hi == step_weight.sigma(1)
-    assert math.isclose(p.length, p.t_hi - p.t_lo)
     assert list(p.plus_indices()) == [0]
 
 
@@ -158,8 +164,9 @@ def test_descent_takes_one_hessian_step(step_weight, default_caps, mu, x, y,
 
 
 def test_gridfunction_init_keeps_its_mesh(sol, problem):
-    """A GridFunction start is solved on its own mesh, whatever ``cells``
-    would have built; a mesh of another interval is refused."""
+    """A GridFunction start is solved on its own block mesh, whatever
+    ``cells`` would have built; a mesh of another interval, or a mesh of
+    the block that records no sigma_j and tau_j nodes, is refused."""
     s = connection.solve_connection(problem, cells=40, init=sol.u)
     assert s.grid is sol.grid
     assert (s.descent_iters, s.newton_iters) == (0, 0)
@@ -169,6 +176,10 @@ def test_gridfunction_init_keeps_its_mesh(sol, problem):
         r=problem.r)
     with pytest.raises(WeightError):
         connection.solve_connection(other, init=sol.u)
+    bare = assembly.segment_grid(problem.w, sol.grid.nodes)
+    with pytest.raises(WeightError):
+        connection.solve_connection(
+            problem, init=assembly.GridFunction(bare, sol.u.values))
 
 
 def test_sensitivity_signs(sol):
@@ -208,7 +219,7 @@ def test_interiority_failure_small_mu(step_weight, default_caps):
 
 def test_block_action_positive(sol):
     # x = y > 0 data forces kinetic energy through the negativity wells
-    assert assembly.action(sol.u, sol.problem.mu) > 0.0
+    assert sol.op.actions(sol.u.values) > 0.0
 
 
 def test_longer_block(step_weight):
@@ -256,7 +267,7 @@ def ref_fd_check(sol):
         start = assembly.GridFunction(sol.grid, sol.u.values + dx * v.values
                                       + dy * z.values)
         s = connection.solve_connection(q, init=start)
-        vals[name] = assembly.action(s.u, p.mu)
+        vals[name] = action(s.grid, p.mu, s.u.values)
         steps.append(s.descent_iters)
     dlo, dhi = sol.boundary_slopes
     fd = ((vals["x+"] - vals["x-"]) / (2.0 * h),
@@ -395,7 +406,7 @@ def ref_cap_margins(p, grid, full):
     h = grid.tables.h
     return [(p.K - abs(float(full[a])),
              p.r ** 2 - assembly.dirichlet_energy(h[a:b], full[a:b + 1]))
-            for a, b in (grid.interval_nodes(j, "plus")
+            for a, b in ((grid.marks[("s", j)], grid.marks[("t", j)])
                          for j in p.plus_indices())]
 
 
@@ -473,7 +484,8 @@ def test_fd_check_raises_the_first_failing_row(step_weight, default_caps, cap,
 
 
 def test_actions_of_one_vector_are_the_action(step_weight, rng):
-    """``Operator.actions`` of one vector is ``assembly.action`` of it."""
+    """``Operator.actions`` of one vector, from the point values of the
+    last residual, is its action from the two integrals."""
     grid = connection.connection_grid(
         connection.make_connection_problem(step_weight, 500.0, 0.5, 0.4,
                                            l=2))
@@ -481,8 +493,7 @@ def test_actions_of_one_vector_are_the_action(step_weight, rng):
         values = rng.standard_normal(grid.ndof)
         op = assembly.Operator(grid, 500.0)
         op.residual(values)
-        assert op.actions(values) == assembly.action(
-            assembly.GridFunction(grid, values), 500.0)
+        assert op.actions(values) == action(grid, 500.0, values)
 
 
 def test_solve_forms_each_residual_once(problem):

@@ -196,8 +196,7 @@ def test_nehari_project_identity(step_weight, rng):
 def test_nehari_project_scales_toward_ground_level(step_weight):
     """Projecting the exact eigenfunction-like hump lands above c."""
     grid = assembly.segment_grid(step_weight, np.linspace(0.0, 1.0, 801))
-    u0 = assembly.GridFunction.from_callable(
-        grid, lambda t: np.sin(np.pi * t))
+    u0 = assembly.GridFunction(grid, np.sin(np.pi * grid.nodes))
     u = localfield.nehari_project(u0)
     level = 0.25 * assembly.dirichlet_integral(grid.tables, u.full())
     assert level >= C_STEP * (1.0 - 1e-6)

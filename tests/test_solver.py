@@ -64,9 +64,8 @@ def test_certified_two_bumps(sol_110):
 def test_positivity_everywhere(sol_10):
     assert np.all(sol_10.u.values > 0.0)
     # small interval max stays below the cap by a wide margin at mu = 1e3
-    full = sol_10.u.full()
-    a, b = sol_10.grid.interval_nodes(1, "plus")
-    assert np.max(full[a:b + 1]) < 0.75
+    # row 2 of the window is I_1^+
+    assert np.max(sol_10.grid.rows(sol_10.u.full())[2]) < 0.75
 
 
 def test_certification_failure_carries_report(step_weight):
@@ -165,7 +164,7 @@ def test_walk_down_from_pasted_bumps(step_weight, sine_weight, code, mus,
 def _fine_walk(w, window, mus, cells):
     """The states of the walk on the solve mesh alone: Newton from the
     pasted bumps at the top, each lower mu from the last iterate."""
-    cells = cells or solver.auto_cells(w, max(mus))
+    cells = cells or solver.auto_cells(max(mus))
     grid = assembly.span_grid(w, window.i_start, len(window.symbols), cells)
     bump = localfield.levels_of(w).ground_bump()
     u = solver.initial_guess(window, bump, grid).values
@@ -272,8 +271,8 @@ def test_bracket_property(outcomes):
                           default=0.0)
 
 
-def test_auto_cells_monotone(step_weight):
-    cells = [solver.auto_cells(step_weight, mu) for mu in (1e2, 1e3, 1e4, 1e6)]
+def test_auto_cells_monotone():
+    cells = [solver.auto_cells(mu) for mu in (1e2, 1e3, 1e4, 1e6)]
     assert all(a <= b for a, b in zip(cells, cells[1:]))
     assert cells[0] >= 400
     assert cells[-1] <= 6000
@@ -284,11 +283,9 @@ def test_initial_guess_supports(step_weight):
     grid = assembly.span_grid(step_weight, window.i_start, 3, 40)
     bump = localfield.levels_of(step_weight).ground_bump()
     guess = solver.initial_guess(window, bump, grid)
-    full = guess.full()
+    plus = grid.rows(guess.full())[::2]
     for p, sym in enumerate(window.symbols):
-        i = window.i_start + p
-        a, b = grid.interval_nodes(i, "plus")
-        m = np.max(np.abs(full[a:b + 1]))
+        m = np.max(np.abs(plus[p]))
         if sym:
             assert m > 1.0
         else:

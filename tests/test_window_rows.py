@@ -16,8 +16,15 @@ from multibump import assembly, localfield, solver, verify
 # -- per-interval references ---------------------------------------------------
 
 
+def _nodes(grid, i, which):
+    """Node range (a, b) of I_i^+ ("plus") or I_i^- ("minus") of a window
+    grid: sigma_{i0+k} is node 2 m k and tau_{i0+k} node 2 m k + m."""
+    a = 2 * grid.m * (i - grid.i0) + (grid.m if which == "minus" else 0)
+    return a, a + grid.m
+
+
 def _energy(u, i, which):
-    a, b = u.grid.interval_nodes(i, which)
+    a, b = _nodes(u.grid, i, which)
     return float(assembly.dirichlet_energy(u.grid.tables.h[a:b],
                                            u.full()[a:b + 1]))
 
@@ -30,7 +37,7 @@ def ref_paste(window, bump, grid):
         if not sym:
             continue
         i = grid.i0 + p
-        a, b = grid.interval_nodes(i, "plus")
+        a, b = _nodes(grid, i, "plus")
         vv = bump.samples.eval(grid.nodes[a:b + 1] - grid.w.sigma(i))
         vv[0] = vv[-1] = 0.0
         vals[np.arange(a, b + 1) % grid.ndof] = vv
@@ -56,7 +63,7 @@ def ref_check_membership(u, mu, consts, window):
         ties[i] = abs(ep - r2) <= 1e-12 * max(r2, 1.0)
         dich[i] = "large" if ep > r2 or ties[i] else "small"
         c1[i] = (r2 < ep < upper) if sym else (ep < r2)
-        ta, tb = grid.interval_nodes(i, "minus")
+        ta, tb = _nodes(grid, i, "minus")
         c3[i] = bool(np.max(np.abs(full[ta:tb + 1])) < consts.K)
         if not sym:
             continue
@@ -67,7 +74,7 @@ def ref_check_membership(u, mu, consts, window):
         inner = full[a:b] if b > a else np.array([])
         ends = u.eval(np.array([lo, hi]))
         c2[i] = bool(np.all(inner > 0.0) and np.all(ends > 0.0))
-        sn, tn = grid.interval_nodes(i, "plus")
+        sn, tn = _nodes(grid, i, "plus")
         us, slope_in = full[sn], left[sn]
         ut, slope_out = full[tn], right[tn]
         ok = True
@@ -92,7 +99,7 @@ def ref_interior_maxima(sol, delta):
     full = sol.u.full()
     out = []
     for j, _ in enumerate(sol.window.symbols):
-        a, b = grid.interval_nodes(sol.window.i_start + j, "minus")
+        a, b = _nodes(grid, sol.window.i_start + j, "minus")
         t0, t1 = grid.nodes[a], grid.nodes[b]
         mask = (grid.nodes >= t0 + delta) & (grid.nodes <= t1 - delta)
         out.append((float(np.max(np.abs(full[mask]))),
@@ -111,7 +118,7 @@ def ref_limit_per_interval(sol, bump):
     per = {}
     for j, _ in enumerate(sol.window.symbols):
         i = sol.window.i_start + j
-        a, b = grid.interval_nodes(i, "plus")
+        a, b = _nodes(grid, i, "plus")
         d0 = float(np.max(np.abs(dfull[a:b + 1])))
         d1 = float(np.max(np.abs(np.diff(dfull[a:b + 1]) / h[a:b])))
         eps = 1e-9 * w.period
@@ -135,7 +142,7 @@ def ref_identities_ii_iv(sol):
     res_ii = 0.0
     uq_all = assembly._at_points(tb, full)
     for i in coded:
-        a, b = grid.interval_nodes(i, "plus")
+        a, b = _nodes(grid, i, "plus")
         kin = float(assembly.dirichlet_energy(tb.h[a:b], full[a:b + 1]))
         mask = (tb.qcell >= a) & (tb.qcell < b)
         quart = float(np.sum(tb.qw[mask] * tb.amu(mu)[mask]
@@ -158,8 +165,7 @@ def ref_identities_ii_iv(sol):
             [joints, inner, wspec.knots_in_span(lo, hi)]))
         tq, wq = verify._gauss_segments(breaks)
         uq, duq = verify._sample(grid, full, tq)
-        eta = verify.cutoff(wspec, i, tq)
-        deta = verify.cutoff_derivative(wspec, i, tq)
+        eta, deta = verify.cutoff(wspec, i, tq)
         amu = wspec.a_mu(mu, tq)
         lhs = float(np.sum(wq * (eta * duq + deta * uq) ** 2))
         rhs = float(np.sum(wq * (amu * eta ** 2 * uq ** 4
@@ -175,7 +181,7 @@ def _window_solution(w, code, i_start, cells, mu, scale, lift, noise, seed):
     """A Solution-shaped window, not a solve: scaled pasted bumps, lifted
     by a constant, plus noise, so that across draws every condition and
     positivity both pass and fail."""
-    win = solver.make_window(code, i_start)
+    win = solver.SymbolWindow(code, i_start)
     grid = assembly.span_grid(w, i_start, len(code), cells)
     bump = localfield.levels_of(w).ground_bump()
     vals = solver.initial_guess(win, bump, grid).values
