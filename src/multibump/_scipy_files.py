@@ -1,17 +1,16 @@
-"""scipy's private files, loaded by their paths.
+"""scipy's private LAPACK module, loaded by its path.
 
 The package needs four LAPACK routines from scipy's f2py module
-``scipy/linalg/_flapack`` and the DOP853 tableau in
-``scipy/integrate/_ivp/dop853_coefficients.py``.  Importing them through
-their packages runs ``scipy/__init__.py`` and the subpackage's
-``__init__``, which pull in ``numpy.f2py``, ``numpy.ma``, ``numpy.random``
-and ``unittest`` (about 0.2 s and 20 MB of every process).  Both files
-need only numpy, so ``_load`` runs the one file: scipy is found by
-``importlib.util.find_spec``, which executes none of its code.
+``scipy/linalg/_flapack``.  Importing it through ``scipy.linalg`` runs
+``scipy/__init__.py`` and the subpackage's ``__init__``, which pull in
+``numpy.f2py``, ``numpy.ma``, ``numpy.random`` and ``unittest`` (about
+0.2 s and 20 MB of every process).  The extension needs only numpy, so
+``_load`` runs the one file: scipy is found by ``importlib.util.find_spec``,
+which executes none of its code.
 
-The files are private to scipy, so the versions the tests run with are
-pinned; a scipy without one of them fails at import with an ImportError
-that names the path and the version.
+The file is private to scipy, so the version the tests run with is pinned;
+a scipy without it fails at import with an ImportError that names the path
+and the version.
 """
 
 from __future__ import annotations
@@ -38,13 +37,15 @@ def _scipy_version():
         return "(version unknown)"
 
 
-def _load(name, parts, suffixes):
-    """The module of the first file ``os.path.join(scipy, *parts) + suffix``
-    that exists, run once and kept in ``sys.modules`` as ``name``."""
+def flapack():
+    """scipy's f2py LAPACK module, run once and kept in ``sys.modules``
+    under its own name, so that scipy.linalg, when a caller imports it
+    later, reuses this one."""
+    name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
-    base = os.path.join(_scipy_dir(), *parts)
-    paths = [base + s for s in suffixes]
+    base = os.path.join(_scipy_dir(), "linalg", "_flapack")
+    paths = [base + s for s in importlib.machinery.EXTENSION_SUFFIXES]
     path = next((p for p in paths if os.path.isfile(p)), None)
     if path is None:
         raise ImportError(f"scipy {_scipy_version()} has no "
@@ -55,16 +56,3 @@ def _load(name, parts, suffixes):
     spec.loader.exec_module(module)
     sys.modules[name] = module
     return module
-
-
-def flapack():
-    """scipy's f2py LAPACK module, kept under its own name, so that
-    scipy.linalg, when a caller imports it later, reuses this one."""
-    return _load("scipy.linalg._flapack", ("linalg", "_flapack"),
-                 importlib.machinery.EXTENSION_SUFFIXES)
-
-
-def dop853_coefficients():
-    """scipy's DOP853 tableau module."""
-    return _load("multibump._dop853_coefficients",
-                 ("integrate", "_ivp", "dop853_coefficients"), (".py",))

@@ -493,8 +493,9 @@ def cmd_verify(cfg, w, run):
 def cmd_oracle(cfg, w, run):
     payload = {}
     rtol = cfg["rtol"]
-    if rtol is None or rtol <= 0.0:
-        raise WeightError(f"rtol must be positive, got {rtol!r}")
+    if rtol is None or not oracle.RTOL_MIN <= rtol < 1.0:
+        raise WeightError(f"rtol must lie in [{oracle.RTOL_MIN:.3g}, 1), "
+                          f"got {rtol!r}")
     if cfg["mode"] == "ground":
         payload["c"] = oracle.brute_ground_level(w, rtol=rtol)
     else:

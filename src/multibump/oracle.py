@@ -1,36 +1,36 @@
-"""Shooting oracle: DOP853 integration of the ODE u'' + a_mu(t) u^3 = 0 with
-restarts at weight breakpoints.
+"""Shooting oracle: Taylor-series integration of the ODE u'' + a_mu(t) u^3 = 0
+with restarts at weight breakpoints.
 
 This path is deliberately independent of the FEM machinery: no quadrature
 tables or assembly code are shared.  It provides initial-value integration
-with dense output (Dormand-Prince 8(5,3) after Hairer, Norsett & Wanner),
-Dirichlet shooting on intervals, and a brute-force ground-level computation
-used to cross-validate the local solver.
+with dense output, Dirichlet shooting on intervals, and a brute-force
+ground-level computation used to cross-validate the local solver.  It
+imports no scipy.
 
-The integration is scipy's DOP853 without ``solve_ivp``: ``_dop853``
-repeats, operation for operation, what ``solve_ivp(method="DOP853",
-dense_output=True)`` with a terminal event does, so it takes the same steps
-to the bit.  It leaves out the machinery around each step (solver,
-interpolant and result objects, event bookkeeping), and appends each step's
-dense-output coefficients straight into ``_Steps``.  It never imports
-``scipy.integrate`` or ``scipy.optimize`` (about 0.35 s and 20 MB of a
-process), nor ``scipy`` itself: ``_dop`` is scipy's tableau file, loaded by
-its path (``_scipy_files``), and ``_initial_step``
-(``select_initial_step``), the step-size factors and ``_brentq`` (the C
-``brentq``) repeat scipy's operations.
+On each weight piece a_mu is a polynomial, so the Taylor coefficients of u
+follow from Cauchy products (Jorba & Zou, Exp. Math. 14, 2005).  With A the
+piece's polynomial re-expanded at the step's start, in the step's own
+variable,
+
+    u_{k+2} = -(A * u^3)_k / ((k+1)(k+2)),
+    v_{k+2} = -3 (A * u^2 v)_k / ((k+1)(k+2))
+
+for u and for the variational v of a shot (v'' = -3 a_mu u^2 v).  A step
+sums its series up to order _ORDER at most.  Its length h is the largest for
+which each of the last _TAIL terms, c_k h^k, is at most rtol max(1, |u|,
+|u'|) of its run (and likewise for v), taken over the runs; the recurrence
+stops below _ORDER once the last _TAIL terms meet this at the end of the
+piece.  Reading _TAIL = 6 trailing orders, not 2, matters: on a constant
+piece started from u = 0 most coefficients are zero.  The dense output is
+each step's series itself.
 
 One integrator, ``_integrate_raw``, carries a batch of runs at once.  Run k
 goes from its t_from to its t_to, in either direction, on a common
 s in [0, 1] (t = t_from + (t_to - t_from) s), with its derivative columns
 taken along the direction of travel.  The pieces of s are the union of the
-runs' weight knots, one ``_dop853`` call each.  A piece's first step is
-twice the larger of the last two steps before it, capped at the piece.
-scipy's error norm is a root mean square over all components, so a batch
-of n runs divides rtol and atol by sqrt(n): the batch's norm is then the
-root-sum-square of the runs' own, and a step it accepts passes each run's
-test (DOP853 blends a 5th- and a 3rd-order estimate, which keeps this up to
-the runs' mix of the two).  A run whose |u| reaches the cap stops there and
-stays frozen, and the other runs go on.
+runs' weight knots, and every step of the batch is one step of each live
+run.  A run whose |u| reaches the cap at a step's end stays frozen there,
+and the other runs go on.
 
 A Dirichlet shot starts at the end where |u| is smaller, t0 on ties: the
 solutions are small or large on each interval, and shooting from the large
@@ -45,33 +45,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 
-from ._scipy_files import dop853_coefficients
 from .errors import BlowUp, NewtonFailure, NonConvergence, ScopeError
 
-# scipy's DOP853 tableau, run from its numpy-only file: neither scipy's nor
-# scipy.integrate's package __init__ runs
-_dop = dop853_coefficients()
-
-_G5X, _G5W = np.polynomial.legendre.leggauss(5)
 # s-knots of different runs closer than this are one knot
 _S_GAP = 1e-13
 
 _EPS = np.finfo(float).eps
-_N_STAGES = _dop.N_STAGES             # stages of a step; 3 more for dense
-_ERROR_ORDER = 7                      # order of the error estimator
-_ERROR_EXPONENT = -1 / (_ERROR_ORDER + 1)
-# scipy's step-size factors (``scipy.integrate._ivp.rk``), and brentq's
-# default iteration limit
-SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
-_BRENT_ITER = 100
+# the smallest rtol: below it the step rule asks for steps of round-off size
+RTOL_MIN = 100.0 * _EPS
+# the highest Taylor order of a step, and the trailing orders its rule reads
+_ORDER = 24
+_TAIL = 6
+# Gauss-Legendre nodes exact for u'^2 on a step (degree 2 _ORDER - 2)
+_GX, _GW = np.polynomial.legendre.leggauss(_ORDER)
 
-# every integration: the |u| that stops a trajectory, and the bound of the
-# step in t
+# every integration: the |u| that stops a trajectory
 _CAP = 1e6
-_MAX_STEP = np.inf
 # Dirichlet shots: attempts per shot, and the accepted far-end residual
 # relative to max(1, |x|, |y|)
 _MAX_SHOTS = 80
@@ -85,58 +79,25 @@ class IvpState:
     du: float
 
 
-class _Steps:
-    """A batch's accepted steps in s with their DOP853 dense-output
-    coefficients: step i spans [S[i], S[i+1]] and carries the t_old, h, F
-    and y_old of scipy's ``Dop853DenseOutput``.  ``_dop853`` appends each
-    step with ``add``, and ``close`` stacks them once the batch is done.
-
-    ``column`` evaluates one state column at any s, choosing each point's
-    step as ``OdeSolution`` does on increasing times and running
-    ``Dop853DenseOutput._call_impl``'s recurrence on that column only: the
-    same operations in the same order, so the same bits, with one
-    ``searchsorted`` instead of one interpolant call per step."""
-
-    def __init__(self):
-        self.t_old, self.h, self.F, self.y_old = [], [], [], []
-
-    def add(self, t_old, h, F, y_old):
-        self.t_old.append(t_old)
-        self.h.append(h)
-        self.F.append(F)
-        self.y_old.append(y_old)
-
-    def close(self, S):
-        self.S = S
-        self.t_old = np.array(self.t_old)
-        self.h = np.array(self.h)
-        self.F = np.array(self.F)
-        self.y_old = np.array(self.y_old)
-
-    def column(self, s, j):
-        # OdeSolution: side "left", so a step time picks the earlier step,
-        # and points outside [S[0], S[-1]] take the end steps
-        seg = np.clip(np.searchsorted(self.S, s, side="left") - 1,
-                      0, len(self.h) - 1)
-        return _dense_at(s, self.t_old[seg], self.h[seg],
-                         self.F[seg, :, j].T, self.y_old[seg, j])[()]
-
-
 class DenseOutput:
-    """One run's accepted-step trajectory with DOP853's 7th-order dense output.
+    """One run's trajectory as its steps' Taylor series.
 
-    ``ts`` holds the run's accepted step times in increasing t, both ends
-    included, and ``ys`` the states there (one row each, layout
-    (u, u'[, v, v']), derivatives in t).  ``steps`` is the batch's
-    ``_Steps`` in s, whose columns from ``col`` on are this run's, with
-    t = t_from + span s.
+    ``ts`` holds the run's step times in increasing t, both ends included,
+    and ``ys`` the states there (one row each, layout (u, u'[, v, v']),
+    derivatives in t).  Step i covers s in [S[i], S[i] + H[i]] of the batch
+    (t = t_from + span s), where u = sum_k P[i, k] x^k at
+    x = (s - S[i]) / H[i]: P holds the terms of u at the step's end.
+    ``terms`` is the batch's list of per-step term arrays, one row per run,
+    and this run's rows are stacked on first use only.
     """
 
-    def __init__(self, ts, ys, steps, col, t_from, span):
+    def __init__(self, ts, ys, S, H, terms, k, t_from, span):
         self.ts = ts
         self.ys = ys
-        self._steps = steps
-        self._col = col
+        self._S = S
+        self._H = H
+        self._terms = terms
+        self._k = k
         self._t_from = t_from
         self._span = span
 
@@ -144,382 +105,230 @@ class DenseOutput:
     def t_end(self):
         return self.ts[-1]
 
-    def _at(self, t, j):
-        v = self._steps.column((np.asarray(t, dtype=float) - self._t_from)
-                               / self._span, self._col + j)
-        # odd columns are derivatives along the direction of travel
-        return -v if j % 2 and self._span < 0 else v
+    @cached_property
+    def _P(self):
+        return np.array([T[self._k] for T in self._terms[:len(self._H)]])
+
+    @cached_property
+    def _dP(self):
+        """The terms of H du/ds."""
+        return polyder(self._P, axis=1)
+
+    def _locate(self, t):
+        s = (np.asarray(t, dtype=float) - self._t_from) / self._span
+        i = np.clip(np.searchsorted(self._S, s, side="right") - 1,
+                    0, len(self._H) - 1)
+        return i, (s - self._S[i]) / self._H[i]
 
     def eval_u(self, t):
-        return self._at(t, 0)
+        i, x = self._locate(t)
+        return polyval(x, np.moveaxis(self._P[i], -1, 0), tensor=False)
 
     def eval_du(self, t):
-        return self._at(t, 1)
+        i, x = self._locate(t)
+        return polyval(x, np.moveaxis(self._dP[i], -1, 0),
+                       tensor=False) / (self._H[i] * self._span)
 
     def first_zero(self, after=None):
         """First time u crosses zero strictly after ``after`` (None if none)."""
         lo = self.ts[0] if after is None else after
-        us = self.ys[:, 0]
         for i in range(len(self.ts) - 1):
             if self.ts[i + 1] <= lo:
                 continue
-            ua = self.eval_u(max(self.ts[i], lo))
-            ub = us[i + 1]
+            a, b = max(self.ts[i], lo), self.ts[i + 1]
+            ua, ub = float(self.eval_u(a)), self.ys[i + 1, 0]
             if ua == 0.0 and self.ts[i] >= lo:
                 return self.ts[i]
             if ua * ub < 0.0:
-                return _brentq(self.eval_u, max(self.ts[i], lo),
-                               self.ts[i + 1], 1e-15, 8.9e-16)
+                return self._root(a, b, ua)
             if ub == 0.0:
-                return self.ts[i + 1]
+                return b
         return None
 
+    def _root(self, a, b, ua):
+        """The zero of u between a and b, where u(a) = ua and u(b) differ
+        in sign: Newton on the step's series, bisecting where a Newton step
+        leaves the bracket, until the bracket or the step reaches round-off."""
+        x = 0.5 * (a + b)
+        for _ in range(200):
+            u, du = float(self.eval_u(x)), float(self.eval_du(x))
+            if (u < 0.0) == (ua < 0.0):
+                a = x
+            else:
+                b = x
+            x, x_old = (x - u / du if du else a), x
+            if not min(a, b) < x < max(a, b):
+                x = 0.5 * (a + b)
+            if abs(x - x_old) <= 2.0 * _EPS * abs(x_old) or x in (a, b):
+                return x
+        return x
+
     def quad_du_squared(self, t_end=None):
-        """integral of u'(t)^2 over [t_start, t_end] by per-step Gauss rules."""
+        """integral of u'(t)^2 over [t_start, t_end]: each step's series of
+        u' squared and integrated exactly."""
         t_end = self.t_end if t_end is None else t_end
-        a = self.ts[:-1]
-        b = np.minimum(self.ts[1:], t_end)
-        a, b = a[b > a], b[b > a]
-        half = 0.5 * (b - a)
-        tq = (0.5 * (a + b))[:, None] + half[:, None] * _G5X
-        dq = self.eval_du(tq.ravel()).reshape(tq.shape)
-        return float(np.sum(half * ((dq * dq) @ _G5W)))
+        s_lo, s_hi = sorted(((self.ts[0] - self._t_from) / self._span,
+                             (t_end - self._t_from) / self._span))
+        xa = np.clip((s_lo - self._S) / self._H, 0.0, 1.0)[:, None]
+        xb = np.clip((s_hi - self._S) / self._H, 0.0, 1.0)[:, None]
+        half = 0.5 * (xb - xa)
+        d = polyval(0.5 * (xa + xb) + half * _GX, self._dP.T[:, :, None],
+                    tensor=False)
+        per_step = half[:, 0] * ((d * d) @ _GW) / self._H
+        return float(np.sum(per_step) / abs(self._span))
 
 
-def piece_amu(coefs, tref, mu):
-    """a_mu on one smooth weight piece with ascending coefficients in
-    (t - tref): the polynomial p where p >= 0, mu p where p < 0."""
-    cs = [float(c) for c in coefs[::-1]]
-    if len(cs) == 1 and cs[0] != 0.0:
-        # Horner's 0 (t - tref) + c is c itself at every finite t
-        value = cs[0] if cs[0] >= 0.0 else mu * cs[0]
-        return lambda t: value
-
-    def amu(t):
-        s = t - tref
-        p = 0.0
-        for c in cs:
-            p = p * s + c
-        return p if p >= 0.0 else mu * p
-    return amu
+# recurrence factors by order k: -1 / ((k+1)(k+2)) for u, 3 times it for v
+_FAC = (-1.0 / np.outer(np.arange(1, _ORDER) * np.arange(2, _ORDER + 1),
+                        [1.0, 1.0 / 3.0]))[:, :, None, None]
 
 
-def _rhs(amus, span, live, m):
-    """d/ds of the stacked state; run k has layout (u, u'[, v, v']), v
-    solving the linearization, amus[k](s) is L a_mu(t(s)), and frozen runs
-    stay put.  A plain loop returning a list: a numpy version costs more per
-    call at these sizes, and the right-hand side dominates a lone hard
-    shot."""
-    size = m * len(span)
-    runs = [(m * k, amus[k], abs(span[k])) for k in live]
-    sens = m == 4
+def _step(y, L, A, eta, rest, rtol, check_from):
+    """One Taylor step of the batch's runs: (terms, h).
 
-    def f(s, y):
-        y = y.tolist()
-        out = [0.0] * size
-        for j, amu, L in runs:
-            u, du = y[j], y[j + 1]
-            a = amu(s)
-            out[j] = L * du
-            out[j + 1] = -a * u * u * u
-            if sens:
-                out[j + 2] = L * y[j + 3]
-                out[j + 3] = -3.0 * a * u * u * y[j + 2]
-        return out
-    return f
+    y (c, n, 2) holds each run's value and d/ds of u (row 0) and of v (row
+    1, shots only), L (n,) the runs' |t_to - t_from|, and A (n, p) the
+    coefficients of eta^2 L^2 a_mu(t(s0 + eta x)) in x: eta scales the
+    series to about the step's length, and rest is the rest of the piece in
+    s.  The terms c_k h^k of each series come back as terms (c, n, K + 1),
+    and h is the step in s.
 
-
-def _error_norm(KT, h, scale):
-    """DOP853's scaled error norm of a step from its stages KT (one column
-    each): scipy's ``DOP853._estimate_error_norm``, with
-    ``np.linalg.norm(x)**2`` written out as the same ``sqrt(x.dot(x))**2``.
-    The 5th-order estimate, damped where the 3rd-order one is larger."""
-    err5 = np.dot(KT, _dop.E5) / scale
-    err3 = np.dot(KT, _dop.E3) / scale
-    err5_norm_2 = np.sqrt(err5.dot(err5))**2
-    err3_norm_2 = np.sqrt(err3.dot(err3))**2
-    if err5_norm_2 == 0 and err3_norm_2 == 0:
-        return 0.0
-    denom = err5_norm_2 + 0.01 * err3_norm_2
-    return abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
-
-
-def _initial_step(fun, t0, y0, t_bound, max_step, f0, rtol, atol):
-    """The first step of a forward run from t0 < t_bound: scipy's
-    ``select_initial_step`` (Hairer, Norsett & Wanner, Sec. II.4) at
-    DOP853's error order, operation for operation."""
-    def _rms(x):
-        return np.linalg.norm(x) / x.size ** 0.5
-
-    interval_length = abs(t_bound - t0)
-    scale = atol + np.abs(y0) * rtol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1,
-             interval_length)
-    f1 = fun(t0 + h0, y0 + h0 * f0)
-    d2 = _rms((f1 - f0) / scale) / h0
-    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
-          else (0.01 / max(d1, d2)) ** (1 / (_ERROR_ORDER + 1)))
-    return min(100 * h0, h1, interval_length, max_step)
-
-
-def _brentq(f, xa, xb, xtol, rtol):
-    """A root of f between xa and xb: scipy's C ``brentq`` operation for
-    operation, with its wrapper's checks.  A NaN value or f(xa), f(xb) of
-    one sign raise ValueError, and _BRENT_ITER iterations RuntimeError."""
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; "
-                             "solver cannot continue.")
-        return fx
-
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0 or fcur == 0:
-        return xpre if fpre == 0 else xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(_BRENT_ITER):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        stry = math.inf                 # bisect
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:            # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:                       # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry     # good short step
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {_BRENT_ITER} "
-                       "iterations.")
-
-
-def _dense_at(t, t_old, h, F, y_old):
-    """DOP853's dense output (``Dop853DenseOutput._call_impl``) at t: F holds
-    the interpolant's powers on its first axis, and t, t_old, h, y_old and
-    each F[k] broadcast together (one step's state at scalar t, or one
-    column at one step per point)."""
-    x = (np.asarray(t) - t_old) / h
-    y = np.zeros_like(y_old)
-    for i, f in enumerate(reversed(F)):
-        y += f
-        if i % 2 == 0:
-            y *= x
-        else:
-            y *= 1 - x
-    y += y_old
-    return y
-
-
-def _dop853(rhs, t, t_bound, y, rtol, atol, max_step, first_step, cap, cols,
-            steps):
-    """One forward DOP853 integration from t to t_bound > t: scipy's
-    ``solve_ivp(rhs, (t, t_bound), y, method="DOP853", rtol=rtol,
-    atol=atol, max_step=max_step, first_step=first_step, dense_output=True,
-    events=cap_hit)`` with ``cap_hit(t, y) = cap - max |y[cols]|``
-    terminal, repeated operation for operation without its per-step
-    objects.  Each accepted step's dense output goes to ``steps``.  Returns
-    (ts, ys, status) as solve_ivp's t, y columns and status: 0 at t_bound,
-    1 where |u| reached the cap (the state read from that step's dense
-    output at the root), -1 when the step fell below 10 ulp of t."""
-    def cap_hit(v):
-        return cap - max([abs(v[j]) for j in cols])
-
-    n = len(y)
-    K_extended = np.empty((_dop.N_STAGES_EXTENDED, n))
-    K = K_extended[:_N_STAGES + 1]
-    def stage(s):
-        # the slices of K and of the tableau that scipy takes anew at
-        # every step, taken once
-        return s, K_extended[:s].T, _dop.A[s, :s], _dop.C[s]
-    stages = [stage(s) for s in range(1, _N_STAGES)]
-    extra = [stage(s) for s in range(_N_STAGES + 1, _dop.N_STAGES_EXTENDED)]
-    KB, KE = K[:-1].T, K.T
-    f = rhs(t, y)
-    if first_step is None:
-        h_abs = _initial_step(rhs, t, y, t_bound, max_step,
-                              np.asarray(f, dtype=float), rtol, atol)
-    else:
-        h_abs = first_step
-    g = cap_hit(y)
-    ts, ys = [t], [y]
-    while True:
-        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
-        if h_abs > max_step:
-            h_abs = max_step
-        elif h_abs < min_step:
-            h_abs = min_step
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                return ts, ys, -1
-            t_new = t + h_abs
-            if t_new > t_bound:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = abs(h)
-            # rk_step
-            K[0] = f
-            for s, KT, a, c in stages:
-                K[s] = rhs(t + c * h, y + np.dot(KT, a) * h)
-            y_new = y + h * np.dot(KB, _dop.B)
-            K[-1] = f_new = rhs(t + h, y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _error_norm(KE, h, scale)
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = MAX_FACTOR
-                else:
-                    factor = min(MAX_FACTOR,
-                                 SAFETY * error_norm ** _ERROR_EXPONENT)
-                if rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
+    Each series is divided by its run's scale max(1, |value|, |d/dt|), and
+    A times u's scale squared, so the terms the rule reads are relative.
+    Each order takes three vecdot calls: u^2, then u^3 and u^2 v, then A
+    times them.  The rule first reads the terms at order check_from, as
+    neighbouring steps need about as many orders."""
+    c, n = y.shape[:2]
+    p = A.shape[1]
+    scale = np.maximum(np.maximum(np.abs(y[:, :, 0]), np.abs(y[:, :, 1]) / L),
+                       1.0)
+    C = np.empty((c, n, _ORDER + 1))
+    C[:, :, 0] = y[:, :, 0] / scale
+    C[:, :, 1] = eta * y[:, :, 1] / scale
+    U = C[0]
+    U2 = np.empty((n, _ORDER - 1))
+    # u^3 and u^2 v, after p - 1 zeros: A's p coefficients, reversed, meet
+    # the p products that order k needs in one slice
+    Q = np.zeros((c, n, _ORDER + p - 2))
+    AF = _FAC[:, :c] * (A[:, ::-1] * (scale[0] ** 2)[:, None])
+    rho = rest / eta
+    # (rtol / |term k|)^(1/k): the step (in units of eta) order k allows
+    reach = []
+    for k in range(_ORDER - 1):
+        np.vecdot(U[:, :k + 1], U[:, k::-1], out=U2[:, k])
+        np.vecdot(U2[:, :k + 1], C[:, :, k::-1], out=Q[:, :, k + p - 1])
+        np.vecdot(AF[k], Q[:, :, k:k + p], out=C[:, :, k + 2])
+        K = k + 2
+        if K >= check_from or K == _ORDER:
+            first = K if reach else max(2, K - _TAIL + 1)
+            top = np.abs(C[:, :, first:K + 1]).max(axis=(0, 1)).tolist()
+            reach += [(rtol / t) ** (1.0 / i) if t > 0.0 else math.inf
+                      for i, t in enumerate(top, first)]
+            h = min(min(reach[-_TAIL:]), rho)
+            if h == rho:
                 break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
-            rejected = True
-        status = 0 if t_new >= t_bound else None
-
-        # dense output: three more stages, then the interpolant's F
-        for s, KT, a, c in extra:
-            K_extended[s] = rhs(t + c * h, y + np.dot(KT, a) * h)
-        F = np.empty((_dop.INTERPOLATOR_POWER, n))
-        f_old = K[0]
-        delta_y = y_new - y
-        F[0] = delta_y
-        F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (K[-1] + f_old)
-        F[3:] = h * np.dot(_dop.D, K_extended)
-
-        t_end, y_end = t_new, y_new
-        g_new = cap_hit(y_new)
-        if g <= 0 <= g_new or g_new <= 0 <= g:
-            t_end = _brentq(lambda x: cap_hit(_dense_at(x, t, h, F, y)),
-                            t, t_new, 4 * _EPS, 4 * _EPS)
-            y_end = _dense_at(t_end, t, h, F, y)
-            status = 1
-        g = g_new
-        # solve_ivp drops a step that ends where the last one did
-        if not (len(ts) > 1 and ts[-1] == t_end):
-            steps.add(t, h, F, y)
-            ts.append(t_end)
-            ys.append(y_end)
-        if status is not None:
-            return ts, ys, status
-        t, y, f = t_new, y_new, f_new
+    terms = C[:, :, :K + 1] * (scale[:, :, None] * h ** np.arange(K + 1))
+    return terms, rest if h == rho else eta * h
 
 
-def _piece_in_s(w, mu, t0, d, sa, sb):
-    """L a_mu(t0 + d s) as a function of s on [sa, sb], with L = |d|: since
-    t - tref = d (s - sref) with sref = (tref - t0) / d, coefficient i of the
-    piece's polynomial scales by L d^i."""
-    coefs, tref = w.segment_pack(*sorted((t0 + d * sa, t0 + d * sb)))
-    scaled = abs(d) * np.asarray(coefs) * d ** np.arange(len(coefs))
-    return piece_amu(scaled, (tref - t0) / d, mu)
+def _shift(c, d):
+    """Coefficients c (..., p), ascending in x, rewritten in x - d."""
+    c = c.copy()
+    p = c.shape[-1]
+    for r in range(p - 1):
+        for j in range(p - 2, r - 1, -1):
+            c[..., j] += d * c[..., j + 1]
+    return c
 
 
 def _integrate_raw(w, mu, runs, rtol):
-    """DOP853 on a batch of runs (t_from, t_to, y0), one ``_dop853`` call
-    per piece of s (see the module docstring), at atol = rtol / 100.  No
-    run is empty (t_from != t_to: ``integrate`` and ``_Shot`` refuse an
-    empty interval).  Every y0 has the same width and layout
-    (u, u'[, v, v']), derivatives along the direction of travel.  _MAX_STEP bounds the step in t.  Returns one
-    (DenseOutput, end state, blew_up) per run; the end state is in the
-    run's own layout, and |u| reaching _CAP ends that run there."""
-    if not rtol > 0.0:
-        raise ScopeError("rtol must be positive")
+    """Taylor steps on a batch of runs (t_from, t_to, y0) (see the module
+    docstring).  No run is empty (t_from != t_to: ``integrate`` and ``_Shot``
+    refuse an empty interval).  Every y0 has the same width and layout
+    (u, u'[, v, v']), derivatives along the direction of travel.  Returns
+    one (DenseOutput, end state, blew_up) per run; the end state is in the
+    run's own layout, and |u| reaching _CAP at a step's end ends that run
+    there.  rtol must lie in [100 eps, 1)."""
+    if not RTOL_MIN <= rtol < 1.0:
+        raise ScopeError(f"rtol must lie in [{RTOL_MIN:.3g}, 1), got {rtol!r}")
     n, m = len(runs), len(runs[0][2])
-    t_from = [float(r[0]) for r in runs]
-    span = [float(r[1]) - t0 for r, t0 in zip(runs, t_from)]
-    live = list(range(n))
-    ends = [None] * n                  # last step index of a blown-up run
-    blown = [False] * n
-    knots = [np.array([0.0, 1.0])]
-    for k in live:
-        lo, hi = sorted((t_from[k], float(runs[k][1])))
-        knots.append((w.knots_in_span(lo, hi) - t_from[k]) / span[k])
-    s_all = np.sort(np.concatenate(knots))
+    t_from, t_to = np.array([r[:2] for r in runs], dtype=float).T
+    span = t_to - t_from
+    s_all = np.sort(np.concatenate([
+        (w.knots_in_span(*sorted(r)) - r[0]) / (r[1] - r[0])
+        for r in zip(t_from, t_to)]))
     s_knots = s_all[np.concatenate(([True], np.diff(s_all) > _S_GAP))]
     s_knots[-1] = 1.0
-    root_n = math.sqrt(n)
-    # scipy's floor on rtol (validate_tol)
-    rtol, atol = max(rtol / root_n, 100 * _EPS), rtol * 1e-2 / root_n
-    max_step = _MAX_STEP / max(map(abs, span))
 
-    y = np.concatenate([np.asarray(r[2], dtype=float) for r in runs])
-    S, Y, steps = [0.0], [y], _Steps()
-    n_steps, h = 0, None
-    for sa, sb in zip(s_knots[:-1], s_knots[1:]):
-        amus = [_piece_in_s(w, mu, t0, d, sa, sb)
-                for t0, d in zip(t_from, span)]
+    # each piece's weight segment for every run, in one lookup; a (pieces,
+    # n, p) holds the coefficients of L^2 a_mu in s - (the piece's start)
+    T, L = w.period, np.abs(span)
+    s_start = s_knots[:-1, None]
+    tm = t_from + span * (0.5 * (s_start + s_knots[1:, None]))
+    shift = T * np.floor(tm / T)
+    seg = np.clip(np.searchsorted(w.seg_knots, tm - shift, side="right") - 1,
+                  0, len(w.seg_coefs) - 1)
+    used = np.flatnonzero(w.seg_coefs.any(axis=0))
+    powers = np.arange(used[-1] + 1 if used.size else 1)
+    a = _shift(w.seg_coefs[seg][:, :, powers],
+               t_from + span * s_start - w.seg_knots[seg] - shift)
+    a *= (np.where(w.seg_positive[seg], 1.0, mu) * L ** 2)[:, :, None]
+    a *= span[:, None] ** powers
+
+    # the state in s: y[c, k] holds (value, d/ds) of u (c = 0) or v (c = 1)
+    y = np.array([r[2] for r in runs], dtype=float).reshape(n, m // 2, 2)
+    y = y.transpose(1, 0, 2) * np.stack([np.ones(n), L], axis=1)
+    ends = np.full(n, -1)              # steps of each blown-up run
+    S, H, Y, terms = [0.0], [], [y.copy()], []
+    eta, check_from = None, _TAIL + 1
+    for i, (sa, sb) in enumerate(zip(s_knots[:-1], s_knots[1:])):
         s0 = float(sa)
-        while live and s0 < sb:
-            ts, ys, status = _dop853(
-                _rhs(amus, span, live, m), s0, float(sb), y, rtol, atol,
-                max_step, None if h is None else min(h, sb - s0), _CAP,
-                [m * k for k in live], steps)
-            if status < 0:
-                t_fail = t_from[live[0]] + span[live[0]] * ts[-1]
-                raise NonConvergence(f"integrator failed at t = {t_fail:.6g}: "
-                                     "Required step size is less than "
-                                     "spacing between numbers.")
-            S.extend(ts[1:])
-            Y.extend(ys[1:])
-            n_steps += len(ts) - 1
-            # the knot clips the last step, so the larger of the last two
-            # only bounds the controller's next step from below: offer twice
-            last = ts[-3:]
-            h = 2.0 * max([b - a for a, b in zip(last, last[1:])],
-                          default=0.0) or h
-            y = ys[-1]
-            s0 = ts[-1]
-            if status == 1:
-                top = max(abs(y[m * k]) for k in live)
-                for k in live:
-                    if abs(y[m * k]) >= min(top, _CAP * (1.0 - 1e-9)):
-                        ends[k], blown[k] = n_steps, True
-                live = [k for k in live if not blown[k]]
-        if not live:
-            break
+        while s0 < sb and np.any(ends < 0):
+            rest = float(sb) - s0
+            eta = rest if eta is None else min(rest, 2.0 * eta)
+            A = a[i] if s0 == sa else _shift(a[i], s0 - sa)
+            step_terms, h = _step(y, L, A * eta ** (powers + 2), eta, rest,
+                                  rtol, check_from)
+            check_from = max(_TAIL + 1, step_terms.shape[2] - 2)
+            if h < rest:
+                if h < 10.0 * math.ulp(s0):
+                    t = t_from + span * s0
+                    raise NonConvergence(
+                        f"integrator failed at t = {t[ends < 0][0]:.6g}: "
+                        "Required step size is less than spacing between "
+                        "numbers.")
+                s1 = s0 + h
+            else:
+                s1 = float(sb)
+            S.append(s1)
+            H.append(s1 - s0)
+            y[:, :, 0] = step_terms.sum(axis=2)
+            y[:, :, 1] = step_terms @ np.arange(step_terms.shape[2]) / H[-1]
+            terms.append(np.zeros((n, _ORDER + 1)))
+            terms[-1][:, :step_terms.shape[2]] = step_terms[0]
+            Y.append(y.copy())
+            eta, s0 = h, s1
+            # a run blown up stays at u = v = 0 from here on, where its
+            # series vanish and never bound the step
+            blown = ~(np.abs(y[0, :, 0]) < _CAP)
+            if blown.any():
+                ends[blown] = len(H)
+                y[:, blown] = 0.0
 
-    S, Y = np.array(S), np.array(Y)
-    steps.close(S)
+    S, H = np.array(S), np.array(H)
+    Y = np.array(Y)                       # (steps + 1, c, n, 2)
     out = []
     for k in range(n):
-        j = n_steps if ends[k] is None else ends[k]
-        cols = slice(m * k, m * k + m)
+        j = len(H) if ends[k] < 0 else ends[k]
         ts = t_from[k] + span[k] * S[:j + 1]
-        ts[0] = t_from[k]
-        ys = Y[:j + 1, cols].copy()
-        if not blown[k]:
-            ts[-1] = float(runs[k][1])
+        if ends[k] < 0:
+            ts[-1] = t_to[k]
+        ys = Y[:j + 1, :, k, :].reshape(j + 1, m) / ([1.0, span[k]] * (m // 2))
+        end = ys[-1] * ([1.0, math.copysign(1.0, span[k])] * (m // 2))
         if span[k] < 0:
-            ys[:, 1::2] *= -1.0
             ts, ys = ts[::-1].copy(), ys[::-1].copy()
-        out.append((DenseOutput(ts, ys, steps, m * k, t_from[k], span[k]),
-                    Y[j, cols].copy(), blown[k]))
+        out.append((DenseOutput(ts, ys, S[:j], H[:j], terms, k, t_from[k],
+                                span[k]), end, ends[k] >= 0))
     return out
 
 

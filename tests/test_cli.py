@@ -134,9 +134,10 @@ def test_non_finite_jacobian_is_convergence_failure(tmp_path, monkeypatch,
 
 
 def test_integrator_failure_is_convergence_failure(tmp_path, monkeypatch):
-    # every step rejected until it falls below 10 ulp of t (scipy's "step
-    # size underflow"): exit 4, not 2
-    monkeypatch.setattr(oracle, "_error_norm", lambda K, h, scale: np.inf)
+    # a step rule that allows less than 10 ulp of s ("step size
+    # underflow"): exit 4, not 2
+    real = oracle._step
+    monkeypatch.setattr(oracle, "_step", lambda *args: (real(*args)[0], 0.0))
     rc = cli.main(["oracle", "integrate", "--mu", "1", "--t0", "0",
                    "--t1", "1", "--outdir", str(tmp_path)])
     assert rc == 4
@@ -144,15 +145,17 @@ def test_integrator_failure_is_convergence_failure(tmp_path, monkeypatch):
     assert "Required step size" in (tmp_path / "FAILED").read_text()
 
 
-@pytest.mark.parametrize("rtol", ["-1", "0"])
+@pytest.mark.parametrize("rtol", ["-1", "0", "1e-300", "10"])
 @pytest.mark.parametrize("mode", [
     ["integrate", "--t1", "1"],
     ["shoot", "--mu", "10", "--t0", "0", "--t1", "1", "--x", "0",
      "--y", "0.3"],
     ["ground"]])
 def test_oracle_rtol_must_be_positive(tmp_path, mode, rtol):
-    """A non-positive --rtol is bad input, refused before any integration:
-    rtol 0 once ran without end and rtol -1 exited 5."""
+    """An --rtol outside [100 eps, 1) is bad input, refused before any
+    integration: rtol 0 once ran without end, rtol -1 exited 5, rtol 1e-300
+    exited 4 (a step below round-off) and rtol 10 exited 0 with a result
+    that bounds nothing."""
     def too_slow(signum, frame):
         raise TimeoutError("the oracle did not return at once")
 
@@ -165,7 +168,8 @@ def test_oracle_rtol_must_be_positive(tmp_path, mode, rtol):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert rc == 2
-    assert "rtol must be positive" in (tmp_path / "FAILED").read_text()
+    assert "rtol must lie in [2.22e-14, 1)" in \
+        (tmp_path / "FAILED").read_text()
 
 
 def test_linalg_error_is_convergence_failure(tmp_path, monkeypatch):

@@ -345,22 +345,21 @@ def test_oracle_residual(sol_10, monkeypatch):
 
 def _shoot_window(monkeypatch, sol):
     """verify.oracle_residual on sol, with the problems it hands to
-    oracle.shoot_batch, its ShootResults and its accepted RK steps."""
+    oracle.shoot_batch, its ShootResults and its Taylor steps."""
     seen = {"steps": 0}
-    real_batch, real_dop853 = oracle.shoot_batch, oracle._dop853
+    real_batch, real_step = oracle.shoot_batch, oracle._step
 
     def batch(w, mu, problems, **kw):
         seen["problems"] = problems
         seen["results"] = real_batch(w, mu, problems, **kw)
         return seen["results"]
 
-    def dop853(*args):
-        ts, ys, status = real_dop853(*args)
-        seen["steps"] += len(ts) - 1
-        return ts, ys, status
+    def step(*args):
+        seen["steps"] += 1
+        return real_step(*args)
 
     monkeypatch.setattr(oracle, "shoot_batch", batch)
-    monkeypatch.setattr(oracle, "_dop853", dop853)
+    monkeypatch.setattr(oracle, "_step", step)
     check = verify.oracle_residual(sol)
     monkeypatch.undo()
     return check, seen
@@ -389,12 +388,14 @@ def test_oracle_batch_equals_lone_shots(monkeypatch, name, cells):
         assert abs(gap - check.per_interval[key]) <= 1e-9
 
 
+# the ids end in the rounds and the step counts of the DOP853 integrator
+# the oracle used before its Taylor steps; they stay as the cases' names
 @pytest.mark.parametrize("code, mu, cells, rounds, steps, ok", [
-    pytest.param((1, 0), 1e3, 1600, 2, 136, True, id="1000.0-1600-2-136"),
-    pytest.param((1, 0), 1e4, 0, 3, 244, True, id="10000.0-0-3-244"),
+    pytest.param((1, 0), 1e3, 1600, 2, 24, True, id="1000.0-1600-2-136"),
+    pytest.param((1, 0), 1e4, 0, 3, 41, True, id="10000.0-0-3-244"),
     # the default mesh misses the bound at mu 1e3 (rel 2.4e-6, the FEM's
     # own error); pinned here for the oracle's cost
-    pytest.param((1, 1, 0), 1e3, 0, 6, 545, False, id="1000.0-0-6-545")])
+    pytest.param((1, 1, 0), 1e3, 0, 6, 103, False, id="1000.0-0-6-545")])
 def test_oracle_rounds_pinned(monkeypatch, step_weight, code, mu, cells,
                               rounds, steps, ok):
     """Shot from their smaller ends and started from the FEM's half-hat
