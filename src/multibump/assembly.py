@@ -33,6 +33,14 @@ meshes by their content (``kept_grid``), tables included, with read-only
 arrays.  Sorted node sets come from ``sorted_unique``, not ``np.unique``,
 which imports ``numpy.ma`` on its first call.
 
+On a node-aligned mesh (``QuadTables.aligned``) every cell is one Simpson
+subsegment, so two of the three point blocks are nodal values: the step
+weight's windows, the level meshes and the connection blocks are such
+meshes, and there the kernels work on node and midpoint arrays by slices,
+with u^3 formed once per node.  A weight knot inside a cell (the sine
+weight, generated two-level weights) keeps the general gather and scatter.
+Both forms give the same bits.
+
 A window grid's ``Grid.rows`` views its data as one row per I_i^+ and
 I_i^-: sigma_{i0+k} is node 2 m k, tau_{i0+k} node 2 m k + m.  A connection
 block's mesh records its sigma_j and tau_j nodes (``Grid.marks``).
@@ -72,7 +80,8 @@ class QuadTables:
     on each subsegment and its sign is constant there.  The points are
     stored as three blocks, the subsegments' left ends, midpoints and right
     ends, each sorted by cell, so the points of a node range are three
-    contiguous slices.
+    contiguous slices.  The tables are ``aligned`` when cell c is subsegment
+    c: then its left and right ends are its nodes, at lam exactly 0 and 1.
     """
     nodes: np.ndarray        # mesh nodes, increasing
     h: np.ndarray            # cell widths
@@ -81,6 +90,7 @@ class QuadTables:
     qw: np.ndarray           # quadrature weight (length measure)
     qap: np.ndarray          # a+(t) at the point
     qam: np.ndarray          # a-(t) at the point
+    aligned: bool = False    # cell c is subsegment c, ending on its nodes
 
     def __post_init__(self):
         # the index the kernels gather and scatter by: qcell's own array,
@@ -94,6 +104,17 @@ class QuadTables:
     @cached_property
     def rlam(self):
         return 1.0 - self.qlam
+
+    # qlam and 1 - qlam of the midpoint block
+    @cached_property
+    def lam_m(self):
+        n = len(self.h)
+        return self.qlam[n:2 * n]
+
+    @cached_property
+    def rlam_m(self):
+        n = len(self.h)
+        return self.rlam[n:2 * n]
 
     @cached_property
     def qcell1(self):
@@ -152,10 +173,15 @@ def build_tables(w, nodes):
     qap = np.where(pos, np.maximum(raw, 0.0), 0.0)
     qam = np.where(pos, 0.0, np.maximum(-raw, 0.0))
     qlam = np.clip((qt - nodes[qcell]) / h[qcell], 0.0, 1.0)
+    # a knot merged into a node may be kept in its place, just left of it,
+    # and then the right end's qlam falls short of 1
+    n = len(h)
+    aligned = bool(len(cell) == n and (cell == np.arange(n)).all()
+                   and (qlam[:n] == 0.0).all() and (qlam[2 * n:] == 1.0).all())
     return QuadTables(nodes=nodes, h=h, qcell=qcell, qlam=qlam,
                       qw=np.ascontiguousarray(qw),
                       qap=np.ascontiguousarray(qap),
-                      qam=np.ascontiguousarray(qam))
+                      qam=np.ascontiguousarray(qam), aligned=aligned)
 
 
 # -- nodal operations (no boundary conditions applied) ------------------------
@@ -165,19 +191,32 @@ def build_tables(w, nodes):
 
 
 def _at_points(tb, full):
-    """Interpolant of the nodal values at every quadrature point.  ``take``
-    gathers a stack's rows 6x faster than indexing after an Ellipsis (9 us
-    against 55 us for four rows of 2400 points on a 2-core x86-64 host)."""
+    """Interpolant of the nodal values at every quadrature point.
+    Node-aligned tables form only the midpoints.  On general tables
+    ``take`` gathers a stack's rows 6x faster than indexing after an
+    Ellipsis (9 us against 55 us for four rows of 2400 points on a 2-core
+    x86-64 host)."""
+    if tb.aligned:
+        return _point_blocks(full, _midpoints(tb, full))
     return (full.take(tb._qcell, axis=-1) * tb.rlam
             + full.take(tb.qcell1, axis=-1) * tb.qlam)
 
 
 def _hat_scatter(tb, coef, n):
     """Vector of sum_q coef_q phi_j(t_q) over the n nodal hats, one per row
-    of a stack of coefficients.  A stack's rows go through bincount one by
-    one: for four rows of 2400 points that took 31 us on a 2-core x86-64
-    host, and one bincount of the stack, its rows offset by n bins, 51 us
-    with its index."""
+    of a stack of coefficients.  On general tables a stack's rows go
+    through bincount one by one: for four rows of 2400 points that took
+    31 us on a 2-core x86-64 host, and one bincount of the stack, its rows
+    offset by n bins, 51 us with its index.  Node-aligned tables add each
+    cell's left-hat and right-hat terms by slices, a stack at once."""
+    if tb.aligned:     # hat j sums L_j and R_{j-1}
+        cl, cm, cr = _blocks(tb, coef)
+        L, R = cl + cm * tb.rlam_m, cm * tb.lam_m + cr
+        out = np.empty(coef.shape[:-1] + (n,))
+        out[..., 0] = L[..., 0]
+        np.add(L[..., 1:], R[..., :-1], out=out[..., 1:-1])
+        out[..., -1] = R[..., -1]
+        return out
     if coef.ndim == 2:
         return np.array([_hat_scatter(tb, row, n) for row in coef])
     return (np.bincount(tb._qcell, coef * tb.rlam, n)
@@ -187,12 +226,56 @@ def _hat_scatter(tb, coef, n):
 def _cell_blocks(tb, coef):
     """Cellwise 2x2 blocks (LL, LR, RR) of sum_q coef_q phi_a(t_q) phi_b(t_q)
     over the two hats of each cell."""
+    if tb.aligned:
+        return _aligned_blocks(tb, *_blocks(tb, coef))
     ncell = len(tb.h)
     lam, rlam = tb.qlam, tb.rlam
     left = coef * rlam
     return (np.bincount(tb._qcell, left * rlam, ncell),
             np.bincount(tb._qcell, left * lam, ncell),
             np.bincount(tb._qcell, coef * lam * lam, ncell))
+
+
+# Node-aligned tables.  A left end has lam 0 and a right end lam 1, so the
+# bincounts above add, per hat and in their order, a left-end term, a
+# midpoint term and a right-end term, and terms times 0 that change no bit
+# but a zero's sign; the routines below add the same terms in that order.
+
+
+def _blocks(tb, a):
+    """The left-end, midpoint and right-end blocks of point data a."""
+    n = len(tb.h)
+    return a[..., :n], a[..., n:2 * n], a[..., 2 * n:]
+
+
+def _midpoints(tb, full):
+    return full[..., :-1] * tb.rlam_m + full[..., 1:] * tb.lam_m
+
+
+def _point_blocks(full, um):
+    """The point values of node-aligned tables from the nodes and the
+    midpoints: the left ends are the cells' left nodes, the right ends
+    their right nodes."""
+    return np.concatenate([full[..., :-1], um, full[..., 1:]], axis=-1)
+
+
+def _aligned_blocks(tb, cl, cm, cr):
+    """``_cell_blocks`` from the blocks of its coefficients."""
+    lam, rlam = tb.lam_m, tb.rlam_m
+    left = cm * rlam
+    return cl + left * rlam, left * lam, cm * lam * lam + cr
+
+
+def _aligned_terms(tb, c, full):
+    """(full, midpoint values, L, R) on node-aligned tables: each cell's
+    terms L = sum c u^3 (1 - lam) and R = sum c u^3 lam of the residual of
+    its left and right hats, u^3 formed once per node."""
+    um = _midpoints(tb, full)
+    cl, cm, cr = _blocks(tb, c)
+    u3 = full * full * full
+    fm = cm * (um * um * um)
+    return (full, um, cl * u3[..., :-1] + fm * tb.rlam_m,
+            fm * tb.lam_m + cr * u3[..., 1:])
 
 
 def stiffness_full(tb, u_full):
@@ -249,7 +332,9 @@ class Operator:
     the step solves the cyclic system; on a clamped mesh they carry every
     node, and the step solves the interior rows with the end values held
     (r then holds the interior residual rows only).  ``residual`` and
-    ``actions`` also take a stack of values, one per row.
+    ``actions`` also take a stack of values, one per row.  On node-aligned
+    tables the point data are the node values, the midpoint values and each
+    cell's hat terms L and R (``_aligned_terms``).
     """
 
     def __init__(self, grid, mu):
@@ -257,31 +342,61 @@ class Operator:
         self.tb = grid.tables
         self.mu = mu
         self.c = self.tb.qw * self.tb.amu(mu)
-        self._last = None          # (values, point values) of the last residual
+        self._last = None          # (values, point data) of the last residual
 
     @cached_property
     def k(self):
         return 3.0 * self.tb.qw * self.tb.amu(self.mu)
 
-    def points(self, values):
-        """The interpolant of values at the quadrature points: those of the
-        last ``residual`` when it was at the same values."""
+    def _kept(self, values):
+        """The point data of the last ``residual`` when it was at values."""
         last = self._last
         if last is not None and last[0].shape == np.shape(values) and \
                 (last[0] == values).all():
             return last[1]
-        return _at_points(self.tb, self.grid.full_values(values))
+        return None
+
+    def _data(self, values):
+        """The point data at values, kept or formed afresh."""
+        data = self._kept(values)
+        if data is not None:
+            return data
+        full = self.grid.full_values(values)
+        if self.tb.aligned:
+            return _aligned_terms(self.tb, self.c, full)
+        return _at_points(self.tb, full)
+
+    def points(self, values):
+        """The interpolant of values at the quadrature points: those of the
+        last ``residual`` when it was at the same values."""
+        data = self._kept(values)
+        if data is None:
+            return _at_points(self.tb, self.grid.full_values(values))
+        return _point_blocks(*data[:2]) if self.tb.aligned else data
 
     def residual(self, values):
         """Weak residual at values: folded on a periodic grid, one entry per
-        node on a clamped one; one row per row of a stack."""
+        node on a clamped one; one row per row of a stack.  On node-aligned
+        tables row j is s_{j-1} - s_j - (L_j + R_{j-1}), s the cell slopes,
+        as ``stiffness_full`` and ``_hat_scatter`` add it."""
         tb = self.tb
+        values = np.array(values, dtype=float)
         full = self.grid.full_values(values)
-        uq = _at_points(tb, full)
-        self._last = (np.array(values, dtype=float), uq)
-        return self.grid.fold(stiffness_full(tb, full) -
-                              _hat_scatter(tb, self.c * (uq * uq * uq),
-                                           full.shape[-1]))
+        if not tb.aligned:
+            uq = _at_points(tb, full)
+            self._last = (values, uq)
+            return self.grid.fold(stiffness_full(tb, full) -
+                                  _hat_scatter(tb, self.c * (uq * uq * uq),
+                                               full.shape[-1]))
+        data = _aligned_terms(tb, self.c, full)
+        self._last = (values, data)
+        _, _, L, R = data
+        s = (full[..., 1:] - full[..., :-1]) / tb.h
+        r = np.empty(full.shape)
+        r[..., 0] = -s[..., 0] - L[..., 0]
+        r[..., 1:-1] = (s[..., :-1] - s[..., 1:]) - (L[..., 1:] + R[..., :-1])
+        r[..., -1] = s[..., -1] - R[..., -1]
+        return self.grid.fold(r)
 
     def actions(self, values):
         """J_mu = 1/2 int u'^2 - 1/4 int a_mu u^4 at values, one per row of
@@ -297,9 +412,17 @@ class Operator:
 
     def bands(self, values):
         """Cellwise 2x2 blocks (LL, LR, RR) of the residual Jacobian."""
-        uq = self.points(values)
-        cLL, cLR, cRR = _cell_blocks(self.tb, self.k * (uq * uq))
-        inv = self.tb.inv_h
+        tb = self.tb
+        data = self._data(values)
+        if tb.aligned:
+            full, um = data[:2]
+            u2 = full * full
+            kl, km, kr = _blocks(tb, self.k)
+            cLL, cLR, cRR = _aligned_blocks(tb, kl * u2[:-1], km * (um * um),
+                                            kr * u2[1:])
+        else:
+            cLL, cLR, cRR = _cell_blocks(tb, self.k * (data * data))
+        inv = tb.inv_h
         return inv - cLL, -inv - cLR, inv - cRR
 
     def tridiagonal(self, values):
@@ -326,13 +449,18 @@ class Operator:
         for bit.  Reuses the point values of the last ``residual`` at the
         same values."""
         tb = self.tb
-        uq = self.points(values)
-        f = self.c * (uq * uq * uq)
-        n = len(tb.h)
-        full = self.grid.full_values(values)
-        s = (full[1:] - full[:-1]) / tb.h
-        into = s - np.bincount(tb._qcell, f * tb.qlam, n)  # u'(t_{c+1}-)
-        out = s + np.bincount(tb._qcell, f * tb.rlam, n)   # u'(t_c+)
+        data = self._data(values)
+        if tb.aligned:
+            full, _, L, R = data
+            s = (full[1:] - full[:-1]) / tb.h
+            into, out = s - R, s + L         # u'(t_{c+1}-), u'(t_c+)
+        else:
+            f = self.c * (data * data * data)
+            n = len(tb.h)
+            full = self.grid.full_values(values)
+            s = (full[1:] - full[:-1]) / tb.h
+            into = s - np.bincount(tb._qcell, f * tb.qlam, n)  # u'(t_{c+1}-)
+            out = s + np.bincount(tb._qcell, f * tb.rlam, n)   # u'(t_c+)
         if self.grid.periodic:
             return np.roll(into, 1), out
         return np.append(np.nan, into), np.append(out, np.nan)
@@ -348,14 +476,16 @@ class Operator:
 # -- tridiagonal solves and damped Newton --------------------------------------
 
 
-def _gtsv(off, diag, b):
+def _gtsv(off, diag, b, overwrite_b=False):
     """x with T x = b for the symmetric tridiagonal T = (diag, off), by
     LAPACK ?gtsv (LU with partial pivoting), the routine scipy's
     solve_banded calls for one band on each side; a 1 x 1 system divides,
-    as solve_banded does.  Raises LinAlgError on an exactly singular band."""
+    as solve_banded does.  With ``overwrite_b`` a Fortran-ordered b is
+    solved in place, not copied.  Raises LinAlgError on an exactly singular
+    band."""
     if len(diag) == 1:
         return b / diag[0]
-    _, _, _, x, info = dgtsv(off, diag, off, b)
+    _, _, _, x, info = dgtsv(off, diag, off, b, overwrite_b=overwrite_b)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
@@ -388,9 +518,12 @@ def solve_tridiagonal(diag, off, rhs):
         d = np.array(diag, dtype=float)
         d[0] -= gamma
         d[-1] -= c * ratio
-        w = np.zeros(n)
-        w[0], w[-1] = gamma, c
-        y, z = _gtsv(off[:n - 1], d, np.column_stack([rhs, w])).T
+        # the right-hand sides rhs and w as the columns of one Fortran-ordered
+        # array, which dgtsv solves in place
+        b = np.zeros((n, 2), order="F")
+        b[:, 0] = rhs
+        b[0, 1], b[-1, 1] = gamma, c
+        y, z = _gtsv(off[:n - 1], d, b, overwrite_b=True).T
         den = 1.0 + z[0] + ratio * z[-1]
         # at den == 0, A z = 0 in floating point, so the kernel component of
         # the solution is free; y solves A x = rhs to round-off when rhs is

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from multibump import assembly, connection, localfield, solver, weight
@@ -638,6 +638,106 @@ def test_operator_slopes(step_weight, sine_weight, w, code, cells, mu,
     for j, side, got in checks:
         ref, size = _ref_one_sided_slope(tb, mu, full, uq, j, side)
         assert abs(got[grid.dof_of_node(j)] - ref) <= 1e-13 * size
+
+
+def _general_form(tb, run):
+    """run() with tb's node-aligned flag off: the general gather and
+    scatter on the same tables."""
+    assert tb.aligned
+    tb.aligned = False
+    try:
+        return run()
+    finally:
+        tb.aligned = True
+
+
+def _operator_outputs(grid, mu, values, stack):
+    """Everything the operator and the table kernels give at values (and a
+    stack), each from an operator of its own or after its residual."""
+    tb = grid.tables
+    full = grid.full_values(values)
+    op = assembly.Operator(grid, mu)
+    r = op.residual(values)
+    rows = r if grid.periodic else r[1:-1]
+    stacked = assembly.Operator(grid, mu)
+    fresh = assembly.Operator(grid, mu)
+    coef = np.sin(np.arange(len(tb.qw)) + mu)
+    return {
+        "residual": r, "bands": op.bands(values),
+        "step": op.step(values, rows), "slopes": op.slopes(values),
+        "points": op.points(values), "actions": op.actions(values),
+        "fresh bands": fresh.bands(values),
+        "fresh step": fresh.step(values, rows),
+        "fresh slopes": fresh.slopes(values),
+        "fresh points": fresh.points(values),
+        "fresh actions": fresh.actions(values),
+        "stack residual": stacked.residual(stack),
+        "stack actions": stacked.actions(stack),
+        "stack points": stacked.points(stack),
+        "cubic_full": assembly.cubic_full(tb, mu, full),
+        "quartic_integral": assembly.quartic_integral(tb, mu, full),
+        "hessian_full": assembly.hessian_full(tb, mu, full,
+                                              grid.full_values(stack)),
+        "_cell_blocks": assembly._cell_blocks(tb, coef),
+        "_hat_scatter": assembly._hat_scatter(tb, coef, len(full)),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(w=_weights, mesh=st.sampled_from(["window", "clamped", "knots"]),
+       code=st.lists(st.integers(0, 1), min_size=1, max_size=3).filter(any),
+       cells=st.integers(8, 400), mu=st.floats(1.0, 1e5),
+       rows=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_node_aligned_form_matches_general_bits(step_weight, sine_weight, w,
+                                                mesh, code, cells, mu, rows,
+                                                seed):
+    """On node-aligned tables (step windows, clamped meshes of their nodes,
+    and clamped meshes holding every weight knot as a node) the operator,
+    the table kernels and the Newton step give the bits of the general
+    gather and scatter on the same tables, for one vector and a stack."""
+    w = {"step": step_weight, "sine": sine_weight}.get(w, w)
+    if mesh == "window":
+        w = step_weight
+    grid = assembly.span_grid(w, -1, len(code), cells)
+    if mesh == "clamped":
+        grid = assembly.segment_grid(w, grid.nodes)
+    elif mesh == "knots":
+        knots = w.knots_in_span(grid.nodes[0], grid.nodes[-1])
+        grid = assembly.segment_grid(w, assembly.sorted_unique(
+            np.concatenate([grid.nodes[::3], knots])))
+    tb = grid.tables
+    assume(tb.aligned)     # no knot merged into a node
+    rng = np.random.default_rng(seed)
+    stack = rng.uniform(-3.0, 3.0, (rows, grid.ndof))
+    values = stack[0].copy()
+    got = _operator_outputs(grid, mu, values, stack)
+    want = _general_form(tb, lambda: _operator_outputs(grid, mu, values,
+                                                       stack))
+    for name, ref in want.items():
+        if isinstance(ref, tuple):
+            assert all(np.array_equal(a, b, equal_nan=True)
+                       for a, b in zip(got[name], ref)), name
+        else:
+            assert np.array_equal(got[name], ref, equal_nan=True), name
+
+
+def test_knot_by_a_node_takes_the_general_form(step_weight):
+    """A weight knot within 1e-12 T left of a node is kept in its place, so
+    the cell left of it ends short of its node: the tables are not
+    node-aligned, and the operator still gives the reference's bits."""
+    T = step_weight.period
+    nodes = np.linspace(-1.5, 1.5, 121)
+    knot = step_weight.tau_i(0)
+    nodes[np.argmin(np.abs(nodes - knot))] = knot + 0.5e-12 * T
+    grid = assembly.segment_grid(step_weight, nodes)
+    tb = grid.tables
+    assert not tb.aligned and len(tb.qw) == 3 * len(tb.h)
+    values = np.random.default_rng(5).uniform(-1.0, 3.0, grid.ndof)
+    r_ref, step_ref = _ref_residual_and_step(tb, 700.0, values, False)
+    op = assembly.Operator(grid, 700.0)
+    r = op.residual(values)
+    assert np.array_equal(r, r_ref)
+    assert np.array_equal(op.step(values, r[1:-1]), step_ref)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,10 @@
-"""The declared Python and package floors match what the tier-1 workflow
-installs: each pinned version there meets its floor in pyproject.toml."""
+"""The project's test setup: the declared Python and package floors match
+what the tier-1 workflow installs (each pinned version there meets its
+floor in pyproject.toml), and pytest's settings report a failing test."""
 
 import re
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -36,3 +39,26 @@ def test_workflow_pins_meet_the_declared_floors():
     assert set(floors) <= set(pins)
     for name, floor in floors.items():
         assert _version(pins[name]) >= _version(floor), name
+
+
+def test_failing_property_is_reported_and_the_session_goes_on(tmp_path):
+    """Under the project's warning filters a failing hypothesis test is a
+    plain failure: the report names it and the tests after it run (its
+    example patch imports libcst, whose import warns)."""
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 5\n\n\n"
+        "def test_after():\n"
+        "    pass\n")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-v", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         str(tmp_path / "test_two.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    out = run.stdout + run.stderr
+    assert run.returncode == 1, out
+    assert "INTERNALERROR" not in out
+    assert "FAILED test_two.py::test_fails" in out
+    assert "test_two.py::test_after PASSED" in out

@@ -92,13 +92,16 @@ def test_report_roundtrip(sol_10):
 def test_one_gradient_per_iterate(step_weight, monkeypatch):
     """A solve evaluates the gradient once per (iterate, mu): the counted
     extra Newton step reuses the residual Newton returns at its iterate,
-    and every Newton step reuses the point values of that residual."""
+    and every Newton step reuses the point values of that residual.  The
+    step weight's windows are node-aligned, so an evaluation there is one
+    ``_aligned_terms`` call; ``_at_points`` is the general tables' one."""
     # the levels are solved before
     weight.build_constant_pack(step_weight, localfield.levels_of(step_weight))
     seen = []
     points = []
     residual = assembly.Operator.residual
     at_points = assembly._at_points
+    aligned_terms = assembly._aligned_terms
 
     def counted(op, values):
         seen.append((op.mu, np.asarray(values).tobytes()))
@@ -108,11 +111,16 @@ def test_one_gradient_per_iterate(step_weight, monkeypatch):
         points.append(len(full))
         return at_points(tb, full)
 
+    def counted_terms(tb, c, full):
+        points.append(len(full))
+        return aligned_terms(tb, c, full)
+
     monkeypatch.setattr(assembly.Operator, "residual", counted)
     monkeypatch.setattr(assembly, "_at_points", counted_points)
+    monkeypatch.setattr(assembly, "_aligned_terms", counted_terms)
     sol = solver.solve_multibump(step_weight, solver.make_window((1, 0)),
                                  1e3, cells=200)
-    assert sol.report.certified
+    assert sol.report.certified and sol.grid.tables.aligned
     # Newton's residuals plus the one certificate; no iterate twice
     assert len(seen) == len(set(seen)) > 1
     assert len(points) == len(seen)

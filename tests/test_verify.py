@@ -46,9 +46,11 @@ def test_audits_reuse_the_certificate_operator(step_weight, monkeypatch):
         monkeypatch.setattr(assembly.Operator, name,
                             lambda *a, _real=real, _name=name:
                             calls.append(_name) or _real(*a))
-    at_points = assembly._at_points
-    monkeypatch.setattr(assembly, "_at_points",
-                        lambda *a: calls.append("_at_points") or at_points(*a))
+    for name in ("_at_points", "_aligned_terms"):
+        real = getattr(assembly, name)
+        monkeypatch.setattr(assembly, name,
+                            lambda *a, _real=real, _name=name:
+                            calls.append(_name) or _real(*a))
     got = (verify.nehari_identities(sol),
            verify.oracle_residual(sol).per_interval)
     assert calls == []
