@@ -36,10 +36,10 @@ which imports ``numpy.ma`` on its first call.
 On a node-aligned mesh (``QuadTables.aligned``) every cell is one Simpson
 subsegment, so two of the three point blocks are nodal values: the step
 weight's windows, the level meshes and the connection blocks are such
-meshes, and there the kernels work on node and midpoint arrays by slices,
-with u^3 formed once per node.  A weight knot inside a cell (the sine
-weight, generated two-level weights) keeps the general gather and scatter.
-Both forms give the same bits.
+meshes, and there the operator's residual, Jacobian bands and slopes work
+on node and midpoint arrays by slices, with u^3 formed once per node.  A
+weight knot inside a cell (the sine weight, generated two-level weights)
+keeps the general gather and scatter.  Both forms give the same bits.
 
 A window grid's ``Grid.rows`` views its data as one row per I_i^+ and
 I_i^-: sigma_{i0+k} is node 2 m k, tau_{i0+k} node 2 m k + m.  A connection
@@ -90,7 +90,6 @@ class QuadTables:
     qw: np.ndarray           # quadrature weight (length measure)
     qap: np.ndarray          # a+(t) at the point
     qam: np.ndarray          # a-(t) at the point
-    aligned: bool = False    # cell c is subsegment c, ending on its nodes
 
     def __post_init__(self):
         # the index the kernels gather and scatter by: qcell's own array,
@@ -104,6 +103,15 @@ class QuadTables:
     @cached_property
     def rlam(self):
         return 1.0 - self.qlam
+
+    @cached_property
+    def aligned(self):
+        """Cell c is subsegment c, ending on its nodes.  A knot merged into
+        a node may be kept in its place, just left of it, and then the right
+        end's qlam falls short of 1."""
+        n = len(self.h)
+        return bool(len(self.qw) == 3 * n and (self.qlam[:n] == 0.0).all()
+                    and (self.qlam[2 * n:] == 1.0).all())
 
     # qlam and 1 - qlam of the midpoint block
     @cached_property
@@ -173,15 +181,10 @@ def build_tables(w, nodes):
     qap = np.where(pos, np.maximum(raw, 0.0), 0.0)
     qam = np.where(pos, 0.0, np.maximum(-raw, 0.0))
     qlam = np.clip((qt - nodes[qcell]) / h[qcell], 0.0, 1.0)
-    # a knot merged into a node may be kept in its place, just left of it,
-    # and then the right end's qlam falls short of 1
-    n = len(h)
-    aligned = bool(len(cell) == n and (cell == np.arange(n)).all()
-                   and (qlam[:n] == 0.0).all() and (qlam[2 * n:] == 1.0).all())
     return QuadTables(nodes=nodes, h=h, qcell=qcell, qlam=qlam,
                       qw=np.ascontiguousarray(qw),
                       qap=np.ascontiguousarray(qap),
-                      qam=np.ascontiguousarray(qam), aligned=aligned)
+                      qam=np.ascontiguousarray(qam))
 
 
 # -- nodal operations (no boundary conditions applied) ------------------------
@@ -191,32 +194,19 @@ def build_tables(w, nodes):
 
 
 def _at_points(tb, full):
-    """Interpolant of the nodal values at every quadrature point.
-    Node-aligned tables form only the midpoints.  On general tables
-    ``take`` gathers a stack's rows 6x faster than indexing after an
-    Ellipsis (9 us against 55 us for four rows of 2400 points on a 2-core
-    x86-64 host)."""
-    if tb.aligned:
-        return _point_blocks(full, _midpoints(tb, full))
+    """Interpolant of the nodal values at every quadrature point.  ``take``
+    gathers a stack's rows 6x faster than indexing after an Ellipsis (9 us
+    against 55 us for four rows of 2400 points on a 2-core x86-64 host)."""
     return (full.take(tb._qcell, axis=-1) * tb.rlam
             + full.take(tb.qcell1, axis=-1) * tb.qlam)
 
 
 def _hat_scatter(tb, coef, n):
     """Vector of sum_q coef_q phi_j(t_q) over the n nodal hats, one per row
-    of a stack of coefficients.  On general tables a stack's rows go
-    through bincount one by one: for four rows of 2400 points that took
-    31 us on a 2-core x86-64 host, and one bincount of the stack, its rows
-    offset by n bins, 51 us with its index.  Node-aligned tables add each
-    cell's left-hat and right-hat terms by slices, a stack at once."""
-    if tb.aligned:     # hat j sums L_j and R_{j-1}
-        cl, cm, cr = _blocks(tb, coef)
-        L, R = cl + cm * tb.rlam_m, cm * tb.lam_m + cr
-        out = np.empty(coef.shape[:-1] + (n,))
-        out[..., 0] = L[..., 0]
-        np.add(L[..., 1:], R[..., :-1], out=out[..., 1:-1])
-        out[..., -1] = R[..., -1]
-        return out
+    of a stack of coefficients.  A stack's rows go through bincount one by
+    one: for four rows of 2400 points that took 31 us on a 2-core x86-64
+    host, and one bincount of the stack, its rows offset by n bins, 51 us
+    with its index."""
     if coef.ndim == 2:
         return np.array([_hat_scatter(tb, row, n) for row in coef])
     return (np.bincount(tb._qcell, coef * tb.rlam, n)
@@ -226,8 +216,6 @@ def _hat_scatter(tb, coef, n):
 def _cell_blocks(tb, coef):
     """Cellwise 2x2 blocks (LL, LR, RR) of sum_q coef_q phi_a(t_q) phi_b(t_q)
     over the two hats of each cell."""
-    if tb.aligned:
-        return _aligned_blocks(tb, *_blocks(tb, coef))
     ncell = len(tb.h)
     lam, rlam = tb.qlam, tb.rlam
     left = coef * rlam
@@ -239,24 +227,14 @@ def _cell_blocks(tb, coef):
 # Node-aligned tables.  A left end has lam 0 and a right end lam 1, so the
 # bincounts above add, per hat and in their order, a left-end term, a
 # midpoint term and a right-end term, and terms times 0 that change no bit
-# but a zero's sign; the routines below add the same terms in that order.
+# but a zero's sign; the operator's node-aligned form adds the same terms in
+# that order.
 
 
 def _blocks(tb, a):
     """The left-end, midpoint and right-end blocks of point data a."""
     n = len(tb.h)
     return a[..., :n], a[..., n:2 * n], a[..., 2 * n:]
-
-
-def _midpoints(tb, full):
-    return full[..., :-1] * tb.rlam_m + full[..., 1:] * tb.lam_m
-
-
-def _point_blocks(full, um):
-    """The point values of node-aligned tables from the nodes and the
-    midpoints: the left ends are the cells' left nodes, the right ends
-    their right nodes."""
-    return np.concatenate([full[..., :-1], um, full[..., 1:]], axis=-1)
 
 
 def _aligned_blocks(tb, cl, cm, cr):
@@ -270,7 +248,7 @@ def _aligned_terms(tb, c, full):
     """(full, midpoint values, L, R) on node-aligned tables: each cell's
     terms L = sum c u^3 (1 - lam) and R = sum c u^3 lam of the residual of
     its left and right hats, u^3 formed once per node."""
-    um = _midpoints(tb, full)
+    um = full[..., :-1] * tb.rlam_m + full[..., 1:] * tb.lam_m
     cl, cm, cr = _blocks(tb, c)
     u3 = full * full * full
     fm = cm * (um * um * um)
@@ -372,13 +350,18 @@ class Operator:
         data = self._kept(values)
         if data is None:
             return _at_points(self.tb, self.grid.full_values(values))
-        return _point_blocks(*data[:2]) if self.tb.aligned else data
+        if not self.tb.aligned:
+            return data
+        # the left ends are the cells' left nodes, the right ends their
+        # right nodes
+        full, um = data[:2]
+        return np.concatenate([full[..., :-1], um, full[..., 1:]], axis=-1)
 
     def residual(self, values):
         """Weak residual at values: folded on a periodic grid, one entry per
         node on a clamped one; one row per row of a stack.  On node-aligned
-        tables row j is s_{j-1} - s_j - (L_j + R_{j-1}), s the cell slopes,
-        as ``stiffness_full`` and ``_hat_scatter`` add it."""
+        tables hat j's cubic term is L_j + R_{j-1}, as ``_hat_scatter``
+        adds it."""
         tb = self.tb
         values = np.array(values, dtype=float)
         full = self.grid.full_values(values)
@@ -391,12 +374,11 @@ class Operator:
         data = _aligned_terms(tb, self.c, full)
         self._last = (values, data)
         _, _, L, R = data
-        s = (full[..., 1:] - full[..., :-1]) / tb.h
-        r = np.empty(full.shape)
-        r[..., 0] = -s[..., 0] - L[..., 0]
-        r[..., 1:-1] = (s[..., :-1] - s[..., 1:]) - (L[..., 1:] + R[..., :-1])
-        r[..., -1] = s[..., -1] - R[..., -1]
-        return self.grid.fold(r)
+        hats = np.empty(full.shape)
+        hats[..., 0] = L[..., 0]
+        np.add(L[..., 1:], R[..., :-1], out=hats[..., 1:-1])
+        hats[..., -1] = R[..., -1]
+        return self.grid.fold(stiffness_full(tb, full) - hats)
 
     def actions(self, values):
         """J_mu = 1/2 int u'^2 - 1/4 int a_mu u^4 at values, one per row of

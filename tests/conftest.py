@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import settings
 
 from multibump import assembly, cli, localfield, solver, weight
-
-# the tier-1 workflow runs with --hypothesis-profile=ci: a failing example
-# also prints the @reproduce_failure blob that replays it locally
-settings.register_profile("ci", print_blob=True)
 
 
 @pytest.fixture(autouse=True)

@@ -652,16 +652,13 @@ def _general_form(tb, run):
 
 
 def _operator_outputs(grid, mu, values, stack):
-    """Everything the operator and the table kernels give at values (and a
-    stack), each from an operator of its own or after its residual."""
-    tb = grid.tables
-    full = grid.full_values(values)
+    """Everything the operator gives at values (and a stack), each from an
+    operator of its own or after its residual."""
     op = assembly.Operator(grid, mu)
     r = op.residual(values)
     rows = r if grid.periodic else r[1:-1]
     stacked = assembly.Operator(grid, mu)
     fresh = assembly.Operator(grid, mu)
-    coef = np.sin(np.arange(len(tb.qw)) + mu)
     return {
         "residual": r, "bands": op.bands(values),
         "step": op.step(values, rows), "slopes": op.slopes(values),
@@ -674,12 +671,6 @@ def _operator_outputs(grid, mu, values, stack):
         "stack residual": stacked.residual(stack),
         "stack actions": stacked.actions(stack),
         "stack points": stacked.points(stack),
-        "cubic_full": assembly.cubic_full(tb, mu, full),
-        "quartic_integral": assembly.quartic_integral(tb, mu, full),
-        "hessian_full": assembly.hessian_full(tb, mu, full,
-                                              grid.full_values(stack)),
-        "_cell_blocks": assembly._cell_blocks(tb, coef),
-        "_hat_scatter": assembly._hat_scatter(tb, coef, len(full)),
     }
 
 
@@ -692,9 +683,9 @@ def test_node_aligned_form_matches_general_bits(step_weight, sine_weight, w,
                                                 mesh, code, cells, mu, rows,
                                                 seed):
     """On node-aligned tables (step windows, clamped meshes of their nodes,
-    and clamped meshes holding every weight knot as a node) the operator,
-    the table kernels and the Newton step give the bits of the general
-    gather and scatter on the same tables, for one vector and a stack."""
+    and clamped meshes holding every weight knot as a node) the operator
+    and its Newton step give the bits of the general gather and scatter on
+    the same tables, for one vector and a stack."""
     w = {"step": step_weight, "sine": sine_weight}.get(w, w)
     if mesh == "window":
         w = step_weight
