@@ -36,10 +36,14 @@ which imports ``numpy.ma`` on its first call.
 On a node-aligned mesh (``QuadTables.aligned``) every cell is one Simpson
 subsegment, so two of the three point blocks are nodal values: the step
 weight's windows, the level meshes and the connection blocks are such
-meshes, and there the operator's residual, Jacobian bands and slopes work
-on node and midpoint arrays by slices, with u^3 formed once per node.  A
-weight knot inside a cell (the sine weight, generated two-level weights)
-keeps the general gather and scatter.  Both forms give the same bits.
+meshes, and there the cubic terms work on node and midpoint arrays by
+slices, with u^3 formed once per node.  A weight knot inside a cell (the
+sine weight, generated two-level weights) keeps the general gather and
+per-cell bincount.  The form is chosen in one seam, the kernels ``_terms``,
+``_points`` and ``_jac_blocks``, which give the operator and ``cubic_full``
+each cell's hat terms L and R in either form; ``_hats`` sums them into
+hat j's term L_j + R_{j-1}, the package's one hat-sum rule.  Both forms
+give the same bits.
 
 A window grid's ``Grid.rows`` views its data as one row per I_i^+ and
 I_i^-: sigma_{i0+k} is node 2 m k, tau_{i0+k} node 2 m k + m.  A connection
@@ -201,34 +205,41 @@ def _at_points(tb, full):
             + full.take(tb.qcell1, axis=-1) * tb.qlam)
 
 
-def _hat_scatter(tb, coef, n):
-    """Vector of sum_q coef_q phi_j(t_q) over the n nodal hats, one per row
-    of a stack of coefficients.  A stack's rows go through bincount one by
+def _cell_sums(tb, a):
+    """Each cell's sum of point data a, its points added in table order,
+    one row per row of a stack.  A stack's rows go through bincount one by
     one: for four rows of 2400 points that took 31 us on a 2-core x86-64
     host, and one bincount of the stack, its rows offset by n bins, 51 us
     with its index."""
-    if coef.ndim == 2:
-        return np.array([_hat_scatter(tb, row, n) for row in coef])
-    return (np.bincount(tb._qcell, coef * tb.rlam, n)
-            + np.bincount(tb.qcell1, coef * tb.qlam, n))
+    if a.ndim == 2:
+        return np.array([_cell_sums(tb, row) for row in a])
+    return np.bincount(tb._qcell, a, len(tb.h))
+
+
+def _hats(L, R):
+    """Each node's term from its cells' terms: L_j + R_{j-1} for hat j,
+    where L and R are a cell's terms on its left and right hats; the
+    package's one hat-sum rule."""
+    hats = np.empty(L.shape[:-1] + (L.shape[-1] + 1,))
+    hats[..., 0] = L[..., 0]
+    np.add(L[..., 1:], R[..., :-1], out=hats[..., 1:-1])
+    hats[..., -1] = R[..., -1]
+    return hats
 
 
 def _cell_blocks(tb, coef):
     """Cellwise 2x2 blocks (LL, LR, RR) of sum_q coef_q phi_a(t_q) phi_b(t_q)
     over the two hats of each cell."""
-    ncell = len(tb.h)
-    lam, rlam = tb.qlam, tb.rlam
-    left = coef * rlam
-    return (np.bincount(tb._qcell, left * rlam, ncell),
-            np.bincount(tb._qcell, left * lam, ncell),
-            np.bincount(tb._qcell, coef * lam * lam, ncell))
+    left = coef * tb.rlam
+    return (_cell_sums(tb, left * tb.rlam), _cell_sums(tb, left * tb.qlam),
+            _cell_sums(tb, coef * tb.qlam * tb.qlam))
 
 
-# Node-aligned tables.  A left end has lam 0 and a right end lam 1, so the
-# bincounts above add, per hat and in their order, a left-end term, a
-# midpoint term and a right-end term, and terms times 0 that change no bit
-# but a zero's sign; the operator's node-aligned form adds the same terms in
-# that order.
+# The seam between the tables' two forms.  On node-aligned tables a left end
+# has lam 0 and a right end lam 1, so ``_cell_sums`` adds, per cell and in
+# its order, a left-end term, a midpoint term and a right-end term, and
+# terms times 0 that change no bit but a zero's sign; the node-aligned form
+# adds the same terms in that order, from node and midpoint arrays by slices.
 
 
 def _blocks(tb, a):
@@ -237,23 +248,45 @@ def _blocks(tb, a):
     return a[..., :n], a[..., n:2 * n], a[..., 2 * n:]
 
 
-def _aligned_blocks(tb, cl, cm, cr):
-    """``_cell_blocks`` from the blocks of its coefficients."""
-    lam, rlam = tb.lam_m, tb.rlam_m
-    left = cm * rlam
-    return cl + left * rlam, left * lam, cm * lam * lam + cr
-
-
-def _aligned_terms(tb, c, full):
-    """(full, midpoint values, L, R) on node-aligned tables: each cell's
-    terms L = sum c u^3 (1 - lam) and R = sum c u^3 lam of the residual of
-    its left and right hats, u^3 formed once per node."""
+def _terms(tb, c, full):
+    """(pts, L, R): the interpolant of the nodal values at the quadrature
+    points, and each cell's terms L = sum c u^3 (1 - lam) and
+    R = sum c u^3 lam of the residual of its left and right hats.  On
+    node-aligned tables pts is (full, midpoint values) and u^3 is formed
+    once per node; elsewhere pts is every point's value."""
+    if not tb.aligned:
+        uq = _at_points(tb, full)
+        f = c * (uq * uq * uq)
+        return uq, _cell_sums(tb, f * tb.rlam), _cell_sums(tb, f * tb.qlam)
     um = full[..., :-1] * tb.rlam_m + full[..., 1:] * tb.lam_m
     cl, cm, cr = _blocks(tb, c)
     u3 = full * full * full
     fm = cm * (um * um * um)
-    return (full, um, cl * u3[..., :-1] + fm * tb.rlam_m,
+    return ((full, um), cl * u3[..., :-1] + fm * tb.rlam_m,
             fm * tb.lam_m + cr * u3[..., 1:])
+
+
+def _points(tb, pts):
+    """Every point's value from the pts of ``_terms``: on node-aligned
+    tables the left ends are the cells' left nodes and the right ends their
+    right nodes."""
+    if not tb.aligned:
+        return pts
+    full, um = pts
+    return np.concatenate([full[..., :-1], um, full[..., 1:]], axis=-1)
+
+
+def _jac_blocks(tb, k, pts):
+    """``_cell_blocks`` of k u^2 from the pts of ``_terms``."""
+    if not tb.aligned:
+        return _cell_blocks(tb, k * (pts * pts))
+    full, um = pts
+    u2 = full * full
+    kl, km, kr = _blocks(tb, k)
+    cl, cm, cr = kl * u2[:-1], km * (um * um), kr * u2[1:]
+    lam, rlam = tb.lam_m, tb.rlam_m
+    left = cm * rlam
+    return cl + left * rlam, left * lam, cm * lam * lam + cr
 
 
 def stiffness_full(tb, u_full):
@@ -267,8 +300,7 @@ def stiffness_full(tb, u_full):
 
 def cubic_full(tb, mu, u_full):
     """Vector of int a_mu u^3 phi_j."""
-    uq = _at_points(tb, u_full)
-    return _hat_scatter(tb, tb.qw * tb.amu(mu) * (uq * uq * uq), len(u_full))
+    return _hats(*_terms(tb, tb.qw * tb.amu(mu), u_full)[1:])
 
 
 def dirichlet_energy(h, u):
@@ -297,7 +329,8 @@ def hessian_full(tb, mu, u_full, v_full):
     one row per row of a stack v."""
     uq = _at_points(tb, u_full)
     coef = 3.0 * tb.qw * tb.amu(mu) * (uq * uq) * _at_points(tb, v_full)
-    return stiffness_full(tb, v_full) - _hat_scatter(tb, coef, len(u_full))
+    return stiffness_full(tb, v_full) - _hats(_cell_sums(tb, coef * tb.rlam),
+                                              _cell_sums(tb, coef * tb.qlam))
 
 
 class Operator:
@@ -310,9 +343,11 @@ class Operator:
     the step solves the cyclic system; on a clamped mesh they carry every
     node, and the step solves the interior rows with the end values held
     (r then holds the interior residual rows only).  ``residual`` and
-    ``actions`` also take a stack of values, one per row.  On node-aligned
-    tables the point data are the node values, the midpoint values and each
-    cell's hat terms L and R (``_aligned_terms``).
+    ``actions`` also take a stack of values, one per row.  The point data
+    kept are ``_terms``'s point values, in the form the tables take and read
+    only through ``_points`` and ``_jac_blocks``, and each cell's hat terms
+    L and R, the same in either form, which ``_hats`` sums per node and
+    ``slopes`` reads per cell.
     """
 
     def __init__(self, grid, mu):
@@ -339,10 +374,7 @@ class Operator:
         data = self._kept(values)
         if data is not None:
             return data
-        full = self.grid.full_values(values)
-        if self.tb.aligned:
-            return _aligned_terms(self.tb, self.c, full)
-        return _at_points(self.tb, full)
+        return _terms(self.tb, self.c, self.grid.full_values(values))
 
     def points(self, values):
         """The interpolant of values at the quadrature points: those of the
@@ -350,35 +382,16 @@ class Operator:
         data = self._kept(values)
         if data is None:
             return _at_points(self.tb, self.grid.full_values(values))
-        if not self.tb.aligned:
-            return data
-        # the left ends are the cells' left nodes, the right ends their
-        # right nodes
-        full, um = data[:2]
-        return np.concatenate([full[..., :-1], um, full[..., 1:]], axis=-1)
+        return _points(self.tb, data[0])
 
     def residual(self, values):
         """Weak residual at values: folded on a periodic grid, one entry per
-        node on a clamped one; one row per row of a stack.  On node-aligned
-        tables hat j's cubic term is L_j + R_{j-1}, as ``_hat_scatter``
-        adds it."""
-        tb = self.tb
+        node on a clamped one; one row per row of a stack."""
         values = np.array(values, dtype=float)
         full = self.grid.full_values(values)
-        if not tb.aligned:
-            uq = _at_points(tb, full)
-            self._last = (values, uq)
-            return self.grid.fold(stiffness_full(tb, full) -
-                                  _hat_scatter(tb, self.c * (uq * uq * uq),
-                                               full.shape[-1]))
-        data = _aligned_terms(tb, self.c, full)
+        data = _terms(self.tb, self.c, full)
         self._last = (values, data)
-        _, _, L, R = data
-        hats = np.empty(full.shape)
-        hats[..., 0] = L[..., 0]
-        np.add(L[..., 1:], R[..., :-1], out=hats[..., 1:-1])
-        hats[..., -1] = R[..., -1]
-        return self.grid.fold(stiffness_full(tb, full) - hats)
+        return self.grid.fold(stiffness_full(self.tb, full) - _hats(*data[1:]))
 
     def actions(self, values):
         """J_mu = 1/2 int u'^2 - 1/4 int a_mu u^4 at values, one per row of
@@ -394,17 +407,8 @@ class Operator:
 
     def bands(self, values):
         """Cellwise 2x2 blocks (LL, LR, RR) of the residual Jacobian."""
-        tb = self.tb
-        data = self._data(values)
-        if tb.aligned:
-            full, um = data[:2]
-            u2 = full * full
-            kl, km, kr = _blocks(tb, self.k)
-            cLL, cLR, cRR = _aligned_blocks(tb, kl * u2[:-1], km * (um * um),
-                                            kr * u2[1:])
-        else:
-            cLL, cLR, cRR = _cell_blocks(tb, self.k * (data * data))
-        inv = tb.inv_h
+        cLL, cLR, cRR = _jac_blocks(self.tb, self.k, self._data(values)[0])
+        inv = self.tb.inv_h
         return inv - cLL, -inv - cLR, inv - cRR
 
     def tridiagonal(self, values):
@@ -422,37 +426,32 @@ class Operator:
     def slopes(self, values):
         """(u'(t_j-), u'(t_j+)) at every node: the cell slope corrected by
         the weak residual of the node's half hat on that cell,
-        u'(t_j+) = s_j + int a_mu u^3 (1 - lam) on the right cell and
-        u'(t_j-) = s_{j-1} - int a_mu u^3 lam on the left one, so that
-        left - right is the node's residual row.  One value per dof on a
-        periodic mesh (node 0 takes its left cell from the wrap); one per
-        node on a clamped mesh, NaN where no cell lies, and there u'(t_0+)
-        and u'(t_n-) are the end rows -r_0 and r_n of ``residual``, bit
-        for bit.  Reuses the point values of the last ``residual`` at the
-        same values."""
-        tb = self.tb
-        data = self._data(values)
-        if tb.aligned:
-            full, _, L, R = data
-            s = (full[1:] - full[:-1]) / tb.h
-            into, out = s - R, s + L         # u'(t_{c+1}-), u'(t_c+)
-        else:
-            f = self.c * (data * data * data)
-            n = len(tb.h)
-            full = self.grid.full_values(values)
-            s = (full[1:] - full[:-1]) / tb.h
-            into = s - np.bincount(tb._qcell, f * tb.qlam, n)  # u'(t_{c+1}-)
-            out = s + np.bincount(tb._qcell, f * tb.rlam, n)   # u'(t_c+)
+        u'(t_j+) = s_j + L_j on the right cell and u'(t_j-) = s_{j-1} -
+        R_{j-1} on the left one, with ``_terms``'s cell terms
+        L = int a_mu u^3 (1 - lam) and R = int a_mu u^3 lam, so that left -
+        right is the node's residual row.  One value per dof on a periodic
+        mesh (node 0 takes its left cell from the wrap); one per node on a
+        clamped mesh, NaN where no cell lies, and there u'(t_0+) and
+        u'(t_n-) are the end rows -r_0 and r_n of ``residual``, bit for
+        bit.  Reuses the cell terms of the last ``residual`` at the same
+        values."""
+        _, L, R = self._data(values)
+        full = self.grid.full_values(values)
+        s = (full[1:] - full[:-1]) / self.tb.h
+        into, out = s - R, s + L             # u'(t_{c+1}-), u'(t_c+)
         if self.grid.periodic:
             return np.roll(into, 1), out
         return np.append(np.nan, into), np.append(out, np.nan)
 
     def step(self, values, r):
-        """Newton step for residual rows r at values; raises LinAlgError on
-        a singular or non-finite solve."""
-        if self.grid.periodic:
-            return solve_tridiagonal(*self.tridiagonal(values), r)
-        return solve_interior(self.tb, r, self.bands(values))
+        """Newton step for residual rows r at values; raises NewtonFailure
+        on a singular or non-finite solve."""
+        try:
+            if self.grid.periodic:
+                return solve_tridiagonal(*self.tridiagonal(values), r)
+            return solve_interior(self.tb, r, self.bands(values))
+        except np.linalg.LinAlgError as e:
+            raise NewtonFailure(f"singular Jacobian: {e}") from None
 
 
 # -- tridiagonal solves and damped Newton --------------------------------------
@@ -642,13 +641,8 @@ def newton_dirichlet(op, u_full, tol, max_iter, r=None):
     def residual(x):
         return op.residual(embed(x))[1:-1]
 
-    def solve(x, r):
-        try:
-            return op.step(embed(x), r)
-        except np.linalg.LinAlgError as e:
-            raise NewtonFailure(f"singular Jacobian: {e}") from None
-
-    x, steps, _ = newton(u_full[1:-1], residual, solve, tol, max_iter, r)
+    x, steps, _ = newton(u_full[1:-1], residual,
+                         lambda x, r: op.step(embed(x), r), tol, max_iter, r)
     return embed(x), steps
 
 

@@ -175,15 +175,9 @@ def _converge(grid, values, mu):
             return None
         return op.residual(v)
 
-    def solve(v, r):
-        try:
-            return op.step(v, r)
-        except np.linalg.LinAlgError as e:
-            raise NewtonFailure(f"singular Jacobian: {e}") from None
-
-    u, iters, r = assembly.newton(values, residual, solve, NEWTON_TOL,
+    u, iters, r = assembly.newton(values, residual, op.step, NEWTON_TOL,
                                   _MAX_NEWTON)
-    return u - solve(u, r), iters + 1
+    return u - op.step(u, r), iters + 1
 
 
 # -- construction of guess and certification ----------------------------------

@@ -105,13 +105,6 @@ class WeightSpec:
             p += 1
         return np.array(sorted({t0, t1, *ks}))
 
-    def segment_pack(self, ta, tb):
-        """(coefs, tref) of the single segment containing [ta, tb] (no knots inside)."""
-        tm = 0.5 * (ta + tb)
-        shift = self.period * math.floor(tm / self.period)
-        seg = int(self._segment_index(np.array([tm - shift]))[0])
-        return self.seg_coefs[seg], self.seg_knots[seg] + shift
-
     # -- exact integrals ----------------------------------------------------
 
     def _seg_signed_integral(self, seg, x, y, shift=0.0):

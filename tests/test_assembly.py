@@ -548,17 +548,24 @@ _weights = st.one_of(
               lo=st.floats(0.5, 2.0), hi=st.floats(0.5, 2.0)))
 
 
+def _resolve(w):
+    """A drawn weight, built here when it was drawn by name, so that a
+    failing example reports the name and not a built weight's repr (the
+    sine weight's runs to 17 kB, too large for hypothesis to print)."""
+    make = {"step": weight.make_step_weight, "sine": weight.make_sine_weight}
+    return make[w]() if isinstance(w, str) else w
+
+
 @settings(max_examples=60, deadline=None)
 @given(w=_weights,
        code=st.lists(st.integers(0, 1), min_size=1, max_size=3).filter(any),
        cells=st.integers(8, 400), mu=st.floats(1.0, 1e5),
        periodic=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_operator_matches_reference_bits(step_weight, sine_weight, w, code,
-                                         cells, mu, periodic, seed):
+def test_operator_matches_reference_bits(w, code, cells, mu, periodic, seed):
     """The operator's residual and Newton step, at a fresh iterate and
     reusing the residual's point values, equal the reference bit for bit on
     periodic windows and on clamped meshes of the same nodes."""
-    w = {"step": step_weight, "sine": sine_weight}.get(w, w)
+    w = _resolve(w)
     grid = assembly.span_grid(w, -1, len(code), cells)
     if not periodic:
         grid = assembly.segment_grid(w, grid.nodes)
@@ -600,13 +607,12 @@ def _ref_one_sided_slope(tb, mu, full, uq, node, side):
        code=st.lists(st.integers(0, 1), min_size=1, max_size=3).filter(any),
        cells=st.integers(8, 400), mu=st.floats(1.0, 1e5),
        periodic=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_operator_slopes(step_weight, sine_weight, w, code, cells, mu,
-                         periodic, seed):
+def test_operator_slopes(w, code, cells, mu, periodic, seed):
     """Operator.slopes: left - right is the residual row, the clamped end
     slopes are the residual's end rows bit for bit, and every slope agrees
     with the per-node half-hat sum to 1e-13 relative, on periodic windows
     and on clamped meshes of the same nodes."""
-    w = {"step": step_weight, "sine": sine_weight}.get(w, w)
+    w = _resolve(w)
     grid = assembly.span_grid(w, -1, len(code), cells)
     if not periodic:
         grid = assembly.segment_grid(w, grid.nodes)
@@ -652,8 +658,8 @@ def _general_form(tb, run):
 
 
 def _operator_outputs(grid, mu, values, stack):
-    """Everything the operator gives at values (and a stack), each from an
-    operator of its own or after its residual."""
+    """Everything the operator and ``cubic_full`` give at values (and a
+    stack), each from an operator of its own or after its residual."""
     op = assembly.Operator(grid, mu)
     r = op.residual(values)
     rows = r if grid.periodic else r[1:-1]
@@ -671,6 +677,8 @@ def _operator_outputs(grid, mu, values, stack):
         "stack residual": stacked.residual(stack),
         "stack actions": stacked.actions(stack),
         "stack points": stacked.points(stack),
+        "cubic_full": assembly.cubic_full(grid.tables, mu,
+                                          grid.full_values(values)),
     }
 
 
@@ -679,16 +687,13 @@ def _operator_outputs(grid, mu, values, stack):
        code=st.lists(st.integers(0, 1), min_size=1, max_size=3).filter(any),
        cells=st.integers(8, 400), mu=st.floats(1.0, 1e5),
        rows=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
-def test_node_aligned_form_matches_general_bits(step_weight, sine_weight, w,
-                                                mesh, code, cells, mu, rows,
-                                                seed):
+def test_node_aligned_form_matches_general_bits(w, mesh, code, cells, mu,
+                                                rows, seed):
     """On node-aligned tables (step windows, clamped meshes of their nodes,
-    and clamped meshes holding every weight knot as a node) the operator
-    and its Newton step give the bits of the general gather and scatter on
-    the same tables, for one vector and a stack."""
-    w = {"step": step_weight, "sine": sine_weight}.get(w, w)
-    if mesh == "window":
-        w = step_weight
+    and clamped meshes holding every weight knot as a node) the operator,
+    its Newton step and ``cubic_full`` give the bits of the general gather
+    and scatter on the same tables, for one vector and a stack."""
+    w = _resolve("step" if mesh == "window" else w)
     grid = assembly.span_grid(w, -1, len(code), cells)
     if mesh == "clamped":
         grid = assembly.segment_grid(w, grid.nodes)
@@ -735,12 +740,11 @@ def test_knot_by_a_node_takes_the_general_form(step_weight):
 @given(w=_weights, t0=st.floats(-3.0, 3.0), span=st.floats(0.1, 8.0),
        n=st.integers(2, 300), near=st.sampled_from([0.0, 1e-14, 1e-13, 1e-9]),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_build_tables_matches_reference_bits(step_weight, sine_weight, w, t0,
-                                             span, n, near, seed):
+def test_build_tables_matches_reference_bits(w, t0, span, n, near, seed):
     """Tables on random meshes, with weight knots inside cells and nodes
     within ``near`` of a knot (merged below 1e-12 T), equal the reference
     field by field."""
-    w = {"step": step_weight, "sine": sine_weight}.get(w, w)
+    w = _resolve(w)
     rng = np.random.default_rng(seed)
     knots = w.knots_in_span(t0, t0 + span)[1:-1]
     nodes = np.concatenate([[t0, t0 + span], rng.uniform(t0, t0 + span, n),

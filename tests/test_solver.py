@@ -94,14 +94,15 @@ def test_one_gradient_per_iterate(step_weight, monkeypatch):
     extra Newton step reuses the residual Newton returns at its iterate,
     and every Newton step reuses the point values of that residual.  The
     step weight's windows are node-aligned, so an evaluation there is one
-    ``_aligned_terms`` call; ``_at_points`` is the general tables' one."""
+    ``_terms`` call, which gathers by ``_at_points`` on general tables
+    only."""
     # the levels are solved before
     weight.build_constant_pack(step_weight, localfield.levels_of(step_weight))
     seen = []
     points = []
     residual = assembly.Operator.residual
     at_points = assembly._at_points
-    aligned_terms = assembly._aligned_terms
+    terms = assembly._terms
 
     def counted(op, values):
         seen.append((op.mu, np.asarray(values).tobytes()))
@@ -113,11 +114,11 @@ def test_one_gradient_per_iterate(step_weight, monkeypatch):
 
     def counted_terms(tb, c, full):
         points.append(len(full))
-        return aligned_terms(tb, c, full)
+        return terms(tb, c, full)
 
     monkeypatch.setattr(assembly.Operator, "residual", counted)
     monkeypatch.setattr(assembly, "_at_points", counted_points)
-    monkeypatch.setattr(assembly, "_aligned_terms", counted_terms)
+    monkeypatch.setattr(assembly, "_terms", counted_terms)
     sol = solver.solve_multibump(step_weight, solver.make_window((1, 0)),
                                  1e3, cells=200)
     assert sol.report.certified and sol.grid.tables.aligned

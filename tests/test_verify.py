@@ -46,7 +46,7 @@ def test_audits_reuse_the_certificate_operator(step_weight, monkeypatch):
         monkeypatch.setattr(assembly.Operator, name,
                             lambda *a, _real=real, _name=name:
                             calls.append(_name) or _real(*a))
-    for name in ("_at_points", "_aligned_terms"):
+    for name in ("_at_points", "_terms"):
         real = getattr(assembly, name)
         monkeypatch.setattr(assembly, name,
                             lambda *a, _real=real, _name=name:
