@@ -3,10 +3,11 @@
 The continuous problem lives on windows [sigma_{i0}, sigma_{i0+L}] of whole
 weight periods, always with periodic identification (``span_grid``), or on
 clamped Dirichlet pieces: the level meshes (``segment_grid``) and the
-connection blocks.  Meshes always place nodes on every sigma_i and tau_i.
-Stiffness terms are exact for the interpolant; the quartic weight terms use
-composite Simpson subdivided at the weight's polynomial breakpoints, so no
-order is lost at kinks of a(t).
+connection blocks.  Every mesh holds a node on every sigma_i and tau_i and
+on every other weight knot (``knot_mesh``), so the weight is one polynomial
+on each cell.  Stiffness terms are exact for the interpolant; the quartic
+weight terms use Simpson's rule on each cell, so no order is lost at kinks
+of a(t).
 
 Newton works through one ``Operator`` per grid and mu: it forms the
 mu-dependent quadrature products once, gives the weak residual (folded by
@@ -33,17 +34,12 @@ meshes by their content (``kept_grid``), tables included, with read-only
 arrays.  Sorted node sets come from ``sorted_unique``, not ``np.unique``,
 which imports ``numpy.ma`` on its first call.
 
-On a node-aligned mesh (``QuadTables.aligned``) every cell is one Simpson
-subsegment, so two of the three point blocks are nodal values: the step
-weight's windows, the level meshes and the connection blocks are such
-meshes, and there the cubic terms work on node and midpoint arrays by
-slices, with u^3 formed once per node.  A weight knot inside a cell (the
-sine weight, generated two-level weights) keeps the general gather and
-per-cell bincount.  The form is chosen in one seam, the kernels ``_terms``,
-``_points`` and ``_jac_blocks``, which give the operator and ``cubic_full``
-each cell's hat terms L and R in either form; ``_hats`` sums them into
-hat j's term L_j + R_{j-1}, the package's one hat-sum rule.  Both forms
-give the same bits.
+The tables hold one Simpson triple per cell, so the left and right ends of
+the cells are the nodes: the cubic terms work on node and midpoint arrays
+by slices, with u^3 formed once per node, and no point is gathered and no
+cell sum scattered.  ``_terms`` gives the operator and ``cubic_full`` each
+cell's hat terms L and R; ``_hats`` sums them into hat j's term
+L_j + R_{j-1}, the package's one hat-sum rule.
 
 A window grid's ``Grid.rows`` views its data as one row per I_i^+ and
 I_i^-: sigma_{i0+k} is node 2 m k, tau_{i0+k} node 2 m k + m.  A connection
@@ -61,7 +57,7 @@ import numpy as np
 
 from ._scipy_files import flapack
 from .errors import NewtonFailure, WeightError
-from .weight import weight_key
+from .weight import sorted_unique, weight_key
 
 _flapack = flapack()
 dgtsv, dptsv = _flapack.dgtsv, _flapack.dptsv
@@ -79,58 +75,26 @@ _GRIDS_KEPT = 4            # grids kept_grid keeps, as levels_of keeps levels
 class QuadTables:
     """Per-quadrature-point data for one mesh and one weight.
 
-    Points come in Simpson triples on subsegments that never cross a cell
-    boundary or a weight breakpoint, so the raw weight is a single polynomial
-    on each subsegment and its sign is constant there.  The points are
-    stored as three blocks, the subsegments' left ends, midpoints and right
-    ends, each sorted by cell, so the points of a node range are three
-    contiguous slices.  The tables are ``aligned`` when cell c is subsegment
-    c: then its left and right ends are its nodes, at lam exactly 0 and 1.
+    Every weight knot of the span is a mesh node, so each cell is one
+    Simpson subsegment on which the raw weight is a single polynomial of
+    one sign.  The points are stored as three blocks, the cells' left ends,
+    midpoints and right ends, so the points of a node range are three
+    contiguous slices and the end blocks are the nodal values.
     """
     nodes: np.ndarray        # mesh nodes, increasing
     h: np.ndarray            # cell widths
-    qcell: np.ndarray        # int64 cell index per point
-    qlam: np.ndarray         # barycentric position in the cell, in [0, 1]
+    lam_m: np.ndarray        # barycentric position of each cell's midpoint
     qw: np.ndarray           # quadrature weight (length measure)
     qap: np.ndarray          # a+(t) at the point
     qam: np.ndarray          # a-(t) at the point
-
-    def __post_init__(self):
-        # the index the kernels gather and scatter by: qcell's own array,
-        # writable also where kept_grid hands out qcell read-only
-        self._qcell = self.qcell
 
     def amu(self, mu):
         return self.qap - mu * self.qam
 
     # mu-independent products, formed once per mesh
     @cached_property
-    def rlam(self):
-        return 1.0 - self.qlam
-
-    @cached_property
-    def aligned(self):
-        """Cell c is subsegment c, ending on its nodes.  A knot merged into
-        a node may be kept in its place, just left of it, and then the right
-        end's qlam falls short of 1."""
-        n = len(self.h)
-        return bool(len(self.qw) == 3 * n and (self.qlam[:n] == 0.0).all()
-                    and (self.qlam[2 * n:] == 1.0).all())
-
-    # qlam and 1 - qlam of the midpoint block
-    @cached_property
-    def lam_m(self):
-        n = len(self.h)
-        return self.qlam[n:2 * n]
-
-    @cached_property
     def rlam_m(self):
-        n = len(self.h)
-        return self.rlam[n:2 * n]
-
-    @cached_property
-    def qcell1(self):
-        return self._qcell + 1
+        return 1.0 - self.lam_m
 
     @cached_property
     def inv_h(self):
@@ -141,42 +105,35 @@ class QuadTables:
         return float(np.max(self.inv_h))
 
 
-def sorted_unique(a):
-    """The sorted distinct values of a 1-D array, as ``np.unique`` gives
-    them, by a sort and an equality mask: ``np.unique`` imports
-    ``numpy.ma`` on its first call, 15-19 ms of a fresh process."""
-    a = np.sort(a)
-    keep = np.empty(len(a), dtype=bool)
-    keep[:1] = True
-    np.not_equal(a[1:], a[:-1], out=keep[1:])
-    return a[keep]
+def _loose_knots(w, nodes):
+    """The weight knots inside [nodes[0], nodes[-1]] that lie farther than
+    1e-12 max(T, 1) from every node of the increasing ``nodes``."""
+    knots = w.knots_in_span(nodes[0], nodes[-1])[1:-1]
+    j = np.searchsorted(nodes, knots)
+    return knots[np.minimum(knots - nodes[j - 1], nodes[j] - knots)
+                 > 1e-12 * max(w.period, 1.0)]
 
 
 def build_tables(w, nodes):
+    """Simpson tables on the cells of a mesh that holds every weight knot
+    of its span as a node (``_loose_knots``); a knot inside a cell is a
+    WeightError."""
     nodes = np.ascontiguousarray(nodes, dtype=float)
     h = np.diff(nodes)
     if len(h) == 0 or np.any(h <= 0.0):
         raise WeightError("mesh nodes must be strictly increasing")
-    T = w.period
-    bounds = sorted_unique(
-        np.concatenate([nodes, w.knots_in_span(nodes[0], nodes[-1])]))
-    # merge near-duplicates (a weight knot landing on top of a node)
-    keep = np.concatenate([[True], np.diff(bounds) > 1e-12 * max(T, 1.0)])
-    bounds = bounds[keep]
-    bounds[0], bounds[-1] = nodes[0], nodes[-1]
-
-    a, b = bounds[:-1], bounds[1:]
+    loose = _loose_knots(w, nodes)
+    if len(loose):
+        raise WeightError(f"weight knot {loose[0]!r} lies inside a cell")
+    a, b = nodes[:-1], nodes[1:]
     mid = 0.5 * (a + b)
-    d = b - a
-    cell = np.clip(np.searchsorted(nodes, mid, side="right") - 1, 0, len(h) - 1)
-    # identify the weight segment by the subsegment midpoint so that endpoint
+    # identify the weight segment by the cell midpoint so that endpoint
     # values never get evaluated on the wrong side of a breakpoint
-    shift = T * np.floor(mid / T)
+    shift = w.period * np.floor(mid / w.period)
     seg = w._segment_index(mid - shift)
 
     qt = np.concatenate([a, mid, b])
-    qw = np.concatenate([d, 4.0 * d, d]) / 6.0
-    qcell = np.concatenate([cell, cell, cell]).astype(np.int64)
+    qw = np.concatenate([h, 4.0 * h, h]) / 6.0
     qseg = np.concatenate([seg, seg, seg])
     qshift = np.concatenate([shift, shift, shift])
 
@@ -184,36 +141,38 @@ def build_tables(w, nodes):
     pos = w.seg_positive[qseg]
     qap = np.where(pos, np.maximum(raw, 0.0), 0.0)
     qam = np.where(pos, 0.0, np.maximum(-raw, 0.0))
-    qlam = np.clip((qt - nodes[qcell]) / h[qcell], 0.0, 1.0)
-    return QuadTables(nodes=nodes, h=h, qcell=qcell, qlam=qlam,
-                      qw=np.ascontiguousarray(qw),
-                      qap=np.ascontiguousarray(qap),
-                      qam=np.ascontiguousarray(qam))
+    return QuadTables(nodes=nodes, h=h, lam_m=np.clip((mid - a) / h, 0.0, 1.0),
+                      qw=qw, qap=qap, qam=qam)
 
 
 # -- nodal operations (no boundary conditions applied) ------------------------
 #
 # The residual's routines take one vector of nodal values or a stack of them,
-# one per row, and give each row the bits its vector alone gets.
+# one per row, and give each row the bits its vector alone gets.  Point data
+# come in the tables' three blocks; a cell's left and right ends are its
+# nodes, at barycentric positions 0 and 1, so the terms of a cell on its two
+# hats are sums of a left-end, a midpoint and a right-end term, in that order.
+
+
+def _blocks(tb, a):
+    """The left-end, midpoint and right-end blocks of point data a."""
+    n = len(tb.h)
+    return a[..., :n], a[..., n:2 * n], a[..., 2 * n:]
+
+
+def _midpoints(tb, full):
+    """The interpolant of the nodal values at the cells' midpoints."""
+    return full[..., :-1] * tb.rlam_m + full[..., 1:] * tb.lam_m
+
+
+def _points(full, um):
+    """Every point's value from the nodal and midpoint values."""
+    return np.concatenate([full[..., :-1], um, full[..., 1:]], axis=-1)
 
 
 def _at_points(tb, full):
-    """Interpolant of the nodal values at every quadrature point.  ``take``
-    gathers a stack's rows 6x faster than indexing after an Ellipsis (9 us
-    against 55 us for four rows of 2400 points on a 2-core x86-64 host)."""
-    return (full.take(tb._qcell, axis=-1) * tb.rlam
-            + full.take(tb.qcell1, axis=-1) * tb.qlam)
-
-
-def _cell_sums(tb, a):
-    """Each cell's sum of point data a, its points added in table order,
-    one row per row of a stack.  A stack's rows go through bincount one by
-    one: for four rows of 2400 points that took 31 us on a 2-core x86-64
-    host, and one bincount of the stack, its rows offset by n bins, 51 us
-    with its index."""
-    if a.ndim == 2:
-        return np.array([_cell_sums(tb, row) for row in a])
-    return np.bincount(tb._qcell, a, len(tb.h))
+    """Interpolant of the nodal values at every quadrature point."""
+    return _points(full, _midpoints(tb, full))
 
 
 def _hats(L, R):
@@ -227,66 +186,30 @@ def _hats(L, R):
     return hats
 
 
-def _cell_blocks(tb, coef):
+def _cell_terms(tb, fl, fm, fr):
+    """Each cell's terms (L, R) = (sum f (1 - lam), sum f lam) on its left
+    and right hats, of point data f given by its three blocks."""
+    return fl + fm * tb.rlam_m, fm * tb.lam_m + fr
+
+
+def _cell_blocks(tb, cl, cm, cr):
     """Cellwise 2x2 blocks (LL, LR, RR) of sum_q coef_q phi_a(t_q) phi_b(t_q)
-    over the two hats of each cell."""
-    left = coef * tb.rlam
-    return (_cell_sums(tb, left * tb.rlam), _cell_sums(tb, left * tb.qlam),
-            _cell_sums(tb, coef * tb.qlam * tb.qlam))
-
-
-# The seam between the tables' two forms.  On node-aligned tables a left end
-# has lam 0 and a right end lam 1, so ``_cell_sums`` adds, per cell and in
-# its order, a left-end term, a midpoint term and a right-end term, and
-# terms times 0 that change no bit but a zero's sign; the node-aligned form
-# adds the same terms in that order, from node and midpoint arrays by slices.
-
-
-def _blocks(tb, a):
-    """The left-end, midpoint and right-end blocks of point data a."""
-    n = len(tb.h)
-    return a[..., :n], a[..., n:2 * n], a[..., 2 * n:]
-
-
-def _terms(tb, c, full):
-    """(pts, L, R): the interpolant of the nodal values at the quadrature
-    points, and each cell's terms L = sum c u^3 (1 - lam) and
-    R = sum c u^3 lam of the residual of its left and right hats.  On
-    node-aligned tables pts is (full, midpoint values) and u^3 is formed
-    once per node; elsewhere pts is every point's value."""
-    if not tb.aligned:
-        uq = _at_points(tb, full)
-        f = c * (uq * uq * uq)
-        return uq, _cell_sums(tb, f * tb.rlam), _cell_sums(tb, f * tb.qlam)
-    um = full[..., :-1] * tb.rlam_m + full[..., 1:] * tb.lam_m
-    cl, cm, cr = _blocks(tb, c)
-    u3 = full * full * full
-    fm = cm * (um * um * um)
-    return ((full, um), cl * u3[..., :-1] + fm * tb.rlam_m,
-            fm * tb.lam_m + cr * u3[..., 1:])
-
-
-def _points(tb, pts):
-    """Every point's value from the pts of ``_terms``: on node-aligned
-    tables the left ends are the cells' left nodes and the right ends their
-    right nodes."""
-    if not tb.aligned:
-        return pts
-    full, um = pts
-    return np.concatenate([full[..., :-1], um, full[..., 1:]], axis=-1)
-
-
-def _jac_blocks(tb, k, pts):
-    """``_cell_blocks`` of k u^2 from the pts of ``_terms``."""
-    if not tb.aligned:
-        return _cell_blocks(tb, k * (pts * pts))
-    full, um = pts
-    u2 = full * full
-    kl, km, kr = _blocks(tb, k)
-    cl, cm, cr = kl * u2[:-1], km * (um * um), kr * u2[1:]
+    over the two hats of each cell, of coef given by its three blocks."""
     lam, rlam = tb.lam_m, tb.rlam_m
     left = cm * rlam
     return cl + left * rlam, left * lam, cm * lam * lam + cr
+
+
+def _terms(tb, c, full):
+    """((full, um), L, R): the nodal and midpoint values, and each cell's
+    terms L = sum c u^3 (1 - lam) and R = sum c u^3 lam of the residual of
+    its left and right hats, u^3 formed once per node."""
+    um = _midpoints(tb, full)
+    cl, cm, cr = _blocks(tb, c)
+    u3 = full * full * full
+    fm = cm * (um * um * um)
+    return ((full, um),
+            *_cell_terms(tb, cl * u3[..., :-1], fm, cr * u3[..., 1:]))
 
 
 def stiffness_full(tb, u_full):
@@ -329,8 +252,8 @@ def hessian_full(tb, mu, u_full, v_full):
     one row per row of a stack v."""
     uq = _at_points(tb, u_full)
     coef = 3.0 * tb.qw * tb.amu(mu) * (uq * uq) * _at_points(tb, v_full)
-    return stiffness_full(tb, v_full) - _hats(_cell_sums(tb, coef * tb.rlam),
-                                              _cell_sums(tb, coef * tb.qlam))
+    return stiffness_full(tb, v_full) - \
+        _hats(*_cell_terms(tb, *_blocks(tb, coef)))
 
 
 class Operator:
@@ -344,10 +267,9 @@ class Operator:
     node, and the step solves the interior rows with the end values held
     (r then holds the interior residual rows only).  ``residual`` and
     ``actions`` also take a stack of values, one per row.  The point data
-    kept are ``_terms``'s point values, in the form the tables take and read
-    only through ``_points`` and ``_jac_blocks``, and each cell's hat terms
-    L and R, the same in either form, which ``_hats`` sums per node and
-    ``slopes`` reads per cell.
+    kept are ``_terms``'s nodal and midpoint values, and each cell's hat
+    terms L and R, which ``_hats`` sums per node and ``slopes`` reads per
+    cell.
     """
 
     def __init__(self, grid, mu):
@@ -382,7 +304,7 @@ class Operator:
         data = self._kept(values)
         if data is None:
             return _at_points(self.tb, self.grid.full_values(values))
-        return _points(self.tb, data[0])
+        return _points(*data[0])
 
     def residual(self, values):
         """Weak residual at values: folded on a periodic grid, one entry per
@@ -406,8 +328,13 @@ class Operator:
             0.25 * (self.c * (u2 * u2)).sum(axis=-1)
 
     def bands(self, values):
-        """Cellwise 2x2 blocks (LL, LR, RR) of the residual Jacobian."""
-        cLL, cLR, cRR = _jac_blocks(self.tb, self.k, self._data(values)[0])
+        """Cellwise 2x2 blocks (LL, LR, RR) of the residual Jacobian: the
+        cell blocks of k u^2."""
+        full, um = self._data(values)[0]
+        u2 = full * full
+        kl, km, kr = _blocks(self.tb, self.k)
+        cLL, cLR, cRR = _cell_blocks(self.tb, kl * u2[:-1], km * (um * um),
+                                     kr * u2[1:])
         inv = self.tb.inv_h
         return inv - cLL, -inv - cLR, inv - cRR
 
@@ -688,7 +615,7 @@ class Grid:
         sharing its last node with the next row; data with one per cell
         gives m."""
         if self.m <= 0:
-            raise WeightError("rows need uniform cells per subinterval")
+            raise WeightError("rows need one cell count per subinterval")
         if len(a) == len(self.nodes):
             return np.lib.stride_tricks.sliding_window_view(
                 a, self.m + 1)[::self.m]
@@ -730,7 +657,7 @@ def kept_grid(key, build):
     its quadrature tables are built once per process however many solves
     ask for them.  The _GRIDS_KEPT most recently asked keys are kept.  A
     kept grid's node and table arrays are read-only, as every caller gets
-    the same ones; the private index arrays the kernels use are not."""
+    the same ones."""
     with _grids_lock:
         grid = _grids.get(key)
         if grid is not None:
@@ -738,12 +665,8 @@ def kept_grid(key, build):
             return grid
         grid = build()
         tb = grid.tables
-        # qcell is handed out as a read-only view; the kernels index by the
-        # writable _qcell and qcell1, which numpy would copy on every take
-        # and bincount were they read-only
-        tb.qcell = tb._qcell.view()
-        for arr in (grid.nodes, tb.nodes, tb.h, tb.qcell, tb.qlam, tb.qw,
-                    tb.qap, tb.qam, tb.rlam, tb.inv_h):
+        for arr in (grid.nodes, tb.nodes, tb.h, tb.lam_m, tb.qw, tb.qap,
+                    tb.qam, tb.rlam_m, tb.inv_h):
             arr.flags.writeable = False
         _grids[key] = grid
         if len(_grids) > _GRIDS_KEPT:
@@ -757,10 +680,49 @@ def clear_grids():
         _grids.clear()
 
 
+def knot_mesh(w, bounds, n, graded=False, even=False):
+    """Nodes on the stretches between the increasing ``bounds`` with a node
+    on every weight knot, and the cell count of each stretch.
+
+    Each piece of a stretch between knots gets ceil(n len / stretch) cells
+    (to rounding), at least one, where n is the stretch's fewest cells (one
+    count for all or one per stretch); a knot within 1e-12 max(T, 1) of a
+    bound counts as that bound.  A piece's c nodes are uniform,
+    a + k ((b - a) / c), the bits of ``np.linspace``, or cosine-graded
+    towards both of its ends.  With ``even`` every stretch gets the largest
+    stretch's count, the extra cells going to its longest piece.
+    """
+    bounds = np.asarray(bounds, dtype=float)
+    ends = np.sort(np.concatenate([bounds, _loose_knots(w, bounds)]))
+    first = np.searchsorted(ends, bounds[:-1])    # each stretch's first piece
+    stretch = np.searchsorted(bounds, ends[:-1], side="right") - 1
+    length, span = ends[1:] - ends[:-1], bounds[1:] - bounds[:-1]
+    share = np.broadcast_to(n, span.shape)[stretch] * (length / span[stretch])
+    # a share within rounding of a whole count is that count, so that the
+    # pieces of a stretch cut evenly by its knots keep their counts when
+    # asked again for the counts they got
+    cells = np.maximum(np.ceil(share * (1.0 - 1e-9)), 1.0).astype(np.int64)
+    per = np.add.reduceat(cells, first)
+    if even:
+        longest = np.lexsort((-length, stretch))[first]
+        cells[longest] += per.max() - per
+        per[:] = per.max()
+    piece = np.repeat(np.arange(len(cells)), cells)
+    k = np.arange(len(piece)) - (np.cumsum(cells) - cells)[piece]
+    if graded:
+        steps = (0.5 * length)[piece] * \
+            (1.0 - np.cos(np.pi * k / cells[piece]))
+    else:
+        steps = k * (length / cells)[piece]
+    return np.concatenate([ends[:-1][piece] + steps, bounds[-1:]]), per
+
+
 def span_grid(w, i0, n_int, cells_per_interval):
-    """Periodic window over [sigma_{i0}, sigma_{i0+n_int}], uniform in each
-    I_i^pm; its right end is identified with its left.  The process keeps
-    it by the weight's content and (i0, n_int, cells) (``kept_grid``)."""
+    """Periodic window over [sigma_{i0}, sigma_{i0+n_int}] with the same
+    count of cells on each I_i^pm (``knot_mesh``, uniform and even), at
+    least ``cells_per_interval``; its right end is identified with its
+    left.  The process keeps it by the weight's content and (i0, n_int,
+    cells) (``kept_grid``)."""
     if n_int < 1:
         raise WeightError("need at least one weight period")
     if cells_per_interval < 8:
@@ -768,22 +730,23 @@ def span_grid(w, i0, n_int, cells_per_interval):
     m = int(cells_per_interval)
 
     def build():
-        parts = []
-        for i in range(i0, i0 + n_int):
-            parts.append(np.linspace(w.sigma(i), w.tau_i(i), m + 1)[:-1])
-            parts.append(np.linspace(w.tau_i(i), w.sigma(i + 1), m + 1)[:-1])
-        parts.append(np.array([w.sigma(i0 + n_int)]))
-        return Grid(w=w, nodes=np.concatenate(parts), periodic=True, i0=i0,
-                    n_int=n_int, m=m)
+        i = np.arange(i0, i0 + n_int)
+        bounds = np.append(np.column_stack([w.sigma(i), w.tau_i(i)]),
+                           w.sigma(i0 + n_int))
+        nodes, per = knot_mesh(w, bounds, m, even=True)
+        return Grid(w=w, nodes=nodes, periodic=True, i0=i0, n_int=n_int,
+                    m=int(per[0]))
 
     return kept_grid((weight_key(w), i0, n_int, m), build)
 
 
 def segment_grid(w, nodes):
-    """Clamped mesh on an arbitrary strictly increasing node array."""
+    """Clamped mesh on a strictly increasing node array, with every weight
+    knot farther than 1e-12 max(T, 1) from its nodes added as a node."""
     nodes = np.ascontiguousarray(nodes, dtype=float)
     if len(nodes) < 2 or np.any(np.diff(nodes) <= 0):
         raise WeightError("mesh nodes must be strictly increasing")
+    nodes = np.sort(np.concatenate([nodes, _loose_knots(w, nodes)]))
     return Grid(w=w, nodes=nodes, periodic=False)
 
 

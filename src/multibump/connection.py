@@ -128,7 +128,8 @@ def make_connection_problem(w, mu, x, y, l=1, K=None, r=None):
 
 
 def connection_grid(p, cells=None):
-    """Clamped mesh on the block, cosine-graded within each subinterval.
+    """Clamped mesh on the block, cosine-graded within each piece of a
+    subinterval between weight knots (``assembly.knot_mesh``).
 
     Cosine grading clusters nodes like 1/n^2 at subinterval ends, which is
     where the solution develops decay layers of width ~ (mu/2)^{-1/2}/|data|.
@@ -159,16 +160,9 @@ def connection_grid(p, cells=None):
         counts.append(min(n, 6000))
 
     def build():
-        parts, marks, count = [], {}, 0
-        for key, a, b, n in zip(keys, bounds[:-1], bounds[1:], counts):
-            k = np.arange(n, dtype=float)
-            parts.append(a + 0.5 * (b - a) * (1.0 - np.cos(math.pi * k / n)))
-            marks[key] = count
-            count += n
-        parts.append(np.array([p.t_hi]))
-        marks[keys[-1]] = count
-        return assembly.Grid(w=w, nodes=np.concatenate(parts),
-                             periodic=False, marks=marks)
+        nodes, per = assembly.knot_mesh(w, bounds, counts, graded=True)
+        marks = dict(zip(keys, np.append(0, np.cumsum(per)).tolist()))
+        return assembly.Grid(w=w, nodes=nodes, periodic=False, marks=marks)
 
     return assembly.kept_grid((weight_key(w), p.l, tuple(counts)), build)
 

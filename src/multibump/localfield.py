@@ -154,7 +154,7 @@ def _ground_on(w, t0, t1, n):
     Returns (grid, u_full, level, dleft, dright); level is inf when a+ has no
     mass on the subinterval.
     """
-    grid = assembly.segment_grid(w, np.linspace(t0, t1, n + 1))
+    grid = assembly.segment_grid(w, assembly.knot_mesh(w, [t0, t1], n)[0])
     tb = grid.tables
     x = grid.nodes
     u = np.sin(math.pi * (x - t0) / (t1 - t0))
@@ -241,7 +241,7 @@ def pinned_level_direct(w, tbar, mesh=None):
     tau = w.tau
     n = mesh or default_cells(w)
     nodes = assembly.sorted_unique(
-        np.concatenate([np.linspace(0.0, tau, n + 1), [tbar]]))
+        np.append(assembly.knot_mesh(w, [0.0, tau], n)[0], tbar))
     grid = assembly.segment_grid(w, nodes)
     tb = grid.tables
     pin = int(np.searchsorted(nodes, tbar))
@@ -280,10 +280,11 @@ def principal_eigenvalue(w, mesh=None):
     the M inner product.
     """
     n = mesh or default_cells(w)
-    grid = assembly.segment_grid(w, np.linspace(0.0, w.tau, n + 1))
+    grid = assembly.segment_grid(w, assembly.knot_mesh(w, [0.0, w.tau], n)[0])
     tb = grid.tables
 
-    mLL, mLR, mRR = assembly._cell_blocks(tb, tb.qw * tb.qap)
+    mLL, mLR, mRR = assembly._cell_blocks(
+        tb, *assembly._blocks(tb, tb.qw * tb.qap))
     mdiag = mRR[:-1] + mLL[1:]
     moff = mLR[1:-1]
 

@@ -93,17 +93,14 @@ class WeightSpec:
         return self.tau + i * self.period
 
     def knots_in_span(self, t0, t1):
-        """All weight breakpoints in [t0, t1], endpoints included, unwrapped."""
+        """All weight breakpoints in [t0, t1], endpoints included, unwrapped:
+        p T + s for every period p from floor(t0 / T) and every segment
+        start s, at once."""
         T = self.period
-        ks = []
-        p = math.floor(t0 / T)
-        while p * T < t1 + T:
-            for s in self.seg_knots[:-1]:
-                tk = p * T + s
-                if t0 < tk < t1:
-                    ks.append(tk)
-            p += 1
-        return np.array(sorted({t0, t1, *ks}))
+        p = np.arange(math.floor(t0 / T), math.ceil(t1 / T) + 1) * T
+        tk = p[:, None] + self.seg_knots[:-1]
+        return sorted_unique(np.concatenate([[t0, t1],
+                                             tk[(t0 < tk) & (tk < t1)]]))
 
     # -- exact integrals ----------------------------------------------------
 
@@ -152,6 +149,17 @@ class WeightSpec:
 
         return (moment(tau, tau + delta, lambda s: s - tau),
                 moment(T - delta, T, lambda s: T - s))
+
+
+def sorted_unique(a):
+    """The sorted distinct values of a 1-D array, as ``np.unique`` gives
+    them, by a sort and an equality mask: ``np.unique`` imports
+    ``numpy.ma`` on its first call, 15-19 ms of a fresh process."""
+    a = np.sort(a)
+    keep = np.empty(len(a), dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 # -- construction -----------------------------------------------------------

@@ -1,11 +1,12 @@
 import math
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multibump import assembly, connection, localfield, solver, weight
@@ -181,17 +182,12 @@ def test_periodic_eval_wraps(step_weight, rng):
 
 
 def test_quadrature_weight_split(step_weight):
-    """Cells never straddle a sign change: a_mu is single-signed per cell."""
+    """Cells never straddle a sign change: a_mu is single-signed per cell.
+    The three blocks of the tables are each cell's left end, midpoint and
+    right end, so cell c's points are column c of the blocks."""
     grid = assembly.span_grid(step_weight, 0, 2, 10)
-    tb = grid.tables
-    amu = tb.amu(50.0)
-    cell_sign = {}
-    for q in range(len(amu)):
-        c = int(tb.qcell[q])
-        s = np.sign(amu[q])
-        if c in cell_sign and s != 0:
-            assert cell_sign[c] * s >= 0
-        cell_sign.setdefault(c, s)
+    signs = np.sign(grid.tables.amu(50.0)).reshape(3, -1)
+    assert ((signs >= 0).all(axis=0) | (signs <= 0).all(axis=0)).all()
 
 
 def test_sobolev_poincare_random_grid_functions(step_weight, rng):
@@ -341,7 +337,8 @@ def test_lapack_wrappers_match_scipy_bits(step_weight, n, seed, columns):
     ``cholesky_banded`` with ``cho_solve_banded``, bit for bit.  (One
     unknown is refused by both; see the next test.)"""
     (LL, LR, RR), nodes, rhs = _spd_system(n, seed, columns)
-    tb = assembly.segment_grid(step_weight, nodes).tables
+    # within [sigma_0, tau_0], where the mesh needs no knot as a node
+    tb = assembly.segment_grid(step_weight, nodes / nodes[-1]).tables
     diag, off = RR[:-1] + LL[1:], LR[1:-1]
     assert np.array_equal(
         assembly.solve_interior(tb, rhs, (LL, LR, RR), definite=True),
@@ -437,15 +434,14 @@ def test_scipy_files_load_by_path(monkeypatch, tmp_path):
 
 
 def _ref_tables(w, nodes):
-    """build_tables with one Horner pass per weight segment (np.unique)."""
+    """build_tables with one Horner pass per weight segment (np.unique),
+    each point's cell found by a search and its barycentric position by
+    division: the cells are the Simpson subsegments, as every weight knot
+    is a node."""
     nodes = np.ascontiguousarray(nodes, dtype=float)
     h = np.diff(nodes)
     T = w.period
-    bounds = np.union1d(nodes, w.knots_in_span(nodes[0], nodes[-1]))
-    keep = np.concatenate([[True], np.diff(bounds) > 1e-12 * max(T, 1.0)])
-    bounds = bounds[keep]
-    bounds[0], bounds[-1] = nodes[0], nodes[-1]
-    a, b = bounds[:-1], bounds[1:]
+    a, b = nodes[:-1], nodes[1:]
     mid = 0.5 * (a + b)
     d = b - a
     cell = np.clip(np.searchsorted(nodes, mid, side="right") - 1, 0, len(h) - 1)
@@ -466,10 +462,12 @@ def _ref_tables(w, nodes):
             p = p * x + c[i]
         raw[m] = p
     pos = w.seg_positive[qseg]
-    return dict(nodes=nodes, h=h, qcell=qcell,
-                qlam=np.clip((qt - nodes[qcell]) / h[qcell], 0.0, 1.0), qw=qw,
-                qap=np.where(pos, np.maximum(raw, 0.0), 0.0),
-                qam=np.where(pos, 0.0, np.maximum(-raw, 0.0)))
+    qap = np.where(pos, np.maximum(raw, 0.0), 0.0)
+    qam = np.where(pos, 0.0, np.maximum(-raw, 0.0))
+    return SimpleNamespace(
+        nodes=nodes, h=h, qcell=qcell,
+        qlam=np.clip((qt - nodes[qcell]) / h[qcell], 0.0, 1.0), qw=qw,
+        qap=qap, qam=qam, amu=lambda mu: qap - mu * qam)
 
 
 def _ref_points(tb, full):
@@ -569,13 +567,13 @@ def test_operator_matches_reference_bits(w, code, cells, mu, periodic, seed):
     grid = assembly.span_grid(w, -1, len(code), cells)
     if not periodic:
         grid = assembly.segment_grid(w, grid.nodes)
-    tb = grid.tables
+    ref = _ref_tables(w, grid.nodes)
     rng = np.random.default_rng(seed)
     # a plateau of height 1-3 on each coded I_i^+ over noise
-    plateau = np.append(np.repeat([[s, 0] for s in code], cells), 0.0)
+    plateau = np.append(np.repeat([[s, 0] for s in code], grid.m), 0.0)
     values = rng.uniform(-0.5, 0.5, grid.ndof) + \
         rng.uniform(1.0, 3.0) * plateau[:grid.ndof]
-    r_ref, step_ref = _ref_residual_and_step(tb, mu, values, periodic)
+    r_ref, step_ref = _ref_residual_and_step(ref, mu, values, periodic)
     op = assembly.Operator(grid, mu)
     r = op.residual(values)
     rows = r if periodic else r[1:-1]
@@ -591,7 +589,7 @@ def _ref_one_sided_slope(tb, mu, full, uq, node, side):
     the reference of Operator.slopes."""
     if side == "+":
         c = node if node < len(tb.h) else 0
-        ramp, sign = tb.rlam, 1.0
+        ramp, sign = 1.0 - tb.qlam, 1.0
     else:
         c = node - 1 if node > 0 else len(tb.h) - 1
         ramp, sign = tb.qlam, -1.0
@@ -616,7 +614,7 @@ def test_operator_slopes(w, code, cells, mu, periodic, seed):
     grid = assembly.span_grid(w, -1, len(code), cells)
     if not periodic:
         grid = assembly.segment_grid(w, grid.nodes)
-    tb = grid.tables
+    ref = _ref_tables(w, grid.nodes)
     rng = np.random.default_rng(seed)
     values = rng.uniform(-3.0, 3.0, grid.ndof)
     op = assembly.Operator(grid, mu)
@@ -636,104 +634,14 @@ def test_operator_slopes(w, code, cells, mu, periodic, seed):
         assert right[0] == -r[0] and left[-1] == r[-1]
 
     full = grid.full_values(values)
-    uq = assembly._at_points(tb, full)
+    uq = _ref_points(ref, full)
     n = len(grid.nodes) - 1
     nodes = {0, n - 1, *rng.integers(0, n, 12).tolist()}
     checks = [(j, "+", right) for j in nodes] + \
         [(j, "-", left) for j in nodes | {n} if j or periodic]
     for j, side, got in checks:
-        ref, size = _ref_one_sided_slope(tb, mu, full, uq, j, side)
-        assert abs(got[grid.dof_of_node(j)] - ref) <= 1e-13 * size
-
-
-def _general_form(tb, run):
-    """run() with tb's node-aligned flag off: the general gather and
-    scatter on the same tables."""
-    assert tb.aligned
-    tb.aligned = False
-    try:
-        return run()
-    finally:
-        tb.aligned = True
-
-
-def _operator_outputs(grid, mu, values, stack):
-    """Everything the operator and ``cubic_full`` give at values (and a
-    stack), each from an operator of its own or after its residual."""
-    op = assembly.Operator(grid, mu)
-    r = op.residual(values)
-    rows = r if grid.periodic else r[1:-1]
-    stacked = assembly.Operator(grid, mu)
-    fresh = assembly.Operator(grid, mu)
-    return {
-        "residual": r, "bands": op.bands(values),
-        "step": op.step(values, rows), "slopes": op.slopes(values),
-        "points": op.points(values), "actions": op.actions(values),
-        "fresh bands": fresh.bands(values),
-        "fresh step": fresh.step(values, rows),
-        "fresh slopes": fresh.slopes(values),
-        "fresh points": fresh.points(values),
-        "fresh actions": fresh.actions(values),
-        "stack residual": stacked.residual(stack),
-        "stack actions": stacked.actions(stack),
-        "stack points": stacked.points(stack),
-        "cubic_full": assembly.cubic_full(grid.tables, mu,
-                                          grid.full_values(values)),
-    }
-
-
-@settings(max_examples=60, deadline=None)
-@given(w=_weights, mesh=st.sampled_from(["window", "clamped", "knots"]),
-       code=st.lists(st.integers(0, 1), min_size=1, max_size=3).filter(any),
-       cells=st.integers(8, 400), mu=st.floats(1.0, 1e5),
-       rows=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
-def test_node_aligned_form_matches_general_bits(w, mesh, code, cells, mu,
-                                                rows, seed):
-    """On node-aligned tables (step windows, clamped meshes of their nodes,
-    and clamped meshes holding every weight knot as a node) the operator,
-    its Newton step and ``cubic_full`` give the bits of the general gather
-    and scatter on the same tables, for one vector and a stack."""
-    w = _resolve("step" if mesh == "window" else w)
-    grid = assembly.span_grid(w, -1, len(code), cells)
-    if mesh == "clamped":
-        grid = assembly.segment_grid(w, grid.nodes)
-    elif mesh == "knots":
-        knots = w.knots_in_span(grid.nodes[0], grid.nodes[-1])
-        grid = assembly.segment_grid(w, assembly.sorted_unique(
-            np.concatenate([grid.nodes[::3], knots])))
-    tb = grid.tables
-    assume(tb.aligned)     # no knot merged into a node
-    rng = np.random.default_rng(seed)
-    stack = rng.uniform(-3.0, 3.0, (rows, grid.ndof))
-    values = stack[0].copy()
-    got = _operator_outputs(grid, mu, values, stack)
-    want = _general_form(tb, lambda: _operator_outputs(grid, mu, values,
-                                                       stack))
-    for name, ref in want.items():
-        if isinstance(ref, tuple):
-            assert all(np.array_equal(a, b, equal_nan=True)
-                       for a, b in zip(got[name], ref)), name
-        else:
-            assert np.array_equal(got[name], ref, equal_nan=True), name
-
-
-def test_knot_by_a_node_takes_the_general_form(step_weight):
-    """A weight knot within 1e-12 T left of a node is kept in its place, so
-    the cell left of it ends short of its node: the tables are not
-    node-aligned, and the operator still gives the reference's bits."""
-    T = step_weight.period
-    nodes = np.linspace(-1.5, 1.5, 121)
-    knot = step_weight.tau_i(0)
-    nodes[np.argmin(np.abs(nodes - knot))] = knot + 0.5e-12 * T
-    grid = assembly.segment_grid(step_weight, nodes)
-    tb = grid.tables
-    assert not tb.aligned and len(tb.qw) == 3 * len(tb.h)
-    values = np.random.default_rng(5).uniform(-1.0, 3.0, grid.ndof)
-    r_ref, step_ref = _ref_residual_and_step(tb, 700.0, values, False)
-    op = assembly.Operator(grid, 700.0)
-    r = op.residual(values)
-    assert np.array_equal(r, r_ref)
-    assert np.array_equal(op.step(values, r[1:-1]), step_ref)
+        want, size = _ref_one_sided_slope(ref, mu, full, uq, j, side)
+        assert abs(got[grid.dof_of_node(j)] - want) <= 1e-13 * size
 
 
 @settings(max_examples=60, deadline=None)
@@ -741,19 +649,124 @@ def test_knot_by_a_node_takes_the_general_form(step_weight):
        n=st.integers(2, 300), near=st.sampled_from([0.0, 1e-14, 1e-13, 1e-9]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_build_tables_matches_reference_bits(w, t0, span, n, near, seed):
-    """Tables on random meshes, with weight knots inside cells and nodes
-    within ``near`` of a knot (merged below 1e-12 T), equal the reference
-    field by field."""
+    """Tables on the meshes ``segment_grid`` makes of random nodes, some
+    within ``near`` of a knot (a knot farther than 1e-12 max(T, 1) from
+    every node becomes a node), equal the reference field by field: the
+    midpoint block's barycentric positions are ``lam_m``, and the end
+    blocks sit on the nodes."""
     w = _resolve(w)
     rng = np.random.default_rng(seed)
     knots = w.knots_in_span(t0, t0 + span)[1:-1]
     nodes = np.concatenate([[t0, t0 + span], rng.uniform(t0, t0 + span, n),
                             knots[rng.random(len(knots)) < 0.5] + near])
     nodes = np.unique(nodes[(nodes >= t0) & (nodes <= t0 + span)])
+    nodes = assembly.segment_grid(w, nodes).nodes
     tb = assembly.build_tables(w, nodes)
-    for name, ref in _ref_tables(w, nodes).items():
+    ref = _ref_tables(w, nodes)
+    cells = len(tb.h)
+    assert np.array_equal(ref.qcell, np.tile(np.arange(cells), 3))
+    assert (ref.qlam[:cells] == 0.0).all()
+    assert (ref.qlam[2 * cells:] == 1.0).all()
+    for name in ("nodes", "h", "lam_m", "qw", "qap", "qam"):
         got = getattr(tb, name)
-        assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+        want = ref.qlam[cells:2 * cells] if name == "lam_m" else \
+            getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def _knots_in_span_loop(w, t0, t1):
+    """``WeightSpec.knots_in_span`` as a loop over periods and segment
+    starts, kept as its reference."""
+    T = w.period
+    ks = []
+    p = math.floor(t0 / T)
+    while p * T < t1 + T:
+        for s in w.seg_knots[:-1]:
+            tk = p * T + s
+            if t0 < tk < t1:
+                ks.append(tk)
+        p += 1
+    return np.array(sorted({t0, t1, *ks}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(w=_weights, t0=st.floats(-40.0, 40.0), span=st.floats(0.0, 30.0))
+@example(w="step", t0=-3.0, span=6.0)
+def test_knots_in_span_is_the_loop(w, t0, span):
+    """The vectorized knots of a span are the loop's, bit for bit."""
+    w = _resolve(w)
+    got = w.knots_in_span(t0, t0 + span)
+    want = _knots_in_span_loop(w, t0, t0 + span)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _knot_gap(w, nodes, knots):
+    """How far each knot lies from the nearest node."""
+    j = np.clip(np.searchsorted(nodes, knots), 1, len(nodes) - 1)
+    return np.minimum(np.abs(knots - nodes[j - 1]), np.abs(nodes[j] - knots))
+
+
+@settings(max_examples=80, deadline=None)
+@given(w=_weights, t0=st.floats(-6.0, 6.0),
+       cuts=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=4),
+       n=st.integers(1, 40), graded=st.booleans(), even=st.booleans(),
+       i0=st.integers(-3, 3), L=st.integers(1, 3), m=st.integers(8, 300),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_meshes_hold_every_knot(w, t0, cuts, n, graded, even, i0, L, m,
+                                seed):
+    """``knot_mesh`` puts a node on every weight knot (to 1e-12 max(T, 1)),
+    gives each piece between knots at least its rounded-up share of its
+    stretch's n cells, at least one, and with ``even`` the same count to
+    every stretch; its nodes increase strictly, and a stretch of one piece
+    has ``np.linspace``'s nodes.  A window has the same count on every row,
+    each row from its sigma_i to its tau_i.  ``segment_grid`` adds every
+    knot to arbitrary nodes, and ``build_tables`` refuses a knot inside a
+    cell."""
+    w = _resolve(w)
+    tol = 1e-12 * max(w.period, 1.0)
+    bounds = t0 + np.cumsum(np.concatenate([[0.0], cuts]))
+    nodes, per = assembly.knot_mesh(w, bounds, n, graded=graded, even=even)
+    starts = np.append(0, np.cumsum(per))
+    assert np.all(np.diff(nodes) > 0.0) and len(nodes) == starts[-1] + 1
+    assert np.array_equal(nodes[starts], bounds)
+    knots = w.knots_in_span(bounds[0], bounds[-1])
+    assert np.all(_knot_gap(w, nodes, knots) <= tol)
+    if even:
+        assert np.all(per == per[0])
+    for s, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        inner = knots[(knots > a + tol) & (knots < b - tol)]
+        ends = np.concatenate([[a], inner, [b]])
+        j = np.searchsorted(nodes, ends)
+        j[np.abs(nodes[np.minimum(j, len(nodes) - 1)] - ends) > tol] -= 1
+        share = np.ceil(n * (np.diff(ends) / (b - a)) * (1.0 - 1e-9))
+        assert np.all(np.diff(j) >= np.maximum(share, 1.0))
+        if len(inner) == 0 and not graded:
+            assert np.array_equal(nodes[starts[s]:starts[s + 1] + 1],
+                                  np.linspace(a, b, per[s] + 1))
+
+    grid = assembly.span_grid(w, i0, L, m)
+    rows = grid.rows(grid.nodes)
+    i = np.arange(i0, i0 + L)
+    assert grid.m >= m and rows.shape == (2 * L, grid.m + 1)
+    assert np.array_equal(rows[::2, 0], w.sigma(i))
+    assert np.array_equal(rows[1::2, 0], w.tau_i(i))
+    assert np.array_equal(rows[1::2, -1], w.sigma(i + 1))
+    tb = grid.tables
+    assert len(tb.qw) == 3 * len(tb.h)
+
+    rng = np.random.default_rng(seed)
+    free = np.unique(rng.uniform(bounds[0], bounds[-1], 3 * n))
+    free = np.concatenate([[bounds[0]], free[(free > bounds[0])
+                                            & (free < bounds[-1])],
+                           [bounds[-1]]])
+    seg = assembly.segment_grid(w, free)
+    assert np.all(np.isin(free, seg.nodes))
+    assert np.all(_knot_gap(w, seg.nodes, knots) <= tol)
+    inner = knots[(knots > bounds[0] + tol) & (knots < bounds[-1] - tol)]
+    for k in inner[:1]:
+        cut = np.delete(nodes, np.argmin(np.abs(nodes - k)))
+        with pytest.raises(WeightError, match="inside a cell"):
+            assembly.build_tables(w, cut)
 
 
 # -- grids kept per process ---------------------------------------------------
@@ -839,20 +852,10 @@ def test_kept_grids_under_threads():
 
 def test_kept_grid_arrays_are_read_only():
     grid = assembly.span_grid(weight.make_step_weight(), 0, 1, 16)
-    for arr in (grid.nodes, grid.tables.qw, grid.tables.qcell,
+    for arr in (grid.nodes, grid.tables.qw, grid.tables.lam_m,
                 grid.tables.inv_h):
         with pytest.raises(ValueError):
             arr[0] = arr[0]
-
-
-def test_kept_grid_kernels_index_writable_arrays():
-    """The kernels gather and scatter through writable index arrays (numpy
-    copies a read-only index on every ``take`` and ``bincount``), and the
-    read-only ``qcell`` handed out is a view of the same memory."""
-    tb = assembly.span_grid(weight.make_step_weight(), 0, 1, 16).tables
-    assert tb._qcell.flags.writeable and tb.qcell1.flags.writeable
-    assert not tb.qcell.flags.writeable
-    assert tb.qcell.base is tb._qcell
 
 
 def test_stacked_residual_rows_match_single_rows(rng):

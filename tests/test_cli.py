@@ -367,6 +367,41 @@ def test_weight_file_shared_across_commands(tmp_path):
     assert localfield.levels_of(w) is shared
 
 
+def _two_level_pieces():
+    """A weight with a knot inside I^+ and one inside I^-."""
+    return weight.build_weight(2.2, 1.0, [
+        weight.Piece(0.0, 0.4, "poly", (1.0,)),
+        weight.Piece(0.4, 1.0, "poly", (2.0,)),
+        weight.Piece(1.0, 1.5, "poly", (-1.0,)),
+        weight.Piece(1.5, 2.2, "poly", (-2.0,))])
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--weight", "sine", "--symbols", "10", "--mu", "1e3"],
+    ["verify", "--weight", "sine", "--symbols", "1", "--mu-from", "1e2",
+     "--mu-to", "1e4", "--points", "3"],
+    ["local", "--weight", "two_level.json"]], ids=lambda a: a[0])
+def test_weights_with_knots_inside_subintervals(tmp_path, monkeypatch, argv):
+    """The sine weight and a two-level weight file run to exit 0, and the
+    tables of every mesh they build hold one Simpson triple per cell: each
+    mesh has a node on every weight knot."""
+    weight.save_weight_json(_two_level_pieces(), tmp_path / "two_level.json")
+    monkeypatch.chdir(tmp_path)
+    built = []
+    build_tables = assembly.build_tables
+
+    def recorded(w, nodes):
+        built.append(build_tables(w, nodes))
+        return built[-1]
+
+    monkeypatch.setattr(assembly, "build_tables", recorded)
+    assert cli.main(argv + ["--outdir", str(tmp_path / "out")]) == 0
+    assert built
+    assert all(len(tb.qw) == 3 * len(tb.h) for tb in built)
+    for grid in assembly._grids.values():
+        assert any(grid.tables is tb for tb in built)
+
+
 def test_shared_arrays_are_read_only():
     w = cli.resolve_weight("step")[0]
     ev = localfield.levels_of(w)

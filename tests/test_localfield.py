@@ -84,9 +84,10 @@ def test_principal_eigenvalue_methods_agree(step_weight, sine_weight):
 def _dense_principal_eigenvalue(w, n):
     """Reference: the dense generalized eigensolve of the same pencil, for
     the largest eigenvalue 1/lambda1 of M phi = nu K phi."""
-    grid = assembly.segment_grid(w, np.linspace(0.0, w.tau, n + 1))
+    grid = assembly.segment_grid(w, assembly.knot_mesh(w, [0.0, w.tau], n)[0])
     tb = grid.tables
-    mLL, mLR, mRR = assembly._cell_blocks(tb, tb.qw * tb.qap)
+    mLL, mLR, mRR = assembly._cell_blocks(
+        tb, *assembly._blocks(tb, tb.qw * tb.qap))
     inv = 1.0 / tb.h
     K = np.diag(inv[:-1] + inv[1:]) - np.diag(inv[1:-1], 1) \
         - np.diag(inv[1:-1], -1)
@@ -225,7 +226,7 @@ def test_level_evaluator_caches(step_weight):
 
 @pytest.mark.parametrize("name,c,c_zeta", [
     ("step", 15.756802489165743, 23.520697506848535),
-    ("sine", 0.5514246200560065, 0.8211636916879304),
+    ("sine", 0.5514245240879266, 0.8211635195656415),
 ])
 def test_default_mesh_levels_pinned(name, c, c_zeta):
     """c and c_zeta at the default mesh, as computed before the descent's

@@ -92,10 +92,8 @@ def test_report_roundtrip(sol_10):
 def test_one_gradient_per_iterate(step_weight, monkeypatch):
     """A solve evaluates the gradient once per (iterate, mu): the counted
     extra Newton step reuses the residual Newton returns at its iterate,
-    and every Newton step reuses the point values of that residual.  The
-    step weight's windows are node-aligned, so an evaluation there is one
-    ``_terms`` call, which gathers by ``_at_points`` on general tables
-    only."""
+    and every Newton step reuses the point values of that residual: an
+    evaluation is one ``_terms`` call, and ``_at_points`` never runs."""
     # the levels are solved before
     weight.build_constant_pack(step_weight, localfield.levels_of(step_weight))
     seen = []
@@ -121,7 +119,7 @@ def test_one_gradient_per_iterate(step_weight, monkeypatch):
     monkeypatch.setattr(assembly, "_terms", counted_terms)
     sol = solver.solve_multibump(step_weight, solver.make_window((1, 0)),
                                  1e3, cells=200)
-    assert sol.report.certified and sol.grid.tables.aligned
+    assert sol.report.certified
     # Newton's residuals plus the one certificate; no iterate twice
     assert len(seen) == len(set(seen)) > 1
     assert len(points) == len(seen)

@@ -141,10 +141,12 @@ def ref_identities_ii_iv(sol):
     coded = [w.i_start + j for j, s in enumerate(w.symbols) if s == 1]
     res_ii = 0.0
     uq_all = assembly._at_points(tb, full)
+    n = len(tb.h)
     for i in coded:
         a, b = _nodes(grid, i, "plus")
         kin = float(assembly.dirichlet_energy(tb.h[a:b], full[a:b + 1]))
-        mask = (tb.qcell >= a) & (tb.qcell < b)
+        # cells a..b of each of the tables' three blocks, in table order
+        mask = np.concatenate([np.arange(a, b) + k * n for k in range(3)])
         quart = float(np.sum(tb.qw[mask] * tb.amu(mu)[mask]
                              * uq_all[mask] ** 4))
         bdry = right[b] * full[b] - left[a] * full[a]
