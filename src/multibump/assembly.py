@@ -31,8 +31,7 @@ whose ``actions`` is the package's one evaluation of the action J_mu.
 
 The process keeps the last _GRIDS_KEPT window grids and connection-block
 meshes by their content (``kept_grid``), tables included, with read-only
-arrays.  Sorted node sets come from ``sorted_unique``, not ``np.unique``,
-which imports ``numpy.ma`` on its first call.
+arrays.
 
 The tables hold one Simpson triple per cell, so the left and right ends of
 the cells are the nodes: the cubic terms work on node and midpoint arrays
@@ -680,16 +679,15 @@ def clear_grids():
         _grids.clear()
 
 
-def knot_mesh(w, bounds, n, graded=False, even=False):
+def knot_mesh(w, bounds, n, even=False):
     """Nodes on the stretches between the increasing ``bounds`` with a node
     on every weight knot, and the cell count of each stretch.
 
     Each piece of a stretch between knots gets ceil(n len / stretch) cells
-    (to rounding), at least one, where n is the stretch's fewest cells (one
-    count for all or one per stretch); a knot within 1e-12 max(T, 1) of a
-    bound counts as that bound.  A piece's c nodes are uniform,
-    a + k ((b - a) / c), the bits of ``np.linspace``, or cosine-graded
-    towards both of its ends.  With ``even`` every stretch gets the largest
+    (to rounding), at least one, so a weight's knots set a floor on the
+    count that no n lowers; a knot within 1e-12 max(T, 1) of a bound counts
+    as that bound.  A piece's c nodes are uniform, a + k ((b - a) / c), the
+    bits of ``np.linspace``.  With ``even`` every stretch gets the largest
     stretch's count, the extra cells going to its longest piece.
     """
     bounds = np.asarray(bounds, dtype=float)
@@ -697,7 +695,7 @@ def knot_mesh(w, bounds, n, graded=False, even=False):
     first = np.searchsorted(ends, bounds[:-1])    # each stretch's first piece
     stretch = np.searchsorted(bounds, ends[:-1], side="right") - 1
     length, span = ends[1:] - ends[:-1], bounds[1:] - bounds[:-1]
-    share = np.broadcast_to(n, span.shape)[stretch] * (length / span[stretch])
+    share = n * (length / span[stretch])
     # a share within rounding of a whole count is that count, so that the
     # pieces of a stretch cut evenly by its knots keep their counts when
     # asked again for the counts they got
@@ -709,11 +707,7 @@ def knot_mesh(w, bounds, n, graded=False, even=False):
         per[:] = per.max()
     piece = np.repeat(np.arange(len(cells)), cells)
     k = np.arange(len(piece)) - (np.cumsum(cells) - cells)[piece]
-    if graded:
-        steps = (0.5 * length)[piece] * \
-            (1.0 - np.cos(np.pi * k / cells[piece]))
-    else:
-        steps = k * (length / cells)[piece]
+    steps = k * (length / cells)[piece]
     return np.concatenate([ends[:-1][piece] + steps, bounds[-1:]]), per
 
 
@@ -740,13 +734,16 @@ def span_grid(w, i0, n_int, cells_per_interval):
     return kept_grid((weight_key(w), i0, n_int, m), build)
 
 
-def segment_grid(w, nodes):
+def segment_grid(w, nodes, add_knots=True):
     """Clamped mesh on a strictly increasing node array, with every weight
-    knot farther than 1e-12 max(T, 1) from its nodes added as a node."""
+    knot farther than 1e-12 max(T, 1) from its nodes added as a node; nodes
+    that hold every knot already (``knot_mesh``'s) are taken as they are
+    with ``add_knots=False``, and ``build_tables`` checks them."""
     nodes = np.ascontiguousarray(nodes, dtype=float)
     if len(nodes) < 2 or np.any(np.diff(nodes) <= 0):
         raise WeightError("mesh nodes must be strictly increasing")
-    nodes = np.sort(np.concatenate([nodes, _loose_knots(w, nodes)]))
+    if add_knots:
+        nodes = np.sort(np.concatenate([nodes, _loose_knots(w, nodes)]))
     return Grid(w=w, nodes=nodes, periodic=False)
 
 

@@ -128,15 +128,17 @@ def make_connection_problem(w, mu, x, y, l=1, K=None, r=None):
 
 
 def connection_grid(p, cells=None):
-    """Clamped mesh on the block, cosine-graded within each piece of a
-    subinterval between weight knots (``assembly.knot_mesh``).
+    """Clamped mesh on the block, cosine-graded over each subinterval, with
+    every weight knot inside a subinterval added as a node
+    (``assembly.segment_grid``).
 
     Cosine grading clusters nodes like 1/n^2 at subinterval ends, which is
     where the solution develops decay layers of width ~ (mu/2)^{-1/2}/|data|.
     ``cells`` sets the minimum cell count per subinterval; the count grows
-    automatically until the first cell resolves the layer.  The process
-    keeps the grid by the weight's content, l and the cell count of
-    each subinterval (``assembly.kept_grid``).
+    automatically until the first cell resolves the layer, up to 6000
+    graded cells, and each knot inside the subinterval adds one cell more.
+    The process keeps the grid by the weight's content, l and the graded
+    cell count of each subinterval (``assembly.kept_grid``).
     """
     base = 160 if cells is None else int(cells)
     if base < 8:
@@ -150,21 +152,23 @@ def connection_grid(p, cells=None):
         keys += [("s", j), ("t", j)]
     bounds.append(p.t_hi)
     keys.append(("s", p.l))
-    counts = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        L = b - a
-        n = base
-        if lam > 0.0:
-            target = min(L / 16.0, 1.0 / (10.0 * lam))
-            n = max(base, int(math.ceil(0.5 * math.pi * math.sqrt(L / target))))
-        counts.append(min(n, 6000))
+    a, L = np.array(bounds[:-1]), np.diff(bounds)
+    n = np.full(len(L), base)
+    if lam > 0.0:
+        target = np.minimum(L / 16.0, 1.0 / (10.0 * lam))
+        n = np.maximum(n, np.ceil(0.5 * math.pi * np.sqrt(L / target)))
+    n = np.minimum(n, 6000).astype(np.int64)
 
     def build():
-        nodes, per = assembly.knot_mesh(w, bounds, counts, graded=True)
-        marks = dict(zip(keys, np.append(0, np.cumsum(per)).tolist()))
-        return assembly.Grid(w=w, nodes=nodes, periodic=False, marks=marks)
+        s = np.repeat(np.arange(len(n)), n)
+        k = np.arange(len(s)) - (np.cumsum(n) - n)[s]
+        grid = assembly.segment_grid(w, np.append(
+            a[s] + 0.5 * L[s] * (1.0 - np.cos(math.pi * k / n[s])), p.t_hi))
+        grid.marks = dict(zip(keys, np.searchsorted(grid.nodes,
+                                                    bounds).tolist()))
+        return grid
 
-    return assembly.kept_grid((weight_key(w), p.l, tuple(counts)), build)
+    return assembly.kept_grid((weight_key(w), p.l, tuple(n.tolist())), build)
 
 
 def decay_profile(p, ts):

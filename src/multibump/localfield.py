@@ -154,7 +154,8 @@ def _ground_on(w, t0, t1, n):
     Returns (grid, u_full, level, dleft, dright); level is inf when a+ has no
     mass on the subinterval.
     """
-    grid = assembly.segment_grid(w, assembly.knot_mesh(w, [t0, t1], n)[0])
+    grid = assembly.segment_grid(w, assembly.knot_mesh(w, [t0, t1], n)[0],
+                                add_knots=False)
     tb = grid.tables
     x = grid.nodes
     u = np.sin(math.pi * (x - t0) / (t1 - t0))
@@ -242,7 +243,7 @@ def pinned_level_direct(w, tbar, mesh=None):
     n = mesh or default_cells(w)
     nodes = assembly.sorted_unique(
         np.append(assembly.knot_mesh(w, [0.0, tau], n)[0], tbar))
-    grid = assembly.segment_grid(w, nodes)
+    grid = assembly.segment_grid(w, nodes, add_knots=False)
     tb = grid.tables
     pin = int(np.searchsorted(nodes, tbar))
     free = np.array([j for j in range(1, len(nodes) - 1) if j != pin])
@@ -280,7 +281,8 @@ def principal_eigenvalue(w, mesh=None):
     the M inner product.
     """
     n = mesh or default_cells(w)
-    grid = assembly.segment_grid(w, assembly.knot_mesh(w, [0.0, w.tau], n)[0])
+    grid = assembly.segment_grid(w, assembly.knot_mesh(w, [0.0, w.tau], n)[0],
+                                add_knots=False)
     tb = grid.tables
 
     mLL, mLR, mRR = assembly._cell_blocks(

@@ -284,9 +284,11 @@ def _continuation(w, window, mu_list, cells):
     and walks the list downward, each mu from the last converged iterate.
     The walk runs on a coarse mesh of max(8, cells // COARSE_DIV) cells per
     subinterval, and each stop's Newton on the solve mesh starts from the
-    coarse solution interpolated there.  Where the coarse Newton fails, the
-    stop starts from the last fine iterate (the pasted bumps at the top) and
-    the coarse walk resumes from the fine solution at the coarse nodes.
+    coarse solution interpolated there.  A weight's knots set a floor on
+    both counts (``assembly.knot_mesh``), at which the meshes are one.
+    Where the coarse Newton fails, the stop starts from the last fine
+    iterate (the pasted bumps at the top) and the coarse walk resumes from
+    the fine solution at the coarse nodes.
     The states come out in increasing mu once the walk ends, each carrying
     the whole walk as continuation_path (fine Newton steps) and coarse_path
     (coarse steps, None where the coarse Newton failed).  When the fine

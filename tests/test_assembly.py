@@ -709,23 +709,22 @@ def _knot_gap(w, nodes, knots):
 @settings(max_examples=80, deadline=None)
 @given(w=_weights, t0=st.floats(-6.0, 6.0),
        cuts=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=4),
-       n=st.integers(1, 40), graded=st.booleans(), even=st.booleans(),
+       n=st.integers(1, 40), even=st.booleans(),
        i0=st.integers(-3, 3), L=st.integers(1, 3), m=st.integers(8, 300),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_meshes_hold_every_knot(w, t0, cuts, n, graded, even, i0, L, m,
-                                seed):
+def test_meshes_hold_every_knot(w, t0, cuts, n, even, i0, L, m, seed):
     """``knot_mesh`` puts a node on every weight knot (to 1e-12 max(T, 1)),
     gives each piece between knots at least its rounded-up share of its
     stretch's n cells, at least one, and with ``even`` the same count to
     every stretch; its nodes increase strictly, and a stretch of one piece
     has ``np.linspace``'s nodes.  A window has the same count on every row,
     each row from its sigma_i to its tau_i.  ``segment_grid`` adds every
-    knot to arbitrary nodes, and ``build_tables`` refuses a knot inside a
-    cell."""
+    knot to arbitrary nodes and takes ``knot_mesh``'s as they are, and
+    ``build_tables`` refuses a knot inside a cell."""
     w = _resolve(w)
     tol = 1e-12 * max(w.period, 1.0)
     bounds = t0 + np.cumsum(np.concatenate([[0.0], cuts]))
-    nodes, per = assembly.knot_mesh(w, bounds, n, graded=graded, even=even)
+    nodes, per = assembly.knot_mesh(w, bounds, n, even=even)
     starts = np.append(0, np.cumsum(per))
     assert np.all(np.diff(nodes) > 0.0) and len(nodes) == starts[-1] + 1
     assert np.array_equal(nodes[starts], bounds)
@@ -740,7 +739,7 @@ def test_meshes_hold_every_knot(w, t0, cuts, n, graded, even, i0, L, m,
         j[np.abs(nodes[np.minimum(j, len(nodes) - 1)] - ends) > tol] -= 1
         share = np.ceil(n * (np.diff(ends) / (b - a)) * (1.0 - 1e-9))
         assert np.all(np.diff(j) >= np.maximum(share, 1.0))
-        if len(inner) == 0 and not graded:
+        if len(inner) == 0:
             assert np.array_equal(nodes[starts[s]:starts[s + 1] + 1],
                                   np.linspace(a, b, per[s] + 1))
 
@@ -761,6 +760,8 @@ def test_meshes_hold_every_knot(w, t0, cuts, n, graded, even, i0, L, m,
                            [bounds[-1]]])
     seg = assembly.segment_grid(w, free)
     assert np.all(np.isin(free, seg.nodes))
+    assert np.array_equal(
+        assembly.segment_grid(w, nodes, add_knots=False).nodes, nodes)
     assert np.all(_knot_gap(w, seg.nodes, knots) <= tol)
     inner = knots[(knots > bounds[0] + tol) & (knots < bounds[-1] - tol)]
     for k in inner[:1]:

@@ -217,6 +217,40 @@ def test_interiority_failure_small_mu(step_weight, default_caps):
         connection.solve_connection(p, cells=120)
 
 
+def _two_level():
+    """Two levels on each sign interval, so a knot inside each subinterval."""
+    P = weight.Piece
+    return weight.build_weight(2.6, 1.45, [
+        P(0.0, 0.8, "poly", (1.7,)), P(0.8, 1.45, "poly", (0.9,)),
+        P(1.45, 2.1, "poly", (-1.4,)), P(2.1, 2.6, "poly", (-1.5,))])
+
+
+@pytest.mark.parametrize("case", [("sine", 2000.0, 0.6, 0.4),
+                                  ("two_level", 300.0, 0.2, 0.9)],
+                         ids=["sine", "two_level"])
+def test_knots_inside_subintervals_keep_the_layers(case, sine_weight):
+    """On weights with knots inside the subintervals, the block's default
+    mesh holds every knot and stays cosine-graded over each subinterval:
+    the cells at every subinterval end resolve the decay layer, and the
+    solution and its end slopes lie within 1e-4 and 3e-3 of an 8x-refined
+    solve."""
+    name, mu, x, y = case
+    w = sine_weight if name == "sine" else _two_level()
+    p = connection.make_connection_problem(w, mu, x, y)
+    s = connection.solve_connection(p)
+    grid, h = s.grid, s.grid.tables.h
+    ends = sorted(grid.marks.values())
+    lam = math.sqrt(0.5 * mu) * max(abs(x), abs(y))
+    for a, b in zip(ends[:-1], ends[1:]):
+        target = min(float(grid.nodes[b] - grid.nodes[a]) / 16.0,
+                     1.0 / (10.0 * lam))
+        assert h[a] <= target and h[b - 1] <= target
+    fine = connection.solve_connection(p, cells=8 * 160)
+    assert np.max(np.abs(s.u.full() - fine.u.eval(grid.nodes))) <= 1e-4
+    assert np.max(np.abs(np.subtract(s.boundary_slopes,
+                                     fine.boundary_slopes))) <= 3e-3
+
+
 def test_block_action_positive(sol):
     # x = y > 0 data forces kinetic energy through the negativity wells
     assert sol.op.actions(sol.u.values) > 0.0
