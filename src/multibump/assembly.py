@@ -16,12 +16,16 @@ point values.  The same point values give the one-sided slopes u'(t_j-)
 and u'(t_j+) at every node, the flux of the node's half hat on each
 neighbouring cell (Wheeler, SIAM J. Numer. Anal. 11, 1974); that is the
 one slope recovery of the package.
-Tridiagonal systems go to LAPACK ?gtsv directly, cyclic ones through a
-Sherman-Morrison correction (Press et al., Numerical Recipes, sec. 2.7);
-positive definite ones go to ?ptsv, and a factor kept for many solves to
-?pbtrf and ?pbtrs.  The four routines come from scipy's f2py module
-``scipy.linalg._flapack``, loaded by its path (``_scipy_files``), so
-``scipy.linalg``'s package ``__init__`` never runs.  Each routine gets the
+The Newton system of every grid is one pair (diag, off) from
+``Operator.tridiagonal``: on a window the cyclic system of its dofs, on a
+clamped mesh the interior rows with their couplings to the held end
+values.  ``solve_tridiagonal`` solves either by LAPACK ?gtsv, the cyclic
+one through a Sherman-Morrison correction (Press et al., Numerical
+Recipes, sec. 2.7), and ``solve_definite`` a positive definite one by
+?ptsv; a factor kept for many solves goes to ?pbtrf and ?pbtrs.  The
+four routines come from scipy's f2py module ``scipy.linalg._flapack``,
+loaded by its path (``_scipy_files``), so ``scipy.linalg``'s package
+``__init__`` never runs.  Each routine gets the
 inputs scipy's banded solver for the job gives it (``solve_banded``,
 ``solveh_banded``, ``cholesky_banded``, ``cho_solve_banded``), so the
 results are the same bits, and the definite wrappers keep those functions'
@@ -31,7 +35,7 @@ whose ``actions`` is the package's one evaluation of the action J_mu.
 
 The process keeps the last _GRIDS_KEPT window grids and connection-block
 meshes by their content (``kept_grid``), tables included, with read-only
-arrays.
+arrays; the kept grids take no lock, as the package starts no thread.
 
 The tables hold one Simpson triple per cell, so the left and right ends of
 the cells are the nodes: the cubic terms work on node and midpoint arrays
@@ -47,7 +51,6 @@ block's mesh records its sigma_j and tau_j nodes (``Grid.marks``).
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -255,6 +258,14 @@ def hessian_full(tb, mu, u_full, v_full):
         _hats(*_cell_terms(tb, *_blocks(tb, coef)))
 
 
+def _kept(last, values):
+    """data of last = (values, data) when it is at values, else None."""
+    if last is not None and last[0].shape == np.shape(values) and \
+            (last[0] == values).all():
+        return last[1]
+    return None
+
+
 class Operator:
     """Weak residual and Newton step of the action at one mu on one grid.
 
@@ -277,22 +288,15 @@ class Operator:
         self.mu = mu
         self.c = self.tb.qw * self.tb.amu(mu)
         self._last = None          # (values, point data) of the last residual
+        self._jac = None           # (values, system) last formed, clamped
 
     @cached_property
     def k(self):
         return 3.0 * self.tb.qw * self.tb.amu(self.mu)
 
-    def _kept(self, values):
-        """The point data of the last ``residual`` when it was at values."""
-        last = self._last
-        if last is not None and last[0].shape == np.shape(values) and \
-                (last[0] == values).all():
-            return last[1]
-        return None
-
     def _data(self, values):
         """The point data at values, kept or formed afresh."""
-        data = self._kept(values)
+        data = _kept(self._last, values)
         if data is not None:
             return data
         return _terms(self.tb, self.c, self.grid.full_values(values))
@@ -300,7 +304,7 @@ class Operator:
     def points(self, values):
         """The interpolant of values at the quadrature points: those of the
         last ``residual`` when it was at the same values."""
-        data = self._kept(values)
+        data = _kept(self._last, values)
         if data is None:
             return _at_points(self.tb, self.grid.full_values(values))
         return _points(*data[0])
@@ -326,28 +330,33 @@ class Operator:
         return 0.5 * dirichlet_energy(self.tb.h, full) - \
             0.25 * (self.c * (u2 * u2)).sum(axis=-1)
 
-    def bands(self, values):
-        """Cellwise 2x2 blocks (LL, LR, RR) of the residual Jacobian: the
-        cell blocks of k u^2."""
+    def tridiagonal(self, values):
+        """The Newton system at values as (diag, off), which ``step``
+        solves: on a periodic mesh the cyclic system of the dofs,
+        ``off[-1]`` coupling the last dof to the first; on a clamped mesh
+        the interior rows, off one per cell, so ``off[0]`` and ``off[-1]``
+        couple them to the held end values.  A clamped mesh's system is kept
+        for its values, so a block's stalled descent hands it to the
+        polish."""
+        jac = _kept(self._jac, values)
+        if jac is not None:
+            return jac
         full, um = self._data(values)[0]
         u2 = full * full
         kl, km, kr = _blocks(self.tb, self.k)
         cLL, cLR, cRR = _cell_blocks(self.tb, kl * u2[:-1], km * (um * um),
                                      kr * u2[1:])
         inv = self.tb.inv_h
-        return inv - cLL, -inv - cLR, inv - cRR
-
-    def tridiagonal(self, values):
-        """Jacobian on the dofs as bands (diag, off); on a periodic mesh
-        ``off[-1]`` is the corner coupling the last dof to the first, the
-        cyclic form ``solve_tridiagonal`` takes."""
-        dLL, dLR, dRR = self.bands(values)
-        if not self.grid.periodic:
-            return np.append(dLL, 0.0) + np.insert(dRR, 0, 0.0), dLR
-        diag = np.empty(len(dLL))
-        diag[0] = dLL[0] + dRR[-1]
-        np.add(dLL[1:], dRR[:-1], out=diag[1:])
-        return diag, dLR
+        dLL, dRR = inv - cLL, inv - cRR
+        off = -inv - cLR
+        if self.grid.periodic:
+            diag = np.empty(len(dLL))
+            diag[0] = dLL[0] + dRR[-1]
+            np.add(dLL[1:], dRR[:-1], out=diag[1:])
+        else:
+            diag = dLL[1:] + dRR[:-1]
+            self._jac = (np.array(values), (diag, off))
+        return diag, off
 
     def slopes(self, values):
         """(u'(t_j-), u'(t_j+)) at every node: the cell slope corrected by
@@ -370,12 +379,10 @@ class Operator:
         return np.append(np.nan, into), np.append(out, np.nan)
 
     def step(self, values, r):
-        """Newton step for residual rows r at values; raises NewtonFailure
-        on a singular or non-finite solve."""
+        """Newton step for residual rows r at values, by ``tridiagonal``;
+        raises NewtonFailure on a singular or non-finite solve."""
         try:
-            if self.grid.periodic:
-                return solve_tridiagonal(*self.tridiagonal(values), r)
-            return solve_interior(self.tb, r, self.bands(values))
+            return solve_tridiagonal(*self.tridiagonal(values), r)
         except np.linalg.LinAlgError as e:
             raise NewtonFailure(f"singular Jacobian: {e}") from None
 
@@ -386,12 +393,9 @@ class Operator:
 def _gtsv(off, diag, b, overwrite_b=False):
     """x with T x = b for the symmetric tridiagonal T = (diag, off), by
     LAPACK ?gtsv (LU with partial pivoting), the routine scipy's
-    solve_banded calls for one band on each side; a 1 x 1 system divides,
-    as solve_banded does.  With ``overwrite_b`` a Fortran-ordered b is
-    solved in place, not copied.  Raises LinAlgError on an exactly singular
-    band."""
-    if len(diag) == 1:
-        return b / diag[0]
+    solve_banded calls for one band on each side.  With ``overwrite_b`` a
+    Fortran-ordered b is solved in place, not copied.  Raises LinAlgError
+    on an exactly singular band."""
     _, _, _, x, info = dgtsv(off, diag, off, b, overwrite_b=overwrite_b)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
@@ -403,17 +407,20 @@ def _gtsv(off, diag, b, overwrite_b=False):
 def solve_tridiagonal(diag, off, rhs):
     """Solve the symmetric tridiagonal system (diag, off) by LAPACK ?gtsv.
 
-    When ``off`` is as long as ``diag`` the system is cyclic: ``off[-1]``
-    couples the last unknown to the first.  The corner is then split off as
-    a rank-one term and restored by the Sherman-Morrison formula, both
-    right-hand sides going through one banded solve.  The Sherman-Morrison
-    denominator is not thresholded: the pasted initial guess of adjacent
-    bumps has a Jacobian singular to round-off whose right-hand side lies in
-    its range, and the corrected step is still accurate there.  Raises
-    LinAlgError on an exactly singular band or a non-finite solution (a
-    non-finite band, or overflow).
+    ``off`` one longer than ``diag`` holds a clamped mesh's end couplings
+    (``Operator.tridiagonal``).  When ``off`` is as long as ``diag`` the
+    system is cyclic: ``off[-1]`` couples the last unknown to the first.
+    The corner is then split off as a rank-one term and restored by the
+    Sherman-Morrison formula, both right-hand sides going through one
+    banded solve.  The Sherman-Morrison denominator is not thresholded: the
+    pasted initial guess of adjacent bumps has a Jacobian singular to
+    round-off whose right-hand side lies in its range, and the corrected
+    step is still accurate there.  Raises LinAlgError on an exactly
+    singular band or a non-finite solution (a non-finite band, or
+    overflow).
     """
     n = len(diag)
+    off = off[1:-1] if len(off) > n else off
     if len(off) < n:
         x = _gtsv(off, diag, rhs)
     else:
@@ -441,37 +448,25 @@ def solve_tridiagonal(diag, off, rhs):
     return x
 
 
-def solve_interior(tb, rhs, bands=None, keep=None, definite=False):
-    """Solve with the interior rows of a clamped mesh's tridiagonal system.
-
-    ``bands`` are cellwise blocks (LL, LR, RR) as from ``Operator.bands``
-    and are solved by ``solve_tridiagonal``, or by ``_ptsv`` (the
-    root-free Cholesky L D L^T) when ``definite``, which raises LinAlgError
-    on a system that is not positive definite; without them the system is
-    the stiffness matrix, positive definite, and is solved by ``_ptsv``.
-    The end nodes are eliminated, and with ``keep`` (node indices) every
-    node left out of it.
-    """
-    if bands is None:
-        inv = 1.0 / tb.h
-        diag, off = inv[:-1] + inv[1:], -inv[1:-1]
-        definite = True
-    else:
-        LL, LR, RR = bands
-        diag, off = RR[:-1] + LL[1:], LR[1:-1]
+def solve_interior(tb, rhs, keep=None):
+    """Solve with the interior rows of a clamped mesh's stiffness matrix,
+    positive definite, by ``solve_definite``.  The end nodes are
+    eliminated, and with ``keep`` (node indices) every node left out of
+    it."""
+    inv = 1.0 / tb.h
+    diag, off = inv[:-1] + inv[1:], -inv[1:-1]
     if keep is not None:
         k = keep - 1
         diag, off = diag[k], np.where(np.diff(k) == 1, off[k[:-1]], 0.0)
-    if not definite:
-        return solve_tridiagonal(diag, off, rhs)
-    return _ptsv(diag, off, rhs)
+    return solve_definite(diag, off, rhs)
 
 
-def _ptsv(diag, off, b):
+def solve_definite(diag, off, b):
     """x with T x = b for the symmetric positive definite tridiagonal
-    T = (diag, off), by LAPACK ?ptsv (L D L^T), the call scipy's
-    solveh_banded makes for one band, with its checks: ValueError on a
-    non-finite input, LinAlgError when T is not positive definite."""
+    T = (diag, off), by LAPACK ?ptsv (the root-free Cholesky L D L^T), the
+    call scipy's solveh_banded makes for one band, with its checks:
+    ValueError on a non-finite input, LinAlgError when T is not positive
+    definite."""
     _, _, x, info = dptsv(np.asarray_chkfinite(diag),
                           np.asarray_chkfinite(off), np.asarray_chkfinite(b))
     if info > 0:
@@ -647,7 +642,6 @@ class Grid:
 
 
 _grids = OrderedDict()     # key -> Grid, oldest first
-_grids_lock = threading.Lock()
 
 
 def kept_grid(key, build):
@@ -656,27 +650,25 @@ def kept_grid(key, build):
     its quadrature tables are built once per process however many solves
     ask for them.  The _GRIDS_KEPT most recently asked keys are kept.  A
     kept grid's node and table arrays are read-only, as every caller gets
-    the same ones."""
-    with _grids_lock:
-        grid = _grids.get(key)
-        if grid is not None:
-            _grids.move_to_end(key)
-            return grid
-        grid = build()
-        tb = grid.tables
-        for arr in (grid.nodes, tb.nodes, tb.h, tb.lam_m, tb.qw, tb.qap,
-                    tb.qam, tb.rlam_m, tb.inv_h):
-            arr.flags.writeable = False
-        _grids[key] = grid
-        if len(_grids) > _GRIDS_KEPT:
-            _grids.popitem(last=False)
+    the same ones.  No lock guards them: the package starts no thread."""
+    grid = _grids.get(key)
+    if grid is not None:
+        _grids.move_to_end(key)
+        return grid
+    grid = build()
+    tb = grid.tables
+    for arr in (grid.nodes, tb.nodes, tb.h, tb.lam_m, tb.qw, tb.qap,
+                tb.qam, tb.rlam_m, tb.inv_h):
+        arr.flags.writeable = False
+    _grids[key] = grid
+    if len(_grids) > _GRIDS_KEPT:
+        _grids.popitem(last=False)
     return grid
 
 
 def clear_grids():
     """Forget every grid kept_grid holds."""
-    with _grids_lock:
-        _grids.clear()
+    _grids.clear()
 
 
 def knot_mesh(w, bounds, n, even=False):
@@ -779,10 +771,8 @@ def gradient(u, mu):
 
 
 def jacobian_matrix(u, mu):
-    """Residual Jacobian on the grid's dofs as tridiagonal bands (diag, off).
-
-    On a periodic grid the bands are folded and ``off[-1]`` is the corner
-    coupling the last dof to the first, the cyclic form ``solve_tridiagonal``
-    takes.
+    """Residual Jacobian on the grid's dofs as its Newton system (diag,
+    off) (``Operator.tridiagonal``): the folded cyclic bands on a periodic
+    grid, the interior rows with their end couplings on a clamped one.
     """
     return Operator(u.grid, mu).tridiagonal(u.values)

@@ -19,7 +19,7 @@ action sum on the solution's operator, and the polish tolerances and cap
 margins of all four rows at once.  Only a predictor that misses the
 tolerance is solved, and the rows are read in x+, x-, y+, y- order, so an
 error is the one four solves in turn would raise.  The sensitivities are
-checked against the product of the Jacobian bands they were solved with.
+checked against the product of the Newton system they were solved with.
 
 The certifier of periodic solutions (solver, verify) never calls this
 module: it certifies through conditions C1-C4, the window identities and
@@ -30,16 +30,17 @@ margins, and the uniqueness probe of the acceptance suite.
 The block solver reuses the finite-element machinery on a clamped sub-grid,
 which the process keeps with its quadrature tables (``assembly.kept_grid``);
 boundary conditions are imposed by node elimination, and one
-``assembly.Operator`` of the block gives every residual, the Newton step,
-the end slopes and the sensitivities' bands; each iterate's residual is
-formed once, and its point values give the action too.  A solve is one
-path: projected descent under the caps, then a single unconstrained Newton
-polish from the descent's last residual, then one verdict.  Each descent
-direction solves the block's own Hessian (the operator's Jacobian bands at
-the iterate) by banded Cholesky, the stiffness matrix standing in where the
-Hessian is not positive definite; on the step weight at mu 1e2 to 1e4 with
-data in (0, 1), one such step hands over to the polish, and so does a
-direction that is not finite, as a stalled line search does.  Constraints
+``assembly.Operator`` of the block gives every residual, the end slopes
+and the Newton system (``Operator.tridiagonal``) that the descent, the
+polish and the sensitivities read; each iterate's residual is formed once,
+and its point values give the action too.  A solve is one path: projected
+descent under the caps, then a single unconstrained Newton polish from the
+descent's last residual, then one verdict.  Each descent direction solves
+the block's own Hessian, that system at the iterate, by ?ptsv, the
+stiffness matrix standing in where the Hessian is not positive definite;
+on the step weight at mu 1e2 to 1e4 with data in (0, 1), one such step
+hands over to the polish, and so does a direction that is not finite, as a
+stalled line search does.  Constraints
 are handled by an active-set retraction during descent, never by penalties:
 the minimizer is expected interior.  If the polish converges, a cap active (or
 violated) at its result is reported as InteriorityFailure, the operational
@@ -282,8 +283,8 @@ def _descent(p, grid, op, full, r_int):
     until the residual falls by _DESCENT_RTOL or a line search stalls;
     returns (iterate, steps, its interior residual rows).
 
-    Each direction solves the block's Hessian, the Jacobian bands of ``op``
-    at the iterate, on the interior rows by banded Cholesky: near a strict
+    Each direction solves the block's Hessian, ``op``'s Newton system at
+    the iterate, by ?ptsv (``assembly.solve_definite``): near a strict
     minimizer under simple bounds that is the right metric, and the step is
     projected Newton's (Bertsekas, SIAM J. Control Optim. 20, 1982).  Where
     the Hessian is not positive definite (low mu, large data) the stiffness
@@ -298,9 +299,9 @@ def _descent(p, grid, op, full, r_int):
         rn = float(np.abs(r_int).max())
         if rn <= _DESCENT_RTOL * r0:
             break
+        diag, off = op.tridiagonal(full)
         try:
-            d = assembly.solve_interior(tb, r_int, op.bands(full),
-                                        definite=True)
+            d = assembly.solve_definite(diag, off[1:-1], r_int)
         except np.linalg.LinAlgError:
             d = assembly.solve_interior(tb, r_int)
         if not np.isfinite(d).all():
@@ -326,8 +327,8 @@ def _descent(p, grid, op, full, r_int):
 @dataclass(eq=False)
 class ConnectionSolution:
     """Converged block minimizer with its linearization data.  ``op`` is
-    the block's ``assembly.Operator`` the solve ran on, whose Jacobian
-    bands at u the sensitivities read; ``slopes`` are its (u'(t_j-),
+    the block's ``assembly.Operator`` the solve ran on, whose Newton system
+    at u the sensitivities read; ``slopes`` are its (u'(t_j-),
     u'(t_j+)) at every node and ``cap_margins`` the verdict's margins."""
     problem: ConnectionProblem
     u: GridFunction
@@ -422,25 +423,24 @@ def _polish_tol(op, full, data):
 def compute_sensitivities(sol):
     """The pair v (left data 1, right 0) and z (left 0, right 1) at sol.u:
     v'' + 3 a_mu u^2 v = 0 weakly, solved for both from one two-column
-    right-hand side, with one defect check of both against the bands
-    solved with."""
+    right-hand side, with one defect check of both, all three from one
+    Newton system of sol's operator and its end couplings."""
     grid = sol.grid
     full = sol.u.values
-    bands = sol.op.bands(full)
-    LL, LR, RR = bands
+    diag, off = sol.op.tridiagonal(full)
     ends = np.eye(2)                 # left, right: one column each for v, z
     rhs = np.zeros((len(full) - 2, 2))
-    rhs[0] -= LR[0] * ends[0]
-    rhs[-1] -= LR[-1] * ends[1]
+    rhs[0] -= off[0] * ends[0]
+    rhs[-1] -= off[-1] * ends[1]
     try:
-        interior = assembly.solve_interior(grid.tables, rhs, bands)
+        interior = assembly.solve_tridiagonal(diag, off, rhs)
     except np.linalg.LinAlgError as e:
         raise SingularLinearization(str(e)) from None
     vals = np.concatenate([ends[:1], interior, ends[1:]]).T.copy()
     # defect check: a nearly singular tridiagonal solve passes gtsv but
-    # leaves a large residual on the interior rows of its bands' product
-    res = (LR[:-1] * vals[:, :-2] + (RR[:-1] + LL[1:]) * vals[:, 1:-1]
-           + LR[1:] * vals[:, 2:])
+    # leaves a large residual on the interior rows of the system's product
+    res = (off[:-1] * vals[:, :-2] + diag * vals[:, 1:-1]
+           + off[1:] * vals[:, 2:])
     scale = np.abs(vals).max(axis=1) * grid.tables.max_inv_h
     if (np.abs(res).max(axis=1) > 1e-6 * np.maximum(scale, 1.0)).any():
         raise SingularLinearization(

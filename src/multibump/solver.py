@@ -11,7 +11,8 @@ The walk is nested: it runs first on a mesh with 1/COARSE_DIV of the cells,
 and each stop's Newton on the solve mesh starts from the interpolated coarse
 solution.  Newton's step count does not depend on the mesh (the
 mesh-independence principle of Allgower, Boehmer, Potra & Rheinboldt), so
-the coarse mesh takes most of the steps at a fraction of their cost.
+the coarse mesh takes most of the steps at a fraction of their cost; a
+weight's knots can floor both meshes at one count, and then there is none.
 
 A window is periodic (``assembly.span_grid``); an ``assembly.Operator`` bound
 to it at one mu gives the residuals, Newton steps and junction slopes there.
@@ -284,32 +285,38 @@ def _continuation(w, window, mu_list, cells):
     and walks the list downward, each mu from the last converged iterate.
     The walk runs on a coarse mesh of max(8, cells // COARSE_DIV) cells per
     subinterval, and each stop's Newton on the solve mesh starts from the
-    coarse solution interpolated there.  A weight's knots set a floor on
-    both counts (``assembly.knot_mesh``), at which the meshes are one.
-    Where the coarse Newton fails, the stop starts from the last fine
-    iterate (the pasted bumps at the top) and the coarse walk resumes from
-    the fine solution at the coarse nodes.
+    coarse solution interpolated there.  Where the coarse Newton fails, the
+    stop starts from the last fine iterate (the pasted bumps at the top)
+    and the coarse walk resumes from the fine solution at the coarse nodes.
+    A weight's knots set a floor on both counts (``assembly.knot_mesh``);
+    where they give both meshes one count there is no coarse walk, and
+    every stop starts as after a failed coarse Newton.
     The states come out in increasing mu once the walk ends, each carrying
     the whole walk as continuation_path (fine Newton steps) and coarse_path
-    (coarse steps, None where the coarse Newton failed).  When the fine
-    Newton fails partway down, the higher mu reached are yielded before
-    ContinuationBreakdown.  Only the last state's report keeps its
+    (coarse steps, None where no coarse Newton converged or ran).  When the
+    fine Newton fails partway down, the higher mu reached are yielded
+    before ContinuationBreakdown.  Only the last state's report keeps its
     certificate's Operator, residual and slopes.
     """
     consts, bump = _prepare(w)
     cells = cells or auto_cells(mu_list[-1])
     grid, coarse = (assembly.span_grid(w, window.i_start, len(window.symbols), m)
                     for m in (cells, max(8, cells // COARSE_DIV)))
-    v = initial_guess(window, bump, coarse).values
+    walk = coarse.m < grid.m
+    v = initial_guess(window, bump, coarse).values if walk else None
     u = None
     top = [MU0] if MU0 > mu_list[-1] else []
     path, coarse_path, reached, failure = [], [], [], None
     for mu in top + mu_list[::-1]:
-        try:
-            v, steps = _converge(coarse, v, mu)
+        steps = None
+        if walk:
+            try:
+                v, steps = _converge(coarse, v, mu)
+            except NewtonFailure:
+                pass
+        if steps is not None:
             start = coarse.eval(v, grid.nodes[:grid.ndof])
-        except NewtonFailure:
-            v, steps = None, None
+        else:
             start = initial_guess(window, bump, grid).values if u is None \
                 else u
         try:
@@ -318,7 +325,7 @@ def _continuation(w, window, mu_list, cells):
             failure = ContinuationBreakdown(f"Newton failed at mu={mu:.4g}: "
                                             f"{e}")
             break
-        if v is None:
+        if walk and steps is None:
             v = grid.eval(u, coarse.nodes[:coarse.ndof])
         path.append((mu, iters))
         coarse_path.append((mu, steps))

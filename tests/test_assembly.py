@@ -1,6 +1,5 @@
 import math
 import sys
-import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -270,40 +269,38 @@ def test_newton_step_solves_the_second_variation(step_weight, code, i0, m,
     if not periodic:
         grid = assembly.segment_grid(w, grid.nodes)
         u = assembly.GridFunction(grid, u.full())
+    r = assembly.gradient(u, mu).values
+    if not periodic:
+        r = r[1:-1]
+    step = assembly.solve_tridiagonal(*assembly.jacobian_matrix(u, mu), r)
     if periodic:
-        r = assembly.gradient(u, mu).values
-        step = assembly.solve_tridiagonal(*assembly.jacobian_matrix(u, mu), r)
         applied = hessian(grid, mu, u.values, step)
     else:
-        tb, full = grid.tables, u.values
-        op = assembly.Operator(grid, mu)
-        r = op.residual(full)[1:-1]
-        step = np.zeros(len(full))
-        step[1:-1] = assembly.solve_interior(tb, r, op.bands(full))
-        applied = assembly.hessian_full(tb, mu, full, step)[1:-1]
+        full = np.concatenate([[0.0], step, [0.0]])
+        applied = assembly.hessian_full(grid.tables, mu, u.values, full)[1:-1]
     assert np.max(np.abs(applied - r)) <= 1e-9 * np.max(np.abs(r))
 
 
-def test_solve_interior_definite_bands(step_weight, rng):
-    """Banded Cholesky on the Jacobian bands: the stiffness solve at u = 0,
-    the LU solve's answer where the Hessian is positive definite, and
-    LinAlgError where it is not."""
+def test_definite_solve_of_the_newton_system(step_weight, rng):
+    """?ptsv on a clamped mesh's Newton system (``Operator.tridiagonal``):
+    the stiffness solve at u = 0, the ?gtsv solve's answer where the
+    Hessian is positive definite, and LinAlgError where it is not."""
     grid = assembly.segment_grid(
         step_weight, assembly.span_grid(step_weight, 0, 1, 40).nodes)
     tb = grid.tables
     op = assembly.Operator(grid, 10.0)
     rhs = rng.normal(size=len(tb.nodes) - 2)
+    def definite(values):
+        diag, off = op.tridiagonal(values)
+        return assembly.solve_definite(diag, off[1:-1], rhs)
+
     zero = np.zeros(len(tb.nodes))
-    assert np.array_equal(
-        assembly.solve_interior(tb, rhs, op.bands(zero), definite=True),
-        assembly.solve_interior(tb, rhs))
+    assert np.array_equal(definite(zero), assembly.solve_interior(tb, rhs))
     small = np.full(len(tb.nodes), 0.1)
-    chol = assembly.solve_interior(tb, rhs, op.bands(small), definite=True)
-    lu = assembly.solve_interior(tb, rhs, op.bands(small))
-    assert np.max(np.abs(chol - lu)) <= 1e-12 * np.max(np.abs(lu))
+    lu = assembly.solve_tridiagonal(*op.tridiagonal(small), rhs)
+    assert np.max(np.abs(definite(small) - lu)) <= 1e-12 * np.max(np.abs(lu))
     with pytest.raises(np.linalg.LinAlgError):
-        assembly.solve_interior(tb, rhs, op.bands(100.0 * small),
-                                definite=True)
+        definite(100.0 * small)
 
 
 # -- the LAPACK wrappers against the scipy.linalg functions they replace -------
@@ -332,16 +329,17 @@ def _upper_bands(diag, off):
        columns=st.sampled_from([0, 1, 2]))
 @example(n=2, seed=0, columns=0)
 def test_lapack_wrappers_match_scipy_bits(step_weight, n, seed, columns):
-    """``solve_interior``'s definite and stiffness solves are scipy's
-    ``solveh_banded``, and ``cholesky_factor`` with ``cholesky_solve`` are
-    ``cholesky_banded`` with ``cho_solve_banded``, bit for bit.  (One
+    """``solve_definite`` and ``solve_interior``'s stiffness solve are
+    scipy's ``solveh_banded``, and ``cholesky_factor`` with
+    ``cholesky_solve`` are ``cholesky_banded`` with ``cho_solve_banded``,
+    bit for bit.  (One
     unknown is refused by both; see the next test.)"""
     (LL, LR, RR), nodes, rhs = _spd_system(n, seed, columns)
     # within [sigma_0, tau_0], where the mesh needs no knot as a node
     tb = assembly.segment_grid(step_weight, nodes / nodes[-1]).tables
     diag, off = RR[:-1] + LL[1:], LR[1:-1]
     assert np.array_equal(
-        assembly.solve_interior(tb, rhs, (LL, LR, RR), definite=True),
+        assembly.solve_definite(diag, off, rhs),
         scipy.linalg.solveh_banded(_upper_bands(diag, off), rhs))
     inv = 1.0 / tb.h
     assert np.array_equal(
@@ -375,8 +373,7 @@ def test_lapack_wrappers_raise_scipys_errors(step_weight, bad):
     bad_diag = diag.copy()
     bad_diag[2] = bad
     for call in (
-            lambda: assembly.solve_interior(tb, poisoned, (LL, LR, RR),
-                                            definite=True),
+            lambda: assembly.solve_definite(diag, off, poisoned),
             lambda: assembly.solve_interior(tb, poisoned),
             lambda: assembly.cholesky_factor(bad_diag, off),
             lambda: assembly.cholesky_solve(factor, poisoned)):
@@ -388,8 +385,7 @@ def test_lapack_wrappers_raise_scipys_errors(step_weight, bad):
     RR_bad[3] = -1.0 - LL[4]
     indefinite = RR_bad[:-1] + LL[1:]
     ab = _upper_bands(indefinite, off)
-    assert _linalg_message(assembly.solve_interior, tb, rhs,
-                           (LL, LR, RR_bad), definite=True) \
+    assert _linalg_message(assembly.solve_definite, indefinite, off, rhs) \
         == _linalg_message(scipy.linalg.solveh_banded, ab, rhs)
     assert _linalg_message(assembly.cholesky_factor, indefinite, off) \
         == _linalg_message(scipy.linalg.cholesky_banded, ab)
@@ -519,7 +515,9 @@ def _ref_solve_tridiagonal(diag, off, rhs):
 
 
 def _ref_residual_and_step(tb, mu, values, periodic):
-    """(residual, Newton step) on the dofs as the solver formed them."""
+    """(residual, Newton system (diag, off), Newton step) on the dofs as
+    the solver formed them: on a clamped mesh the system's interior rows
+    with their end couplings, and the step of the interior rows."""
     full = np.concatenate([values, values[:1]]) if periodic else values
     r = _ref_residual_full(tb, mu, full)
     dLL, dLR, dRR = _ref_jacobian_bands(tb, mu, full)
@@ -527,8 +525,10 @@ def _ref_residual_and_step(tb, mu, values, periodic):
         r_end = r[-1]
         r = r[:-1].copy()
         r[0] += r_end
-        return r, _ref_solve_tridiagonal(dLL + np.roll(dRR, 1), dLR, r)
-    return r, _ref_solve_tridiagonal(dRR[:-1] + dLL[1:], dLR[1:-1], r[1:-1])
+        diag = dLL + np.roll(dRR, 1)
+        return r, (diag, dLR), _ref_solve_tridiagonal(diag, dLR, r)
+    diag = dRR[:-1] + dLL[1:]
+    return r, (diag, dLR), _ref_solve_tridiagonal(diag, dLR[1:-1], r[1:-1])
 
 
 def _two_level(tau, frac, lo, hi):
@@ -560,9 +560,11 @@ def _resolve(w):
        cells=st.integers(8, 400), mu=st.floats(1.0, 1e5),
        periodic=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_operator_matches_reference_bits(w, code, cells, mu, periodic, seed):
-    """The operator's residual and Newton step, at a fresh iterate and
-    reusing the residual's point values, equal the reference bit for bit on
-    periodic windows and on clamped meshes of the same nodes."""
+    """The operator's residual, Newton system and Newton step, at a fresh
+    iterate and reusing the residual's point values, equal the reference
+    bit for bit on periodic windows and on clamped meshes of the same
+    nodes; there ``jacobian_matrix`` gives the interior rows with their end
+    couplings, and the step is ``solve_tridiagonal`` of that pair."""
     w = _resolve(w)
     grid = assembly.span_grid(w, -1, len(code), cells)
     if not periodic:
@@ -573,7 +575,8 @@ def test_operator_matches_reference_bits(w, code, cells, mu, periodic, seed):
     plateau = np.append(np.repeat([[s, 0] for s in code], grid.m), 0.0)
     values = rng.uniform(-0.5, 0.5, grid.ndof) + \
         rng.uniform(1.0, 3.0) * plateau[:grid.ndof]
-    r_ref, step_ref = _ref_residual_and_step(ref, mu, values, periodic)
+    r_ref, pair_ref, step_ref = _ref_residual_and_step(ref, mu, values,
+                                                       periodic)
     op = assembly.Operator(grid, mu)
     r = op.residual(values)
     rows = r if periodic else r[1:-1]
@@ -581,6 +584,10 @@ def test_operator_matches_reference_bits(w, code, cells, mu, periodic, seed):
     assert np.array_equal(op.step(values, rows), step_ref)
     fresh = assembly.Operator(grid, mu)
     assert np.array_equal(fresh.step(values, rows), step_ref)
+    pair = assembly.jacobian_matrix(assembly.GridFunction(grid, values), mu)
+    for got, want in zip(pair, pair_ref):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(assembly.solve_tridiagonal(*pair, rows), step_ref)
 
 
 def _ref_one_sided_slope(tb, mu, full, uq, node, side):
@@ -817,38 +824,6 @@ def test_at_most_four_grids_kept():
     rebuilt = assembly.span_grid(w, 0, 1, 8)
     assert rebuilt is not first
     assert np.array_equal(rebuilt.tables.qw, first.tables.qw)
-
-
-def test_kept_grids_under_threads():
-    """No command starts a thread, but a library caller may share the kept
-    grids across threads: more threads than cores asking for more keys than
-    are kept, with a short switch interval, each get a grid of their key
-    and never see more than _GRIDS_KEPT kept."""
-    w = weight.make_step_weight()
-    errors, sizes = [], []
-
-    def work(k):
-        try:
-            for j in range(300):
-                m = 8 + (j * (k + 1)) % 10
-                assert assembly.span_grid(w, 0, 1, m).m == m
-                sizes.append(len(assembly._grids))
-        except Exception as e:          # reported by the main thread
-            errors.append(e)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert not errors
-    assert len(sizes) == 2400 and max(sizes) <= assembly._GRIDS_KEPT
 
 
 def test_kept_grid_arrays_are_read_only():

@@ -113,19 +113,19 @@ def test_singular_periodic_band_is_convergence_failure(tmp_path,
                          ids=["periodic", "levels"])
 def test_non_finite_jacobian_is_convergence_failure(tmp_path, monkeypatch,
                                                     periodic):
-    """A NaN in the Jacobian bands, of the window's Newton (periodic) or of
+    """A NaN in the Newton system, of the window's Newton (periodic) or of
     the ground level's (clamped), makes the tridiagonal solve non-finite:
     exit 4, not 5 (a NaN reached scipy's finiteness check once)."""
-    real = assembly.Operator.bands
+    real = assembly.Operator.tridiagonal
 
-    def nan_bands(self, values):
-        LL, LR, RR = real(self, values)
+    def nan_system(self, values):
+        diag, off = real(self, values)
         if self.grid.periodic == periodic:
-            LL = LL.copy()
-            LL[len(LL) // 2] = np.nan
-        return LL, LR, RR
+            diag = diag.copy()
+            diag[len(diag) // 2] = np.nan
+        return diag, off
 
-    monkeypatch.setattr(assembly.Operator, "bands", nan_bands)
+    monkeypatch.setattr(assembly.Operator, "tridiagonal", nan_system)
     rc = cli.main(["solve", "--symbols", "10", "--mu", "800",
                    "--cells", "160", "--outdir", str(tmp_path)])
     assert rc == 4

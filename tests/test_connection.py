@@ -155,11 +155,10 @@ def test_descent_takes_one_hessian_step(step_weight, default_caps, mu, x, y,
     for mK, mr in connection.cap_margins(p, s.grid, s.u.full()):
         assert mK > 2.0 * connection._CAP_SLACK * K
         assert mr > 2.0 * connection._CAP_SLACK * r ** 2
-    # the interior Hessian at the minimizer factors by banded Cholesky
-    tb = s.grid.tables
-    rhs = np.ones(len(tb.nodes) - 2)
-    d = assembly.solve_interior(tb, rhs, s.op.bands(s.u.values),
-                                definite=True)
+    # the interior Hessian at the minimizer factors by ?ptsv
+    rhs = np.ones(len(s.grid.nodes) - 2)
+    diag, off = s.op.tridiagonal(s.u.values)
+    d = assembly.solve_definite(diag, off[1:-1], rhs)
     assert np.all(np.isfinite(d))
 
 
@@ -271,13 +270,13 @@ def ref_sensitivities(sol):
     """Reference of compute_sensitivities: one solve and one defect check
     for each of v and z."""
     p, grid, full = sol.problem, sol.grid, sol.u.values
-    bands = sol.op.bands(full)
+    diag, off = sol.op.tridiagonal(full)
     out = []
     for left_val, right_val in ((1.0, 0.0), (0.0, 1.0)):
         rhs = np.zeros(len(full) - 2)
-        rhs[0] -= bands[1][0] * left_val
-        rhs[-1] -= bands[1][-1] * right_val
-        interior = assembly.solve_interior(grid.tables, rhs, bands)
+        rhs[0] -= off[0] * left_val
+        rhs[-1] -= off[-1] * right_val
+        interior = assembly.solve_tridiagonal(diag, off[1:-1], rhs)
         vals = np.concatenate([[left_val], interior, [right_val]])
         res = assembly.hessian_full(grid.tables, p.mu, full, vals)[1:-1]
         scale = float(np.max(np.abs(vals))) * \
@@ -553,19 +552,22 @@ def test_solve_forms_each_residual_once(problem):
 
 def _corrupt_directions(monkeypatch, first_only):
     """Give the descent's direction (and with ``first_only`` False every
-    later solve) one infinite entry."""
-    real = assembly.solve_interior
+    later direction and Newton step) one infinite entry."""
     calls = []
 
-    def corrupt(tb, rhs, *args, **kwargs):
-        x = real(tb, rhs, *args, **kwargs)
-        calls.append(1)
-        if len(calls) == 1 or not first_only:
-            x = x.copy()
-            x[len(x) // 2] = np.inf
-        return x
+    def corrupting(real):
+        def corrupt(diag, off, rhs):
+            x = real(diag, off, rhs)
+            calls.append(1)
+            if len(calls) == 1 or not first_only:
+                x = x.copy()
+                x[len(x) // 2] = np.inf
+            return x
+        return corrupt
 
-    monkeypatch.setattr(assembly, "solve_interior", corrupt)
+    for name in ("solve_definite", "solve_tridiagonal"):
+        monkeypatch.setattr(assembly, name,
+                            corrupting(getattr(assembly, name)))
 
 
 def test_non_finite_direction_hands_over_to_the_polish(step_weight,
@@ -587,6 +589,33 @@ def test_non_finite_direction_hands_over_to_the_polish(step_weight,
     assert rc == 0
 
 
+def test_one_newton_system_per_iterate(step_weight, monkeypatch):
+    """A descent that stalls hands its last Newton system to the polish's
+    first step, and the sensitivities' right-hand side, solve and defect
+    check read one: no block call forms the system twice at one iterate."""
+    p = connection.make_connection_problem(step_weight, 500.0, 0.5, 0.4)
+    real = assembly.Operator.tridiagonal
+    formed, asked = [], {}
+
+    def recorded(self, values):
+        pair = real(self, values)
+        formed.append(pair)             # kept alive, so ids stay distinct
+        asked.setdefault(np.asarray(values).tobytes(),
+                         []).append(id(pair[0]))
+        return pair
+
+    monkeypatch.setattr(assembly.Operator, "tridiagonal", recorded)
+    _corrupt_directions(monkeypatch, first_only=True)
+    s = connection.solve_connection(p)
+    connection.compute_sensitivities(s)
+    assert s.descent_iters == 0 and s.newton_iters > 0
+    start = connection.decay_profile(p, s.grid.nodes)
+    start[0], start[-1] = p.x, p.y
+    assert len(asked[start.tobytes()]) == 2
+    assert len(asked[s.u.values.tobytes()]) == 1
+    assert all(len(set(ids)) == 1 for ids in asked.values())
+
+
 def test_non_finite_steps_exit_4(monkeypatch, tmp_path):
     """When every direction and Newton step is non-finite the polish's
     NewtonFailure stands: a numerical failure, exit 4, never exit 2."""
@@ -600,18 +629,18 @@ def test_non_finite_steps_exit_4(monkeypatch, tmp_path):
 def test_sensitivity_guard_catches_a_bad_solve(step_weight, monkeypatch,
                                                tmp_path):
     """A two-column solve whose v is off by 1e-3 at one node fails the
-    product of the bands: SingularLinearization, and ``connection`` exits
-    4."""
-    real = assembly.solve_interior
+    product of the Newton system: SingularLinearization, and
+    ``connection`` exits 4."""
+    real = assembly.solve_tridiagonal
 
-    def off(tb, rhs, *args, **kwargs):
-        x = real(tb, rhs, *args, **kwargs)
+    def off(diag, band, rhs):
+        x = real(diag, band, rhs)
         if np.ndim(rhs) == 2:
             x = x.copy()
             x[len(x) // 2, 0] += 1e-3
         return x
 
-    monkeypatch.setattr(assembly, "solve_interior", off)
+    monkeypatch.setattr(assembly, "solve_tridiagonal", off)
     p = connection.make_connection_problem(step_weight, 2000.0, 0.6, 0.4)
     s = connection.solve_connection(p)
     with pytest.raises(SingularLinearization):

@@ -263,6 +263,30 @@ def test_failed_coarse_newton_falls_back(step_weight, monkeypatch):
         _assert_same_states(step_weight, window, mus, states, rel)
 
 
+def test_no_coarse_walk_on_the_solve_mesh(monkeypatch):
+    """On sine sampled at 4096 points a period the knots floor both the
+    solve mesh (712 cells asked at mu 1e3) and the coarse one (89 asked) at
+    2048 cells: there is no coarse walk, the solve mesh's Newton runs once,
+    from the pasted bumps, and it reaches the state of a coarse walk on
+    that count followed by a Newton on the solve mesh to 1e-12."""
+    monkeypatch.setattr(weight, "_SINE_SAMPLES", 4096)
+    w = weight.make_sine_weight()
+    window = solver.make_window((1, 0))
+    cells = solver.auto_cells(1e3)
+    grid, coarse = (assembly.span_grid(w, 0, 2, m)
+                    for m in (cells, cells // solver.COARSE_DIV))
+    assert grid.m == coarse.m == 2048
+    sol = solver.solve_multibump(w, window, 1e3)
+    v, steps = solver._converge(
+        coarse, solver.initial_guess(window, localfield.levels_of(
+            w).ground_bump(), coarse).values, 1e3)
+    u, _ = solver._converge(grid, coarse.eval(v, grid.nodes[:grid.ndof]), 1e3)
+    assert sol.grid is grid and sol.report.certified
+    assert sol.report.coarse_path == [(1e3, None)]
+    assert sol.report.continuation_path == [(1e3, steps)]
+    assert np.max(np.abs(sol.u.values - u)) <= 1e-12 * np.max(np.abs(u))
+
+
 @given(st.lists(st.tuples(st.floats(1e-3, 1e6), st.booleans()),
                 unique_by=lambda t: t[0], max_size=30))
 def test_bracket_property(outcomes):
