@@ -59,7 +59,7 @@ import numpy as np
 
 from ._scipy_files import flapack
 from .errors import NewtonFailure, WeightError
-from .weight import sorted_unique, weight_key
+from .weight import knot_tol, sorted_unique, weight_key
 
 _flapack = flapack()
 dgtsv, dptsv = _flapack.dgtsv, _flapack.dptsv
@@ -109,11 +109,11 @@ class QuadTables:
 
 def _loose_knots(w, nodes):
     """The weight knots inside [nodes[0], nodes[-1]] that lie farther than
-    1e-12 max(T, 1) from every node of the increasing ``nodes``."""
+    ``weight.knot_tol`` from every node of the increasing ``nodes``."""
     knots = w.knots_in_span(nodes[0], nodes[-1])[1:-1]
     j = np.searchsorted(nodes, knots)
     return knots[np.minimum(knots - nodes[j - 1], nodes[j] - knots)
-                 > 1e-12 * max(w.period, 1.0)]
+                 > knot_tol(w.period)]
 
 
 def build_tables(w, nodes):
@@ -677,10 +677,10 @@ def knot_mesh(w, bounds, n, even=False):
 
     Each piece of a stretch between knots gets ceil(n len / stretch) cells
     (to rounding), at least one, so a weight's knots set a floor on the
-    count that no n lowers; a knot within 1e-12 max(T, 1) of a bound counts
-    as that bound.  A piece's c nodes are uniform, a + k ((b - a) / c), the
-    bits of ``np.linspace``.  With ``even`` every stretch gets the largest
-    stretch's count, the extra cells going to its longest piece.
+    count that no n lowers; a knot within ``weight.knot_tol`` of a bound
+    counts as that bound.  A piece's c nodes are uniform, a + k ((b - a) /
+    c), the bits of ``np.linspace``.  With ``even`` every stretch gets the
+    largest stretch's count, the extra cells going to its longest piece.
     """
     bounds = np.asarray(bounds, dtype=float)
     ends = np.sort(np.concatenate([bounds, _loose_knots(w, bounds)]))
@@ -707,35 +707,47 @@ def span_grid(w, i0, n_int, cells_per_interval):
     """Periodic window over [sigma_{i0}, sigma_{i0+n_int}] with the same
     count of cells on each I_i^pm (``knot_mesh``, uniform and even), at
     least ``cells_per_interval``; its right end is identified with its
-    left.  The process keeps it by the weight's content and (i0, n_int,
-    cells) (``kept_grid``)."""
+    left.  The process keeps it by the weight's content, (i0, n_int) and
+    the cell count it holds (``kept_grid``), so two counts that the
+    weight's knots floor to one mesh get one grid."""
     if n_int < 1:
         raise WeightError("need at least one weight period")
     if cells_per_interval < 8:
         raise WeightError("need at least 8 cells per subinterval")
-    m = int(cells_per_interval)
+    n = int(cells_per_interval)
 
-    def build():
+    def mesh():
         i = np.arange(i0, i0 + n_int)
         bounds = np.append(np.column_stack([w.sigma(i), w.tau_i(i)]),
                            w.sigma(i0 + n_int))
-        nodes, per = knot_mesh(w, bounds, m, even=True)
-        return Grid(w=w, nodes=nodes, periodic=True, i0=i0, n_int=n_int,
-                    m=int(per[0]))
+        return knot_mesh(w, bounds, n, even=True)
 
-    return kept_grid((weight_key(w), i0, n_int, m), build)
+    # with no knot inside its subintervals a window has the cells asked for
+    held = None if len(w.seg_coefs) == 2 else mesh()
+    m = n if held is None else int(held[1][0])
+    return kept_grid((weight_key(w), i0, n_int, m), lambda: Grid(
+        w=w, nodes=(held or mesh())[0], periodic=True, i0=i0, n_int=n_int,
+        m=m))
 
 
 def segment_grid(w, nodes, add_knots=True):
-    """Clamped mesh on a strictly increasing node array, with every weight
-    knot farther than 1e-12 max(T, 1) from its nodes added as a node; nodes
-    that hold every knot already (``knot_mesh``'s) are taken as they are
-    with ``add_knots=False``, and ``build_tables`` checks them."""
+    """Clamped mesh on strictly increasing nodes.  With ``add_knots``, of
+    two nodes within ``weight.knot_tol`` one stays (an end, else one on a
+    weight knot, else the left one), and every knot farther than that from
+    the nodes is added; ``knot_mesh``'s nodes, which hold every knot, are
+    taken as they are with ``add_knots=False`` (``build_tables`` checks)."""
     nodes = np.ascontiguousarray(nodes, dtype=float)
     if len(nodes) < 2 or np.any(np.diff(nodes) <= 0):
         raise WeightError("mesh nodes must be strictly increasing")
     if add_knots:
-        nodes = np.sort(np.concatenate([nodes, _loose_knots(w, nodes)]))
+        knots = w.knots_in_span(nodes[0], nodes[-1])
+        rank = (knots[np.searchsorted(knots, nodes)] == nodes) * 1
+        rank[[0, -1]] = 2
+        close = np.diff(nodes) <= knot_tol(w.period)
+        keep = np.append(~(close & (rank[:-1] < rank[1:])), True)
+        keep[1:] &= ~(close & (rank[1:] <= rank[:-1]))
+        nodes = np.sort(np.concatenate([nodes[keep],
+                                        _loose_knots(w, nodes[keep])]))
     return Grid(w=w, nodes=nodes, periodic=False)
 
 

@@ -629,7 +629,8 @@ _COMMANDS = {
         Option("--mu", float,
                help="target mu; Newton starts from the pasted ground bumps "
                f"at max({solver.MU0:g}, mu) and walks down to it, first on "
-               f"a mesh of 1/{solver.COARSE_DIV} the cells"),
+               f"a mesh of 1/{solver.COARSE_DIV} the cells (no coarse walk "
+               "when the weight's knots floor both meshes to one)"),
         Option("--cells", int, help="cells per subinterval"),
         Option("--out", default="sol.csv", help="solution CSV name"),
         Option("--report", default="report.json",

@@ -9,8 +9,8 @@ imports no scipy.
 
 On each weight piece a_mu is a polynomial, so the Taylor coefficients of u
 follow from Cauchy products (Jorba & Zou, Exp. Math. 14, 2005).  With A the
-piece's polynomial re-expanded at the step's start, in the step's own
-variable,
+piece's polynomial re-expanded at the step's start (``weight.reexpand``,
+the package's one re-expansion), in the step's own variable,
 
     u_{k+2} = -(A * u^3)_k / ((k+1)(k+2)),
     v_{k+2} = -3 (A * u^2 v)_k / ((k+1)(k+2))
@@ -51,6 +51,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
 
 from .errors import BlowUp, NewtonFailure, NonConvergence, ScopeError
+from .weight import reexpand
 
 # s-knots of different runs closer than this are one knot
 _S_GAP = 1e-13
@@ -231,16 +232,6 @@ def _step(y, L, A, eta, rest, rtol, check_from):
     return terms, rest if h == rho else eta * h
 
 
-def _shift(c, d):
-    """Coefficients c (..., p), ascending in x, rewritten in x - d."""
-    c = c.copy()
-    p = c.shape[-1]
-    for r in range(p - 1):
-        for j in range(p - 2, r - 1, -1):
-            c[..., j] += d * c[..., j + 1]
-    return c
-
-
 def _integrate_raw(w, mu, runs, rtol):
     """Taylor steps on a batch of runs (t_from, t_to, y0) (see the module
     docstring).  No run is empty (t_from != t_to: ``integrate`` and ``_Shot``
@@ -266,12 +257,11 @@ def _integrate_raw(w, mu, runs, rtol):
     s_start = s_knots[:-1, None]
     tm = t_from + span * (0.5 * (s_start + s_knots[1:, None]))
     shift = T * np.floor(tm / T)
-    seg = np.clip(np.searchsorted(w.seg_knots, tm - shift, side="right") - 1,
-                  0, len(w.seg_coefs) - 1)
+    seg = w._segment_index(tm - shift)
     used = np.flatnonzero(w.seg_coefs.any(axis=0))
     powers = np.arange(used[-1] + 1 if used.size else 1)
-    a = _shift(w.seg_coefs[seg][:, :, powers],
-               t_from + span * s_start - w.seg_knots[seg] - shift)
+    a = reexpand(w.seg_coefs[seg][:, :, powers],
+                 t_from + span * s_start - w.seg_knots[seg] - shift)
     a *= (np.where(w.seg_positive[seg], 1.0, mu) * L ** 2)[:, :, None]
     a *= span[:, None] ** powers
 
@@ -286,7 +276,7 @@ def _integrate_raw(w, mu, runs, rtol):
         while s0 < sb and np.any(ends < 0):
             rest = float(sb) - s0
             eta = rest if eta is None else min(rest, 2.0 * eta)
-            A = a[i] if s0 == sa else _shift(a[i], s0 - sa)
+            A = a[i] if s0 == sa else reexpand(a[i], s0 - sa)
             step_terms, h = _step(y, L, A * eta ** (powers + 2), eta, rest,
                                   rtol, check_from)
             check_from = max(_TAIL + 1, step_terms.shape[2] - 2)
@@ -508,8 +498,7 @@ def brute_ground_level(w, rtol=1e-12):
     base integration; otherwise the Dirichlet solution is found by shooting
     for a first zero exactly at tau.
     """
-    pos = [i for i in range(len(w.seg_coefs)) if w.seg_positive[i]]
-    coefs = w.seg_coefs[pos]
+    coefs = w.seg_coefs[w.seg_positive]
     if np.any(np.abs(coefs[:, 1:]) > 1e-12 * max(1.0, np.abs(coefs).max())):
         raise ScopeError("a+ must be piecewise constant on [0, tau]")
     values = coefs[:, 0]

@@ -2,16 +2,19 @@
 
 A weight is one period [0, T] of a T-periodic coefficient a(t) that is >= 0
 (not identically 0) on [0, tau] and <= 0 (not identically 0) on [tau, T].
-Pieces are polynomials or linearly interpolated samples; internally everything
-is normalized to a list of polynomial segments so that evaluation, integrals
-and suprema are exact.
+Pieces are polynomials or linearly interpolated samples; ``build_weight``
+turns them into one table of polynomial segments by array operations.
+``WeightSpec.seg_eval`` is its one evaluator and ``WeightSpec.primitive``
+its one exact periodic primitive; ``reexpand`` is the package's one
+re-expansion of coefficients.  Two knots, or a knot and a mesh node, within
+``knot_tol(T)`` = 1e-12 max(T, 1) are one point.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,28 +54,22 @@ class WeightSpec:
 
     # -- evaluation ---------------------------------------------------------
 
-    def fold(self, t):
-        """Map times into [0, period)."""
-        t = np.asarray(t, dtype=float)
-        return t - self.period * np.floor(t / self.period)
-
     def _segment_index(self, tf):
         idx = np.searchsorted(self.seg_knots, tf, side="right") - 1
         return np.clip(idx, 0, len(self.seg_coefs) - 1)
 
     def _eval_raw(self, t):
         """Signed weight value a(t), vectorized, periodic."""
-        tf = np.atleast_1d(self.fold(t))
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        tf = t - self.period * np.floor(t / self.period)
         return self.seg_eval(self._segment_index(tf), tf)
 
     def seg_eval(self, seg, t):
         """Evaluate the polynomial of segment seg at absolute times t by
-        Horner's rule; seg is one index or an index array matching t."""
-        s = np.asarray(t, dtype=float) - self.seg_knots[seg]
-        p = np.zeros_like(s)
-        for c in self.seg_coefs.T[::-1]:
-            p = p * s + c[seg]
-        return p
+        Horner's rule; seg is one index or an index array matching t.  The
+        package's one evaluator of the segment table."""
+        return _horner(self.seg_coefs, seg,
+                       np.asarray(t, dtype=float) - self.seg_knots[seg])
 
     def a_plus(self, t):
         return np.maximum(self._eval_raw(t), 0.0)
@@ -104,29 +101,29 @@ class WeightSpec:
 
     # -- exact integrals ----------------------------------------------------
 
-    def _seg_signed_integral(self, seg, x, y, shift=0.0):
-        """Integral of the raw segment polynomial over [x, y] (absolute times)."""
-        c = self.seg_coefs[seg]
-        t0 = self.seg_knots[seg] + shift
-        sx, sy = x - t0, y - t0
-        total = 0.0
-        for i, ci in enumerate(c):
-            total += ci / (i + 1) * (sy ** (i + 1) - sx ** (i + 1))
-        return total
+    def primitive(self, t):
+        """(A+(t), A-(t)), stacked: the exact periodic primitives of a+ and
+        a-, zero at t = 0, as whole periods, whole segments and the part of
+        t's own segment, whose sign (validated) says which of the two it
+        feeds."""
+        icoefs = self.seg_coefs / np.arange(1, self.seg_coefs.shape[1] + 1)
+        s = np.diff(self.seg_knots)
+        sided = np.where(self.seg_positive, [[1.0], [0.0]], [[0.0], [-1.0]])
+        mass = sided * (s * _horner(icoefs, np.arange(len(s)), s))
+        cum = np.pad(mass, ((0, 0), (1, 0))).cumsum(axis=1)
+        t = np.asarray(t, dtype=float)
+        k = np.floor(t / self.period)
+        tf = t - self.period * k
+        seg = self._segment_index(tf)
+        s = tf - self.seg_knots[seg]
+        return (np.multiply.outer(cum[:, -1], k) + cum[:, seg]
+                + sided[:, seg] * (s * _horner(icoefs, seg, s)))
 
     def integral_a_minus(self, x, y):
-        """Exact integral of a- over [x, y] (assumes validated sign structure)."""
-        if y <= x:
-            return 0.0
-        total = 0.0
-        knots = self.knots_in_span(x, y)
-        for ta, tb in zip(knots[:-1], knots[1:]):
-            tm = 0.5 * (ta + tb)
-            shift = self.period * math.floor(tm / self.period)
-            seg = int(self._segment_index(np.array([tm - shift]))[0])
-            if not self.seg_positive[seg]:
-                total -= self._seg_signed_integral(seg, ta, tb, shift)
-        return total
+        """Exact integral of a- over [x, y], 0 where y <= x; x and y
+        broadcast (``primitive``)."""
+        a = self.primitive(np.stack(np.broadcast_arrays(x, y)))[1]
+        return np.where(y > x, a[1] - a[0], 0.0)[()]
 
     def edge_double_integrals(self, delta):
         """Iterated edge integrals of a- next to the two sign changes.
@@ -162,13 +159,40 @@ def sorted_unique(a):
     return a[keep]
 
 
+def _horner(coefs, seg, s):
+    """Rows seg of the ascending coefficient table coefs at offsets s."""
+    p = np.zeros_like(s)
+    for c in coefs.T[::-1]:
+        p = p * s + c[seg]
+    return p
+
+
+def reexpand(c, d):
+    """Coefficients c (..., p), ascending in x, rewritten in x - d by
+    synthetic division; d broadcasts against c[..., 0]."""
+    c = c.copy()
+    p = c.shape[-1]
+    for r in range(p - 1):
+        for j in range(p - 2, r - 1, -1):
+            c[..., j] += d * c[..., j + 1]
+    return c
+
+
+def knot_tol(T):
+    """The distance within which two knots of a weight of period T, or a
+    knot and a mesh node, are one point."""
+    return 1e-12 * max(T, 1.0)
+
+
 # -- construction -----------------------------------------------------------
 
 
 def _expand_piece(piece):
-    """Expand one piece into polynomial segments: list of (t0, t1, coefs)."""
+    """One piece's segments as rows (start, end, ascending coefficients):
+    a poly piece is one segment, a samples piece one linear segment per
+    pair of neighbouring samples."""
     if piece.kind == "poly":
-        return [(piece.t0, piece.t1, np.asarray(piece.data, dtype=float))]
+        return np.array([(piece.t0, piece.t1, *piece.data)], dtype=float)
     if piece.kind == "samples":
         ts = np.asarray(piece.data[0], dtype=float)
         vs = np.asarray(piece.data[1], dtype=float)
@@ -178,95 +202,87 @@ def _expand_piece(piece):
             raise WeightError("sample times must be strictly increasing")
         if not (math.isclose(ts[0], piece.t0) and math.isclose(ts[-1], piece.t1)):
             raise WeightError("samples must cover the piece exactly")
-        segs = []
-        for i in range(len(ts) - 1):
-            slope = (vs[i + 1] - vs[i]) / (ts[i + 1] - ts[i])
-            segs.append((ts[i], ts[i + 1], np.array([vs[i], slope])))
-        return segs
+        return np.column_stack([ts[:-1], ts[1:], vs[:-1],
+                                np.diff(vs) / np.diff(ts)])
     raise WeightError(f"unknown piece kind {piece.kind!r}")
-
-
-def _poly_extrema(coefs, lo, hi):
-    """(min, max) of an ascending-coefficient polynomial on [0, hi-lo] offsets."""
-    length = hi - lo
-    cands = [0.0, length]
-    if len(coefs) > 2:
-        dc = np.array([i * coefs[i] for i in range(1, len(coefs))])
-        roots = np.roots(dc[::-1])
-        for r in roots:
-            if abs(r.imag) < 1e-12 and 0.0 < r.real < length:
-                cands.append(r.real)
-    vals = [float(np.polyval(coefs[::-1], s)) for s in cands]
-    return min(vals), max(vals)
 
 
 def build_weight(T, tau, pieces):
     """Validate a weight definition and normalize it into a WeightSpec.
 
+    Every step works on the whole table of segments.  A segment end within
+    ``knot_tol(T)`` of tau is tau, and a segment across tau is split there.
     Raises SignStructureViolation or EdgeMassViolation on invalid input.
     """
-    T = float(T)
-    tau = float(tau)
+    T, tau = float(T), float(tau)
     if not (0.0 < tau < T):
         raise WeightError("need 0 < tau < T")
     pieces = tuple(pieces)
-    segs = []
-    for p in sorted(pieces, key=lambda p: p.t0):
-        segs.extend(_expand_piece(p))
-    if not segs or not math.isclose(segs[0][0], 0.0, abs_tol=1e-12 * T):
+    rows = [_expand_piece(p) for p in sorted(pieces, key=lambda p: p.t0)]
+    width = max([r.shape[1] for r in rows], default=2)
+    table = np.concatenate([np.zeros((0, width))] + [
+        np.pad(r, ((0, 0), (0, width - r.shape[1]))) for r in rows])
+    t0, t1, coefs = table[:, 0], table[:, 1], table[:, 2:]
+    ktol = knot_tol(T)
+    if not len(t0) or not abs(t0[0]) <= ktol:
         raise WeightError("pieces must start at t = 0")
-    if not math.isclose(segs[-1][1], T, rel_tol=1e-12):
+    if not abs(t1[-1] - T) <= ktol:
         raise WeightError("pieces must end at t = T")
-    for (a0, a1, _), (b0, b1, _) in zip(segs[:-1], segs[1:]):
-        if not math.isclose(a1, b0, rel_tol=1e-12, abs_tol=1e-12 * T):
-            raise WeightError("pieces must tile [0, T] without gaps or overlaps")
+    if not np.all(np.abs(t1[:-1] - t0[1:]) <= ktol):
+        raise WeightError("pieces must tile [0, T] without gaps or overlaps")
 
-    # force a knot at tau so every segment sits inside one sign region
-    split = []
-    for t0, t1, c in segs:
-        if t0 < tau < t1 and not math.isclose(t0, tau) and not math.isclose(t1, tau):
-            split.append((t0, tau, c))
-            # re-center coefficients at tau
-            split.append((tau, t1, _recenter(c, tau - t0)))
-        else:
-            split.append((t0, t1, c))
-    segs = split
-
-    maxdeg = max(len(c) for _, _, c in segs)
-    knots = np.array([s[0] for s in segs] + [T])
-    coefs = np.zeros((len(segs), maxdeg))
-    for i, (_, _, c) in enumerate(segs):
-        coefs[i, :len(c)] = c
+    # an end near tau is tau, and a segment across tau is cut there, so
+    # every segment sits inside one sign region
+    t0[np.abs(t0 - tau) <= ktol] = tau
+    t1[np.abs(t1 - tau) <= ktol] = tau
+    cut = np.flatnonzero((t0 < tau) & (tau < t1))
+    coefs = np.insert(coefs, cut + 1, reexpand(coefs[cut], tau - t0[cut]),
+                      axis=0)
+    t0, t1 = np.insert(t0, cut + 1, tau), np.insert(t1, cut, tau)
     if not np.all(np.isfinite(coefs)):
         raise WeightError("weight values must be finite")
-    positive = np.array([0.5 * (a + b) < tau for (a, b, _) in segs])
+    positive = 0.5 * (t0 + t1) < tau
+    w = WeightSpec(period=T, tau=tau, pieces=pieces, sup_a_plus=math.nan,
+                   seg_knots=np.append(t0, T), seg_coefs=coefs,
+                   seg_positive=positive)
 
+    # each segment's extrema lie at its ends and at the real critical
+    # points inside it, which only degree 2 or more can have
+    seg, ts = [np.arange(len(t0))] * 2, [t0, t1]
+    for i in np.flatnonzero(coefs[:, 2:].any(axis=1)):
+        r = np.roots((coefs[i, 1:] * np.arange(1, coefs.shape[1]))[::-1])
+        r = r.real[(abs(r.imag) < 1e-12) & (0.0 < r.real)
+                   & (r.real < t1[i] - t0[i])]
+        seg.append(np.full(len(r), i))
+        ts.append(t0[i] + r)
+    seg = np.concatenate(seg)
+    vals = w.seg_eval(seg, np.concatenate(ts))
     scale = max(abs(coefs).max(), 1e-300)
     tol = 1e-10 * scale
-    sup_plus = 0.0
-    int_plus = 0.0
-    int_minus = 0.0
-    for i, (t0, t1, c) in enumerate(segs):
-        lo, hi = _poly_extrema(coefs[i], t0, t1)
-        if positive[i]:
-            if lo < -tol:
-                raise SignStructureViolation(
-                    f"weight dips to {lo:.3e} inside the positivity interval")
-            sup_plus = max(sup_plus, hi)
-            int_plus += _integ(coefs[i], t1 - t0)
-        else:
-            if hi > tol:
-                raise SignStructureViolation(
-                    f"weight rises to {hi:.3e} inside the negativity interval")
-            int_minus -= _integ(coefs[i], t1 - t0)
-    if int_plus <= tol * tau:
+    pos = positive[seg]
+    bad = np.where(pos, vals < -tol, vals > tol)
+    if bad.any():
+        i = seg[bad].min()
+        v = vals[seg == i]
+        raise SignStructureViolation(
+            f"weight dips to {v.min():.3e} inside the positivity interval"
+            if positive[i] else
+            f"weight rises to {v.max():.3e} inside the negativity interval")
+    w = replace(w, sup_a_plus=float(np.max(vals[pos], initial=0.0)))
+    plus, minus = w.primitive(T) - w.primitive(0.0)
+    if plus <= tol * tau:
         raise SignStructureViolation("weight vanishes identically on [0, tau]")
-    if int_minus <= tol * (T - tau):
+    if minus <= tol * (T - tau):
         raise SignStructureViolation("weight vanishes identically on [tau, T]")
-
-    w = WeightSpec(period=T, tau=tau, pieces=pieces, sup_a_plus=float(sup_plus),
-                   seg_knots=knots, seg_coefs=coefs, seg_positive=positive)
-    _check_edge_mass(w)
+    # a- must carry mass within (T - tau) / 2^j of both sign changes
+    delta = (T - tau) / 2.0 ** np.arange(2, 9)
+    near = w.integral_a_minus(np.append(np.full(7, tau), T - delta),
+                              np.append(tau + delta, np.full(7, T)))
+    bad = np.flatnonzero((near.reshape(2, 7) <= 1e-14 * scale * delta)
+                         .any(axis=0))
+    if len(bad):
+        raise EdgeMassViolation(f"negative part has no mass within "
+                                f"{delta[bad[0]]:.3e} of a sign change")
     return w
 
 
@@ -274,33 +290,6 @@ def weight_key(w):
     """The content that fixes a weight's levels and meshes: equal keys,
     equal levels and equal grids."""
     return w.period, w.tau, w.pieces
-
-
-def _recenter(c, dt):
-    """Rewrite ascending coefficients in (t - t0) as coefficients in (t - t0 - dt)."""
-    n = len(c)
-    out = np.zeros(n)
-    for i in range(n):
-        for j in range(i + 1):
-            out[j] += c[i] * math.comb(i, j) * dt ** (i - j)
-    return out
-
-
-def _integ(coefs, length):
-    return sum(ci / (i + 1) * length ** (i + 1) for i, ci in enumerate(coefs))
-
-
-def _check_edge_mass(w):
-    """The negative part must carry mass arbitrarily close to both sign changes."""
-    T, tau = w.period, w.tau
-    scale = max(abs(w.seg_coefs).max(), 1e-300)
-    for j in range(2, 9):
-        delta = (T - tau) / 2 ** j
-        left = w.integral_a_minus(tau, tau + delta)
-        right = w.integral_a_minus(T - delta, T)
-        if left <= 1e-14 * scale * delta or right <= 1e-14 * scale * delta:
-            raise EdgeMassViolation(
-                f"negative part has no mass within {delta:.3e} of a sign change")
 
 
 # -- stock weights ----------------------------------------------------------

@@ -655,6 +655,9 @@ def test_operator_slopes(w, code, cells, mu, periodic, seed):
 @given(w=_weights, t0=st.floats(-3.0, 3.0), span=st.floats(0.1, 8.0),
        n=st.integers(2, 300), near=st.sampled_from([0.0, 1e-14, 1e-13, 1e-9]),
        seed=st.integers(0, 2 ** 32 - 1))
+# the mesh's left end and the knot 3.0 a node, one ulp apart: a cell 4.4e-16
+# wide whose midpoint rounds onto its right node
+@example(w="step", t0=2.9999999999999996, span=1.0, n=2, near=0.0, seed=0)
 def test_build_tables_matches_reference_bits(w, t0, span, n, near, seed):
     """Tables on the meshes ``segment_grid`` makes of random nodes, some
     within ``near`` of a knot (a knot farther than 1e-12 max(T, 1) from
@@ -775,6 +778,40 @@ def test_meshes_hold_every_knot(w, t0, cuts, n, even, i0, L, m, seed):
         cut = np.delete(nodes, np.argmin(np.abs(nodes - k)))
         with pytest.raises(WeightError, match="inside a cell"):
             assembly.build_tables(w, cut)
+
+
+def test_segment_grid_keeps_one_of_close_nodes(step_weight):
+    """Of two nodes within weight.knot_tol ``segment_grid`` keeps one: an
+    end, else the one on a weight knot, else the left one; a knot within
+    that of a node is not added, and a farther one is."""
+    w, eps = step_weight, 1e-13
+    cases = [([3.0 - 4e-16, 3.0, 3.5, 4.0], [3.0 - 4e-16, 3.5, 4.0]),
+             ([0.5, 2.0, 2.0 + eps], [0.5, 1.0, 2.0 + eps]),
+             ([0.2, 1.0 - eps, 1.0, 1.5], [0.2, 1.0, 1.5]),
+             ([0.2, 0.5, 0.5 + eps, 0.9], [0.2, 0.5, 0.9]),
+             ([0.2, 1.0 + eps, 1.5], [0.2, 1.0 + eps, 1.5])]
+    for nodes, want in cases:
+        assert assembly.segment_grid(w, nodes).nodes.tolist() == want
+
+
+def test_one_window_per_mesh(monkeypatch, step_weight):
+    """Two cell counts that a weight's knots floor to one mesh get one
+    window grid in one kept slot (sine at 4096 samples a period: 712 and 89
+    both give m = 2048), and a weight with no knot inside its subintervals
+    gets the count asked for."""
+    monkeypatch.setattr(weight, "_SINE_SAMPLES", 4096)
+    w = weight.make_sine_weight()
+    grid = assembly.span_grid(w, 0, 2, 712)
+    assert grid.m == 2048 and len(assembly._grids) == 1
+    for m in (89, 2048):
+        assert assembly.span_grid(w, 0, 2, m) is grid
+    assert len(assembly._grids) == 1
+    assert assembly.span_grid(w, 0, 2, 2049).m > 2048
+    for m in (8, 160, 161):
+        step = assembly.span_grid(step_weight, -1, 2, m)
+        assert step.m == m and step is assembly.span_grid(step_weight, -1, 2, m)
+        assert np.array_equal(step.nodes, assembly.knot_mesh(
+            step_weight, [-2.0, -1.0, 0.0, 1.0, 2.0], m, even=True)[0])
 
 
 # -- grids kept per process ---------------------------------------------------

@@ -367,6 +367,63 @@ def test_weight_file_shared_across_commands(tmp_path):
     assert localfield.levels_of(w) is shared
 
 
+def _step_file(path, boundary):
+    """The step weight as a file whose sign change sits at ``boundary``
+    while tau stays 1."""
+    path.write_text(json.dumps({"T": 2.0, "tau": 1.0, "pieces": [
+        {"t0": 0.0, "t1": boundary, "kind": "poly", "data": [1.0]},
+        {"t0": boundary, "t1": 2.0, "kind": "poly", "data": [-1.0]}]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("offset, code", [(1e-13, 0), (1e-10, 2)])
+def test_piece_end_near_tau(tmp_path, offset, code):
+    """A piece end within weight.knot_tol of tau is tau, and the file runs
+    as the step weight; one farther out cuts its piece at tau, and the
+    positive part past tau is a sign violation, exit 2, in every command."""
+    path = _step_file(tmp_path / "w.json", 1.0 + offset)
+    if code == 0:
+        assert list(weight.load_weight_json(path).seg_knots) == [0.0, 1.0, 2.0]
+    for argv in (["local"], ["connection", "--mu", "1e3", "--x", "0.5",
+                             "--y", "0.5"],
+                 ["solve", "--symbols", "10", "--mu", "1e3"]):
+        out = tmp_path / argv[0]
+        assert cli.main(argv + ["--weight", path, "--outdir", str(out)]) \
+            == code
+        if code:
+            assert "rises to 1.000e+00 inside the negativity interval" in \
+                (out / "FAILED").read_text()
+
+
+@pytest.mark.parametrize("name", ["step", "sine"])
+def test_weight_files_are_the_builtins(tmp_path, name):
+    """weights/<name>.json loads to the built-in's content, and ``local``
+    and ``solve`` with the file write the built-in's artifacts byte for
+    byte; the manifests differ only in the weight label, the outdir and
+    the hash over both."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "weights",
+                        f"{name}.json")
+    builtin = cli.resolve_weight(name)[0]
+    assert weight.weight_key(weight.load_weight_json(path)) == \
+        weight.weight_key(builtin)
+    for argv in (["local"], ["solve", "--symbols", "10", "--mu", "1e3"]):
+        runs = {}
+        for spec in (name, path):
+            out = tmp_path / f"{argv[0]}-{spec == path}"
+            assert cli.main(argv + ["--weight", spec, "--outdir",
+                                    str(out)]) == 0
+            runs[spec] = {f: (out / f).read_bytes() for f in os.listdir(out)}
+        manifests = [_read_json(tmp_path / f"{argv[0]}-{f}" / "manifest.json")
+                     for f in (False, True)]
+        for m in manifests:
+            del m["config"]["outdir"], m["config"]["weight"], \
+                m["inputs"]["weight"], m["manifest_hash"]
+        assert manifests[0] == manifests[1]
+        for f, blob in runs[name].items():
+            assert f == "manifest.json" or runs[path][f] == blob, f
+        assert runs[name].keys() == runs[path].keys()
+
+
 def _two_level_pieces():
     """A weight with a knot inside I^+ and one inside I^-."""
     return weight.build_weight(2.2, 1.0, [

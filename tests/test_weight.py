@@ -344,3 +344,229 @@ def test_weight_file_refusal_exits_2(tmp_path):
     assert cli.main(["local", "--weight", str(path),
                      "--outdir", str(out)]) == 2
     assert "malformed weight" in (out / "FAILED").read_text()
+
+
+# -- the array build against the per-segment loops it replaced -----------------
+#
+# Kept as the reference: build_weight as it was, one segment at a time, with
+# its one change, the tau rule (a segment end within knot_tol of tau is tau,
+# and a segment across tau is cut there), and the knot tolerance in place of
+# the tiling's 1e-12 T.
+
+
+def _ref_expand(piece):
+    if piece.kind == "poly":
+        return [(piece.t0, piece.t1, np.asarray(piece.data, dtype=float))]
+    if piece.kind != "samples":
+        raise WeightError(f"unknown piece kind {piece.kind!r}")
+    ts = np.asarray(piece.data[0], dtype=float)
+    vs = np.asarray(piece.data[1], dtype=float)
+    if len(ts) != len(vs) or len(ts) < 2 or np.any(np.diff(ts) <= 0) or \
+            not (math.isclose(ts[0], piece.t0)
+                 and math.isclose(ts[-1], piece.t1)):
+        raise WeightError("bad samples")
+    return [(ts[i], ts[i + 1],
+             np.array([vs[i], (vs[i + 1] - vs[i]) / (ts[i + 1] - ts[i])]))
+            for i in range(len(ts) - 1)]
+
+
+def _ref_extrema(coefs, length):
+    cands = [0.0, length]
+    if len(coefs) > 2:
+        dc = np.array([i * coefs[i] for i in range(1, len(coefs))])
+        for r in np.roots(dc[::-1]):
+            if abs(r.imag) < 1e-12 and 0.0 < r.real < length:
+                cands.append(r.real)
+    vals = [float(np.polyval(coefs[::-1], s)) for s in cands]
+    return min(vals), max(vals)
+
+
+def _ref_recenter(c, dt):
+    out = np.zeros(len(c))
+    for i in range(len(c)):
+        for j in range(i + 1):
+            out[j] += c[i] * math.comb(i, j) * dt ** (i - j)
+    return out
+
+
+def _ref_integral_a_minus(w, x, y):
+    if y <= x:
+        return 0.0
+    total = 0.0
+    knots = w.knots_in_span(x, y)
+    for ta, tb in zip(knots[:-1], knots[1:]):
+        tm = 0.5 * (ta + tb)
+        shift = w.period * math.floor(tm / w.period)
+        seg = int(w._segment_index(np.array([tm - shift]))[0])
+        if not w.seg_positive[seg]:
+            t0 = w.seg_knots[seg] + shift
+            total -= sum(c / (i + 1) * ((tb - t0) ** (i + 1)
+                                        - (ta - t0) ** (i + 1))
+                         for i, c in enumerate(w.seg_coefs[seg]))
+    return total
+
+
+def _ref_build(T, tau, pieces):
+    """(WeightSpec, rows re-expanded at tau with their shifts) of the loops."""
+    T, tau = float(T), float(tau)
+    if not (0.0 < tau < T):
+        raise WeightError("need 0 < tau < T")
+    segs = []
+    for p in sorted(pieces, key=lambda p: p.t0):
+        segs.extend(_ref_expand(p))
+    ktol = weight.knot_tol(T)
+    if not segs or not abs(segs[0][0]) <= ktol or \
+            not abs(segs[-1][1] - T) <= ktol:
+        raise WeightError("pieces must cover [0, T]")
+    for (_, a1, _), (b0, _, _) in zip(segs[:-1], segs[1:]):
+        if not abs(a1 - b0) <= ktol:
+            raise WeightError("pieces must tile [0, T]")
+    split, moved = [], {}
+    for t0, t1, c in segs:
+        t0 = tau if abs(t0 - tau) <= ktol else t0
+        t1 = tau if abs(t1 - tau) <= ktol else t1
+        if t0 < tau < t1:
+            split.append((t0, tau, c))
+            moved[len(split)] = (c, tau - t0)
+            split.append((tau, t1, _ref_recenter(c, tau - t0)))
+        else:
+            split.append((t0, t1, c))
+    coefs = np.zeros((len(split), max(len(c) for *_, c in split)))
+    for i, (*_, c) in enumerate(split):
+        coefs[i, :len(c)] = c
+    if not np.all(np.isfinite(coefs)):
+        raise WeightError("weight values must be finite")
+    positive = np.array([0.5 * (a + b) < tau for a, b, _ in split])
+    scale = max(abs(coefs).max(), 1e-300)
+    tol = 1e-10 * scale
+    sup = int_plus = int_minus = 0.0
+    for i, (t0, t1, _) in enumerate(split):
+        lo, hi = _ref_extrema(coefs[i], t1 - t0)
+        mass = sum(c / (k + 1) * (t1 - t0) ** (k + 1)
+                   for k, c in enumerate(coefs[i]))
+        if positive[i]:
+            if lo < -tol:
+                raise SignStructureViolation("dip")
+            sup = max(sup, hi)
+            int_plus += mass
+        else:
+            if hi > tol:
+                raise SignStructureViolation("rise")
+            int_minus -= mass
+    if int_plus <= tol * tau or int_minus <= tol * (T - tau):
+        raise SignStructureViolation("vanishes")
+    w = weight.WeightSpec(period=T, tau=tau, pieces=tuple(pieces),
+                          sup_a_plus=float(sup),
+                          seg_knots=np.array([s[0] for s in split] + [T]),
+                          seg_coefs=coefs, seg_positive=positive)
+    for j in range(2, 9):
+        delta = (T - tau) / 2 ** j
+        if min(_ref_integral_a_minus(w, tau, tau + delta),
+               _ref_integral_a_minus(w, T - delta, T)) \
+                <= 1e-14 * scale * delta:
+            raise EdgeMassViolation("no edge mass")
+    return w, moved
+
+
+# 0 or at least 0.01 in size: a tiny coefficient of degree 2 or more makes
+# ``np.roots`` overflow, in the loops as in the build
+_factors = st.just(0.0) | st.floats(0.01, 0.8) | st.floats(-0.8, -0.01)
+
+
+@st.composite
+def _weight_defs(draw):
+    """(T, tau, pieces): poly pieces of degree 0-3, arches with an extremum
+    inside and sample pieces, of the sign of their side, with tau a piece
+    end, an end 1e-13 or 1e-10 (times T) off it, or inside a piece that
+    changes sign there; now and then a level of 0, a gap or a non-finite
+    value."""
+    T = draw(st.floats(0.5, 4.0))
+    tau = T * draw(st.floats(0.2, 0.8))
+    inner = draw(st.lists(st.floats(0.02, 0.98), max_size=4, unique=True))
+    at_tau = draw(st.sampled_from(["end", "across", 1e-13, -1e-13, 1e-10,
+                                   -1e-10]))
+    ends = sorted({0.0, T, *(T * f for f in inner)}
+                  | ({tau if at_tau == "end" else tau + at_tau * T}
+                     if at_tau != "across" else set()))
+    ends = [e for e, f in zip(ends, [None] + ends) if f is None
+            or e - f > 1e-3 * T or e in (0.0, T)]
+    pieces = []
+    for a, b in zip(ends[:-1], ends[1:]):
+        sign = 1.0 if 0.5 * (a + b) < tau else -1.0
+        level = sign * draw(st.sampled_from([0.0, 1.0]) | st.floats(0.1, 2.0))
+        if a < tau < b and at_tau == "across":
+            q0, q1 = draw(st.floats(0.5, 2.0)), 0.3 * draw(_factors)
+            d = tau - a
+            data = (d * q0, d * q1 - q0, -q1)
+            pieces.append(weight.Piece(a, b, "poly", data))
+            continue
+        kind = draw(st.sampled_from(["samples", "poly", "arch"]))
+        if kind == "samples":
+            k = draw(st.integers(2, 6))
+            ts = tuple(np.linspace(a, b, k).tolist())
+            vs = tuple(sign * draw(st.floats(0.0, 2.0)) for _ in ts)
+            pieces.append(weight.Piece(a, b, "samples", (ts, vs)))
+            continue
+        if kind == "poly":
+            deg = draw(st.integers(0, 3))
+            data = (level,) + tuple(
+                level * draw(_factors) / (b - a) ** k
+                for k in range(1, deg + 1))
+        else:       # level (1 + h s (L - s) / L): a max or min inside
+            h = 8.0 * draw(_factors) / (b - a)
+            data = (level, level * h, -level * h / (b - a))
+        pieces.append(weight.Piece(a, b, "poly", data))
+    poison = draw(st.sampled_from([None] * 6 + ["gap", "small-gap", "nan"]))
+    i = draw(st.integers(0, len(pieces) - 1))
+    p = pieces[i]
+    if poison in ("gap", "small-gap") and p.kind == "poly" and i:
+        off = (1e-11 if poison == "gap" else 1e-13) * T
+        pieces[i] = weight.Piece(p.t0 + off, p.t1, "poly", p.data)
+    elif poison == "nan":
+        pieces[i] = weight.Piece(p.t0, p.t1, "poly", (math.nan,))
+    return T, tau, pieces
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args), None
+    except WeightError as e:
+        return None, type(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_weight_defs(), st.floats(-2.0, 2.0), st.floats(0.0, 3.0))
+def test_array_build_matches_the_loops(defn, x, span):
+    """build_weight refuses what the per-segment loops refuse, with the
+    same exception class, and builds the same table: knots and signs bit
+    for bit, coefficients bit for bit except the half of a piece
+    re-expanded at tau (to 1e-15 of the re-expansion of |c|), sup a+ bit
+    for bit where no segment has degree 2 or more; integral_a_minus agrees
+    with the knot loop over spans across periods."""
+    T, tau, pieces = defn
+    got, err = _outcome(weight.build_weight, T, tau, pieces)
+    ref, ref_err = _outcome(_ref_build, T, tau, pieces)
+    assert err == ref_err
+    if err is not None:
+        return
+    ref, moved = ref
+    assert np.array_equal(got.seg_knots, ref.seg_knots)
+    assert np.array_equal(got.seg_positive, ref.seg_positive)
+    assert got.seg_coefs.shape == ref.seg_coefs.shape
+    for i, (want, g) in enumerate(zip(ref.seg_coefs, got.seg_coefs)):
+        if i in moved:
+            c, dt = moved[i]
+            bound = _ref_recenter(np.abs(c), abs(dt))
+            assert np.all(np.abs(g[:len(c)] - want[:len(c)]) <= 1e-15 * bound)
+        else:
+            assert np.array_equal(g, want)
+    if not got.seg_coefs[:, 2:].any():
+        assert got.sup_a_plus == ref.sup_a_plus
+    else:
+        assert math.isclose(got.sup_a_plus, ref.sup_a_plus, rel_tol=1e-13)
+    x, y = x * T, (x + span) * T
+    want = _ref_integral_a_minus(ref, x, y)
+    mass = _ref_integral_a_minus(ref, 0.0, T)
+    assert abs(got.integral_a_minus(x, y) - want) <= \
+        1e-13 * mass * (abs(x) + abs(y) + T) / T
+    assert got.integral_a_minus(y, x) == 0.0
