@@ -671,63 +671,67 @@ def clear_grids():
     _grids.clear()
 
 
-def knot_mesh(w, bounds, n, even=False):
-    """Nodes on the stretches between the increasing ``bounds`` with a node
-    on every weight knot, and the cell count of each stretch.
-
-    Each piece of a stretch between knots gets ceil(n len / stretch) cells
-    (to rounding), at least one, so a weight's knots set a floor on the
-    count that no n lowers; a knot within ``weight.knot_tol`` of a bound
-    counts as that bound.  A piece's c nodes are uniform, a + k ((b - a) /
-    c), the bits of ``np.linspace``.  With ``even`` every stretch gets the
-    largest stretch's count, the extra cells going to its longest piece.
-    """
+def knot_cells(w, bounds, n):
+    """The pieces of the stretches between the increasing ``bounds``: their
+    ends (the bounds and every weight knot farther than ``weight.knot_tol``
+    from them), each stretch's first piece, each piece's cell count
+    (ceil(n len / stretch) to rounding, at least one) and each stretch's
+    total.  No piece's count falls as n grows, so the totals fix them."""
     bounds = np.asarray(bounds, dtype=float)
     ends = np.sort(np.concatenate([bounds, _loose_knots(w, bounds)]))
-    first = np.searchsorted(ends, bounds[:-1])    # each stretch's first piece
     stretch = np.searchsorted(bounds, ends[:-1], side="right") - 1
-    length, span = ends[1:] - ends[:-1], bounds[1:] - bounds[:-1]
-    share = n * (length / span[stretch])
+    share = n * (np.diff(ends) / np.diff(bounds)[stretch])
     # a share within rounding of a whole count is that count, so that the
     # pieces of a stretch cut evenly by its knots keep their counts when
     # asked again for the counts they got
     cells = np.maximum(np.ceil(share * (1.0 - 1e-9)), 1.0).astype(np.int64)
-    per = np.add.reduceat(cells, first)
+    first = np.searchsorted(ends, bounds[:-1])
+    return ends, first, cells, np.add.reduceat(cells, first)
+
+
+def knot_mesh(w, bounds, n, even=False):
+    """Nodes on the stretches between the increasing ``bounds`` with a node
+    on every weight knot, and the cell count of each stretch.
+
+    Each piece of a stretch between knots gets ``knot_cells``'s count, so a
+    weight's knots set a floor on the count that no n lowers; a knot within
+    ``weight.knot_tol`` of a bound counts as that bound.  A piece's c nodes
+    are uniform, a + k ((b - a) / c), the bits of ``np.linspace``.  With
+    ``even`` every stretch gets the largest stretch's count, the extra
+    cells going to its longest piece.
+    """
+    ends, first, cells, per = knot_cells(w, bounds, n)
+    length = np.diff(ends)
     if even:
+        stretch = np.searchsorted(first, np.arange(len(cells)), "right") - 1
         longest = np.lexsort((-length, stretch))[first]
         cells[longest] += per.max() - per
         per[:] = per.max()
     piece = np.repeat(np.arange(len(cells)), cells)
     k = np.arange(len(piece)) - (np.cumsum(cells) - cells)[piece]
     steps = k * (length / cells)[piece]
-    return np.concatenate([ends[:-1][piece] + steps, bounds[-1:]]), per
+    return np.concatenate([ends[:-1][piece] + steps, ends[-1:]]), per
 
 
 def span_grid(w, i0, n_int, cells_per_interval):
     """Periodic window over [sigma_{i0}, sigma_{i0+n_int}] with the same
     count of cells on each I_i^pm (``knot_mesh``, uniform and even), at
     least ``cells_per_interval``; its right end is identified with its
-    left.  The process keeps it by the weight's content, (i0, n_int) and
-    the cell count it holds (``kept_grid``), so two counts that the
-    weight's knots floor to one mesh get one grid."""
+    left.  The process keeps it (``kept_grid``) by the weight's content,
+    (i0, n_int) and each I_i^pm's count before the evening, which fix its
+    nodes (``knot_cells``), so counts floored to one mesh get one grid."""
     if n_int < 1:
         raise WeightError("need at least one weight period")
     if cells_per_interval < 8:
         raise WeightError("need at least 8 cells per subinterval")
     n = int(cells_per_interval)
-
-    def mesh():
-        i = np.arange(i0, i0 + n_int)
-        bounds = np.append(np.column_stack([w.sigma(i), w.tau_i(i)]),
-                           w.sigma(i0 + n_int))
-        return knot_mesh(w, bounds, n, even=True)
-
-    # with no knot inside its subintervals a window has the cells asked for
-    held = None if len(w.seg_coefs) == 2 else mesh()
-    m = n if held is None else int(held[1][0])
-    return kept_grid((weight_key(w), i0, n_int, m), lambda: Grid(
-        w=w, nodes=(held or mesh())[0], periodic=True, i0=i0, n_int=n_int,
-        m=m))
+    i = np.arange(i0, i0 + n_int)
+    bounds = np.append(np.column_stack([w.sigma(i), w.tau_i(i)]),
+                       w.sigma(i0 + n_int))
+    per = knot_cells(w, bounds, n)[3]
+    return kept_grid((weight_key(w), i0, n_int, per.tobytes()), lambda: Grid(
+        w=w, nodes=knot_mesh(w, bounds, n, even=True)[0], periodic=True,
+        i0=i0, n_int=n_int, m=int(per.max())))
 
 
 def segment_grid(w, nodes, add_knots=True):

@@ -101,22 +101,26 @@ class WeightSpec:
 
     # -- exact integrals ----------------------------------------------------
 
-    def primitive(self, t):
+    def primitive(self, t, from_T=False):
         """(A+(t), A-(t)), stacked: the exact periodic primitives of a+ and
         a-, zero at t = 0, as whole periods, whole segments and the part of
         t's own segment, whose sign (validated) says which of the two it
-        feeds."""
+        feeds.  With ``from_T`` they are zero at t = T, the whole segments
+        summed back from T, so that a span ending at T is rounded relative
+        to its own mass rather than to the period's."""
         icoefs = self.seg_coefs / np.arange(1, self.seg_coefs.shape[1] + 1)
         s = np.diff(self.seg_knots)
         sided = np.where(self.seg_positive, [[1.0], [0.0]], [[0.0], [-1.0]])
         mass = sided * (s * _horner(icoefs, np.arange(len(s)), s))
-        cum = np.pad(mass, ((0, 0), (1, 0))).cumsum(axis=1)
+        way = -1 if from_T else 1     # summed forward from 0 or back from T
+        cum = np.pad(mass[:, ::way], ((0, 0), (1, 0))).cumsum(axis=1)
+        cum = way * cum[:, ::way]
         t = np.asarray(t, dtype=float)
         k = np.floor(t / self.period)
         tf = t - self.period * k
         seg = self._segment_index(tf)
         s = tf - self.seg_knots[seg]
-        return (np.multiply.outer(cum[:, -1], k) + cum[:, seg]
+        return (np.multiply.outer(cum[:, -1] - cum[:, 0], k) + cum[:, seg]
                 + sided[:, seg] * (s * _horner(icoefs, seg, s)))
 
     def integral_a_minus(self, x, y):
@@ -274,12 +278,12 @@ def build_weight(T, tau, pieces):
         raise SignStructureViolation("weight vanishes identically on [0, tau]")
     if minus <= tol * (T - tau):
         raise SignStructureViolation("weight vanishes identically on [tau, T]")
-    # a- must carry mass within (T - tau) / 2^j of both sign changes
+    # a- must carry mass within (T - tau) / 2^j of both sign changes, each
+    # span summed from its sign change so as to round relative to its mass
     delta = (T - tau) / 2.0 ** np.arange(2, 9)
-    near = w.integral_a_minus(np.append(np.full(7, tau), T - delta),
-                              np.append(tau + delta, np.full(7, T)))
-    bad = np.flatnonzero((near.reshape(2, 7) <= 1e-14 * scale * delta)
-                         .any(axis=0))
+    near = np.stack([w.primitive(tau + delta)[1],
+                     -w.primitive(T - delta, from_T=True)[1]])
+    bad = np.flatnonzero((near <= 1e-14 * scale * delta).any(axis=0))
     if len(bad):
         raise EdgeMassViolation(f"negative part has no mass within "
                                 f"{delta[bad[0]]:.3e} of a sign change")

@@ -814,6 +814,25 @@ def test_one_window_per_mesh(monkeypatch, step_weight):
             step_weight, [-2.0, -1.0, 0.0, 1.0, 2.0], m, even=True)[0])
 
 
+@pytest.mark.parametrize("order", [(100, 50), (50, 100)])
+def test_window_is_kept_by_its_nodes(order):
+    """Two counts that give one m but different nodes get their own
+    windows, whichever is asked first: 200 sample pieces floor I+ at 200
+    cells, and I-'s pieces (0.3, 0.7) get (30, 170) cells at n = 100 and
+    (15, 185) at n = 50."""
+    t = np.linspace(0.0, 1.0, 201)
+    P = weight.Piece
+    w = weight.build_weight(2.0, 1.0, [
+        P(0.0, 1.0, "samples", (tuple(t), tuple(np.sin(np.pi * t)))),
+        P(1.0, 1.3, "poly", (-1.0,)), P(1.3, 2.0, "poly", (-2.0,))])
+    for n in order:
+        grid = assembly.span_grid(w, 0, 1, n)
+        nodes, per = assembly.knot_mesh(w, [0.0, 1.0, 2.0], n, even=True)
+        assert grid.m == per.max() == 200
+        assert np.array_equal(grid.nodes, nodes)
+    assert len(assembly._grids) == 2
+
+
 # -- grids kept per process ---------------------------------------------------
 
 

@@ -116,6 +116,28 @@ def test_build_weight_rejects_empty_edges():
         ])
 
 
+def test_edge_mass_is_measured_from_its_sign_change():
+    """A faint band of a- next to either sign change holds edge mass when
+    its level is 1.25e-14 of the weight's scale and none at 0.8e-14: each
+    edge span is summed from its own sign change, so the rest of the
+    negative mass does not round it away (at the threshold's j = 8 a span
+    is about 5e-17 of the scale, below one ulp of that mass)."""
+    P, rng = weight.Piece, np.random.default_rng(5)
+    for big, cut in zip(rng.uniform(0.3, 3.0, 20), rng.uniform(1.3, 1.7, 20)):
+        for faint, refused in ((1.25e-14, False), (0.8e-14, True)):
+            near_T = [P(1.0, cut, "poly", (-big,)),
+                      P(cut, 2.0, "poly", (-faint * big,))]
+            near_tau = [P(1.0, cut, "poly", (-faint * big,)),
+                        P(cut, 2.0, "poly", (-big,))]
+            for neg in (near_T, near_tau):
+                pieces = [P(0.0, 1.0, "poly", (big,))] + neg
+                if refused:
+                    with pytest.raises(EdgeMassViolation):
+                        weight.build_weight(2.0, 1.0, pieces)
+                else:
+                    weight.build_weight(2.0, 1.0, pieces)
+
+
 def test_edge_double_integrals_step(step_weight):
     # int_tau^{tau+d} int_tau^s a-(t) dt ds = d^2/2 for a- = 1
     for d in (0.1, 0.25, 0.5):
