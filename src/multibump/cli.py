@@ -20,6 +20,9 @@ the output directory with the converted configuration, a content hash of the
 weight input, and sha256 digests of every artifact; a failed run, input
 errors included, also leaves a ``FAILED`` marker next to whatever partial
 artifacts exist, and its manifest holds null for what it did not reach.
+A CSV artifact writes every float as ``%.17g`` does (``write_csv``): the
+solution and oracle tables by array operations for 1e-4 <= |v| < 1e16,
+and by ``%.17g`` itself for the other values and for ``sweep``'s tables.
 
 Exit codes: 0 success, 2 input error, 3 certification failure,
 4 convergence failure, 5 internal error.
@@ -181,37 +184,208 @@ def resolve_weight(spec):
 
 
 def write_csv(path, header, rows):
-    """Write rows with deterministic formatting, return the bytes.
+    """Write a table with deterministic formatting, return the bytes.
 
-    The table is formatted by one ``%`` operation on a row format built
-    from the first row: a str column is written as it is, every other value
-    by ``%.17g``, which prints bools as 1/0, and nan, inf and -inf as such.
+    ``rows`` is a 2-D float64 array, ``Columns`` (``node_rows``), or any
+    iterable of rows.  Every value is written as ``%.17g`` writes it, which
+    prints bools as 1/0, and nan, inf and -inf as such, and a str column as
+    it is.  A float table takes the array path (``float_layout``), block by
+    block of _BLOCK_ROWS rows; other rows are formatted by one ``%``
+    operation on a row format built from the first row.
     """
-    rows = list(rows)
-    body = []
-    if rows:
-        fmt = ",".join("%s" if isinstance(v, str) else "%.17g"
-                       for v in rows[0])
-        body = ["\n".join([fmt] * len(rows))
-                % tuple(itertools.chain.from_iterable(rows))]
-    data = ("\n".join([",".join(header)] + body) + "\n").encode()
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 \
+            and rows.dtype == np.float64:
+        rows = Columns(None, rows)
+    if isinstance(rows, Columns):
+        lead, values = rows
+        if lead is not None and len(lead.chars) != len(values):
+            raise ValueError("laid out columns and values differ in length")
+        body = b"".join(_block_bytes(lead, values, block)
+                        for block in _blocks(len(values)))
+    else:
+        rows = list(rows)
+        body = b""
+        if rows:
+            fmt = ",".join("%s" if isinstance(v, str) else "%.17g"
+                           for v in rows[0])
+            body = ("\n".join([fmt] * len(rows))
+                    % tuple(itertools.chain.from_iterable(rows))
+                    + "\n").encode()
+    data = (",".join(header) + "\n").encode() + body
     with open(path, "wb") as f:
         f.write(data)
     return data
 
 
-_node_text = weakref.WeakKeyDictionary()    # Grid -> its nodes, as %.17g
+# The array path of write_csv.  For 1e-4 <= |v| < 1e16 '%.17g' prints v in
+# fixed notation: the 17 digits of N = |v| 10^(16 - E), rounded half to
+# even, where 10^E <= |v| < 10^(E+1), with the point after digit E (behind
+# "0." and -E - 1 zeros when E < 0), trailing zeros and a bare point
+# dropped.  |v| 10^(16 - E) is formed exactly, as a pair p + e of floats, by
+# Dekker's split product; E starts from floor(log10 |v|) and moves by one
+# where p + e lies outside [1e16, 1e17).  Each value is laid out in _SLOTS
+# byte slots,
+#
+#     -  0  .  0  0  0  d0 .  d1 .  ...  d15 .  d16 ,
+#
+# and a keep mask, looked up by (sign, E, last nonzero digit), marks the
+# slots it prints.  Zero, nan, inf, the values outside that range and any
+# value whose E the exact check does not settle are written by '%.17g'
+# into the first slots of their layout.
+
+_FIXED_MIN, _FIXED_MAX = 1e-4, 1e16
+_SLOTS = 40
+_SPLIT = 134217729.0                  # 2^27 + 1, Veltkamp's split factor
+
+
+class CsvLayout(NamedTuple):
+    """A float table laid out for ``write_csv``: ``chars`` (uint8) and
+    ``keep`` (bool), of shape (rows, columns, _SLOTS); the table's text is
+    the kept chars in order, each value followed by its separator."""
+    chars: np.ndarray
+    keep: np.ndarray
+
+
+def _veltkamp(a):
+    """(hi, lo) with hi + lo == a exactly and 26-bit halves."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+@functools.cache
+def _layout_tables():
+    """The array path's lookup tables, built once per process: the keep
+    masks by (sign, E + 4, last nonzero digit) as rows of uint64 words; the
+    words "-0.000d." by d0 and "d.d.d.d." by four digits; the last nonzero
+    digit's index within the 16 digits after d0, by chunk and four digits
+    (0 for zeros); and 10^k (k <= 22, exact) with its Veltkamp halves."""
+    neg, e, last, s = np.ix_(range(2), range(-4, 16), range(17),
+                             range(_SLOTS))
+    i = (s - 6) // 2                  # digit slot 6 + 2i, its point 7 + 2i
+    keep = ((s == 0) & (neg == 1)) | (((s == 1) | (s == 2)) & (e < 0)) \
+        | ((s >= 3) & (s < 6) & (s - 3 < -e - 1)) \
+        | ((s >= 6) & (s % 2 == 0) & (i <= np.maximum(e, last))) \
+        | ((s > 6) & (s % 2 == 1) & (i == e) & (last > e)) \
+        | (s == _SLOTS - 1)
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    quad = np.full((10000, 8), ord("."), np.uint8)
+    quad[:, ::2] = digits + ord("0")
+    lead = np.tile(np.frombuffer(b"-0.000d.", np.uint8), (10, 1))
+    lead[:, 6] = np.arange(10) + ord("0")
+    nonzero = digits[:, ::-1] != 0
+    place = np.where(nonzero.any(1), 4 - np.argmax(nonzero, axis=1), 0)
+    last_digit = np.where(place > 0, place + 4 * np.arange(4)[:, None], 0)
+    p10 = np.array([float(10 ** k) for k in range(23)])
+    return (keep.reshape(-1, _SLOTS).view(np.uint64),
+            lead.view(np.uint64).ravel(),
+            quad.view(np.uint64).ravel(), last_digit.astype(np.int8).ravel(),
+            p10, *_veltkamp(p10))
+
+
+def _outside(p, e):
+    """Whether the exact p + e lies outside [1e16, 1e17)."""
+    return (p < 1e16) | (p > 1e17) | ((p == 1e16) & (e < 0)) \
+        | ((p == 1e17) & (e >= 0))
+
+
+def float_layout(table):
+    """The CsvLayout of a 2-D float table, each value as '%.17g' writes it
+    and followed by a comma."""
+    keeps, lead, quad, last_digit, p10, p10h, p10l = _layout_tables()
+    table = np.asarray(table, dtype=float)
+    v = np.abs(table)
+    fast = (v >= _FIXED_MIN) & (v < _FIXED_MAX)
+    v = np.where(fast, v, 1.0)
+    vh, vl = _veltkamp(v)
+
+    def scaled(k):                    # v 10^k = p + e exactly
+        p = v * p10[k]
+        return p, ((vh * p10h[k] - p) + vh * p10l[k] + vl * p10h[k]) \
+            + vl * p10l[k]
+
+    E = np.floor(np.log10(v)).astype(np.intp)
+    p, e = scaled(16 - E)
+    out = _outside(p, e)
+    if out.any():
+        E += np.where((p < 1e16) | ((p == 1e16) & (e < 0)), -1, 1) * out
+        p2, e2 = scaled(np.clip(16 - E, 0, 22))
+        p, e = np.where(out, p2, p), np.where(out, e2, e)
+        fast &= ~_outside(p, e)
+    # p >= 1e16 > 2^53 is an even integer, so p + rint(e) is p + e rounded
+    # half to even
+    n = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    up = n == 10 ** 17
+    if up.any():
+        E += up
+        n[up] = 10 ** 16
+    hi = n // 10 ** 8
+    d0 = hi // 10 ** 8
+    # below 1e8, so exact in floats, and floor(x 1e-4) is x // 10^4
+    x = np.stack([hi - d0 * 10 ** 8, n - hi * 10 ** 8], -1).astype(float)
+    q = np.floor(x * 1e-4)
+    quads = np.stack([q, x - q * 1e4], -1).astype(np.intp) \
+        .reshape(v.shape + (4,))
+    at = last_digit.take(quads + np.array([0, 10000, 20000, 30000]))
+    last = np.maximum(np.maximum(at[..., 0], at[..., 1]),
+                      np.maximum(at[..., 2], at[..., 3]))
+    keep = keeps.take(((table < 0) * 20 + E + 4) * 17 + last, axis=0,
+                      mode="clip")
+    words = np.empty(v.shape + (5,), np.uint64)
+    words[..., 0] = lead.take(d0, mode="clip")
+    words[..., 1:] = quad.take(quads)
+    chars = words.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        text = np.array(["%.17g" % t for t in table.ravel()[slow].tolist()],
+                        dtype=f"S{_SLOTS - 1}").view(np.uint8) \
+            .reshape(len(slow), _SLOTS - 1)
+        chars.reshape(-1, _SLOTS)[slow, :-1] = text
+        keep.view(np.uint8).reshape(-1, _SLOTS)[slow, :-1] = text != 0
+    chars[..., -1] = ord(",")
+    return CsvLayout(chars, keep.view(bool))
+
+
+class Columns(NamedTuple):
+    """A float table for ``write_csv``: the columns of ``values``, a 2-D
+    float64 array, after those laid out in ``lead``, a CsvLayout or None."""
+    lead: CsvLayout
+    values: np.ndarray
+
+
+_BLOCK_ROWS = 8192      # rows laid out at a time, bounding the temporaries
+
+
+def _blocks(n):
+    """Slices of _BLOCK_ROWS rows covering n rows."""
+    return (slice(i, i + _BLOCK_ROWS) for i in range(0, n, _BLOCK_ROWS))
+
+
+def _block_bytes(lead, values, rows):
+    """The text of a slice of a Columns table's rows."""
+    layout = float_layout(values[rows])
+    if lead is not None:
+        layout = CsvLayout(*(np.concatenate([part[rows], new], axis=1)
+                             for part, new in zip(lead, layout)))
+    layout.chars[:, -1, -1] = ord("\n")
+    return np.compress(layout.keep.ravel(), layout.chars.ravel()).tobytes()
+
+
+_node_layouts = weakref.WeakKeyDictionary()    # Grid -> its nodes' layout
 
 
 def node_rows(grid, *columns):
-    """Rows (t, *values) of a table whose first column is a grid's nodes,
-    for ``write_csv``.  The nodes come as the str ``%.17g`` gives them,
-    formatted once per Grid object and freed with it, so a table on a
-    kept grid (whose nodes are read-only) formats only its value columns."""
-    text = _node_text.get(grid)
-    if text is None:
-        text = _node_text[grid] = ["%.17g" % t for t in grid.nodes.tolist()]
-    return zip(text, *(c.tolist() for c in columns), strict=True)
+    """The table (t, *columns) whose first column is a grid's nodes, for
+    ``write_csv``.  The node column is laid out once per Grid object and
+    freed with it, so a table on a kept grid (whose nodes are read-only)
+    formats only its value columns."""
+    nodes = _node_layouts.get(grid)
+    if nodes is None:
+        blocks = [float_layout(grid.nodes[rows, None])
+                  for rows in _blocks(len(grid.nodes))]
+        nodes = _node_layouts[grid] = CsvLayout(
+            *map(np.concatenate, zip(*blocks)))
+    return Columns(nodes, np.column_stack(columns))
 
 
 def write_json(path, payload):
@@ -521,7 +695,7 @@ def cmd_oracle(cfg, w, run):
             ts = np.linspace(t0, t1, cfg["samples"])
             run.add_csv(cfg["out"], ["t", "u", "du"],
                         np.column_stack([ts, dense.eval_u(ts),
-                                         dense.eval_du(ts)]).tolist())
+                                         dense.eval_du(ts)]))
     return json.dumps(payload, indent=2, sort_keys=True)
 
 

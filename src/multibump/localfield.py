@@ -380,7 +380,7 @@ def levels_of(w, mesh=None):
     commands and solves ask for it.  The _LEVELS_KEPT most recently asked
     (weight, mesh) pairs are kept; a level solve that raises caches
     nothing."""
-    key = weight_key(w) + (mesh or default_cells(w),)
+    key = weight_key(w), mesh or default_cells(w)
     ev = _levels.get(key)
     if ev is None:
         ev = _levels[key] = LevelEvaluator(w, mesh)

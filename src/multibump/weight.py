@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +52,11 @@ class WeightSpec:
     seg_knots: np.ndarray = field(repr=False)
     seg_coefs: np.ndarray = field(repr=False)
     seg_positive: np.ndarray = field(repr=False)
+
+    @cached_property
+    def content_key(self):
+        """(period, tau, pieces) as a ContentKey: see ``weight_key``."""
+        return ContentKey((self.period, self.tau, self.pieces))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -223,7 +229,8 @@ def build_weight(T, tau, pieces):
         raise WeightError("need 0 < tau < T")
     pieces = tuple(pieces)
     rows = [_expand_piece(p) for p in sorted(pieces, key=lambda p: p.t0)]
-    width = max([r.shape[1] for r in rows], default=2)
+    # one coefficient column at least: a poly piece without data is zero
+    width = max([3] + [r.shape[1] for r in rows])
     table = np.concatenate([np.zeros((0, width))] + [
         np.pad(r, ((0, 0), (0, width - r.shape[1]))) for r in rows])
     t0, t1, coefs = table[:, 0], table[:, 1], table[:, 2:]
@@ -290,10 +297,22 @@ def build_weight(T, tau, pieces):
     return w
 
 
+class ContentKey(tuple):
+    """A tuple that hashes its entries once: equal to, and hashing as, the
+    plain tuple of the same entries."""
+    _hash = None
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = tuple.__hash__(self)
+        return self._hash
+
+
 def weight_key(w):
     """The content that fixes a weight's levels and meshes: equal keys,
-    equal levels and equal grids."""
-    return w.period, w.tau, w.pieces
+    equal levels and equal grids.  One key per WeightSpec, so its pieces
+    are hashed once however many caches it keys."""
+    return w.content_key
 
 
 # -- stock weights ----------------------------------------------------------

@@ -859,6 +859,32 @@ def test_weight_file_loaded_twice_shares_its_grids(tmp_path):
         connection.connection_grid(blocks[1])
 
 
+def test_weight_content_is_hashed_once(monkeypatch):
+    """The window, block and level caches key by the weight's content, whose
+    hash (every piece's) is taken once per WeightSpec however many hits
+    follow; a second spec of equal content hashes its own once and shares
+    the cached grids."""
+    hashed = []
+    piece_hash = weight.Piece.__hash__
+    monkeypatch.setattr(weight.Piece, "__hash__",
+                        lambda p: hashed.append(p) or piece_hash(p))
+    w1, w2 = weight.make_sine_weight(), weight.make_sine_weight()
+    block = connection.make_connection_problem(w1, 1e3, 0.5, 0.5, K=1.0,
+                                               r=1.0)
+    for _ in range(3):
+        window = assembly.span_grid(w1, 0, 2, 64)
+        mesh = connection.connection_grid(block)
+        levels = localfield.levels_of(w1)
+    assert len(hashed) == len(w1.pieces)
+    assert assembly.span_grid(w2, 0, 2, 64) is window
+    assert localfield.levels_of(w2) is levels
+    assert len(hashed) == len(w1.pieces) + len(w2.pieces)
+    assert mesh is connection.connection_grid(block)
+    assert weight.weight_key(w1) == weight.weight_key(w2) == \
+        (w2.period, w2.tau, w2.pieces)
+    assert hash(weight.weight_key(w1)) == hash((w1.period, w1.tau, w1.pieces))
+
+
 def test_grid_keyed_by_negative_pieces_too():
     """Weights equal on [0, tau] but not on [tau, T] get different grids,
     whose tables read their own a-."""

@@ -13,8 +13,9 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from multibump import (assembly, cli, connection, localfield, oracle, solver,
                        verify, weight)
@@ -205,6 +206,23 @@ def test_non_numeric_weight_file_is_input_error(tmp_path):
     rc = cli.main(["local", "--weight", str(path),
                    "--outdir", str(tmp_path / "out")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["local"],
+    ["solve", "--symbols", "1", "--mu", "1e3"],
+    ["connection", "--mu", "2000", "--x", "0.6", "--y", "0.4"],
+])
+def test_weight_of_empty_polys_is_input_error(tmp_path, argv):
+    """A weight file whose poly pieces all have no coefficients is the zero
+    weight, refused as such: exit 2 with its FAILED marker."""
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"T": 2.0, "tau": 1.0, "pieces": [
+        {"t0": 0.0, "t1": 1.0, "kind": "poly", "data": []},
+        {"t0": 1.0, "t1": 2.0, "kind": "poly", "data": []}]}))
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--weight", str(path), "--outdir", str(out)]) == 2
+    assert "vanishes identically" in (out / "FAILED").read_text()
 
 
 def test_bad_count_and_undecodable_file_are_input_errors(tmp_path):
@@ -1127,72 +1145,125 @@ _csv_values = {
 }
 
 
+_mixed_rows = st.lists(st.sampled_from(sorted(_csv_values)), min_size=1,
+                       max_size=5).flatmap(
+    lambda kinds: st.lists(st.tuples(*map(_csv_values.get, kinds)),
+                           max_size=8))
+# full-range floats, and as many again in the array path's fixed range
+_fixed_floats = st.floats(1e-4, 1e16, exclude_max=True)
+_table_floats = st.floats() | _fixed_floats | _fixed_floats.map(lambda v: -v)
+_float_tables = hnp.arrays(
+    np.float64, st.tuples(st.integers(0, 300), st.integers(1, 3)),
+    elements=_table_floats, fill=st.nothing())
+
+# every power of ten in [1e-4, 1e16] and its neighbours, with its negation
+_POWERS = np.array([[v, np.nextafter(v, 0.0), np.nextafter(v, np.inf), -v]
+                    for v in (float(f"1e{k}") for k in range(-4, 17))])
+# the largest float below 0.1: log10 gives -1.0, and the product rounds to
+# 1e16 exactly with a negative error; then two 17-digit ties, to even
+# (...56.2 and ...56.8), and their negations
+_EDGES = np.array([[np.nextafter(0.1, 0.0), 1234567890123456.25,
+                    1234567890123456.75],
+                   [-np.nextafter(0.1, 0.0), -1234567890123456.25,
+                    -1234567890123456.75]])
+_SPECIALS = np.array([[0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+                       math.nan, math.inf, -math.inf, 1e-5, -1.5e300]])
+
+
+def _csv_reference(header, rows):
+    return ("\n".join([",".join(header)]
+                       + [",".join(_fmt_reference(v) for v in row)
+                          for row in rows]) + "\n").encode()
+
+
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(),
-       kinds=st.lists(st.sampled_from(sorted(_csv_values)), min_size=1,
-                      max_size=5),
-       nrows=st.integers(0, 8))
-def test_write_csv_matches_per_value_formatting(data, kinds, nrows):
+@given(rows=_mixed_rows, table=_float_tables)
+@example(rows=[], table=_POWERS)
+@example(rows=[], table=_EDGES)
+@example(rows=[], table=_SPECIALS)
+def test_write_csv_matches_per_value_formatting(rows, table):
     """The one row format per table writes the bytes of the per-value
-    formatter, and a str column keeps its strings ("01" stays "01")."""
-    rows = [tuple(data.draw(_csv_values[k]) for k in kinds)
-            for _ in range(nrows)]
-    header = [f"c{i}" for i in range(len(kinds))]
-    want = "\n".join([",".join(header)]
-                     + [",".join(_fmt_reference(v) for v in row)
-                        for row in rows]) + "\n"
-    assert cli.write_csv(os.devnull, header, iter(rows)) == want.encode()
-
-
-_node_floats = st.floats(allow_nan=False, allow_infinity=False) \
-    | st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300])
+    formatter, and a str column keeps its strings ("01" stays "01"); a
+    float64 table, which takes the array path, writes them too."""
+    header = [f"c{i}" for i in range(len(rows[0]) if rows else 1)]
+    assert cli.write_csv(os.devnull, header, iter(rows)) == \
+        _csv_reference(header, rows)
+    header = [f"c{i}" for i in range(table.shape[1])]
+    assert cli.write_csv(os.devnull, header, table) == \
+        _csv_reference(header, table.tolist())
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(),
-       nodes=st.lists(_node_floats, min_size=1, max_size=12),
-       ncols=st.integers(1, 2))
-def test_node_rows_write_the_per_value_bytes(data, nodes, ncols):
-    """A table on a grid's nodes (``cli.node_rows``) writes the bytes of
-    the per-value formatter, from the node text formatted on the first
-    call and from the kept text on the next, and a second Grid with equal
-    nodes writes the same bytes."""
-    cols = [np.array(data.draw(st.lists(_csv_values["float"],
-                                        min_size=len(nodes),
-                                        max_size=len(nodes))))
-            for _ in range(ncols)]
-    header = ["t"] + [f"c{i}" for i in range(ncols)]
-    want = ("\n".join([",".join(header)]
-                      + [",".join(_fmt_reference(v) for v in row)
-                         for row in zip(nodes, *cols)]) + "\n").encode()
-    grid, twin = (assembly.Grid(w=None, nodes=np.array(nodes), periodic=False)
-                  for _ in range(2))
+@given(table=hnp.arrays(
+    np.float64, st.tuples(st.integers(1, 300), st.integers(2, 3)),
+    elements=_table_floats, fill=st.nothing()))
+@example(table=np.column_stack([_POWERS.ravel()] * 2))
+@example(table=np.column_stack([_EDGES.ravel()] * 3))
+@example(table=np.column_stack([_SPECIALS.ravel()] * 2))
+def test_node_rows_write_the_per_value_bytes(table):
+    """A table on a grid's nodes (``cli.node_rows``), its first column,
+    writes the bytes of the per-value formatter, from the node layout built
+    on the first call and from the kept one on the next, and a second Grid
+    with equal nodes writes the same bytes."""
+    header = ["t"] + [f"c{i}" for i in range(table.shape[1] - 1)]
+    want = _csv_reference(header, table.tolist())
+    grid, twin = (assembly.Grid(w=None, nodes=table[:, 0].copy(),
+                                periodic=False) for _ in range(2))
     for g in (grid, grid, twin):
-        assert cli.write_csv(os.devnull, header, cli.node_rows(g, *cols)) \
-            == want
+        assert cli.write_csv(os.devnull, header,
+                             cli.node_rows(g, *table[:, 1:].T)) == want
+
+
+def test_fallback_writes_the_same_bytes(monkeypatch):
+    """With the array path's fixed range emptied, every value goes through
+    '%.17g' into its layout, and the bytes stay the same."""
+    rng = np.random.default_rng(7)
+    table = np.concatenate([
+        _POWERS, _EDGES.repeat(2, axis=1)[:, :4],
+        _SPECIALS[:, :8].reshape(2, 4),
+        rng.standard_normal((40, 4)) * 10.0 ** rng.integers(-6, 18, (40, 4))])
+    header = ["t", "a", "b", "c"]
+    want = _csv_reference(header, table.tolist())
+    grid = assembly.Grid(w=None, nodes=table[:, 0].copy(), periodic=False)
+    assert _written_by_fallback(cli.float_layout(table)).mean() < 0.3
+    monkeypatch.setattr(cli, "_FIXED_MAX", 0.0)
+    monkeypatch.setattr(cli, "_node_layouts", weakref.WeakKeyDictionary())
+    assert cli.write_csv(os.devnull, header, table) == want
+    assert cli.write_csv(os.devnull, header,
+                         cli.node_rows(grid, *table[:, 1:].T)) == want
+    assert _written_by_fallback(cli.float_layout(table)).all()
+    assert _written_by_fallback(cli._node_layouts[grid]).all()
+
+
+def _written_by_fallback(layout):
+    """Per value, whether its kept slots before the separator are a prefix,
+    as for the '%.17g' text; the array path leaves an unkept slot before or
+    after d0 (the sign, zeros or the point), save for -0.000d."""
+    return (np.diff(layout.keep[..., :-1].astype(np.int8), axis=-1)
+            <= 0).all(axis=-1)
 
 
 def test_node_text_lives_with_its_grid(tmp_path):
-    """A connection formats its mesh's nodes once per process: a second
-    call on the same kept grid reuses the text, and once the grid is
-    dropped (``assembly.clear_grids``) its text is freed with it."""
+    """A connection lays out its mesh's nodes once per process: a second
+    call on the same kept grid reuses the layout, and once the grid is
+    dropped (``assembly.clear_grids``) its layout is freed with it."""
     gc.collect()
-    before = len(cli._node_text)
+    before = len(cli._node_layouts)
     argv = ["connection", "--mu", "2000", "--x", "0.6", "--y", "0.4"]
     assert cli.main(argv + ["--outdir", str(tmp_path / "a")]) == 0
-    (grid, text), = [(g, t) for g, t in cli._node_text.items()
-                     if len(g.nodes) == 481]
+    (grid, layout), = [(g, t) for g, t in cli._node_layouts.items()
+                       if len(g.nodes) == 481]
     assert cli.main(argv + ["--outdir", str(tmp_path / "b")]) == 0
-    assert cli._node_text[grid] is text
-    assert len(cli._node_text) == before + 1
+    assert cli._node_layouts[grid] is layout
+    assert len(cli._node_layouts) == before + 1
     assert (tmp_path / "a" / "connection.csv").read_bytes() == \
         (tmp_path / "b" / "connection.csv").read_bytes()
     dropped = weakref.ref(grid)
-    del grid, text
+    del grid, layout
     assembly.clear_grids()
     gc.collect()
     assert dropped() is None
-    assert len(cli._node_text) == before
+    assert len(cli._node_layouts) == before
 
 
 _RSS_PROBE = """
