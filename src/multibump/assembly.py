@@ -270,8 +270,10 @@ class Operator:
     """Weak residual and Newton step of the action at one mu on one grid.
 
     The mu-dependent quadrature products c = qw a_mu and k = 3 qw a_mu are
-    formed once, and ``step`` reuses the point values of the last
-    ``residual`` when called at the same iterate.  Values carry the grid's
+    formed once.  ``step``, ``slopes``, ``points`` and ``actions`` reuse the
+    point data of the last ``residual`` when called at the same values, the
+    one thing the operator keeps; the Newton system is formed on each
+    ``tridiagonal`` call.  Values carry the grid's
     dofs: on a periodic window the residual is folded by ``Grid.fold`` and
     the step solves the cyclic system; on a clamped mesh they carry every
     node, and the step solves the interior rows with the end values held
@@ -288,7 +290,6 @@ class Operator:
         self.mu = mu
         self.c = self.tb.qw * self.tb.amu(mu)
         self._last = None          # (values, point data) of the last residual
-        self._jac = None           # (values, system) last formed, clamped
 
     @cached_property
     def k(self):
@@ -335,12 +336,7 @@ class Operator:
         solves: on a periodic mesh the cyclic system of the dofs,
         ``off[-1]`` coupling the last dof to the first; on a clamped mesh
         the interior rows, off one per cell, so ``off[0]`` and ``off[-1]``
-        couple them to the held end values.  A clamped mesh's system is kept
-        for its values, so a block's stalled descent hands it to the
-        polish."""
-        jac = _kept(self._jac, values)
-        if jac is not None:
-            return jac
+        couple them to the held end values."""
         full, um = self._data(values)[0]
         u2 = full * full
         kl, km, kr = _blocks(self.tb, self.k)
@@ -355,7 +351,6 @@ class Operator:
             np.add(dLL[1:], dRR[:-1], out=diag[1:])
         else:
             diag = dLL[1:] + dRR[:-1]
-            self._jac = (np.array(values), (diag, off))
         return diag, off
 
     def slopes(self, values):

@@ -79,6 +79,8 @@ def parse_symbols(text):
 
 @dataclass
 class SolveReport:
+    """The certificate of one stop of a continuation: its residual, energies,
+    condition flags and paths, the record ``to_dict`` writes."""
     residual_inf: float
     interval_energies: dict           # i -> {"plus": E, "minus": E}
     condition_flags: dict             # "C1".."C4" -> {i: bool}
@@ -88,13 +90,6 @@ class SolveReport:
     continuation_path: list = field(default_factory=list)  # (mu, steps)
     coarse_path: list = field(default_factory=list)  # (mu, steps or None)
     mu: float = float("nan")
-    # the Operator the conditions were read with, its weak residual at u
-    # and its slopes there (Operator.slopes): the audits reuse them, and
-    # to_dict leaves them out; a continuation keeps them on its largest mu
-    # only
-    op: assembly.Operator = field(default=None, repr=False, compare=False)
-    residual: np.ndarray = field(default=None, repr=False, compare=False)
-    slopes: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def certified(self):
@@ -140,12 +135,8 @@ class Solution:
 
     @cached_property
     def linearization(self):
-        """(Operator at mu, weak residual at u, ``Operator.slopes`` at u):
-        the certificate's, from its report; formed here once for a
-        Solution whose report has none."""
-        rep = self.report
-        if rep is not None and rep.op is not None:
-            return rep.op, rep.residual, rep.slopes
+        """(Operator at mu, weak residual at u, ``Operator.slopes`` at u),
+        formed once per Solution for its audits."""
         op = assembly.Operator(self.grid, self.mu)
         return op, op.residual(self.u.values), op.slopes(self.u.values)
 
@@ -208,7 +199,7 @@ def check_membership(u, mu, consts, window):
     indices of the coded sigma_i and tau_i.  One ``assembly.Operator``
     gives the residual and C4's junction slopes u'(sigma_i-) and u'(tau_i+)
     (``Operator.slopes``) from one evaluation of u at the quadrature
-    points; the report keeps all three for the audits."""
+    points."""
     grid = u.grid
     if len(window.symbols) != grid.n_int:
         raise WeightError("window length does not match the grid span")
@@ -260,7 +251,6 @@ def check_membership(u, mu, consts, window):
         dichotomy=dict(zip(ids, np.where(large, "large", "small").tolist())),
         ties=dict(zip(ids, tie.tolist())),
         mu=float(mu),
-        op=op, residual=g, slopes=(left, right),
     )
 
 
@@ -295,8 +285,7 @@ def _continuation(w, window, mu_list, cells):
     the whole walk as continuation_path (fine Newton steps) and coarse_path
     (coarse steps, None where no coarse Newton converged or ran).  When the
     fine Newton fails partway down, the higher mu reached are yielded
-    before ContinuationBreakdown.  Only the last state's report keeps its
-    certificate's Operator, residual and slopes.
+    before ContinuationBreakdown.
     """
     consts, bump = _prepare(w)
     cells = cells or auto_cells(mu_list[-1])
@@ -331,14 +320,9 @@ def _continuation(w, window, mu_list, cells):
         coarse_path.append((mu, steps))
         reached.append((mu, u))
     stops = reached[len(top):]
-    for n, (mu, u) in enumerate(reversed(stops), 1):
+    for mu, u in reversed(stops):
         gf = assembly.GridFunction(grid, u)
         report = check_membership(gf, mu, consts, window)
-        if n < len(stops):
-            # only the largest mu is audited (a solve's one stop, a
-            # verify's last); an earlier stop's linearization would stay
-            # alive while the next one is formed
-            report.op = report.residual = report.slopes = None
         report.continuation_path = list(path)
         report.coarse_path = list(coarse_path)
         yield mu, gf, report

@@ -460,19 +460,21 @@ def run_sweep(w, symbols, mu_list, cells=0):
     """Continuation sweep with every per-mu audit quantity recorded, the
     limit distance against the default-mesh ground bump of w's shared levels
     (localfield.levels_of).  Returns (payload, the sweep's last Solution):
-    the payload is verify.json's "sweep" entry, whose decay samples come
-    with the explicit bounds C_delta (data/mu)^{1/3}, C_delta computed from
-    the iterated edge integrals of a-."""
+    the payload is verify.json's "sweep" entry, which records each mu's
+    certification and whose decay samples come with the explicit bounds
+    C_delta (data/mu)^{1/3}, C_delta computed from the iterated edge
+    integrals of a-."""
     mu_list = sorted(float(m) for m in mu_list)
     delta = _decay_margin(w)
     bump = localfield.levels_of(w).ground_bump()
     win = solver.make_window(symbols)
     coded = {win.i_start + j for j, s in enumerate(win.symbols) if s == 1}
 
-    rows = {k: [] for k in ("decay", "data", "p1", "p2", "p3", "sup",
-                            "holder", "lip", "dsup", "minv")}
+    rows = {k: [] for k in ("certified", "decay", "data", "p1", "p2", "p3",
+                            "sup", "holder", "lip", "dsup", "minv")}
     for sol, maxima in sweep_solutions(w, symbols, mu_list, cells):
         gf = sol.u
+        rows["certified"].append(sol.report.certified)
         full = gf.full()
         h = gf.grid.tables.h
         rows["decay"].append(max(r[0] for r in maxima))
@@ -500,6 +502,8 @@ def run_sweep(w, symbols, mu_list, cells=0):
     payload = {
         "symbols": list(win.symbols),
         "mu_list": mu_list,
+        # C1-C4 and positivity per mu; verify's exit code reads the last
+        "certified": rows["certified"],
         "decay_samples": rows["decay"],
         "end_data": rows["data"],
         "decay_bounds": [c_delta * (d / mu) ** (1.0 / 3.0)

@@ -1,7 +1,8 @@
 """End-to-end runs of the command line front end."""
 
 import argparse
-import gc
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import shlex
 import signal
 import subprocess
 import sys
-import weakref
+import tempfile
 
 import numpy as np
 import pytest
@@ -689,6 +690,57 @@ def test_reproducible_artifacts(tmp_path, capsys):
         assert ma["outputs"] == mb["outputs"]
 
 
+_open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_kept_calls = st.lists(
+    st.builds(lambda mu, x, y, l: ["connection", "--mu", repr(mu),
+                                   "--x", repr(x), "--y", repr(y),
+                                   "--l", str(l)],
+              st.floats(1e2, 1e4), _open_unit, _open_unit,
+              st.sampled_from([1, 2]))
+    | st.builds(lambda code, mu: ["solve", "--symbols",
+                                  "".join(map(str, code)), "--mu", repr(mu)],
+                st.lists(st.integers(0, 1), min_size=1, max_size=3)
+                .filter(any), st.floats(1e2, 1e3)),
+    min_size=2, max_size=4)
+
+
+def _clear_caches():
+    """Drop every result the process keeps across calls."""
+    localfield.clear_levels()
+    assembly.clear_grids()
+    cli._builtin_weight.cache_clear()
+    cli.build_parser.cache_clear()
+    cli._layout_tables.cache_clear()
+
+
+def _call_outputs(argv, outdir):
+    """(exit code, stdout, {artifact: bytes}) of one CLI call, the
+    manifest left out: it records the output directory."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        rc = cli.main(argv + ["--outdir", outdir])
+    artifacts = {}
+    for name in sorted(os.listdir(outdir)):
+        if name != "manifest.json":
+            with open(os.path.join(outdir, name), "rb") as f:
+                artifacts[name] = f.read()
+    return rc, out.getvalue(), artifacts
+
+
+@settings(max_examples=20, deadline=None)
+@given(calls=_kept_calls)
+def test_kept_results_change_no_byte(calls):
+    """Calls run one after another in one process, on the levels, grids,
+    weights, parser and layout tables the earlier calls left, write the
+    bytes and stdout each call writes with every kept result dropped."""
+    with tempfile.TemporaryDirectory() as d:
+        warm = [_call_outputs(argv, os.path.join(d, f"warm{k}"))
+                for k, argv in enumerate(calls)]
+        for k, argv in enumerate(calls):
+            _clear_caches()
+            assert _call_outputs(argv, os.path.join(d, f"cold{k}")) \
+                == warm[k], argv
+
+
 _COMMAND_ARGV = {
     "local": ["local"],
     "solve": ["solve", "--symbols", "10", "--mu", "800"],
@@ -1118,6 +1170,20 @@ def test_verify_report(tmp_path):
     assert rep["minimal_period_T"] == 4.0
     assert rep["oracle"]["ok"] is True
     assert rep["oracle"]["rel"] <= verify.ORACLE_BOUND
+    assert sweep["certified"] == [True] * 3
+
+
+def test_verify_records_each_certification(tmp_path):
+    """verify certifies its largest mu, and verify.json records every
+    stop's certification: from mu 1 the step weight's mu = 1 stop fails C1
+    while the decay slope is still fitted over all three stops."""
+    d = str(tmp_path)
+    rc = cli.main(["verify", "--symbols", "10", "--mu-from", "1",
+                   "--mu-to", "1e4", "--points", "3", "--outdir", d])
+    assert rc == 0
+    sweep = _read_json(os.path.join(d, "verify.json"))["sweep"]
+    assert sweep["mu_list"] == [1.0, 100.0, 10000.0]
+    assert sweep["certified"] == [False, True, True]
 
 
 def _fmt_reference(x):
@@ -1201,17 +1267,15 @@ def test_write_csv_matches_per_value_formatting(rows, table):
 @example(table=np.column_stack([_EDGES.ravel()] * 3))
 @example(table=np.column_stack([_SPECIALS.ravel()] * 2))
 def test_node_rows_write_the_per_value_bytes(table):
-    """A table on a grid's nodes (``cli.node_rows``), its first column,
-    writes the bytes of the per-value formatter, from the node layout built
-    on the first call and from the kept one on the next, and a second Grid
-    with equal nodes writes the same bytes."""
+    """A table on a grid's nodes, stacked as ``solve`` and ``connection``
+    stack it (the nodes, then the value columns), writes the bytes of the
+    per-value formatter."""
     header = ["t"] + [f"c{i}" for i in range(table.shape[1] - 1)]
     want = _csv_reference(header, table.tolist())
-    grid, twin = (assembly.Grid(w=None, nodes=table[:, 0].copy(),
-                                periodic=False) for _ in range(2))
-    for g in (grid, grid, twin):
-        assert cli.write_csv(os.devnull, header,
-                             cli.node_rows(g, *table[:, 1:].T)) == want
+    grid = assembly.Grid(w=None, nodes=table[:, 0].copy(), periodic=False)
+    assert cli.write_csv(os.devnull, header,
+                         np.column_stack([grid.nodes, *table[:, 1:].T])) \
+        == want
 
 
 def test_fallback_writes_the_same_bytes(monkeypatch):
@@ -1224,15 +1288,10 @@ def test_fallback_writes_the_same_bytes(monkeypatch):
         rng.standard_normal((40, 4)) * 10.0 ** rng.integers(-6, 18, (40, 4))])
     header = ["t", "a", "b", "c"]
     want = _csv_reference(header, table.tolist())
-    grid = assembly.Grid(w=None, nodes=table[:, 0].copy(), periodic=False)
     assert _written_by_fallback(cli.float_layout(table)).mean() < 0.3
     monkeypatch.setattr(cli, "_FIXED_MAX", 0.0)
-    monkeypatch.setattr(cli, "_node_layouts", weakref.WeakKeyDictionary())
     assert cli.write_csv(os.devnull, header, table) == want
-    assert cli.write_csv(os.devnull, header,
-                         cli.node_rows(grid, *table[:, 1:].T)) == want
     assert _written_by_fallback(cli.float_layout(table)).all()
-    assert _written_by_fallback(cli._node_layouts[grid]).all()
 
 
 def _written_by_fallback(layout):
@@ -1241,29 +1300,6 @@ def _written_by_fallback(layout):
     after d0 (the sign, zeros or the point), save for -0.000d."""
     return (np.diff(layout.keep[..., :-1].astype(np.int8), axis=-1)
             <= 0).all(axis=-1)
-
-
-def test_node_text_lives_with_its_grid(tmp_path):
-    """A connection lays out its mesh's nodes once per process: a second
-    call on the same kept grid reuses the layout, and once the grid is
-    dropped (``assembly.clear_grids``) its layout is freed with it."""
-    gc.collect()
-    before = len(cli._node_layouts)
-    argv = ["connection", "--mu", "2000", "--x", "0.6", "--y", "0.4"]
-    assert cli.main(argv + ["--outdir", str(tmp_path / "a")]) == 0
-    (grid, layout), = [(g, t) for g, t in cli._node_layouts.items()
-                       if len(g.nodes) == 481]
-    assert cli.main(argv + ["--outdir", str(tmp_path / "b")]) == 0
-    assert cli._node_layouts[grid] is layout
-    assert len(cli._node_layouts) == before + 1
-    assert (tmp_path / "a" / "connection.csv").read_bytes() == \
-        (tmp_path / "b" / "connection.csv").read_bytes()
-    dropped = weakref.ref(grid)
-    del grid, layout
-    assembly.clear_grids()
-    gc.collect()
-    assert dropped() is None
-    assert len(cli._node_layouts) == before
 
 
 _RSS_PROBE = """
@@ -1299,7 +1335,7 @@ def test_warm_connections_hold_peak_memory():
     """300 connection calls in a fresh process, alternating the blocks
     meshes of l = 1 and l = 2 (481 and 801 nodes) over mu in [1e2, 1e4]
     and x, y in (0, 1): after the first 50, the peak resident set grows by
-    less than 0.5 MB.  Kept node text must not fragment the heap: a
+    less than 0.5 MB.  The CSV writer must not fragment the heap: a
     per-mesh row template holding the node text, filled by one ``%``, wrote
     the same bytes and grew it by about 1 MB here.  The peak is the
     process's own VmHWM: a child's ru_maxrss starts at its parent's peak

@@ -128,17 +128,12 @@ def test_one_gradient_per_iterate(step_weight, monkeypatch):
 def test_continuation_states_reuse(step_weight):
     window = solver.make_window((1, 0))
     mus = [200.0, 800.0, 3200.0]
-    seen, kept = [], []
+    seen = []
     for mu, gf, rep in solver.continuation_states(step_weight, window, mus,
                                                   cells=200):
         seen.append((mu, rep.certified, gf.sup_norm()))
-        kept.append((rep.op and rep.op.mu, rep.residual is not None,
-                     rep.slopes is not None))
     assert [m for m, _, _ in seen] == mus
     assert all(ok for _, ok, _ in seen)
-    # only the largest mu, the stop a solve or verify audits, keeps the
-    # certificate's linearization
-    assert kept == [(None, False, False)] * 2 + [(3200.0, True, True)]
     # sup norm grows mildly with mu while the small interval drains
     assert seen[-1][2] >= seen[0][2] - 0.1
 

@@ -30,14 +30,14 @@ def test_identities_certified(sol_10):
     assert ids["iv"] < 1e-5
 
 
-def test_audits_reuse_the_certificate_operator(step_weight, monkeypatch):
-    """The identities and the oracle's start slopes read the Operator the
-    certificate ran on, with its residual, slopes and point values at u:
-    neither builds an Operator or evaluates u at the quadrature points,
-    and both give what they give from an Operator of their own."""
+def test_audits_share_one_operator(step_weight, monkeypatch):
+    """The identities and the oracle's start slopes of one Solution read
+    one Operator of their own (``Solution.linearization``): one residual,
+    whose point values the slopes and the identities' quadrature reuse, and
+    one slopes evaluation, giving what a fresh Solution gives."""
     sol = _solve(step_weight, (1, 0), 1e3, 200)
     fresh = solver.Solution(u=sol.u, mu=sol.mu, window=sol.window,
-                            report=None)
+                            report=sol.report)
     want = (verify.nehari_identities(fresh),
             verify.oracle_residual(fresh).per_interval)
     calls = []
@@ -53,7 +53,7 @@ def test_audits_reuse_the_certificate_operator(step_weight, monkeypatch):
                             calls.append(_name) or _real(*a))
     got = (verify.nehari_identities(sol),
            verify.oracle_residual(sol).per_interval)
-    assert calls == []
+    assert calls == ["__init__", "residual", "_terms", "slopes"]
     assert got == want
 
 
