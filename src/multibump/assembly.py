@@ -33,9 +33,10 @@ checks and errors.
 The one-call functions gradient and jacobian_matrix use the same operator,
 whose ``actions`` is the package's one evaluation of the action J_mu.
 
-The process keeps the last _GRIDS_KEPT window grids and connection-block
-meshes by their content (``kept_grid``), tables included, with read-only
-arrays; the kept grids take no lock, as the package starts no thread.
+The process keeps the last _KEPT window grids and connection-block meshes
+by content (``kept_grid``), tables included, with read-only arrays, in the
+one kept store (``keep``) that ``localfield.levels_of`` shares; no lock
+guards them, as the package starts no thread.
 
 The tables hold one Simpson triple per cell, so the left and right ends of
 the cells are the nodes: the cubic terms work on node and midpoint arrays
@@ -59,7 +60,7 @@ import numpy as np
 
 from ._scipy_files import flapack
 from .errors import NewtonFailure, WeightError
-from .weight import knot_tol, sorted_unique, weight_key
+from .weight import knot_tol, sorted_unique
 
 _flapack = flapack()
 dgtsv, dptsv = _flapack.dgtsv, _flapack.dptsv
@@ -67,7 +68,7 @@ dpbtrf, dpbtrs = _flapack.dpbtrf, _flapack.dpbtrs
 
 _ARMIJO = 1e-4
 _UNDAMPED_BELOW = 1e-4
-_GRIDS_KEPT = 4            # grids kept_grid keeps, as levels_of keeps levels
+_KEPT = 4                  # entries each kept store (``keep``) holds
 
 
 # -- quadrature tables --------------------------------------------------------
@@ -131,8 +132,8 @@ def build_tables(w, nodes):
     mid = 0.5 * (a + b)
     # identify the weight segment by the cell midpoint so that endpoint
     # values never get evaluated on the wrong side of a breakpoint
-    shift = w.period * np.floor(mid / w.period)
-    seg = w._segment_index(mid - shift)
+    seg, k = w.locate(mid)
+    shift = w.period * k
 
     qt = np.concatenate([a, mid, b])
     qw = np.concatenate([h, 4.0 * h, h]) / 6.0
@@ -636,29 +637,38 @@ class Grid:
         return np.interp(ts, self.nodes, full)
 
 
+def keep(store, key, build):
+    """``store[key]`` of an OrderedDict, built by ``build()`` the first time
+    it is asked for: the _KEPT most recently asked keys stay, the oldest
+    goes, and a build that raises stores nothing."""
+    value = store.get(key)
+    if value is None:
+        value = store[key] = build()
+        if len(store) > _KEPT:
+            store.popitem(last=False)
+    else:
+        store.move_to_end(key)
+    return value
+
+
 _grids = OrderedDict()     # key -> Grid, oldest first
 
 
 def kept_grid(key, build):
     """The process's Grid for ``key``, which names the grid's content,
-    built by ``build()`` the first time it is asked for, so that a mesh and
-    its quadrature tables are built once per process however many solves
-    ask for them.  The _GRIDS_KEPT most recently asked keys are kept.  A
-    kept grid's node and table arrays are read-only, as every caller gets
-    the same ones.  No lock guards them: the package starts no thread."""
-    grid = _grids.get(key)
-    if grid is not None:
-        _grids.move_to_end(key)
+    built by ``build()`` the first time it is asked for (``keep``), so that
+    a mesh and its quadrature tables are built once per process however
+    many solves ask for them.  A kept grid's node and table arrays are
+    read-only, as every caller gets the same ones."""
+    def frozen():
+        grid = build()
+        tb = grid.tables
+        for arr in (grid.nodes, tb.nodes, tb.h, tb.lam_m, tb.qw, tb.qap,
+                    tb.qam, tb.rlam_m, tb.inv_h):
+            arr.flags.writeable = False
         return grid
-    grid = build()
-    tb = grid.tables
-    for arr in (grid.nodes, tb.nodes, tb.h, tb.lam_m, tb.qw, tb.qap,
-                tb.qam, tb.rlam_m, tb.inv_h):
-        arr.flags.writeable = False
-    _grids[key] = grid
-    if len(_grids) > _GRIDS_KEPT:
-        _grids.popitem(last=False)
-    return grid
+
+    return keep(_grids, key, frozen)
 
 
 def clear_grids():
@@ -712,7 +722,7 @@ def span_grid(w, i0, n_int, cells_per_interval):
     """Periodic window over [sigma_{i0}, sigma_{i0+n_int}] with the same
     count of cells on each I_i^pm (``knot_mesh``, uniform and even), at
     least ``cells_per_interval``; its right end is identified with its
-    left.  The process keeps it (``kept_grid``) by the weight's content,
+    left.  The process keeps it (``kept_grid``) by the weight's digest,
     (i0, n_int) and each I_i^pm's count before the evening, which fix its
     nodes (``knot_cells``), so counts floored to one mesh get one grid."""
     if n_int < 1:
@@ -724,7 +734,7 @@ def span_grid(w, i0, n_int, cells_per_interval):
     bounds = np.append(np.column_stack([w.sigma(i), w.tau_i(i)]),
                        w.sigma(i0 + n_int))
     per = knot_cells(w, bounds, n)[3]
-    return kept_grid((weight_key(w), i0, n_int, per.tobytes()), lambda: Grid(
+    return kept_grid((w.digest, i0, n_int, per.tobytes()), lambda: Grid(
         w=w, nodes=knot_mesh(w, bounds, n, even=True)[0], periodic=True,
         i0=i0, n_int=n_int, m=int(per.max())))
 

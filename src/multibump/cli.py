@@ -16,10 +16,11 @@ the output directory, loads the optional JSON file (``--config``), merges it
 with the flags (flags win), converts each value once by its kind, refuses
 config keys the command does not read, resolves the weight and calls the
 command body.  Every run that argparse accepts writes ``manifest.json`` into
-the output directory with the converted configuration, a content hash of the
-weight input, and sha256 digests of every artifact; a failed run, input
-errors included, also leaves a ``FAILED`` marker next to whatever partial
-artifacts exist, and its manifest holds null for what it did not reach.
+the output directory with the converted configuration, the weight's
+``digest`` (``weight_sha256``) and sha256 digests of every artifact; a
+failed run, input errors included, also leaves a ``FAILED`` marker next to
+whatever partial artifacts exist, and its manifest holds null for what it
+did not reach.
 A CSV artifact writes every float as ``%.17g`` does (``write_csv``): the
 solution and oracle tables by array operations for 1e-4 <= |v| < 1e16,
 and by ``%.17g`` itself for the other values and for ``sweep``'s tables.
@@ -151,32 +152,26 @@ def _convert(opt, value):
     raise WeightError(f"bad value {value!r} for {opt.key}")
 
 
-def _canonical_bytes(w):
-    return json.dumps(weight.weight_to_dict(w), sort_keys=True).encode()
-
-
 @functools.cache
 def _builtin_weight(name):
-    """(WeightSpec, canonical bytes) of a built-in weight, built once per
-    process; its arrays are read-only, as every caller shares them."""
+    """The WeightSpec of a built-in weight, built once per process; its
+    arrays are read-only, as every caller shares them."""
     make = {"step": weight.make_step_weight, "sine": weight.make_sine_weight}
     w = make[name]()
     for arr in (w.seg_knots, w.seg_coefs, w.seg_positive):
         arr.flags.writeable = False
-    return w, _canonical_bytes(w)
+    return w
 
 
 def resolve_weight(spec):
-    """Return (WeightSpec, source label, canonical bytes) for a weight name.
+    """Return (WeightSpec, source label) for a weight name.
 
     ``spec`` is "step", "sine", or a path to a JSON weight file.
     """
     if spec in (None, "step", "sine"):
         name = spec or "step"
-        w, blob = _builtin_weight(name)
-        return w, "builtin:" + name, blob
-    w = weight.load_weight_json(spec)
-    return w, spec, _canonical_bytes(w)
+        return _builtin_weight(name), "builtin:" + name
+    return weight.load_weight_json(spec), spec
 
 
 # -- artifacts ----------------------------------------------------------------
@@ -381,12 +376,12 @@ def _jsonable(x):
 class RunDir:
     """Output directory with manifest bookkeeping for one command's run.
 
-    ``open`` creates the directory; ``config`` and ``set_weight`` record the
-    run's inputs as they become known.  As a context manager it closes the
-    run: leaving the block writes the ok manifest, or on any exception the
-    failed manifest (null for the inputs not yet recorded) and the
-    ``FAILED`` marker, and the exception propagates.  A run whose directory
-    could not be created writes nothing.
+    ``open`` creates the directory; ``config``, ``weight_label`` and
+    ``weight_sha`` record the run's inputs as they become known.  As a
+    context manager it closes the run: leaving the block writes the ok
+    manifest, or on any exception the failed manifest (null for the inputs
+    not yet recorded) and the ``FAILED`` marker, and the exception
+    propagates.  A run whose directory could not be created writes nothing.
     """
 
     def __init__(self, command):
@@ -399,10 +394,6 @@ class RunDir:
     def open(self, outdir):
         os.makedirs(outdir, exist_ok=True)
         self.outdir = outdir
-
-    def set_weight(self, label, blob):
-        self.weight_label = label
-        self.weight_sha = hashlib.sha256(blob).hexdigest()
 
     def manifest_hash(self):
         """sha256 of the command, the config and the weight's sha256, or
@@ -862,8 +853,8 @@ def _run(args, run):
     if unread:
         raise WeightError(f"{args.command} does not read config key(s) "
                           + ", ".join(map(repr, unread)))
-    w, label, blob = resolve_weight(cfg["weight"])
-    run.set_weight(label, blob)
+    w, run.weight_label = resolve_weight(cfg["weight"])
+    run.weight_sha = w.digest
     return command.body(cfg, w, run)
 
 

@@ -62,7 +62,7 @@ from .assembly import GridFunction
 from .errors import (InteriorityFailure, NonConvergence, SingularLinearization,
                      WeightError)
 from .localfield import levels_of
-from .weight import compute_r, default_cap, weight_key
+from .weight import compute_r, default_cap
 
 _ARMIJO = 1e-4
 _CAP_SLACK = 1e-9          # relative slack kept free of each cap by retraction
@@ -138,7 +138,7 @@ def connection_grid(p, cells=None):
     ``cells`` sets the minimum cell count per subinterval; the count grows
     automatically until the first cell resolves the layer, up to 6000
     graded cells, and each knot inside the subinterval adds one cell more.
-    The process keeps the grid by the weight's content, l and the graded
+    The process keeps the grid by the weight's digest, l and the graded
     cell count of each subinterval (``assembly.kept_grid``).
     """
     base = 160 if cells is None else int(cells)
@@ -169,7 +169,7 @@ def connection_grid(p, cells=None):
                                                     bounds).tolist()))
         return grid
 
-    return assembly.kept_grid((weight_key(w), p.l, tuple(n.tolist())), build)
+    return assembly.kept_grid((w.digest, p.l, tuple(n.tolist())), build)
 
 
 def decay_profile(p, ts):

@@ -17,12 +17,10 @@ import numpy as np
 
 from . import assembly
 from .errors import DegenerateDirection, NonConvergence, WeightError
-from .weight import weight_key
 
 _ARMIJO = 1e-4
 _EIGEN_TOL = 1e-13         # sup change of the max-normalized eigenvector
 _EIGEN_MAX_ITER = 2000
-_LEVELS_KEPT = 4           # (weight, mesh) pairs whose levels levels_of keeps
 _GROUND_TOL = 1e-10        # weak residual of a ground bump's Newton polish
 _GROUND_DESCENT = 400      # descent steps before a ground bump's Newton
 # fewest cells of a level mesh: on 2 cells the ground state's tridiagonal
@@ -371,24 +369,15 @@ class LevelEvaluator:
         return self._eigen
 
 
-_levels = OrderedDict()    # (weight_key, mesh) -> LevelEvaluator, oldest first
+_levels = OrderedDict()    # (digest, mesh) -> LevelEvaluator, oldest first
 
 
 def levels_of(w, mesh=None):
-    """The process's LevelEvaluator for w's content on the level mesh, so
-    that each level of a weight is solved once per process however many
-    commands and solves ask for it.  The _LEVELS_KEPT most recently asked
-    (weight, mesh) pairs are kept; a level solve that raises caches
-    nothing."""
-    key = weight_key(w), mesh or default_cells(w)
-    ev = _levels.get(key)
-    if ev is None:
-        ev = _levels[key] = LevelEvaluator(w, mesh)
-        if len(_levels) > _LEVELS_KEPT:
-            _levels.popitem(last=False)
-    else:
-        _levels.move_to_end(key)
-    return ev
+    """The process's LevelEvaluator for w's ``digest`` and the level mesh
+    (``assembly.keep``), so that each level of a weight is solved once per
+    process however many commands and solves ask for it."""
+    return assembly.keep(_levels, (w.digest, mesh or default_cells(w)),
+                         lambda: LevelEvaluator(w, mesh))
 
 
 def clear_levels():

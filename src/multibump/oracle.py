@@ -256,11 +256,10 @@ def _integrate_raw(w, mu, runs, rtol):
     T, L = w.period, np.abs(span)
     s_start = s_knots[:-1, None]
     tm = t_from + span * (0.5 * (s_start + s_knots[1:, None]))
-    shift = T * np.floor(tm / T)
-    seg = w._segment_index(tm - shift)
-    used = np.flatnonzero(w.seg_coefs.any(axis=0))
-    powers = np.arange(used[-1] + 1 if used.size else 1)
-    a = reexpand(w.seg_coefs[seg][:, :, powers],
+    seg, k = w.locate(tm)
+    shift = T * k
+    powers = np.arange(w.seg_coefs.shape[1])
+    a = reexpand(w.seg_coefs[seg],
                  t_from + span * s_start - w.seg_knots[seg] - shift)
     a *= (np.where(w.seg_positive[seg], 1.0, mu) * L ** 2)[:, :, None]
     a *= span[:, None] ** powers

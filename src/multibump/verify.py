@@ -463,7 +463,8 @@ def run_sweep(w, symbols, mu_list, cells=0):
     the payload is verify.json's "sweep" entry, which records each mu's
     certification and whose decay samples come with the explicit bounds
     C_delta (data/mu)^{1/3}, C_delta computed from the iterated edge
-    integrals of a-."""
+    integrals of a-.  Its fitted slopes and Kendall taus read the certified
+    stops only: NaN when fewer than two certify."""
     mu_list = sorted(float(m) for m in mu_list)
     delta = _decay_margin(w)
     bump = localfield.levels_of(w).ground_bump()
@@ -494,9 +495,12 @@ def run_sweep(w, symbols, mu_list, cells=0):
         rows["dsup"].append(float(np.max(np.abs(np.diff(full) / h))))
         rows["minv"].append(float(np.min(gf.values)))
 
+    ok = [j for j, c in enumerate(rows["certified"]) if c]
+    mu_ok = [mu_list[j] for j in ok]
+    ok_rows = {name: [rows[name][j] for j in ok] for name in rows}
     fits = {}
     for name in ("decay", "p1", "sup", "holder"):
-        slope, _, stderr = loglog_fit(mu_list, rows[name])
+        slope, _, stderr = loglog_fit(mu_ok, ok_rows[name])
         fits[name] = [slope, 2.0 * stderr]
     c_delta = min(w.edge_double_integrals(delta)) ** (-1.0 / 3.0)
     payload = {
@@ -518,7 +522,7 @@ def run_sweep(w, symbols, mu_list, cells=0):
         "sup_slopes": rows["dsup"],          # ||u'||_inf over the window
         "min_values": rows["minv"],          # min of u: the positivity record
         "fitted_slopes": fits,               # name -> [slope, half width]
-        "kendall": {name: kendall_tau(mu_list, rows[name])
+        "kendall": {name: kendall_tau(mu_ok, ok_rows[name])
                     for name in ("p1", "p2", "decay", "sup", "holder")},
         "alpha": HOLDER_ALPHA, "delta": delta,
     }

@@ -3,15 +3,18 @@
 A weight is one period [0, T] of a T-periodic coefficient a(t) that is >= 0
 (not identically 0) on [0, tau] and <= 0 (not identically 0) on [tau, T].
 Pieces are polynomials or linearly interpolated samples; ``build_weight``
-turns them into one table of polynomial segments by array operations.
-``WeightSpec.seg_eval`` is its one evaluator and ``WeightSpec.primitive``
-its one exact periodic primitive; ``reexpand`` is the package's one
-re-expansion of coefficients.  Two knots, or a knot and a mesh node, within
-``knot_tol(T)`` = 1e-12 max(T, 1) are one point.
+turns them into one table of polynomial segments by array operations,
+which every module reads through ``WeightSpec``: ``locate`` is its one
+periodic lookup, ``seg_eval`` its one evaluator, ``primitive`` its one exact
+periodic primitive and ``digest``, its sha256, the one name of its content.
+``reexpand`` is the package's one re-expansion of coefficients.  Two knots,
+or a knot and a mesh node, within ``knot_tol(T)`` = 1e-12 max(T, 1) are one
+point.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -48,27 +51,41 @@ class WeightSpec:
     sup_a_plus: float
     # Normalized polynomial segments tiling [0, period]; seg_knots has one
     # more entry than seg_coefs rows.  Coefficients are ascending in
-    # (t - seg_knots[i]).  seg_positive marks segments inside [0, tau].
+    # (t - seg_knots[i]), the last column not all zero.  seg_positive marks
+    # segments inside [0, tau].
     seg_knots: np.ndarray = field(repr=False)
     seg_coefs: np.ndarray = field(repr=False)
     seg_positive: np.ndarray = field(repr=False)
 
     @cached_property
-    def content_key(self):
-        """(period, tau, pieces) as a ContentKey: see ``weight_key``."""
-        return ContentKey((self.period, self.tau, self.pieces))
+    def digest(self):
+        """sha256 (hex) of the segment table, which fixes every level,
+        threshold and mesh: the key of the kept levels and grids and the
+        manifest's ``weight_sha256``."""
+        h = hashlib.sha256(np.array([self.period, self.tau,
+                                     *self.seg_coefs.shape]).tobytes())
+        for arr in (self.seg_knots, self.seg_coefs, self.seg_positive):
+            h.update(arr.tobytes())
+        return h.hexdigest()
 
     # -- evaluation ---------------------------------------------------------
 
-    def _segment_index(self, tf):
-        idx = np.searchsorted(self.seg_knots, tf, side="right") - 1
-        return np.clip(idx, 0, len(self.seg_coefs) - 1)
+    def locate(self, t):
+        """(seg, k) of the times t, vectorized: k = floor(t / T) is the
+        period of t, and t - T k lies in segment seg of the table.  The
+        package's one periodic lookup of the weight."""
+        t = np.asarray(t, dtype=float)
+        k = np.floor(t / self.period)
+        seg = np.searchsorted(self.seg_knots, t - self.period * k,
+                              side="right") - 1
+        return np.clip(seg, 0, len(self.seg_coefs) - 1), k
 
     def _eval_raw(self, t):
-        """Signed weight value a(t), vectorized, periodic."""
+        """Signed weight value a(t) and its segment's side (True inside
+        [0, tau]), vectorized, periodic."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        tf = t - self.period * np.floor(t / self.period)
-        return self.seg_eval(self._segment_index(tf), tf)
+        seg, k = self.locate(t)
+        return self.seg_eval(seg, t - self.period * k), self.seg_positive[seg]
 
     def seg_eval(self, seg, t):
         """Evaluate the polynomial of segment seg at absolute times t by
@@ -78,14 +95,16 @@ class WeightSpec:
                        np.asarray(t, dtype=float) - self.seg_knots[seg])
 
     def a_plus(self, t):
-        return np.maximum(self._eval_raw(t), 0.0)
+        raw, pos = self._eval_raw(t)
+        return np.where(pos, np.maximum(raw, 0.0), 0.0)
 
     def a_minus(self, t):
-        return np.maximum(-self._eval_raw(t), 0.0)
+        raw, pos = self._eval_raw(t)
+        return np.where(pos, 0.0, np.maximum(-raw, 0.0))
 
     def a_mu(self, mu, t):
-        raw = self._eval_raw(t)
-        return np.where(raw >= 0.0, raw, mu * raw)
+        raw, pos = self._eval_raw(t)
+        return np.where(pos, raw, mu * raw)
 
     # -- geometry -----------------------------------------------------------
 
@@ -122,10 +141,8 @@ class WeightSpec:
         cum = np.pad(mass[:, ::way], ((0, 0), (1, 0))).cumsum(axis=1)
         cum = way * cum[:, ::way]
         t = np.asarray(t, dtype=float)
-        k = np.floor(t / self.period)
-        tf = t - self.period * k
-        seg = self._segment_index(tf)
-        s = tf - self.seg_knots[seg]
+        seg, k = self.locate(t)
+        s = t - self.period * k - self.seg_knots[seg]
         return (np.multiply.outer(cum[:, -1] - cum[:, 0], k) + cum[:, seg]
                 + sided[:, seg] * (s * _horner(icoefs, seg, s)))
 
@@ -234,6 +251,9 @@ def build_weight(T, tau, pieces):
     table = np.concatenate([np.zeros((0, width))] + [
         np.pad(r, ((0, 0), (0, width - r.shape[1]))) for r in rows])
     t0, t1, coefs = table[:, 0], table[:, 1], table[:, 2:]
+    # no all-zero highest power, so that equal functions get equal tables
+    used = np.flatnonzero(coefs.any(axis=0))
+    coefs = coefs[:, :used[-1] + 1 if len(used) else 1]
     ktol = knot_tol(T)
     if not len(t0) or not abs(t0[0]) <= ktol:
         raise WeightError("pieces must start at t = 0")
@@ -295,24 +315,6 @@ def build_weight(T, tau, pieces):
         raise EdgeMassViolation(f"negative part has no mass within "
                                 f"{delta[bad[0]]:.3e} of a sign change")
     return w
-
-
-class ContentKey(tuple):
-    """A tuple that hashes its entries once: equal to, and hashing as, the
-    plain tuple of the same entries."""
-    _hash = None
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = tuple.__hash__(self)
-        return self._hash
-
-
-def weight_key(w):
-    """The content that fixes a weight's levels and meshes: equal keys,
-    equal levels and equal grids.  One key per WeightSpec, so its pieces
-    are hashed once however many caches it keys."""
-    return w.content_key
 
 
 # -- stock weights ----------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import sys
 from types import SimpleNamespace
@@ -442,7 +444,8 @@ def _ref_tables(w, nodes):
     d = b - a
     cell = np.clip(np.searchsorted(nodes, mid, side="right") - 1, 0, len(h) - 1)
     shift = T * np.floor(mid / T)
-    seg = w._segment_index(mid - shift)
+    seg = np.clip(np.searchsorted(w.seg_knots, mid - shift, side="right") - 1,
+                  0, len(w.seg_coefs) - 1)
     qt = np.concatenate([a, mid, b])
     qw = np.concatenate([d, 4.0 * d, d]) / 6.0
     qcell = np.concatenate([cell, cell, cell]).astype(np.int64)
@@ -860,14 +863,15 @@ def test_weight_file_loaded_twice_shares_its_grids(tmp_path):
 
 
 def test_weight_content_is_hashed_once(monkeypatch):
-    """The window, block and level caches key by the weight's content, whose
-    hash (every piece's) is taken once per WeightSpec however many hits
-    follow; a second spec of equal content hashes its own once and shares
-    the cached grids."""
+    """The window, block and level caches key by the weight's digest, the
+    sha256 of its segment table, taken once per WeightSpec however many
+    hits follow; a second spec of equal content takes its own once and
+    shares the kept grids and levels.  A one-ulp change of any table entry
+    changes the digest."""
     hashed = []
-    piece_hash = weight.Piece.__hash__
-    monkeypatch.setattr(weight.Piece, "__hash__",
-                        lambda p: hashed.append(p) or piece_hash(p))
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256",
+                        lambda *a: hashed.append(a) or sha256(*a))
     w1, w2 = weight.make_sine_weight(), weight.make_sine_weight()
     block = connection.make_connection_problem(w1, 1e3, 0.5, 0.5, K=1.0,
                                                r=1.0)
@@ -875,14 +879,33 @@ def test_weight_content_is_hashed_once(monkeypatch):
         window = assembly.span_grid(w1, 0, 2, 64)
         mesh = connection.connection_grid(block)
         levels = localfield.levels_of(w1)
-    assert len(hashed) == len(w1.pieces)
+    assert len(hashed) == 1
     assert assembly.span_grid(w2, 0, 2, 64) is window
     assert localfield.levels_of(w2) is levels
-    assert len(hashed) == len(w1.pieces) + len(w2.pieces)
+    assert len(hashed) == 2
     assert mesh is connection.connection_grid(block)
-    assert weight.weight_key(w1) == weight.weight_key(w2) == \
-        (w2.period, w2.tau, w2.pieces)
-    assert hash(weight.weight_key(w1)) == hash((w1.period, w1.tau, w1.pieces))
+    assert w1.digest == w2.digest
+    for name in ("seg_knots", "seg_coefs"):
+        arr = getattr(w1, name).copy()
+        arr.flat[1] = np.nextafter(arr.flat[1], np.inf)
+        assert dataclasses.replace(w1, **{name: arr}).digest != w1.digest
+    flipped = w1.seg_positive.copy()
+    flipped[-1] = True
+    assert dataclasses.replace(w1, seg_positive=flipped).digest != w1.digest
+
+
+def test_step_as_samples_shares_the_builtins_results():
+    """The step weight written as two samples pieces is the built-in's
+    table, so it gets the built-in's digest, levels and window grid."""
+    step = weight.make_step_weight()
+    samples = weight.build_weight(2.0, 1.0, [
+        weight.Piece(0.0, 1.0, "samples", ((0.0, 1.0), (1.0, 1.0))),
+        weight.Piece(1.0, 2.0, "samples", ((1.0, 2.0), (-1.0, -1.0)))])
+    assert samples.pieces != step.pieces
+    assert samples.digest == step.digest
+    assert localfield.levels_of(samples) is localfield.levels_of(step)
+    assert assembly.span_grid(samples, 0, 2, 16) is \
+        assembly.span_grid(step, 0, 2, 16)
 
 
 def test_grid_keyed_by_negative_pieces_too():
@@ -895,13 +918,13 @@ def test_grid_keyed_by_negative_pieces_too():
 
 
 def test_at_most_four_grids_kept():
-    """The most recently asked grids are kept, at most _GRIDS_KEPT = 4; the
+    """The most recently asked grids are kept, at most _KEPT = 4; the
     oldest is rebuilt when asked again."""
     w = weight.make_step_weight()
     first = assembly.span_grid(w, 0, 1, 8)
     for m in range(9, 14):
         assembly.span_grid(w, 0, 1, m)
-        assert len(assembly._grids) <= assembly._GRIDS_KEPT == 4
+        assert len(assembly._grids) <= assembly._KEPT == 4
     assert assembly.span_grid(w, 0, 1, 13) is assembly.span_grid(w, 0, 1, 13)
     rebuilt = assembly.span_grid(w, 0, 1, 8)
     assert rebuilt is not first

@@ -423,8 +423,7 @@ def test_weight_files_are_the_builtins(tmp_path, name):
     path = os.path.join(os.path.dirname(__file__), os.pardir, "weights",
                         f"{name}.json")
     builtin = cli.resolve_weight(name)[0]
-    assert weight.weight_key(weight.load_weight_json(path)) == \
-        weight.weight_key(builtin)
+    assert weight.load_weight_json(path).digest == builtin.digest
     for argv in (["local"], ["solve", "--symbols", "10", "--mu", "1e3"]):
         runs = {}
         for spec in (name, path):
@@ -450,6 +449,24 @@ def _two_level_pieces():
         weight.Piece(0.4, 1.0, "poly", (2.0,)),
         weight.Piece(1.0, 1.5, "poly", (-1.0,)),
         weight.Piece(1.5, 2.2, "poly", (-2.0,))])
+
+
+def test_file_weight_is_named_by_its_table(tmp_path, monkeypatch):
+    """``local --weight <file>`` records the table's digest as the
+    manifest's weight_sha256 and never writes the pieces out again
+    (``weight.weight_to_dict``)."""
+    path = tmp_path / "two_level.json"
+    weight.save_weight_json(_two_level_pieces(), path)
+
+    def refuse(w):
+        raise AssertionError("weight_to_dict called")
+
+    monkeypatch.setattr(weight, "weight_to_dict", refuse)
+    out = tmp_path / "out"
+    assert cli.main(["local", "--weight", str(path), "--outdir", str(out)]) \
+        == 0
+    assert _read_json(out / "manifest.json")["inputs"]["weight_sha256"] \
+        == _two_level_pieces().digest
 
 
 @pytest.mark.parametrize("argv", [
@@ -1175,8 +1192,9 @@ def test_verify_report(tmp_path):
 
 def test_verify_records_each_certification(tmp_path):
     """verify certifies its largest mu, and verify.json records every
-    stop's certification: from mu 1 the step weight's mu = 1 stop fails C1
-    while the decay slope is still fitted over all three stops."""
+    stop's certification: from mu 1 the step weight's mu = 1 stop fails C1,
+    and the slopes and Kendall taus are fitted over the two certified stops
+    only."""
     d = str(tmp_path)
     rc = cli.main(["verify", "--symbols", "10", "--mu-from", "1",
                    "--mu-to", "1e4", "--points", "3", "--outdir", d])
@@ -1184,6 +1202,14 @@ def test_verify_records_each_certification(tmp_path):
     sweep = _read_json(os.path.join(d, "verify.json"))["sweep"]
     assert sweep["mu_list"] == [1.0, 100.0, 10000.0]
     assert sweep["certified"] == [False, True, True]
+    samples = {"decay": "decay_samples", "p1": "p1", "p2": "p2",
+               "sup": "sup_distances", "holder": "holder_distances"}
+    mu = sweep["mu_list"][1:]
+    for name, fit in sweep["fitted_slopes"].items():
+        slope, _, stderr = verify.loglog_fit(mu, sweep[samples[name]][1:])
+        assert fit == [slope, 2.0 * stderr], name
+    for name, tau in sweep["kendall"].items():
+        assert tau == verify.kendall_tau(mu, sweep[samples[name]][1:]), name
 
 
 def _fmt_reference(x):

@@ -298,7 +298,7 @@ def test_levels_of_keyed_by_content(tau, frac, levels, moved, mesh):
     another mesh gets a new one, the memo never outgrows its bound, and the
     shared levels equal a fresh evaluator's bit for bit."""
     localfield.clear_levels()
-    kept = localfield._LEVELS_KEPT
+    kept = assembly._KEPT
 
     def shared(w, m):
         ev = localfield.levels_of(w, m)
