@@ -502,8 +502,8 @@ def _crossings(nodes, values):
 
 
 def cmd_local(cfg, w, run):
-    ev = localfield.levels_of(w, cfg["mesh"])
-    consts = solver.build_constant_pack(w, ev, K=cfg["K"])
+    ev = localfield.levels_of(w)
+    consts = ev.pack
     payload = {
         "period": w.period,
         "tau": w.tau,
@@ -745,8 +745,6 @@ _OUTDIR = Option("--outdir", help="artifact directory")
 _COMMANDS = {
     "local": Command("weight constants and local levels", cmd_local, (
         _WEIGHT, _OUTDIR,
-        Option("--mesh", _count, help="cells for the level solves"),
-        Option("--K", float, help="endpoint cap override"),
         Option("--out", default="local.json", help="JSON output name"),
     )),
     "solve": Command("certified periodic multibump solve", cmd_solve, (

@@ -58,13 +58,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly
-from .assembly import GridFunction
+from .assembly import _ARMIJO, GridFunction
 from .errors import (InteriorityFailure, NonConvergence, SingularLinearization,
                      WeightError)
 from .localfield import levels_of
 from .weight import compute_r, default_cap
 
-_ARMIJO = 1e-4
 _CAP_SLACK = 1e-9          # relative slack kept free of each cap by retraction
 _MAX_DESCENT = 200
 _DESCENT_RTOL = 1e-4       # residual reduction at which descent hands over

@@ -5,6 +5,10 @@ boundary conditions and sees only the positive part of the weight: the ground
 level c and its one-signed bump, the pinned-zero level c_zeta, the principal
 eigenvalue of the weighted Dirichlet problem, and the scaling projection onto
 the constraint set int u'^2 = int a+ u^4.
+
+Every level is solved on one mesh, ``default_cells(w)`` cells on [0, tau],
+so a weight has one set of levels and one constant pack
+(``LevelEvaluator.pack``), the one every command certifies against.
 """
 
 from __future__ import annotations
@@ -12,20 +16,18 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from . import assembly
+from . import assembly, weight
+from .assembly import _ARMIJO
 from .errors import DegenerateDirection, NonConvergence, WeightError
 
-_ARMIJO = 1e-4
 _EIGEN_TOL = 1e-13         # sup change of the max-normalized eigenvector
 _EIGEN_MAX_ITER = 2000
 _GROUND_TOL = 1e-10        # weak residual of a ground bump's Newton polish
 _GROUND_DESCENT = 400      # descent steps before a ground bump's Newton
-# fewest cells of a level mesh: on 2 cells the ground state's tridiagonal
-# solve has one interior node and no off-diagonal, which LAPACK refuses
-_MIN_MESH = 3
 
 
 @dataclass(eq=False)
@@ -52,7 +54,7 @@ class PinnedDetail:
 
 
 def default_cells(w):
-    """200 cells per unit length of [0, tau], at least 200."""
+    """The level mesh: 200 cells per unit length of [0, tau], at least 200."""
     return max(200, int(math.ceil(200.0 * w.tau)))
 
 
@@ -183,17 +185,16 @@ def _ground_on(w, t0, t1, n):
 # -- public operations --------------------------------------------------------
 
 
-def ground_state(w, mesh=None):
+def ground_state(w):
     """Positive minimal-level solution of u'' + a+ u^3 = 0, u(0) = u(tau) = 0."""
-    n = mesh or default_cells(w)
-    grid, u, level, dleft, dright = _ground_on(w, 0.0, w.tau, n)
+    grid, u, level, dleft, dright = _ground_on(w, 0.0, w.tau, default_cells(w))
     if not math.isfinite(level):
         raise DegenerateDirection("weight has no positive mass on [0, tau]")
     return BumpProfile(samples=assembly.GridFunction(grid, u), level=level,
                        dleft=dleft, dright=dright)
 
 
-def pinned_zero_detail(w, zeta, mesh=None):
+def pinned_zero_detail(w, zeta):
     """Minimal level among constraint-set functions with a zero in
     [zeta, tau - zeta], with the location of that zero.
 
@@ -206,11 +207,13 @@ def pinned_zero_detail(w, zeta, mesh=None):
     c(0, tau - zeta) and c(t, tau) >= c(zeta, tau).  A function with a bump
     on each side of a zero at t therefore costs at least the sum of the two
     edge levels, more than the cheaper one, so no split is searched for.
+    Each edge interval keeps the level mesh's cell density, with at least 60
+    cells.
     """
     tau = w.tau
     if not 0.0 < zeta < 0.5 * tau:
         raise WeightError("need 0 < zeta < tau/2")
-    base_n = mesh or default_cells(w)
+    base_n = default_cells(w)
 
     def level(t0, t1):
         n = max(60, int(math.ceil(base_n * (t1 - t0) / tau)))
@@ -223,7 +226,7 @@ def pinned_zero_detail(w, zeta, mesh=None):
     return PinnedDetail(c_zeta=right_only, tbar=float(zeta))
 
 
-def pinned_level_direct(w, tbar, mesh=None):
+def pinned_level_direct(w, tbar):
     """Level of the cheapest constraint-set function forced to vanish at tbar,
     by multistart descent on the full [0, tau] mesh with the pinned node
     eliminated.
@@ -238,9 +241,8 @@ def pinned_level_direct(w, tbar, mesh=None):
     is the edge level pinned_zero_detail returns.
     """
     tau = w.tau
-    n = mesh or default_cells(w)
-    nodes = assembly.sorted_unique(
-        np.append(assembly.knot_mesh(w, [0.0, tau], n)[0], tbar))
+    nodes = assembly.sorted_unique(np.append(
+        assembly.knot_mesh(w, [0.0, tau], default_cells(w))[0], tbar))
     grid = assembly.segment_grid(w, nodes, add_knots=False)
     tb = grid.tables
     pin = int(np.searchsorted(nodes, tbar))
@@ -267,7 +269,7 @@ def pinned_level_direct(w, tbar, mesh=None):
     return best
 
 
-def principal_eigenvalue(w, mesh=None):
+def principal_eigenvalue(w):
     """Smallest lambda with a nontrivial solution of phi'' + lambda a+ phi = 0,
     phi(0) = phi(tau) = 0; the eigenfunction is positive, normalized to max 1.
 
@@ -278,9 +280,9 @@ def principal_eigenvalue(w, mesh=None):
     rate lambda1/lambda2; 1/lambda1 is the Rayleigh quotient of K^-1 M in
     the M inner product.
     """
-    n = mesh or default_cells(w)
-    grid = assembly.segment_grid(w, assembly.knot_mesh(w, [0.0, w.tau], n)[0],
-                                add_knots=False)
+    grid = assembly.segment_grid(
+        w, assembly.knot_mesh(w, [0.0, w.tau], default_cells(w))[0],
+        add_knots=False)
     tb = grid.tables
 
     mLL, mLR, mRR = assembly._cell_blocks(
@@ -328,23 +330,25 @@ def nehari_project(u):
 
 
 class LevelEvaluator:
-    """Caching facade over the local solves; duck-typed for the constant
-    builders (ground_level, pinned_level, ground_bump).  The arrays it hands
-    out are read-only, as it hands the same ones to every caller."""
+    """Caching facade over the local solves of one weight on the level mesh;
+    duck-typed for the constant builders (ground_level, pinned_level,
+    ground_bump).  ``pack`` is the weight's one ConstantPack.  The arrays it
+    hands out are read-only, as it hands the same ones to every caller."""
 
-    def __init__(self, w, mesh=None):
+    def __init__(self, w):
         self.w = w
-        self.mesh = mesh or default_cells(w)
-        if self.mesh < _MIN_MESH:
-            raise WeightError(f"a level mesh needs at least {_MIN_MESH} "
-                              f"cells, got {self.mesh}")
         self._bump = None
         self._pinned = {}
         self._eigen = None
 
+    @cached_property
+    def pack(self):
+        """The weight's ConstantPack (``weight.build_constant_pack``)."""
+        return weight.build_constant_pack(self.w, self)
+
     def ground_bump(self):
         if self._bump is None:
-            bump = ground_state(self.w, self.mesh)
+            bump = ground_state(self.w)
             bump.samples.values.flags.writeable = False
             self._bump = bump
         return self._bump
@@ -355,7 +359,7 @@ class LevelEvaluator:
     def pinned_detail(self, zeta):
         key = round(float(zeta), 15)
         if key not in self._pinned:
-            self._pinned[key] = pinned_zero_detail(self.w, zeta, self.mesh)
+            self._pinned[key] = pinned_zero_detail(self.w, zeta)
         return self._pinned[key]
 
     def pinned_level(self, zeta):
@@ -363,21 +367,20 @@ class LevelEvaluator:
 
     def eigen(self):
         if self._eigen is None:
-            lam1, phi = principal_eigenvalue(self.w, self.mesh)
+            lam1, phi = principal_eigenvalue(self.w)
             phi.values.flags.writeable = False
             self._eigen = lam1, phi
         return self._eigen
 
 
-_levels = OrderedDict()    # (digest, mesh) -> LevelEvaluator, oldest first
+_levels = OrderedDict()    # digest -> LevelEvaluator, oldest first
 
 
-def levels_of(w, mesh=None):
-    """The process's LevelEvaluator for w's ``digest`` and the level mesh
-    (``assembly.keep``), so that each level of a weight is solved once per
-    process however many commands and solves ask for it."""
-    return assembly.keep(_levels, (w.digest, mesh or default_cells(w)),
-                         lambda: LevelEvaluator(w, mesh))
+def levels_of(w):
+    """The process's LevelEvaluator for w's ``digest`` (``assembly.keep``),
+    so that each level and the constant pack of a weight are computed once
+    per process however many commands and solves ask for them."""
+    return assembly.keep(_levels, w.digest, lambda: LevelEvaluator(w))
 
 
 def clear_levels():

@@ -36,9 +36,14 @@ A Dirichlet shot starts at the end where |u| is smaller, t0 on ties: the
 solutions are small or large on each interval, and shooting from the large
 end is the ill-conditioned direction.  ``shoot_batch`` shoots a set of
 intervals in rounds.  Each round is one batched integration holding one
-attempt of every open shot; each shot keeps its own Newton/bracket state,
-and an accepted shot leaves the batch.  ``shoot_dirichlet`` is its one-shot
-case, and ``integrate`` the one-run case of ``_integrate_raw``.
+attempt of every open shot; each shot keeps its own root search, and an
+accepted shot leaves the batch.  ``shoot_dirichlet`` is its one-shot case,
+and ``integrate`` the one-run case of ``_integrate_raw``.
+
+``_Root``, a resumable bracketed Newton, is the module's one scalar root
+finder: for a shot's slope, for a zero of the dense output
+(``DenseOutput.first_zero``) and for the slope whose first return is tau
+(``brute_ground_level``).
 """
 
 from __future__ import annotations
@@ -148,21 +153,16 @@ class DenseOutput:
 
     def _root(self, a, b, ua):
         """The zero of u between a and b, where u(a) = ua and u(b) differ
-        in sign: Newton on the step's series, bisecting where a Newton step
-        leaves the bracket, until the bracket or the step reaches round-off."""
-        x = 0.5 * (a + b)
+        in sign: ``_Root`` from the midpoint, with u' from the step's
+        series, until u is 0 or the next trial repeats the last to
+        round-off."""
+        lo, hi = (a, b) if ua < 0.0 else (b, a)
+        root = _Root(0.5 * (a + b), 0.0, lo, hi)
         for _ in range(200):
-            u, du = float(self.eval_u(x)), float(self.eval_du(x))
-            if (u < 0.0) == (ua < 0.0):
-                a = x
-            else:
-                b = x
-            x, x_old = (x - u / du if du else a), x
-            if not min(a, b) < x < max(a, b):
-                x = 0.5 * (a + b)
-            if abs(x - x_old) <= 2.0 * _EPS * abs(x_old) or x in (a, b):
-                return x
-        return x
+            x = root.p
+            if root.update(float(self.eval_u(x)), float(self.eval_du(x))):
+                break
+        return root.p
 
     def quad_du_squared(self, t_end=None):
         """integral of u'(t)^2 over [t_start, t_end]: each step's series of
@@ -350,55 +350,39 @@ def shoots_from_t1(x, y):
     return abs(y) < abs(x)
 
 
-class _Shot:
-    """Newton on one shot's far-end value using the variational equation,
-    with bracketing and bisection fallback.  The slope ``p`` is taken along
-    the direction of travel, so on a negativity interval a larger p raises
-    the far-end value from either end, which the one-sided walk relies on.
-    On a positive interval R(p) need not be monotone: the bracket keeps a
-    sign change either way round, and Newton steps that stall without one
-    give way to probes on both sides of the best slope."""
+class _Root:
+    """Bracketed Newton for one scalar equation R(p) = 0, resumable: the
+    caller evaluates R, and dR/dp where it has it, at the trial ``p`` and
+    hands them to ``update``, which moves ``p`` to the next trial.
 
-    def __init__(self, t0, t1, x, y, s0):
-        if t0 == t1:
-            raise ScopeError("shooting over an empty interval (t0 = t1)")
-        back = shoots_from_t1(x, y)
-        self.sign = -1.0 if back else 1.0
-        self.t_from, self.t_to = (t1, t0) if back else (t0, t1)
-        self.u_from, self.target = (y, x) if back else (x, y)
-        scale = max(1.0, abs(x), abs(y))
-        self.tol = _SHOT_TOL * scale
-        self.big = 1e9 * scale
-        self.p = self.sign * (s0 if s0 is not None else (y - x) / (t1 - t0))
-        self.lo = self.hi = None        # bracket: R(lo) < 0 < R(hi)
-        self.best = None
-        # finite, unbracketed attempts in a row that did not halve the best
+    The bracket (R(lo) < 0 < R(hi)) is kept either way round, so it also
+    shrinks where R falls with p.  A Newton step that leaves the bracket, or
+    has no usable dR, gives way to bisection; with no bracket yet it walks
+    against R's sign instead, in steps of half max(1, |p|), which reaches a
+    sign change where R rises with p.  Once three finite, unbracketed
+    residuals in a row fail to halve the best |R| (Newton circling an
+    extremum of R that misses zero), the trials probe ever farther on both
+    sides of the best p until R changes sign.  An infinite R (a blow-up)
+    counts as a residual of its sign alone."""
+
+    def __init__(self, p, tol, lo=None, hi=None):
+        self.p, self.tol = p, tol
+        self.lo, self.hi = lo, hi
+        self.best = None            # (|R|, p) of the smallest |R| so far
+        # unbracketed finite trials in a row that did not halve the best
         # |R|, and the probes made once they stalled
         self.stall = self.probes = 0
-        self.iters = 0
-        self.result = None
 
-    def run(self):
-        return self.t_from, self.t_to, [self.u_from, self.p, 0.0, 1.0]
-
-    def update(self, dense, end, blew_up):
-        """Take one attempt's outcome; True once the shot is accepted."""
-        self.iters += 1
+    def update(self, R, dR=None):
+        """Take R (and dR) at p.  True when |R| <= tol, p then being the
+        root, or when the next trial, now p, repeats the last one to
+        round-off."""
+        if abs(R) <= self.tol:
+            return True
         s = self.p
-        if blew_up:
-            # a blow-up counts as a residual of its sign, which tells which
-            # side of the connecting slope the attempt is on
-            R, dR = math.copysign(self.big, end[0]), None
-        else:
-            R, dR = float(end[0]) - self.target, float(end[2])
-            if abs(R) <= self.tol:
-                self.result = ShootResult(slope=self.sign * s, residual=R,
-                                          iters=self.iters, dense=dense)
-                return True
         lo, hi = self.lo, self.hi
         if lo is not None and hi is not None:
-            # a point inside the bracket replaces the end of its sign, so the
-            # bracket shrinks also where R falls with p (a positive interval)
+            # a point inside the bracket replaces the end of its sign
             if min(lo, hi) < s < max(lo, hi):
                 if R < 0.0:
                     self.lo = lo = s
@@ -409,32 +393,67 @@ class _Shot:
         elif R > 0.0 and (hi is None or s < hi):
             self.hi = hi = s
         bracketed = lo is not None and hi is not None
-        if not (blew_up or bracketed):
+        finite = math.isfinite(R)
+        if finite and not bracketed:
             halved = self.best is None or abs(R) < 0.5 * self.best[0]
             self.stall = 0 if halved else self.stall + 1
         if self.best is None or abs(R) < self.best[0]:
             self.best = (abs(R), s)
-        step = None
-        if dR is not None and dR != 0.0 and abs(R) < self.big:
-            step = -R / dR
-            cand = s + step
-            if bracketed and not (min(lo, hi) < cand < max(lo, hi)):
-                step = None
-        if step is None:
-            if bracketed:
-                cand = 0.5 * (lo + hi)
-            else:
-                # one-sided: walk against the residual sign
-                cand = s - math.copysign(max(1.0, abs(s)) * 0.5, R)
+        cand = None
+        if dR is not None and dR != 0.0 and finite:
+            cand = s + -R / dR
+            if bracketed and not min(lo, hi) < cand < max(lo, hi):
+                cand = None
+        if cand is None:
+            cand = 0.5 * (lo + hi) if bracketed \
+                else s - math.copysign(max(1.0, abs(s)) * 0.5, R)
         if not bracketed and self.stall >= 3:
-            # Newton circles an extremum of R that misses zero (R need not
-            # be monotone on a positive interval): probe ever farther on
-            # both sides of the best slope until R changes sign
             k, s_best = self.probes, self.best[1]
             reach = max(1.0, abs(s_best)) * 0.5 * 2.0 ** (k // 2)
             cand = s_best + (reach if k % 2 == 0 else -reach)
             self.probes += 1
         self.p = cand
+        return abs(cand - s) <= 2.0 * _EPS * abs(s) or cand in (lo, hi)
+
+
+class _Shot:
+    """One Dirichlet shot: ``_Root`` on its far-end residual R(p), with dR
+    from the variational equation.  The slope ``p`` is taken along the
+    direction of travel, so on a negativity interval a larger p raises the
+    far-end value from either end, which the one-sided walk relies on; on a
+    positive interval R(p) need not be monotone, which the bracket kept
+    either way round and the stall probes cover.  A blow-up is an infinite
+    residual of its sign.  Only |R| <= tol accepts a shot."""
+
+    def __init__(self, t0, t1, x, y, s0):
+        if t0 == t1:
+            raise ScopeError("shooting over an empty interval (t0 = t1)")
+        back = shoots_from_t1(x, y)
+        self.sign = -1.0 if back else 1.0
+        self.t_from, self.t_to = (t1, t0) if back else (t0, t1)
+        self.u_from, self.target = (y, x) if back else (x, y)
+        self.tol = _SHOT_TOL * max(1.0, abs(x), abs(y))
+        self.root = _Root(
+            self.sign * (s0 if s0 is not None else (y - x) / (t1 - t0)),
+            self.tol)
+        self.iters = 0
+        self.result = None
+
+    def run(self):
+        return self.t_from, self.t_to, [self.u_from, self.root.p, 0.0, 1.0]
+
+    def update(self, dense, end, blew_up):
+        """Take one attempt's outcome; True once the shot is accepted."""
+        self.iters += 1
+        s = self.root.p
+        if blew_up:
+            R, dR = math.copysign(math.inf, end[0]), None
+        else:
+            R, dR = float(end[0]) - self.target, float(end[2])
+        if self.root.update(R, dR) and abs(R) <= self.tol:
+            self.result = ShootResult(slope=self.sign * s, residual=R,
+                                      iters=self.iters, dense=dense)
+            return True
         return False
 
 
@@ -461,7 +480,7 @@ def shoot_batch(w, mu, problems, rtol=1e-10):
             if shot.iters >= _MAX_SHOTS:
                 raise NewtonFailure(
                     f"shooting failed to reach |residual| <= {shot.tol:g}; "
-                    f"best {shot.best[0]:g}")
+                    f"best {shot.root.best[0]:g}")
             left.append(shot)
         todo = left
     return [s.result for s in shots]
@@ -494,8 +513,9 @@ def brute_ground_level(w, rtol=1e-12):
     [0, tau], for piecewise-constant a+ only.
 
     For a constant a+ the scaling u -> lam*u(lam*t) reduces everything to one
-    base integration; otherwise the Dirichlet solution is found by shooting
-    for a first zero exactly at tau.
+    base integration; otherwise ``_Root`` finds the slope at 0 whose first
+    return to zero is tau, to 1e-13 tau, with no dR (bisection once the
+    slope is bracketed), and the level is read off that integration.
     """
     coefs = w.seg_coefs[w.seg_positive]
     if np.any(np.abs(coefs[:, 1:]) > 1e-12 * max(1.0, np.abs(coefs).max())):
@@ -507,33 +527,15 @@ def brute_ground_level(w, rtol=1e-12):
         lam = t1 / w.tau
         return 0.25 * lam ** 3 * i1 / k
 
-    # piecewise-constant but non-uniform: bisection on the initial slope so the
-    # first return lands on tau (larger slopes return sooner)
-    def zero_time(s):
-        st = IvpState(t=0.0, u=0.0, du=s)
+    # piecewise-constant but non-uniform: _Root on R(s) = tau - (first
+    # return) of the slope s from u(0) = 0; larger slopes return sooner, so
+    # R rises with s, and R(0+) = -inf
+    root = _Root(1.0, 1e-13 * w.tau, lo=0.0)
+    for _ in range(200):
+        st = IvpState(t=0.0, u=0.0, du=root.p)
         _, dense = integrate(w, 0.0, st, w.tau * (1.0 + 1e-9), rtol=rtol)
         tz = dense.first_zero(after=1e-12)
-        return (tz if tz is not None else math.inf), dense
-
-    s_lo, s_hi = 1.0, 1.0
-    for _ in range(200):
-        if zero_time(s_lo)[0] > w.tau:
+        tz = math.inf if tz is None else tz
+        if root.update(w.tau - tz):
             break
-        s_lo *= 0.25
-    for _ in range(200):
-        if zero_time(s_hi)[0] < w.tau:
-            break
-        s_hi *= 4.0
-    for _ in range(200):
-        s = math.sqrt(s_lo * s_hi)
-        tz, dense = zero_time(s)
-        if abs(tz - w.tau) <= 1e-13 * w.tau:
-            break
-        if tz > w.tau:
-            s_lo = s
-        else:
-            s_hi = s
-        if abs(math.log(s_hi / s_lo)) < 1e-15:
-            break
-    tz, dense = zero_time(math.sqrt(s_lo * s_hi))
     return 0.25 * dense.quad_du_squared(t_end=min(tz, w.tau))

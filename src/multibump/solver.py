@@ -33,7 +33,8 @@ import numpy as np
 from . import assembly, localfield
 from .errors import (CertificationFailure, ContinuationBreakdown,
                      NewtonFailure, WeightError)
-from .weight import build_constant_pack
+# solver's name of the pack builder, kept for the callers that read it here
+from .weight import build_constant_pack  # noqa: F401
 
 _AMP_CAP = 1e6
 MU0 = 10.0              # lowest mu at which Newton starts from the pasted bumps
@@ -258,11 +259,11 @@ def check_membership(u, mu, consts, window):
 
 
 def _prepare(w):
-    """(ConstantPack, ground bump) of a solve, from the process's
-    default-mesh levels of w (localfield.levels_of), so each level is solved
+    """(ConstantPack, ground bump) of a solve: w's one pack and bump, from
+    the process's levels of w (localfield.levels_of), so the pack is built
     once per process."""
     ev = localfield.levels_of(w)
-    return build_constant_pack(w, ev), ev.ground_bump()
+    return ev.pack, ev.ground_bump()
 
 
 def _continuation(w, window, mu_list, cells):

@@ -458,7 +458,7 @@ def oracle_residual(sol):
 
 def run_sweep(w, symbols, mu_list, cells=0):
     """Continuation sweep with every per-mu audit quantity recorded, the
-    limit distance against the default-mesh ground bump of w's shared levels
+    limit distance against the ground bump of w's shared levels
     (localfield.levels_of).  Returns (payload, the sweep's last Solution):
     the payload is verify.json's "sweep" entry, which records each mu's
     certification and whose decay samples come with the explicit bounds

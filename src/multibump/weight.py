@@ -146,12 +146,6 @@ class WeightSpec:
         return (np.multiply.outer(cum[:, -1] - cum[:, 0], k) + cum[:, seg]
                 + sided[:, seg] * (s * _horner(icoefs, seg, s)))
 
-    def integral_a_minus(self, x, y):
-        """Exact integral of a- over [x, y], 0 where y <= x; x and y
-        broadcast (``primitive``)."""
-        a = self.primitive(np.stack(np.broadcast_arrays(x, y)))[1]
-        return np.where(y > x, a[1] - a[0], 0.0)[()]
-
     def edge_double_integrals(self, delta):
         """Iterated edge integrals of a- next to the two sign changes.
 
@@ -472,21 +466,19 @@ def default_cap(bump):
     return 2.0 * float(np.max(np.abs(bump.u)))
 
 
-def build_constant_pack(w, levels, K=None):
-    """Assemble every certification constant for weight w."""
-    if K is not None and not K > 0.0:
-        raise WeightError("the cap K must be positive")
+def build_constant_pack(w, levels):
+    """Assemble every certification constant for weight w from its levels
+    (``localfield.LevelEvaluator``, whose ``pack`` caches the result), with
+    the cap K = default_cap of the ground bump."""
     c = levels.ground_level()
     bump = levels.ground_bump()
     zeta, c_zeta, val = choose_zeta(w, levels)
-    if K is None:
-        K = default_cap(bump)
+    K = default_cap(bump)
     rho = bound_rho(w, c, c_zeta, K)
     attained = abs(bump.dleft) + abs(bump.dright)
-    if not (rho > attained and rho > 2.0 * K / (w.period - w.tau)):
+    if not rho > attained:
         raise WeightError("slope threshold bound failed to dominate")
     if c >= c_zeta:
         raise WeightError("pinned-zero level does not exceed the ground level")
-    return ConstantPack(r=compute_r(w), zeta=zeta, K=float(K), rho=rho,
+    return ConstantPack(r=compute_r(w), zeta=zeta, K=K, rho=rho,
                         c=c, c_zeta=c_zeta, zeta_margin=val, rho_attained=attained)
-

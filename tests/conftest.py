@@ -26,12 +26,23 @@ def sine_weight():
 
 @pytest.fixture(scope="session")
 def levels(step_weight):
-    return localfield.LevelEvaluator(step_weight, 2000)
+    """Step's levels on the level mesh every command uses."""
+    return localfield.LevelEvaluator(step_weight)
 
 
 @pytest.fixture(scope="session")
 def consts(step_weight, levels):
-    return weight.build_constant_pack(step_weight, levels)
+    return levels.pack
+
+
+@pytest.fixture()
+def level_mesh(monkeypatch):
+    """level_mesh(n) solves every level on n cells for the rest of the test,
+    through ``localfield.default_cells``; evaluators kept before keep their
+    levels.  Inside ``@given`` use ``pytest.MonkeyPatch.context()``."""
+    def use(n):
+        monkeypatch.setattr(localfield, "default_cells", lambda w: n)
+    return use
 
 
 @pytest.fixture(scope="session")

@@ -66,11 +66,14 @@ def test_criterion_01_constants(step_weight, sine_weight, consts):
     assert elapsed < 60.0
 
 
-def test_criterion_02_ground_level_oracle(step_weight):
+def test_criterion_02_ground_level_oracle(step_weight, level_mesh):
     t0 = time.perf_counter()
     c_ref = oracle.brute_ground_level(step_weight)
-    errs = [abs(localfield.ground_state(step_weight, m).level - c_ref) / c_ref
-            for m in (2000, 4000)]
+    errs = []
+    for m in (2000, 4000):
+        level_mesh(m)
+        errs.append(abs(localfield.ground_state(step_weight).level - c_ref)
+                    / c_ref)
     rate = math.log(errs[0] / errs[1]) / math.log(2.0)
     elapsed = time.perf_counter() - t0
     ok = max(errs) <= 1e-6 and abs(rate - 2.0) <= 0.3 and elapsed < 60.0

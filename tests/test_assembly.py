@@ -264,7 +264,10 @@ def test_newton_step_solves_the_second_variation(step_weight, code, i0, m,
     grid = assembly.span_grid(w, i0, len(code), m)
     if pasted:
         window = solver.SymbolWindow(tuple(code), i0)
-        u = solver.initial_guess(window, localfield.ground_state(w, m), grid)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(localfield, "default_cells", lambda w: m)
+            bump = localfield.ground_state(w)
+        u = solver.initial_guess(window, bump, grid)
     else:
         rng = np.random.default_rng(seed)
         u = assembly.GridFunction(grid, rng.uniform(-2.0, 2.0, grid.ndof))

@@ -32,16 +32,46 @@ def _read_json(path):
 
 def test_local_constants(tmp_path):
     d = str(tmp_path)
-    rc = cli.main(["local", "--outdir", d, "--mesh", "800"])
+    rc = cli.main(["local", "--outdir", d])
     assert rc == 0
     payload = _read_json(os.path.join(d, "local.json"))
-    # plumbing check only; the level itself is mesh-limited at this size
-    assert abs(payload["c"] - C_STEP) < 1e-4
+    # plumbing check only; the level itself is limited by the level mesh
+    # (200 cells on step), whose O(h^2) error is 4.7e-5 relative
+    assert math.isclose(payload["c"], C_STEP, rel_tol=1e-4)
     assert payload["zeta"] > 0.0
     assert abs(payload["r"] ** 2 - 1.0 / 32.0) < 1e-15
     manifest = _read_json(os.path.join(d, "manifest.json"))
     assert manifest["status"] == "ok"
     assert "local.json" in manifest["outputs"]
+
+
+def test_one_pack_per_weight_across_commands(tmp_path, monkeypatch):
+    """The README's local, solve, verify and sweep run in one process build
+    step's constant pack once, and local.json prints that pack."""
+    built = []
+    real = weight.build_constant_pack
+
+    def counted(*args):
+        built.append(args[0].digest)
+        return real(*args)
+
+    # every name the pack builder is bound to
+    monkeypatch.setattr(weight, "build_constant_pack", counted)
+    monkeypatch.setattr(solver, "build_constant_pack", counted)
+    runs = [["local"],
+            ["solve", "--symbols", "110", "--mu", "1e3"],
+            ["verify", "--symbols", "10", "--mu-from", "1e2", "--mu-to",
+             "1e4", "--points", "9"],
+            ["sweep", "--codes", "1,10,110", "--mu-from", "10", "--mu-to",
+             "1e5", "--points", "9"]]
+    for i, argv in enumerate(runs):
+        assert cli.main(argv + ["--outdir", str(tmp_path / str(i))]) == 0
+    w = cli.resolve_weight("step")[0]
+    assert built == [w.digest]
+    pack = localfield.levels_of(w).pack
+    payload = _read_json(tmp_path / "0" / "local.json")
+    for key in ("c", "c_zeta", "zeta", "K", "r", "rho"):
+        assert payload[key] == getattr(pack, key), key
 
 
 def test_solve_roundtrip(tmp_path):
@@ -227,13 +257,10 @@ def test_weight_of_empty_polys_is_input_error(tmp_path, argv):
 
 
 def test_bad_count_and_undecodable_file_are_input_errors(tmp_path):
-    assert cli.main(["local", "--mesh", "-3",
-                     "--outdir", str(tmp_path / "mesh")]) == 2
-    # too few cells for the level solves (LAPACK refused 2; 1 left none)
-    for mesh in ("1", "2"):
-        out = tmp_path / f"mesh{mesh}"
-        assert cli.main(["local", "--mesh", mesh, "--outdir", str(out)]) == 2
-        assert "at least 3 cells" in (out / "FAILED").read_text()
+    out = tmp_path / "samples"
+    assert cli.main(["oracle", "integrate", "--t1", "1", "--samples", "-3",
+                     "--outdir", str(out)]) == 2
+    assert "bad value -3 for samples" in (out / "FAILED").read_text()
     assert cli.main(["verify", "--symbols", "10", "--mu-from", "1e2",
                      "--mu-to", "1e3", "--points", "0",
                      "--outdir", str(tmp_path / "points")]) == 2
@@ -252,8 +279,8 @@ def test_bad_count_and_undecodable_file_are_input_errors(tmp_path):
     ["oracle", "integrate", "--t1", "nan"],
     ["oracle", "shoot", "--mu", "nan", "--t0", "0", "--t1", "1",
      "--x", "0", "--y", "0.3"],
-    ["local", "--K", "-1"],
-    ["local", "--K", "0"],
+    ["connection", "--mu", "2000", "--x", "0.6", "--y", "0.4", "--K", "-1"],
+    ["connection", "--mu", "2000", "--x", "0.6", "--y", "0.4", "--K", "0"],
 ])
 def test_non_finite_or_non_positive_value_is_input_error(tmp_path, argv):
     """nan and inf are bad input, as is a cap K that |u| < K can never
@@ -270,7 +297,9 @@ def test_non_finite_or_non_positive_value_is_input_error(tmp_path, argv):
                                   ["connection", "--i", "0"],
                                   ["solve", "--N", "3"],
                                   ["verify", "--N", "3"],
-                                  ["local", "--bump-csv", "bump.csv"]])
+                                  ["local", "--bump-csv", "bump.csv"],
+                                  ["local", "--mesh", "800"],
+                                  ["local", "--K", "8"]])
 def test_deleted_flags_are_refused(flag):
     with pytest.raises(SystemExit) as exc:
         cli.main(flag)
@@ -305,12 +334,15 @@ _REFUSALS = {
                            "bad value 200.7 for cells"),
     "config-mu-true": (["solve", "--symbols", "10", "--config", "mu.json"],
                        "bad value True for mu"),
+    # local has one level mesh and one cap K, so neither is a key of it
     "config-mesh-true": (["local", "--config", "mesh.json"],
-                         "bad value True for mesh"),
+                         "does not read config key(s) 'mesh'"),
+    "config-local-K": (["local", "--config", "K.json"],
+                       "does not read config key(s) 'K'"),
 }
 _CONFIGS = {"list.json": [1, 2], "points.json": {"points": 1.9},
             "cells.json": {"cells": 200.7}, "mu.json": {"mu": True},
-            "mesh.json": {"mesh": True}}
+            "mesh.json": {"mesh": True}, "K.json": {"K": 8}}
 
 
 @pytest.mark.parametrize("case", sorted(_REFUSALS))
@@ -842,20 +874,20 @@ def test_input_error_leaves_failed_manifest(tmp_path, case):
 
 
 def test_config_and_flags_hash_alike(tmp_path):
-    """A value is recorded after conversion, so a config file's K = 8 and
-    mesh = 200.0 and the flags' 8.0 and 200 give one manifest hash and the
+    """A value is recorded after conversion, so a config file's t1 = 1 and
+    samples = 50.0 and the flags' 1.0 and 50 give one manifest hash and the
     same artifacts."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"mesh": 200.0, "K": 8}))
-    runs = {"flags": ["local", "--mesh", "200", "--K", "8"],
-            "config": ["local", "--config", str(cfg)]}
+    cfg.write_text(json.dumps({"t1": 1, "samples": 50.0}))
+    runs = {"flags": ["oracle", "integrate", "--t1", "1.0", "--samples", "50"],
+            "config": ["oracle", "integrate", "--config", str(cfg)]}
     manifests = {}
     for name, argv in runs.items():
         out = tmp_path / name
         assert cli.main(argv + ["--outdir", str(out)]) == 0
         manifests[name] = _read_json(out / "manifest.json")
     recorded = manifests["config"]["config"]
-    assert type(recorded["K"]) is float and type(recorded["mesh"]) is int
+    assert type(recorded["t1"]) is float and type(recorded["samples"]) is int
     assert manifests["flags"]["manifest_hash"] \
         == manifests["config"]["manifest_hash"]
     assert manifests["flags"]["outputs"] == manifests["config"]["outputs"]

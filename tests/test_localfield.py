@@ -7,18 +7,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multibump import assembly, localfield, oracle, weight
-from multibump.errors import DegenerateDirection, NonConvergence, WeightError
+from multibump.errors import DegenerateDirection, NonConvergence
 
 C_STEP = 15.756060010769785
 T1 = 3.118169499510998
 
 
-def test_ground_level_vs_oracle_richardson(step_weight):
+def test_ground_level_vs_oracle_richardson(step_weight, level_mesh):
     """FEM ground level converges to the shooting value at rate ~2; the
     Richardson combination of two meshes lands much closer."""
     c_ref = oracle.brute_ground_level(step_weight)
-    c1 = localfield.ground_state(step_weight, 1000).level
-    c2 = localfield.ground_state(step_weight, 2000).level
+    level_mesh(1000)
+    c1 = localfield.ground_state(step_weight).level
+    level_mesh(2000)
+    c2 = localfield.ground_state(step_weight).level
     e1, e2 = abs(c1 - c_ref), abs(c2 - c_ref)
     rate = math.log(e1 / e2) / math.log(2.0)
     assert 1.7 <= rate <= 2.3
@@ -27,8 +29,9 @@ def test_ground_level_vs_oracle_richardson(step_weight):
     assert math.isclose(c_ref, C_STEP, rel_tol=1e-12)
 
 
-def test_ground_bump_shape(step_weight):
-    bump = localfield.ground_state(step_weight, 1200)
+def test_ground_bump_shape(step_weight, level_mesh):
+    level_mesh(1200)
+    bump = localfield.ground_state(step_weight)
     u = bump.samples.full()
     assert abs(u[0]) < 1e-14 and abs(u[-1]) < 1e-14
     assert np.all(u[1:-1] > 0.0)
@@ -39,9 +42,10 @@ def test_ground_bump_shape(step_weight):
     assert np.max(np.abs(u - u[::-1])) < 1e-9 * np.max(u)
 
 
-def test_principal_eigenvalue_step(step_weight):
+def test_principal_eigenvalue_step(step_weight, level_mesh):
     """a+ = 1 on [0, 1]: the eigenvalue is exactly pi^2."""
-    lam, phi = localfield.principal_eigenvalue(step_weight, 1500)
+    level_mesh(1500)
+    lam, phi = localfield.principal_eigenvalue(step_weight)
     assert math.isclose(lam, math.pi ** 2, rel_tol=1e-5)
     full = phi.full()
     assert full[0] == 0.0 and full[-1] == 0.0
@@ -50,7 +54,8 @@ def test_principal_eigenvalue_step(step_weight):
     # against the exact eigenfunction sin(pi t)
     assert np.max(np.abs(full - np.sin(np.pi * phi.grid.nodes))) < 1e-4
     # the shared levels hand out the same eigenpair, exactly max-normalized
-    lam1, phi1 = localfield.levels_of(step_weight, 1200).eigen()
+    level_mesh(1200)
+    lam1, phi1 = localfield.levels_of(step_weight).eigen()
     assert math.isclose(lam1, math.pi ** 2, rel_tol=1e-5)
     assert phi1.sup_norm() == 1.0
 
@@ -67,14 +72,18 @@ _MESHES = (200, 400, 800, 1600)
 _VARPI = math.gamma(0.25) ** 2 / (2.0 * math.sqrt(2.0 * math.pi))
 
 
-def test_principal_eigenvalue_methods_agree(step_weight, sine_weight):
+def test_principal_eigenvalue_methods_agree(step_weight, sine_weight,
+                                            level_mesh):
     """The eigensolve agrees with the closed form: lambda1 = pi^2 on
     step at O(h^2), and constant-weight bounds on sine."""
-    lams = [localfield.principal_eigenvalue(step_weight, n)[0]
-            for n in _MESHES]
+    lams = []
+    for n in _MESHES:
+        level_mesh(n)
+        lams.append(localfield.principal_eigenvalue(step_weight)[0])
     errs, ratios = _closed_form_errors(lams, math.pi ** 2)
     assert all(3.9 <= r <= 4.1 for r in ratios), (errs, ratios)
-    lam_d, _ = localfield.principal_eigenvalue(sine_weight, 800)
+    level_mesh(800)
+    lam_d, _ = localfield.principal_eigenvalue(sine_weight)
     # comparison with constant-weight bounds: sin <= 1 on (0, pi) pushes
     # the eigenvalue above lambda1(a = 1) = 1
     assert lam_d > 1.0
@@ -102,19 +111,24 @@ def _dense_principal_eigenvalue(w, n):
 
 
 @pytest.mark.parametrize("n", _MESHES)
-def test_principal_eigenvalue_matches_dense(step_weight, sine_weight, n):
+def test_principal_eigenvalue_matches_dense(step_weight, sine_weight,
+                                            level_mesh, n):
     """Banded inverse iteration reproduces the dense eigenpair."""
+    level_mesh(n)
     for w in (step_weight, sine_weight):
-        lam, phi = localfield.principal_eigenvalue(w, n)
+        lam, phi = localfield.principal_eigenvalue(w)
         lam_d, phi_d = _dense_principal_eigenvalue(w, n)
         assert abs(lam - lam_d) <= 1e-12 * lam_d, (n, lam, lam_d)
         assert np.max(np.abs(phi.full()[1:-1] - phi_d)) < 1e-10
 
 
-def test_ground_level_closed_form_convergence(step_weight):
+def test_ground_level_closed_form_convergence(step_weight, level_mesh):
     """On step the FEM ground level and end slope converge to the
     lemniscate closed forms at O(h^2)."""
-    bumps = [localfield.ground_state(step_weight, n) for n in _MESHES]
+    bumps = []
+    for n in _MESHES:
+        level_mesh(n)
+        bumps.append(localfield.ground_state(step_weight))
     errs, ratios = _closed_form_errors([b.level for b in bumps],
                                        _VARPI ** 4 / 3.0)
     assert all(3.9 <= r <= 4.1 for r in ratios), (errs, ratios)
@@ -124,13 +138,14 @@ def test_ground_level_closed_form_convergence(step_weight):
     assert all(3.9 <= r <= 4.1 for r in ratios), (errs, ratios)
 
 
-def test_pinned_level_boundary_configuration(step_weight):
+def test_pinned_level_boundary_configuration(step_weight, level_mesh):
     """For the flat weight the pinned minimizer parks its zero on the
     boundary of the admissible band and carries a single bump."""
-    det = localfield.pinned_zero_detail(step_weight, 0.125, 1500)
+    level_mesh(1500)
+    det = localfield.pinned_zero_detail(step_weight, 0.125)
     assert math.isclose(det.tbar, 0.875, rel_tol=1e-9)
     # single bump on [0, 1 - zeta]: level scales like length^-3
-    c = localfield.ground_state(step_weight, 1500).level
+    c = localfield.ground_state(step_weight).level
     assert math.isclose(det.c_zeta, c / 0.875 ** 3, rel_tol=1e-5)
 
 
@@ -173,9 +188,10 @@ def test_dirichlet_bumps_end_at_zero(step_weight, sine_weight, monkeypatch,
     assert bump.u[0] == bump.u[-1] == 0.0
 
 
-def test_pinned_level_two_entries_agree(step_weight):
-    a = localfield.pinned_zero_detail(step_weight, 0.125, 1200).c_zeta
-    b = localfield.pinned_level_direct(step_weight, 0.875, 1200)
+def test_pinned_level_two_entries_agree(step_weight, level_mesh):
+    level_mesh(1200)
+    a = localfield.pinned_zero_detail(step_weight, 0.125).c_zeta
+    b = localfield.pinned_level_direct(step_weight, 0.875)
     assert math.isclose(a, b, rel_tol=1e-6)
 
 
@@ -214,7 +230,7 @@ def test_nehari_project_degenerate(step_weight):
 
 
 def test_level_evaluator_caches(step_weight):
-    ev = localfield.LevelEvaluator(step_weight, 900)
+    ev = localfield.LevelEvaluator(step_weight)
     b1 = ev.ground_bump()
     b2 = ev.ground_bump()
     assert b1 is b2
@@ -222,6 +238,7 @@ def test_level_evaluator_caches(step_weight):
     p2 = ev.pinned_level(0.125)
     assert p1 == p2
     assert ev.ground_level() == b1.level
+    assert ev.pack is ev.pack and ev.pack.c == b1.level
 
 
 @pytest.mark.parametrize("name,c,c_zeta", [
@@ -260,12 +277,11 @@ _two_levels = dict(tau=st.floats(0.5, 1.5), frac=st.floats(0.25, 0.75),
 @given(k=st.floats(0.25, 4.0), **_two_levels)
 def test_ground_level_scales_inversely_with_weight(tau, frac, lo, hi, k):
     """u -> u / sqrt(k) maps solutions for a+ to solutions for k a+, so the
-    ground level scales as 1/k on the same mesh."""
+    ground level scales as 1/k on the same mesh (the level mesh depends on
+    tau alone)."""
     w = _two_level_weight(tau, frac, lo, hi)
-    n = localfield.default_cells(w)
-    c = localfield.ground_state(w, n).level
-    ck = localfield.ground_state(_two_level_weight(tau, frac, lo, hi, k),
-                                 n).level
+    c = localfield.ground_state(w).level
+    ck = localfield.ground_state(_two_level_weight(tau, frac, lo, hi, k)).level
     assert math.isclose(k * ck, c, rel_tol=1e-9)
 
 
@@ -291,55 +307,37 @@ def _step_levels_weight(tau, frac, levels):
 @settings(max_examples=8, deadline=None)
 @given(tau=st.floats(0.5, 1.5), frac=st.floats(0.25, 0.75),
        levels=st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
-       moved=st.integers(0, 2), mesh=st.none() | st.integers(60, 400))
-def test_levels_of_keyed_by_content(tau, frac, levels, moved, mesh):
-    """levels_of hands out one evaluator per (weight content, level mesh):
-    a rebuilt equal weight gets it, a one-ulp change of one piece level or
-    another mesh gets a new one, the memo never outgrows its bound, and the
-    shared levels equal a fresh evaluator's bit for bit."""
+       moved=st.integers(0, 2))
+def test_levels_of_keyed_by_content(tau, frac, levels, moved):
+    """levels_of hands out one evaluator per weight content: a rebuilt
+    equal weight gets it, a one-ulp change of one piece level gets a new
+    one, the memo never outgrows its bound, and the shared levels and pack
+    equal a fresh evaluator's bit for bit."""
     localfield.clear_levels()
     kept = assembly._KEPT
 
-    def shared(w, m):
-        ev = localfield.levels_of(w, m)
+    def shared(w):
+        ev = localfield.levels_of(w)
         assert len(localfield._levels) <= kept
         return ev
 
     w = _step_levels_weight(tau, frac, levels)
-    ev = shared(w, mesh)
-    assert shared(_step_levels_weight(tau, frac, levels), mesh) is ev
+    ev = shared(w)
+    assert shared(_step_levels_weight(tau, frac, levels)) is ev
     bumped = list(levels)
     bumped[moved] = float(np.nextafter(bumped[moved], np.inf))
-    assert shared(_step_levels_weight(tau, frac, bumped), mesh) is not ev
-    n = mesh or localfield.default_cells(w)
-    assert shared(w, n) is ev
-    assert shared(w, n + 1) is not ev
+    assert shared(_step_levels_weight(tau, frac, bumped)) is not ev
+    assert shared(w) is ev
 
-    fresh = localfield.LevelEvaluator(w, mesh)
-    pack = weight.build_constant_pack(w, ev)
-    ref = weight.build_constant_pack(w, fresh)
-    assert (pack.c, pack.c_zeta, pack.K) == (ref.c, ref.c_zeta, ref.K)
+    fresh = localfield.LevelEvaluator(w)
+    assert ev.pack == fresh.pack
     assert ev.eigen()[0] == fresh.eigen()[0]
-    assert shared(_step_levels_weight(tau, frac, levels), n) is ev
+    assert shared(_step_levels_weight(tau, frac, levels)) is ev
 
     for extra in range(kept):
-        shared(w, n + 2 + extra)
-    assert shared(w, mesh) is not ev
-
-
-def test_level_mesh_needs_three_cells(step_weight):
-    """A level mesh of 1 or 2 cells is refused (on 2 the ground state's
-    tridiagonal solve failed inside LAPACK), and nothing is kept for it;
-    mesh 0 means the default and 3 cells still solve."""
-    for mesh in (1, 2):
-        with pytest.raises(WeightError):
-            localfield.levels_of(step_weight, mesh)
-        with pytest.raises(WeightError):
-            localfield.LevelEvaluator(step_weight, mesh)
-    assert not localfield._levels
-    assert localfield.LevelEvaluator(step_weight, 0).mesh == \
-        localfield.default_cells(step_weight)
-    assert localfield.levels_of(step_weight, 3).ground_level() > 0.0
+        bumped[moved] = float(np.nextafter(bumped[moved], np.inf))
+        shared(_step_levels_weight(tau, frac, bumped))
+    assert shared(w) is not ev
 
 
 def test_failed_level_solve_is_not_cached(step_weight, monkeypatch):
@@ -381,9 +379,11 @@ def test_pinned_split_never_wins(tau, frac, lo, hi, zfrac):
     for t in np.linspace(zeta, tau - zeta, 5):
         split = _sub_level(w, 0.0, t, mesh) + _sub_level(w, t, tau, mesh)
         assert split >= (1.0 - 1e-3) * (left_only + right_only)
-    det = localfield.pinned_zero_detail(w, zeta, mesh)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(localfield, "default_cells", lambda w: mesh)
+        det = localfield.pinned_zero_detail(w, zeta)
+        direct = localfield.pinned_level_direct(w, det.tbar)
     assert det.c_zeta == min(left_only, right_only)
-    direct = localfield.pinned_level_direct(w, det.tbar, mesh)
     assert math.isclose(det.c_zeta, direct, rel_tol=1e-6)
 
 
@@ -430,12 +430,13 @@ def test_exact_line_search_matches_armijo(tau, frac, lo, hi, lo_frac, hi_frac,
     pinned_level_direct, whose minimizer has no Newton polish."""
     w = _two_level_weight(tau, frac, lo, hi)
     t0, t1, tbar = lo_frac * tau, hi_frac * tau, pin_frac * tau
-    exact = (localfield._ground_on(w, t0, t1, n)[2],
-             localfield.pinned_level_direct(w, tbar, n))
     with pytest.MonkeyPatch.context() as m:
+        m.setattr(localfield, "default_cells", lambda w: n)
+        exact = (localfield._ground_on(w, t0, t1, n)[2],
+                 localfield.pinned_level_direct(w, tbar))
         m.setattr(localfield, "_descend", _armijo_descend)
         ref = (localfield._ground_on(w, t0, t1, n)[2],
-               localfield.pinned_level_direct(w, tbar, n))
+               localfield.pinned_level_direct(w, tbar))
     for got, want in zip(exact, ref):
         assert math.isclose(got, want, rel_tol=1e-12)
 

@@ -444,22 +444,60 @@ def test_blowup_stays_in_its_shot(step_weight, monkeypatch):
 
 
 def test_bracket_shrinks_where_R_falls():
-    """Once R changes sign between two slopes, an attempt between them
-    replaces the end of its sign, also where R falls as the slope grows (a
-    positive interval); the bracket then shrinks instead of repeating its
+    """Once R changes sign between two trials, a trial between them
+    replaces the end of its sign, also where R falls as p grows (a shot on
+    a positive interval); the bracket then shrinks instead of repeating its
     midpoint."""
-    shot = oracle._Shot(0.0, 1.0, 0.0, 1.0, 5.0)
+    root = oracle._Root(5.0, 1e-9)
 
     def attempt(p, R):
-        shot.p = p
-        # far-end value 1 + R against the datum 1; no usable derivative
-        assert not shot.update(None, [1.0 + R, 0.0, 0.0, 0.0], False)
-        return shot.p
+        root.p = p
+        # no usable derivative
+        assert not root.update(R)
+        return root.p
 
     attempt(5.0, -3.0)
     assert attempt(-9.0, 2.0) == -2.0
     assert attempt(-2.0, -2.3) == -5.5
-    assert (shot.lo, shot.hi) == (-2.0, -9.0)
+    assert (root.lo, root.hi) == (-2.0, -9.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.floats(-10.0, 10.0), m=st.floats(-10.0, 10.0),
+       q=st.floats(0.01, 10.0), k=st.sampled_from([-1.0, 1.0]),
+       start=st.floats(-20.0, 20.0), newton=st.booleans(),
+       bracket=st.booleans())
+def test_root_converges_inside_its_bracket(r, m, q, k, start, newton,
+                                           bracket):
+    """On a cubic R = k (p - r)((p - m)^2 + q), whose one real root is r,
+    _Root reaches |R| <= tol from any start, with or without dR, handed a
+    bracket or not, and rising or falling; every trial once the bracket has
+    formed lies strictly inside it.  As a shot does, the caller goes on
+    after a round-off stop that leaves |R| > tol."""
+    def R(p):
+        return k * (p - r) * ((p - m) ** 2 + q)
+
+    def dR(p):
+        return k * (((p - m) ** 2 + q) + 2.0 * (p - r) * (p - m))
+
+    tol = 1e-9
+    lo, hi = (r - 10.0, r + 17.0) if bracket else (None, None)
+    if k < 0.0:
+        lo, hi = hi, lo
+    if bracket:
+        start = min(max(start, r - 9.0), r + 16.0)
+    root = oracle._Root(start, tol, lo, hi)
+    for _ in range(200):
+        p = root.p
+        if root.lo is not None and root.hi is not None:
+            assert min(root.lo, root.hi) < p < max(root.lo, root.hi)
+        value = R(p)
+        done = root.update(value, dR(p) if newton else None)
+        if abs(value) <= tol:
+            assert done and root.p == p
+            break
+    else:
+        pytest.fail("no root in 200 updates")
 
 
 @pytest.mark.parametrize("rtol", [0.0, 1e-300, 1.0, 10.0])
