@@ -621,9 +621,8 @@ def cmd_verify(cfg, w, run):
 
 def cmd_oracle(cfg, w, run):
     payload = {}
-    rtol = cfg["rtol"]
     if cfg["mode"] == "ground":
-        payload["c"] = oracle.brute_ground_level(w, rtol=rtol)
+        payload["c"] = oracle.brute_ground_level(w)
     else:
         if cfg["t1"] is None:
             raise WeightError("need --t1")
@@ -634,14 +633,13 @@ def cmd_oracle(cfg, w, run):
         t0, t1, mu = cfg["t0"], cfg["t1"], cfg["mu"]
         if cfg["mode"] == "shoot":
             res = oracle.shoot_dirichlet(w, mu, t0, t1, cfg["x"], cfg["y"],
-                                         rtol=rtol, s0=cfg["s0"])
+                                         cfg["s0"])
             dense = res.dense
             payload.update(slope=res.slope, residual=res.residual,
                            iters=res.iters)
         else:
             _, dense = oracle.integrate(
-                w, mu, oracle.IvpState(t=t0, u=cfg["u0"], du=cfg["du0"]),
-                t1, rtol=rtol)
+                w, mu, oracle.IvpState(t=t0, u=cfg["u0"], du=cfg["du0"]), t1)
             payload.update(u_end=dense.eval_u(t1), du_end=dense.eval_du(t1))
         if cfg["out"]:
             ts = np.linspace(t0, t1, cfg["samples"])
@@ -794,7 +792,6 @@ _COMMANDS = {
         Option("--u0", float, 0.0, help="u(t0) for plain integration"),
         Option("--du0", float, 1.0, help="u'(t0) for plain integration"),
         Option("--s0", float, help="initial shooting slope"),
-        Option("--rtol", float, 1e-10),
         Option("--samples", _count, 400, help="CSV sample count"),
         Option("--out", help="dense output CSV name"),
     )),

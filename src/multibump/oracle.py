@@ -5,7 +5,7 @@ This path is deliberately independent of the FEM machinery: no quadrature
 tables or assembly code are shared.  It provides initial-value integration
 with dense output, Dirichlet shooting on intervals, and a brute-force
 ground-level computation used to cross-validate the local solver.  It
-imports no scipy.
+imports no scipy, and it has one tolerance, ``RTOL``.
 
 On each weight piece a_mu is a polynomial, so the Taylor coefficients of u
 follow from Cauchy products (Jorba & Zou, Exp. Math. 14, 2005).  With A the
@@ -17,20 +17,20 @@ the package's one re-expansion), in the step's own variable,
 
 for u and for the variational v of a shot (v'' = -3 a_mu u^2 v).  A step
 sums its series up to order _ORDER at most.  Its length h is the largest for
-which each of the last _TAIL terms, c_k h^k, is at most rtol max(1, |u|,
-|u'|) of its run (and likewise for v), taken over the runs; the recurrence
-stops below _ORDER once the last _TAIL terms meet this at the end of the
-piece.  Reading _TAIL = 6 trailing orders, not 2, matters: on a constant
-piece started from u = 0 most coefficients are zero.  The dense output is
-each step's series itself.
+which each of the last _TAIL terms, c_k h^k, is at most RTOL max(1, |u|,
+|u'|) of its run (and likewise for v); the recurrence stops below _ORDER
+once the last _TAIL terms meet this at the end of the piece.  Reading
+_TAIL = 6 trailing orders, not 2, matters: on a constant piece started from
+u = 0 most coefficients are zero.  The dense output is each step's series
+itself.
 
-One integrator, ``_integrate_raw``, carries a batch of runs at once.  Run k
-goes from its t_from to its t_to, in either direction, on a common
-s in [0, 1] (t = t_from + (t_to - t_from) s), with its derivative columns
-taken along the direction of travel.  The pieces of s are the union of the
-runs' weight knots, and every step of the batch is one step of each live
-run.  A run whose |u| reaches the cap at a step's end stays frozen there,
-and the other runs go on.
+One integrator, ``_integrate_raw``, carries a batch of runs, as a
+vectorisation only: run k goes from its t_from to its t_to, in either
+direction, on its own s in [0, 1] (t = t_from + (t_to - t_from) s),
+derivatives along the direction of travel, over its own weight pieces in
+its own steps, and leaves the batch at its end or once |u| reaches the cap
+at a step's end.  Every sum over a run's terms runs along its own axis at
+a fixed width, so a run's floats are the same alone or in any batch.
 
 A Dirichlet shot starts at the end where |u| is smaller, t0 on ties: the
 solutions are small or large on each interval, and shooting from the large
@@ -38,7 +38,8 @@ end is the ill-conditioned direction.  ``shoot_batch`` shoots a set of
 intervals in rounds.  Each round is one batched integration holding one
 attempt of every open shot; each shot keeps its own root search, and an
 accepted shot leaves the batch.  ``shoot_dirichlet`` is its one-shot case,
-and ``integrate`` the one-run case of ``_integrate_raw``.
+and ``integrate`` the one-run case of ``_integrate_raw``; a shot's result is
+the same alone or in a batch.
 
 ``_Root``, a resumable bracketed Newton, is the module's one scalar root
 finder: for a shot's slope, for a zero of the dense output
@@ -56,17 +57,16 @@ import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
 
 from .errors import BlowUp, NewtonFailure, NonConvergence, ScopeError
-from .weight import reexpand
-
-# s-knots of different runs closer than this are one knot
-_S_GAP = 1e-13
+from .weight import knot_tol, reexpand, sorted_unique
 
 _EPS = np.finfo(float).eps
-# the smallest rtol: below it the step rule asks for steps of round-off size
-RTOL_MIN = 100.0 * _EPS
+# the oracle's one tolerance: a step's trailing terms, relative to its scale
+RTOL = 1e-12
 # the highest Taylor order of a step, and the trailing orders its rule reads
 _ORDER = 24
 _TAIL = 6
+# a step's value, and its end slope times its length, from its terms
+_SUMS = np.vstack((np.ones(_ORDER + 1), np.arange(_ORDER + 1)))
 # Gauss-Legendre nodes exact for u'^2 on a step (degree 2 _ORDER - 2)
 _GX, _GW = np.polynomial.legendre.leggauss(_ORDER)
 
@@ -90,30 +90,16 @@ class DenseOutput:
 
     ``ts`` holds the run's step times in increasing t, both ends included,
     and ``ys`` the states there (one row each, layout (u, u'[, v, v']),
-    derivatives in t).  Step i covers s in [S[i], S[i] + H[i]] of the batch
+    derivatives in t).  Step i covers s in [S[i], S[i + 1]] of the run
     (t = t_from + span s), where u = sum_k P[i, k] x^k at
-    x = (s - S[i]) / H[i]: P holds the terms of u at the step's end.
-    ``terms`` is the batch's list of per-step term arrays, one row per run,
-    and this run's rows are stacked on first use only.
+    x = (s - S[i]) / (S[i + 1] - S[i]): P holds the terms of u at the
+    step's end, zero past the step's order.
     """
 
-    def __init__(self, ts, ys, S, H, terms, k, t_from, span):
-        self.ts = ts
-        self.ys = ys
-        self._S = S
-        self._H = H
-        self._terms = terms
-        self._k = k
-        self._t_from = t_from
-        self._span = span
-
-    @property
-    def t_end(self):
-        return self.ts[-1]
-
-    @cached_property
-    def _P(self):
-        return np.array([T[self._k] for T in self._terms[:len(self._H)]])
+    def __init__(self, ts, ys, S, P, t_from, span):
+        self.ts, self.ys, self._P = ts, ys, P
+        self._S, self._H = S[:-1], np.diff(S)
+        self._t_from, self._span = t_from, span
 
     @cached_property
     def _dP(self):
@@ -146,28 +132,23 @@ class DenseOutput:
             if ua == 0.0 and self.ts[i] >= lo:
                 return self.ts[i]
             if ua * ub < 0.0:
-                return self._root(a, b, ua)
+                # _Root from the midpoint, with u' from the step's series
+                lo_hi = (a, b) if ua < 0.0 else (b, a)
+                root = _Root(0.5 * (a + b), 0.0, *lo_hi)
+                for _ in range(200):
+                    x = root.p
+                    if root.update(float(self.eval_u(x)),
+                                   float(self.eval_du(x))):
+                        break
+                return root.p
             if ub == 0.0:
                 return b
         return None
 
-    def _root(self, a, b, ua):
-        """The zero of u between a and b, where u(a) = ua and u(b) differ
-        in sign: ``_Root`` from the midpoint, with u' from the step's
-        series, until u is 0 or the next trial repeats the last to
-        round-off."""
-        lo, hi = (a, b) if ua < 0.0 else (b, a)
-        root = _Root(0.5 * (a + b), 0.0, lo, hi)
-        for _ in range(200):
-            x = root.p
-            if root.update(float(self.eval_u(x)), float(self.eval_du(x))):
-                break
-        return root.p
-
     def quad_du_squared(self, t_end=None):
         """integral of u'(t)^2 over [t_start, t_end]: each step's series of
         u' squared and integrated exactly."""
-        t_end = self.t_end if t_end is None else t_end
+        t_end = self.ts[-1] if t_end is None else t_end
         s_lo, s_hi = sorted(((self.ts[0] - self._t_from) / self._span,
                              (t_end - self._t_from) / self._span))
         xa = np.clip((s_lo - self._S) / self._H, 0.0, 1.0)[:, None]
@@ -181,147 +162,176 @@ class DenseOutput:
 
 # recurrence factors by order k: -1 / ((k+1)(k+2)) for u, 3 times it for v
 _FAC = (-1.0 / np.outer(np.arange(1, _ORDER) * np.arange(2, _ORDER + 1),
-                        [1.0, 1.0 / 3.0]))[:, :, None, None]
+                        [1.0, 1.0 / 3.0]))[:, None, :, None]
 
 
-def _step(y, L, A, eta, rest, rtol, check_from):
-    """One Taylor step of the batch's runs: (terms, h).
+def _orders(n, c, p):
+    """(C, AF, views): the Taylor recurrence's arrays for a batch of n runs,
+    and each order's views of them, made once: slicing anew cost more than
+    the vecdot calls the views feed."""
+    C, AF = np.zeros((n, c, _ORDER + 1)), np.empty((_ORDER - 1, n, c, p))
+    U, U2 = C[:, 0], np.empty((n, _ORDER - 1))
+    # u^3 and u^2 v, after p - 1 zeros: A's p coefficients, reversed, meet
+    # the p products that order k needs in one slice
+    Q = np.zeros((n, c, _ORDER + p - 2))
+    return C, AF, [(U[:, :k + 1], U[:, k::-1], U2[:, k],
+                    U2[:, None, :k + 1], C[:, :, k::-1], Q[:, :, k + p - 1],
+                    AF[k], Q[:, :, k:k + p], C[:, :, k + 2])
+                   for k in range(_ORDER - 1)]
 
-    y (c, n, 2) holds each run's value and d/ds of u (row 0) and of v (row
-    1, shots only), L (n,) the runs' |t_to - t_from|, and A (n, p) the
-    coefficients of eta^2 L^2 a_mu(t(s0 + eta x)) in x: eta scales the
-    series to about the step's length, and rest is the rest of the piece in
-    s.  The terms c_k h^k of each series come back as terms (c, n, K + 1),
-    and h is the step in s.
+
+def _step(orders, y, L, A, eta, rest, check_from):
+    """One Taylor step of each run of the batch: (terms, h, check_from).
+
+    y (n, c, 2) holds each run's value and d/ds of u (c = 0) and of v
+    (c = 1, shots only), L (n,) the runs' |t_to - t_from|, and A (n, p) the
+    coefficients of eta^2 L^2 a_mu(t(s0 + eta x)) in x, each run's eta (n,)
+    about its step.  The lists rest and check_from hold the rest of each
+    run's piece in s and the order its rule reads first (neighbouring steps
+    need about as many orders).  The terms c_k h^k come back as terms
+    (n, c, _ORDER + 1), zero past the run's order, with each run's step h
+    in s and its next check_from.
 
     Each series is divided by its run's scale max(1, |value|, |d/dt|), and
     A times u's scale squared, so the terms the rule reads are relative.
-    Each order takes three vecdot calls: u^2, then u^3 and u^2 v, then A
-    times them.  The rule first reads the terms at order check_from, as
-    neighbouring steps need about as many orders."""
-    c, n = y.shape[:2]
-    p = A.shape[1]
-    scale = np.maximum(np.maximum(np.abs(y[:, :, 0]), np.abs(y[:, :, 1]) / L),
-                       1.0)
-    C = np.empty((c, n, _ORDER + 1))
-    C[:, :, 0] = y[:, :, 0] / scale
-    C[:, :, 1] = eta * y[:, :, 1] / scale
-    U = C[0]
-    U2 = np.empty((n, _ORDER - 1))
-    # u^3 and u^2 v, after p - 1 zeros: A's p coefficients, reversed, meet
-    # the p products that order k needs in one slice
-    Q = np.zeros((c, n, _ORDER + p - 2))
-    AF = _FAC[:, :c] * (A[:, ::-1] * (scale[0] ** 2)[:, None])
-    rho = rest / eta
-    # (rtol / |term k|)^(1/k): the step (in units of eta) order k allows
-    reach = []
-    for k in range(_ORDER - 1):
-        np.vecdot(U[:, :k + 1], U[:, k::-1], out=U2[:, k])
-        np.vecdot(U2[:, :k + 1], C[:, :, k::-1], out=Q[:, :, k + p - 1])
-        np.vecdot(AF[k], Q[:, :, k:k + p], out=C[:, :, k + 2])
-        K = k + 2
-        if K >= check_from or K == _ORDER:
-            first = K if reach else max(2, K - _TAIL + 1)
-            top = np.abs(C[:, :, first:K + 1]).max(axis=(0, 1)).tolist()
-            reach += [(rtol / t) ** (1.0 / i) if t > 0.0 else math.inf
-                      for i, t in enumerate(top, first)]
-            h = min(min(reach[-_TAIL:]), rho)
-            if h == rho:
-                break
-    terms = C[:, :, :K + 1] * (scale[:, :, None] * h ** np.arange(K + 1))
-    return terms, rest if h == rho else eta * h
+    Each order takes three vecdot calls for the whole batch: u^2, then u^3
+    and u^2 v, then A times them."""
+    C, AF, views = orders
+    scale = np.maximum(np.maximum(np.abs(y[:, :, 0]),
+                                  np.abs(y[:, :, 1]) / L[:, None]), 1.0)
+    C[:, :, :2] = y / scale[:, :, None]
+    C[:, :, 1] *= eta[:, None]
+    np.multiply(_FAC[:_ORDER - 1, :, :y.shape[1]],
+                A[:, None, ::-1] * scale[:, :1, None] ** 2, out=AF)
+    eta = eta.tolist()
+    # each run's step in units of its eta: the rest of its piece, or at
+    # its order K the least (RTOL / |term k|)^(1/k) over the last _TAIL
+    rho = [r / e for r, e in zip(rest, eta)]
+    x, order, todo = rho[:], [_ORDER] * len(rho), list(range(len(rho)))
+    start = min(min(check_from), _ORDER)
+    for K, (a, b, u2, a2, b2, q, a3, b3, c3) in enumerate(views, 2):
+        np.vecdot(a, b, out=u2)
+        np.vecdot(a2, b2, out=q)
+        np.vecdot(a3, b3, out=c3)
+        if K < start:
+            continue
+        low = max(2, K - _TAIL + 1)
+        tops = np.abs(C[:, :, low:K + 1]).max(axis=1).tolist()
+        for j in todo[:]:
+            if K >= check_from[j]:
+                xj = min(rho[j], *((RTOL / t) ** (1.0 / i) if t > 0.0
+                                   else math.inf
+                                   for i, t in enumerate(tops[j], low)))
+                if xj == rho[j] or K == _ORDER:
+                    x[j], order[j] = xj, K
+                    todo.remove(j)
+        if not todo:
+            break
+    ks = np.arange(_ORDER + 1)
+    terms = C * (scale[:, :, None] * np.array(x)[:, None, None] ** ks)
+    # past a run's order, C holds other runs' orders or an earlier step's
+    np.copyto(terms, 0.0, where=ks > np.array(order)[:, None, None])
+    h = [r if xj == q else e * xj for r, xj, q, e in zip(rest, x, rho, eta)]
+    return terms, h, [max(_TAIL + 1, K - 1) for K in order]
 
 
-def _integrate_raw(w, mu, runs, rtol):
+def _integrate_raw(w, mu, runs):
     """Taylor steps on a batch of runs (t_from, t_to, y0) (see the module
     docstring).  No run is empty (t_from != t_to: ``integrate`` and ``_Shot``
     refuse an empty interval).  Every y0 has the same width and layout
     (u, u'[, v, v']), derivatives along the direction of travel.  Returns
     one (DenseOutput, end state, blew_up) per run; the end state is in the
     run's own layout, and |u| reaching _CAP at a step's end ends that run
-    there.  rtol must lie in [100 eps, 1)."""
-    if not RTOL_MIN <= rtol < 1.0:
-        raise ScopeError(f"rtol must lie in [{RTOL_MIN:.3g}, 1), got {rtol!r}")
+    there."""
     n, m = len(runs), len(runs[0][2])
     t_from, t_to = np.array([r[:2] for r in runs], dtype=float).T
     span = t_to - t_from
-    s_all = np.sort(np.concatenate([
-        (w.knots_in_span(*sorted(r)) - r[0]) / (r[1] - r[0])
-        for r in zip(t_from, t_to)]))
-    s_knots = s_all[np.concatenate(([True], np.diff(s_all) > _S_GAP))]
-    s_knots[-1] = 1.0
+    L = np.abs(span)
 
-    # each piece's weight segment for every run, in one lookup; a (pieces,
-    # n, p) holds the coefficients of L^2 a_mu in s - (the piece's start)
-    T, L = w.period, np.abs(span)
-    s_start = s_knots[:-1, None]
-    tm = t_from + span * (0.5 * (s_start + s_knots[1:, None]))
-    seg, k = w.locate(tm)
-    shift = T * k
+    # every run's pieces, stacked run after run: its own weight knots in
+    # its own s (a knot within knot_tol of an end is that end), and
+    # (pieces, p) coefficients of L^2 a_mu in s - (the piece's start), each
+    # from one lookup of its piece's midpoint
+    knots = []
+    for r in zip(t_from, t_to):
+        lo, hi = sorted(r)
+        tk = w.knots_in_span(lo, hi)[1:-1]
+        tk = tk[np.minimum(tk - lo, hi - tk) > knot_tol(w.period)]
+        knots.append(sorted_unique((np.concatenate(([lo], tk, [hi])) - r[0])
+                                   / (r[1] - r[0])))
+    piece = np.cumsum([0] + [len(s) - 1 for s in knots])
+    run = np.repeat(np.arange(n), np.diff(piece))
+    sa = np.concatenate([s[:-1] for s in knots])
+    sb = np.concatenate([s[1:] for s in knots])
+    T, t0, dt = w.period, t_from[run], span[run]
+    seg, k = w.locate(t0 + dt * (0.5 * (sa + sb)))
     powers = np.arange(w.seg_coefs.shape[1])
-    a = reexpand(w.seg_coefs[seg],
-                 t_from + span * s_start - w.seg_knots[seg] - shift)
-    a *= (np.where(w.seg_positive[seg], 1.0, mu) * L ** 2)[:, :, None]
-    a *= span[:, None] ** powers
+    a = reexpand(w.seg_coefs[seg], t0 + dt * sa - w.seg_knots[seg] - T * k)
+    a *= (np.where(w.seg_positive[seg], 1.0, mu) * L[run] ** 2)[:, None]
+    a *= dt[:, None] ** powers
+    sa, sb, powers = sa.tolist(), sb.tolist(), powers + 2
 
-    # the state in s: y[c, k] holds (value, d/ds) of u (c = 0) or v (c = 1)
+    # y[k, c] holds (value, d/ds) of u (c = 0) or v (c = 1); the runs still
+    # in the batch keep their own s, piece, eta and check order in lists
     y = np.array([r[2] for r in runs], dtype=float).reshape(n, m // 2, 2)
-    y = y.transpose(1, 0, 2) * np.stack([np.ones(n), L], axis=1)
-    ends = np.full(n, -1)              # steps of each blown-up run
-    S, H, Y, terms = [0.0], [], [y.copy()], []
-    eta, check_from = None, _TAIL + 1
-    for i, (sa, sb) in enumerate(zip(s_knots[:-1], s_knots[1:])):
-        s0 = float(sa)
-        while s0 < sb and np.any(ends < 0):
-            rest = float(sb) - s0
-            eta = rest if eta is None else min(rest, 2.0 * eta)
-            A = a[i] if s0 == sa else reexpand(a[i], s0 - sa)
-            step_terms, h = _step(y, L, A * eta ** (powers + 2), eta, rest,
-                                  rtol, check_from)
-            check_from = max(_TAIL + 1, step_terms.shape[2] - 2)
-            if h < rest:
-                if h < 10.0 * math.ulp(s0):
-                    t = t_from + span * s0
+    y = y * np.stack([np.ones(n), L], axis=1)[:, None, :]
+    ids, Lk, s, piece = list(range(n)), L, [0.0] * n, piece[:-1].tolist()
+    eta, check_from = [math.inf] * n, [_TAIL + 1] * n
+    orders = _orders(n, m // 2, len(powers))
+    # each run's (s, y, u's terms) at its start and at each step's end
+    steps = [[(0.0, y[k].ravel(), None)] for k in range(n)]
+    with np.errstate(divide="ignore", over="ignore"):
+        while ids:
+            rest = [sb[i] - x for i, x in zip(piece, s)]
+            e = np.minimum(rest, 2.0 * np.array(eta))     # this step's eta
+            A = reexpand(a.take(piece, axis=0),
+                         np.array([x - sa[i] for i, x in zip(piece, s)]))
+            terms, h, check_from = _step(orders, y, Lk,
+                                         A * e[:, None] ** powers, e, rest,
+                                         check_from)
+            for i, x, hj, r in zip(ids, s, h, rest):
+                if hj < min(r, 10.0 * math.ulp(x)):
+                    t = t_from[i] + span[i] * x
                     raise NonConvergence(
-                        f"integrator failed at t = {t[ends < 0][0]:.6g}: "
-                        "Required step size is less than spacing between "
-                        "numbers.")
-                s1 = s0 + h
-            else:
-                s1 = float(sb)
-            S.append(s1)
-            H.append(s1 - s0)
-            y[:, :, 0] = step_terms.sum(axis=2)
-            y[:, :, 1] = step_terms @ np.arange(step_terms.shape[2]) / H[-1]
-            terms.append(np.zeros((n, _ORDER + 1)))
-            terms[-1][:, :step_terms.shape[2]] = step_terms[0]
-            Y.append(y.copy())
-            eta, s0 = h, s1
-            # a run blown up stays at u = v = 0 from here on, where its
-            # series vanish and never bound the step
-            blown = ~(np.abs(y[0, :, 0]) < _CAP)
-            if blown.any():
-                ends[blown] = len(H)
-                y[:, blown] = 0.0
+                        f"integrator failed at t = {t:.6g}: Required step "
+                        "size is less than spacing between numbers.")
+            s1 = [x + hj if hj < r else sb[i]
+                  for i, x, hj, r in zip(piece, s, h, rest)]
+            # each run's value and d/ds at the step's end
+            y = np.vecdot(terms[:, :, None, :], _SUMS[:, :terms.shape[2]])
+            y[:, :, 1] /= np.array([b - x for b, x in zip(s1, s)])[:, None]
+            for i, *step in zip(ids, s1, y.reshape(-1, m), terms[:, 0]):
+                steps[i].append(step)
+            piece = [i + (b == sb[i]) for i, b in zip(piece, s1)]
+            s, eta = s1, h
+            # a run leaves once it reaches its end or |u| reaches the cap
+            u = np.abs(y[:, 0, 0]).tolist()
+            keep = [j for j, uj in enumerate(u) if uj < _CAP and s[j] < 1.0]
+            if len(keep) < len(ids):
+                ids, s, eta, piece, check_from = (
+                    [v[j] for j in keep]
+                    for v in (ids, s, eta, piece, check_from))
+                y, Lk = y[keep], Lk[keep]
+                orders = _orders(len(ids), m // 2, len(powers))
 
-    S, H = np.array(S), np.array(H)
-    Y = np.array(Y)                       # (steps + 1, c, n, 2)
     out = []
     for k in range(n):
-        j = len(H) if ends[k] < 0 else ends[k]
-        ts = t_from[k] + span[k] * S[:j + 1]
-        if ends[k] < 0:
+        S, ys, P = zip(*steps[k])
+        S, ys = np.array(S), np.array(ys)
+        blew_up = not abs(ys[-1, 0]) < _CAP
+        ts = t_from[k] + span[k] * S
+        if not blew_up:
             ts[-1] = t_to[k]
-        ys = Y[:j + 1, :, k, :].reshape(j + 1, m) / ([1.0, span[k]] * (m // 2))
+        ys /= [1.0, span[k]] * (m // 2)
         end = ys[-1] * ([1.0, math.copysign(1.0, span[k])] * (m // 2))
         if span[k] < 0:
             ts, ys = ts[::-1].copy(), ys[::-1].copy()
-        out.append((DenseOutput(ts, ys, S[:j], H[:j], terms, k, t_from[k],
-                                span[k]), end, ends[k] >= 0))
+        out.append((DenseOutput(ts, ys, S, np.array(P[1:]), t_from[k],
+                                span[k]), end, blew_up))
     return out
 
 
-def integrate(w, mu, state, t_end, rtol=1e-10):
+def integrate(w, mu, state, t_end):
     """Integrate (u, u') from ``state`` to t_end.  Returns (IvpState,
     DenseOutput).  Raises BlowUp if |u| reaches _CAP."""
     if t_end < state.t:
@@ -329,10 +339,10 @@ def integrate(w, mu, state, t_end, rtol=1e-10):
     if t_end == state.t:
         raise ScopeError("integration over an empty interval (t_end = t0)")
     ((dense, end, blew_up),) = _integrate_raw(
-        w, mu, [(state.t, t_end, [state.u, state.du])], rtol)
+        w, mu, [(state.t, t_end, [state.u, state.du])])
     if blew_up:
-        raise BlowUp(f"|u| reached {_CAP:g} at t = {dense.t_end:.6g}")
-    return IvpState(t=float(dense.t_end), u=float(end[0]),
+        raise BlowUp(f"|u| reached {_CAP:g} at t = {dense.ts[-1]:.6g}")
+    return IvpState(t=float(dense.ts[-1]), u=float(end[0]),
                     du=float(end[1])), dense
 
 
@@ -457,7 +467,7 @@ class _Shot:
         return False
 
 
-def shoot_batch(w, mu, problems, rtol=1e-10):
+def shoot_batch(w, mu, problems):
     """Solve every Dirichlet problem (t0, t1, x, y, s0) -- u(t0) = x,
     u(t1) = y -- by shooting; returns their ShootResults in order.
 
@@ -465,50 +475,45 @@ def shoot_batch(w, mu, problems, rtol=1e-10):
     and s0 guesses u' there (None: the chord slope).  A shot is accepted
     when its far-end residual is at most _SHOT_TOL max(1, |x|, |y|).  One
     batched integration per round holds one attempt of every open shot; a
-    trajectory whose |u| reaches _CAP counts as a residual of its sign
-    and stops only its own run.  Raises NewtonFailure when a shot has made
-    _MAX_SHOTS attempts.
+    trajectory whose |u| reaches _CAP counts as a residual of its sign.
+    Each result is the shot's own, as alone.  Raises NewtonFailure when a
+    shot has made _MAX_SHOTS attempts.
     """
     shots = [_Shot(*p) for p in problems]
     todo = shots
     while todo:
-        runs = _integrate_raw(w, mu, [s.run() for s in todo], rtol)
-        left = []
-        for shot, run in zip(todo, runs):
-            if shot.update(*run):
-                continue
+        runs = _integrate_raw(w, mu, [s.run() for s in todo])
+        todo = [s for s, run in zip(todo, runs) if not s.update(*run)]
+        for shot in todo:
             if shot.iters >= _MAX_SHOTS:
                 raise NewtonFailure(
                     f"shooting failed to reach |residual| <= {shot.tol:g}; "
                     f"best {shot.root.best[0]:g}")
-            left.append(shot)
-        todo = left
     return [s.result for s in shots]
 
 
-def shoot_dirichlet(w, mu, t0, t1, x, y, rtol=1e-10, s0=None):
+def shoot_dirichlet(w, mu, t0, t1, x, y, s0=None):
     """Find the slope that joins u(t0) = x to u(t1) = y: the one-shot case of
     ``shoot_batch``, so the shot starts at t1 when |y| < |x| and s0 (and the
     result's slope) is u' at that end."""
-    return shoot_batch(w, mu, [(t0, t1, x, y, s0)], rtol)[0]
+    return shoot_batch(w, mu, [(t0, t1, x, y, s0)])[0]
 
 
-def _constant_first_return(rtol):
+def _constant_first_return():
     """First return to zero and int u'^2 for u'' + u^3 = 0, u(0) = 0,
-    u'(0) = 1, integrated at ``rtol``."""
+    u'(0) = 1."""
     from .weight import Piece, build_weight
     # a+ = 1 on [0, 8] holds the first return, which is near 3.118
     w1 = build_weight(16.0, 8.0, [Piece(0.0, 8.0, "poly", (1.0,)),
                                   Piece(8.0, 16.0, "poly", (-1.0,))])
-    _, dense = integrate(w1, 0.0, IvpState(t=0.0, u=0.0, du=1.0), 8.0,
-                         rtol=rtol)
+    _, dense = integrate(w1, 0.0, IvpState(t=0.0, u=0.0, du=1.0), 8.0)
     tz = dense.first_zero(after=1e-12)
     if tz is None:
         raise NonConvergence("no return to zero found")
     return tz, dense.quad_du_squared(t_end=tz)
 
 
-def brute_ground_level(w, rtol=1e-12):
+def brute_ground_level(w):
     """Ground level c = (1/4) int u'^2 of the positive Dirichlet solution on
     [0, tau], for piecewise-constant a+ only.
 
@@ -523,7 +528,7 @@ def brute_ground_level(w, rtol=1e-12):
     values = coefs[:, 0]
     if np.allclose(values, values[0], rtol=1e-12, atol=0.0):
         k = float(values[0])
-        t1, i1 = _constant_first_return(rtol)
+        t1, i1 = _constant_first_return()
         lam = t1 / w.tau
         return 0.25 * lam ** 3 * i1 / k
 
@@ -533,7 +538,7 @@ def brute_ground_level(w, rtol=1e-12):
     root = _Root(1.0, 1e-13 * w.tau, lo=0.0)
     for _ in range(200):
         st = IvpState(t=0.0, u=0.0, du=root.p)
-        _, dense = integrate(w, 0.0, st, w.tau * (1.0 + 1e-9), rtol=rtol)
+        _, dense = integrate(w, 0.0, st, w.tau * (1.0 + 1e-9))
         tz = dense.first_zero(after=1e-12)
         tz = math.inf if tz is None else tz
         if root.update(w.tau - tz):

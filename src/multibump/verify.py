@@ -27,7 +27,6 @@ _G5X, _G5W = np.polynomial.legendre.leggauss(5)
 _PAIR_BLOCK = 1 << 14        # node pairs per block of the Hoelder quotient
 _HOLDER_NODES = 1600         # nodes sampled for the Hoelder seminorm
 HOLDER_ALPHA = 0.5           # exponent of the Hoelder distance to the limit
-ORACLE_RTOL = 1e-12          # rtol of the oracle's re-integration
 ORACLE_BOUND = 1e-6          # largest oracle gap relative to sup |u| passed
 DELTA_FRAC = 0.2             # interior margin delta of the decay, over T - tau
 
@@ -422,8 +421,7 @@ class OracleCheck:
 
 
 def oracle_residual(sol):
-    """Shoot every subinterval from the solution's own nodal boundary data,
-    at rtol ORACLE_RTOL.
+    """Shoot every subinterval from the solution's own nodal boundary data.
 
     The oracle shares no quadrature or assembly code with the FEM path; the
     sup of the nodal gaps measures how well the computed branch solves the
@@ -442,8 +440,7 @@ def oracle_residual(sol):
     s0 = np.where(oracle.shoots_from_t1(u[:, 0], u[:, -1]),
                   left[grid.dof_of_node(a + grid.m)], right[a])
     results = oracle.shoot_batch(
-        grid.w, sol.mu, list(zip(t[:, 0], t[:, -1], u[:, 0], u[:, -1], s0)),
-        rtol=ORACLE_RTOL)
+        grid.w, sol.mu, list(zip(t[:, 0], t[:, -1], u[:, 0], u[:, -1], s0)))
     keys = [(i, tag) for i in range(grid.i0, grid.i0 + grid.n_int)
             for tag in "+-"]
     per = {key: float(np.max(np.abs(res.dense.eval_u(tr) - ur)))

@@ -268,8 +268,7 @@ def test_criterion_09_oracle_cross_validation(step_weight):
     for a, b in zip(bounds[:-1], bounds[1:]):
         s0 = (full[a + 1] - full[a]) / h[a]
         res = oracle.shoot_dirichlet(step_weight, p.mu, grid.nodes[a],
-                                     grid.nodes[b], full[a], full[b],
-                                     rtol=1e-12, s0=s0)
+                                     grid.nodes[b], full[a], full[b], s0=s0)
         ts = grid.nodes[a:b + 1]
         gap = max(gap, float(np.max(np.abs(res.dense.eval_u(ts)
                                            - full[a:b + 1]))))

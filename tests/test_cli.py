@@ -7,7 +7,6 @@ import json
 import math
 import os
 import shlex
-import signal
 import subprocess
 import sys
 import tempfile
@@ -169,39 +168,17 @@ def test_integrator_failure_is_convergence_failure(tmp_path, monkeypatch):
     # a step rule that allows less than 10 ulp of s ("step size
     # underflow"): exit 4, not 2
     real = oracle._step
-    monkeypatch.setattr(oracle, "_step", lambda *args: (real(*args)[0], 0.0))
+
+    def no_step(*args):
+        terms, h, check_from = real(*args)
+        return terms, [0.0] * len(h), check_from
+
+    monkeypatch.setattr(oracle, "_step", no_step)
     rc = cli.main(["oracle", "integrate", "--mu", "1", "--t0", "0",
                    "--t1", "1", "--outdir", str(tmp_path)])
     assert rc == 4
     assert os.path.exists(tmp_path / "FAILED")
     assert "Required step size" in (tmp_path / "FAILED").read_text()
-
-
-@pytest.mark.parametrize("rtol", ["-1", "0", "1e-300", "10"])
-@pytest.mark.parametrize("mode", [
-    ["integrate", "--t1", "1"],
-    ["shoot", "--mu", "10", "--t0", "0", "--t1", "1", "--x", "0",
-     "--y", "0.3"],
-    ["ground"]])
-def test_oracle_rtol_must_be_positive(tmp_path, mode, rtol):
-    """An --rtol outside [100 eps, 1) is bad input, refused before any
-    integration: rtol 0 once ran without end, rtol -1 exited 5, rtol 1e-300
-    exited 4 (a step below round-off) and rtol 10 exited 0 with a result
-    that bounds nothing."""
-    def too_slow(signum, frame):
-        raise TimeoutError("the oracle did not return at once")
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(10)
-    try:
-        rc = cli.main(["oracle", *mode, "--rtol", rtol,
-                       "--outdir", str(tmp_path)])
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert rc == 2
-    assert "rtol must lie in [2.22e-14, 1)" in \
-        (tmp_path / "FAILED").read_text()
 
 
 def test_linalg_error_is_convergence_failure(tmp_path, monkeypatch):
@@ -299,7 +276,9 @@ def test_non_finite_or_non_positive_value_is_input_error(tmp_path, argv):
                                   ["verify", "--N", "3"],
                                   ["local", "--bump-csv", "bump.csv"],
                                   ["local", "--mesh", "800"],
-                                  ["local", "--K", "8"]])
+                                  ["local", "--K", "8"],
+                                  ["oracle", "integrate", "--t1", "1",
+                                   "--rtol", "1e-10"]])
 def test_deleted_flags_are_refused(flag):
     with pytest.raises(SystemExit) as exc:
         cli.main(flag)
@@ -803,7 +782,7 @@ _COMMAND_ARGV = {
 
 # a misspelled key, then keys of options deleted earlier
 _UNREAD_KEYS = ["cels", "newton_tol", "alpha", "oracle_rtol", "identities",
-                "periodic", "mu0", "delta", "i", "N", "bump_csv"]
+                "periodic", "mu0", "delta", "i", "N", "bump_csv", "rtol"]
 
 
 @pytest.mark.parametrize("command", sorted(_COMMAND_ARGV))
@@ -923,8 +902,7 @@ def test_flags_beat_config(tmp_path):
 
 
 def test_oracle_ground(tmp_path, capsys):
-    rc = cli.main(["oracle", "ground", "--rtol", "1e-10",
-                   "--outdir", str(tmp_path)])
+    rc = cli.main(["oracle", "ground", "--outdir", str(tmp_path)])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert abs(payload["c"] - C_STEP) < 1e-6 * C_STEP

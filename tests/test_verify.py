@@ -369,8 +369,9 @@ def _shoot_window(monkeypatch, sol):
 
 @pytest.mark.parametrize("name, cells", [("step", 1600), ("sine", 0)])
 def test_oracle_batch_equals_lone_shots(monkeypatch, name, cells):
-    """Each interval's gap from the window's batched shots equals the gap
-    from shoot_dirichlet shooting that interval alone."""
+    """Each interval's gap from the window's batched shots is the gap from
+    shoot_dirichlet shooting that interval alone, bit for bit: a batch only
+    vectorises its runs."""
     w = cli.resolve_weight(name)[0]
     sol = _solve(w, (1, 0), 1e3, cells)
     check, seen = _shoot_window(monkeypatch, sol)
@@ -383,19 +384,18 @@ def test_oracle_batch_equals_lone_shots(monkeypatch, name, cells):
         a = grid.m * (2 * (key[0] - grid.i0) + (key[1] == "-"))
         b = a + grid.m
         assert (nodes[a], nodes[b], full[a], full[b]) == (t0, t1, x, y)
-        lone = oracle.shoot_dirichlet(w, sol.mu, t0, t1, x, y, rtol=1e-12,
-                                      s0=s0)
+        lone = oracle.shoot_dirichlet(w, sol.mu, t0, t1, x, y, s0=s0)
         gap = float(np.max(np.abs(lone.dense.eval_u(nodes[a:b + 1])
                                   - full[a:b + 1])))
-        assert abs(gap - check.per_interval[key]) <= 1e-9
+        assert gap == check.per_interval[key]
 
 
 @pytest.mark.parametrize("code, mu, cells, rounds, steps, ok", [
-    pytest.param((1, 0), 1e3, 1600, 2, 24, True, id="1000.0-1600-2-24"),
-    pytest.param((1, 0), 1e4, 0, 3, 41, True, id="10000.0-0-3-41"),
+    pytest.param((1, 0), 1e3, 1600, 2, 22, True, id="1000.0-1600-2-22"),
+    pytest.param((1, 0), 1e4, 0, 3, 39, True, id="10000.0-0-3-39"),
     # the default mesh misses the bound at mu 1e3 (rel 2.4e-6, the FEM's
     # own error); pinned here for the oracle's cost
-    pytest.param((1, 1, 0), 1e3, 0, 6, 103, False, id="1000.0-0-6-103")])
+    pytest.param((1, 1, 0), 1e3, 0, 6, 102, False, id="1000.0-0-6-102")])
 def test_oracle_rounds_pinned(monkeypatch, step_weight, code, mu, cells,
                               rounds, steps, ok):
     """Shot from their smaller ends and started from the FEM's half-hat
